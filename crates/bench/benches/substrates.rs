@@ -8,37 +8,15 @@ use pod_cache::{ArcCache, LfuCache, LruCache};
 use pod_dedup::IndexTable;
 use pod_disk::engine::isolated_latency;
 use pod_disk::{ArraySim, DiskSpec, RaidConfig, RaidGeometry, SchedulerKind};
-use pod_hash::{fnv1a_64, HashEngine, ParallelHashEngine, Sha256, Sha256Engine};
-use pod_types::{Fingerprint, Pba, SimDuration, SimTime};
+use pod_hash::fnv1a_64;
+use pod_types::{Fingerprint, Pba, SimTime};
 use std::hint::black_box;
 
 fn bench_hashing(c: &mut Criterion) {
     let chunk = vec![0xA5u8; 4096];
     let mut g = c.benchmark_group("hash");
     g.throughput(Throughput::Bytes(4096));
-    g.bench_function("sha256_4k_chunk", |b| {
-        b.iter(|| Sha256::digest(black_box(&chunk)))
-    });
     g.bench_function("fnv1a_4k", |b| b.iter(|| fnv1a_64(black_box(&chunk))));
-    g.finish();
-
-    // Parallel engine: 64 chunks fanned over 4 workers vs sequential.
-    let chunks: Vec<Vec<u8>> = (0..64u8).map(|i| vec![i; 4096]).collect();
-    let refs: Vec<&[u8]> = chunks.iter().map(|v| v.as_slice()).collect();
-    let mut g = c.benchmark_group("hash_batch_64x4k");
-    g.throughput(Throughput::Bytes(64 * 4096));
-    g.bench_function("sequential", |b| {
-        let e = Sha256Engine::default();
-        b.iter(|| {
-            refs.iter()
-                .map(|r| e.fingerprint(black_box(r)))
-                .collect::<Vec<_>>()
-        })
-    });
-    g.bench_function("parallel_4_workers", |b| {
-        let e = ParallelHashEngine::new(SimDuration::from_micros(32), 4);
-        b.iter(|| e.fingerprint_batch(black_box(&refs)))
-    });
     g.finish();
 }
 

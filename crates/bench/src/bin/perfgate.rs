@@ -646,42 +646,32 @@ fn tier_gate(tier: &[TierEntry], report_only: bool) {
     }
 }
 
-/// End-to-end replay throughput entries for the disk section: the mail
-/// trace under POD with the full event-driven model and the calibrated
-/// O(1) backend. The ratio between the two is the headline the
-/// calibrated backend exists for.
-fn disk_replay_entries(scale: f64, reps: usize) -> Vec<DiskEntry> {
+/// End-to-end replay throughput entry for the disk section: the mail
+/// trace under POD, so the disk microbenches sit next to the replay
+/// they are a layer of.
+fn disk_replay_entry(scale: f64, reps: usize) -> DiskEntry {
     let trace = TraceProfile::mail()
         .scaled(scale)
         .generate(pod_bench::BENCH_SEED);
-    let mut calibrated = SystemConfig::paper_default();
-    calibrated.disk_model = pod_core::DiskModel::Calibrated;
-    let mut out = Vec::new();
-    for (mix, cfg) in [
-        ("replay-full", SystemConfig::paper_default()),
-        ("replay-calibrated", calibrated),
-    ] {
-        let mut samples = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            Scheme::Pod
-                .builder()
-                .config(cfg.clone())
-                .trace(&trace)
-                .run()
-                .unwrap_or_else(|e| die(&format!("{mix}: {e}")));
-            samples.push(t0.elapsed().as_secs_f64().max(1e-9));
-        }
-        let best = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        out.push(DiskEntry {
-            mix: mix.into(),
-            jobs: trace.len() as u64,
-            wall_s: best,
-            jobs_per_sec: trace.len() as f64 / best,
-            samples,
-        });
+    let mut samples = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        Scheme::Pod
+            .builder()
+            .config(SystemConfig::paper_default())
+            .trace(&trace)
+            .run()
+            .unwrap_or_else(|e| die(&format!("replay-full: {e}")));
+        samples.push(t0.elapsed().as_secs_f64().max(1e-9));
     }
-    out
+    let best = samples.iter().copied().fold(f64::INFINITY, f64::min);
+    DiskEntry {
+        mix: "replay-full".into(),
+        jobs: trace.len() as u64,
+        wall_s: best,
+        jobs_per_sec: trace.len() as f64 / best,
+        samples,
+    }
 }
 
 /// Peak resident set size in KiB (`VmHWM`), 0 where procfs is absent.
@@ -709,6 +699,7 @@ fn samples_json(samples: &[f64]) -> String {
     out
 }
 
+#[allow(clippy::too_many_arguments)]
 fn render_json(
     date: &str,
     commit: &str,
@@ -1142,7 +1133,7 @@ fn main() {
             args.reps
         );
         let mut disk = disk_microbench(args.reps);
-        disk.extend(disk_replay_entries(args.scale, args.reps));
+        disk.push(disk_replay_entry(args.scale, args.reps));
         print_disk_table(&disk);
         return;
     }
@@ -1216,7 +1207,7 @@ fn main() {
     }
     println!("disk-engine microbenches ...");
     let mut disk = disk_microbench(args.reps);
-    disk.extend(disk_replay_entries(args.scale, args.reps));
+    disk.push(disk_replay_entry(args.scale, args.reps));
     println!(
         "serve scaling sweep ({SERVE_TENANTS} tenants, shards {:?}) ...",
         SERVE_SHARDS

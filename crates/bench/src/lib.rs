@@ -6,7 +6,7 @@
 //!   table and figure of the paper as CSV (see `src/bin/figures.rs`).
 //! * `cargo bench -p pod-bench` runs the Criterion suites: one bench per
 //!   paper artifact (trace statistics, cache-split sweep, scheme
-//!   comparison per trace) plus substrate microbenches (SHA-256
+//!   comparison per trace) plus substrate microbenches (FNV
 //!   throughput, cache operations, index table, RAID planning, event
 //!   engine) and the ablation benches DESIGN.md lists (Select-Dedupe
 //!   threshold sweep, scheduler comparison, iCache epoch sweep).

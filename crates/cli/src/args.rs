@@ -31,11 +31,6 @@ pub struct CliArgs {
     /// `--verify`: run the end-to-end integrity oracle alongside the
     /// replay and fail if any logical block diverges.
     pub verify: bool,
-    /// `--disk-model full|calibrated`: which disk engine serves the
-    /// replay. `calibrated` swaps the event-driven array simulator for
-    /// O(1) calibrated per-op latencies (same dedup/cache counters,
-    /// approximate latency columns, much faster).
-    pub disk_model: pod_core::DiskModel,
     /// `--tenants <K>`: tenant streams for `serve` (default 1).
     pub tenants: usize,
     /// `--shards <N>`: shard workers for `serve` (default 1; must not
@@ -71,7 +66,6 @@ impl Default for CliArgs {
             headless: false,
             faults: None,
             verify: false,
-            disk_model: pod_core::DiskModel::Full,
             tenants: 1,
             shards: 1,
             policy: None,
@@ -129,10 +123,6 @@ impl CliArgs {
                 "--out" => args.out = Some(value.clone()),
                 "--trace-out" => args.trace_out = Some(value.clone()),
                 "--in" => args.input = Some(value.clone()),
-                "--disk-model" => {
-                    args.disk_model =
-                        pod_core::DiskModel::parse(value).map_err(|e| e.to_string())?;
-                }
                 "--faults" => {
                     // Validate eagerly so a typo fails at the prompt,
                     // not mid-replay.
@@ -253,7 +243,6 @@ impl CliArgs {
         if let Some(spec) = &self.faults {
             cfg.faults = Some(pod_core::FaultPlan::parse(spec).map_err(|e| e.to_string())?);
         }
-        cfg.disk_model = self.disk_model;
         if let Some(spec) = &self.policy {
             cfg.policy = Some(pod_core::ServePolicy::parse(spec).map_err(|e| e.to_string())?);
         }
@@ -384,35 +373,6 @@ mod tests {
         assert_eq!(a.seed, 3);
         let d = parse(&[]).expect("parse");
         assert!(!d.prof && !d.history);
-    }
-
-    #[test]
-    fn disk_model_flag_lands_in_config() {
-        let a = parse(&["--disk-model", "calibrated"]).expect("parse");
-        assert_eq!(a.disk_model, pod_core::DiskModel::Calibrated);
-        let cfg = a.system_config().expect("config");
-        assert_eq!(cfg.disk_model, pod_core::DiskModel::Calibrated);
-        // Aliases and the default.
-        assert_eq!(
-            parse(&["--disk-model", "fast"]).expect("parse").disk_model,
-            pod_core::DiskModel::Calibrated
-        );
-        assert_eq!(
-            parse(&["--disk-model", "event"]).expect("parse").disk_model,
-            pod_core::DiskModel::Full
-        );
-        assert_eq!(
-            parse(&[]).expect("parse").disk_model,
-            pod_core::DiskModel::Full
-        );
-        assert!(parse(&["--disk-model", "warp"]).is_err());
-    }
-
-    #[test]
-    fn calibrated_model_rejects_fault_injection() {
-        let a = parse(&["--disk-model", "calibrated", "--faults", "transient"]).expect("parse");
-        let err = a.system_config().expect_err("faults need the full model");
-        assert!(err.contains("fault-free"), "unexpected message: {err}");
     }
 
     #[test]

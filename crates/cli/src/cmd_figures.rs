@@ -74,7 +74,7 @@ fn run_history(args: &CliArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Build the two history CSVs. Split from [`run_history`] so tests can
+/// Build the two history CSVs. Split from `run_history` so tests can
 /// assert on exact cells without a filesystem store.
 pub fn export_history(records: &[StoreRecord]) -> Vec<(&'static str, String)> {
     let mut rps = String::from(

@@ -28,6 +28,9 @@ fn main() {
         usage_and_exit(0);
     }
     let cmd = argv.remove(0);
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        usage_and_exit(0);
+    }
     if cmd == "profile" {
         // `profile` accepts positional shorthand straight off a paper
         // table: `pod-cli profile Full-Dedupe mail` is
@@ -109,9 +112,6 @@ fn usage_and_exit(code: i32) -> ! {
          \x20                                 corrupt:<lba>, all[:seed]\n\
          \x20 --verify                        `replay`: run the end-to-end integrity oracle\n\
          \x20                                 and fail on any divergent block\n\
-         \x20 --disk-model <full|calibrated>  disk engine: full event-driven simulation\n\
-         \x20                                 (default) or O(1) calibrated latencies —\n\
-         \x20                                 same dedup counters, much faster\n\
          \x20 --tenants <K>                   `serve`: tenant streams derived from the\n\
          \x20                                 profile (seed, seed+1, ...; default 1)\n\
          \x20 --shards <N>                    `serve`: shard workers; each owns the\n\

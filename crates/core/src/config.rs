@@ -4,10 +4,9 @@ use pod_dedup::IndexPolicy;
 use pod_disk::{DiskSpec, RaidConfig, SchedulerKind};
 use pod_icache::ReadCachePolicy;
 use pod_types::{PodError, PodResult};
-use serde::{Deserialize, Serialize};
 
 /// Full configuration of a simulated POD deployment.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SystemConfig {
     /// Array geometry (paper: 4-disk RAID-5, 64 KiB stripe unit).
     pub raid: RaidConfig,
@@ -58,26 +57,20 @@ pub struct SystemConfig {
     /// Deterministic fault-injection plan applied to the disk backend.
     /// `None` = no fault layer is installed at all (zero overhead).
     pub faults: Option<FaultPlan>,
-    /// Which disk engine serves the stack's I/O (default: the full
-    /// event-driven [`pod_disk::ArraySim`]).
-    #[serde(default)]
-    pub disk_model: DiskModel,
     /// Cross-tenant serve policy: shared fingerprint-cache tier and
     /// per-tenant QoS. `None` = the policy layer is absent entirely
     /// (zero overhead); single-stack replays ignore it.
-    #[serde(default)]
     pub policy: Option<ServePolicy>,
     /// Emit [`StackEvent::HostPhase`](crate::StackEvent) events
     /// attributing real host wall-clock nanoseconds to each phase of
     /// the replay loop (see [`crate::prof`]). Off by default: without
     /// it no host-time event ever reaches the wire, so reports, traces
     /// and golden fixtures are byte-identical to pre-profiler output.
-    #[serde(default)]
     pub host_profiling: bool,
 }
 
 /// Controller fast-path service-time model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LatencyModel {
     /// Fingerprinting cost per 4 KiB chunk, µs (paper: 32).
     pub hash_us_per_chunk: u64,
@@ -103,7 +96,7 @@ impl Default for LatencyModel {
 }
 
 /// iCache adaptive index/read-cache partition tuning (paper §III-C).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ICacheTuning {
     /// Adaptation epoch, in requests.
     pub epoch_requests: u64,
@@ -133,7 +126,7 @@ impl Default for ICacheTuning {
 }
 
 /// Background post-process deduplication cadence.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PostProcess {
     /// Requests between background deduplication passes.
     pub interval: u64,
@@ -150,42 +143,13 @@ impl Default for PostProcess {
     }
 }
 
-/// Disk-engine selection for the stack.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DiskModel {
-    /// The full event-driven mechanical simulation: per-op seeks,
-    /// rotation, queueing, scheduling. Exact, and the reference for
-    /// every golden fixture.
-    #[default]
-    Full,
-    /// O(1) per-op calibrated latencies measured from a short
-    /// [`pod_disk::ArraySim`] self-calibration at stack build time.
-    /// All dedup/cache-layer counters (category mix, dedup ratio,
-    /// write traffic saved, hit rates) are identical to `Full`; only
-    /// latency-derived columns differ. For throughput-bound sweeps.
-    Calibrated,
-}
-
-impl DiskModel {
-    /// Parse a CLI/config name.
-    pub fn parse(s: &str) -> PodResult<Self> {
-        match s {
-            "full" | "event" => Ok(DiskModel::Full),
-            "calibrated" | "fast" => Ok(DiskModel::Calibrated),
-            other => Err(PodError::InvalidConfig(format!(
-                "unknown disk model '{other}' (full|calibrated)"
-            ))),
-        }
-    }
-}
-
 /// Deterministic, seeded fault-injection plan for the disk backend.
 ///
 /// Rates are expressed as "1 in N" submissions (0 disables that fault
 /// class). All decisions come from a `splitmix64` stream keyed by
 /// `seed` and consumed in submission order, so a given trace + config +
 /// plan always injects the identical fault sequence.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the fault decision stream.
     pub seed: u64,
@@ -364,7 +328,7 @@ impl FaultPlan {
 }
 
 /// Per-tenant quality-of-service limits within a [`ServePolicy`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TenantPolicy {
     /// Token-bucket admission rate, requests per second of *simulated*
     /// time. `None` = unthrottled.
@@ -439,7 +403,7 @@ impl TenantPolicy {
 /// own history and fleet-wide constants — never on which shard its
 /// neighbours landed on — per-tenant results stay byte-identical at
 /// any `--shards`/`--jobs` topology.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServePolicy {
     /// Fleet-wide shared fingerprint-cache tier, bytes. `0` disables
     /// the tier (QoS limits still apply).
@@ -671,12 +635,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Select the disk engine.
-    pub fn disk_model(mut self, model: DiskModel) -> Self {
-        self.cfg.disk_model = model;
-        self
-    }
-
     /// Install a fault-injection plan.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.cfg.faults = Some(plan);
@@ -730,7 +688,6 @@ impl SystemConfig {
             post_process: PostProcess::default(),
             fail_disk: None,
             faults: None,
-            disk_model: DiskModel::Full,
             policy: None,
             host_profiling: false,
         }
@@ -801,11 +758,6 @@ impl SystemConfig {
         if let Some(policy) = &self.policy {
             policy.validate()?;
         }
-        if self.disk_model == DiskModel::Calibrated {
-            // The backend owns the list of event-level behaviours it
-            // cannot reproduce; keep the rejection next to the model.
-            crate::stack::CalibratedBackend::validate(self)?;
-        }
         Ok(())
     }
 
@@ -835,9 +787,6 @@ impl SystemConfig {
         );
         if let Some(d) = self.fail_disk {
             s.push_str(&format!(" fail_disk={d}"));
-        }
-        if self.disk_model != DiskModel::Full {
-            s.push_str(&format!(" disk_model={:?}", self.disk_model));
         }
         if let Some(plan) = &self.faults {
             s.push_str(&format!(" faults=seed:{}", plan.seed));
@@ -919,24 +868,6 @@ mod tests {
         assert!(c.validate().is_err());
         c.memory_bytes = Some(1 << 20);
         assert!(c.validate().is_ok(), "explicit budget overrides scale");
-    }
-
-    #[test]
-    fn calibrated_model_rejects_faulty_arrays() {
-        let mut c = SystemConfig::test_default();
-        c.disk_model = DiskModel::Calibrated;
-        assert!(c.validate().is_ok(), "healthy calibrated array is fine");
-        c.faults = Some(FaultPlan::transient(7));
-        let err = c.validate().expect_err("faults rejected");
-        assert!(err.to_string().contains("fault-free"), "{err}");
-        c.faults = None;
-        c.fail_disk = Some(1);
-        let err = c.validate().expect_err("failed disk rejected");
-        assert!(err.to_string().contains("fault-free"), "{err}");
-        // The check lives on the backend and is callable directly.
-        assert!(crate::stack::CalibratedBackend::validate(&c).is_err());
-        c.fail_disk = None;
-        assert!(crate::stack::CalibratedBackend::validate(&c).is_ok());
     }
 
     #[test]

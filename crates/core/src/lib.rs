@@ -3,14 +3,14 @@
 //! The assembled POD system and its evaluation harness.
 //!
 //! This crate wires the substrates together the way Fig. 4 of the paper
-//! draws them: trace requests enter at the block interface, writes pass
-//! through the hash engine and a [`pod_dedup::DedupEngine`]
-//! (Select-Dedupe or a baseline policy), reads pass through the
-//! [`pod_icache::ICache`] read cache, and the surviving physical I/O is
-//! serviced by the [`pod_disk::ArraySim`] RAID simulator. Response times
-//! are measured per request exactly as the paper's trace replayer does
-//! (§IV-A: user response times, with reads and writes also reported
-//! separately).
+//! draws them: trace requests enter at the block interface, writes are
+//! charged the hashing delay and pass through a
+//! [`pod_dedup::DedupEngine`] (Select-Dedupe or a baseline policy),
+//! reads pass through the [`pod_icache::ICache`] read cache, and the
+//! surviving physical I/O is serviced by the [`pod_disk::ArraySim`]
+//! RAID simulator. Response times are measured per request exactly as
+//! the paper's trace replayer does (§IV-A: user response times, with
+//! reads and writes also reported separately).
 //!
 //! * [`config`] — [`SystemConfig`]: the paper's testbed configuration
 //!   (4-disk RAID-5, 64 KiB stripe, 32 µs/4 KiB hashing, per-trace DRAM
@@ -59,8 +59,8 @@ pub mod stack;
 pub mod testing;
 
 pub use config::{
-    ConfigBuilder, DiskModel, FaultPlan, ICacheTuning, LatencyModel, PostProcess, ServePolicy,
-    SystemConfig, TenantPolicy,
+    ConfigBuilder, FaultPlan, ICacheTuning, LatencyModel, PostProcess, ServePolicy, SystemConfig,
+    TenantPolicy,
 };
 pub use metrics::{LatencyHistogram, Metrics, Timeline};
 pub use obs::{

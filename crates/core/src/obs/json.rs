@@ -1,7 +1,7 @@
 //! Minimal JSON reader/writer for the trace format.
 //!
-//! The workspace builds offline (the `serde` shim is a no-op marker),
-//! so every serialized artifact in this repo is hand-rolled JSON. This
+//! The workspace builds offline with no serialization crate, so every
+//! serialized artifact in this repo is hand-rolled JSON. This
 //! module is the one shared implementation: the trace exporter writes
 //! through [`push_str_escaped`], and `pod stats` / `perfgate` read
 //! snapshots back through [`parse`]. It supports exactly the JSON this

@@ -5,8 +5,8 @@
 //! hash latency, and the layer shares in `BENCH_*.json` are derived
 //! from them. This module measures the other axis — **real host
 //! nanoseconds** spent inside each phase of the replay loop — because
-//! the two disagree in practice: the calibrated disk backend can claim
-//! 97% of simulated time while the host spends most of its wall clock
+//! the two disagree in practice: the disk layer can claim 97% of
+//! simulated time while the host spends most of its wall clock
 //! in cache/dedup/metrics code (the PR 6 lesson: a 3× disk-engine
 //! speedup moved end-to-end replay by only ~1.1×).
 //!
@@ -278,11 +278,7 @@ impl PhaseAgg {
 
     /// Mean scope duration in nanoseconds (0 when empty).
     pub fn mean_ns(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.total_ns / self.count
-        }
+        self.total_ns.checked_div(self.count).unwrap_or(0)
     }
 
     /// Nearest-rank percentile, reported as the upper bound of the

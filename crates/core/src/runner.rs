@@ -22,11 +22,12 @@ use crate::obs::{IntoObserverChain, ObserverChain, StackCounters, TraceRecorder}
 use crate::oracle::{IntegrityReport, OracleObserver};
 use crate::prof::{HostProfile, ProfSink};
 use crate::scheme::Scheme;
-use crate::stack::{StackSpec, StorageStack};
+use crate::serve::TokenBucket;
+use crate::stack::{SharedTierTask, StackSpec, StorageStack};
 use pod_dedup::engine::EngineCounters;
 use pod_disk::engine::DiskStats;
 use pod_trace::Trace;
-use pod_types::{PodError, PodResult};
+use pod_types::{IoRequest, PodError, PodResult, SimDuration};
 
 /// Result of replaying one trace through one scheme.
 #[derive(Debug, Clone)]
@@ -162,21 +163,45 @@ impl ReplaySizing {
     }
 }
 
-/// The replay core every entry point funnels into.
+/// What the serving engine adds to one tenant's replay. The default is
+/// a solo replay: tenant 0 (untagged on the wire), no policy task, no
+/// admission control.
+#[derive(Default)]
+pub(crate) struct TenantSetup {
+    /// Tenant id stamped on every per-request event.
+    pub(crate) tenant: u16,
+    /// The tenant's shared-tier task, registered after the
+    /// spec-declared background tasks.
+    pub(crate) tier_task: Option<SharedTierTask>,
+    /// Rate-limit admission: a throttled request is processed at its
+    /// admission time, which delays the tenant's later arrivals.
+    pub(crate) throttle: Option<TokenBucket>,
+}
+
+/// The replay core every entry point funnels into — a solo
+/// [`ReplayBuilder`] run and each tenant of a
+/// [`ServeBuilder`](crate::serve::ServeBuilder) run alike.
 ///
 /// The replay is a thin driver: the scheme is resolved once into a
 /// declarative [`StackSpec`], the layered [`StorageStack`] is composed
 /// from it, and every request flows through the same code path — no
 /// scheme branching anywhere below this line. Returns the report plus
-/// the observer chain so callers can extract attached sinks.
-fn replay_stack(
+/// the finished stack, so callers can take the observer chain's sinks
+/// and read end-of-replay state.
+pub(crate) fn replay_stack(
     spec: &StackSpec,
     cfg: &SystemConfig,
     trace: &Trace,
     observer: ObserverChain,
     verify: bool,
-) -> PodResult<(ReplayReport, ObserverChain)> {
+    setup: TenantSetup,
+) -> PodResult<(ReplayReport, StorageStack)> {
     let mut stack = StorageStack::with_observer(spec, cfg, trace, observer)?;
+    stack.set_tenant(setup.tenant);
+    if let Some(task) = setup.tier_task {
+        stack.push_task(Box::new(task));
+    }
+    let mut throttle = setup.throttle;
     // The oracle rides outside the stack: events carry no request
     // payloads, so the reference model is fed the raw stream here.
     let mut oracle = verify.then(OracleObserver::new);
@@ -188,6 +213,23 @@ fn replay_stack(
         if let Some(oracle) = oracle.as_mut() {
             oracle.observe_request(req);
         }
+        let wait_us = throttle
+            .as_mut()
+            .map_or(0, |bucket| bucket.admit(req.arrival.as_micros()));
+        // Throttled: process a copy shifted to its admission time. The
+        // clone happens only on this path, so unthrottled replays keep
+        // the zero-allocation hot path.
+        let delayed;
+        let req = if wait_us == 0 {
+            req
+        } else {
+            stack.note_throttle_wait(wait_us);
+            delayed = IoRequest {
+                arrival: req.arrival + SimDuration::from_micros(wait_us),
+                ..req.clone()
+            };
+            &delayed
+        };
         stack.run_until(req.arrival);
         stack.process_request(idx, req, idx >= warmup)?;
     }
@@ -201,11 +243,11 @@ fn replay_stack(
         rep
     });
     let report = collect_report(&stack, spec.name, trace, warmup, integrity);
-    Ok((report, stack.into_observer()))
+    Ok((report, stack))
 }
 
 /// Number of leading requests excluded from measurement under `cfg`.
-pub(crate) fn warmup_requests(cfg: &SystemConfig, n: usize) -> usize {
+fn warmup_requests(cfg: &SystemConfig, n: usize) -> usize {
     ((n as f64) * cfg.warmup_fraction) as usize
 }
 
@@ -253,11 +295,8 @@ pub(crate) fn recorder_epoch(epoch: u64, len: usize) -> u64 {
     }
 }
 
-/// Assemble a [`ReplayReport`] from a finished stack. Shared by the
-/// single-trace replay above and the sharded serving engine
-/// ([`crate::serve`]), which drives several tenant stacks per worker
-/// and reports each one individually.
-pub(crate) fn collect_report(
+/// Assemble a [`ReplayReport`] from a finished stack.
+fn collect_report(
     stack: &StorageStack,
     scheme: &str,
     trace: &Trace,
@@ -433,8 +472,15 @@ impl<'t> ReplayBuilder<'t> {
         if self.core.profile {
             chain.push(ProfSink::new());
         }
-        let (mut report, mut chain) =
-            replay_stack(&spec, &self.core.cfg, trace, chain, self.core.verify)?;
+        let (mut report, stack) = replay_stack(
+            &spec,
+            &self.core.cfg,
+            trace,
+            chain,
+            self.core.verify,
+            TenantSetup::default(),
+        )?;
+        let mut chain = stack.into_observer();
         if self.core.profile {
             report.profile = chain.take_sink::<ProfSink>().map(ProfSink::into_profile);
         }

@@ -2,10 +2,9 @@
 
 use crate::stack::{BackgroundKind, CacheKeying, StackSpec};
 use pod_dedup::DedupPolicy;
-use serde::{Deserialize, Serialize};
 
 /// A complete storage-stack configuration under evaluation (paper §IV).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// HDD array without deduplication.
     Native,

@@ -3,21 +3,23 @@
 //! A plain [`ReplayBuilder`](crate::ReplayBuilder) run is one trace
 //! through one stack. This module promotes that into a *service*: K
 //! per-tenant request streams (see [`pod_trace::derive_tenants`]) are
-//! merged by arrival time, partitioned across N shards, and each shard
-//! worker drives the stacks of its tenants through the shared
-//! [`Executor`](crate::pool::Executor).
+//! partitioned across N shards, and each shard worker on the shared
+//! [`Executor`](crate::pool::Executor) serves its tenants back to back,
+//! each one through the same replay loop a solo run uses.
 //!
 //! # Units of isolation vs. units of concurrency
 //!
 //! * A **tenant** is the unit of isolation: it owns a full
-//!   [`StorageStack`] (its own dedup tables, caches and simulated
-//!   array), mirroring the paper's consolidated-VM picture where each
-//!   VM's working set is independent. Because tenant state never
+//!   [`StorageStack`](crate::StorageStack) (its own dedup tables,
+//!   caches and simulated array), mirroring the paper's
+//!   consolidated-VM picture where each VM's working set is
+//!   independent. Because tenant state never
 //!   crosses a stack boundary, every per-tenant report is a pure
 //!   function of that tenant's trace and the config.
-//! * A **shard** is the unit of concurrency: shard `s` owns the stacks
-//!   of tenants `{t | t mod N == s}` and one worker drives them in
-//!   merged arrival order.
+//! * A **shard** is the unit of concurrency: shard `s` owns tenants
+//!   `{t | t mod N == s}` and one worker serves them in ascending id
+//!   order, one live stack at a time. Tenants share no state, so the
+//!   order they are served in changes no result.
 //!
 //! The consequence is the engine's central guarantee: reports are
 //! **byte-identical at any worker width and any shard count** — `--jobs`
@@ -40,14 +42,13 @@ use std::time::Instant;
 use crate::config::SystemConfig;
 use crate::metrics::Metrics;
 use crate::obs::{ObserverChain, StackCounters, TraceRecorder};
-use crate::oracle::OracleObserver;
 use crate::prof::{HostProfile, ProfSink};
-use crate::runner::{collect_report, recorder_epoch, warmup_requests, BuilderCore, ReplayReport};
+use crate::runner::{recorder_epoch, replay_stack, BuilderCore, ReplayReport, TenantSetup};
 use crate::scheme::Scheme;
-use crate::stack::{SharedTierTask, StackSpec, StorageStack};
+use crate::stack::{SharedTierTask, StackSpec};
 use pod_dedup::engine::EngineCounters;
-use pod_trace::{relocation_bases, MergedStream, Trace};
-use pod_types::{Fingerprint, Introspect, PodError, PodResult, SimDuration};
+use pod_trace::{relocation_bases, Trace};
+use pod_types::{Fingerprint, Introspect, PodError, PodResult};
 
 /// Deterministic LBA → tenant → shard mapping over the consolidated
 /// address space.
@@ -239,7 +240,7 @@ pub struct ShardStats {
     /// Requests processed (all tenants, warm-up included).
     pub requests: u64,
     /// Wall time the worker spent building, driving and finishing its
-    /// stacks.
+    /// tenants' stacks.
     pub busy_us: u64,
 }
 
@@ -464,8 +465,8 @@ impl<'t> ServeBuilder<'t> {
         let router = ShardRouter::new(tenants, self.shards)?;
         let spec = self.core.scheme.stack_spec();
 
-        // One job per shard: the worker owns its tenants' stacks for
-        // the whole run (long-lived, no hand-offs mid-stream).
+        // One job per shard: the worker owns its tenants for the whole
+        // run (no hand-offs between workers).
         let jobs: Vec<ShardJob<'_>> = (0..router.shards())
             .map(|shard| ShardJob {
                 shard,
@@ -537,8 +538,7 @@ impl<'t> ServeBuilder<'t> {
 /// Work item handed to one pool worker: the shard and its tenants.
 struct ShardJob<'t> {
     shard: usize,
-    /// `(tenant id, trace)`, ascending by tenant id so the shard-local
-    /// merge tie-break matches the global one.
+    /// `(tenant id, trace)`, ascending by tenant id.
     tenants: Vec<(u16, &'t Trace)>,
 }
 
@@ -576,7 +576,7 @@ struct ShardCtx<'a> {
 /// exact and deterministic. Driven purely by the tenant's own arrival
 /// clock, never wall time or other tenants' traffic.
 #[derive(Debug)]
-struct TokenBucket {
+pub(crate) struct TokenBucket {
     rate_rps: u64,
     tokens_micro: u64,
     cap_micro: u64,
@@ -599,7 +599,7 @@ impl TokenBucket {
     /// delay in µs (0 = admitted immediately). Admissions are FIFO: a
     /// request can never be admitted before an earlier one of the same
     /// tenant, so the bucket's clock is `max(arrival, last admission)`.
-    fn admit(&mut self, arrival_us: u64) -> u64 {
+    pub(crate) fn admit(&mut self, arrival_us: u64) -> u64 {
         let now = arrival_us.max(self.last_us);
         let delta = now - self.last_us;
         self.tokens_micro = (self.tokens_micro + delta * self.rate_rps).min(self.cap_micro);
@@ -615,151 +615,99 @@ impl TokenBucket {
     }
 }
 
-/// Drive one shard: build every tenant stack, replay the shard's
-/// merged arrival stream, finish and report each tenant. Mirrors the
-/// single-stack replay loop in [`crate::runner`] exactly per tenant, so
-/// a tenant's report here is byte-identical to its solo replay.
+/// Serve one shard: its tenants back to back, one live stack at a time.
 fn run_shard(ctx: &ShardCtx<'_>, job: ShardJob<'_>) -> PodResult<ShardOutput> {
     let started = Instant::now();
-    let spec = ctx.spec;
-    let cfg = ctx.cfg;
-    let mut runs = Vec::with_capacity(job.tenants.len());
-    for &(tenant, trace) in &job.tenants {
-        let mut chain = match ctx.observer {
-            Some(factory) => factory(tenant),
-            None => ObserverChain::new(),
-        };
-        if let Some(epoch) = ctx.record_epoch {
-            let epoch = recorder_epoch(epoch, trace.len());
-            chain.push(
-                TraceRecorder::new(spec.name, trace.name.clone(), epoch, trace.len())
-                    .with_tenant(tenant),
-            );
-        }
-        if ctx.profile {
-            chain.push(ProfSink::new());
-        }
-        let mut stack = StorageStack::with_observer(spec, cfg, trace, chain)?;
-        stack.set_tenant(tenant);
-        let mut throttle = None;
-        if let Some(policy) = &cfg.policy {
-            // The QoS layer rides as one extra background task per
-            // tenant plus per-tenant admission control; with no policy
-            // none of this exists and the stack is byte-for-byte the
-            // pre-policy one.
-            let tp = policy.tenant(tenant);
-            stack.push_task(Box::new(SharedTierTask::new(
-                tenant,
-                cfg.icache.epoch_requests,
-                policy.shared_tier_bytes / ctx.fleet_tenants as u64,
-                policy.hot_threshold_pm,
-                policy.cold_threshold_pm,
-                policy.hot_share_pm,
-                policy.cold_share_pm,
-                tp.cache_quota_bytes,
-                tp.soft_quota_bytes,
-            )));
-            throttle = tp
-                .rate_limit_rps
-                .map(|rate| TokenBucket::new(rate, tp.burst_requests));
-        }
-        runs.push(TenantRun {
-            tenant,
-            trace,
-            warmup: warmup_requests(cfg, trace.len()),
-            stack,
-            oracle: ctx.verify.then(OracleObserver::new),
-            throttle,
-        });
-    }
-
-    // The shard's service order: its tenants' streams merged by
-    // arrival, ties toward the lower tenant id.
-    let refs: Vec<&Trace> = runs.iter().map(|r| r.trace).collect();
-    for item in MergedStream::from_refs(&refs) {
-        let run = &mut runs[item.tenant];
-        if let Some(oracle) = run.oracle.as_mut() {
-            oracle.observe_request(item.request);
-        }
-        let wait_us = match run.throttle.as_mut() {
-            Some(bucket) => bucket.admit(item.request.arrival.as_micros()),
-            None => 0,
-        };
-        if wait_us == 0 {
-            run.stack.run_until(item.request.arrival);
-            run.stack
-                .process_request(item.index, item.request, item.index >= run.warmup)?;
-        } else {
-            // Throttled: process a copy shifted to its admission time.
-            // The clone happens only on this path, so unthrottled
-            // tenants keep the zero-allocation hot path.
-            run.stack.note_throttle_wait(wait_us);
-            let mut delayed = item.request.clone();
-            delayed.arrival += SimDuration::from_micros(wait_us);
-            run.stack.run_until(delayed.arrival);
-            run.stack
-                .process_request(item.index, &delayed, item.index >= run.warmup)?;
-        }
-    }
-
-    let mut tenants = Vec::with_capacity(runs.len());
-    let mut requests = 0u64;
-    for mut run in runs {
-        run.stack.finish()?;
-        // Verify after finish(), exactly as the solo replay does.
-        let integrity = run.oracle.take().map(|o| {
-            let mut rep = o.verify(run.stack.dedup());
-            rep.faults_seen = run.stack.observer().counters().faults_injected;
-            rep
-        });
-        let mut report = collect_report(&run.stack, spec.name, run.trace, run.warmup, integrity);
-        let capacity = cfg.policy.as_ref().map(|_| {
-            (
-                TenantCapacity {
-                    tenant: run.tenant,
-                    logical_blocks: run.stack.dedup().engine().introspect().map.mapped,
-                    physical_blocks: report.capacity_used_blocks,
-                },
-                run.stack
-                    .dedup()
-                    .engine()
-                    .store()
-                    .contents()
-                    .map(|(_, fp)| fp)
-                    .collect(),
-            )
-        });
-        requests += run.trace.len() as u64;
-        let mut chain = run.stack.into_observer();
-        if ctx.profile {
-            report.profile = chain.take_sink::<ProfSink>().map(ProfSink::into_profile);
-        }
-        tenants.push(TenantOutput {
-            report: TenantReport {
-                tenant: run.tenant,
-                shard: job.shard,
-                report,
-            },
-            recorder: chain.take_sink(),
-            capacity,
-        });
-    }
+    let tenants = job
+        .tenants
+        .iter()
+        .map(|&(tenant, trace)| serve_tenant(ctx, job.shard, tenant, trace))
+        .collect::<PodResult<Vec<_>>>()?;
     let stats = ShardStats {
         shard: job.shard,
-        tenants: tenants.iter().map(|t| t.report.tenant).collect(),
-        requests,
+        tenants: job.tenants.iter().map(|&(tenant, _)| tenant).collect(),
+        requests: job.tenants.iter().map(|(_, t)| t.len() as u64).sum(),
         busy_us: started.elapsed().as_micros().max(1) as u64,
     };
     Ok(ShardOutput { tenants, stats })
 }
 
-struct TenantRun<'t> {
+/// Serve one tenant start to finish through the solo replay loop
+/// ([`replay_stack`]), so its report is byte-identical to its solo
+/// replay. The stack is dropped before the shard's next tenant starts.
+fn serve_tenant(
+    ctx: &ShardCtx<'_>,
+    shard: usize,
     tenant: u16,
-    trace: &'t Trace,
-    warmup: usize,
-    stack: StorageStack,
-    oracle: Option<OracleObserver>,
-    throttle: Option<TokenBucket>,
+    trace: &Trace,
+) -> PodResult<TenantOutput> {
+    let spec = ctx.spec;
+    let cfg = ctx.cfg;
+    let mut chain = match ctx.observer {
+        Some(factory) => factory(tenant),
+        None => ObserverChain::new(),
+    };
+    if let Some(epoch) = ctx.record_epoch {
+        let epoch = recorder_epoch(epoch, trace.len());
+        chain.push(
+            TraceRecorder::new(spec.name, trace.name.clone(), epoch, trace.len())
+                .with_tenant(tenant),
+        );
+    }
+    if ctx.profile {
+        chain.push(ProfSink::new());
+    }
+    let mut setup = TenantSetup {
+        tenant,
+        ..TenantSetup::default()
+    };
+    if let Some(policy) = &cfg.policy {
+        // The QoS layer rides as one extra background task per tenant
+        // plus per-tenant admission control; with no policy none of
+        // this exists and the stack is byte-for-byte the pre-policy
+        // one.
+        let tp = policy.tenant(tenant);
+        setup.tier_task = Some(SharedTierTask::new(
+            tenant,
+            cfg.icache.epoch_requests,
+            policy.shared_tier_bytes / ctx.fleet_tenants as u64,
+            policy.hot_threshold_pm,
+            policy.cold_threshold_pm,
+            policy.hot_share_pm,
+            policy.cold_share_pm,
+            tp.cache_quota_bytes,
+            tp.soft_quota_bytes,
+        ));
+        setup.throttle = tp
+            .rate_limit_rps
+            .map(|rate| TokenBucket::new(rate, tp.burst_requests));
+    }
+
+    let (mut report, stack) = replay_stack(spec, cfg, trace, chain, ctx.verify, setup)?;
+    let capacity = cfg.policy.as_ref().map(|_| {
+        let engine = stack.dedup().engine();
+        (
+            TenantCapacity {
+                tenant,
+                logical_blocks: engine.introspect().map.mapped,
+                physical_blocks: report.capacity_used_blocks,
+            },
+            engine.store().contents().map(|(_, fp)| fp).collect(),
+        )
+    });
+    let mut chain = stack.into_observer();
+    if ctx.profile {
+        report.profile = chain.take_sink::<ProfSink>().map(ProfSink::into_profile);
+    }
+    Ok(TenantOutput {
+        report: TenantReport {
+            tenant,
+            shard,
+            report,
+        },
+        recorder: chain.take_sink(),
+        capacity,
+    })
 }
 
 #[cfg(test)]
@@ -1030,27 +978,39 @@ mod tests {
         cfg.policy = Some(stress_policy());
         let mut baseline: Option<Vec<String>> = None;
         for (shards, jobs) in [(1, 1), (2, 2), (4, 8)] {
-            let rep = ServeBuilder::new(Scheme::Pod)
+            // Oracle and recorder on, so the replay loop runs with every
+            // serve-only input live: tenant id, tier task, token bucket.
+            let (rep, recorders) = ServeBuilder::new(Scheme::Pod)
                 .config(cfg.clone())
                 .tenants(&tenants)
                 .shards(shards)
                 .jobs(jobs)
-                .run()
+                .verify(true)
+                .record(0)
+                .run_recorded()
                 .expect("serve");
+            assert_eq!(recorders.len(), tenants.len());
             // Everything deterministic about a tenant, rendered to one
             // comparable string (Debug covers every counter field).
             let fingerprint: Vec<String> = rep
                 .tenants
                 .iter()
-                .map(|t| {
+                .zip(&recorders)
+                .map(|(t, rec)| {
+                    let integrity = t.report.integrity.as_ref().expect("oracle attached");
+                    assert!(integrity.passed(), "tenant {}", t.tenant);
+                    let mut jsonl = Vec::new();
+                    rec.write_jsonl(&mut jsonl, None).expect("write to memory");
                     format!(
-                        "{} {:?} {:?} {} {} {:.6}",
+                        "{} {:?} {:?} {} {} {:.6} {:?} {}",
                         t.tenant,
                         t.report.counters,
                         t.report.stack,
                         t.report.capacity_used_blocks,
                         t.report.nvram_peak_bytes,
                         t.report.overall.mean_us(),
+                        integrity,
+                        String::from_utf8(jsonl).expect("utf8"),
                     )
                 })
                 .chain(std::iter::once(format!(

@@ -39,14 +39,12 @@
 
 mod background;
 mod cache;
-mod calibrated;
 mod dedup;
 mod disk;
 mod spec;
 
 pub use background::{BackgroundTask, LayerCtx, PostProcessTask, RepartitionTask, SharedTierTask};
 pub use cache::CacheLayer;
-pub use calibrated::{CalibratedBackend, Calibration};
 pub use dedup::DedupLayer;
 pub use disk::{ArrayBackend, DiskBackend, FaultRecord, FaultyBackend};
 pub use spec::{BackgroundKind, CacheKeying, StackSpec};
@@ -55,7 +53,7 @@ pub use spec::{BackgroundKind, CacheKeying, StackSpec};
 // call sites keep compiling.
 pub use crate::obs::{StackCounters, StackObserver};
 
-use crate::config::{DiskModel, SystemConfig};
+use crate::config::SystemConfig;
 use crate::obs::{FaultKind, IntoObserverChain, Layer, ObserverChain, StackEvent, StateSnapshot};
 use crate::prof::{ProfPhase, ProfTimer};
 use crate::runner::ReplaySizing;
@@ -209,26 +207,14 @@ impl StorageStack {
             sizing.max_request_blocks,
         );
 
-        // `validate()` rejects fail_disk/faults with the calibrated model,
-        // so the fast path never has to emulate degraded-mode service.
-        let disk: Box<dyn DiskBackend> = match cfg.disk_model {
-            DiskModel::Calibrated => Box::new(CalibratedBackend::new(
-                &geometry,
-                &cfg.disk,
-                cfg.scheduler,
-                &sizing,
-            )),
-            DiskModel::Full => {
-                let mut sim = ArraySim::new(geometry, cfg.disk.clone(), cfg.scheduler);
-                if let Some(disk) = cfg.fail_disk {
-                    sim.fail_disk(disk)?;
-                }
-                let backend = ArrayBackend::new(sim, &sizing);
-                match &cfg.faults {
-                    Some(plan) => Box::new(FaultyBackend::new(Box::new(backend), plan.clone())),
-                    None => Box::new(backend),
-                }
-            }
+        let mut sim = ArraySim::new(geometry, cfg.disk.clone(), cfg.scheduler);
+        if let Some(disk) = cfg.fail_disk {
+            sim.fail_disk(disk)?;
+        }
+        let backend = ArrayBackend::new(sim, &sizing);
+        let disk: Box<dyn DiskBackend> = match &cfg.faults {
+            Some(plan) => Box::new(FaultyBackend::new(Box::new(backend), plan.clone())),
+            None => Box::new(backend),
         };
 
         let tasks: Vec<Box<dyn BackgroundTask>> = spec
@@ -294,8 +280,8 @@ impl StorageStack {
     }
 
     /// Attribute every subsequent per-request event to `tenant`. The
-    /// serving engine calls this once per shard-local stack; plain
-    /// replays keep the default of 0 (untagged on the wire).
+    /// serving engine sets each tenant stack's id; plain replays keep
+    /// the default of 0 (untagged on the wire).
     pub fn set_tenant(&mut self, tenant: u16) {
         self.tenant = tenant;
     }

@@ -10,6 +10,7 @@ use pod_core::prelude::*;
 use pod_core::serve::ServeBuilder;
 use pod_dedup::engine::EngineCounters;
 use pod_trace::{derive_tenants, Trace, TraceProfile};
+use std::sync::{Arc, Mutex};
 
 fn fleet(n: usize) -> Vec<Trace> {
     derive_tenants(&TraceProfile::mail().scaled(0.003), n, 5)
@@ -159,4 +160,41 @@ fn recorders_come_back_tenant_tagged_and_ordered() {
         .expect("serve");
     assert!(none.is_empty());
     assert_eq!(rep.tenants.len(), 3);
+}
+
+/// Logs the tenant of every `RequestDone` into a log shared by all of
+/// a run's tenant stacks.
+struct ServiceOrder(Arc<Mutex<Vec<u16>>>);
+
+impl StackObserver for ServiceOrder {
+    fn on_event(&mut self, ev: &StackEvent) {
+        if let StackEvent::RequestDone { tenant, .. } = ev {
+            self.0.lock().expect("log lock").push(*tenant);
+        }
+    }
+}
+
+#[test]
+fn a_shard_serves_its_tenants_back_to_back() {
+    let tenants = fleet(4);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&log);
+    ServeBuilder::new(Scheme::Pod)
+        .config(SystemConfig::test_default())
+        .tenants(&tenants)
+        .shards(1)
+        .jobs(1)
+        .observer(move |_| ObserverChain::new().with(ServiceOrder(Arc::clone(&sink))))
+        .run()
+        .expect("serve");
+    let log = log.lock().expect("log lock");
+    assert_eq!(
+        log.len(),
+        tenants.iter().map(Trace::len).sum::<usize>(),
+        "every request of every tenant was served"
+    );
+    assert!(
+        log.windows(2).all(|w| w[0] <= w[1]),
+        "one tenant runs to completion before the next starts"
+    );
 }

@@ -7,8 +7,8 @@
 //! field) and a **read cache** (4 KiB data blocks), and keeps a **ghost
 //! cache** (metadata-only shadow) behind each to estimate the benefit of
 //! growing it — the mechanism ARC introduced. This crate provides those
-//! building blocks, plus an LFU and a sharded concurrent cache used by
-//! ablations and parallel sweeps:
+//! building blocks, plus the LFU and ARC alternatives the ablation
+//! benches swap in:
 //!
 //! * [`LruCache`] — O(1) LRU over a slab-allocated intrusive list. All
 //!   caches here support **online resizing** ([`LruCache::set_capacity`]),
@@ -17,25 +17,16 @@
 //! * [`ArcCache`] — the full ARC(c) policy (Megiddo & Modha, FAST'03),
 //!   cited by the paper as the origin of ghost-based adaptation.
 //! * [`LfuCache`] — O(1) LFU, an ablation alternative for the index table.
-//! * [`ClockCache`] — CLOCK/second-chance, the OS-page-cache classic.
-//! * [`ShardedCache`] — N-way sharded `Mutex<LruCache>` for concurrent use.
-//! * [`CacheStats`] — atomic hit/miss/eviction counters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arc;
-pub mod clock;
 pub mod ghost;
 pub mod lfu;
 pub mod lru;
-pub mod sharded;
-pub mod stats;
 
 pub use arc::ArcCache;
-pub use clock::ClockCache;
 pub use ghost::{GhostCache, GhostState};
 pub use lfu::LfuCache;
 pub use lru::{LruCache, LruState};
-pub use sharded::ShardedCache;
-pub use stats::CacheStats;

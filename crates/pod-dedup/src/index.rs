@@ -13,7 +13,6 @@
 
 use pod_cache::{LfuCache, LruCache};
 use pod_types::{log2_bucket8, Fingerprint, Pba};
-use serde::{Deserialize, Serialize};
 
 /// Modeled in-memory footprint of one hash-index entry: 32 B fingerprint
 /// + 8 B PBA + 4 B count + ~20 B of map/LRU overhead.
@@ -22,7 +21,7 @@ pub const INDEX_ENTRY_BYTES: u64 = 64;
 /// Replacement policy for the hot-entry table. The paper uses LRU
 /// (§III-B); LFU is the ablation alternative suggested by the per-entry
 /// `Count` field (see the `index_policy` bench).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexPolicy {
     /// Least-recently-used (the paper's design).
     #[default]

@@ -6,13 +6,11 @@
 //! 20 bytes per Map-table entry, peaking at 0.8/0.3/1.5 MB for the three
 //! traces — so the model tracks entry counts and byte high-water marks.
 
-use serde::{Deserialize, Serialize};
-
 /// Size of one Map-table entry in NVRAM (paper §IV-D2).
 pub const MAP_ENTRY_BYTES: u64 = 20;
 
 /// Byte-accounting model of the battery-backed RAM holding the Map table.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct NvramModel {
     entries: u64,
     peak_entries: u64,

@@ -7,10 +7,8 @@
 //! FIFO (MD's effective order under trace replay), SSTF, and a LOOK-style
 //! elevator for the `scheduler_ablation` bench.
 
-use serde::{Deserialize, Serialize};
-
 /// Queue discipline used by each simulated disk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
     /// First-in first-out.
     #[default]

@@ -8,10 +8,9 @@
 //! (head already at the target block) pays transfer time only.
 
 use pod_types::{PodError, PodResult, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// Mechanical parameters of one disk drive.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DiskSpec {
     /// Usable capacity in 4 KiB blocks.
     pub capacity_blocks: u64,
@@ -112,7 +111,7 @@ impl DiskSpec {
 }
 
 /// RAID organisation of the array.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RaidLevel {
     /// Single disk (no striping).
     Single,
@@ -123,7 +122,7 @@ pub enum RaidLevel {
 }
 
 /// Array geometry configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RaidConfig {
     /// RAID level.
     pub level: RaidLevel,

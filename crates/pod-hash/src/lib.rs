@@ -1,26 +1,17 @@
 //! # pod-hash
 //!
-//! Hashing substrate for POD.
+//! Hashing substrate for POD: [`fnv`] — FNV-1a, a cheap
+//! non-cryptographic hash used for internal table hashing and stable
+//! digests.
 //!
-//! * [`sha256`] — a from-scratch SHA-256 implementation (FIPS 180-4),
-//!   validated against the NIST test vectors. This is the content
-//!   fingerprint function of the real data path.
-//! * [`fnv`] — FNV-1a, a cheap non-cryptographic hash used for internal
-//!   table sharding.
-//! * [`engine`] — the [`HashEngine`] abstraction the
-//!   dedup layer uses: it produces fingerprints *and* reports the
-//!   simulated computation latency that the paper charges on the write
-//!   path (32 µs per 4 KiB chunk, §IV-A). A crossbeam-based parallel
-//!   engine fans large multi-chunk requests across worker threads, the
-//!   way a multicore storage controller would (§IV-D1).
+//! Content fingerprinting is not computed here. Trace replay carries
+//! each chunk's fingerprint in the trace record, and the stack charges
+//! the paper's hashing cost (32 µs per 4 KiB chunk, §IV-A) as simulated
+//! latency in `pod_core::stack::DedupLayer`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod fnv;
-pub mod sha256;
 
-pub use engine::{HashEngine, ParallelHashEngine, Sha256Engine, SimulatedHashEngine};
 pub use fnv::{fnv1a_64, FnvHasher};
-pub use sha256::Sha256;

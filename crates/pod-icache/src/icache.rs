@@ -17,12 +17,11 @@
 use crate::monitor::{AccessMonitor, EpochSnapshot};
 use pod_cache::{ArcCache, GhostCache, GhostState, LruCache};
 use pod_types::{Fingerprint, Introspect, Lba, BLOCK_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// Replacement policy of the read cache. The paper's design is LRU; ARC
 /// is the scan-resistant alternative its own citation (Megiddo & Modha)
 /// suggests, exercised by the `read_policy` ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadCachePolicy {
     /// Least-recently-used (the paper's design).
     #[default]
@@ -124,7 +123,7 @@ pub struct ICacheState {
 }
 
 /// iCache configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ICacheConfig {
     /// Total DRAM budget split between index cache and read cache.
     pub total_bytes: u64,
@@ -594,8 +593,6 @@ mod tests {
 
     #[test]
     fn arc_read_policy_is_scan_resistant() {
-        use pod_cache::CacheStats;
-        let _ = CacheStats::new(); // silence unused-import lints in some cfgs
         let mk = |policy| {
             let mut c = ICache::new(ICacheConfig {
                 read_policy: policy,

@@ -7,12 +7,10 @@
 //! from a generated trace; the calibration integration tests assert they
 //! land near the targets.
 
-use serde::{Deserialize, Serialize};
-
 /// How write-request redundancy is structured, as probabilities over the
 /// request types that map onto Select-Dedupe's three categories
 /// (paper Fig. 5).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WriteMix {
     /// Entire request duplicates a previously written *sequential* run
     /// (→ category 1: dedup the whole request).
@@ -50,7 +48,7 @@ impl WriteMix {
 /// Two-state (read-burst / write-burst) Markov phase model for I/O
 /// burstiness: "read-intensive periods are interleaved with
 /// write-intensive periods" (§II-B).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BurstModel {
     /// Mean number of requests per phase.
     pub mean_phase_len: f64,
@@ -81,7 +79,7 @@ impl BurstModel {
 /// assert!(trace.write_ratio() > 0.6);
 /// assert_eq!(trace.requests, TraceProfile::mail().scaled(0.01).generate(42).requests);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceProfile {
     /// Trace name ("web-vm", "homes", "mail", ...).
     pub name: String,

@@ -7,7 +7,6 @@
 //! `Lba -> Pba` relation described in §III-B of the paper.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Size of one deduplication chunk / logical block, in bytes.
 pub const BLOCK_BYTES: u64 = 4096;
@@ -20,7 +19,6 @@ macro_rules! addr_newtype {
         $(#[$meta])*
         #[derive(
             Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
         )]
         pub struct $name(pub u64);
 

@@ -1,20 +1,19 @@
 //! Content fingerprints.
 //!
 //! A `Fingerprint` identifies the *content* of one 4 KiB chunk. In the
-//! real system it is the SHA-256 of the chunk data (computed by
-//! `pod-hash`); in trace replay it is carried in the trace record, exactly
-//! as the FIU traces carry per-chunk MD5 values. Two chunks are duplicates
-//! iff their fingerprints are equal — like the paper (and every
-//! production dedup system) we treat hash collisions as impossible.
+//! real system it is the SHA-256 of the chunk data; in trace replay it
+//! is carried in the trace record, exactly as the FIU traces carry
+//! per-chunk MD5 values. Two chunks are duplicates iff their
+//! fingerprints are equal — like the paper (and every production dedup
+//! system) we treat hash collisions as impossible.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Number of bytes in a fingerprint (SHA-256 output size).
 pub const FINGERPRINT_BYTES: usize = 32;
 
 /// A 256-bit content fingerprint.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fingerprint(pub [u8; FINGERPRINT_BYTES]);
 
 impl Fingerprint {

@@ -11,13 +11,10 @@ use crate::block::Lba;
 use crate::fingerprint::Fingerprint;
 use crate::time::SimTime;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Monotonically increasing identifier assigned to each request at
 /// submission.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
 pub struct RequestId(pub u64);
 
 impl fmt::Display for RequestId {
@@ -27,7 +24,7 @@ impl fmt::Display for RequestId {
 }
 
 /// Direction of an I/O request.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum IoOp {
     /// Read `nblocks` starting at `lba`.
     Read,
@@ -59,7 +56,7 @@ impl fmt::Display for IoOp {
 }
 
 /// One block-level I/O request as replayed from a trace.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct IoRequest {
     /// Identifier, unique within one replay.
     pub id: RequestId,

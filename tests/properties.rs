@@ -3,35 +3,10 @@
 
 use pod::cache::LruCache;
 use pod::dedup::{ChunkStore, DedupConfig, DedupEngine, DedupPolicy};
-use pod::hash::Sha256;
 use pod::trace::reconstruct::{reconstruct_requests, split_into_records};
 use pod::types::{Fingerprint, IoRequest, Lba, Pba, SimTime};
 use proptest::prelude::*;
 use std::collections::HashMap;
-
-// ---------------------------------------------------------------------
-// SHA-256: streaming equals one-shot under arbitrary chunking.
-// ---------------------------------------------------------------------
-
-proptest! {
-    #[test]
-    fn sha256_streaming_equals_oneshot(
-        data in proptest::collection::vec(any::<u8>(), 0..2048),
-        cuts in proptest::collection::vec(0usize..2048, 0..8),
-    ) {
-        let oneshot = Sha256::digest(&data);
-        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (data.len() + 1)).collect();
-        cuts.sort_unstable();
-        let mut h = Sha256::new();
-        let mut prev = 0;
-        for c in cuts {
-            h.update(&data[prev..c]);
-            prev = c;
-        }
-        h.update(&data[prev..]);
-        prop_assert_eq!(h.finalize(), oneshot);
-    }
-}
 
 // ---------------------------------------------------------------------
 // LruCache: model-based check against a naive reference.
