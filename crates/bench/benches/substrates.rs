@@ -1,7 +1,7 @@
 //! Microbenches for the substrate crates: hashing, caches, index table,
-//! RAID planning, and the event engine. These establish that the
-//! simulator itself is fast enough that replay results measure the
-//! *modelled* system, not harness overhead.
+//! RAID planning, the event engine, and the trace input stage. These
+//! establish that the simulator itself is fast enough that replay
+//! results measure the *modelled* system, not harness overhead.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use pod_cache::{ArcCache, LfuCache, LruCache};
@@ -9,6 +9,8 @@ use pod_dedup::IndexTable;
 use pod_disk::engine::isolated_latency;
 use pod_disk::{ArraySim, DiskSpec, RaidConfig, RaidGeometry, SchedulerKind};
 use pod_hash::fnv1a_64;
+use pod_trace::reconstruct::{split_into_records, trace_from_fiu};
+use pod_trace::{fiu, TraceProfile};
 use pod_types::{Fingerprint, Pba, SimTime};
 use std::hint::black_box;
 
@@ -138,12 +140,36 @@ fn bench_event_engine(c: &mut Criterion) {
     });
 }
 
+/// The input stage: what runs before the first request is replayed.
+/// Generation is per request (`Elements`); the FIU load and writer are
+/// per byte of trace text.
+fn bench_trace(c: &mut Criterion) {
+    let profile = TraceProfile::web_vm().scaled(0.25);
+    let trace = profile.generate(42);
+    let records = split_into_records(&trace);
+    let text = fiu::format_records(&records);
+    let mut g = c.benchmark_group("trace");
+    g.throughput(Throughput::Elements(trace.len() as u64));
+    g.bench_function("generate_webvm_0.25", |b| {
+        b.iter(|| profile.generate(black_box(42)))
+    });
+    g.throughput(Throughput::Bytes(text.len() as u64));
+    g.bench_function("fiu_parse_reconstruct", |b| {
+        b.iter(|| trace_from_fiu("bench", black_box(&text), 0))
+    });
+    g.bench_function("fiu_format", |b| {
+        b.iter(|| fiu::format_records(black_box(&records)))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_hashing,
     bench_caches,
     bench_index_table,
     bench_raid_planning,
-    bench_event_engine
+    bench_event_engine,
+    bench_trace
 );
 criterion_main!(benches);

@@ -211,15 +211,12 @@ impl CliArgs {
     pub fn load_trace(&self) -> Result<Trace, String> {
         if let Some(path) = &self.trace_path {
             let body = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let records =
-                pod_trace::fiu::parse_str(&body).map_err(|e| format!("parsing {path}: {e}"))?;
             let budget = self
                 .memory_mib
                 .map(|m| m * 1024 * 1024)
                 .unwrap_or(500 * 1024 * 1024);
-            Ok(pod_trace::reconstruct::trace_from_records(
-                path, &records, budget,
-            ))
+            pod_trace::reconstruct::trace_from_fiu(path, &body, budget)
+                .map_err(|e| format!("parsing {path}: {e}"))
         } else {
             let profile = self.resolve_profile()?;
             Ok(profile.scaled(self.scale).generate(self.seed))

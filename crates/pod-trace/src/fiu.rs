@@ -12,8 +12,29 @@
 //! trace exported in the same dialect) can be replayed through POD
 //! unchanged. Hashes may be 32-hex-digit MD5 (zero-extended) or
 //! 64-hex-digit SHA-256; read records may carry `*` in the hash column.
+//!
+//! There is one line parser, [`parse_record`]: it takes its fields
+//! straight off the line and borrows the process name, so it allocates
+//! nothing. [`records`] runs it over a whole body; [`parse_line`] and
+//! [`parse_str`] are the same parser followed by [`RecordRef::to_record`],
+//! and [`crate::reconstruct::trace_from_fiu`] feeds [`records`] into the
+//! reconstructor without ever holding a `BlockRecord`. A trace file is
+//! untrusted input: every field is bounds-checked here, where it enters
+//! (see [`MAX_RECORD_BLOCKS`]), and a bad line is a
+//! [`PodError::TraceParse`] naming it.
 
+use pod_types::fingerprint::decode_hex;
 use pod_types::{Fingerprint, IoOp, PodError, PodResult};
+use std::fmt::Write;
+
+/// Most blocks one record may cover: 65,536 blocks = 256 MiB.
+///
+/// FIU rows are per 4 KiB block (`1`); dialects that export a whole
+/// request per row stay far below this, since no block layer issues a
+/// 256 MiB request. The bound is what keeps a crafted row from asking
+/// the reconstructor for a multi-gigabyte chunk vector (each written
+/// block costs 32 bytes of fingerprint, so one row is at most 2 MiB).
+pub const MAX_RECORD_BLOCKS: u32 = 65_536;
 
 /// One parsed per-block trace line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,35 +55,98 @@ pub struct BlockRecord {
     pub hash: Fingerprint,
 }
 
-/// Parse one trace line. `line_no` is used for error reporting only.
-pub fn parse_line(line: &str, line_no: usize) -> PodResult<BlockRecord> {
+/// A [`BlockRecord`] whose process name is borrowed — from the line it
+/// was parsed from, or from the owned record it views.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordRef<'a> {
+    /// Timestamp in µs.
+    pub ts_us: u64,
+    /// Originating process id.
+    pub pid: u32,
+    /// Process name.
+    pub process: &'a str,
+    /// Block address (4 KiB units).
+    pub lba: u64,
+    /// Blocks covered by this record (usually 1).
+    pub nblocks: u32,
+    /// Read or write.
+    pub op: IoOp,
+    /// Content hash for writes; `Fingerprint::ZERO` when absent.
+    pub hash: Fingerprint,
+}
+
+impl BlockRecord {
+    /// Borrowed view of this record.
+    pub fn borrowed(&self) -> RecordRef<'_> {
+        RecordRef {
+            ts_us: self.ts_us,
+            pid: self.pid,
+            process: &self.process,
+            lba: self.lba,
+            nblocks: self.nblocks,
+            op: self.op,
+            hash: self.hash,
+        }
+    }
+}
+
+impl RecordRef<'_> {
+    /// Owned copy of this record.
+    pub fn to_record(&self) -> BlockRecord {
+        BlockRecord {
+            ts_us: self.ts_us,
+            pid: self.pid,
+            process: self.process.to_string(),
+            lba: self.lba,
+            nblocks: self.nblocks,
+            op: self.op,
+            hash: self.hash,
+        }
+    }
+}
+
+/// Parse one trace line without allocating. `line_no` is used for error
+/// reporting only. Fields beyond the ninth are ignored.
+pub fn parse_record(line: &str, line_no: usize) -> PodResult<RecordRef<'_>> {
     let err = |reason: &str| PodError::TraceParse {
         line: line_no,
         reason: reason.to_string(),
     };
-    let fields: Vec<&str> = line.split_whitespace().collect();
-    if fields.len() < 9 {
-        return Err(err(&format!("expected 9 fields, got {}", fields.len())));
+    let mut fields = [""; 9];
+    let mut found = 0;
+    for (slot, field) in fields.iter_mut().zip(line.split_ascii_whitespace()) {
+        *slot = field;
+        found += 1;
     }
-    let ts_us: u64 = fields[0].parse().map_err(|_| err("bad timestamp"))?;
-    let pid: u32 = fields[1].parse().map_err(|_| err("bad pid"))?;
-    let process = fields[2].to_string();
-    let lba: u64 = fields[3].parse().map_err(|_| err("bad lba"))?;
-    let nblocks: u32 = fields[4].parse().map_err(|_| err("bad block count"))?;
+    if found < fields.len() {
+        return Err(err(&format!("expected 9 fields, got {found}")));
+    }
+    let [ts_us, pid, process, lba, nblocks, op, major, minor, hash] = fields;
+    let ts_us: u64 = ts_us.parse().map_err(|_| err("bad timestamp"))?;
+    let pid: u32 = pid.parse().map_err(|_| err("bad pid"))?;
+    let lba: u64 = lba.parse().map_err(|_| err("bad lba"))?;
+    let nblocks: u32 = nblocks.parse().map_err(|_| err("bad block count"))?;
     if nblocks == 0 {
         return Err(err("zero-length record"));
     }
-    let op = match fields[5] {
+    if nblocks > MAX_RECORD_BLOCKS {
+        return Err(err(&format!(
+            "block count {nblocks} exceeds the per-record bound {MAX_RECORD_BLOCKS}"
+        )));
+    }
+    if lba.checked_add(u64::from(nblocks)).is_none() {
+        return Err(err("lba + block count overflows the address space"));
+    }
+    let op = match op {
         "W" | "w" => IoOp::Write,
         "R" | "r" => IoOp::Read,
         other => return Err(err(&format!("bad op '{other}'"))),
     };
-    // fields[6], fields[7]: major/minor device numbers — validated as
-    // numeric but otherwise unused.
-    let _major: u32 = fields[6].parse().map_err(|_| err("bad major"))?;
-    let _minor: u32 = fields[7].parse().map_err(|_| err("bad minor"))?;
-    let hash = parse_hash(fields[8]).ok_or_else(|| err("bad hash"))?;
-    Ok(BlockRecord {
+    // Major/minor device numbers: validated as numeric, otherwise unused.
+    let _major: u32 = major.parse().map_err(|_| err("bad major"))?;
+    let _minor: u32 = minor.parse().map_err(|_| err("bad minor"))?;
+    let hash = parse_hash(hash).ok_or_else(|| err("bad hash"))?;
+    Ok(RecordRef {
         ts_us,
         pid,
         process,
@@ -74,63 +158,65 @@ pub fn parse_line(line: &str, line_no: usize) -> PodResult<BlockRecord> {
 }
 
 fn parse_hash(s: &str) -> Option<Fingerprint> {
-    if s == "*" || s == "-" {
-        return Some(Fingerprint::ZERO);
+    let mut bytes = [0u8; 32];
+    match s {
+        "*" | "-" => {}
+        // MD5: the first 16 bytes, the rest zero.
+        _ if s.len() == 32 => decode_hex(s, &mut bytes[..16])?,
+        _ => decode_hex(s, &mut bytes)?,
     }
-    match s.len() {
-        64 => Fingerprint::from_hex(s),
-        32 => {
-            // MD5: place in the first 16 bytes, zero the rest.
-            let mut bytes = [0u8; 32];
-            for (i, chunk) in s.as_bytes().chunks_exact(2).enumerate() {
-                let hi = (chunk[0] as char).to_digit(16)?;
-                let lo = (chunk[1] as char).to_digit(16)?;
-                bytes[i] = ((hi << 4) | lo) as u8;
-            }
-            Some(Fingerprint::from_bytes(bytes))
-        }
-        _ => None,
-    }
+    Some(Fingerprint::from_bytes(bytes))
 }
 
-/// Parse a whole trace body; `#`-prefixed lines and blank lines are
-/// skipped.
+/// Parse one trace line into an owned record.
+pub fn parse_line(line: &str, line_no: usize) -> PodResult<BlockRecord> {
+    parse_record(line, line_no).map(|r| r.to_record())
+}
+
+/// Every record of a trace body in file order, or the first bad line's
+/// error; `#`-prefixed lines and blank lines are skipped.
+pub fn records(body: &str) -> impl Iterator<Item = PodResult<RecordRef<'_>>> {
+    body.lines().enumerate().filter_map(|(i, line)| {
+        let line = line.trim();
+        let skip = line.is_empty() || line.starts_with('#');
+        (!skip).then(|| parse_record(line, i + 1))
+    })
+}
+
+/// Parse a whole trace body into owned records; skips what [`records`]
+/// skips.
 pub fn parse_str(body: &str) -> PodResult<Vec<BlockRecord>> {
-    let mut out = Vec::new();
-    for (i, line) in body.lines().enumerate() {
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        out.push(parse_line(trimmed, i + 1)?);
+    records(body).map(|r| r.map(|r| r.to_record())).collect()
+}
+
+/// Append one record in the canonical dialect, without the newline.
+fn push_record(out: &mut String, r: &BlockRecord) {
+    let op = if r.op.is_write() { 'W' } else { 'R' };
+    write!(
+        out,
+        "{} {} {} {} {} {op} 8 0 ",
+        r.ts_us, r.pid, r.process, r.lba, r.nblocks
+    )
+    .expect("write to String cannot fail");
+    if r.op.is_write() {
+        r.hash.push_hex(out);
+    } else {
+        out.push('*');
     }
-    Ok(out)
 }
 
 /// Render one record in the canonical dialect.
 pub fn format_record(r: &BlockRecord) -> String {
-    let hash = if r.op.is_write() {
-        r.hash.to_hex()
-    } else {
-        "*".to_string()
-    };
-    format!(
-        "{} {} {} {} {} {} 8 0 {}",
-        r.ts_us,
-        r.pid,
-        r.process,
-        r.lba,
-        r.nblocks,
-        if r.op.is_write() { "W" } else { "R" },
-        hash
-    )
+    let mut s = String::with_capacity(128);
+    push_record(&mut s, r);
+    s
 }
 
 /// Render a whole trace body.
 pub fn format_records(records: &[BlockRecord]) -> String {
     let mut s = String::with_capacity(records.len() * 96);
     for r in records {
-        s.push_str(&format_record(r));
+        push_record(&mut s, r);
         s.push('\n');
     }
     s
@@ -180,6 +266,69 @@ mod tests {
         assert!(parse_line("1 1 p 0 1 X 8 0 *", 1).is_err());
         assert!(parse_line("1 1 p 0 0 W 8 0 *", 2).is_err(), "zero length");
         assert!(parse_line("1 1 p 0 1 W 8 0 nothex", 1).is_err());
+    }
+
+    #[test]
+    fn untrusted_fields_are_rejected_at_parse_time() {
+        // (line, what the reason must mention)
+        let huge = "18446744073709551616"; // u64::MAX + 1
+        let cases = [
+            // Truncated after each field.
+            ("1", "expected 9 fields, got 1"),
+            ("1 1 p 0", "expected 9 fields, got 4"),
+            ("1 1 p 0 1 W 8 0", "expected 9 fields, got 8"),
+            // Each numeric field past its type.
+            (&format!("{huge} 1 p 0 1 W 8 0 *"), "bad timestamp"),
+            ("1 4294967296 p 0 1 W 8 0 *", "bad pid"),
+            (&format!("1 1 p {huge} 1 W 8 0 *"), "bad lba"),
+            ("1 1 p 0 4294967296 W 8 0 *", "bad block count"),
+            ("1 1 p 0 1 W 4294967296 0 *", "bad major"),
+            ("1 1 p 0 1 W 8 4294967296 *", "bad minor"),
+            ("1 1 p 0 -1 W 8 0 *", "bad block count"),
+            // In range for the type, out of range for a trace: the row
+            // that used to ask for a 128 GiB chunk vector, and the lba
+            // that used to wrap.
+            (&format!("1 1 p 0 4294967295 W 8 0 {SHA}"), "exceeds"),
+            ("1 1 p 0 65537 R 8 0 *", "exceeds"),
+            ("1 1 p 18446744073709551615 1 W 8 0 *", "overflows"),
+            ("1 1 p 18446744073709551608 8 R 8 0 *", "overflows"),
+            // Hash column.
+            (&format!("1 1 p 0 1 W 8 0 {}", &SHA[..63]), "bad hash"),
+            (&format!("1 1 p 0 1 W 8 0 {}g", &SHA[..63]), "bad hash"),
+            ("1 1 p 0 1 W 8 0 **", "bad hash"),
+        ];
+        for (line, want) in cases {
+            match parse_line(line, 7) {
+                Err(PodError::TraceParse { line: 7, reason }) => {
+                    assert!(reason.contains(want), "{line:?}: {reason:?} lacks {want:?}")
+                }
+                other => panic!("{line:?}: expected a TraceParse at line 7, got {other:?}"),
+            }
+        }
+        // The bounds themselves are inclusive.
+        let r = parse_line("1 1 p 18446744073709486079 65536 R 8 0 *", 1).expect("at the bounds");
+        assert_eq!(r.lba + u64::from(r.nblocks), u64::MAX);
+        assert_eq!(r.nblocks, MAX_RECORD_BLOCKS);
+    }
+
+    #[test]
+    fn body_dialect_variants_parse() {
+        // Timestamps going backwards are the reconstructor's business
+        // (they split requests), not a parse error; CRLF endings, upper
+        // case hex, a comment after data and trailing fields are fine.
+        let body = format!(
+            "9 1 p 0 1 W 8 0 {SHA}\r\n5 1 p 1 1 W 8 0 {}\r\n# trailer\r\n7 1 p 2 1 R 8 0 * # note\n",
+            SHA.to_uppercase()
+        );
+        let recs = parse_str(&body).expect("parse");
+        assert_eq!(recs.iter().map(|r| r.ts_us).collect::<Vec<_>>(), [9, 5, 7]);
+        assert_eq!(recs[0].hash, recs[1].hash);
+        // The error names the line of the body, comments and blanks counted.
+        let bad = format!("{body}\n1 1 p 0 99999 R 8 0 *\n");
+        match parse_str(&bad) {
+            Err(PodError::TraceParse { line: 6, .. }) => {}
+            other => panic!("expected a TraceParse at line 6, got {other:?}"),
+        }
     }
 
     #[test]

@@ -3,86 +3,105 @@
 //! "Because the original request data have been split into several small
 //! data chunks with a fixed size ..., the original requests are
 //! reconstructed according to their timestamp, LBA and length" (§IV-A).
-//! This module merges runs of per-block [`BlockRecord`]s that share a
-//! timestamp and operation and are LBA-contiguous back into multi-block
+//! This module merges runs of per-block records that share a timestamp
+//! and operation and are LBA-contiguous back into multi-block
 //! [`IoRequest`]s.
+//!
+//! There is one reconstructor, [`Reconstructor`]: records go in one at a
+//! time and nothing but the finished requests is kept.
+//! [`reconstruct_requests`] pushes a slice of owned records through it;
+//! [`trace_from_fiu`] pushes the FIU parser's borrowed records through
+//! it, which is how a trace file is loaded — one pass over the text, one
+//! allocation per write request (its chunk vector, sized exactly) and
+//! none per line.
 
-use crate::fiu::BlockRecord;
+use crate::fiu::{self, BlockRecord, RecordRef};
 use crate::synth::Trace;
-use pod_types::{Fingerprint, IoOp, IoRequest, Lba, SimTime};
+use pod_types::{Fingerprint, IoOp, IoRequest, Lba, PodResult, SimTime};
+
+/// The request under construction; a write's fingerprints collect in
+/// [`Reconstructor::chunks`].
+struct Pending {
+    ts_us: u64,
+    op: IoOp,
+    lba: u64,
+    nblocks: u32,
+}
+
+impl Pending {
+    /// The block count after taking `r`, when `r` continues this request.
+    fn extended_by(&self, r: &RecordRef<'_>) -> Option<u32> {
+        let continues = self.ts_us == r.ts_us
+            && self.op == r.op
+            && self.lba.checked_add(u64::from(self.nblocks)) == Some(r.lba);
+        self.nblocks.checked_add(r.nblocks).filter(|_| continues)
+    }
+}
+
+/// Incremental request reconstruction: [`push`](Self::push) every
+/// record in the order the tracer emitted them, then
+/// [`finish`](Self::finish).
+///
+/// A record extends the request under construction when its timestamp
+/// and op match and its LBA continues the run. Anything else starts a
+/// new request — including a record that would take the request past
+/// `u32::MAX` blocks or the end of the address space, so no input can
+/// overflow a length.
+#[derive(Default)]
+pub struct Reconstructor {
+    out: Vec<IoRequest>,
+    cur: Option<Pending>,
+    /// Fingerprints of the pending write; reused across requests.
+    chunks: Vec<Fingerprint>,
+}
+
+impl Reconstructor {
+    /// Add the next record.
+    pub fn push(&mut self, r: &RecordRef<'_>) {
+        let total = self.cur.as_ref().and_then(|p| p.extended_by(r));
+        match (total, &mut self.cur) {
+            (Some(total), Some(p)) => p.nblocks = total,
+            _ => {
+                self.flush();
+                self.cur = Some(Pending {
+                    ts_us: r.ts_us,
+                    op: r.op,
+                    lba: r.lba,
+                    nblocks: r.nblocks,
+                });
+            }
+        }
+        if r.op == IoOp::Write {
+            self.chunks
+                .extend(std::iter::repeat_n(r.hash, r.nblocks as usize));
+        }
+    }
+
+    fn flush(&mut self) {
+        let Some(p) = self.cur.take() else { return };
+        let id = self.out.len() as u64;
+        let arrival = SimTime::from_micros(p.ts_us);
+        self.out.push(match p.op {
+            IoOp::Write => IoRequest::write(id, arrival, Lba::new(p.lba), self.chunks.clone()),
+            IoOp::Read => IoRequest::read(id, arrival, Lba::new(p.lba), p.nblocks),
+        });
+        self.chunks.clear();
+    }
+
+    /// The reconstructed requests, ids sequential from 0.
+    pub fn finish(mut self) -> Vec<IoRequest> {
+        self.flush();
+        self.out
+    }
+}
 
 /// Merge per-block records into original requests.
-///
-/// Records are processed in input order (the order the tracer emitted
-/// them); a record extends the request under construction when its
-/// timestamp and op match and its LBA continues the run. Anything else
-/// starts a new request.
 pub fn reconstruct_requests(records: &[BlockRecord]) -> Vec<IoRequest> {
-    let mut out: Vec<IoRequest> = Vec::new();
-    let mut id = 0u64;
-
-    struct Pending {
-        ts_us: u64,
-        op: IoOp,
-        lba: u64,
-        chunks: Vec<Fingerprint>,
-        nblocks: u32,
-    }
-
-    let mut cur: Option<Pending> = None;
-
-    let flush = |cur: &mut Option<Pending>, out: &mut Vec<IoRequest>, id: &mut u64| {
-        if let Some(p) = cur.take() {
-            let req = match p.op {
-                IoOp::Write => IoRequest::write(
-                    *id,
-                    SimTime::from_micros(p.ts_us),
-                    Lba::new(p.lba),
-                    p.chunks,
-                ),
-                IoOp::Read => IoRequest::read(
-                    *id,
-                    SimTime::from_micros(p.ts_us),
-                    Lba::new(p.lba),
-                    p.nblocks,
-                ),
-            };
-            out.push(req);
-            *id += 1;
-        }
-    };
-
+    let mut rc = Reconstructor::default();
     for r in records {
-        let continues = match &cur {
-            Some(p) => p.ts_us == r.ts_us && p.op == r.op && p.lba + p.nblocks as u64 == r.lba,
-            None => false,
-        };
-        if continues {
-            let p = cur.as_mut().expect("checked above");
-            p.nblocks += r.nblocks;
-            if p.op == IoOp::Write {
-                for _ in 0..r.nblocks {
-                    p.chunks.push(r.hash);
-                }
-            }
-        } else {
-            flush(&mut cur, &mut out, &mut id);
-            let chunks = if r.op == IoOp::Write {
-                vec![r.hash; r.nblocks as usize]
-            } else {
-                Vec::new()
-            };
-            cur = Some(Pending {
-                ts_us: r.ts_us,
-                op: r.op,
-                lba: r.lba,
-                chunks,
-                nblocks: r.nblocks,
-            });
-        }
+        rc.push(&r.borrowed());
     }
-    flush(&mut cur, &mut out, &mut id);
-    out
+    rc.finish()
 }
 
 /// Reconstruct a full [`Trace`] from records, with a name and memory
@@ -95,38 +114,39 @@ pub fn trace_from_records(name: &str, records: &[BlockRecord], memory_budget_byt
     }
 }
 
+/// Parse an FIU trace body and reconstruct it in the same pass: what
+/// `trace_from_records(name, &fiu::parse_str(body)?, ..)` returns,
+/// without the record vector in between.
+pub fn trace_from_fiu(name: &str, body: &str, memory_budget_bytes: u64) -> PodResult<Trace> {
+    let mut rc = Reconstructor::default();
+    for r in fiu::records(body) {
+        rc.push(&r?);
+    }
+    Ok(Trace {
+        name: name.to_string(),
+        requests: rc.finish(),
+        memory_budget_bytes,
+    })
+}
+
 /// Split a trace back into per-block records (the inverse operation,
-/// used by the FIU writer and by round-trip tests).
+/// used by the FIU writer and by round-trip tests). Each record owns a
+/// copy of the trace name: `BlockRecord::process` is a `String`.
 pub fn split_into_records(trace: &Trace) -> Vec<BlockRecord> {
-    let mut out = Vec::new();
+    let blocks: usize = trace.requests.iter().map(|r| r.nblocks as usize).sum();
+    let mut out = Vec::with_capacity(blocks);
     for r in &trace.requests {
-        match r.op {
-            IoOp::Write => {
-                for (lba, fp) in r.write_chunks() {
-                    out.push(BlockRecord {
-                        ts_us: r.arrival.as_micros(),
-                        pid: 0,
-                        process: trace.name.clone(),
-                        lba: lba.raw(),
-                        nblocks: 1,
-                        op: IoOp::Write,
-                        hash: fp,
-                    });
-                }
-            }
-            IoOp::Read => {
-                for lba in r.lbas() {
-                    out.push(BlockRecord {
-                        ts_us: r.arrival.as_micros(),
-                        pid: 0,
-                        process: trace.name.clone(),
-                        lba: lba.raw(),
-                        nblocks: 1,
-                        op: IoOp::Read,
-                        hash: Fingerprint::ZERO,
-                    });
-                }
-            }
+        for (i, lba) in r.lbas().enumerate() {
+            out.push(BlockRecord {
+                ts_us: r.arrival.as_micros(),
+                pid: 0,
+                process: trace.name.clone(),
+                lba: lba.raw(),
+                nblocks: 1,
+                op: r.op,
+                // Reads carry no chunks.
+                hash: r.chunks.get(i).copied().unwrap_or(Fingerprint::ZERO),
+            });
         }
     }
     out
@@ -230,12 +250,46 @@ mod tests {
     }
 
     #[test]
+    fn lengths_never_overflow() {
+        // A run that would pass u32::MAX blocks, or run off the end of
+        // the address space, starts a new request instead of wrapping.
+        let big = |lba: u64, nblocks: u32| BlockRecord {
+            nblocks,
+            ..rec(1, lba, IoOp::Read, 0)
+        };
+        let reqs = reconstruct_requests(&[big(0, u32::MAX), big(u64::from(u32::MAX), 5)]);
+        assert_eq!(
+            reqs.iter().map(|r| r.nblocks).collect::<Vec<_>>(),
+            [u32::MAX, 5]
+        );
+        let reqs = reconstruct_requests(&[big(u64::MAX, 1), big(0, 1)]);
+        assert_eq!(reqs.len(), 2);
+    }
+
+    #[test]
     fn fiu_text_roundtrip_through_reconstruction() {
+        // Text → requests, by both routes: owned records then
+        // reconstruction, and the fused load. Both give back the
+        // generated requests exactly, ids included.
         let t = TraceProfile::homes().scaled(0.003).generate(4);
         let records = split_into_records(&t);
         let text = crate::fiu::format_records(&records);
         let parsed = crate::fiu::parse_str(&text).expect("parse");
         let rebuilt = trace_from_records("homes", &parsed, t.memory_budget_bytes);
-        assert_eq!(rebuilt.requests.len(), t.requests.len());
+        assert_eq!(rebuilt.requests, t.requests);
+        let fused = trace_from_fiu("homes", &text, t.memory_budget_bytes).expect("parse");
+        assert_eq!(fused.requests, t.requests);
+        assert_eq!(fused.name, "homes");
+        assert_eq!(fused.memory_budget_bytes, t.memory_budget_bytes);
+        for r in fused.requests.iter().filter(|r| r.op.is_write()) {
+            assert_eq!(r.chunks.capacity(), r.chunks.len(), "sized exactly");
+        }
+        // A bad line anywhere fails the whole load, naming the line.
+        let lines = text.lines().count();
+        let bad = format!("{text}1 1 p 0 0 W 8 0 *\n");
+        match trace_from_fiu("homes", &bad, 0) {
+            Err(pod_types::PodError::TraceParse { line, .. }) => assert_eq!(line, lines + 1),
+            other => panic!("expected a TraceParse, got {other:?}"),
+        }
     }
 }

@@ -17,7 +17,9 @@
 //!   Redundant content is drawn from previously generated *runs* (the
 //!   content sequence of an earlier write) under a Zipf popularity skew,
 //!   so hot content is re-written often — exactly the temporal locality
-//!   §II-A measures.
+//!   §II-A measures. The history is a ring of the last 8,192 writes:
+//!   ranks index it from the newest end, and evicting the oldest is
+//!   O(1), so generation costs what its draws cost.
 //! * **Same-location rewrites** — a configured fraction of redundant
 //!   writes re-target the LBA that already holds the content. These are
 //!   I/O redundancy but not capacity redundancy: the Fig. 2 gap.
@@ -30,6 +32,7 @@ use crate::profile::TraceProfile;
 use pod_types::{Fingerprint, IoRequest, Lba, SimTime};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::VecDeque;
 
 /// A named sequence of I/O requests in arrival order.
 #[derive(Clone, Debug)]
@@ -117,8 +120,9 @@ struct Generator {
     in_write_phase: bool,
     phase_left: u32,
     next_content: u64,
-    /// Ring buffer of recent runs, newest at the back.
-    runs: Vec<Run>,
+    /// Ring of the last [`RUN_WINDOW`] runs, newest at the back. Eviction
+    /// is O(1): it runs once per write request.
+    runs: VecDeque<Run>,
     /// Sequential-allocation cursor for fresh data placement.
     alloc_cursor: u64,
     /// Last read end (for sequential-follow reads).
@@ -164,7 +168,7 @@ impl Generator {
             in_write_phase,
             phase_left: 0,
             next_content: 1,
-            runs: Vec::new(),
+            runs: VecDeque::new(),
             alloc_cursor: 0,
             last_read_end: 0,
             next_id: 0,
@@ -270,9 +274,9 @@ impl Generator {
 
     fn remember_run(&mut self, lba: u64, contents: Vec<u64>) {
         if self.runs.len() == RUN_WINDOW {
-            self.runs.remove(0);
+            self.runs.pop_front();
         }
-        self.runs.push(Run { lba, contents });
+        self.runs.push_back(Run { lba, contents });
     }
 
     fn gen_write(&mut self, id: u64, arrival: SimTime, nblocks: u32) -> IoRequest {
@@ -514,6 +518,77 @@ mod tests {
         }
         let ratio = dup_chunks as f64 / total as f64;
         assert!(ratio > 0.4, "mail should be heavily redundant: {ratio:.3}");
+    }
+
+    /// FNV-1a over every field of every request, little-endian.
+    fn trace_digest(t: &Trace) -> u64 {
+        use std::hash::Hasher;
+        let mut h = pod_hash::FnvHasher::default();
+        for r in &t.requests {
+            h.write(&r.id.0.to_le_bytes());
+            h.write(&r.arrival.as_micros().to_le_bytes());
+            h.write(&[u8::from(r.op.is_write())]);
+            h.write(&r.lba.raw().to_le_bytes());
+            h.write(&r.nblocks.to_le_bytes());
+            for fp in &r.chunks {
+                h.write(fp.as_bytes());
+            }
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn generated_traces_are_bit_stable() {
+        // Constants computed at commit 15f2705, before the run history
+        // became a ring. Every trace here has more than RUN_WINDOW
+        // writes, so the window wraps and the eviction path runs. A
+        // changed digest means every golden report and every stored
+        // benchmark figure changed with it.
+        type Case = (fn() -> TraceProfile, f64, [(u64, u64); 2]);
+        let cases: [Case; 3] = [
+            (
+                TraceProfile::web_vm,
+                0.1,
+                [(42, 0xc970_7981_f854_b4fe), (7, 0x13fb_f831_a74a_e25e)],
+            ),
+            (
+                TraceProfile::mail,
+                0.1,
+                [(42, 0x6a05_723c_b9cd_9a6a), (7, 0xd029_7e06_cc21_7da5)],
+            ),
+            (
+                TraceProfile::homes,
+                0.25,
+                [(42, 0x9753_486b_965f_6f58), (7, 0x596f_ca2c_a307_da47)],
+            ),
+        ];
+        for (profile, scale, pinned) in cases {
+            for (seed, want) in pinned {
+                let t = profile().scaled(scale).generate(seed);
+                assert!(t.write_count() > RUN_WINDOW, "{}: window must wrap", t.name);
+                let got = trace_digest(&t);
+                assert_eq!(
+                    got, want,
+                    "{} seed {seed}: digest {got:#018x}, pinned {want:#018x}",
+                    t.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn format_records_is_byte_stable() {
+        // The FIU text the benchmark harness and `pod-cli gen --out`
+        // write: pinned at the same commit, before the writer changed.
+        let t = TraceProfile::web_vm().scaled(0.1).generate(42);
+        let text = crate::fiu::format_records(&crate::reconstruct::split_into_records(&t));
+        let got = pod_hash::fnv1a_64(text.as_bytes());
+        assert_eq!(
+            got,
+            0x5000_a221_996c_f4c7,
+            "FIU text digest {got:#018x} over {} bytes",
+            text.len()
+        );
     }
 
     #[test]

@@ -76,27 +76,61 @@ impl Fingerprint {
     /// Lowercase hex rendering of the full fingerprint.
     pub fn to_hex(&self) -> String {
         let mut s = String::with_capacity(FINGERPRINT_BYTES * 2);
-        for b in &self.0 {
-            use core::fmt::Write;
-            write!(s, "{b:02x}").expect("write to String cannot fail");
-        }
+        self.push_hex(&mut s);
         s
+    }
+
+    /// Append the lowercase hex rendering to `out` (no intermediate
+    /// `String`; the FIU writer emits one per written block).
+    pub fn push_hex(&self, out: &mut String) {
+        let mut buf = [0u8; FINGERPRINT_BYTES * 2];
+        for (pair, b) in buf.chunks_exact_mut(2).zip(&self.0) {
+            pair[0] = HEX_DIGITS[(b >> 4) as usize];
+            pair[1] = HEX_DIGITS[(b & 0x0f) as usize];
+        }
+        out.push_str(core::str::from_utf8(&buf).expect("hex digits are ASCII"));
     }
 
     /// Parse a fingerprint from a hex string (64 hex digits).
     pub fn from_hex(hex: &str) -> Option<Self> {
-        let hex = hex.trim();
-        if hex.len() != FINGERPRINT_BYTES * 2 {
-            return None;
-        }
         let mut out = [0u8; FINGERPRINT_BYTES];
-        for (i, chunk) in hex.as_bytes().chunks_exact(2).enumerate() {
-            let hi = (chunk[0] as char).to_digit(16)?;
-            let lo = (chunk[1] as char).to_digit(16)?;
-            out[i] = ((hi << 4) | lo) as u8;
-        }
+        decode_hex(hex.trim(), &mut out)?;
         Some(Self(out))
     }
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Marks a byte that is not a hex digit in [`HEX_VALUE`].
+const NOT_HEX: u8 = 0xff;
+
+/// Value of every byte read as a hex digit (either case).
+const HEX_VALUE: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        table[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Decode exactly `2 * dst.len()` hex digits (either case) into `dst`;
+/// `None` on any other length or any non-hex byte.
+pub fn decode_hex(hex: &str, dst: &mut [u8]) -> Option<()> {
+    let hex = hex.as_bytes();
+    if hex.len() != dst.len() * 2 {
+        return None;
+    }
+    for (pair, out) in hex.chunks_exact(2).zip(dst) {
+        let (hi, lo) = (HEX_VALUE[pair[0] as usize], HEX_VALUE[pair[1] as usize]);
+        if hi == NOT_HEX || lo == NOT_HEX {
+            return None;
+        }
+        *out = (hi << 4) | lo;
+    }
+    Some(())
 }
 
 impl fmt::Debug for Fingerprint {
@@ -159,6 +193,19 @@ mod tests {
         assert_eq!(Fingerprint::from_hex(&almost), None);
         let bad_char = format!("{}g", "a".repeat(63));
         assert_eq!(Fingerprint::from_hex(&bad_char), None);
+    }
+
+    #[test]
+    fn hex_matches_the_formatter_and_reads_either_case() {
+        let fp = Fingerprint::from_content_id(0xFEED_F00D);
+        let reference: String = fp.as_bytes().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(fp.to_hex(), reference);
+        assert_eq!(Fingerprint::from_hex(&reference.to_uppercase()), Some(fp));
+        let mut md5 = [0u8; 16];
+        assert_eq!(decode_hex(&reference[..32], &mut md5), Some(()));
+        assert_eq!(md5, fp.as_bytes()[..16]);
+        assert_eq!(decode_hex(&reference[..30], &mut md5), None);
+        assert_eq!(decode_hex(&"é".repeat(16), &mut md5), None, "non-ASCII");
     }
 
     #[test]
