@@ -3,6 +3,9 @@
 use pod_core::Scheme;
 use pod_trace::{Trace, TraceProfile};
 
+/// Largest `--scale`: a thousand times the paper's traces.
+const MAX_SCALE: f64 = 1000.0;
+
 /// Parsed command-line options.
 #[derive(Debug, Clone)]
 pub struct CliArgs {
@@ -112,8 +115,10 @@ impl CliArgs {
                     args.scale = value
                         .parse()
                         .map_err(|_| format!("bad --scale '{value}'"))?;
-                    if args.scale <= 0.0 {
-                        return Err("--scale must be positive".into());
+                    // Written so that NaN fails too; the ceiling keeps the
+                    // scaled request count far inside `usize`.
+                    if !(args.scale > 0.0 && args.scale <= MAX_SCALE) {
+                        return Err(format!("--scale must be positive and at most {MAX_SCALE}"));
                     }
                 }
                 "--seed" => {
@@ -143,7 +148,8 @@ impl CliArgs {
                         value
                             .parse()
                             .map_err(|_| format!("bad --memory '{value}'"))?,
-                    )
+                    );
+                    args.memory_bytes()?;
                 }
                 "--jobs" => {
                     let jobs: usize = value.parse().map_err(|_| format!("bad --jobs '{value}'"))?;
@@ -196,6 +202,16 @@ impl CliArgs {
         Ok(args)
     }
 
+    /// `--memory` in bytes, refusing a MiB count that overflows `u64`.
+    fn memory_bytes(&self) -> Result<Option<u64>, String> {
+        self.memory_mib
+            .map(|m| {
+                m.checked_mul(1 << 20)
+                    .ok_or_else(|| format!("--memory {m} MiB overflows a byte count"))
+            })
+            .transpose()
+    }
+
     /// The workload profile named by `--profile`.
     pub fn resolve_profile(&self) -> Result<TraceProfile, String> {
         match self.profile.as_str() {
@@ -211,10 +227,7 @@ impl CliArgs {
     pub fn load_trace(&self) -> Result<Trace, String> {
         if let Some(path) = &self.trace_path {
             let body = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let budget = self
-                .memory_mib
-                .map(|m| m * 1024 * 1024)
-                .unwrap_or(500 * 1024 * 1024);
+            let budget = self.memory_bytes()?.unwrap_or(500 * 1024 * 1024);
             pod_trace::reconstruct::trace_from_fiu(path, &body, budget)
                 .map_err(|e| format!("parsing {path}: {e}"))
         } else {
@@ -234,8 +247,8 @@ impl CliArgs {
     /// The system configuration implied by the flags.
     pub fn system_config(&self) -> Result<pod_core::SystemConfig, String> {
         let mut cfg = pod_core::SystemConfig::paper_default();
-        if let Some(m) = self.memory_mib {
-            cfg.memory_bytes = Some(m * 1024 * 1024);
+        if let Some(bytes) = self.memory_bytes()? {
+            cfg.memory_bytes = Some(bytes);
         }
         if let Some(spec) = &self.faults {
             cfg.faults = Some(pod_core::FaultPlan::parse(spec).map_err(|e| e.to_string())?);
@@ -318,6 +331,10 @@ mod tests {
         assert!(parse(&["--scale"]).is_err());
         assert!(parse(&["--scale", "zero"]).is_err());
         assert!(parse(&["--scale", "-1"]).is_err());
+        assert!(parse(&["--scale", "nan"]).is_err());
+        assert!(parse(&["--scale", "inf"]).is_err());
+        assert!(parse(&["--scale", "1e300"]).is_err());
+        assert!(parse(&["--memory", "17592186044416"]).is_err());
         assert!(parse(&["--scheme", "bogus"]).is_err());
         assert!(parse(&["--wat", "1"]).is_err());
         assert!(parse(&["--jobs", "0"]).is_err());

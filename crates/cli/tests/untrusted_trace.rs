@@ -1,12 +1,15 @@
-//! A crafted FIU file makes `pod-cli replay --trace` fail with an
-//! `error:` line naming the bad line — it used to abort on a 128 GiB
-//! allocation (oversized block count) or wrap the address space
-//! (`lba` at `u64::MAX`).
+//! Untrusted input through the spawned binary: crafted FIU files,
+//! hostile flag values and mutated recorded JSONL all end in exit 0 or
+//! an `error:` line — never a panic, an abort or a signal.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
 const SHA: &str = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad";
 
+/// A crafted FIU file makes `pod-cli replay --trace` fail with an
+/// `error:` line naming the bad line — it used to abort on a 128 GiB
+/// allocation (oversized block count) or wrap the address space
+/// (`lba` at `u64::MAX`).
 #[test]
 fn crafted_fiu_lines_are_parse_errors_not_aborts() {
     let crafted = [
@@ -37,4 +40,177 @@ fn crafted_fiu_lines_are_parse_errors_not_aborts() {
             "{what}: {stderr}"
         );
     }
+}
+
+/// SplitMix64: the fuzz cases below are a fixed sequence.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn pick<'a>(&mut self, xs: &[&'a str]) -> &'a str {
+        xs[(self.next() % xs.len() as u64) as usize]
+    }
+}
+
+/// Values a number or a whole spec is replaced with: empty, non-finite,
+/// negative zero, `u64::MAX`, 2^44 + 1 MiB (wraps `<< 20` to 1 MiB) and
+/// the two sides of the 1 PiB budget limit.
+const HOSTILE: [&str; 9] = [
+    "",
+    "nan",
+    "inf",
+    "-0",
+    "18446744073709551615",
+    "17592186044417",
+    "1073741824",
+    "1073741825",
+    "1e300",
+];
+
+/// Extra fields and unknown keys appended to a valid value.
+const SUFFIXES: [&str; 6] = [":", ",", ":1", ",1", ":junk", ",meteor:1"];
+
+/// Replace the `which`-th run of ASCII digits in `spec` with `with`.
+fn replace_number(spec: &str, which: u64, with: &str) -> String {
+    let mut runs = Vec::new();
+    let mut start = None;
+    for (i, c) in spec.char_indices().chain([(spec.len(), ':')]) {
+        match (c.is_ascii_digit(), start) {
+            (true, None) => start = Some(i),
+            (false, Some(s)) => {
+                runs.push(s..i);
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    if runs.is_empty() {
+        return with.to_string();
+    }
+    let run = runs[(which % runs.len() as u64) as usize].clone();
+    format!("{}{with}{}", &spec[..run.start], &spec[run.end..])
+}
+
+/// The contract for anything a user can type or feed back in.
+fn assert_clean_exit(out: &Output, what: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+    match out.status.code() {
+        Some(0) => {}
+        Some(1 | 2) => assert!(
+            stderr.lines().any(|l| l.starts_with("error:")),
+            "{what}: exit without an error line: {stderr}"
+        ),
+        other => panic!("{what}: exit {other:?}: {stderr}"),
+    }
+}
+
+#[test]
+fn hostile_flag_values_never_panic() {
+    // A later `--scale` overrides this one.
+    let replay = ["replay", "--scheme", "pod", "--scale", "0.004"];
+    let serve = ["serve", "--tenants", "2", "--scale", "0.004"];
+    // (flag, command, valid values, whether the value is a `key:value` spec)
+    let flags: [(&str, &[&str], &[&str], bool); 5] = [
+        ("--scale", &replay, &["0.004"], false),
+        ("--memory", &replay, &["64"], false),
+        ("--epoch", &replay, &["100"], false),
+        (
+            "--faults",
+            &replay,
+            &[
+                "transient:7",
+                "latency",
+                "torn:3",
+                "crash:5:7",
+                "corrupt:64",
+                "all",
+            ],
+            true,
+        ),
+        (
+            "--policy",
+            &serve,
+            &[
+                "tier:2,rate:40,burst:4,quota:1",
+                "tier:1,static",
+                "tier:2,soft:1,quota:2,hot:500,cold:100",
+            ],
+            true,
+        ),
+    ];
+    let mut rng = Rng(16);
+    for case in 0..80 {
+        let (flag, cmd, valid, is_spec) = flags[case % flags.len()];
+        let base = rng.pick(valid);
+        // A bare number is replaced or extended whole (a digit of
+        // `--scale` swapped for a large one would be a valid, huge run);
+        // a spec has one of its numbers replaced in place half the time.
+        let value = match rng.next() % if is_spec { 4 } else { 2 } {
+            0 => rng.pick(&HOSTILE).to_string(),
+            1 => format!("{base}{}", rng.pick(&SUFFIXES)),
+            _ => replace_number(base, rng.next(), rng.pick(&HOSTILE)),
+        };
+        let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
+            .args(cmd)
+            .args([flag, &value])
+            .output()
+            .expect("spawn pod-cli");
+        assert_clean_exit(&out, &format!("case {case}: {flag} '{value}'"));
+    }
+}
+
+#[test]
+fn mutated_recordings_never_panic() {
+    let dir = std::env::temp_dir().join(format!("pod-fuzz-jsonl-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the scratch directory");
+    let recorded = dir.join("recorded.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
+        .args(["replay", "--scheme", "pod", "--scale", "0.004"])
+        .args(["--epoch", "200", "--trace-out"])
+        .arg(&recorded)
+        .output()
+        .expect("spawn pod-cli");
+    assert_eq!(out.status.code(), Some(0), "recording failed");
+    let body = std::fs::read_to_string(&recorded).expect("read the recording");
+    let lines: Vec<&str> = body.lines().collect();
+    assert!(lines.len() > 4, "recording too short to mutate");
+
+    let mutant = dir.join("mutant.jsonl");
+    let mut rng = Rng(16);
+    for case in 0..24 {
+        let mut lines: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        let at = (rng.next() % lines.len() as u64) as usize;
+        match rng.next() % 5 {
+            0 => lines[at] = replace_number(&lines[at], rng.next(), rng.pick(&HOSTILE)),
+            1 => {
+                let cut = (rng.next() % lines[at].len() as u64) as usize;
+                lines[at].truncate(cut); // the recording is ASCII
+            }
+            2 => {
+                lines.remove(at);
+            }
+            3 => lines.insert(at, lines[at].clone()),
+            _ => lines[at] = lines[at].replace(':', rng.pick(&["", "::", ":[", ":{"])),
+        }
+        std::fs::write(&mutant, lines.join("\n")).expect("write the mutant");
+        for cmd in ["stats", "figures"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
+                .args([cmd, "--in"])
+                .arg(&mutant)
+                .arg("--out")
+                .arg(dir.join("figs"))
+                .output()
+                .expect("spawn pod-cli");
+            assert_clean_exit(&out, &format!("case {case}: {cmd} --in <mutant>"));
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("remove the scratch directory");
 }

@@ -261,6 +261,7 @@ impl FaultPlan {
         let kind = parts.next().unwrap_or("");
         let arg = parts.next();
         let trailing = parts.next();
+        let extra = parts.next();
         let bad = |msg: String| PodError::InvalidConfig(msg);
         let num = |s: Option<&str>, what: &str| -> PodResult<Option<u64>> {
             match s {
@@ -294,7 +295,7 @@ impl FaultPlan {
                 )))
             }
         };
-        if kind != "crash" && trailing.is_some() {
+        if extra.is_some() || (kind != "crash" && trailing.is_some()) {
             return Err(bad(format!("trailing garbage in fault plan `{spec}`")));
         }
         plan.validate()?;
@@ -324,6 +325,19 @@ impl FaultPlan {
             ));
         }
         Ok(())
+    }
+}
+
+/// Largest byte budget any knob accepts (1 PiB): budgets are multiplied
+/// by per-mille shares downstream, and those products must fit `u64`.
+const MAX_BUDGET_BYTES: u64 = 1 << 50;
+
+fn check_budget(what: &str, bytes: Option<u64>) -> PodResult<()> {
+    match bytes {
+        Some(b) if b > MAX_BUDGET_BYTES => Err(PodError::InvalidConfig(format!(
+            "{what} of {b} B exceeds the 1 PiB limit"
+        ))),
+        _ => Ok(()),
     }
 }
 
@@ -378,6 +392,8 @@ impl TenantPolicy {
                 "tenant burst_requests must be at least 1 when rate-limited".into(),
             ));
         }
+        check_budget("tenant cache quota", self.cache_quota_bytes)?;
+        check_budget("tenant soft quota", self.soft_quota_bytes)?;
         if let (Some(soft), Some(hard)) = (self.soft_quota_bytes, self.cache_quota_bytes) {
             if soft > hard {
                 return Err(PodError::InvalidConfig(format!(
@@ -508,12 +524,17 @@ impl ServePolicy {
             let n: u64 = value
                 .parse()
                 .map_err(|_| bad(format!("policy {key} value `{value}` is not a number")))?;
+            let mib = || {
+                n.checked_mul(1 << 20).ok_or_else(|| {
+                    bad(format!("policy {key} value {n} MiB overflows a byte count"))
+                })
+            };
             match key {
-                "tier" => policy.shared_tier_bytes = n << 20,
+                "tier" => policy.shared_tier_bytes = mib()?,
                 "rate" => policy.default_tenant.rate_limit_rps = Some(n),
                 "burst" => policy.default_tenant.burst_requests = n,
-                "quota" => policy.default_tenant.cache_quota_bytes = Some(n << 20),
-                "soft" => policy.default_tenant.soft_quota_bytes = Some(n << 20),
+                "quota" => policy.default_tenant.cache_quota_bytes = Some(mib()?),
+                "soft" => policy.default_tenant.soft_quota_bytes = Some(mib()?),
                 "hot" => policy.hot_threshold_pm = n,
                 "cold" => policy.cold_threshold_pm = n,
                 other => {
@@ -535,6 +556,7 @@ impl ServePolicy {
                 "serve policy constrains nothing; drop it instead".into(),
             ));
         }
+        check_budget("shared tier", Some(self.shared_tier_bytes))?;
         if self.hot_threshold_pm > 1000 || self.cold_threshold_pm >= self.hot_threshold_pm {
             return Err(PodError::InvalidConfig(format!(
                 "locality thresholds need cold < hot <= 1000 (got cold {} / hot {})",
@@ -721,6 +743,7 @@ impl SystemConfig {
                 "warmup_fraction must be in [0,1)".into(),
             ));
         }
+        check_budget("memory budget", self.memory_bytes)?;
         if self.memory_scale <= 0.0 && self.memory_bytes.is_none() {
             return Err(PodError::InvalidConfig(
                 "memory_scale must be positive".into(),
@@ -907,6 +930,7 @@ mod tests {
             "crash:zero",
             "corrupt",
             "transient:7:junk",
+            "crash:5:7:junk",
         ] {
             assert!(FaultPlan::parse(spec).is_err(), "{spec} should fail");
         }
@@ -1010,6 +1034,11 @@ mod tests {
             "tier:4,burst:0,rate:100", // zero burst while rate-limited
             "tier:4,hot:100,cold:400", // inverted thresholds
             "tier:4,soft:8,quota:4",   // soft above hard
+            "tier:17592186044416",     // 2^44 MiB = 2^64 bytes
+            "tier:17592186044417",     // used to wrap to a 1 MiB tier
+            "tier:4,quota:17592186044416",
+            "tier:4,soft:18446744073709551615",
+            "tier:1073741825", // one MiB past the 1 PiB budget limit
         ] {
             assert!(ServePolicy::parse(spec).is_err(), "{spec} should fail");
         }

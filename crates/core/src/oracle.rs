@@ -204,11 +204,6 @@ impl OracleObserver {
         &self.model
     }
 
-    /// Mutable model access — test hook for forcing divergence.
-    pub fn model_mut(&mut self) -> &mut ReferenceModel {
-        &mut self.model
-    }
-
     /// Walk every live logical block through the real dedup layer and
     /// diff the resolved content against the model, then fold in the
     /// store's internal invariants and an NVRAM journal recovery check.

@@ -276,11 +276,6 @@ impl PhaseAgg {
         }
     }
 
-    /// Mean scope duration in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
-
     /// Nearest-rank percentile, reported as the upper bound of the
     /// bucket the rank falls into (`p` in 0..=100).
     pub fn percentile_ns(&self, p: f64) -> u64 {

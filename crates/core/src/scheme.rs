@@ -52,16 +52,6 @@ impl Scheme {
         ]
     }
 
-    /// The four schemes of Fig. 8–10 (POD's iCache evaluated separately).
-    pub fn fig8_set() -> [Scheme; 4] {
-        [
-            Scheme::Native,
-            Scheme::FullDedupe,
-            Scheme::IDedup,
-            Scheme::SelectDedupe,
-        ]
-    }
-
     /// The dedup policy driving the write path.
     pub fn policy(&self) -> DedupPolicy {
         match self {

@@ -574,7 +574,8 @@ struct ShardCtx<'a> {
 /// Integer-only (micro-tokens: one request costs 1e6, refill is
 /// `rate_rps` micro-tokens per simulated µs) so admission decisions are
 /// exact and deterministic. Driven purely by the tenant's own arrival
-/// clock, never wall time or other tenants' traffic.
+/// clock, never wall time or other tenants' traffic. The products
+/// saturate: a rate or burst near `u64::MAX` is a bucket that is full.
 #[derive(Debug)]
 pub(crate) struct TokenBucket {
     rate_rps: u64,
@@ -586,7 +587,7 @@ pub(crate) struct TokenBucket {
 
 impl TokenBucket {
     fn new(rate_rps: u64, burst_requests: u64) -> Self {
-        let cap = burst_requests * 1_000_000;
+        let cap = burst_requests.saturating_mul(1_000_000);
         Self {
             rate_rps,
             tokens_micro: cap,
@@ -602,14 +603,17 @@ impl TokenBucket {
     pub(crate) fn admit(&mut self, arrival_us: u64) -> u64 {
         let now = arrival_us.max(self.last_us);
         let delta = now - self.last_us;
-        self.tokens_micro = (self.tokens_micro + delta * self.rate_rps).min(self.cap_micro);
+        self.tokens_micro = self
+            .tokens_micro
+            .saturating_add(delta.saturating_mul(self.rate_rps))
+            .min(self.cap_micro);
         if self.tokens_micro >= 1_000_000 {
             self.tokens_micro -= 1_000_000;
             self.last_us = now;
             return now - arrival_us;
         }
         let wait = (1_000_000 - self.tokens_micro).div_ceil(self.rate_rps);
-        self.tokens_micro = self.tokens_micro + wait * self.rate_rps - 1_000_000;
+        self.tokens_micro = self.tokens_micro.saturating_add(wait * self.rate_rps) - 1_000_000;
         self.last_us = now + wait;
         now + wait - arrival_us
     }
@@ -1073,6 +1077,13 @@ mod tests {
         assert_eq!(tb.admit(1_000_000), 0);
         assert_eq!(tb.admit(1_000_000), 0);
         assert_eq!(tb.admit(1_000_000), 1_000, "cap at burst, not the gap");
+        // Limits near `u64::MAX` saturate instead of wrapping.
+        let mut tb = TokenBucket::new(u64::MAX, u64::MAX);
+        assert_eq!(tb.admit(5), 0);
+        assert_eq!(tb.admit(1_000_000), 0);
+        let mut tb = TokenBucket::new(u64::MAX, 1);
+        assert_eq!(tb.admit(0), 0);
+        assert_eq!(tb.admit(0), 1, "empty: the next token is 1 µs away");
     }
 
     #[test]

@@ -137,12 +137,6 @@ impl ChunkStore {
         self.logical_blocks
     }
 
-    /// Home physical address of `lba`.
-    #[inline]
-    pub fn home_of(lba: Lba) -> Pba {
-        Pba::new(lba.raw())
-    }
-
     /// Current physical location of `lba`, if it has ever been written.
     pub fn lookup(&self, lba: Lba) -> Option<Pba> {
         self.mapping.get(&lba.raw()).map(Pba::new)

@@ -69,11 +69,6 @@ impl BlockStore {
         self.refs.len() as u64
     }
 
-    /// Bytes currently live.
-    pub fn used_bytes(&self) -> u64 {
-        self.used_blocks() * pod_types::BLOCK_BYTES
-    }
-
     /// Allocate `nblocks` contiguous physical blocks with refcount 1.
     ///
     /// Allocation is contiguous-extent: a fresh write lands sequentially,

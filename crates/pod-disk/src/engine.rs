@@ -8,37 +8,18 @@
 //! parity) as well as dedup metadata I/O that must precede data I/O.
 //!
 //! Each disk owns a pending queue drained by the configured
-//! [`SchedulerKind`]; service times come from the precomputed
-//! [`MechModel`] tables (exactly the [`DiskSpec`] mechanical model).
-//! Event ordering is `(time, sequence)` with a strictly monotonic
-//! sequence, so simulations are fully deterministic.
+//! [`SchedulerKind`]; service times come from
+//! [`DiskSpec::service_time`]. Event ordering is `(time, sequence)` with
+//! a strictly monotonic sequence, so simulations are fully deterministic.
 //!
-//! # Fast paths
+//! # Buffer pooling
 //!
-//! The engine is the replay bottleneck (perfgate measures `disk_share ≈
-//! 0.97+` for every scheme), so the hot paths avoid the generic event
-//! machinery wherever that cannot change observable behavior:
-//!
-//! * **Analytic quiescent jobs** — a job submitted while the array is
-//!   completely idle (no events, no queued or in-flight ops, no dirty
-//!   cache) has a closed-form outcome: each phase starts when the
-//!   previous one ends, and each disk serves its ops back to back in
-//!   scheduler order. The outcome is precomputed at submission and the
-//!   job *deferred*: if the next interaction is at or after its finish
-//!   time the result is committed wholesale (zero heap events); if
-//!   anything intervenes earlier, the job is *replayed* by pushing the
-//!   exact `PhaseArrive` event the classic engine would have pushed —
-//!   same sequence number, since deferral consumes none — so event
-//!   ordering is bit-for-bit identical either way.
-//! * **Single-op dispatch** — a queue of one op skips scheduler view
-//!   construction ([`SchedulerKind::pick_single`]).
-//! * **Buffer pooling** — op and phase vectors cycle through internal
-//!   pools ([`ArraySim::pooled_ops`] / [`ArraySim::pooled_phases`]);
-//!   phases are moved, never cloned, into the disk queues.
-//! * **Mechanical tables** — seek/rotation arithmetic is table lookups
-//!   ([`MechModel`]), built once per simulator.
+//! Op and phase vectors cycle through internal pools
+//! ([`ArraySim::pooled_ops`] / [`ArraySim::pooled_phases`]); phases are
+//! moved, never cloned, into the disk queues, so a steady-state replay
+//! submits jobs without allocating (`crates/core/tests/alloc.rs` pins
+//! that).
 
-use crate::mech::MechModel;
 use crate::raid::{PhysOp, RaidGeometry};
 use crate::sched::{PendingView, SchedulerKind};
 use crate::spec::DiskSpec;
@@ -50,19 +31,6 @@ use std::collections::BinaryHeap;
 /// Handle to a submitted job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct JobId(usize);
-
-impl JobId {
-    /// Mint a job id for an alternative disk engine (ids are only
-    /// meaningful within the engine that issued them).
-    pub fn from_raw(raw: usize) -> Self {
-        JobId(raw)
-    }
-
-    /// The raw index behind this id.
-    pub fn raw(self) -> usize {
-        self.0
-    }
-}
 
 /// Pools keep at most this many spare buffers; beyond it, buffers are
 /// simply dropped (bounds memory under pathological churn).
@@ -170,43 +138,10 @@ struct ActiveJob {
     outstanding: usize,
 }
 
-/// A job admitted on a quiescent array whose outcome was computed
-/// analytically at submission; resolved (committed or replayed) at the
-/// next engine interaction.
-#[derive(Debug)]
-struct Deferred {
-    job: usize,
-    at_us: u64,
-    finish_us: u64,
-    /// The job's phases, held here (not in the active list) so a commit
-    /// never touches the active list; a replay moves them into it.
-    phases: Vec<Vec<PhysOp>>,
-}
-
-/// Analytic per-disk outcome of a deferred job. `add` fields are
-/// additive deltas except `max_queue_depth`, which is a max-candidate.
-#[derive(Debug)]
-struct DiskDelta {
-    disk: usize,
-    head: u64,
-    direction_up: bool,
-    add: DiskStats,
-}
-
-/// Per-disk working state for the analytic mini-simulation.
-#[derive(Debug, Clone, Default)]
-struct AnalyticDisk {
-    head: u64,
-    direction_up: bool,
-    touched: bool,
-    add: DiskStats,
-}
-
 /// Discrete-event simulator for one disk array.
 pub struct ArraySim {
     geometry: RaidGeometry,
     spec: DiskSpec,
-    mech: MechModel,
     sched: SchedulerKind,
     clock: SimTime,
     events: BinaryHeap<Event>,
@@ -220,14 +155,6 @@ pub struct ArraySim {
     failed: Vec<bool>,
     /// Count of `true` entries in `failed` (degraded check is per-submit).
     nfailed: usize,
-    /// At most one analytically precomputed job awaiting resolution.
-    deferred: Option<Deferred>,
-    /// Per-disk outcome of the deferred job (valid while `deferred` is
-    /// `Some`).
-    deferred_fx: Vec<DiskDelta>,
-    /// Scratch for the analytic mini-simulation (one entry per disk).
-    analytic_disks: Vec<AnalyticDisk>,
-    analytic_queues: Vec<Vec<PhysOp>>,
     /// Reusable buffers cycled through submissions.
     op_pool: Vec<Vec<PhysOp>>,
     phase_pool: Vec<Vec<Vec<PhysOp>>>,
@@ -242,7 +169,6 @@ impl ArraySim {
         let ndisks = geometry.ndisks();
         Self {
             geometry,
-            mech: MechModel::new(&spec),
             spec,
             sched,
             clock: SimTime::ZERO,
@@ -253,10 +179,6 @@ impl ArraySim {
             active: Vec::new(),
             failed: vec![false; ndisks],
             nfailed: 0,
-            deferred: None,
-            deferred_fx: Vec::new(),
-            analytic_disks: Vec::new(),
-            analytic_queues: (0..ndisks).map(|_| Vec::new()).collect(),
             op_pool: Vec::new(),
             phase_pool: Vec::new(),
             view_scratch: Vec::new(),
@@ -434,10 +356,6 @@ impl ArraySim {
     /// be earlier than any previously submitted job's start; trace replay
     /// naturally satisfies this).
     pub fn submit_phases(&mut self, at: SimTime, mut phases: Vec<Vec<PhysOp>>) -> JobId {
-        // A deferred job materializes into its original event before any
-        // new submission, keeping the event/sequence order identical to
-        // the always-heap engine.
-        self.materialize_deferred();
         // Degraded-mode transform, then drop empty phases up front so
         // phase advancement never stalls.
         if self.is_degraded() {
@@ -470,17 +388,13 @@ impl ArraySim {
             return JobId(id);
         }
         self.finish.push(UNFINISHED);
-        if self.quiescent() {
-            self.defer_job(id, at, phases);
-        } else {
-            self.active.push(ActiveJob {
-                id,
-                phases,
-                current_phase: 0,
-                outstanding: 0,
-            });
-            self.push_event(at.as_micros(), EventKind::PhaseArrive { job: id });
-        }
+        self.active.push(ActiveJob {
+            id,
+            phases,
+            current_phase: 0,
+            outstanding: 0,
+        });
+        self.push_event(at.as_micros(), EventKind::PhaseArrive { job: id });
         JobId(id)
     }
 
@@ -512,14 +426,6 @@ impl ArraySim {
     /// Process events up to and including `t`.
     pub fn run_until(&mut self, t: SimTime) {
         let t_us = t.as_micros();
-        if let Some(d) = self.deferred.take() {
-            if d.finish_us <= t_us {
-                self.commit_deferred(d);
-            } else {
-                self.deferred = Some(d);
-                self.materialize_deferred();
-            }
-        }
         // Single-traversal drain: `peek_mut` + `PeekMut::pop` re-sifts
         // the heap once per event instead of the peek-then-pop pair.
         loop {
@@ -535,9 +441,6 @@ impl ArraySim {
 
     /// Drain every event; afterwards all submitted jobs are complete.
     pub fn run_to_idle(&mut self) {
-        if let Some(d) = self.deferred.take() {
-            self.commit_deferred(d);
-        }
         while let Some(ev) = self.events.pop() {
             self.clock = SimTime::from_micros(ev.at_us);
             self.handle(ev);
@@ -594,216 +497,6 @@ impl ArraySim {
         wait as f64 / ops as f64
     }
 
-    /// True when nothing is in flight anywhere: the precondition for the
-    /// analytic job path. Write-back caching is excluded because cache
-    /// admission depends on flush timing, which is event-driven.
-    fn quiescent(&self) -> bool {
-        let q =
-            self.deferred.is_none() && self.events.is_empty() && self.spec.write_cache_blocks == 0;
-        // With write caching off, every busy disk and every pending op
-        // has a completion event in the heap (dispatch always pairs
-        // `busy = true` with an `OpComplete` push, and `fail_disk` never
-        // cancels events), so an empty heap alone proves idleness.
-        debug_assert!(
-            !q || self
-                .disks
-                .iter()
-                .all(|d| !d.busy && d.pending.is_empty() && d.dirty.is_empty()),
-            "empty event heap but a disk is busy"
-        );
-        q
-    }
-
-    /// Compute the outcome of job `id` (submitted at `at` on a quiescent
-    /// array) without touching the event heap, and park it as deferred.
-    ///
-    /// The computation mirrors the event engine exactly: every phase
-    /// starts when the previous one fully completes; within a phase each
-    /// disk serves its ops back to back, picked by the scheduler from a
-    /// queue whose ops all arrived at phase start.
-    fn defer_job(&mut self, id: usize, at: SimTime, phases: Vec<Vec<PhysOp>>) {
-        let at_us = at.as_micros();
-
-        // Fast shape — every phase has at most one op per disk (plain
-        // reads, streaming scans, RAID-5 read-modify-writes): within a
-        // phase the ops run independently, so each disk's outcome is a
-        // direct computation, the phase ends at the slowest disk, and the
-        // next phase starts there. No queues, no scratch resets.
-        if self.disks.len() <= 64 {
-            let mut shape_ok = true;
-            'shape: for phase in &phases {
-                if phase.len() > self.disks.len() {
-                    shape_ok = false;
-                    break;
-                }
-                let mut mask: u64 = 0;
-                for op in phase {
-                    let bit = 1u64 << op.disk;
-                    if mask & bit != 0 {
-                        shape_ok = false;
-                        break 'shape;
-                    }
-                    mask |= bit;
-                }
-            }
-            if shape_ok {
-                let sched = self.sched;
-                self.deferred_fx.clear();
-                let mut phase_start = at_us;
-                for phase in &phases {
-                    let mut phase_end = phase_start;
-                    for op in phase {
-                        // First-touch order; a handful of entries, so a
-                        // scan beats any per-disk index.
-                        let fx = match self.deferred_fx.iter().position(|f| f.disk == op.disk) {
-                            Some(si) => &mut self.deferred_fx[si],
-                            None => {
-                                let d = &self.disks[op.disk];
-                                self.deferred_fx.push(DiskDelta {
-                                    disk: op.disk,
-                                    head: d.head,
-                                    direction_up: d.direction_up,
-                                    add: DiskStats::default(),
-                                });
-                                self.deferred_fx.last_mut().unwrap()
-                            }
-                        };
-                        // Each op is alone on its disk and arrives at
-                        // phase start, so it dispatches immediately:
-                        // queue wait 0, queue depth 1.
-                        let dir = sched.pick_single(op.lba, fx.head, fx.direction_up);
-                        let service = self.mech.service_us(fx.head.abs_diff(op.lba), op.nblocks);
-                        fx.head = op.lba + op.nblocks as u64;
-                        fx.direction_up = dir;
-                        fx.add.ops += 1;
-                        fx.add.busy_us += service;
-                        fx.add.max_queue_depth = fx.add.max_queue_depth.max(1);
-                        if op.write {
-                            fx.add.blocks_written += op.nblocks as u64;
-                        } else {
-                            fx.add.blocks_read += op.nblocks as u64;
-                        }
-                        phase_end = phase_end.max(phase_start + service);
-                    }
-                    phase_start = phase_end;
-                }
-                self.deferred = Some(Deferred {
-                    job: id,
-                    at_us,
-                    finish_us: phase_start,
-                    phases,
-                });
-                return;
-            }
-        }
-
-        let mut queues = std::mem::take(&mut self.analytic_queues);
-        let mut adisks = std::mem::take(&mut self.analytic_disks);
-        let mut views = std::mem::take(&mut self.view_scratch);
-        let sched = self.sched;
-
-        adisks.clear();
-        for d in &self.disks {
-            adisks.push(AnalyticDisk {
-                head: d.head,
-                direction_up: d.direction_up,
-                touched: false,
-                add: DiskStats::default(),
-            });
-        }
-
-        let mut phase_start = at_us;
-        for phase in &phases {
-            for op in phase {
-                debug_assert!(op.disk < queues.len(), "op addressed to missing disk");
-                queues[op.disk].push(*op);
-            }
-            let mut phase_end = phase_start;
-            for op in phase {
-                let q = &mut queues[op.disk];
-                if q.is_empty() {
-                    continue; // disk already drained this phase
-                }
-                let ad = &mut adisks[op.disk];
-                ad.touched = true;
-                ad.add.max_queue_depth = ad.add.max_queue_depth.max(q.len());
-                let mut free = phase_start;
-                while !q.is_empty() {
-                    let (idx, dir) = if q.len() == 1 {
-                        (0, sched.pick_single(q[0].lba, ad.head, ad.direction_up))
-                    } else {
-                        views.clear();
-                        views.extend(q.iter().map(|op| PendingView {
-                            lba: op.lba,
-                            arrival_us: phase_start,
-                        }));
-                        sched.pick(&views, ad.head, ad.direction_up)
-                    };
-                    ad.direction_up = dir;
-                    let op = q.swap_remove(idx);
-                    let distance = ad.head.abs_diff(op.lba);
-                    let service = self.mech.service_us(distance, op.nblocks);
-                    ad.head = op.lba + op.nblocks as u64;
-                    ad.add.ops += 1;
-                    ad.add.busy_us += service;
-                    ad.add.queue_wait_us += free - phase_start;
-                    if op.write {
-                        ad.add.blocks_written += op.nblocks as u64;
-                    } else {
-                        ad.add.blocks_read += op.nblocks as u64;
-                    }
-                    free += service;
-                }
-                phase_end = phase_end.max(free);
-            }
-            phase_start = phase_end;
-        }
-
-        self.deferred_fx.clear();
-        for (disk, ad) in adisks.iter().enumerate() {
-            if ad.touched {
-                self.deferred_fx.push(DiskDelta {
-                    disk,
-                    head: ad.head,
-                    direction_up: ad.direction_up,
-                    add: ad.add,
-                });
-            }
-        }
-        self.analytic_queues = queues;
-        self.analytic_disks = adisks;
-        self.view_scratch = views;
-        self.deferred = Some(Deferred {
-            job: id,
-            at_us,
-            finish_us: phase_start,
-            phases,
-        });
-    }
-
-    /// Apply a deferred job's precomputed outcome wholesale. Only legal
-    /// when the engine is about to advance past its finish time.
-    fn commit_deferred(&mut self, d: Deferred) {
-        debug_assert!(self.events.is_empty(), "deferred job with live events");
-        for delta in &self.deferred_fx {
-            let disk = &mut self.disks[delta.disk];
-            disk.head = delta.head;
-            disk.direction_up = delta.direction_up;
-            let s = &mut disk.stats;
-            s.ops += delta.add.ops;
-            s.blocks_read += delta.add.blocks_read;
-            s.blocks_written += delta.add.blocks_written;
-            s.busy_us += delta.add.busy_us;
-            s.queue_wait_us += delta.add.queue_wait_us;
-            s.max_queue_depth = s.max_queue_depth.max(delta.add.max_queue_depth);
-        }
-        self.deferred_fx.clear();
-        self.finish[d.job] = d.finish_us;
-        self.recycle_phase_buf(d.phases);
-        // The classic engine's clock would sit at the job's last event.
-        self.clock = self.clock.max_of(SimTime::from_micros(d.finish_us));
-    }
-
     /// Index of `job` in the active list. Active jobs number at most a
     /// handful under replay, so a linear scan beats any map.
     fn active_idx(&self, job: usize) -> usize {
@@ -811,23 +504,6 @@ impl ArraySim {
             .iter()
             .position(|a| a.id == job)
             .expect("job is active")
-    }
-
-    /// Turn the deferred job back into the exact `PhaseArrive` event the
-    /// classic engine would have pushed at submission. No sequence
-    /// numbers were consumed while deferred, so the event (and all that
-    /// follow) get the same `(time, seq)` they always had.
-    fn materialize_deferred(&mut self) {
-        if let Some(d) = self.deferred.take() {
-            self.deferred_fx.clear();
-            self.active.push(ActiveJob {
-                id: d.job,
-                phases: d.phases,
-                current_phase: 0,
-                outstanding: 0,
-            });
-            self.push_event(d.at_us, EventKind::PhaseArrive { job: d.job });
-        }
     }
 
     fn push_event(&mut self, at_us: u64, kind: EventKind) {
@@ -911,7 +587,7 @@ impl ArraySim {
             // Idle: flush one cached dirty write to media.
             if let Some(op) = d.dirty.pop_front() {
                 let distance = d.head.abs_diff(op.lba);
-                let service = self.mech.service_us(distance, op.nblocks);
+                let service = self.spec.service_time(distance, op.nblocks).as_micros();
                 d.head = op.lba + op.nblocks as u64;
                 d.busy = true;
                 d.dirty_blocks -= op.nblocks as u64;
@@ -944,7 +620,7 @@ impl ArraySim {
         // are accounted at flush time.
         let cache_room = self.spec.write_cache_blocks.saturating_sub(d.dirty_blocks);
         if q.op.write && self.spec.write_cache_blocks > 0 && q.op.nblocks as u64 <= cache_room {
-            let service = self.mech.service_us(0, q.op.nblocks);
+            let service = self.spec.service_time(0, q.op.nblocks).as_micros();
             d.dirty.push_back(q.op);
             d.dirty_blocks += q.op.nblocks as u64;
             d.busy = true;
@@ -956,7 +632,7 @@ impl ArraySim {
         }
 
         let distance = d.head.abs_diff(q.op.lba);
-        let service = self.mech.service_us(distance, q.op.nblocks);
+        let service = self.spec.service_time(distance, q.op.nblocks).as_micros();
         d.head = q.op.lba + q.op.nblocks as u64;
         d.busy = true;
         d.stats.ops += 1;

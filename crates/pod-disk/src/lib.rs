@@ -14,9 +14,6 @@
 //!   full-stripe write detection. The RMW penalty is the mechanism that
 //!   makes each *eliminated* write so valuable to POD, so it is modelled
 //!   explicitly.
-//! * [`mech`] — precomputed mechanical tables ([`MechModel`]): the
-//!   [`DiskSpec`] seek/rotation arithmetic quantized into exact lookup
-//!   tables, built once per simulator.
 //! * [`engine`] — the event engine ([`ArraySim`]): multi-phase jobs
 //!   (e.g. RMW read-phase → write-phase) over per-disk queues, driven by
 //!   a binary-heap event loop; completion times per job.
@@ -29,7 +26,6 @@
 
 pub mod alloc;
 pub mod engine;
-pub mod mech;
 pub mod nvram;
 pub mod raid;
 pub mod sched;
@@ -37,7 +33,6 @@ pub mod spec;
 
 pub use alloc::{AllocState, BlockStore};
 pub use engine::{isolated_latency, ArraySim, DiskStats, JobId};
-pub use mech::MechModel;
 pub use nvram::NvramModel;
 pub use raid::{PhysOp, RaidGeometry, WritePlan};
 pub use sched::SchedulerKind;

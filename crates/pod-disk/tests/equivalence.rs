@@ -1,14 +1,14 @@
-//! Fast-path ⇔ reference equivalence.
+//! Engine ⇔ seed-model equivalence.
 //!
-//! `reference` below is a frozen copy of the event engine as it stood
-//! *before* the performance work (precomputed mechanical tables, the
-//! immediate-event slot, pooled buffers, the single-op dispatch fast
-//! path, and the analytic quiescent-job path): a plain `BinaryHeap`
-//! loop computing every service time through the `DiskSpec` f64 math.
-//! The property: for arbitrary job mixes over every scheduler, RAID
-//! level, and cache configuration, the production [`ArraySim`] produces
-//! **identical** completion times, clocks, and [`DiskStats`] — the fast
-//! paths are pure strength reduction, never a re-model.
+//! `reference` below is a frozen copy of the event engine as first
+//! written: a plain `BinaryHeap` loop with a peek-then-pop drain, a
+//! per-job record, fresh vectors for every phase and scheduler view, and
+//! every service time through the `DiskSpec` f64 math. The production
+//! [`ArraySim`] is the same model with pooled buffers, a `peek_mut`
+//! drain and a single-op dispatch shortcut. The property: for arbitrary
+//! job mixes over every scheduler, RAID level, and cache configuration,
+//! it produces **identical** completion times, clocks, and
+//! [`DiskStats`].
 
 use pod_disk::raid::{PhysOp, RaidGeometry, WritePlan};
 use pod_disk::sched::{PendingView, SchedulerKind};

@@ -205,13 +205,6 @@ fn push_record(out: &mut String, r: &BlockRecord) {
     }
 }
 
-/// Render one record in the canonical dialect.
-pub fn format_record(r: &BlockRecord) -> String {
-    let mut s = String::with_capacity(128);
-    push_record(&mut s, r);
-    s
-}
-
 /// Render a whole trace body.
 pub fn format_records(records: &[BlockRecord]) -> String {
     let mut s = String::with_capacity(records.len() * 96);
