@@ -1,17 +1,18 @@
 //! Microbenches for the substrate crates: hashing, caches, index table,
-//! RAID planning, the event engine, and the trace input stage. These
+//! chunk store, RAID planning, the event engine, and the trace input
+//! stage. These
 //! establish that the simulator itself is fast enough that replay
 //! results measure the *modelled* system, not harness overhead.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use pod_cache::{ArcCache, LfuCache, LruCache};
-use pod_dedup::IndexTable;
+use pod_dedup::{ChunkStore, IndexTable};
 use pod_disk::engine::isolated_latency;
 use pod_disk::{ArraySim, DiskSpec, RaidConfig, RaidGeometry, SchedulerKind};
 use pod_hash::fnv1a_64;
 use pod_trace::reconstruct::{split_into_records, trace_from_fiu};
 use pod_trace::{fiu, TraceProfile};
-use pod_types::{Fingerprint, Pba, SimTime};
+use pod_types::{Fingerprint, Lba, Pba, SimTime};
 use std::hint::black_box;
 
 fn bench_hashing(c: &mut Criterion) {
@@ -83,6 +84,56 @@ fn bench_index_table(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+}
+
+/// The Map table on its own, so "the table got faster" is separable
+/// from "the engine got faster". Two address streams over a warm store
+/// (every block written once up front, so pages exist and writes land
+/// in place): sequential blocks, which is what back-to-back 8-block
+/// requests are to the store, and one block per 4,096-block table page
+/// — the worst case for a block-indexed table.
+fn bench_chunk_store(c: &mut Criterion) {
+    let fp = Fingerprint::from_content_id;
+    let mut g = c.benchmark_group("chunk_store");
+    for (stream, stride, blocks) in [("seq", 1u64, 65_536u64), ("strided", 4_096, 512)] {
+        let span = blocks * stride;
+        let mut store = ChunkStore::new(2 * span, 4_096);
+        for i in 0..blocks {
+            store
+                .write_unique(Lba::new(i * stride), fp(i), None)
+                .expect("in range");
+        }
+        g.throughput(Throughput::Elements(blocks));
+        let mut pass = 0;
+        g.bench_function(format!("write_unique_{stream}"), |b| {
+            b.iter(|| {
+                pass += 1;
+                for i in 0..blocks {
+                    let content = fp(pass * blocks + i);
+                    let pba = store.write_unique(Lba::new(i * stride), content, None);
+                    black_box(pba.expect("in range"));
+                }
+            })
+        });
+        // The engine's per-duplicate-chunk pair: validate the candidate
+        // block's content, then remap a far LBA onto it. Each pass moves
+        // every far LBA one target along, so every call releases one
+        // block and claims another.
+        g.bench_function(format!("dedup_to_content_at_{stream}"), |b| {
+            b.iter(|| {
+                pass += 1;
+                for i in 0..blocks {
+                    let target = Pba::new((i + pass) % blocks * stride);
+                    if black_box(store.content_at(target)).is_some() {
+                        store
+                            .dedup_to(Lba::new(span + i * stride), target)
+                            .expect("live target");
+                    }
+                }
+            })
+        });
+    }
+    g.finish();
 }
 
 fn bench_raid_planning(c: &mut Criterion) {
@@ -168,6 +219,7 @@ criterion_group!(
     bench_hashing,
     bench_caches,
     bench_index_table,
+    bench_chunk_store,
     bench_raid_planning,
     bench_event_engine,
     bench_trace

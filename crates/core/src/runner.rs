@@ -97,8 +97,9 @@ fn region_blocks(logical_blocks: u64) -> u64 {
 }
 
 /// Per-replay sizing derived from trace statistics: the simulated
-/// array's region layout plus pre-sizing hints so every per-replay
-/// structure (engine tables, write scratch) is allocated once up front.
+/// array's region layout (which also bounds the chunk store's address
+/// space) plus pre-sizing hints for the structures that can use one
+/// (the on-disk fingerprint index, the write scratch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplaySizing {
     /// Logical address space in blocks (trace max end LBA, floored at
@@ -115,7 +116,8 @@ pub struct ReplaySizing {
     /// Total array capacity the replay needs, blocks.
     pub needed_blocks: u64,
     /// Upper bound on distinct physical blocks the replay populates —
-    /// pre-sizes the engine's block-state tables.
+    /// pre-sizes the engine's on-disk fingerprint index (the chunk store
+    /// is indexed by block address and needs no hint).
     pub expected_unique_blocks: u64,
     /// Largest request in blocks — pre-sizes the write scratch.
     pub max_request_blocks: usize,
@@ -155,7 +157,7 @@ impl ReplaySizing {
             swap_region_base,
             needed_blocks: swap_region_base + region,
             // Every live block was written at least once, and the live
-            // set cannot exceed the logical span; the tables grow on
+            // set cannot exceed the logical span; the index grows on
             // demand if a pathological trace beats the estimate.
             expected_unique_blocks: written_blocks.min(logical_blocks),
             max_request_blocks,

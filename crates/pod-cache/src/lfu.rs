@@ -141,9 +141,12 @@ impl<K: Eq + Hash + Clone, V> LfuCache<K, V> {
         self.evictions
     }
 
-    /// Iterate `(key, value, frequency)` in unspecified order, without
-    /// bumping frequencies or allocating. Pair with `take(n)` for a
-    /// bounded sample of a large cache.
+    /// Iterate `(key, value, frequency)` without bumping frequencies or
+    /// allocating. Pair with `take(n)` for a bounded sample of a large
+    /// cache. The order is the backing map's bucket order: the same for
+    /// the same insert/remove history (the hasher is unkeyed), but a
+    /// function of `K`'s `Hash` — a change to how a key type hashes
+    /// changes which entries a bounded sample sees.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V, u64)> {
         self.values.iter().map(|(k, (v, f))| (k, v, *f))
     }

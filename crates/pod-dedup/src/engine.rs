@@ -87,9 +87,11 @@ pub struct DedupConfig {
     /// Replacement policy of the in-memory index table.
     pub index_policy: crate::index::IndexPolicy,
     /// Expected number of distinct physical blocks the replay will
-    /// populate (from trace statistics). Used to pre-size the store's
-    /// block-state tables and the on-disk index so steady-state inserts
-    /// never pause to rehash. 0 = unknown; tables grow on demand.
+    /// populate (from trace statistics). Pre-sizes the on-disk
+    /// fingerprint index (Full-Dedupe, Post-Process) so steady-state
+    /// inserts never pause to rehash; 0 = unknown, it grows on demand.
+    /// The store needs no hint: its tables are indexed by block address
+    /// and sized by `logical_blocks` + `overflow_blocks`.
     pub expected_unique_blocks: u64,
 }
 
@@ -377,12 +379,15 @@ pub struct DedupEngine {
 }
 
 impl DedupEngine {
-    /// Build an engine. When `cfg.expected_unique_blocks` is set, the
-    /// store's block-state tables and (for policies that keep one) the
-    /// on-disk index are pre-sized so replay inserts never rehash.
+    /// Build an engine. The store costs one directory pointer per
+    /// 4,096 blocks of `cfg.logical_blocks + cfg.overflow_blocks` up
+    /// front and allocates block state as regions are first written;
+    /// when `cfg.expected_unique_blocks` is set, the on-disk index (for
+    /// policies that keep one) is pre-sized so replay inserts never
+    /// rehash.
     pub fn new(policy: DedupPolicy, cfg: DedupConfig) -> Self {
         let expected = cfg.expected_unique_blocks as usize;
-        let store = ChunkStore::with_capacity(cfg.logical_blocks, cfg.overflow_blocks, expected);
+        let store = ChunkStore::new(cfg.logical_blocks, cfg.overflow_blocks);
         let index = IndexTable::with_byte_budget_policy(cfg.index_budget_bytes, cfg.index_policy);
         let disk_index = if expected > 0
             && matches!(policy, DedupPolicy::FullDedupe | DedupPolicy::PostProcess)

@@ -15,11 +15,112 @@
 //! incremented — the Map table's m-to-1 relation. Redirected mappings
 //! (PBA ≠ home) are what the NVRAM-resident Map table persists; its
 //! 20-byte-per-entry footprint is the §IV-D2 overhead number.
+//!
+//! Representation: the address space is dense (homes are `[0,
+//! logical_blocks)`, overflow PBAs follow directly), so block state
+//! lives *at the block's address* in a `BlockTable` — a request's
+//! consecutive blocks are consecutive table entries, and a lookup is an
+//! index, not a hash probe. See DESIGN.md §8, "Block-indexed store".
 
 use crate::journal::MapJournal;
-use crate::table::ShardedMap;
 use pod_disk::{AllocState, BlockStore, NvramModel};
+use pod_types::fingerprint::FINGERPRINT_BYTES;
 use pod_types::{log2_bucket8, Fingerprint, Introspect, Lba, Pba, PodError, PodResult};
+
+/// Entries per [`BlockTable`] page: 4,096 blocks = 16 MiB of address
+/// space, so a page is 16 KiB (refcounts) to 128 KiB (content).
+const PAGE_ENTRIES: usize = 4_096;
+
+/// Entries compared at once by [`BlockTable::iter`]'s zero-skipping
+/// scan; divides [`PAGE_ENTRIES`].
+const SCAN_RUN: usize = 64;
+
+/// A table indexed by block address over the bounded range `[0, blocks)`:
+/// a directory of [`PAGE_ENTRIES`]-entry pages, each allocated
+/// zero-filled the first time a block in it is written. The all-zero
+/// value means "absent", so an untouched page and an untouched entry
+/// read the same and nothing is initialised up front.
+///
+/// Paged rather than one flat `Vec` because the range is the whole
+/// array (up to 3 × 160 GB = 125.8 M blocks) while a real trace is
+/// sparse over it: the directory is one pointer per 16 MiB of address
+/// space, and only touched regions pay for their entries.
+#[derive(Debug)]
+struct BlockTable<T> {
+    /// One slot per `PAGE_ENTRIES` blocks; `None` until first written.
+    pages: Vec<Option<Box<[T; PAGE_ENTRIES]>>>,
+    /// Exclusive upper bound of the addressable range.
+    blocks: u64,
+}
+
+impl<T: Copy + Default + PartialEq> BlockTable<T> {
+    fn new(blocks: u64) -> Self {
+        let npages = blocks.div_ceil(PAGE_ENTRIES as u64) as usize;
+        Self {
+            pages: vec![None; npages],
+            blocks,
+        }
+    }
+
+    /// Whether `block` is inside the table's range.
+    #[inline]
+    fn contains(&self, block: u64) -> bool {
+        block < self.blocks
+    }
+
+    /// The entry for `block`; zero when never written or out of range.
+    /// Never allocates.
+    #[inline]
+    fn get(&self, block: u64) -> T {
+        match self.pages.get((block / PAGE_ENTRIES as u64) as usize) {
+            Some(Some(page)) => page[(block % PAGE_ENTRIES as u64) as usize],
+            _ => T::default(),
+        }
+    }
+
+    /// Mutable entry for `block`, allocating its page on first touch.
+    /// Callers check [`BlockTable::contains`] first: an address beyond
+    /// the range is a broken internal condition here, not an input.
+    #[inline]
+    fn slot(&mut self, block: u64) -> &mut T {
+        assert!(
+            self.contains(block),
+            "block {block} outside a {}-block table",
+            self.blocks
+        );
+        let page = self.pages[(block / PAGE_ENTRIES as u64) as usize].get_or_insert_with(|| {
+            vec![T::default(); PAGE_ENTRIES]
+                .into_boxed_slice()
+                .try_into()
+                .unwrap_or_else(|_| unreachable!("the vector has PAGE_ENTRIES elements"))
+        });
+        &mut page[(block % PAGE_ENTRIES as u64) as usize]
+    }
+
+    /// Every non-zero entry as `(block, value)`, in ascending block
+    /// order. Allocated pages are scanned [`SCAN_RUN`] entries at a time
+    /// so an untouched run costs one `memcmp`: walking a sparsely
+    /// written page costs in proportion to its entries, not its size.
+    fn iter(&self) -> impl Iterator<Item = (u64, T)> + '_ {
+        let zero = [T::default(); SCAN_RUN];
+        self.pages
+            .iter()
+            .enumerate()
+            .filter_map(|(i, page)| Some((i * PAGE_ENTRIES, page.as_deref()?)))
+            .flat_map(|(base, page)| {
+                page.chunks_exact(SCAN_RUN)
+                    .enumerate()
+                    .map(move |(r, run)| (base + r * SCAN_RUN, run))
+            })
+            .filter(move |(_, run)| **run != zero)
+            .flat_map(|(base, run)| {
+                run.iter()
+                    .enumerate()
+                    .filter(|(_, v)| **v != T::default())
+                    .map(move |(j, v)| ((base + j) as u64, *v))
+            })
+    }
+}
 
 /// Mapping + refcount + content state of the deduplicated block space.
 #[derive(Debug)]
@@ -29,12 +130,19 @@ pub struct ChunkStore {
     /// Extent allocator for the overflow region. PBAs returned are
     /// offset by `logical_blocks`.
     overflow: BlockStore,
-    /// Current physical location of each written logical block.
-    mapping: ShardedMap<u64, u64>,
-    /// Reference count per live physical block.
-    refs: ShardedMap<u64, u32>,
-    /// Content currently stored in each live physical block.
-    content: ShardedMap<u64, Fingerprint>,
+    /// Current physical location of each written logical block, stored
+    /// as PBA + 1 (zero = never written). Indexed by LBA.
+    mapping: BlockTable<u64>,
+    /// Reference count per physical block (zero = not live). Indexed by
+    /// PBA over home + overflow.
+    refs: BlockTable<u32>,
+    /// Content stored in each physical block; meaningful only where
+    /// `refs > 0` (the all-zero fingerprint is a legal content).
+    content: BlockTable<[u8; FINGERPRINT_BYTES]>,
+    /// Logical blocks with a mapping (non-zero `mapping` entries).
+    mapped: u64,
+    /// Live physical blocks (non-zero `refs` entries).
+    live: u64,
     /// NVRAM accounting for redirected (deduplicated) map entries.
     nvram: NvramModel,
     /// Count of mapping entries whose PBA differs from home.
@@ -77,25 +185,18 @@ pub struct MapState {
 impl ChunkStore {
     /// A store over `logical_blocks` of addressable space with an
     /// overflow region of `overflow_blocks` for redirected writes.
+    /// Costs one directory pointer per 4,096 blocks of either; block
+    /// state is allocated as regions are first written.
     pub fn new(logical_blocks: u64, overflow_blocks: u64) -> Self {
-        Self::with_capacity(logical_blocks, overflow_blocks, 0)
-    }
-
-    /// Like [`ChunkStore::new`], but with the block-state tables
-    /// pre-sized for `expected_blocks` live entries (from trace
-    /// statistics), so steady-state replay never rehashes. 0 = grow on
-    /// demand.
-    pub fn with_capacity(
-        logical_blocks: u64,
-        overflow_blocks: u64,
-        expected_blocks: usize,
-    ) -> Self {
+        let physical_blocks = logical_blocks + overflow_blocks;
         Self {
             logical_blocks,
             overflow: BlockStore::new(overflow_blocks),
-            mapping: sized_table(expected_blocks),
-            refs: sized_table(expected_blocks),
-            content: sized_table(expected_blocks),
+            mapping: BlockTable::new(logical_blocks),
+            refs: BlockTable::new(physical_blocks),
+            content: BlockTable::new(physical_blocks),
+            mapped: 0,
+            live: 0,
             nvram: NvramModel::new(),
             redirected: 0,
             journal: MapJournal::new(),
@@ -111,8 +212,7 @@ impl ChunkStore {
     /// Compact the journal to the live redirected set, returning bytes
     /// saved. (A deployment would do this when the NVRAM region fills.)
     pub fn checkpoint_journal(&mut self) -> usize {
-        let live: std::collections::HashMap<u64, u64> =
-            self.mapping.iter().filter(|&(l, p)| l != p).collect();
+        let live = self.redirections().collect();
         self.journal.checkpoint(&live)
     }
 
@@ -120,8 +220,7 @@ impl ChunkStore {
     /// redirected mapping — the crash-recovery correctness property.
     pub fn verify_journal_recovery(&self) -> PodResult<()> {
         let recovered = self.journal.replay()?;
-        let live: std::collections::HashMap<u64, u64> =
-            self.mapping.iter().filter(|&(l, p)| l != p).collect();
+        let live: std::collections::HashMap<u64, u64> = self.redirections().collect();
         if recovered != live {
             return Err(PodError::Inconsistency(format!(
                 "journal recovers {} redirections, live state has {}",
@@ -139,20 +238,23 @@ impl ChunkStore {
 
     /// Current physical location of `lba`, if it has ever been written.
     pub fn lookup(&self, lba: Lba) -> Option<Pba> {
-        self.mapping.get(&lba.raw()).map(Pba::new)
+        self.mapped_pba(lba.raw()).map(Pba::new)
     }
 
     /// Content stored at a physical block, if live.
     pub fn content_at(&self, pba: Pba) -> Option<Fingerprint> {
-        self.content.get(&pba.raw())
+        (self.refs.get(pba.raw()) > 0).then(|| Fingerprint::from_bytes(self.content.get(pba.raw())))
     }
 
-    /// Every live physical block with its stored content, in the
-    /// table's (deterministic) internal order. Crash recovery rebuilds
-    /// the volatile fingerprint index from this — the Map table and
-    /// the content it references are the persistent truth.
+    /// Every live physical block with its stored content, in ascending
+    /// PBA order. Crash recovery rebuilds the volatile fingerprint index
+    /// from this — the Map table and the content it references are the
+    /// persistent truth — so when the live set exceeds the index budget
+    /// it is the highest PBAs that stay resident.
     pub fn contents(&self) -> impl Iterator<Item = (Pba, Fingerprint)> + '_ {
-        self.content.iter().map(|(p, fp)| (Pba::new(p), fp))
+        self.refs
+            .iter()
+            .map(|(p, _)| (Pba::new(p), Fingerprint::from_bytes(self.content.get(p))))
     }
 
     /// Deliberately corrupt the content stored at `pba` (fault
@@ -161,15 +263,15 @@ impl ChunkStore {
     /// and refcounts stay intact — exactly the failure a differential
     /// read-back oracle exists to catch.
     pub fn corrupt_content(&mut self, pba: Pba) -> Option<Fingerprint> {
-        let old = self.content.get(&pba.raw())?;
+        let old = self.content_at(pba)?;
         let bad = Fingerprint::from_content_id(old.prefix_u64() ^ 0xDEAD_BEEF_DEAD_BEEF);
-        self.content.insert(pba.raw(), bad);
+        *self.content.slot(pba.raw()) = *bad.as_bytes();
         Some(bad)
     }
 
     /// Reference count of a physical block (0 = free).
     pub fn refcount(&self, pba: Pba) -> u32 {
-        self.refs.get(&pba.raw()).unwrap_or(0)
+        self.refs.get(pba.raw())
     }
 
     /// Whether `pba` is referenced by more than one logical block.
@@ -179,7 +281,7 @@ impl ChunkStore {
 
     /// Live unique physical blocks — the capacity-used metric (Fig. 10).
     pub fn used_blocks(&self) -> u64 {
-        self.refs.len() as u64
+        self.live
     }
 
     /// NVRAM (Map table) accounting.
@@ -210,14 +312,23 @@ impl ChunkStore {
     /// extent. `run_hint` lets the caller pre-allocate a contiguous
     /// overflow extent for a run of redirected chunks (pass the extent's
     /// next PBA); `None` means allocate fresh when needed.
+    ///
+    /// An `lba` outside the logical space is [`PodError::OutOfRange`]
+    /// and a `preallocated` block outside the physical space is
+    /// [`PodError::NotAllocated`]; both leave the store untouched.
     pub fn write_unique(
         &mut self,
         lba: Lba,
         fp: Fingerprint,
         preallocated: Option<Pba>,
     ) -> PodResult<Pba> {
-        let home = lba.raw();
-        let current = self.mapping.get(&home);
+        let home = self.checked_home(lba)?;
+        if let Some(p) = preallocated {
+            if !self.refs.contains(p.raw()) {
+                return Err(PodError::NotAllocated(p.raw()));
+            }
+        }
+        let current = self.mapped_pba(home);
         // Whether this LBA still holds a claim on its old block when we
         // reach the claim step (released blocks may be recycled by the
         // allocator as the new target, so the original `current` alone
@@ -236,7 +347,7 @@ impl ChunkStore {
             }
             p.raw()
         } else {
-            let home_refs = self.refs.get(&home).unwrap_or(0);
+            let home_refs = self.refs.get(home);
             let in_place_ok = home_refs == 0 || (current == Some(home) && home_refs == 1);
             if in_place_ok {
                 if let Some(old) = current {
@@ -259,29 +370,29 @@ impl ChunkStore {
         // block we still exclusively own.
         let in_place_overwrite = holds_old_claim && current == Some(target);
         if !in_place_overwrite {
-            *self.refs.get_or_insert(target, 0) += 1;
+            *self.refs.slot(target) += 1;
             self.note_ref_change(0, 1);
         }
         debug_assert_eq!(
-            self.refs.get(&target).unwrap_or(0),
+            self.refs.get(target),
             1,
             "a freshly written block must be exclusively referenced"
         );
-        self.content.insert(target, fp);
-        self.mapping.insert(home, target);
-        self.update_redirection(home, current, target);
+        *self.content.slot(target) = *fp.as_bytes();
+        self.remap(home, current, target);
         Ok(Pba::new(target))
     }
 
     /// Deduplicate: point `lba` at the existing copy at `target` without
-    /// any data write. Fails if `target` is not live.
+    /// any data write. Fails — before any state changes — if `lba` is
+    /// outside the logical space or `target` is not live.
     pub fn dedup_to(&mut self, lba: Lba, target: Pba) -> PodResult<()> {
+        let home = self.checked_home(lba)?;
         let t = target.raw();
-        if !self.refs.contains_key(&t) {
+        if self.refs.get(t) == 0 {
             return Err(PodError::NotAllocated(t));
         }
-        let home = lba.raw();
-        let current = self.mapping.get(&home);
+        let current = self.mapped_pba(home);
         if current == Some(t) {
             // Same-location rewrite of identical content: nothing changes.
             return Ok(());
@@ -289,12 +400,11 @@ impl ChunkStore {
         if let Some(old) = current {
             self.release(old)?;
         }
-        let slot = self.refs.get_or_insert(t, 0);
+        let slot = self.refs.slot(t);
         let was = *slot;
         *slot += 1;
         self.note_ref_change(was, was + 1);
-        self.mapping.insert(home, t);
-        self.update_redirection(home, current, t);
+        self.remap(home, current, t);
         Ok(())
     }
 
@@ -315,7 +425,7 @@ impl ChunkStore {
         let mut out: Vec<(Pba, u32)> = Vec::new();
         for i in 0..nblocks as u64 {
             let l = lba.raw() + i;
-            let p = self.mapping.get(&l).unwrap_or(l);
+            let p = self.mapped_pba(l).unwrap_or(l);
             match out.last_mut() {
                 Some((start, len)) if start.raw() + *len as u64 == p => *len += 1,
                 _ => out.push((Pba::new(p), 1)),
@@ -332,23 +442,45 @@ impl ChunkStore {
 
     /// Verify internal invariants (used by property tests): the sum of
     /// per-PBA refcounts equals the mapping size, every mapped PBA is
-    /// live, and redirected-count/NVRAM agree.
+    /// live, and the incremental counters (mapped, live, redirected,
+    /// NVRAM, fan-in) agree with a recount of the tables.
     pub fn check_invariants(&self) -> PodResult<()> {
-        let total_refs: u64 = self.refs.iter().map(|(_, c)| c as u64).sum();
-        if total_refs != self.mapping.len() as u64 {
-            return Err(PodError::Inconsistency(format!(
-                "refcount sum {total_refs} != mapping size {}",
-                self.mapping.len()
-            )));
-        }
-        for (lba, pba) in self.mapping.iter() {
-            if !self.refs.contains_key(&pba) {
+        let mut mapped = 0u64;
+        let mut redirected = 0u64;
+        for (lba, pba) in self.mappings() {
+            if self.refs.get(pba) == 0 {
                 return Err(PodError::Inconsistency(format!(
                     "lba {lba} maps to dead pba {pba}"
                 )));
             }
+            mapped += 1;
+            redirected += u64::from(lba != pba);
         }
-        let redirected = self.mapping.iter().filter(|&(l, p)| l != p).count() as u64;
+        if mapped != self.mapped {
+            return Err(PodError::Inconsistency(format!(
+                "mapped count {} != recounted {mapped}",
+                self.mapped
+            )));
+        }
+        let mut total_refs = 0u64;
+        let mut live = 0u64;
+        let mut fan_in = [0u64; 8];
+        for (_, c) in self.refs.iter() {
+            total_refs += c as u64;
+            live += 1;
+            fan_in[log2_bucket8(c as u64)] += 1;
+        }
+        if total_refs != mapped {
+            return Err(PodError::Inconsistency(format!(
+                "refcount sum {total_refs} != mapping size {mapped}"
+            )));
+        }
+        if live != self.live {
+            return Err(PodError::Inconsistency(format!(
+                "live count {} != recounted {live}",
+                self.live
+            )));
+        }
         if redirected != self.redirected {
             return Err(PodError::Inconsistency(format!(
                 "redirected count {} != recomputed {redirected}",
@@ -362,10 +494,6 @@ impl ChunkStore {
                 self.redirected
             )));
         }
-        let mut fan_in = [0u64; 8];
-        for (_, c) in self.refs.iter() {
-            fan_in[log2_bucket8(c as u64)] += 1;
-        }
         if fan_in != self.fan_in {
             return Err(PodError::Inconsistency(format!(
                 "incremental fan-in {:?} != recounted {fan_in:?}",
@@ -375,26 +503,47 @@ impl ChunkStore {
         Ok(())
     }
 
-    fn release(&mut self, pba: u64) -> PodResult<()> {
-        match self.refs.get_mut(&pba) {
-            Some(c) if *c > 1 => {
-                let was = *c;
-                *c -= 1;
-                self.note_ref_change(was, was - 1);
-                Ok(())
-            }
-            Some(_) => {
-                self.refs.remove(&pba);
-                self.content.remove(&pba);
-                self.note_ref_change(1, 0);
-                if pba >= self.logical_blocks {
-                    // Return the overflow block to its allocator.
-                    self.overflow.decref(Pba::new(pba - self.logical_blocks))?;
-                }
-                Ok(())
-            }
-            None => Err(PodError::NotAllocated(pba)),
+    /// `lba` as a home address, refused when outside the logical space
+    /// (where it would alias the overflow region's PBAs).
+    fn checked_home(&self, lba: Lba) -> PodResult<u64> {
+        if lba.raw() >= self.logical_blocks {
+            return Err(PodError::OutOfRange {
+                what: "lba",
+                value: lba.raw(),
+                limit: self.logical_blocks,
+            });
         }
+        Ok(lba.raw())
+    }
+
+    /// The PBA `lba` currently maps to (decoding the table's PBA + 1).
+    #[inline]
+    fn mapped_pba(&self, lba: u64) -> Option<u64> {
+        self.mapping.get(lba).checked_sub(1)
+    }
+
+    /// Every `(lba, pba)` mapping, in ascending LBA order.
+    fn mappings(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.mapping.iter().map(|(lba, stored)| (lba, stored - 1))
+    }
+
+    /// The redirected mappings (PBA ≠ home) — what the journal persists.
+    fn redirections(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.mappings().filter(|&(l, p)| l != p)
+    }
+
+    fn release(&mut self, pba: u64) -> PodResult<()> {
+        let was = self.refs.get(pba);
+        if was == 0 {
+            return Err(PodError::NotAllocated(pba));
+        }
+        *self.refs.slot(pba) = was - 1;
+        self.note_ref_change(was, was - 1);
+        if was == 1 && pba >= self.logical_blocks {
+            // Return the overflow block to its allocator.
+            self.overflow.decref(Pba::new(pba - self.logical_blocks))?;
+        }
+        Ok(())
     }
 
     /// Move a block between fan-in buckets as its refcount changes (0
@@ -402,13 +551,23 @@ impl ChunkStore {
     fn note_ref_change(&mut self, old: u32, new: u32) {
         if old > 0 {
             self.fan_in[log2_bucket8(old as u64)] -= 1;
+        } else {
+            self.live += 1;
         }
         if new > 0 {
             self.fan_in[log2_bucket8(new as u64)] += 1;
+        } else {
+            self.live -= 1;
         }
     }
 
-    fn update_redirection(&mut self, home: u64, old: Option<u64>, new: u64) {
+    /// Point `home` at `new` (it was at `old`) and keep the redirection
+    /// count, NVRAM accounting and journal in step.
+    fn remap(&mut self, home: u64, old: Option<u64>, new: u64) {
+        *self.mapping.slot(home) = new + 1;
+        if old.is_none() {
+            self.mapped += 1;
+        }
         let was_redirected = matches!(old, Some(p) if p != home);
         let is_redirected = new != home;
         match (was_redirected, is_redirected) {
@@ -440,7 +599,7 @@ impl Introspect for ChunkStore {
 
     fn introspect(&self) -> MapState {
         MapState {
-            mapped: self.mapping.len() as u64,
+            mapped: self.mapped,
             unique_blocks: self.fan_in[0],
             shared_blocks: self.shared_blocks(),
             redirected: self.redirected,
@@ -450,15 +609,6 @@ impl Introspect for ChunkStore {
             fan_in: self.fan_in,
             overflow: self.overflow.introspect(),
         }
-    }
-}
-
-/// A block-state table, pre-sized when an expected entry count is known.
-fn sized_table<V: Copy>(expected: usize) -> ShardedMap<u64, V> {
-    if expected > 0 {
-        ShardedMap::with_capacity(expected)
-    } else {
-        ShardedMap::new()
     }
 }
 
@@ -699,6 +849,51 @@ mod tests {
         s.write_unique(Lba::new(10), fp(5), None).expect("w2");
         assert_eq!(s.fan_in()[1], 1, "refcount 3 -> bucket 1");
         s.check_invariants().expect("invariants after release");
+    }
+
+    #[test]
+    fn lba_outside_the_logical_space_is_refused() {
+        let mut s = ChunkStore::new(10, 10);
+        let refused = |lba| PodError::OutOfRange {
+            what: "lba",
+            value: lba,
+            limit: 10,
+        };
+        // LBA 12's home would be PBA 12 — the third overflow block.
+        assert_eq!(s.write_unique(Lba::new(12), fp(1), None), Err(refused(12)));
+        assert_eq!(s.write_unique(Lba::new(10), fp(1), None), Err(refused(10)));
+        // Pin homes 1..=3 by sharing them, then overwrite each: the
+        // three redirected writes take overflow PBAs 10, 11 and 12.
+        for i in 1..=3 {
+            s.write_unique(Lba::new(i), fp(i), None).expect("w");
+            s.dedup_to(Lba::new(i + 3), Pba::new(i)).expect("pin");
+        }
+        assert_eq!(s.dedup_to(Lba::new(12), Pba::new(1)), Err(refused(12)));
+        assert_eq!(s.refcount(Pba::new(1)), 2, "refused before the incref");
+        for i in 1..=3 {
+            let p = s.write_unique(Lba::new(i), fp(10 + i), None).expect("w2");
+            assert_eq!(p, Pba::new(9 + i), "redirected into overflow");
+            assert_eq!(s.content_at(p), Some(fp(10 + i)));
+        }
+        s.check_invariants().expect("invariants after the refusals");
+
+        // Out-of-range blocks read as untouched and allocate nothing.
+        let far = 1 << 40;
+        assert_eq!(s.lookup(Lba::new(far)), None);
+        assert_eq!(s.read_extents(Lba::new(far), 2), vec![(Pba::new(far), 2)]);
+        assert_eq!(s.content_at(Pba::new(20)), None);
+        assert_eq!(s.refcount(Pba::new(far)), 0);
+        // A physical block beyond the table is not allocated.
+        assert_eq!(
+            s.dedup_to(Lba::new(7), Pba::new(20)),
+            Err(PodError::NotAllocated(20))
+        );
+        assert_eq!(
+            s.write_unique(Lba::new(7), fp(7), Some(Pba::new(20))),
+            Err(PodError::NotAllocated(20))
+        );
+        assert_eq!(s.lookup(Lba::new(7)), None);
+        s.check_invariants().expect("invariants at the end");
     }
 
     #[test]

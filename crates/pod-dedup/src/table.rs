@@ -1,8 +1,11 @@
-//! Sharded open-addressing hash table for the dedup hot path.
+//! Sharded open-addressing hash table for sparse keys.
 //!
-//! The engine's fingerprint index and the store's block-state maps sit
-//! on the per-chunk write path, where `std::collections::HashMap` pays
-//! for its generality: per-entry indirection, a branchy probe loop, and
+//! Its one product user is [`FpMap`], Full-Dedupe's complete
+//! fingerprint → PBA index: fingerprints are uniformly scattered 256-bit
+//! keys, so unlike the chunk store's block state (indexed by address,
+//! see `crate::store`) they genuinely need hashing. The map is consulted
+//! on every RAM-index miss, where `std::collections::HashMap` pays for
+//! its generality: per-entry indirection, a branchy probe loop, and
 //! rehash-everything resizes. `ShardedMap` replaces it with linear-probe
 //! open addressing over flat slot arrays — one cache line per probe step
 //! — split into a fixed number of shards so a resize only rehashes
@@ -12,7 +15,8 @@
 //! prefix, which for synthetic traces is the raw content id — SplitMix
 //! scrambles it into uniform bits). Removal uses backward-shift deletion,
 //! so there are no tombstones and lookups never degrade after heavy
-//! insert/remove churn (reference counts churn constantly during replay).
+//! insert/remove churn (stale entries are dropped as content is
+//! overwritten during replay).
 //!
 //! All keys and values are small `Copy` types; accessors return values,
 //! not references, which keeps the slot representation free to move
@@ -215,8 +219,8 @@ impl<K: TableKey, V: Copy> ShardedMap<K, V> {
     }
 
     /// Map pre-sized to hold `capacity` entries without resizing —
-    /// the replay loop sizes these from trace statistics up front so
-    /// steady-state inserts never pause to rehash.
+    /// the engine sizes its on-disk index from trace statistics up
+    /// front so steady-state inserts never pause to rehash.
     pub fn with_capacity(capacity: usize) -> Self {
         let per_shard = capacity.div_ceil(SHARDS);
         // Slots such that per_shard entries stay under the 7/8 cap.

@@ -8,13 +8,27 @@
 //! system) we treat hash collisions as impossible.
 
 use core::fmt;
+use core::hash::{Hash, Hasher};
 
 /// Number of bytes in a fingerprint (SHA-256 output size).
 pub const FINGERPRINT_BYTES: usize = 32;
 
 /// A 256-bit content fingerprint.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Fingerprint(pub [u8; FINGERPRINT_BYTES]);
+
+/// Hashes by the 64-bit prefix alone, in one `write_u64`: the bytes are
+/// already a hash, so feeding a hasher all 32 (plus the length prefix
+/// the derive adds) buys no spread and costs a multiply per byte under
+/// FNV on every index and ghost-index operation. `Eq` still compares
+/// all 32 bytes, so equal fingerprints hash equally and prefix
+/// collisions only share a bucket.
+impl Hash for Fingerprint {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.prefix_u64());
+    }
+}
 
 impl Fingerprint {
     /// The all-zero fingerprint. Used as the canonical fingerprint of a

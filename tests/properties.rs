@@ -133,46 +133,59 @@ fn store_op() -> impl Strategy<Value = StoreOp> {
     ]
 }
 
+/// The stores every `StoreOp` sequence runs against, each with the
+/// stride that turns an op's `u8` into an LBA: a small one whose state
+/// fits one table page, and one whose strided LBAs (0..=20,145) and
+/// overflow region (PBAs 20,480..) straddle several 4,096-block pages.
+fn store_cases() -> [(ChunkStore, u64); 2] {
+    [
+        (ChunkStore::new(256, 4_096), 1),
+        (ChunkStore::new(20_480, 8_192), 79),
+    ]
+}
+
 proptest! {
     #[test]
     fn chunk_store_invariants_hold(
         ops in proptest::collection::vec(store_op(), 1..300),
     ) {
-        let mut store = ChunkStore::new(256, 4_096);
-        // Logical truth: what content should each LBA hold?
-        let mut truth: HashMap<u8, Fingerprint> = HashMap::new();
-        for op in ops {
-            match op {
-                StoreOp::Write(lba, content) => {
-                    let fp = Fingerprint::from_content_id(content as u64);
-                    store
-                        .write_unique(Lba::new(lba as u64), fp, None)
-                        .expect("write never fails with ample overflow");
-                    truth.insert(lba, fp);
-                }
-                StoreOp::DedupOnto(dst, src) => {
-                    if let Some(pba) = store.lookup(Lba::new(src as u64)) {
-                        let fp = store.content_at(pba).expect("mapped block is live");
+        for (mut store, stride) in store_cases() {
+            let at = |lba: u8| Lba::new(lba as u64 * stride);
+            // Logical truth: what content should each LBA hold?
+            let mut truth: HashMap<u8, Fingerprint> = HashMap::new();
+            for op in &ops {
+                match *op {
+                    StoreOp::Write(lba, content) => {
+                        let fp = Fingerprint::from_content_id(content as u64);
                         store
-                            .dedup_to(Lba::new(dst as u64), pba)
-                            .expect("dedup onto live block succeeds");
-                        truth.insert(dst, fp);
+                            .write_unique(at(lba), fp, None)
+                            .expect("write never fails with ample overflow");
+                        truth.insert(lba, fp);
+                    }
+                    StoreOp::DedupOnto(dst, src) => {
+                        if let Some(pba) = store.lookup(at(src)) {
+                            let fp = store.content_at(pba).expect("mapped block is live");
+                            store
+                                .dedup_to(at(dst), pba)
+                                .expect("dedup onto live block succeeds");
+                            truth.insert(dst, fp);
+                        }
                     }
                 }
+                store.check_invariants().expect("invariants after every op");
             }
-            store.check_invariants().expect("invariants after every op");
+            // Content correctness: every written LBA reads back its last
+            // written content — dedup must never corrupt.
+            for (lba, want) in &truth {
+                let pba = store.lookup(at(*lba)).expect("written lba mapped");
+                prop_assert_eq!(store.content_at(pba), Some(*want), "lba {}", lba);
+            }
+            // Crash recovery: replaying the NVRAM journal reproduces exactly
+            // the live redirected mapping; checkpointing preserves it.
+            store.verify_journal_recovery().expect("journal recovers the Map table");
+            store.checkpoint_journal();
+            store.verify_journal_recovery().expect("checkpoint preserves recovery");
         }
-        // Content correctness: every written LBA reads back its last
-        // written content — dedup must never corrupt.
-        for (lba, want) in &truth {
-            let pba = store.lookup(Lba::new(*lba as u64)).expect("written lba mapped");
-            prop_assert_eq!(store.content_at(pba), Some(*want), "lba {}", lba);
-        }
-        // Crash recovery: replaying the NVRAM journal reproduces exactly
-        // the live redirected mapping; checkpointing preserves it.
-        store.verify_journal_recovery().expect("journal recovers the Map table");
-        store.checkpoint_journal();
-        store.verify_journal_recovery().expect("checkpoint preserves recovery");
     }
 }
 
@@ -366,52 +379,54 @@ proptest! {
     fn refcounted_blocks_are_never_reclaimed(
         ops in proptest::collection::vec(store_op(), 1..200),
     ) {
-        let mut store = ChunkStore::new(256, 4_096);
-        let mut truth: HashMap<u8, Fingerprint> = HashMap::new();
-        for op in ops {
-            match op {
-                StoreOp::Write(lba, content) => {
-                    // Overwriting an LBA whose home is pinned by other
-                    // references must redirect, not clobber.
-                    let fp = Fingerprint::from_content_id(content as u64);
-                    store
-                        .write_unique(Lba::new(lba as u64), fp, None)
-                        .expect("write never fails with ample overflow");
-                    truth.insert(lba, fp);
-                }
-                StoreOp::DedupOnto(dst, src) => {
-                    if let Some(pba) = store.lookup(Lba::new(src as u64)) {
-                        let fp = store.content_at(pba).expect("mapped block is live");
+        for (mut store, stride) in store_cases() {
+            let at = |lba: u8| Lba::new(lba as u64 * stride);
+            let mut truth: HashMap<u8, Fingerprint> = HashMap::new();
+            for op in &ops {
+                match *op {
+                    StoreOp::Write(lba, content) => {
+                        // Overwriting an LBA whose home is pinned by other
+                        // references must redirect, not clobber.
+                        let fp = Fingerprint::from_content_id(content as u64);
                         store
-                            .dedup_to(Lba::new(dst as u64), pba)
-                            .expect("dedup onto live block succeeds");
-                        truth.insert(dst, fp);
+                            .write_unique(at(lba), fp, None)
+                            .expect("write never fails with ample overflow");
+                        truth.insert(lba, fp);
+                    }
+                    StoreOp::DedupOnto(dst, src) => {
+                        if let Some(pba) = store.lookup(at(src)) {
+                            let fp = store.content_at(pba).expect("mapped block is live");
+                            store
+                                .dedup_to(at(dst), pba)
+                                .expect("dedup onto live block succeeds");
+                            truth.insert(dst, fp);
+                        }
                     }
                 }
+                // The pinning property, after every single op: each live
+                // logical block still resolves to its last-written content,
+                // and the physical block it resolves to is refcount-pinned.
+                for (lba, want) in &truth {
+                    let pba = store
+                        .lookup(at(*lba))
+                        .expect("written lba stays mapped");
+                    prop_assert!(
+                        store.refcount(pba) >= 1,
+                        "lba {} maps to unreferenced pba {:?}",
+                        lba,
+                        pba
+                    );
+                    prop_assert_eq!(
+                        store.content_at(pba),
+                        Some(*want),
+                        "pinned pba {:?} was reclaimed under lba {}",
+                        pba,
+                        lba
+                    );
+                }
             }
-            // The pinning property, after every single op: each live
-            // logical block still resolves to its last-written content,
-            // and the physical block it resolves to is refcount-pinned.
-            for (lba, want) in &truth {
-                let pba = store
-                    .lookup(Lba::new(*lba as u64))
-                    .expect("written lba stays mapped");
-                prop_assert!(
-                    store.refcount(pba) >= 1,
-                    "lba {} maps to unreferenced pba {:?}",
-                    lba,
-                    pba
-                );
-                prop_assert_eq!(
-                    store.content_at(pba),
-                    Some(*want),
-                    "pinned pba {:?} was reclaimed under lba {}",
-                    pba,
-                    lba
-                );
-            }
+            store.check_invariants().expect("refcounts consistent at the end");
         }
-        store.check_invariants().expect("refcounts consistent at the end");
     }
 }
 
