@@ -5,7 +5,8 @@
 //! results measure the *modelled* system, not harness overhead.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use pod_cache::{ArcCache, LfuCache, LruCache};
+use pod_cache::{ArcCache, GhostCache, LfuCache, LruCache};
+use pod_dedup::index::IndexEntry;
 use pod_dedup::{ChunkStore, IndexTable};
 use pod_disk::engine::isolated_latency;
 use pod_disk::{ArraySim, DiskSpec, RaidConfig, RaidGeometry, SchedulerKind};
@@ -36,6 +37,71 @@ fn bench_caches(c: &mut Criterion) {
                 cache
             },
             BatchSize::SmallInput,
+        )
+    });
+    // The two above are L1-resident (1,024 `u64` entries) and say
+    // nothing about the tables a replay lives in. These two run at the
+    // benchmark's scale: `mail-pod`'s unique-chunk sequence through a
+    // full 32,768-entry fingerprint index and its 65,536-entry ghost,
+    // and `readmix-fiu`'s hit path over 65,536 cached blocks.
+    g.bench_function("index_lru_churn", |b| {
+        const INDEX: u64 = 32_768;
+        const GHOST: u64 = 65_536;
+        let fp = Fingerprint::from_content_id;
+        let entry = |id| IndexEntry {
+            pba: Pba::new(id),
+            count: 0,
+        };
+        b.iter_batched(
+            || {
+                let mut ghost = GhostCache::new(GHOST as usize);
+                let mut index = LruCache::new(INDEX as usize);
+                for id in 0..GHOST {
+                    ghost.record_eviction(fp(id));
+                }
+                for id in GHOST..GHOST + INDEX {
+                    index.insert(fp(id), entry(id));
+                }
+                (index, ghost)
+            },
+            |(mut index, mut ghost)| {
+                for id in GHOST + INDEX..2 * (GHOST + INDEX) {
+                    let fp = fp(id);
+                    // Query miss, ghost miss, then the insert evicts the
+                    // LRU entry into the ghost, which evicts its own.
+                    if index.get_mut(&fp).is_none() {
+                        black_box(ghost.probe(&fp));
+                    }
+                    if let Some((victim, _)) = index.upsert(fp, entry(id), |e, new| e.pba = new.pba)
+                    {
+                        ghost.record_eviction(victim);
+                    }
+                }
+                (index, ghost)
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.bench_function("read_hit_promote", |b| {
+        const BLOCKS: u64 = 65_536;
+        b.iter_batched(
+            || {
+                let mut cache = LruCache::<u64, ()>::new(BLOCKS as usize);
+                for lba in 0..BLOCKS {
+                    cache.insert(lba, ());
+                }
+                cache
+            },
+            |mut cache| {
+                // An odd multiplier permutes 0..2^16: every block is hit
+                // once, in an order that defeats the prefetcher.
+                for i in 0..BLOCKS {
+                    let lba = i.wrapping_mul(0x9E37_79B1) % BLOCKS;
+                    black_box(cache.get(&lba));
+                }
+                cache
+            },
+            BatchSize::LargeInput,
         )
     });
     g.bench_function("arc_insert_get", |b| {

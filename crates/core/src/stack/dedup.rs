@@ -1,14 +1,13 @@
 //! The dedup layer: write-path policy engine plus its latency model.
 //!
 //! Wraps [`DedupEngine`] together with the reusable [`WriteScratch`]
-//! (the zero-allocation hot path) and the inline-fingerprinting cost
-//! model, so the replay driver sees one `process_write` instead of
-//! engine + scratch + hash bookkeeping.
+//! and read-extents buffer (the zero-allocation hot path) and the
+//! inline-fingerprinting cost model, so the replay driver sees one
+//! `process_write` instead of engine + scratch + hash bookkeeping.
 
 use pod_dedup::engine::EngineCounters;
 use pod_dedup::{
-    DedupConfig, DedupEngine, DedupPolicy, ReadPlan, RecoveryOutcome, ScanOutcome, WriteScratch,
-    WriteSummary,
+    DedupConfig, DedupEngine, DedupPolicy, RecoveryOutcome, ScanOutcome, WriteScratch, WriteSummary,
 };
 use pod_types::{Fingerprint, IoRequest, Lba, Pba, PodResult, SimDuration};
 
@@ -17,6 +16,7 @@ use pod_types::{Fingerprint, IoRequest, Lba, Pba, PodResult, SimDuration};
 pub struct DedupLayer {
     engine: DedupEngine,
     scratch: WriteScratch,
+    read_extents: Vec<(Pba, u32)>,
     inline_hashing: bool,
     hash_us_per_chunk: u64,
     hash_workers: usize,
@@ -35,6 +35,7 @@ impl DedupLayer {
         Self {
             engine: DedupEngine::new(policy, cfg),
             scratch: WriteScratch::with_chunk_capacity(max_request_blocks.max(1)),
+            read_extents: Vec::with_capacity(max_request_blocks.max(1)),
             inline_hashing,
             hash_us_per_chunk,
             hash_workers,
@@ -66,9 +67,21 @@ impl DedupLayer {
         &self.scratch
     }
 
-    /// Map a read request onto physical extents.
-    pub fn plan_read(&self, req: &IoRequest) -> ReadPlan {
-        self.engine.plan_read(req)
+    /// Map a read request onto physical extents, returning how many
+    /// (1 = unfragmented). They land in [`DedupLayer::read_extents`];
+    /// in steady state this allocates nothing.
+    pub fn plan_read(&mut self, req: &IoRequest) -> usize {
+        debug_assert!(req.op.is_read());
+        self.engine
+            .store()
+            .read_extents_into(req.lba, req.nblocks, &mut self.read_extents);
+        self.read_extents.len()
+    }
+
+    /// The last planned read's extents, in logical order (valid until
+    /// the next [`DedupLayer::plan_read`]).
+    pub fn read_extents(&self) -> &[(Pba, u32)] {
+        &self.read_extents
     }
 
     /// The fingerprint currently stored at `lba`, if known.

@@ -460,10 +460,10 @@ impl StorageStack {
                 .push((idx, SimDuration::from_micros(self.cache_hit_us)));
         } else {
             self.prof_lap(&mut timer, ProfPhase::Observe);
-            let plan = self.dedup.plan_read(req);
+            let fragments = self.dedup.plan_read(req) as u64;
             self.prof_lap(&mut timer, ProfPhase::PlanRead);
             self.observer.emit(&StackEvent::ReadFragments {
-                fragments: plan.extents.len() as u64,
+                fragments,
                 measured,
                 tenant: self.tenant,
             });
@@ -473,7 +473,7 @@ impl StorageStack {
             });
             self.prof_lap(&mut timer, ProfPhase::Observe);
             let submit = req.arrival + SimDuration::from_micros(self.metadata_us);
-            let job = self.disk.submit_read(submit, &plan.extents);
+            let job = self.disk.submit_read(submit, self.dedup.read_extents());
             self.pending.push((idx, req.arrival, submit, job));
             self.prof_lap(&mut timer, ProfPhase::DiskSubmit);
             self.cache.fill_request(&self.dedup, req);

@@ -12,6 +12,14 @@
 //! zero-allocation contract `pod_core::obs` documents: observation is
 //! counter bumps into fixed-size storage, never per-event boxing.
 //!
+//! That working set fits its budget, so nothing is ever evicted and no
+//! read misses. A second phase repeats the measurement where a replay
+//! actually lives: a 1 MiB budget under a working set sixteen times the
+//! read cache and four times the index, so the index, the read cache
+//! and both ghosts evict on nearly every block and every read goes to
+//! disk. Handing a victim to its ghost and planning a read miss must
+//! not allocate either.
+//!
 //! The file holds a single test on purpose — the counter is
 //! process-global, and a lone test keeps the measurement window free of
 //! harness or sibling-test traffic.
@@ -22,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use pod_core::obs::{LayerHistograms, ObserverChain, TraceRecorder};
 use pod_core::{ProfSink, Scheme, StackEvent, StackObserver, StorageStack, SystemConfig};
 use pod_trace::Trace;
-use pod_types::{Fingerprint, IoRequest, Lba, SimTime};
+use pod_types::{Fingerprint, Introspect, IoRequest, Lba, SimTime};
 
 /// Counts every allocation and reallocation made through the global
 /// allocator. Deallocations are deliberately not counted: freeing is
@@ -107,9 +115,15 @@ fn working_set() -> Vec<IoRequest> {
 /// One pass over the working set: bump arrivals monotonically, advance
 /// the disks, process. Everything here is the replay loop's steady
 /// state; nothing in this function may allocate once warm.
-fn run_set(stack: &mut StorageStack, set: &mut [IoRequest], clock: &mut u64, idx: &mut usize) {
+fn run_set(
+    stack: &mut StorageStack,
+    set: &mut [IoRequest],
+    gap_us: u64,
+    clock: &mut u64,
+    idx: &mut usize,
+) {
     for req in set.iter_mut() {
-        *clock += 200;
+        *clock += gap_us;
         req.arrival = SimTime::from_micros(*clock);
         stack.run_until(req.arrival);
         stack
@@ -117,6 +131,140 @@ fn run_set(stack: &mut StorageStack, set: &mut [IoRequest], clock: &mut u64, idx
             .expect("write path stays in bounds");
         *idx += 1;
     }
+}
+
+/// Fewest allocations seen in any one of up to 8 runs of `window`.
+///
+/// The counter is process-global, so harness threads can leak the odd
+/// allocation into a window, and an amortized vector (the stack's
+/// per-request `pending` list) may double inside one. A hot-path (or
+/// per-event) allocation repeats in every window; those do not — so
+/// callers require one clean window out of several rather than exactly
+/// one clean run.
+fn fewest_allocations_in_8_windows(mut window: impl FnMut()) -> u64 {
+    let mut best = u64::MAX;
+    for _ in 0..8 {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        window();
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        best = best.min(after - before);
+        if best == 0 {
+            break;
+        }
+    }
+    best
+}
+
+/// Blocks, requests and content generations of the eviction phase:
+/// 256 eight-block writes and as many reads over 2,048 distinct blocks,
+/// every pass writing the next of 16 content generations (32,768
+/// distinct contents in rotation).
+const EVICT_REQUESTS: u64 = 256;
+const EVICT_BLOCKS: u64 = EVICT_REQUESTS * 8;
+const EVICT_GENERATIONS: u64 = 16;
+/// Every request of this phase reaches the disks, which recycle a
+/// job's buffers when it completes: arrivals are spaced so the array
+/// keeps up and its queues (and buffer pools) stay bounded.
+const EVICT_GAP_US: u64 = 50_000;
+
+fn eviction_working_set() -> Vec<IoRequest> {
+    let at = SimTime::from_micros(0);
+    let mut set = Vec::new();
+    for i in 0..EVICT_REQUESTS {
+        let chunks = vec![Fingerprint::ZERO; 8];
+        set.push(IoRequest::write(i, at, Lba::new(i * 8), chunks));
+    }
+    for i in 0..EVICT_REQUESTS {
+        set.push(IoRequest::read(EVICT_REQUESTS + i, at, Lba::new(i * 8), 8));
+    }
+    set
+}
+
+/// Stamp generation `pass % 16` of every block's content into the
+/// writes, in place.
+fn rotate_contents(set: &mut [IoRequest], pass: u64) {
+    let generation = pass % EVICT_GENERATIONS;
+    for req in set.iter_mut().filter(|r| r.op.is_write()) {
+        let first = req.lba.raw();
+        for (b, chunk) in req.chunks.iter_mut().enumerate() {
+            let id = 1_000_000 + generation * EVICT_BLOCKS + first + b as u64;
+            *chunk = Fingerprint::from_content_id(id);
+        }
+    }
+}
+
+/// The second phase: the same contract under eviction. Select-Dedupe
+/// shares POD's write path and caches but keeps a static partition, so
+/// no epoch-rate `set_capacity` (which returns its spill as a `Vec`)
+/// lands in a window. At the 1 MiB floor the read cache holds 128
+/// blocks, the index 8,192 entries and the ghosts 256 and 16,384; the
+/// working set overruns all four, so every written chunk misses the
+/// index and evicts from it and its ghost, every write-allocated or
+/// fetched block evicts from the read cache and its ghost, and every
+/// read misses.
+fn replay_under_eviction_is_allocation_free() {
+    let mut set = eviction_working_set();
+    let trace = Trace {
+        name: "alloc-probe-evicting".into(),
+        requests: set.clone(),
+        memory_budget_bytes: 1 << 20,
+    };
+    let mut cfg = SystemConfig::test_default();
+    cfg.memory_bytes = Some(1 << 20);
+    cfg.host_profiling = true;
+    let mut chain = ObserverChain::new();
+    chain.push(LayerHistograms::new());
+    chain.push(TraceRecorder::new(
+        "Select-Dedupe",
+        &trace.name,
+        64,
+        1 << 20,
+    ));
+    chain.push(ProfSink::new());
+    let mut stack =
+        StorageStack::with_observer(&Scheme::SelectDedupe.stack_spec(), &cfg, &trace, chain)
+            .expect("valid stack");
+
+    let mut clock = 0u64;
+    let mut idx = 0usize;
+    let mut pass = 0u64;
+    let best = {
+        let mut run_passes = |n: u64| {
+            for _ in 0..n {
+                rotate_contents(&mut set, pass);
+                run_set(&mut stack, &mut set, EVICT_GAP_US, &mut clock, &mut idx);
+                pass += 1;
+            }
+        };
+        // Warmup: 12 passes fill the ghost index, 16 complete a content
+        // rotation; 33 also leave `pending` (one entry per request, 512
+        // a pass) just past its doubling at 16,384 entries, so the next
+        // is 16,384 requests away and seven of the eight 4-pass windows
+        // fit before it.
+        run_passes(33);
+        fewest_allocations_in_8_windows(|| run_passes(4))
+    };
+
+    assert_eq!(
+        best, 0,
+        "steady-state process_request under eviction allocated at least \
+         {best} times in every one of 8 windows of 4 passes over 2,048 \
+         blocks against a 1 MiB budget"
+    );
+
+    // The windows measured what they claim to: all four lists are full
+    // and turning over, nothing deduplicated, every read went to disk.
+    let caches = stack.cache().icache().introspect();
+    let index = stack.dedup().engine().index().introspect();
+    assert_eq!((caches.read_len, caches.ghost_read.len), (128, 256));
+    assert_eq!((index.entries, caches.ghost_index.len), (8_192, 16_384));
+    assert_eq!(index.evictions, (pass * EVICT_BLOCKS) - 8_192);
+    assert_eq!(index.hits, 0);
+    stack.finish().expect("finish");
+    let counters = *stack.into_observer().counters();
+    assert_eq!(counters.unique_writes, idx as u64 / 2, "nothing deduped");
+    assert_eq!(counters.reads_measured, idx as u64 / 2);
+    assert_eq!(counters.read_hits_measured, 0, "every read missed");
 }
 
 #[test]
@@ -151,25 +299,14 @@ fn steady_state_replay_with_full_observer_chain_is_allocation_free() {
     // the rest settle cache order and amortized vector capacities well
     // past what the measured windows will push.
     for _ in 0..600 {
-        run_set(&mut stack, &mut set, &mut clock, &mut idx);
+        run_set(&mut stack, &mut set, 200, &mut clock, &mut idx);
     }
 
-    // The counter is process-global, so harness threads can leak the
-    // odd allocation into a window. A hot-path (or per-event) allocation
-    // repeats in every window; noise does not — so require one clean
-    // window out of several rather than exactly one clean run.
-    let mut best = u64::MAX;
-    for _ in 0..8 {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let best = fewest_allocations_in_8_windows(|| {
         for _ in 0..32 {
-            run_set(&mut stack, &mut set, &mut clock, &mut idx);
+            run_set(&mut stack, &mut set, 200, &mut clock, &mut idx);
         }
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
-        best = best.min(after - before);
-        if best == 0 {
-            break;
-        }
-    }
+    });
 
     assert_eq!(
         best, 0,
@@ -216,4 +353,6 @@ fn steady_state_replay_with_full_observer_chain_is_allocation_free() {
         prof.phase(pod_core::ProfPhase::DedupClassify).count >= idx as u64 / 2,
         "every write was timed"
     );
+
+    replay_under_eviction_is_allocation_free();
 }

@@ -10,9 +10,13 @@
 //! building blocks, plus the LFU and ARC alternatives the ablation
 //! benches swap in:
 //!
-//! * [`LruCache`] — O(1) LRU over a slab-allocated intrusive list. All
-//!   caches here support **online resizing** ([`LruCache::set_capacity`]),
-//!   which is what iCache's Swap Module exercises every epoch.
+//! * [`LruCache`] — O(1) LRU: a dense slab of nodes linked by index,
+//!   found through its own open-addressing table of one tagged `u64`
+//!   slot word per entry that starts small and doubles on demand, so a
+//!   cache costs what it holds, whatever its capacity. Every other
+//!   cache here is built from it. All of them support **online
+//!   resizing** ([`LruCache::set_capacity`]), which is what iCache's
+//!   Swap Module exercises every epoch.
 //! * [`GhostCache`] — key-only LRU that records would-have-been hits.
 //! * [`ArcCache`] — the full ARC(c) policy (Megiddo & Modha, FAST'03),
 //!   cited by the paper as the origin of ghost-based adaptation.

@@ -187,10 +187,14 @@ impl IndexTable {
     pub fn upsert(&mut self, fp: Fingerprint, pba: Pba) -> Option<Fingerprint> {
         match &mut self.backing {
             Backing::Lru(c) => {
-                if let Some(e) = c.get_mut(&fp) {
-                    e.pba = pba;
-                    return None;
-                }
+                // One probe decides between relocating and inserting.
+                let mut fresh = true;
+                let victim = c.upsert(fp, IndexEntry { pba, count: 0 }, |e, new| {
+                    e.pba = new.pba;
+                    fresh = false;
+                });
+                self.inserts += u64::from(fresh);
+                return victim.map(|(victim, _)| victim);
             }
             Backing::Lfu(c) => {
                 if let Some(e) = c.peek(&fp).copied() {

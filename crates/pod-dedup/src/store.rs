@@ -422,7 +422,15 @@ impl ChunkStore {
     /// physical runs — the read path's fragmentation signal. Unwritten
     /// blocks read from their home location.
     pub fn read_extents(&self, lba: Lba, nblocks: u32) -> Vec<(Pba, u32)> {
-        let mut out: Vec<(Pba, u32)> = Vec::new();
+        let mut out = Vec::new();
+        self.read_extents_into(lba, nblocks, &mut out);
+        out
+    }
+
+    /// [`ChunkStore::read_extents`] into a caller-owned buffer (cleared
+    /// first), so a replay's read misses reuse one allocation.
+    pub fn read_extents_into(&self, lba: Lba, nblocks: u32, out: &mut Vec<(Pba, u32)>) {
+        out.clear();
         for i in 0..nblocks as u64 {
             let l = lba.raw() + i;
             let p = self.mapped_pba(l).unwrap_or(l);
@@ -431,7 +439,6 @@ impl ChunkStore {
                 _ => out.push((Pba::new(p), 1)),
             }
         }
-        out
     }
 
     /// Whether the candidate PBAs form one ascending contiguous run —

@@ -30,9 +30,14 @@ pub enum ReadCachePolicy {
     Arc,
 }
 
-/// Policy-backed read-cache storage. The ARC variant is boxed: its
-/// four internal lists make it far larger than the LRU variant, and
-/// one cache lives per iCache, so the indirection costs nothing hot.
+/// Policy-backed read-cache storage. Evictions go straight into the
+/// ghost read cache the caller passes to [`ReadBacking::insert`] — the
+/// fill path runs once per fetched or write-allocated block and must
+/// not build a victim list; only the epoch-rate
+/// [`ReadBacking::set_capacity`] returns one. The ARC variant is boxed:
+/// its four internal lists make it far larger than the LRU variant,
+/// and one cache lives per iCache, so the indirection costs nothing
+/// hot.
 #[derive(Debug)]
 enum ReadBacking {
     Lru(LruCache<u64, ()>),
@@ -54,13 +59,25 @@ impl ReadBacking {
         }
     }
 
-    /// Insert; returns evicted keys for the external ghost.
-    fn insert(&mut self, key: u64) -> Vec<u64> {
+    /// Insert `key`, handing every block it evicts straight to the
+    /// external `ghost`; returns how many that was. The LRU evicts at
+    /// most one, so the fill path builds no list of victims.
+    fn insert(&mut self, key: u64, ghost: &mut GhostCache<u64>) -> u64 {
         match self {
-            ReadBacking::Lru(c) => c.insert(key, ()).map(|(k, _)| k).into_iter().collect(),
+            ReadBacking::Lru(c) => match c.insert(key, ()) {
+                Some((victim, ())) => {
+                    ghost.record_eviction(victim);
+                    1
+                }
+                None => 0,
+            },
             ReadBacking::Arc(c) => {
                 c.insert(key, ());
-                c.take_evicted()
+                let victims = c.take_evicted();
+                for &victim in &victims {
+                    ghost.record_eviction(victim);
+                }
+                victims.len() as u64
             }
         }
     }
@@ -313,10 +330,7 @@ impl ICache {
 
     /// Like [`ICache::read_fill`] with an arbitrary cache key.
     pub fn read_fill_key(&mut self, key: u64) {
-        for victim in self.read_cache.insert(key) {
-            self.read_evictions += 1;
-            self.ghost_read.record_eviction(victim);
-        }
+        self.read_evictions += self.read_cache.insert(key, &mut self.ghost_read);
     }
 
     /// Feed index-table evictions into the ghost index.

@@ -15,20 +15,63 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 enum CacheOp {
     Insert(u8, u32),
+    /// The one-probe form; its update adds instead of overwriting, so a
+    /// hit is told apart from `Insert`.
+    Upsert(u8, u32),
     Get(u8),
+    GetMut(u8, u32),
+    Peek(u8),
+    Contains(u8),
     Remove(u8),
     PopLru,
     Resize(u8),
+    Clear,
 }
 
 fn cache_op() -> impl Strategy<Value = CacheOp> {
+    // Inserts are listed twice: the cache has to fill past 8, 16 and 32
+    // entries for its table to double mid-sequence.
     prop_oneof![
         (any::<u8>(), any::<u32>()).prop_map(|(k, v)| CacheOp::Insert(k, v)),
+        (any::<u8>(), any::<u32>()).prop_map(|(k, v)| CacheOp::Insert(k, v)),
+        (any::<u8>(), any::<u32>()).prop_map(|(k, v)| CacheOp::Upsert(k, v)),
+        (any::<u8>(), any::<u32>()).prop_map(|(k, v)| CacheOp::Upsert(k, v)),
         any::<u8>().prop_map(CacheOp::Get),
+        (any::<u8>(), any::<u32>()).prop_map(|(k, v)| CacheOp::GetMut(k, v)),
+        any::<u8>().prop_map(CacheOp::Peek),
+        any::<u8>().prop_map(CacheOp::Contains),
         any::<u8>().prop_map(CacheOp::Remove),
         Just(CacheOp::PopLru),
-        (1u8..32).prop_map(CacheOp::Resize),
+        // Grow and shrink, including to 0. `Clear` rides on the same
+        // arm so the cache is not emptied too often to fill up.
+        (0u8..120).prop_map(|c| if c == 119 {
+            CacheOp::Clear
+        } else {
+            CacheOp::Resize(c)
+        }),
     ]
+}
+
+/// A key whose `Hash` writes a constant: every key shares one tag and
+/// one home slot, so the whole cache is a single probe chain that wraps
+/// around the table's end, and every delete shifts across the wrap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct OneChainKey(u8);
+
+impl std::hash::Hash for OneChainKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(u64::MAX);
+    }
+}
+
+/// A key hashing to `k & 3`: four tags, four interleaved chains.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FourChainKey(u8);
+
+impl std::hash::Hash for FourChainKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(u64::from(self.0 & 3));
+    }
 }
 
 /// Naive LRU: Vec ordered MRU-first.
@@ -36,81 +79,139 @@ fn cache_op() -> impl Strategy<Value = CacheOp> {
 struct ModelLru {
     items: Vec<(u8, u32)>,
     cap: usize,
+    evictions: u64,
 }
 
 impl ModelLru {
-    fn touch(&mut self, k: u8) -> Option<u32> {
-        let pos = self.items.iter().position(|(key, _)| *key == k)?;
-        let item = self.items.remove(pos);
-        let v = item.1;
-        self.items.insert(0, item);
-        Some(v)
+    fn position(&self, k: u8) -> Option<usize> {
+        self.items.iter().position(|(key, _)| *key == k)
     }
-    fn insert(&mut self, k: u8, v: u32) {
-        if let Some(pos) = self.items.iter().position(|(key, _)| *key == k) {
-            self.items.remove(pos);
-            self.items.insert(0, (k, v));
-            return;
+    fn touch(&mut self, k: u8) -> Option<&mut u32> {
+        let pos = self.position(k)?;
+        let item = self.items.remove(pos);
+        self.items.insert(0, item);
+        Some(&mut self.items[0].1)
+    }
+    /// Insert or, on a hit, `update`; returns the evicted (or bounced)
+    /// entry like `LruCache::upsert`.
+    fn upsert(&mut self, k: u8, v: u32, update: fn(&mut u32, u32)) -> Option<(u8, u32)> {
+        if let Some(slot) = self.touch(k) {
+            update(slot, v);
+            return None;
         }
         if self.cap == 0 {
-            return;
+            return Some((k, v));
         }
-        if self.items.len() >= self.cap {
-            self.items.pop();
-        }
+        let victim = if self.items.len() >= self.cap {
+            self.pop_lru()
+        } else {
+            None
+        };
         self.items.insert(0, (k, v));
+        victim
     }
     fn remove(&mut self, k: u8) -> Option<u32> {
-        let pos = self.items.iter().position(|(key, _)| *key == k)?;
+        let pos = self.position(k)?;
         Some(self.items.remove(pos).1)
     }
     fn pop_lru(&mut self) -> Option<(u8, u32)> {
-        self.items.pop()
+        let victim = self.items.pop()?;
+        self.evictions += 1;
+        Some(victim)
     }
-    fn resize(&mut self, cap: usize) {
+    fn resize(&mut self, cap: usize) -> Vec<(u8, u32)> {
         self.cap = cap;
+        let mut spilled = Vec::new();
         while self.items.len() > cap {
-            self.items.pop();
+            spilled.extend(self.pop_lru());
         }
+        spilled
     }
+}
+
+/// Run `ops` against an `LruCache<K, u32>` and the model side by side,
+/// comparing every return value and, after every op, `len`,
+/// `evictions` and the full MRU→LRU order.
+fn check_lru_against_model<K>(
+    key: fn(u8) -> K,
+    cap: usize,
+    ops: &[CacheOp],
+) -> Result<(), TestCaseError>
+where
+    K: Copy + Eq + std::hash::Hash + std::fmt::Debug,
+{
+    let keyed = |entry: Option<(u8, u32)>| entry.map(|(k, v)| (key(k), v));
+    let mut real = LruCache::<K, u32>::new(cap);
+    let mut model = ModelLru {
+        cap,
+        ..ModelLru::default()
+    };
+    for op in ops {
+        match *op {
+            CacheOp::Insert(k, v) => {
+                let want = model.upsert(k, v, |old, new| *old = new);
+                prop_assert_eq!(real.insert(key(k), v), keyed(want));
+            }
+            CacheOp::Upsert(k, v) => {
+                let add: fn(&mut u32, u32) = |old, new| *old = old.wrapping_add(new);
+                let want = model.upsert(k, v, add);
+                prop_assert_eq!(real.upsert(key(k), v, add), keyed(want));
+            }
+            CacheOp::Get(k) => {
+                let want = model.touch(k).copied();
+                prop_assert_eq!(real.get(&key(k)).copied(), want);
+            }
+            CacheOp::GetMut(k, v) => {
+                let got = real.get_mut(&key(k)).map(|slot| std::mem::replace(slot, v));
+                let want = model.touch(k).map(|slot| std::mem::replace(slot, v));
+                prop_assert_eq!(got, want);
+            }
+            CacheOp::Peek(k) => {
+                let want = model.position(k).map(|pos| model.items[pos].1);
+                prop_assert_eq!(real.peek(&key(k)).copied(), want);
+            }
+            CacheOp::Contains(k) => {
+                prop_assert_eq!(real.contains(&key(k)), model.position(k).is_some());
+            }
+            CacheOp::Remove(k) => {
+                prop_assert_eq!(real.remove(&key(k)), model.remove(k));
+            }
+            CacheOp::PopLru => {
+                prop_assert_eq!(real.pop_lru(), keyed(model.pop_lru()));
+            }
+            CacheOp::Resize(c) => {
+                let want: Vec<(K, u32)> = model
+                    .resize(c as usize)
+                    .into_iter()
+                    .map(|(k, v)| (key(k), v))
+                    .collect();
+                prop_assert_eq!(real.set_capacity(c as usize), want);
+                prop_assert_eq!(real.capacity(), c as usize);
+            }
+            CacheOp::Clear => {
+                real.clear();
+                model.items.clear();
+            }
+        }
+        prop_assert_eq!(real.len(), model.items.len());
+        prop_assert_eq!(real.evictions(), model.evictions);
+        // Full order check: MRU -> LRU.
+        let real_order: Vec<(K, u32)> = real.iter().map(|(k, v)| (*k, *v)).collect();
+        let model_order: Vec<(K, u32)> = model.items.iter().map(|&(k, v)| (key(k), v)).collect();
+        prop_assert_eq!(real_order, model_order);
+    }
+    Ok(())
 }
 
 proptest! {
     #[test]
     fn lru_matches_reference_model(
-        cap in 1usize..16,
-        ops in proptest::collection::vec(cache_op(), 1..200),
+        cap in 0usize..80,
+        ops in proptest::collection::vec(cache_op(), 1..400),
     ) {
-        let mut real = LruCache::<u8, u32>::new(cap);
-        let mut model = ModelLru { items: Vec::new(), cap };
-        for op in ops {
-            match op {
-                CacheOp::Insert(k, v) => {
-                    real.insert(k, v);
-                    model.insert(k, v);
-                }
-                CacheOp::Get(k) => {
-                    let got = real.get(&k).copied();
-                    let want = model.touch(k);
-                    prop_assert_eq!(got, want);
-                }
-                CacheOp::Remove(k) => {
-                    prop_assert_eq!(real.remove(&k), model.remove(k));
-                }
-                CacheOp::PopLru => {
-                    prop_assert_eq!(real.pop_lru(), model.pop_lru());
-                }
-                CacheOp::Resize(c) => {
-                    real.set_capacity(c as usize);
-                    model.resize(c as usize);
-                }
-            }
-            prop_assert_eq!(real.len(), model.items.len());
-            // Full order check: MRU -> LRU.
-            let real_order: Vec<u8> = real.iter().map(|(k, _)| *k).collect();
-            let model_order: Vec<u8> = model.items.iter().map(|(k, _)| *k).collect();
-            prop_assert_eq!(real_order, model_order);
-        }
+        check_lru_against_model(|k| k, cap, &ops)?;
+        check_lru_against_model(OneChainKey, cap, &ops)?;
+        check_lru_against_model(FourChainKey, cap, &ops)?;
     }
 }
 
