@@ -11,11 +11,7 @@
 //!   engine) and the ablation benches DESIGN.md lists (Select-Dedupe
 //!   threshold sweep, scheduler comparison, iCache epoch sweep).
 //!
-//! The library part hosts small helpers shared by the bench targets,
-//! plus [`store`] — the append-only JSONL experiment store the perf
-//! gate writes every run into.
-
-pub mod store;
+//! The library part hosts small helpers shared by the bench targets.
 
 use pod_core::{Scheme, SystemConfig};
 use pod_trace::{Trace, TraceProfile};

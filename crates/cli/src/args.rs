@@ -47,9 +47,6 @@ pub struct CliArgs {
     /// `replay`/`monitor` and print the real-time layer breakdown next
     /// to the simulated one.
     pub prof: bool,
-    /// `--history`: `figures` exports trend CSVs from the experiment
-    /// store (`results/history.jsonl`) instead of a JSONL event trace.
-    pub history: bool,
 }
 
 impl Default for CliArgs {
@@ -73,7 +70,6 @@ impl Default for CliArgs {
             shards: 1,
             policy: None,
             prof: false,
-            history: false,
         }
     }
 }
@@ -98,11 +94,6 @@ impl CliArgs {
             }
             if flag == "--prof" {
                 args.prof = true;
-                i += 1;
-                continue;
-            }
-            if flag == "--history" {
-                args.history = true;
                 i += 1;
                 continue;
             }
@@ -380,13 +371,12 @@ mod tests {
     }
 
     #[test]
-    fn prof_and_history_take_no_value() {
-        let a = parse(&["--prof", "--history", "--seed", "3"]).expect("parse");
+    fn prof_takes_no_value() {
+        let a = parse(&["--prof", "--seed", "3"]).expect("parse");
         assert!(a.prof);
-        assert!(a.history);
         assert_eq!(a.seed, 3);
         let d = parse(&[]).expect("parse");
-        assert!(!d.prof && !d.history);
+        assert!(!d.prof);
     }
 
     #[test]

@@ -14,28 +14,15 @@
 //! Rows are per scheme section and per epoch; `partition_split.csv`
 //! only has rows for epochs that carry a state snapshot (every iCache
 //! epoch boundary, so all of them on a default replay).
-//!
-//! With `--history` the command instead reads the perfgate experiment
-//! store (`results/history.jsonl`, override with `--in`) and exports
-//! two trend CSVs — one row per stored run:
-//!
-//! * `history_rps.csv` — throughput over time per (trace, scheme,
-//!   config) series, with min/median/CI of the per-rep wall samples.
-//! * `history_host_shares.csv` — host wall-clock layer shares over
-//!   time, for profiled runs.
 
 use crate::args::CliArgs;
 use crate::cmd_stats::{parse_sections, Section};
-use pod_bench::store::{ExperimentStore, StoreRecord};
 use pod_core::obs::json::Json;
 use pod_core::StateSnapshot;
 use std::fmt::Write as _;
 use std::path::Path;
 
 pub fn run(args: &CliArgs) -> Result<(), String> {
-    if args.history {
-        return run_history(args);
-    }
     let path = args
         .input
         .as_deref()
@@ -53,68 +40,6 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
         println!("wrote {}", target.display());
     }
     Ok(())
-}
-
-/// `figures --history`: export trend CSVs from the experiment store.
-fn run_history(args: &CliArgs) -> Result<(), String> {
-    let path = args.input.as_deref().unwrap_or("results/history.jsonl");
-    let records = ExperimentStore::new(path).load()?;
-    if records.is_empty() {
-        return Err(format!(
-            "no experiment records in {path} (run perfgate, or seed with perfgate --import)"
-        ));
-    }
-    let out_dir = args.out.as_deref().unwrap_or("figures");
-    std::fs::create_dir_all(out_dir).map_err(|e| format!("creating {out_dir}: {e}"))?;
-    for (name, csv) in export_history(&records) {
-        let target = Path::new(out_dir).join(name);
-        std::fs::write(&target, csv).map_err(|e| format!("writing {}: {e}", target.display()))?;
-        println!("wrote {}", target.display());
-    }
-    Ok(())
-}
-
-/// Build the two history CSVs. Split from `run_history` so tests can
-/// assert on exact cells without a filesystem store.
-pub fn export_history(records: &[StoreRecord]) -> Vec<(&'static str, String)> {
-    let mut rps = String::from(
-        "commit,date,trace,scheme,config_hash,requests,reps,\
-         wall_min_s,wall_median_s,wall_ci95_s,requests_per_sec\n",
-    );
-    for r in records {
-        let _ = writeln!(
-            rps,
-            "{},{},{},{},{},{},{},{:.6},{:.6},{:.6},{:.1}",
-            r.commit,
-            r.date,
-            r.trace,
-            r.scheme,
-            r.config_hash,
-            r.requests,
-            r.samples.len(),
-            r.wall_min_s(),
-            r.wall_median_s(),
-            r.wall_ci95_s(),
-            r.rps,
-        );
-    }
-    let mut shares = String::from(
-        "commit,date,trace,scheme,config_hash,cache_share,dedup_share,disk_share,other_share\n",
-    );
-    for r in records {
-        let Some([cache, dedup, disk, other]) = r.host_shares else {
-            continue;
-        };
-        let _ = writeln!(
-            shares,
-            "{},{},{},{},{},{cache},{dedup},{disk},{other}",
-            r.commit, r.date, r.trace, r.scheme, r.config_hash,
-        );
-    }
-    vec![
-        ("history_rps.csv", rps),
-        ("history_host_shares.csv", shares),
-    ]
 }
 
 /// Build the three CSVs from parsed sections. Split from [`run`] so
@@ -286,40 +211,6 @@ mod tests {
         let traffic = &csvs[2].1;
         assert!(traffic.contains("POD,t,0,2,1,0,0,1,4,4,50.00"));
         assert!(traffic.contains("POD,t,1,2,2,0,0,0,8,0,100.00"));
-    }
-
-    #[test]
-    fn history_csvs_carry_one_row_per_stored_run() {
-        let rec = |commit: &str, rps: f64, shares: Option<[f64; 4]>| StoreRecord {
-            commit: commit.into(),
-            date: "2026-08-07".into(),
-            trace: "mail".into(),
-            scheme: "POD".into(),
-            config_hash: "aabbccdd11223344".into(),
-            requests: 1000,
-            samples: vec![1.0, 1.2, 1.1],
-            rps,
-            host_shares: shares,
-        };
-        let records = vec![
-            rec("aaaaaaa", 900.0, Some([0.25, 0.25, 0.4, 0.1])),
-            rec("bbbbbbb", 950.0, None),
-        ];
-        let csvs = export_history(&records);
-        assert_eq!(csvs.len(), 2);
-        let rps = &csvs[0].1;
-        assert!(rps.starts_with("commit,date,trace,scheme,config_hash"), "{rps}");
-        assert_eq!(rps.lines().count(), 3, "header + 2 runs");
-        assert!(
-            rps.contains("aaaaaaa,2026-08-07,mail,POD,aabbccdd11223344,1000,3,1.000000,1.100000,"),
-            "{rps}"
-        );
-        // Only the profiled run lands in the shares CSV.
-        let shares = &csvs[1].1;
-        assert_eq!(shares.lines().count(), 2, "header + 1 profiled run");
-        assert!(shares.contains("aaaaaaa"), "{shares}");
-        assert!(shares.contains("0.25,0.25,0.4,0.1"), "{shares}");
-        assert!(!shares.contains("bbbbbbb"), "{shares}");
     }
 
     #[test]

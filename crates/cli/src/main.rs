@@ -13,7 +13,6 @@
 //! pod-cli stats    --in pod.jsonl              # render an event trace
 //! pod-cli monitor  --scheme pod --headless     # live dashboard / final frame
 //! pod-cli figures  --in pod.jsonl --out figs/  # per-epoch paper-figure CSVs
-//! pod-cli figures  --history --out figs/       # trend CSVs from the experiment store
 //! ```
 
 use pod_cli::args::CliArgs;
@@ -121,8 +120,6 @@ fn usage_and_exit(code: i32) -> ! {
          \x20                                 soft:<MiB>, hot:<pm>, cold:<pm>, static\n\
          \x20 --prof                          `replay`/`monitor`: attach the host wall-clock\n\
          \x20                                 profiler and print real-time layer shares\n\
-         \x20 --history                       `figures`: export trend CSVs from the\n\
-         \x20                                 experiment store instead of an event trace\n\
          \x20 --memory <MiB>                  override the DRAM budget\n\
          \x20 --jobs <N>                      worker threads for `replay`/`compare` grids\n\
          \x20                                 (default: available parallelism)"

@@ -167,14 +167,29 @@ fn hostile_flag_values_never_panic() {
     }
 }
 
+/// What a number in a recorded line is replaced with: 2^64 and
+/// `u64::MAX` (both past the reader's 2^53 integer range), a negative,
+/// an overflowing exponent and a value of the wrong type.
+const HOSTILE_JSON: [&str; 5] = [
+    "18446744073709551616",
+    "18446744073709551615",
+    "-1",
+    "1e400",
+    "\"x\"",
+];
+
+/// Recorded JSONL is read back by `stats` and `figures`; a seeded
+/// sequence of mutants of one real recording must end each in exit 0 or
+/// exit 1 with an `error:` line. The nesting mutant used to overflow
+/// the JSON reader's stack (SIGABRT).
 #[test]
 fn mutated_recordings_never_panic() {
     let dir = std::env::temp_dir().join(format!("pod-fuzz-jsonl-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create the scratch directory");
     let recorded = dir.join("recorded.jsonl");
     let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
-        .args(["replay", "--scheme", "pod", "--scale", "0.004"])
-        .args(["--epoch", "200", "--trace-out"])
+        .args(["replay", "--scheme", "pod", "--profile", "mail"])
+        .args(["--scale", "0.01", "--trace-out"])
         .arg(&recorded)
         .output()
         .expect("spawn pod-cli");
@@ -185,11 +200,11 @@ fn mutated_recordings_never_panic() {
 
     let mutant = dir.join("mutant.jsonl");
     let mut rng = Rng(16);
-    for case in 0..24 {
+    for case in 0..210 {
         let mut lines: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
         let at = (rng.next() % lines.len() as u64) as usize;
-        match rng.next() % 5 {
-            0 => lines[at] = replace_number(&lines[at], rng.next(), rng.pick(&HOSTILE)),
+        match rng.next() % 7 {
+            0 => lines[at] = replace_number(&lines[at], rng.next(), rng.pick(&HOSTILE_JSON)),
             1 => {
                 let cut = (rng.next() % lines[at].len() as u64) as usize;
                 lines[at].truncate(cut); // the recording is ASCII
@@ -198,7 +213,13 @@ fn mutated_recordings_never_panic() {
                 lines.remove(at);
             }
             3 => lines.insert(at, lines[at].clone()),
-            _ => lines[at] = lines[at].replace(':', rng.pick(&["", "::", ":[", ":{"])),
+            4 => lines[at] = lines[at].replace(':', rng.pick(&["", "::", ":[", ":{"])),
+            5 => {
+                // Rename one key: `"writes":` becomes `"writes_":`.
+                let keys: Vec<usize> = lines[at].match_indices("\":").map(|(i, _)| i).collect();
+                lines[at].insert(keys[(rng.next() % keys.len() as u64) as usize], '_');
+            }
+            _ => lines[at] = "[".repeat(100_000),
         }
         std::fs::write(&mutant, lines.join("\n")).expect("write the mutant");
         for cmd in ["stats", "figures"] {
@@ -209,7 +230,13 @@ fn mutated_recordings_never_panic() {
                 .arg(dir.join("figs"))
                 .output()
                 .expect("spawn pod-cli");
-            assert_clean_exit(&out, &format!("case {case}: {cmd} --in <mutant>"));
+            let what = format!("case {case}: {cmd} --in <mutant>");
+            assert_clean_exit(&out, &what);
+            assert_ne!(
+                out.status.code(),
+                Some(2),
+                "{what}: a bad file is not a usage error"
+            );
         }
     }
     std::fs::remove_dir_all(&dir).expect("remove the scratch directory");

@@ -3,8 +3,8 @@
 //! The workspace builds offline with no serialization crate, so every
 //! serialized artifact in this repo is hand-rolled JSON. This
 //! module is the one shared implementation: the trace exporter writes
-//! through [`push_str_escaped`], and `pod stats` / `perfgate` read
-//! snapshots back through [`parse`]. It supports exactly the JSON this
+//! through [`push_str_escaped`], and `pod-cli stats` / `figures` read
+//! traces back through [`parse`]. It supports exactly the JSON this
 //! codebase emits — objects, arrays, strings with simple escapes,
 //! `f64` numbers, booleans and `null` — and rejects anything it cannot
 //! represent instead of mis-reading it.
@@ -93,11 +93,18 @@ pub fn push_str_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest container nesting [`parse`] accepts. A recorded trace nests
+/// 3 deep (line → `"snap"` → histogram array); the parser recurses once
+/// per level, so without a bound a crafted line of `[[[[…` overflows
+/// the stack instead of returning an error.
+const MAX_DEPTH: usize = 64;
+
 /// Parse one complete JSON document (trailing whitespace allowed).
 pub fn parse(s: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -110,6 +117,8 @@ pub fn parse(s: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -135,8 +144,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -144,6 +153,19 @@ impl Parser<'_> {
             Some(_) => self.number(),
             None => Err("unexpected end of input".into()),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -285,6 +307,23 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"\\u0041\"").is_err(), "unicode escapes unsupported");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(
+            err.starts_with("nesting deeper than 64 at byte 64"),
+            "{err}"
+        );
+        // Deep enough to overflow the stack if the bound were not there.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&r#"{"a":"#.repeat(100_000)).is_err());
+        // Depth is the open containers, not the count seen so far.
+        let wide = format!("[{}]", vec!["[[]]"; 100].join(","));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]

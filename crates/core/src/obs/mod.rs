@@ -43,31 +43,6 @@ impl Layer {
             Layer::Disk => "disk",
         }
     }
-
-    fn from_name(s: &str) -> Option<Layer> {
-        Layer::ALL.into_iter().find(|l| l.name() == s)
-    }
-}
-
-/// Stable tag for a write classification: the paper's Cat-1/2/3 plus
-/// plain unique writes.
-pub fn category_tag(kind: ClassKind) -> &'static str {
-    match kind {
-        ClassKind::FullyRedundantSequential => "cat1",
-        ClassKind::ScatteredPartial => "cat2",
-        ClassKind::ContiguousPartial => "cat3",
-        ClassKind::Unique => "unique",
-    }
-}
-
-fn category_from_tag(s: &str) -> Option<ClassKind> {
-    match s {
-        "cat1" => Some(ClassKind::FullyRedundantSequential),
-        "cat2" => Some(ClassKind::ScatteredPartial),
-        "cat3" => Some(ClassKind::ContiguousPartial),
-        "unique" => Some(ClassKind::Unique),
-        _ => None,
-    }
 }
 
 /// A fault class injected by the
@@ -114,10 +89,6 @@ impl FaultKind {
             FaultKind::Corruption => "corruption",
         }
     }
-
-    fn from_name(s: &str) -> Option<FaultKind> {
-        FaultKind::ALL.into_iter().find(|k| k.name() == s)
-    }
 }
 
 /// One typed event from the storage stack. `Copy`, so emitting an event
@@ -137,8 +108,7 @@ pub enum StackEvent {
         hit: bool,
         /// Outside the warm-up window.
         measured: bool,
-        /// Issuing tenant (0 for single-tenant replays; serialized
-        /// only when nonzero).
+        /// Issuing tenant (0 for single-tenant replays).
         tenant: u16,
     },
     /// A missed read was mapped onto `fragments` physical extents.
@@ -147,8 +117,7 @@ pub enum StackEvent {
         fragments: u64,
         /// Outside the warm-up window.
         measured: bool,
-        /// Issuing tenant (0 for single-tenant replays; serialized
-        /// only when nonzero).
+        /// Issuing tenant (0 for single-tenant replays).
         tenant: u16,
     },
     /// The dedup layer classified and processed a write request.
@@ -165,8 +134,7 @@ pub enum StackEvent {
         disk_index_lookups: u32,
         /// Outside the warm-up window.
         measured: bool,
-        /// Issuing tenant (0 for single-tenant replays; serialized
-        /// only when nonzero).
+        /// Issuing tenant (0 for single-tenant replays).
         tenant: u16,
     },
     /// The iCache repartitioned the DRAM budget between index and read
@@ -233,8 +201,7 @@ pub enum StackEvent {
         write: bool,
         /// Outside the warm-up window.
         measured: bool,
-        /// Issuing tenant (0 for single-tenant replays; serialized
-        /// only when nonzero).
+        /// Issuing tenant (0 for single-tenant replays).
         tenant: u16,
     },
     /// A tenant's admission into the merged serve stream was delayed by
@@ -275,285 +242,6 @@ pub enum StackEvent {
     /// deferred [`LayerLatency`](Self::LayerLatency) events delivered.
     /// Recorders flush partial state on this event.
     Finished,
-}
-
-/// Append `,"tenant":N` when `tenant` is a real (nonzero) tenant id.
-/// Tenant 0 is the single-tenant default and stays off the wire, so
-/// every pre-multi-tenant trace and golden fixture is unchanged.
-fn push_tenant(out: &mut String, tenant: u16) {
-    use std::fmt::Write as _;
-    if tenant != 0 {
-        let _ = write!(out, r#","tenant":{tenant}"#);
-    }
-}
-
-impl StackEvent {
-    /// Append this event as one JSON object to `out`. The inverse of
-    /// [`from_json`](Self::from_json); allocation is fine here — the
-    /// hot path emits events, it never serializes them.
-    pub fn write_json(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        match *self {
-            StackEvent::ReadLookup {
-                hit,
-                measured,
-                tenant,
-            } => {
-                let _ = write!(
-                    out,
-                    r#"{{"ev":"read_lookup","hit":{hit},"measured":{measured}"#
-                );
-                push_tenant(out, tenant);
-                out.push('}');
-            }
-            StackEvent::ReadFragments {
-                fragments,
-                measured,
-                tenant,
-            } => {
-                let _ = write!(
-                    out,
-                    r#"{{"ev":"read_fragments","fragments":{fragments},"measured":{measured}"#
-                );
-                push_tenant(out, tenant);
-                out.push('}');
-            }
-            StackEvent::WriteClassified {
-                category,
-                deduped_blocks,
-                written_blocks,
-                removed,
-                disk_index_lookups,
-                measured,
-                tenant,
-            } => {
-                let _ = write!(
-                    out,
-                    concat!(
-                        r#"{{"ev":"write_classified","category":"{}","deduped_blocks":{},"#,
-                        r#""written_blocks":{},"removed":{},"disk_index_lookups":{},"measured":{}"#
-                    ),
-                    category_tag(category),
-                    deduped_blocks,
-                    written_blocks,
-                    removed,
-                    disk_index_lookups,
-                    measured
-                );
-                push_tenant(out, tenant);
-                out.push('}');
-            }
-            StackEvent::Repartition {
-                index_bytes,
-                read_bytes,
-                swap_blocks,
-                index_grew,
-            } => {
-                let _ = write!(
-                    out,
-                    concat!(
-                        r#"{{"ev":"repartition","index_bytes":{},"read_bytes":{},"#,
-                        r#""swap_blocks":{},"index_grew":{}}}"#
-                    ),
-                    index_bytes, read_bytes, swap_blocks, index_grew
-                );
-            }
-            StackEvent::BackgroundScan {
-                scanned_chunks,
-                deduped_chunks,
-            } => {
-                let _ = write!(
-                    out,
-                    r#"{{"ev":"background_scan","scanned_chunks":{scanned_chunks},"deduped_chunks":{deduped_chunks}}}"#
-                );
-            }
-            StackEvent::Swap { blocks } => {
-                let _ = write!(out, r#"{{"ev":"swap","blocks":{blocks}}}"#);
-            }
-            StackEvent::FaultInjected { kind, delay_us } => {
-                let _ = write!(
-                    out,
-                    r#"{{"ev":"fault_injected","kind":"{}","delay_us":{delay_us}}}"#,
-                    kind.name()
-                );
-            }
-            StackEvent::Recovered {
-                kind,
-                repaired_entries,
-            } => {
-                let _ = write!(
-                    out,
-                    r#"{{"ev":"recovered","kind":"{}","repaired_entries":{repaired_entries}}}"#,
-                    kind.name()
-                );
-            }
-            StackEvent::LayerLatency { layer, us } => {
-                let _ = write!(
-                    out,
-                    r#"{{"ev":"layer_latency","layer":"{}","us":{us}}}"#,
-                    layer.name()
-                );
-            }
-            StackEvent::Snapshot { ref snap } => {
-                out.push_str(r#"{"ev":"snapshot","#);
-                snap.push_json_fields(out);
-                out.push('}');
-            }
-            StackEvent::RequestDone {
-                write,
-                measured,
-                tenant,
-            } => {
-                let _ = write!(
-                    out,
-                    r#"{{"ev":"request_done","write":{write},"measured":{measured}"#
-                );
-                push_tenant(out, tenant);
-                out.push('}');
-            }
-            StackEvent::ThrottleWait { tenant, us } => {
-                let _ = write!(out, r#"{{"ev":"throttle_wait","us":{us}"#);
-                push_tenant(out, tenant);
-                out.push('}');
-            }
-            StackEvent::QuotaEviction {
-                tenant,
-                victims,
-                index_bytes,
-            } => {
-                let _ = write!(
-                    out,
-                    r#"{{"ev":"quota_eviction","victims":{victims},"index_bytes":{index_bytes}"#
-                );
-                push_tenant(out, tenant);
-                out.push('}');
-            }
-            StackEvent::HostPhase { phase, ns } => {
-                let _ = write!(
-                    out,
-                    r#"{{"ev":"host_phase","phase":"{}","ns":{ns}}}"#,
-                    phase.name()
-                );
-            }
-            StackEvent::Finished => out.push_str(r#"{"ev":"finished"}"#),
-        }
-    }
-
-    /// This event as a standalone JSON object.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        self.write_json(&mut s);
-        s
-    }
-
-    /// Parse an event from the JSON produced by
-    /// [`write_json`](Self::write_json).
-    pub fn from_json(s: &str) -> Result<StackEvent, String> {
-        let v = json::parse(s)?;
-        let field = |k: &str| v.get(k).ok_or_else(|| format!("missing field {k:?}"));
-        let num = |k: &str| {
-            field(k)?
-                .as_u64()
-                .ok_or_else(|| format!("bad number {k:?}"))
-        };
-        let flag = |k: &str| field(k)?.as_bool().ok_or_else(|| format!("bad bool {k:?}"));
-        // Absent on every pre-multi-tenant trace: default to tenant 0.
-        let tenant = || -> Result<u16, String> {
-            match v.get("tenant") {
-                None => Ok(0),
-                Some(t) => t
-                    .as_u64()
-                    .filter(|&t| t <= u16::MAX as u64)
-                    .map(|t| t as u16)
-                    .ok_or_else(|| "bad tenant id".to_string()),
-            }
-        };
-        let tag = field("ev")?.as_str().ok_or("bad event tag")?;
-        Ok(match tag {
-            "read_lookup" => StackEvent::ReadLookup {
-                hit: flag("hit")?,
-                measured: flag("measured")?,
-                tenant: tenant()?,
-            },
-            "read_fragments" => StackEvent::ReadFragments {
-                fragments: num("fragments")?,
-                measured: flag("measured")?,
-                tenant: tenant()?,
-            },
-            "write_classified" => StackEvent::WriteClassified {
-                category: field("category")?
-                    .as_str()
-                    .and_then(category_from_tag)
-                    .ok_or("bad category")?,
-                deduped_blocks: num("deduped_blocks")? as u32,
-                written_blocks: num("written_blocks")? as u32,
-                removed: flag("removed")?,
-                disk_index_lookups: num("disk_index_lookups")? as u32,
-                measured: flag("measured")?,
-                tenant: tenant()?,
-            },
-            "repartition" => StackEvent::Repartition {
-                index_bytes: num("index_bytes")?,
-                read_bytes: num("read_bytes")?,
-                swap_blocks: num("swap_blocks")?,
-                index_grew: flag("index_grew")?,
-            },
-            "background_scan" => StackEvent::BackgroundScan {
-                scanned_chunks: num("scanned_chunks")?,
-                deduped_chunks: num("deduped_chunks")?,
-            },
-            "swap" => StackEvent::Swap {
-                blocks: num("blocks")?,
-            },
-            "fault_injected" => StackEvent::FaultInjected {
-                kind: field("kind")?
-                    .as_str()
-                    .and_then(FaultKind::from_name)
-                    .ok_or("bad fault kind")?,
-                delay_us: num("delay_us")?,
-            },
-            "recovered" => StackEvent::Recovered {
-                kind: field("kind")?
-                    .as_str()
-                    .and_then(FaultKind::from_name)
-                    .ok_or("bad fault kind")?,
-                repaired_entries: num("repaired_entries")?,
-            },
-            "layer_latency" => StackEvent::LayerLatency {
-                layer: field("layer")?
-                    .as_str()
-                    .and_then(Layer::from_name)
-                    .ok_or("bad layer")?,
-                us: num("us")?,
-            },
-            "snapshot" => StackEvent::Snapshot {
-                snap: StateSnapshot::from_json_obj(&v)?,
-            },
-            "request_done" => StackEvent::RequestDone {
-                write: flag("write")?,
-                measured: flag("measured")?,
-                tenant: tenant()?,
-            },
-            "throttle_wait" => StackEvent::ThrottleWait {
-                tenant: tenant()?,
-                us: num("us")?,
-            },
-            "quota_eviction" => StackEvent::QuotaEviction {
-                tenant: tenant()?,
-                victims: num("victims")?,
-                index_bytes: num("index_bytes")?,
-            },
-            "host_phase" => StackEvent::HostPhase {
-                phase: field("phase")?
-                    .as_str()
-                    .and_then(crate::prof::ProfPhase::from_name)
-                    .ok_or("bad prof phase")?,
-                ns: num("ns")?,
-            },
-            "finished" => StackEvent::Finished,
-            other => return Err(format!("unknown event tag {other:?}")),
-        })
-    }
 }
 
 /// Receives every [`StackEvent`] the stack emits. The default
@@ -1115,161 +803,6 @@ mod tests {
     }
 
     #[test]
-    fn events_round_trip_through_json() {
-        let events = [
-            StackEvent::ReadLookup {
-                hit: true,
-                measured: false,
-                tenant: 0,
-            },
-            StackEvent::ReadLookup {
-                hit: false,
-                measured: true,
-                tenant: 3,
-            },
-            StackEvent::ReadFragments {
-                fragments: 9,
-                measured: true,
-                tenant: 0,
-            },
-            StackEvent::ReadFragments {
-                fragments: 2,
-                measured: true,
-                tenant: 17,
-            },
-            StackEvent::WriteClassified {
-                category: ClassKind::ContiguousPartial,
-                deduped_blocks: 3,
-                written_blocks: 5,
-                removed: false,
-                disk_index_lookups: 2,
-                measured: true,
-                tenant: 0,
-            },
-            StackEvent::WriteClassified {
-                category: ClassKind::Unique,
-                deduped_blocks: 0,
-                written_blocks: 8,
-                removed: false,
-                disk_index_lookups: 1,
-                measured: false,
-                tenant: 65535,
-            },
-            StackEvent::Repartition {
-                index_bytes: 1 << 20,
-                read_bytes: 3 << 20,
-                swap_blocks: 256,
-                index_grew: true,
-            },
-            StackEvent::BackgroundScan {
-                scanned_chunks: 64,
-                deduped_chunks: 16,
-            },
-            StackEvent::Swap { blocks: 128 },
-            StackEvent::FaultInjected {
-                kind: FaultKind::TornWrite,
-                delay_us: 500,
-            },
-            StackEvent::Recovered {
-                kind: FaultKind::Crash,
-                repaired_entries: 42,
-            },
-            StackEvent::LayerLatency {
-                layer: Layer::Disk,
-                us: 412,
-            },
-            StackEvent::Snapshot {
-                snap: {
-                    let mut s = StateSnapshot {
-                        seq: 2,
-                        requests: 800,
-                        ..Default::default()
-                    };
-                    s.icache.index_per_mille = 750;
-                    s.dedup.index.heat[3] = 11;
-                    s.dedup.map.fan_in[1] = 4;
-                    s
-                },
-            },
-            StackEvent::RequestDone {
-                write: true,
-                measured: true,
-                tenant: 0,
-            },
-            StackEvent::RequestDone {
-                write: false,
-                measured: true,
-                tenant: 5,
-            },
-            StackEvent::ThrottleWait { tenant: 0, us: 40 },
-            StackEvent::ThrottleWait { tenant: 6, us: 500 },
-            StackEvent::QuotaEviction {
-                tenant: 0,
-                victims: 12,
-                index_bytes: 1 << 20,
-            },
-            StackEvent::QuotaEviction {
-                tenant: 3,
-                victims: 256,
-                index_bytes: 64 << 10,
-            },
-            StackEvent::HostPhase {
-                phase: crate::prof::ProfPhase::CacheLookup,
-                ns: 0,
-            },
-            StackEvent::HostPhase {
-                phase: crate::prof::ProfPhase::DiskRun,
-                ns: 123_456_789,
-            },
-            StackEvent::Finished,
-        ];
-        for ev in events {
-            let s = ev.to_json();
-            let back = StackEvent::from_json(&s).expect("parse back");
-            assert_eq!(back, ev, "round trip of {s}");
-        }
-    }
-
-    #[test]
-    fn tenant_zero_stays_off_the_wire() {
-        // The single-tenant default serializes exactly as it did before
-        // tenant attribution existed — old traces and golden fixtures
-        // parse and compare unchanged.
-        let ev = StackEvent::RequestDone {
-            write: true,
-            measured: true,
-            tenant: 0,
-        };
-        assert_eq!(
-            ev.to_json(),
-            r#"{"ev":"request_done","write":true,"measured":true}"#
-        );
-        let tagged = StackEvent::RequestDone {
-            write: true,
-            measured: true,
-            tenant: 4,
-        };
-        assert_eq!(
-            tagged.to_json(),
-            r#"{"ev":"request_done","write":true,"measured":true,"tenant":4}"#
-        );
-        // Absent field parses as tenant 0; an out-of-range id errors.
-        assert_eq!(
-            StackEvent::from_json(r#"{"ev":"read_lookup","hit":true,"measured":false}"#)
-                .expect("legacy event"),
-            StackEvent::ReadLookup {
-                hit: true,
-                measured: false,
-                tenant: 0
-            }
-        );
-        assert!(StackEvent::from_json(
-            r#"{"ev":"request_done","write":true,"measured":true,"tenant":70000}"#
-        )
-        .is_err());
-    }
-
-    #[test]
     fn counters_absorb_sums_every_field() {
         let mut a = StackCounters::default();
         a.on_event(&StackEvent::ReadLookup {
@@ -1297,52 +830,18 @@ mod tests {
     }
 
     #[test]
-    fn from_json_rejects_malformed_events() {
-        assert!(StackEvent::from_json(r#"{"ev":"unknown"}"#).is_err());
-        assert!(
-            StackEvent::from_json(r#"{"ev":"swap"}"#).is_err(),
-            "missing field"
-        );
-        assert!(StackEvent::from_json(r#"{"ev":"layer_latency","layer":"ssd","us":1}"#).is_err());
-        assert!(
-            StackEvent::from_json(r#"{"ev":"fault_injected","kind":"meteor","delay_us":1}"#)
-                .is_err(),
-            "unknown fault kind"
-        );
-        assert!(
-            StackEvent::from_json(r#"{"ev":"recovered","kind":"crash"}"#).is_err(),
-            "recovered missing repaired_entries"
-        );
-        assert!(
-            StackEvent::from_json(r#"{"ev":"snapshot","seq":0}"#).is_err(),
-            "snapshot missing its gauge fields"
-        );
-        assert!(
-            StackEvent::from_json(r#"{"ev":"host_phase","phase":"teleport","ns":1}"#).is_err(),
-            "unknown prof phase"
-        );
-        assert!(StackEvent::from_json("not json").is_err());
-    }
-
-    #[test]
-    fn category_tags_are_stable() {
-        for kind in [
-            ClassKind::FullyRedundantSequential,
-            ClassKind::ScatteredPartial,
-            ClassKind::ContiguousPartial,
-            ClassKind::Unique,
-        ] {
-            assert_eq!(category_from_tag(category_tag(kind)), Some(kind));
-        }
-        assert_eq!(category_from_tag("cat4"), None);
-    }
-
-    #[test]
     fn fault_kind_tags_are_stable() {
-        for kind in FaultKind::ALL {
-            assert_eq!(FaultKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(FaultKind::from_name("meteor"), None);
+        assert_eq!(
+            FaultKind::ALL.map(FaultKind::name),
+            [
+                "read_error",
+                "write_error",
+                "latency_spike",
+                "torn_write",
+                "crash",
+                "corruption"
+            ]
+        );
     }
 
     #[test]
@@ -1387,19 +886,5 @@ mod tests {
         sum.absorb(&a);
         assert_eq!((sum.throttle_waits, sum.throttle_wait_us), (4, 2000));
         assert_eq!((sum.quota_evictions, sum.quota_evicted_fps), (2, 64));
-        // Tenant 0 stays off the wire for the new events too.
-        assert_eq!(
-            StackEvent::ThrottleWait { tenant: 0, us: 9 }.to_json(),
-            r#"{"ev":"throttle_wait","us":9}"#
-        );
-        assert_eq!(
-            StackEvent::QuotaEviction {
-                tenant: 2,
-                victims: 1,
-                index_bytes: 8
-            }
-            .to_json(),
-            r#"{"ev":"quota_eviction","victims":1,"index_bytes":8,"tenant":2}"#
-        );
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Everything else in `pod_core::obs` measures **simulated** time: the
 //! `LayerLatency` events carry microseconds of modelled disk seeks and
-//! hash latency, and the layer shares in `BENCH_*.json` are derived
+//! hash latency, and the layer shares in every report are derived
 //! from them. This module measures the other axis — **real host
 //! nanoseconds** spent inside each phase of the replay loop — because
 //! the two disagree in practice: the disk layer can claim 97% of
@@ -24,11 +24,9 @@
 //!   every report stays byte-identical — the golden fixtures never see
 //!   host time.
 //!
-//! [`HostProfile`] serializes through the shared hand-rolled JSON
-//! module and renders folded stacks (`pod;<layer>;<phase> <ns>`) for
-//! flamegraph tooling.
+//! [`HostProfile`] renders folded stacks (`pod;<layer>;<phase> <ns>`)
+//! for flamegraph tooling.
 
-use crate::obs::json::{self, Json};
 use crate::obs::{StackEvent, StackObserver};
 
 /// The monotonic stamp source behind [`ProfTimer`].
@@ -384,91 +382,6 @@ impl HostProfile {
         }
     }
 
-    /// Append the profile as a JSON object. Phases that recorded
-    /// nothing are omitted; trailing zero buckets are trimmed.
-    pub fn write_json(&self, out: &mut String) {
-        out.push_str(r#"{"phases":{"#);
-        let mut first = true;
-        for phase in ProfPhase::ALL {
-            let agg = self.phase(phase);
-            if agg.count == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            json::push_str_escaped(out, phase.name());
-            out.push_str(&format!(
-                r#":{{"count":{},"total_ns":{},"buckets":["#,
-                agg.count, agg.total_ns
-            ));
-            let last = agg
-                .buckets
-                .iter()
-                .rposition(|&b| b != 0)
-                .map_or(0, |i| i + 1);
-            for (i, b) in agg.buckets[..last].iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&b.to_string());
-            }
-            out.push_str("]}");
-        }
-        out.push_str("}}");
-    }
-
-    /// The profile as a standalone JSON string.
-    pub fn to_json_string(&self) -> String {
-        let mut s = String::new();
-        self.write_json(&mut s);
-        s
-    }
-
-    /// Parse a profile previously written by
-    /// [`write_json`](Self::write_json).
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        Self::from_json_value(&json::parse(s)?)
-    }
-
-    /// Parse a profile from an already-parsed JSON value.
-    pub fn from_json_value(v: &Json) -> Result<Self, String> {
-        let phases = match v.get("phases") {
-            Some(Json::Obj(pairs)) => pairs,
-            _ => return Err("profile missing phases object".into()),
-        };
-        let mut out = HostProfile::new();
-        for (name, agg) in phases {
-            let phase =
-                ProfPhase::from_name(name).ok_or_else(|| format!("unknown phase {name:?}"))?;
-            let count = agg
-                .get("count")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("phase {name}: bad count"))?;
-            let total_ns = agg
-                .get("total_ns")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("phase {name}: bad total_ns"))?;
-            let buckets = agg
-                .get("buckets")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("phase {name}: bad buckets"))?;
-            if buckets.len() > PROF_BUCKETS {
-                return Err(format!("phase {name}: {} buckets", buckets.len()));
-            }
-            let slot = &mut out.phases[phase.index()];
-            slot.count = count;
-            slot.total_ns = total_ns;
-            for (i, b) in buckets.iter().enumerate() {
-                slot.buckets[i] = b
-                    .as_u64()
-                    .ok_or_else(|| format!("phase {name}: bad bucket {i}"))?;
-            }
-        }
-        Ok(out)
-    }
-
     /// Append the profile as folded stacks — one
     /// `pod;<layer>;<phase> <total_ns>` line per non-empty phase, the
     /// input format of standard flamegraph tooling.
@@ -566,19 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips() {
-        let p = sample_profile();
-        let back = HostProfile::from_json(&p.to_json_string()).expect("parse");
-        assert_eq!(back, p);
-        // Empty profile too.
-        let empty = HostProfile::new();
-        assert_eq!(
-            HostProfile::from_json(&empty.to_json_string()).expect("parse"),
-            empty
-        );
-    }
-
-    #[test]
     fn layer_shares_sum_to_one() {
         let p = sample_profile();
         let sum: f64 = p.layer_shares().iter().map(|(_, s)| s).sum();
@@ -595,8 +495,8 @@ mod tests {
         let mut folded = String::new();
         p.write_folded(&mut folded);
         let stacks = HostProfile::parse_folded(&folded).expect("parse");
-        // `observe` recorded one zero-ns scope: present in JSON (count
-        // 1) and in the folded output with a 0 sample.
+        // `observe` recorded one zero-ns scope: present in the folded
+        // output with a 0 sample.
         assert_eq!(stacks.len(), 4);
         let total: u64 = stacks.iter().map(|(_, ns)| ns).sum();
         assert_eq!(total, p.total_ns());

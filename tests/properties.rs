@@ -659,77 +659,13 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Experiment store: JSONL round trip through the shared JSON parser.
-// ---------------------------------------------------------------------
-
-/// Arbitrary label exercising the JSON escaper: quotes, backslashes,
-/// control characters and non-ASCII all have to survive the trip.
-fn arb_label() -> impl Strategy<Value = String> {
-    proptest::collection::vec(0usize..10, 1..12).prop_map(|picks| {
-        const CHARS: [char; 10] = ['a', 'Z', '0', '-', '_', '.', '"', '\\', '\n', 'µ'];
-        picks.into_iter().map(|i| CHARS[i]).collect()
-    })
-}
-
-/// Per-rep wall samples: finite positive seconds (generated as integer
-/// microseconds so the f64s have short exact decimal forms and the
-/// statistics below are well-conditioned).
-fn arb_samples() -> impl Strategy<Value = Vec<f64>> {
-    proptest::collection::vec(1u64..30_000_000, 1..8)
-        .prop_map(|us| us.into_iter().map(|u| u as f64 / 1e6).collect())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-    #[test]
-    fn store_record_jsonl_roundtrips(
-        commit in arb_label(),
-        trace in arb_label(),
-        scheme in arb_label(),
-        requests in any::<u32>(),
-        samples in arb_samples(),
-        rps in 1u64..100_000_000,
-        shares in proptest::option::of(proptest::collection::vec(0u64..1_000_000, 4..5)),
-    ) {
-        use pod_bench::store::StoreRecord;
-        let host_shares = shares.map(|s| {
-            let total: u64 = s.iter().sum::<u64>().max(1);
-            [
-                s[0] as f64 / total as f64,
-                s[1] as f64 / total as f64,
-                s[2] as f64 / total as f64,
-                s[3] as f64 / total as f64,
-            ]
-        });
-        let rec = StoreRecord {
-            commit,
-            date: "2026-08-07".into(),
-            trace,
-            scheme,
-            config_hash: pod_bench::store::config_hash(0.02, samples.len()),
-            requests: requests as u64,
-            samples,
-            rps: rps as f64 / 1e3,
-            host_shares,
-        };
-        let line = rec.to_jsonl();
-        prop_assert!(!line.contains('\n'), "JSONL line must be newline-free");
-        let back = StoreRecord::from_jsonl(&line).expect("store line parses back");
-        prop_assert_eq!(&back, &rec);
-        // Derived statistics are well-defined for any stored record.
-        prop_assert!(back.wall_min_s() <= back.wall_median_s());
-        prop_assert!(back.wall_ci95_s() >= 0.0);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Host profile: JSON and folded-stack round trips.
+// Host profile: folded-stack round trip.
 // ---------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
-    fn host_profile_json_and_folded_roundtrip(
+    fn host_profile_folded_roundtrip(
         scopes in proptest::collection::vec((0usize..9, 0u64..5_000_000_000), 0..200),
     ) {
         use pod::core::{HostProfile, ProfPhase};
@@ -737,9 +673,6 @@ proptest! {
         for (idx, ns) in &scopes {
             prof.record(ProfPhase::ALL[*idx], *ns);
         }
-        // JSON: exact round trip, including bucket histograms.
-        let back = HostProfile::from_json(&prof.to_json_string()).expect("profile parses back");
-        prop_assert_eq!(&back, &prof);
         // Folded stacks: per-phase totals survive, frames are
         // `pod;<layer>;<phase>`, grand total is conserved.
         let mut folded = String::new();
