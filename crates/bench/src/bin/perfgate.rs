@@ -249,6 +249,8 @@ struct ServeEntry {
     jobs_per_sec: f64,
 }
 
+/// Seed of every generated workload here.
+const BENCH_SEED: u64 = 42;
 /// Tenants in the serve sweep; shards sweep 1→8 over them.
 const SERVE_TENANTS: usize = 8;
 const SERVE_SHARDS: [usize; 4] = [1, 2, 4, 8];
@@ -263,7 +265,7 @@ fn serve_bench(scale: f64, reps: usize) -> Vec<ServeEntry> {
     let fleet = pod_trace::derive_tenants(
         &TraceProfile::mail().scaled(scale),
         SERVE_TENANTS,
-        pod_bench::BENCH_SEED,
+        BENCH_SEED,
     );
     let cfg = SystemConfig::paper_default();
     let mut out = Vec::new();
@@ -350,12 +352,12 @@ fn tier_bench(scale: f64) -> Vec<TierEntry> {
     let mut fleet = pod_trace::derive_tenants(
         &TraceProfile::mail().scaled(scale),
         SERVE_TENANTS / 2,
-        pod_bench::BENCH_SEED,
+        BENCH_SEED,
     );
     fleet.extend(pod_trace::derive_tenants(
         &TraceProfile::web_vm().scaled(scale),
         SERVE_TENANTS / 2,
-        pod_bench::BENCH_SEED + 1,
+        BENCH_SEED + 1,
     ));
     let mut out = Vec::new();
     for (name, policy) in [
@@ -429,9 +431,7 @@ fn tier_gate(tier: &[TierEntry], report_only: bool) {
 /// trace under POD, so the disk microbenches sit next to the replay
 /// they are a layer of.
 fn disk_replay_entry(scale: f64, reps: usize) -> DiskEntry {
-    let trace = TraceProfile::mail()
-        .scaled(scale)
-        .generate(pod_bench::BENCH_SEED);
+    let trace = TraceProfile::mail().scaled(scale).generate(BENCH_SEED);
     let best = best_of(reps, || {
         let t0 = Instant::now();
         Scheme::Pod

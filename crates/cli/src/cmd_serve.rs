@@ -7,6 +7,7 @@
 //! spans and the aggregate service rate go to stderr.
 
 use crate::args::CliArgs;
+use crate::cmd_replay::render_verify;
 use pod_core::serve::{ServeBuilder, ServeReport};
 use pod_trace::derive_tenants;
 
@@ -36,7 +37,8 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
     let mut builder = ServeBuilder::new(args.scheme)
         .config(cfg)
         .tenants(&tenants)
-        .shards(args.shards);
+        .shards(args.shards)
+        .verify(args.verify);
     if let Some(jobs) = args.jobs {
         builder = builder.jobs(jobs);
     }
@@ -56,6 +58,13 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
     }
 
     print!("{}", render_report(&rep));
+    // `--verify`: one oracle block per tenant, after the report text
+    // (which must stay as it is: the harness compares it).
+    for t in &rep.tenants {
+        if let Some(integ) = &t.report.integrity {
+            println!("\ntenant {}\n{}", t.tenant, render_verify(integ));
+        }
+    }
 
     // Wall-clock accounting: the only non-deterministic output.
     for s in &rep.shard_stats {
@@ -72,6 +81,15 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
         rep.critical_path_us() as f64 / 1e6,
         rep.jobs_per_sec()
     );
+    for t in &rep.tenants {
+        if let Some(integ) = t.report.integrity.as_ref().filter(|i| !i.passed()) {
+            return Err(format!(
+                "integrity verification failed: tenant {}: {}",
+                t.tenant,
+                integ.summary()
+            ));
+        }
+    }
     Ok(())
 }
 

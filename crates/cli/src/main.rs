@@ -10,6 +10,7 @@
 //! pod-cli profile  Full-Dedupe mail            # host wall-clock breakdown
 //! pod-cli compare  --profile mail --scale 0.05 # all five schemes
 //! pod-cli serve    --tenants 4 --shards 2 --jobs 2   # sharded multi-tenant engine
+//! pod-cli serve    --tenants 4 --shards 2 --verify   # + one oracle verdict per tenant
 //! pod-cli stats    --in pod.jsonl              # render an event trace
 //! pod-cli monitor  --scheme pod --headless     # live dashboard / final frame
 //! pod-cli figures  --in pod.jsonl --out figs/  # per-epoch paper-figure CSVs
@@ -56,6 +57,10 @@ fn main() {
             usage_and_exit(2);
         }
     };
+    if args.verify && !matches!(cmd.as_str(), "replay" | "serve") {
+        eprintln!("error: --verify applies to replay and serve");
+        usage_and_exit(2);
+    }
     let result = match cmd.as_str() {
         "gen" => cmd_gen::run(&args),
         "analyze" => cmd_analyze::run(&args),
@@ -109,7 +114,7 @@ fn usage_and_exit(code: i32) -> ! {
          \x20 --faults <spec>                 `replay`: inject faults — transient[:seed],\n\
          \x20                                 latency[:seed], torn[:seed], crash:<jobs>[:seed],\n\
          \x20                                 corrupt:<lba>, all[:seed]\n\
-         \x20 --verify                        `replay`: run the end-to-end integrity oracle\n\
+         \x20 --verify                        `replay`/`serve`: run the end-to-end integrity oracle\n\
          \x20                                 and fail on any divergent block\n\
          \x20 --tenants <K>                   `serve`: tenant streams derived from the\n\
          \x20                                 profile (seed, seed+1, ...; default 1)\n\

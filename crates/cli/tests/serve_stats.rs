@@ -67,3 +67,54 @@ fn untagged_trace_parses_and_renders_as_before() {
     assert!(!rendered.contains("per-tenant breakdown"), "{rendered}");
     assert!(rendered.contains("== POD / mail (256 requests/epoch"));
 }
+
+fn pod_cli(argv: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_pod-cli"))
+        .args(argv)
+        .output()
+        .expect("spawn pod-cli")
+}
+
+/// `serve --verify` used to be accepted and ignored: no oracle ran, a
+/// corrupted fleet exited 0. Every other command swallowed the flag the
+/// same way.
+#[test]
+fn serve_verify_runs_the_oracle_and_other_commands_reject_the_flag() {
+    const SERVE: [&str; 7] = [
+        "serve",
+        "--tenants",
+        "2",
+        "--shards",
+        "2",
+        "--scale",
+        "0.004",
+    ];
+
+    let out = pod_cli(&[&SERVE[..], &["--verify"]].concat());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "clean fleet: {:?}", out.status);
+    assert_eq!(
+        stdout.matches("integrity oracle: PASS").count(),
+        2,
+        "one PASS block per tenant:\n{stdout}"
+    );
+    assert!(stdout.contains("\ntenant 1\n"), "{stdout}");
+
+    let out = pod_cli(&[&SERVE[..], &["--faults", "corrupt:100", "--verify"]].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "corrupted fleet: {stderr}");
+    let error = stderr
+        .lines()
+        .find(|l| l.starts_with("error:"))
+        .expect("an error line");
+    assert!(
+        error.starts_with("error: integrity verification failed: tenant 0"),
+        "{error}"
+    );
+    assert!(error.contains("lba 100"), "{error}");
+
+    let out = pod_cli(&["monitor", "--headless", "--scale", "0.004", "--verify"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("error: --verify applies to"), "{stderr}");
+}

@@ -602,94 +602,7 @@ impl ServePolicy {
     }
 }
 
-/// Fluent constructor for [`SystemConfig`]: start from a preset,
-/// override whole sub-configs or individual knobs, validate once at
-/// [`build`](ConfigBuilder::build).
-///
-/// ```
-/// use pod_core::{ICacheTuning, SystemConfig};
-///
-/// let cfg = SystemConfig::builder()
-///     .memory_bytes(64 << 20)
-///     .icache(ICacheTuning { epoch_requests: 200, ..Default::default() })
-///     .build()?;
-/// assert_eq!(cfg.icache.epoch_requests, 200);
-/// # Ok::<(), pod_types::PodError>(())
-/// ```
-#[derive(Clone, Debug)]
-pub struct ConfigBuilder {
-    cfg: SystemConfig,
-}
-
-impl ConfigBuilder {
-    /// Continue from an existing configuration.
-    pub fn from_config(cfg: SystemConfig) -> Self {
-        Self { cfg }
-    }
-
-    /// Absolute DRAM budget, bytes (overrides `memory_scale`).
-    pub fn memory_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.memory_bytes = Some(bytes);
-        self
-    }
-
-    /// Scale applied to the trace's paper budget.
-    pub fn memory_scale(mut self, scale: f64) -> Self {
-        self.cfg.memory_scale = scale;
-        self
-    }
-
-    /// Replace the controller service-time model.
-    pub fn latency(mut self, latency: LatencyModel) -> Self {
-        self.cfg.latency = latency;
-        self
-    }
-
-    /// Replace the iCache partition tuning.
-    pub fn icache(mut self, icache: ICacheTuning) -> Self {
-        self.cfg.icache = icache;
-        self
-    }
-
-    /// Replace the post-process cadence.
-    pub fn post_process(mut self, post_process: PostProcess) -> Self {
-        self.cfg.post_process = post_process;
-        self
-    }
-
-    /// Install a fault-injection plan.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.cfg.faults = Some(plan);
-        self
-    }
-
-    /// Warm-up fraction excluded from metrics.
-    pub fn warmup_fraction(mut self, fraction: f64) -> Self {
-        self.cfg.warmup_fraction = fraction;
-        self
-    }
-
-    /// Attach a cross-tenant serve policy.
-    pub fn policy(mut self, policy: ServePolicy) -> Self {
-        self.cfg.policy = Some(policy);
-        self
-    }
-
-    /// Validate and return the configuration.
-    pub fn build(self) -> PodResult<SystemConfig> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 impl SystemConfig {
-    /// Start a [`ConfigBuilder`] from the paper defaults.
-    pub fn builder() -> ConfigBuilder {
-        ConfigBuilder {
-            cfg: Self::paper_default(),
-        }
-    }
-
     /// The paper's evaluation setup (§IV-A/§IV-B).
     pub fn paper_default() -> Self {
         Self {
@@ -968,41 +881,6 @@ mod tests {
         c.policy = Some(ServePolicy::prioritized_tier(2));
         let s = c.summary();
         assert!(s.contains("policy=[tier:2048KiB:1750/250pm]"), "{s}");
-    }
-
-    #[test]
-    fn builder_composes_and_validates() {
-        let cfg = SystemConfig::builder()
-            .memory_bytes(64 << 20)
-            .latency(LatencyModel {
-                hash_workers: 4,
-                ..Default::default()
-            })
-            .icache(ICacheTuning {
-                epoch_requests: 128,
-                ..Default::default()
-            })
-            .post_process(PostProcess {
-                interval: 500,
-                batch: 64,
-            })
-            .policy(ServePolicy::prioritized_tier(8))
-            .build()
-            .expect("valid");
-        assert_eq!(cfg.memory_bytes, Some(64 << 20));
-        assert_eq!(cfg.latency.hash_workers, 4);
-        assert_eq!(cfg.icache.epoch_requests, 128);
-        assert_eq!(cfg.post_process.interval, 500);
-        assert_eq!(
-            cfg.policy.as_ref().map(|p| p.shared_tier_bytes),
-            Some(8 << 20)
-        );
-        // Invalid knobs surface at build(), not at first use.
-        let err = ConfigBuilder::from_config(SystemConfig::test_default())
-            .memory_scale(0.0)
-            .build()
-            .expect_err("invalid");
-        assert!(err.to_string().contains("memory_scale"), "{err}");
     }
 
     #[test]

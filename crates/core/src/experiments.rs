@@ -819,6 +819,25 @@ mod tests {
         assert!(fig2_csv(&rows).starts_with("trace,"));
     }
 
+    /// §II-B: "a larger index cache is beneficial to the write
+    /// performance and a larger read cache is beneficial to the read
+    /// performance" — on the sweep's endpoints.
+    #[test]
+    fn fig3_endpoints_trade_reads_for_writes() {
+        let points = fig3(0.02, 42).expect("replay");
+        let (small_index, big_index) = (&points[0], &points[points.len() - 1]);
+        assert_eq!(small_index.index_fraction, 0.2);
+        assert_eq!(big_index.index_fraction, 0.8);
+        assert!(
+            big_index.write_ms <= small_index.write_ms,
+            "larger index cache must help writes: {points:?}"
+        );
+        assert!(
+            small_index.read_ms <= big_index.read_ms,
+            "larger read cache must help reads: {points:?}"
+        );
+    }
+
     #[test]
     fn table1_matches_paper_claims() {
         let rows = table1(0.01, DEFAULT_SEED).expect("replay");

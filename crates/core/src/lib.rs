@@ -14,7 +14,7 @@
 //!
 //! * [`config`] — [`SystemConfig`]: the paper's testbed configuration
 //!   (4-disk RAID-5, 64 KiB stripe, 32 µs/4 KiB hashing, per-trace DRAM
-//!   budgets) plus every knob the ablation benches sweep.
+//!   budgets) plus every knob the ablation sweeps turn.
 //! * [`scheme`] — [`Scheme`]: Native / Full-Dedupe / iDedup /
 //!   Select-Dedupe / POD (= Select-Dedupe + adaptive iCache).
 //! * [`stack`] — the layered [`StorageStack`]: cache / dedup / disk
@@ -56,25 +56,20 @@ pub mod runner;
 pub mod scheme;
 pub mod serve;
 pub mod stack;
-pub mod testing;
 
 pub use config::{
-    ConfigBuilder, FaultPlan, ICacheTuning, LatencyModel, PostProcess, ServePolicy, SystemConfig,
-    TenantPolicy,
+    FaultPlan, ICacheTuning, LatencyModel, PostProcess, ServePolicy, SystemConfig, TenantPolicy,
 };
 pub use metrics::{LatencyHistogram, Metrics, Timeline};
 pub use obs::{
-    FaultKind, IntoObserverChain, Layer, ObserverChain, StackCounters, StackEvent, StackObserver,
-    StateSnapshot,
+    FaultKind, Layer, ObserverChain, StackCounters, StackEvent, StackObserver, StateSnapshot,
 };
 pub use oracle::{IntegrityDiff, IntegrityReport, OracleObserver, ReferenceModel};
 pub use pool::Executor;
 pub use prof::{HostProfile, ProfPhase, ProfSink};
 pub use runner::{ReplayBuilder, ReplayReport, ReplaySizing};
 pub use scheme::Scheme;
-pub use serve::{
-    ServeAggregate, ServeBuilder, ServeReport, ShardRouter, TenantCapacity, TenantReport,
-};
+pub use serve::{ServeAggregate, ServeBuilder, ServeReport, TenantCapacity, TenantReport};
 pub use stack::{StackSpec, StorageStack};
 
 /// The one-stop import for building and replaying POD schemes.
@@ -93,20 +88,19 @@ pub use stack::{StackSpec, StorageStack};
 /// ```
 pub mod prelude {
     pub use crate::config::{
-        ConfigBuilder, FaultPlan, ICacheTuning, LatencyModel, PostProcess, ServePolicy,
-        SystemConfig, TenantPolicy,
+        FaultPlan, ICacheTuning, LatencyModel, PostProcess, ServePolicy, SystemConfig, TenantPolicy,
     };
     pub use crate::metrics::{LatencyHistogram, Metrics, Timeline};
     pub use crate::obs::{
-        FaultKind, IntoObserverChain, Layer, LayerHistograms, ObserverChain, StackCounters,
-        StackEvent, StackObserver, StateSnapshot, TraceRecorder,
+        FaultKind, Layer, LayerHistograms, ObserverChain, StackCounters, StackEvent, StackObserver,
+        StateSnapshot, TraceRecorder,
     };
     pub use crate::oracle::{IntegrityDiff, IntegrityReport, OracleObserver, ReferenceModel};
     pub use crate::prof::{HostProfile, ProfPhase, ProfSink};
     pub use crate::runner::{ReplayBuilder, ReplayReport};
     pub use crate::scheme::Scheme;
     pub use crate::serve::{
-        ServeAggregate, ServeBuilder, ServeReport, ShardRouter, TenantCapacity, TenantReport,
+        ServeAggregate, ServeBuilder, ServeReport, TenantCapacity, TenantReport,
     };
     pub use crate::stack::{StackSpec, StorageStack};
 }

@@ -79,24 +79,6 @@ impl Metrics {
         self.max = self.max.max(other.max);
     }
 
-    /// Sample standard deviation, µs (0 with fewer than two samples).
-    pub fn stddev_us(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let mean = self.mean_us();
-        let var: f64 = self
-            .samples
-            .iter()
-            .map(|&s| {
-                let d = s as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / (self.samples.len() - 1) as f64;
-        var.sqrt()
-    }
-
     /// Log2-bucketed latency histogram of the samples.
     pub fn histogram(&self) -> LatencyHistogram {
         let mut h = LatencyHistogram::default();
@@ -290,18 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn stddev() {
-        let mut m = Metrics::new();
-        for v in [10, 20, 30] {
-            m.record(v);
-        }
-        assert!((m.stddev_us() - 10.0).abs() < 1e-9);
-        let mut one = Metrics::new();
-        one.record(5);
-        assert_eq!(one.stddev_us(), 0.0);
-    }
-
-    #[test]
     fn histogram_buckets_log2() {
         let mut h = LatencyHistogram::default();
         h.record(0); // clamps to bucket 0
@@ -377,7 +347,6 @@ mod tests {
         for p in [0.0, 1.0, 50.0, 99.0, 100.0] {
             assert_eq!(m.percentile_us(p), 7, "p={p}");
         }
-        assert_eq!(m.stddev_us(), 0.0);
     }
 
     #[test]

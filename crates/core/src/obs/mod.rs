@@ -278,11 +278,9 @@ impl<T: StackObserver + Any> ObserverSink for T {
 /// Fan-out of one event stream to the built-in [`StackCounters`] plus
 /// any number of boxed sinks, in attachment order.
 ///
-/// The chain is the concrete observer every stack carries:
-/// [`StorageStack::with_observer`] accepts anything that
-/// [`IntoObserverChain`] covers (a single observer, a tuple, `()`, or
-/// an existing chain) and converts it once at build time. Events then
-/// fan out with no per-event allocation.
+/// The chain is the concrete observer every stack carries, handed to
+/// [`StorageStack::with_observer`] at build time. Events then fan out
+/// with no per-event allocation.
 ///
 /// [`StorageStack::with_observer`]: crate::stack::StorageStack::with_observer
 #[derive(Default)]
@@ -344,12 +342,6 @@ impl ObserverChain {
         let sink = self.sinks.remove(idx);
         Some(*sink.into_any().downcast().expect("type checked above"))
     }
-
-    /// Append every sink of `other` to this chain (its counters are
-    /// discarded — a chain has exactly one counter set).
-    pub fn merge(&mut self, other: ObserverChain) {
-        self.sinks.extend(other.sinks);
-    }
 }
 
 impl std::fmt::Debug for ObserverChain {
@@ -358,53 +350,6 @@ impl std::fmt::Debug for ObserverChain {
             .field("counters", &self.counters)
             .field("sinks", &self.sinks.len())
             .finish()
-    }
-}
-
-/// Conversion into an [`ObserverChain`], the uniform currency of
-/// [`StorageStack::with_observer`]. Implemented for a chain itself, any
-/// single observer, `()` (counters only), and observer tuples up to
-/// arity three.
-///
-/// This is a bespoke trait rather than `Into<ObserverChain>` because a
-/// blanket `impl From<T> for ObserverChain` for every observer would
-/// collide with the reflexive `From` impl in `core`.
-///
-/// [`StorageStack::with_observer`]: crate::stack::StorageStack::with_observer
-pub trait IntoObserverChain {
-    /// Build the chain.
-    fn into_chain(self) -> ObserverChain;
-}
-
-impl IntoObserverChain for ObserverChain {
-    fn into_chain(self) -> ObserverChain {
-        self
-    }
-}
-
-impl IntoObserverChain for () {
-    fn into_chain(self) -> ObserverChain {
-        ObserverChain::new()
-    }
-}
-
-impl<T: StackObserver + Any> IntoObserverChain for T {
-    fn into_chain(self) -> ObserverChain {
-        ObserverChain::new().with(self)
-    }
-}
-
-impl<A: StackObserver + Any, B: StackObserver + Any> IntoObserverChain for (A, B) {
-    fn into_chain(self) -> ObserverChain {
-        ObserverChain::new().with(self.0).with(self.1)
-    }
-}
-
-impl<A: StackObserver + Any, B: StackObserver + Any, C: StackObserver + Any> IntoObserverChain
-    for (A, B, C)
-{
-    fn into_chain(self) -> ObserverChain {
-        ObserverChain::new().with(self.0).with(self.1).with(self.2)
     }
 }
 
@@ -770,29 +715,6 @@ mod tests {
         let second: Tagger = chain.take_sink().expect("second tagger");
         assert_eq!(second.tag, 2);
         assert!(chain.take_sink::<Tagger>().is_none());
-    }
-
-    #[test]
-    fn into_chain_forms() {
-        struct A;
-        struct B;
-        impl StackObserver for A {}
-        impl StackObserver for B {}
-        assert_eq!(().into_chain().len(), 0);
-        assert_eq!(A.into_chain().len(), 1);
-        assert_eq!((A, B).into_chain().len(), 2);
-        assert_eq!((A, B, A).into_chain().len(), 3);
-        let pre = ObserverChain::new().with(A);
-        assert_eq!(pre.into_chain().len(), 1, "chain passes through");
-    }
-
-    #[test]
-    fn chain_merge_keeps_sinks() {
-        struct A;
-        impl StackObserver for A {}
-        let mut base = ObserverChain::new().with(A);
-        base.merge(ObserverChain::new().with(A).with(A));
-        assert_eq!(base.len(), 3);
     }
 
     #[test]

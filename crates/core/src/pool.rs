@@ -13,6 +13,9 @@
 //! their original slots. Output is therefore byte-identical no matter
 //! how many workers run or how the queue interleaves — the determinism
 //! tests in `tests/determinism.rs` lock this in for widths 1, 2, and 8.
+//! The serving engine runs its shard jobs through the same
+//! [`Executor::map`]: an item is a whole shard, and the claiming worker
+//! drives that shard's entire replay before stealing the next one.
 //!
 //! The default width is `std::thread::available_parallelism()`,
 //! overridable process-wide via [`set_default_width`] (the CLI's
@@ -131,86 +134,6 @@ impl Executor {
             .map(|r| r.expect("every item claimed exactly once"))
             .collect()
     }
-
-    /// Like [`Executor::map`], but each item is **moved** into the
-    /// worker that claims it and `f` also receives the item's input
-    /// index. This is the long-lived-worker shape the serving engine
-    /// needs: an item is a whole shard (owning its tenant stacks), and
-    /// the claiming worker drives that shard's entire replay before
-    /// stealing the next one — workers live for the duration of the
-    /// queue, not one short job.
-    ///
-    /// Collection is input-ordered exactly like [`Executor::map`], so
-    /// output is byte-identical at any width provided `f` is
-    /// deterministic per item.
-    ///
-    /// # Panics
-    /// Propagates a panic from any worker.
-    pub fn map_owned<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let width = self.width.min(items.len());
-        if width == 1 {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| f(i, t))
-                .collect();
-        }
-
-        // Ownership handoff: each slot is taken exactly once by the
-        // worker that wins its index at the cursor, so the mutexes are
-        // never contended — they only make the move to another thread
-        // sound.
-        let slots: Vec<std::sync::Mutex<Option<T>>> = items
-            .into_iter()
-            .map(|t| std::sync::Mutex::new(Some(t)))
-            .collect();
-        let cursor = AtomicUsize::new(0);
-        let buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..width)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let slots = &slots;
-                    let f = &f;
-                    s.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(slot) = slots.get(i) else { break };
-                            let item = slot
-                                .lock()
-                                .expect("slot lock poisoned")
-                                .take()
-                                .expect("slot claimed twice");
-                            local.push((i, f(i, item)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("executor worker panicked"))
-                .collect()
-        });
-
-        let mut out: Vec<Option<R>> = Vec::new();
-        out.resize_with(slots.len(), || None);
-        for (i, r) in buckets.into_iter().flatten() {
-            debug_assert!(out[i].is_none(), "item {i} collected twice");
-            out[i] = Some(r);
-        }
-        out.into_iter()
-            .map(|r| r.expect("every item claimed exactly once"))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -263,27 +186,6 @@ mod tests {
             x
         });
         assert_eq!(got, items);
-    }
-
-    #[test]
-    fn map_owned_moves_items_and_keeps_order() {
-        // A non-Clone, non-Sync payload proves ownership really moves.
-        struct Payload(std::cell::Cell<u64>);
-        for width in [1, 2, 8] {
-            let items: Vec<Payload> = (0..40).map(|i| Payload(std::cell::Cell::new(i))).collect();
-            let got = Executor::with_width(width).map_owned(items, |i, p| {
-                assert_eq!(p.0.get(), i as u64, "index matches the item");
-                p.0.get() * 3
-            });
-            let want: Vec<u64> = (0..40).map(|i| i * 3).collect();
-            assert_eq!(got, want, "width {width}");
-        }
-    }
-
-    #[test]
-    fn map_owned_empty_input() {
-        let out: Vec<u32> = Executor::with_width(4).map_owned(Vec::<u32>::new(), |_, x| x);
-        assert!(out.is_empty());
     }
 
     #[test]

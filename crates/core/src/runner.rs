@@ -18,7 +18,7 @@
 
 use crate::config::SystemConfig;
 use crate::metrics::{Metrics, Timeline};
-use crate::obs::{IntoObserverChain, ObserverChain, StackCounters, TraceRecorder};
+use crate::obs::{ObserverChain, StackCounters, StackObserver, TraceRecorder};
 use crate::oracle::{IntegrityReport, OracleObserver};
 use crate::prof::{HostProfile, ProfSink};
 use crate::scheme::Scheme;
@@ -28,6 +28,7 @@ use pod_dedup::engine::EngineCounters;
 use pod_disk::engine::DiskStats;
 use pod_trace::Trace;
 use pod_types::{IoRequest, PodError, PodResult, SimDuration};
+use std::any::Any;
 
 /// Result of replaying one trace through one scheme.
 #[derive(Debug, Clone)]
@@ -62,7 +63,7 @@ pub struct ReplayReport {
     /// Final index-cache share of the memory budget.
     pub final_index_fraction: f64,
     /// The full structured counter stream from the replay's
-    /// [`StackObserver`](crate::stack::StackObserver) — everything the
+    /// [`StackObserver`] — everything the
     /// derived rates above were computed from.
     pub stack: StackCounters,
     /// Mean response time per arrival-time window (60 windows across the
@@ -402,13 +403,10 @@ impl<'t> ReplayBuilder<'t> {
         }
     }
 
-    /// Attach observers: a single [`StackObserver`], a tuple of up to
-    /// three, or a pre-built [`ObserverChain`]. May be called several
-    /// times; sinks accumulate in call order.
-    ///
-    /// [`StackObserver`]: crate::obs::StackObserver
-    pub fn observer(mut self, observer: impl IntoObserverChain) -> Self {
-        self.chain.merge(observer.into_chain());
+    /// Attach an observer sink. May be called several times; sinks
+    /// accumulate in call order.
+    pub fn observer(mut self, observer: impl StackObserver + Any) -> Self {
+        self.chain.push(observer);
         self
     }
 
@@ -493,7 +491,6 @@ impl<'t> ReplayBuilder<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::SchemeReplayExt;
     use pod_trace::TraceProfile;
     use pod_types::{Lba, SimTime};
 
@@ -507,7 +504,11 @@ mod tests {
     }
 
     fn replay(s: Scheme, t: &Trace) -> ReplayReport {
-        s.replay_with(t, SystemConfig::test_default())
+        replay_with(s, t, SystemConfig::test_default())
+    }
+
+    fn replay_with(s: Scheme, t: &Trace, cfg: SystemConfig) -> ReplayReport {
+        s.builder().config(cfg).trace(t).run().expect("replay")
     }
 
     #[test]
@@ -582,7 +583,7 @@ mod tests {
         let t = tiny_trace("homes");
         let mut cfg = SystemConfig::test_default();
         cfg.warmup_fraction = 0.5;
-        let rep = Scheme::Native.replay_with(&t, cfg);
+        let rep = replay_with(Scheme::Native, &t, cfg);
         assert!(rep.overall.count() <= t.len() - t.len() / 2 + 1);
     }
 
@@ -591,7 +592,7 @@ mod tests {
         let t = tiny_trace("mail");
         let mut cfg = SystemConfig::test_default();
         cfg.icache.epoch_requests = 100;
-        let rep = Scheme::Pod.replay_with(&t, cfg);
+        let rep = replay_with(Scheme::Pod, &t, cfg);
         assert!(rep.icache_epochs > 0);
         // Select-Dedupe (non-adaptive) never repartitions.
         let fixed = replay(Scheme::SelectDedupe, &t);
@@ -683,7 +684,7 @@ mod tests {
         let mut degraded_cfg = SystemConfig::test_default();
         degraded_cfg.fail_disk = Some(1);
         let healthy = replay(Scheme::Native, &t);
-        let degraded = Scheme::Native.replay_with(&t, degraded_cfg.clone());
+        let degraded = replay_with(Scheme::Native, &t, degraded_cfg.clone());
         assert!(
             degraded.reads.mean_us() >= healthy.reads.mean_us(),
             "reconstruction reads cost: {} vs {}",
@@ -691,7 +692,7 @@ mod tests {
             healthy.reads.mean_us()
         );
         // POD's write elimination still pays off in degraded mode.
-        let degraded_pod = Scheme::Pod.replay_with(&t, degraded_cfg);
+        let degraded_pod = replay_with(Scheme::Pod, &t, degraded_cfg);
         assert!(degraded_pod.overall.mean_us() < degraded.overall.mean_us());
     }
 
@@ -797,7 +798,7 @@ mod tests {
         let t = tiny_trace("mail");
         let mut cfg = SystemConfig::test_default();
         cfg.icache.epoch_requests = 100;
-        let rep = Scheme::Pod.replay_with(&t, cfg.clone());
+        let rep = replay_with(Scheme::Pod, &t, cfg.clone());
         let expected = t.len() as u64 / 100 + u64::from(!(t.len() as u64).is_multiple_of(100));
         assert_eq!(
             rep.stack.snapshots, expected,
@@ -917,7 +918,7 @@ mod tests {
     #[test]
     fn layer_time_totals_are_populated() {
         let t = tiny_trace("mail");
-        let rep = Scheme::Pod.replay_with(&t, SystemConfig::test_default());
+        let rep = replay_with(Scheme::Pod, &t, SystemConfig::test_default());
         assert!(rep.stack.dedup_time_us > 0, "writes hashed inline");
         assert!(rep.stack.disk_time_us > 0, "disk-bound requests exist");
         let share_sum: f64 = crate::obs::Layer::ALL

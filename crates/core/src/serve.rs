@@ -26,14 +26,6 @@
 //! and `--shards` change wall-clock behaviour only. Shard wall-time
 //! spans are reported separately in [`ShardStats`] (they are the only
 //! non-deterministic output, and the CLI keeps them off stdout).
-//!
-//! # LBA routing
-//!
-//! Tenants share one consolidated logical address space laid out by
-//! [`pod_trace::relocation_bases`] (tenant `i`'s region starts at
-//! `bases[i]`). [`ShardRouter`] maps a consolidated LBA back to its
-//! tenant region by binary search and then to the owning shard —
-//! deterministic, allocation-free, O(log K).
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -47,99 +39,29 @@ use crate::runner::{recorder_epoch, replay_stack, BuilderCore, ReplayReport, Ten
 use crate::scheme::Scheme;
 use crate::stack::{SharedTierTask, StackSpec};
 use pod_dedup::engine::EngineCounters;
-use pod_trace::{relocation_bases, Trace};
+use pod_trace::Trace;
 use pod_types::{Fingerprint, Introspect, PodError, PodResult};
 
-/// Deterministic LBA → tenant → shard mapping over the consolidated
-/// address space.
-///
-/// ```
-/// use pod_core::serve::ShardRouter;
-/// use pod_trace::{derive_tenants, TraceProfile};
-///
-/// let tenants = derive_tenants(&TraceProfile::web_vm().scaled(0.002), 4, 9);
-/// let router = ShardRouter::new(&tenants, 2)?;
-/// assert_eq!(router.tenant_of_lba(0), Some(0));
-/// assert_eq!(router.shard_of_tenant(3), 1);
-/// # Ok::<(), pod_types::PodError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct ShardRouter {
-    /// Region base of each tenant plus one trailing end-of-footprint
-    /// element (`len == tenants + 1`).
-    bases: Vec<u64>,
-    shards: usize,
-}
-
-impl ShardRouter {
-    /// Build a router for `shards` shards over `tenants`. Fails when
-    /// either count is zero or there are more shards than tenants (an
-    /// empty shard serves nothing and would silently skew scaling
-    /// numbers).
-    pub fn new(tenants: &[Trace], shards: usize) -> PodResult<Self> {
-        if tenants.is_empty() {
-            return Err(PodError::InvalidConfig(
-                "serve needs at least one tenant".into(),
-            ));
-        }
-        if shards == 0 {
-            return Err(PodError::InvalidConfig(
-                "serve needs at least one shard".into(),
-            ));
-        }
-        if shards > tenants.len() {
-            return Err(PodError::InvalidConfig(format!(
-                "{shards} shards for {} tenants: every shard must own at least one tenant",
-                tenants.len()
-            )));
-        }
-        Ok(Self {
-            bases: relocation_bases(tenants),
-            shards,
-        })
+/// Reject a topology the engine cannot serve: no tenants, no shards, or
+/// more shards than tenants (an empty shard serves nothing and would
+/// silently skew scaling numbers).
+fn check_topology(tenants: usize, shards: usize) -> PodResult<()> {
+    if tenants == 0 {
+        return Err(PodError::InvalidConfig(
+            "serve needs at least one tenant".into(),
+        ));
     }
-
-    /// Number of tenants routed.
-    pub fn tenants(&self) -> usize {
-        self.bases.len() - 1
+    if shards == 0 {
+        return Err(PodError::InvalidConfig(
+            "serve needs at least one shard".into(),
+        ));
     }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
+    if shards > tenants {
+        return Err(PodError::InvalidConfig(format!(
+            "{shards} shards for {tenants} tenants: every shard must own at least one tenant"
+        )));
     }
-
-    /// End of the consolidated address space (blocks).
-    pub fn footprint_blocks(&self) -> u64 {
-        *self.bases.last().expect("bases never empty")
-    }
-
-    /// Tenant whose region contains consolidated LBA `lba`, or `None`
-    /// beyond the footprint.
-    pub fn tenant_of_lba(&self, lba: u64) -> Option<u16> {
-        if lba >= self.footprint_blocks() {
-            return None;
-        }
-        // partition_point: first base strictly greater than lba; the
-        // region owning lba starts one before it.
-        let region = self.bases.partition_point(|&b| b <= lba) - 1;
-        Some(region as u16)
-    }
-
-    /// Shard owning tenant `tenant` (static modulo assignment).
-    pub fn shard_of_tenant(&self, tenant: u16) -> usize {
-        tenant as usize % self.shards
-    }
-
-    /// Shard owning consolidated LBA `lba`.
-    pub fn shard_of_lba(&self, lba: u64) -> Option<usize> {
-        self.tenant_of_lba(lba).map(|t| self.shard_of_tenant(t))
-    }
-
-    /// Tenants assigned to shard `shard`, ascending.
-    pub fn tenants_of_shard(&self, shard: usize) -> impl Iterator<Item = u16> + '_ {
-        (0..self.tenants() as u16).filter(move |&t| self.shard_of_tenant(t) == shard)
-    }
+    Ok(())
 }
 
 /// One tenant's isolated replay outcome within a serve run.
@@ -462,17 +384,19 @@ impl<'t> ServeBuilder<'t> {
                 "ServeBuilder: no tenants set (call .tenants(..) before .run())".into(),
             )
         })?;
-        let router = ShardRouter::new(tenants, self.shards)?;
+        let shards = self.shards;
+        check_topology(tenants.len(), shards)?;
         let spec = self.core.scheme.stack_spec();
 
         // One job per shard: the worker owns its tenants for the whole
-        // run (no hand-offs between workers).
-        let jobs: Vec<ShardJob<'_>> = (0..router.shards())
+        // run (no hand-offs between workers). Tenant `t` runs on shard
+        // `t mod shards`.
+        let jobs: Vec<ShardJob<'_>> = (0..shards)
             .map(|shard| ShardJob {
                 shard,
-                tenants: router
-                    .tenants_of_shard(shard)
-                    .map(|t| (t, &tenants[t as usize]))
+                tenants: (shard..tenants.len())
+                    .step_by(shards)
+                    .map(|t| (t as u16, &tenants[t]))
                     .collect(),
             })
             .collect();
@@ -490,10 +414,10 @@ impl<'t> ServeBuilder<'t> {
             fleet_tenants: tenants.len(),
             observer: self.observer.as_deref(),
         };
-        let outputs = pool.map_owned(jobs, |_, job| run_shard(&ctx, job));
+        let outputs = pool.map(&jobs, |job| run_shard(&ctx, job));
         let outputs: Vec<ShardOutput> = outputs.into_iter().collect::<PodResult<_>>()?;
 
-        let mut tenant_reports: Vec<TenantReport> = Vec::with_capacity(router.tenants());
+        let mut tenant_reports: Vec<TenantReport> = Vec::with_capacity(tenants.len());
         let mut recorders: Vec<(u16, TraceRecorder)> = Vec::new();
         let mut shard_stats = Vec::with_capacity(outputs.len());
         // SPACE-style fleet accounting (policy runs only): the union of
@@ -526,7 +450,7 @@ impl<'t> ServeBuilder<'t> {
         aggregate.tenant_capacity = tenant_capacity;
         let report = ServeReport {
             scheme: spec.name.to_string(),
-            shards: router.shards(),
+            shards,
             tenants: tenant_reports,
             aggregate,
             shard_stats,
@@ -620,7 +544,7 @@ impl TokenBucket {
 }
 
 /// Serve one shard: its tenants back to back, one live stack at a time.
-fn run_shard(ctx: &ShardCtx<'_>, job: ShardJob<'_>) -> PodResult<ShardOutput> {
+fn run_shard(ctx: &ShardCtx<'_>, job: &ShardJob<'_>) -> PodResult<ShardOutput> {
     let started = Instant::now();
     let tenants = job
         .tenants
@@ -747,41 +671,21 @@ mod tests {
     }
 
     #[test]
-    fn router_rejects_bad_topologies() {
+    fn builder_rejects_bad_topologies() {
         let tenants = fleet(2);
-        assert!(ShardRouter::new(&[], 1).is_err(), "zero tenants");
-        assert!(ShardRouter::new(&tenants, 0).is_err(), "zero shards");
-        let err = ShardRouter::new(&tenants, 3).expect_err("shards > tenants");
+        let serve = |tenants: &[Trace], shards: usize| {
+            ServeBuilder::new(Scheme::Pod)
+                .config(SystemConfig::test_default())
+                .tenants(tenants)
+                .shards(shards)
+                .jobs(1)
+                .run()
+        };
+        assert!(serve(&[], 1).is_err(), "zero tenants");
+        assert!(serve(&tenants, 0).is_err(), "zero shards");
+        let err = serve(&tenants, 3).expect_err("shards > tenants");
         assert!(err.to_string().contains("at least one tenant"), "{err}");
-        assert!(ShardRouter::new(&tenants, 2).is_ok());
-    }
-
-    #[test]
-    fn router_maps_lbas_to_tenant_regions() {
-        let tenants = fleet(3);
-        let router = ShardRouter::new(&tenants, 2).expect("router");
-        let bases = relocation_bases(&tenants);
-        assert_eq!(router.tenants(), 3);
-        assert_eq!(router.footprint_blocks(), *bases.last().unwrap());
-        for t in 0..3u16 {
-            assert_eq!(router.tenant_of_lba(bases[t as usize]), Some(t));
-            assert_eq!(
-                router.tenant_of_lba(bases[t as usize + 1] - 1),
-                Some(t),
-                "last block of region {t}"
-            );
-        }
-        assert_eq!(router.tenant_of_lba(router.footprint_blocks()), None);
-        // Modulo shard assignment, and shard_of_lba composes the two.
-        assert_eq!(router.shard_of_tenant(0), 0);
-        assert_eq!(router.shard_of_tenant(1), 1);
-        assert_eq!(router.shard_of_tenant(2), 0);
-        assert_eq!(router.shard_of_lba(bases[2]), Some(0));
-        assert_eq!(
-            router.tenants_of_shard(0).collect::<Vec<_>>(),
-            vec![0u16, 2]
-        );
-        assert_eq!(router.tenants_of_shard(1).collect::<Vec<_>>(), vec![1u16]);
+        assert!(serve(&tenants, 2).is_ok());
     }
 
     #[test]
@@ -835,42 +739,6 @@ mod tests {
         assert!(rep.aggregate.tenant_capacity.is_empty());
         assert_eq!(rep.aggregate.stack.throttle_waits, 0);
         assert_eq!(rep.aggregate.stack.quota_evictions, 0);
-    }
-
-    #[test]
-    fn router_single_tenant_owns_everything() {
-        let tenants = fleet(1);
-        let router = ShardRouter::new(&tenants, 1).expect("router");
-        assert_eq!(router.tenants(), 1);
-        assert_eq!(router.shards(), 1);
-        assert_eq!(router.tenant_of_lba(0), Some(0));
-        assert_eq!(router.tenant_of_lba(router.footprint_blocks() - 1), Some(0));
-        assert_eq!(router.shard_of_lba(0), Some(0));
-        assert_eq!(router.tenants_of_shard(0).collect::<Vec<_>>(), vec![0u16]);
-    }
-
-    #[test]
-    fn router_full_width_gives_each_shard_one_tenant() {
-        let tenants = fleet(4);
-        let router = ShardRouter::new(&tenants, 4).expect("router");
-        for t in 0..4u16 {
-            assert_eq!(router.shard_of_tenant(t), t as usize);
-            assert_eq!(
-                router.tenants_of_shard(t as usize).collect::<Vec<_>>(),
-                vec![t]
-            );
-        }
-    }
-
-    #[test]
-    fn router_lbas_past_the_footprint_route_nowhere() {
-        let tenants = fleet(3);
-        let router = ShardRouter::new(&tenants, 2).expect("router");
-        let end = router.footprint_blocks();
-        for lba in [end, end + 1, end * 2, u64::MAX] {
-            assert_eq!(router.tenant_of_lba(lba), None, "lba {lba}");
-            assert_eq!(router.shard_of_lba(lba), None, "lba {lba}");
-        }
     }
 
     /// Compile-pass regression for the `tenants` lifetime rebinding:

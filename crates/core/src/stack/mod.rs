@@ -54,7 +54,7 @@ pub use spec::{BackgroundKind, CacheKeying, StackSpec};
 pub use crate::obs::{StackCounters, StackObserver};
 
 use crate::config::SystemConfig;
-use crate::obs::{FaultKind, IntoObserverChain, Layer, ObserverChain, StackEvent, StateSnapshot};
+use crate::obs::{FaultKind, Layer, ObserverChain, StackEvent, StateSnapshot};
 use crate::prof::{ProfPhase, ProfTimer};
 use crate::runner::ReplaySizing;
 use pod_dedup::DedupConfig;
@@ -79,8 +79,7 @@ pub struct QosGauges {
 /// background tasks and the observer chain threaded through all of
 /// them.
 ///
-/// Build one per replay with [`StorageStack::build`] (or
-/// [`StorageStack::with_observer`] to attach event sinks), then:
+/// Build one per replay with [`StorageStack::with_observer`], then:
 ///
 /// 1. [`run_until`](Self::run_until) each request's arrival,
 /// 2. [`process_request`](Self::process_request) it,
@@ -131,22 +130,14 @@ pub struct StorageStack {
 
 impl StorageStack {
     /// Compose the stack described by `spec` for one replay of `trace`,
-    /// with the built-in counters only.
-    pub fn build(spec: &StackSpec, cfg: &SystemConfig, trace: &Trace) -> PodResult<Self> {
-        Self::with_observer(spec, cfg, trace, ObserverChain::new())
-    }
-
-    /// Compose the stack described by `spec`, fanning layer events out
-    /// to `observer` — a single [`StackObserver`], a tuple of up to
-    /// three, `()`, or a pre-built [`ObserverChain`] (see
-    /// [`IntoObserverChain`]).
+    /// fanning layer events out to `observer` (an empty chain keeps the
+    /// built-in counters only).
     pub fn with_observer(
         spec: &StackSpec,
         cfg: &SystemConfig,
         trace: &Trace,
-        observer: impl IntoObserverChain,
+        observer: ObserverChain,
     ) -> PodResult<Self> {
-        let observer = observer.into_chain();
         let sizing = ReplaySizing::from_trace(trace);
 
         let geometry = RaidGeometry::new(cfg.raid.clone());

@@ -4,9 +4,9 @@
 //! policies — it is pure data, built once per replay by
 //! [`Scheme::stack_spec`](crate::Scheme::stack_spec). The replay driver
 //! never branches on the scheme again: everything scheme-specific is
-//! resolved here and consumed by [`StorageStack::build`].
+//! resolved here and consumed by [`StorageStack::with_observer`].
 //!
-//! [`StorageStack::build`]: crate::stack::StorageStack::build
+//! [`StorageStack::with_observer`]: crate::stack::StorageStack::with_observer
 
 use pod_dedup::DedupPolicy;
 

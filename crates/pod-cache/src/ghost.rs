@@ -25,8 +25,7 @@ pub struct GhostState {
     pub len: u64,
     /// Key capacity.
     pub capacity: u64,
-    /// Ghost hits pending [`GhostCache::take_hits`] — cumulative when
-    /// the owner never drains the counter.
+    /// Cumulative ghost hits.
     pub hits: u64,
 }
 
@@ -61,14 +60,9 @@ impl<K: Eq + Hash + Clone> GhostCache<K> {
         self.inner.contains(key)
     }
 
-    /// Ghost hits since the last [`GhostCache::take_hits`].
+    /// Cumulative ghost hits.
     pub fn hits(&self) -> u64 {
         self.hits
-    }
-
-    /// Read and reset the epoch hit counter.
-    pub fn take_hits(&mut self) -> u64 {
-        std::mem::take(&mut self.hits)
     }
 
     /// Number of remembered keys.
@@ -140,15 +134,6 @@ mod tests {
         assert!(g.probe(&2));
         assert!(g.probe(&3));
         assert_eq!(g.hits(), 2);
-    }
-
-    #[test]
-    fn take_hits_resets() {
-        let mut g = GhostCache::new(4);
-        g.record_eviction(1u64);
-        g.probe(&1);
-        assert_eq!(g.take_hits(), 1);
-        assert_eq!(g.hits(), 0);
     }
 
     #[test]

@@ -22,8 +22,12 @@ use crate::classify::{
 };
 use crate::index::{IndexState, IndexTable};
 use crate::store::{ChunkStore, MapState};
-use crate::table::FpMap;
+use pod_hash::fnv::FnvBuildHasher;
 use pod_types::{Fingerprint, Introspect, IoRequest, Lba, Pba, PodResult};
+use std::collections::HashMap;
+
+/// Fingerprint → physical block map (the Full-Dedupe on-disk index).
+type FpMap = HashMap<Fingerprint, Pba, FnvBuildHasher>;
 
 /// Which deduplication scheme the engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -389,12 +393,10 @@ impl DedupEngine {
         let expected = cfg.expected_unique_blocks as usize;
         let store = ChunkStore::new(cfg.logical_blocks, cfg.overflow_blocks);
         let index = IndexTable::with_byte_budget_policy(cfg.index_budget_bytes, cfg.index_policy);
-        let disk_index = if expected > 0
-            && matches!(policy, DedupPolicy::FullDedupe | DedupPolicy::PostProcess)
-        {
-            FpMap::with_capacity(expected)
+        let disk_index = if matches!(policy, DedupPolicy::FullDedupe | DedupPolicy::PostProcess) {
+            FpMap::with_capacity_and_hasher(expected, FnvBuildHasher::default())
         } else {
-            FpMap::new()
+            FpMap::default()
         };
         Self {
             policy,
@@ -535,7 +537,7 @@ impl DedupEngine {
                 if self.consults.is_multiple_of(self.cfg.index_page_fault_rate) {
                     disk_lookups += 1;
                 }
-                if let Some(pba) = self.disk_index.get(&fp) {
+                if let Some(&pba) = self.disk_index.get(&fp) {
                     cand = Some(pba);
                     // Promote into the hot index.
                     if let Some(v) = self.index.insert(fp, pba) {
@@ -730,7 +732,7 @@ impl DedupEngine {
                 continue;
             }
             pbas.push(current);
-            match self.disk_index.get(&fp) {
+            match self.disk_index.get(&fp).copied() {
                 // A canonical copy exists elsewhere and is still live
                 // and identical: remap and free the duplicate.
                 Some(canon) if canon != current && self.store.content_at(canon) == Some(fp) => {

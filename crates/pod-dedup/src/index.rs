@@ -299,13 +299,6 @@ impl IndexTable {
         }
         heat
     }
-
-    /// Reset the statistics counters (start of an iCache epoch).
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-        self.inserts = 0;
-    }
 }
 
 impl pod_types::Introspect for IndexTable {
@@ -481,16 +474,5 @@ mod tests {
         small.insert(fp(2), Pba::new(2));
         assert_eq!(small.introspect().evictions, 1);
         assert_eq!(small.introspect().heat.iter().sum::<u64>(), 1);
-    }
-
-    #[test]
-    fn stats_reset() {
-        let mut t = IndexTable::new(2);
-        t.insert(fp(1), Pba::new(1));
-        t.query(&fp(1));
-        t.query(&fp(2));
-        assert_eq!(t.stats(), (1, 1, 1));
-        t.reset_stats();
-        assert_eq!(t.stats(), (0, 0, 0));
     }
 }

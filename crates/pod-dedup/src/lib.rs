@@ -31,7 +31,6 @@ pub mod engine;
 pub mod index;
 pub mod journal;
 pub mod store;
-pub mod table;
 
 pub use classify::{classify_for_select, ChunkCandidate, ClassKind, WriteClass};
 pub use engine::{
@@ -41,4 +40,3 @@ pub use engine::{
 pub use index::{IndexPolicy, IndexState, IndexTable, HEAT_SAMPLE_ENTRIES, INDEX_ENTRY_BYTES};
 pub use journal::{MapJournal, JOURNAL_ENTRY_BYTES};
 pub use store::{ChunkStore, MapState};
-pub use table::ShardedMap;

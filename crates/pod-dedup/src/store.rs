@@ -441,12 +441,6 @@ impl ChunkStore {
         }
     }
 
-    /// Whether the candidate PBAs form one ascending contiguous run —
-    /// Select-Dedupe's "already sequentially stored on disks" test.
-    pub fn is_sequential(pbas: &[Pba]) -> bool {
-        pbas.windows(2).all(|w| w[0].raw() + 1 == w[1].raw())
-    }
-
     /// Verify internal invariants (used by property tests): the sum of
     /// per-PBA refcounts equals the mapping size, every mapped PBA is
     /// live, and the incremental counters (mapped, live, redirected,
@@ -783,19 +777,6 @@ mod tests {
         let ex = s.read_extents(Lba::new(0), 3);
         assert_eq!(ex.len(), 1);
         s.check_invariants().expect("invariants");
-    }
-
-    #[test]
-    fn is_sequential_checks_runs() {
-        assert!(ChunkStore::is_sequential(&[Pba::new(5)]));
-        assert!(ChunkStore::is_sequential(&[
-            Pba::new(5),
-            Pba::new(6),
-            Pba::new(7)
-        ]));
-        assert!(!ChunkStore::is_sequential(&[Pba::new(5), Pba::new(7)]));
-        assert!(!ChunkStore::is_sequential(&[Pba::new(7), Pba::new(6)]));
-        assert!(ChunkStore::is_sequential(&[]));
     }
 
     #[test]

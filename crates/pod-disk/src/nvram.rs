@@ -47,11 +47,6 @@ impl NvramModel {
     pub fn peak_bytes(&self) -> u64 {
         self.peak_entries * MAP_ENTRY_BYTES
     }
-
-    /// High-water mark in fractional megabytes.
-    pub fn peak_megabytes(&self) -> f64 {
-        self.peak_bytes() as f64 / (1024.0 * 1024.0)
-    }
 }
 
 #[cfg(test)]
@@ -85,14 +80,5 @@ mod tests {
         n.add_entries(2);
         n.remove_entries(10);
         assert_eq!(n.entries(), 0);
-    }
-
-    #[test]
-    fn megabytes_conversion() {
-        let mut n = NvramModel::new();
-        // 1 MiB / 20 B = 52428.8 -> 52429 entries is just over 1 MiB.
-        n.add_entries(52_429);
-        assert!(n.peak_megabytes() > 1.0);
-        assert!(n.peak_megabytes() < 1.001);
     }
 }

@@ -215,19 +215,11 @@ impl RaidGeometry {
         }
     }
 
-    /// Plan a parity-less streaming write of `[pba, pba + nblocks)`:
-    /// the same disk-contiguous fragments as [`RaidGeometry::plan_read`]
-    /// with the direction flipped. Used for bulk background traffic
-    /// (iCache swap-region writes) that bypasses RMW accounting.
-    pub fn plan_stream_write(&self, pba: Pba, nblocks: u32) -> Vec<PhysOp> {
-        let mut ops = Vec::new();
-        self.plan_stream_write_into(pba, nblocks, &mut ops);
-        ops
-    }
-
-    /// Append the streaming-write plan to `buf`; allocation-free form of
-    /// [`RaidGeometry::plan_stream_write`] with the same per-call merge
-    /// confinement as [`RaidGeometry::plan_read_into`].
+    /// Append a parity-less streaming write of `[pba, pba + nblocks)` to
+    /// `buf`: the same disk-contiguous fragments as
+    /// [`RaidGeometry::plan_read_into`] (and the same per-call merge
+    /// confinement) with the direction flipped. Used for bulk background
+    /// traffic (iCache swap-region writes) that bypasses RMW accounting.
     pub fn plan_stream_write_into(&self, pba: Pba, nblocks: u32, buf: &mut Vec<PhysOp>) {
         let base = buf.len();
         self.plan_read_into(pba, nblocks, buf);

@@ -48,14 +48,6 @@ impl AccessMonitor {
         }
     }
 
-    /// Fraction of this epoch's requests that are writes.
-    pub fn write_intensity(&self) -> f64 {
-        if self.requests == 0 {
-            return 0.0;
-        }
-        self.writes as f64 / self.requests as f64
-    }
-
     /// Read-cache hit rate this epoch.
     pub fn read_hit_rate(&self) -> f64 {
         let total = self.read_hits + self.read_misses;
@@ -63,15 +55,6 @@ impl AccessMonitor {
             return 0.0;
         }
         self.read_hits as f64 / total as f64
-    }
-
-    /// Index hit rate this epoch.
-    pub fn index_hit_rate(&self) -> f64 {
-        let total = self.index_hits + self.index_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.index_hits as f64 / total as f64
     }
 
     /// Close the epoch: return its snapshot and reset.
@@ -92,7 +75,6 @@ mod tests {
         m.note_request(false);
         assert_eq!(m.requests, 3);
         assert_eq!(m.writes, 2);
-        assert!((m.write_intensity() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -100,18 +82,13 @@ mod tests {
         let mut m = AccessMonitor::new();
         m.read_hits = 3;
         m.read_misses = 1;
-        m.index_hits = 1;
-        m.index_misses = 3;
         assert!((m.read_hit_rate() - 0.75).abs() < 1e-12);
-        assert!((m.index_hit_rate() - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn empty_rates_are_zero() {
         let m = AccessMonitor::new();
-        assert_eq!(m.write_intensity(), 0.0);
         assert_eq!(m.read_hit_rate(), 0.0);
-        assert_eq!(m.index_hit_rate(), 0.0);
     }
 
     #[test]

@@ -118,17 +118,6 @@ impl<T: Clone> Discrete<T> {
             .min(self.items.len() - 1);
         self.items[i].clone()
     }
-
-    /// Expected value when `T` converts to f64 via the mapping closure.
-    pub fn mean_by(&self, f: impl Fn(&T) -> f64) -> f64 {
-        let mut prev = 0.0;
-        let mut mean = 0.0;
-        for (item, &c) in self.items.iter().zip(self.cdf.iter()) {
-            mean += f(item) * (c - prev);
-            prev = c;
-        }
-        mean
-    }
 }
 
 #[cfg(test)]
@@ -217,12 +206,6 @@ mod tests {
         for _ in 0..1_000 {
             assert_eq!(d.sample(&mut r), 2);
         }
-    }
-
-    #[test]
-    fn discrete_mean_by() {
-        let d = Discrete::new(&[(2u32, 1.0), (4, 1.0)]);
-        assert!((d.mean_by(|&v| v as f64) - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Trace transformation utilities: slicing, filtering, time scaling and
-//! multi-tenant merging.
+//! Trace transformation utilities: time scaling and multi-tenant
+//! merging.
 //!
 //! The paper's motivation is *consolidated primary storage in the Cloud*
 //! — many VMs sharing one storage node. [`merge_tenants`] composes
@@ -10,56 +10,9 @@
 //! images would only *add* dedup opportunity).
 
 use crate::synth::Trace;
-use pod_types::{IoOp, IoRequest, Lba, SimTime};
+use pod_types::{IoRequest, Lba, SimTime};
 
 impl Trace {
-    /// Requests with arrival inside `[from, to)`, times rebased to
-    /// `from` and ids renumbered.
-    pub fn slice_time(&self, from: SimTime, to: SimTime) -> Trace {
-        let requests = self
-            .requests
-            .iter()
-            .filter(|r| r.arrival >= from && r.arrival < to)
-            .enumerate()
-            .map(|(i, r)| {
-                let mut r = r.clone();
-                r.id = pod_types::RequestId(i as u64);
-                r.arrival = SimTime::from_micros(r.arrival.as_micros() - from.as_micros());
-                r
-            })
-            .collect();
-        Trace {
-            name: format!("{}[{}..{})", self.name, from, to),
-            requests,
-            memory_budget_bytes: self.memory_budget_bytes,
-        }
-    }
-
-    /// Only requests of the given direction, ids renumbered.
-    pub fn filter_op(&self, op: IoOp) -> Trace {
-        self.filter(|r| r.op == op)
-    }
-
-    /// Requests matching `pred`, ids renumbered.
-    pub fn filter(&self, pred: impl Fn(&IoRequest) -> bool) -> Trace {
-        let requests = self
-            .requests
-            .iter()
-            .filter(|r| pred(r))
-            .enumerate()
-            .map(|(i, r)| {
-                let mut r = r.clone();
-                r.id = pod_types::RequestId(i as u64);
-                r
-            })
-            .collect();
-        Trace {
-            name: self.name.clone(),
-            requests,
-            memory_budget_bytes: self.memory_budget_bytes,
-        }
-    }
-
     /// Compress (`factor < 1`) or stretch (`factor > 1`) inter-arrival
     /// times — load-intensity scaling for sensitivity studies.
     ///
@@ -146,36 +99,6 @@ mod tests {
 
     fn small(seed: u64) -> Trace {
         TraceProfile::web_vm().scaled(0.003).generate(seed)
-    }
-
-    #[test]
-    fn slice_time_rebases() {
-        let t = small(1);
-        let mid = SimTime::from_micros(t.duration().as_micros() / 2);
-        let head = t.slice_time(SimTime::ZERO, mid);
-        let tail = t.slice_time(mid, SimTime::from_micros(u64::MAX));
-        assert_eq!(head.len() + tail.len(), t.len());
-        assert!(
-            tail.requests
-                .first()
-                .map(|r| r.arrival.as_micros())
-                .unwrap_or(0)
-                < mid.as_micros()
-        );
-        for (i, r) in tail.requests.iter().enumerate() {
-            assert_eq!(r.id.0, i as u64, "ids renumbered");
-        }
-    }
-
-    #[test]
-    fn filter_op_partitions() {
-        let t = small(2);
-        let reads = t.filter_op(IoOp::Read);
-        let writes = t.filter_op(IoOp::Write);
-        assert_eq!(reads.len() + writes.len(), t.len());
-        assert!(reads.requests.iter().all(|r| r.op.is_read()));
-        assert!(writes.requests.iter().all(|r| r.op.is_write()));
-        assert_eq!(writes.write_ratio(), 1.0);
     }
 
     #[test]

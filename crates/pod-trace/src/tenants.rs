@@ -104,17 +104,6 @@ impl<'a> MergedStream<'a> {
         }
     }
 
-    /// Merge a subset of tenant streams held by reference — how a shard
-    /// merges only its own tenants. Stream id = position in `tenants`;
-    /// keep the slice sorted by global tenant id so the tie-break stays
-    /// consistent with the full merge.
-    pub fn from_refs(tenants: &[&'a Trace]) -> Self {
-        Self {
-            streams: tenants.iter().map(|t| t.requests.as_slice()).collect(),
-            cursors: vec![0; tenants.len()],
-        }
-    }
-
     /// Total number of requests across all tenants.
     pub fn total(&self) -> usize {
         self.streams.iter().map(|s| s.len()).sum()

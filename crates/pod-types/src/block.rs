@@ -35,19 +35,6 @@ macro_rules! addr_newtype {
                 self.0
             }
 
-            /// Construct from a byte offset (must be block-aligned in
-            /// callers that care; this truncates).
-            #[inline]
-            pub const fn from_byte_offset(bytes: u64) -> Self {
-                Self(bytes >> BLOCK_SHIFT)
-            }
-
-            /// Byte offset of the start of this block.
-            #[inline]
-            pub const fn byte_offset(self) -> u64 {
-                self.0 << BLOCK_SHIFT
-            }
-
             /// The address `n` blocks after this one.
             #[inline]
             pub const fn add(self, n: u64) -> Self {
@@ -58,13 +45,6 @@ macro_rules! addr_newtype {
             #[inline]
             pub const fn distance(self, other: Self) -> u64 {
                 self.0.abs_diff(other.0)
-            }
-
-            /// Whether `self + len` immediately precedes `other`
-            /// (i.e. `[self, self+len)` and `other` are contiguous).
-            #[inline]
-            pub const fn is_contiguous_with(self, len: u64, other: Self) -> bool {
-                self.0 + len == other.0
             }
         }
 
@@ -101,13 +81,6 @@ addr_newtype!(
     "Pba"
 );
 
-/// Convert a byte count to the number of whole blocks it occupies
-/// (rounding up).
-#[inline]
-pub const fn bytes_to_blocks_ceil(bytes: u64) -> u64 {
-    bytes.div_ceil(BLOCK_BYTES)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,44 +91,12 @@ mod tests {
     }
 
     #[test]
-    fn byte_offset_roundtrip() {
-        for b in [0u64, 1, 7, 1 << 20] {
-            let lba = Lba::new(b);
-            assert_eq!(Lba::from_byte_offset(lba.byte_offset()), lba);
-        }
-    }
-
-    #[test]
-    fn from_byte_offset_truncates_within_block() {
-        assert_eq!(Lba::from_byte_offset(4095), Lba::new(0));
-        assert_eq!(Lba::from_byte_offset(4096), Lba::new(1));
-        assert_eq!(Lba::from_byte_offset(8191), Lba::new(1));
-    }
-
-    #[test]
     fn distance_is_symmetric() {
         let a = Pba::new(10);
         let b = Pba::new(25);
         assert_eq!(a.distance(b), 15);
         assert_eq!(b.distance(a), 15);
         assert_eq!(a.distance(a), 0);
-    }
-
-    #[test]
-    fn contiguity() {
-        let a = Pba::new(100);
-        assert!(a.is_contiguous_with(4, Pba::new(104)));
-        assert!(!a.is_contiguous_with(4, Pba::new(105)));
-        assert!(!a.is_contiguous_with(4, Pba::new(103)));
-    }
-
-    #[test]
-    fn bytes_to_blocks_rounds_up() {
-        assert_eq!(bytes_to_blocks_ceil(0), 0);
-        assert_eq!(bytes_to_blocks_ceil(1), 1);
-        assert_eq!(bytes_to_blocks_ceil(4096), 1);
-        assert_eq!(bytes_to_blocks_ceil(4097), 2);
-        assert_eq!(bytes_to_blocks_ceil(40 * 1024), 10);
     }
 
     #[test]

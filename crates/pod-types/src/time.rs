@@ -93,13 +93,6 @@ impl SimDuration {
         Self(s * 1_000_000)
     }
 
-    /// Construct from fractional milliseconds, rounding to the nearest
-    /// microsecond.
-    #[inline]
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self((ms * 1_000.0).round().max(0.0) as u64)
-    }
-
     /// Microseconds in this span.
     #[inline]
     pub const fn as_micros(self) -> u64 {
@@ -221,14 +214,6 @@ mod tests {
         let b = SimTime::from_micros(20);
         assert_eq!(a.since(b), SimDuration::ZERO);
         assert_eq!(b.since(a).as_micros(), 10);
-    }
-
-    #[test]
-    fn from_millis_f64_rounds() {
-        assert_eq!(SimDuration::from_millis_f64(1.5).as_micros(), 1500);
-        assert_eq!(SimDuration::from_millis_f64(0.0004).as_micros(), 0);
-        assert_eq!(SimDuration::from_millis_f64(0.0006).as_micros(), 1);
-        assert_eq!(SimDuration::from_millis_f64(-3.0).as_micros(), 0);
     }
 
     #[test]

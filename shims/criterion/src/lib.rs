@@ -1,10 +1,10 @@
 //! Offline stand-in for `criterion`.
 //!
 //! Provides the API surface the workspace's benches use (`Criterion`,
-//! `BenchmarkGroup`, `Bencher::{iter, iter_batched}`, `BenchmarkId`,
-//! `Throughput`, `BatchSize`, and the `criterion_group!` /
-//! `criterion_main!` macros) with a deliberately simple runner: each
-//! benchmark is warmed up once and then timed over a fixed number of
+//! `BenchmarkGroup`, `Bencher::{iter, iter_batched}`, `Throughput`,
+//! `BatchSize`, and the `criterion_group!` / `criterion_main!` macros)
+//! with a deliberately simple runner: each benchmark is warmed up once
+//! and then timed over a fixed number of
 //! iterations, with mean wall-clock (and derived throughput) printed to
 //! stdout. No statistics, plots, or HTML reports.
 //!
@@ -64,21 +64,6 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Accepted for API compatibility; the shim ignores sample counts.
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    /// Accepted for API compatibility; the shim ignores time budgets.
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
-        self
-    }
-
-    /// Accepted for API compatibility; the shim ignores warm-up budgets.
-    pub fn warm_up_time(&mut self, _d: Duration) -> &mut Self {
-        self
-    }
-
     /// Record the per-iteration work for throughput reporting.
     pub fn throughput(&mut self, t: Throughput) -> &mut Self {
         self.throughput = Some(t);
@@ -92,17 +77,6 @@ impl BenchmarkGroup<'_> {
         f: impl FnMut(&mut Bencher),
     ) -> &mut Self {
         run_one(&name.to_string(), self.skip, self.throughput, f);
-        self
-    }
-
-    /// Run a parameterized benchmark in this group.
-    pub fn bench_with_input<I: ?Sized>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: impl FnMut(&mut Bencher, &I),
-    ) -> &mut Self {
-        run_one(&id.name, self.skip, self.throughput, |b| f(b, input));
         self
     }
 
@@ -198,27 +172,6 @@ pub enum Throughput {
     Elements(u64),
 }
 
-/// Benchmark identifier combining a name and a parameter rendering.
-pub struct BenchmarkId {
-    name: String,
-}
-
-impl BenchmarkId {
-    /// Id from a function name plus parameter.
-    pub fn new(name: impl std::fmt::Display, param: impl std::fmt::Display) -> Self {
-        Self {
-            name: format!("{name}/{param}"),
-        }
-    }
-
-    /// Id rendered from the parameter alone.
-    pub fn from_parameter(param: impl std::fmt::Display) -> Self {
-        Self {
-            name: param.to_string(),
-        }
-    }
-}
-
 /// Re-export matching criterion's convenience path.
 pub use std::hint::black_box;
 
@@ -255,13 +208,11 @@ mod tests {
 
     fn sample_bench(c: &mut Criterion) {
         let mut g = c.benchmark_group("shim");
-        g.sample_size(10)
-            .measurement_time(Duration::from_millis(1))
-            .throughput(Throughput::Bytes(64));
+        g.throughput(Throughput::Bytes(64));
         g.bench_function("sum", |b| b.iter(|| (0..64u64).sum::<u64>()));
-        g.bench_with_input(BenchmarkId::from_parameter(3), &3u64, |b, &n| {
+        g.bench_function("batched", |b| {
             b.iter_batched(
-                || vec![n; 8],
+                || vec![3u64; 8],
                 |v| v.iter().sum::<u64>(),
                 BatchSize::SmallInput,
             )
@@ -275,11 +226,5 @@ mod tests {
         // exercise the non-skipping path explicitly.
         let mut c = Criterion { skip: false };
         sample_bench(&mut c);
-    }
-
-    #[test]
-    fn benchmark_id_renders() {
-        assert_eq!(BenchmarkId::new("f", 8).name, "f/8");
-        assert_eq!(BenchmarkId::from_parameter("mail").name, "mail");
     }
 }

@@ -4,15 +4,21 @@
 
 use pod::prelude::*;
 use pod_core::experiments;
-use pod_core::testing::SchemeReplayExt;
 
 #[test]
 fn all_schemes_are_bit_deterministic() {
     let trace = TraceProfile::web_vm().scaled(0.005).generate(99);
     let cfg = SystemConfig::paper_default();
     for scheme in Scheme::extended() {
-        let a = scheme.replay_with(&trace, cfg.clone());
-        let b = scheme.replay_with(&trace, cfg.clone());
+        let run = || {
+            scheme
+                .builder()
+                .config(cfg.clone())
+                .trace(&trace)
+                .run()
+                .expect("replay")
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a.overall.mean_us(), b.overall.mean_us(), "{scheme}");
         assert_eq!(a.reads.mean_us(), b.reads.mean_us(), "{scheme}");
         assert_eq!(a.writes.mean_us(), b.writes.mean_us(), "{scheme}");
