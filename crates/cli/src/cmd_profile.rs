@@ -12,7 +12,8 @@
 //!
 //! The difference between the two wall times is the profiler's own
 //! overhead, reported next to the breakdown so the numbers can be
-//! trusted (the instrumentation budget is <5%). `--out <path>` also
+//! trusted (a fixed cost per phase, so its share grows as the replay
+//! loop gets faster; DESIGN §14 has current numbers). `--out <path>` also
 //! writes the profile as folded stacks (`pod;<layer>;<phase> <ns>`)
 //! for flamegraph tooling.
 //!

@@ -60,16 +60,17 @@ impl Metrics {
         self.max
     }
 
-    /// Percentile (0 < p ≤ 100) via nearest-rank on a sorted copy.
+    /// Percentile (0 < p ≤ 100) via nearest-rank: the rank-th smallest
+    /// sample, selected in linear time on a copy (no full sort).
     pub fn percentile_us(&self, p: f64) -> u64 {
         if self.samples.is_empty() {
             return 0;
         }
         debug_assert!((0.0..=100.0).contains(&p));
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
+        let n = self.samples.len();
+        let rank = ((p / 100.0) * n as f64).ceil() as usize;
+        let mut copy = self.samples.clone();
+        *copy.select_nth_unstable(rank.clamp(1, n) - 1).1
     }
 
     /// Merge another accumulator into this one.

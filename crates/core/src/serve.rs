@@ -26,8 +26,15 @@
 //! and `--shards` change wall-clock behaviour only. Shard wall-time
 //! spans are reported separately in [`ShardStats`] (they are the only
 //! non-deterministic output, and the CLI keeps them off stdout).
+//!
+//! Under a [`ServePolicy`](crate::config::ServePolicy) the fleet-wide
+//! capacity view is folded on the workers too: each shard inserts its
+//! tenants' stored fingerprints into one set before dropping each
+//! stack, and the caller only unions the N shard sets. Set union is
+//! order-free, so [`ServeAggregate::fleet_unique_blocks`] carries the
+//! same guarantee.
 
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 use std::fmt;
 use std::time::Instant;
 
@@ -39,17 +46,24 @@ use crate::runner::{recorder_epoch, replay_stack, BuilderCore, ReplayReport, Ten
 use crate::scheme::Scheme;
 use crate::stack::{SharedTierTask, StackSpec};
 use pod_dedup::engine::EngineCounters;
+use pod_hash::fnv::FnvBuildHasher;
 use pod_trace::Trace;
 use pod_types::{Fingerprint, Introspect, PodError, PodResult};
 
-/// Reject a topology the engine cannot serve: no tenants, no shards, or
-/// more shards than tenants (an empty shard serves nothing and would
-/// silently skew scaling numbers).
+/// Reject a topology the engine cannot serve: no tenants, more tenants
+/// than `u16` ids, no shards, or more shards than tenants (an empty
+/// shard serves nothing and would silently skew scaling numbers).
 fn check_topology(tenants: usize, shards: usize) -> PodResult<()> {
     if tenants == 0 {
         return Err(PodError::InvalidConfig(
             "serve needs at least one tenant".into(),
         ));
+    }
+    const MAX_TENANTS: usize = u16::MAX as usize + 1;
+    if tenants > MAX_TENANTS {
+        return Err(PodError::InvalidConfig(format!(
+            "{tenants} tenants: serve tags tenants with u16 ids, at most {MAX_TENANTS}"
+        )));
     }
     if shards == 0 {
         return Err(PodError::InvalidConfig(
@@ -113,6 +127,9 @@ pub struct ServeAggregate {
     /// SPACE-style global capacity view: what a single fleet-wide dedup
     /// domain would store. Always ≤ [`capacity_used_blocks`]; the gap
     /// is cross-tenant redundancy that per-tenant isolation forgoes.
+    /// An exact count (each shard worker folds its tenants' stores into
+    /// a set; the sets are unioned), identical at any shard count,
+    /// worker width and tenant order.
     /// 0 when no [`ServePolicy`](crate::config::ServePolicy) is active.
     ///
     /// [`capacity_used_blocks`]: Self::capacity_used_blocks
@@ -420,16 +437,20 @@ impl<'t> ServeBuilder<'t> {
         let mut tenant_reports: Vec<TenantReport> = Vec::with_capacity(tenants.len());
         let mut recorders: Vec<(u16, TraceRecorder)> = Vec::new();
         let mut shard_stats = Vec::with_capacity(outputs.len());
-        // SPACE-style fleet accounting (policy runs only): the union of
-        // every tenant's stored fingerprints is what one fleet-wide
-        // dedup domain would hold.
-        let mut fleet: BTreeSet<Fingerprint> = BTreeSet::new();
+        // SPACE-style fleet accounting (policy runs only): each worker
+        // already folded its tenants' stored fingerprints into one set;
+        // the fleet is their union, built by growing the largest.
+        let mut fleet = FleetSet::default();
         let mut tenant_capacity: Vec<TenantCapacity> = Vec::new();
         for out in outputs {
             shard_stats.push(out.stats);
+            let mut shard_fleet = out.fleet;
+            if shard_fleet.len() > fleet.len() {
+                std::mem::swap(&mut fleet, &mut shard_fleet);
+            }
+            fleet.extend(shard_fleet);
             for t in out.tenants {
-                if let Some((cap, fps)) = t.capacity {
-                    fleet.extend(fps);
+                if let Some(cap) = t.capacity {
                     tenant_capacity.push(cap);
                 }
                 if let Some(rec) = t.recorder {
@@ -469,14 +490,20 @@ struct ShardJob<'t> {
 struct TenantOutput {
     report: TenantReport,
     recorder: Option<TraceRecorder>,
-    /// Capacity attribution + stored fingerprints for the fleet union;
-    /// collected only under an active policy.
-    capacity: Option<(TenantCapacity, Vec<Fingerprint>)>,
+    /// Capacity attribution; collected only under an active policy.
+    capacity: Option<TenantCapacity>,
 }
+
+/// Distinct stored fingerprints. `Fingerprint` hashes only its 8-byte
+/// prefix (one `write_u64`), so FNV costs 8 rounds per insert, not 32.
+type FleetSet = HashSet<Fingerprint, FnvBuildHasher>;
 
 struct ShardOutput {
     tenants: Vec<TenantOutput>,
     stats: ShardStats,
+    /// Union of this shard's tenants' stored fingerprints, folded on the
+    /// worker as each tenant finishes; empty without a policy.
+    fleet: FleetSet,
 }
 
 /// Everything a shard worker needs beyond its own [`ShardJob`]; shared
@@ -546,10 +573,11 @@ impl TokenBucket {
 /// Serve one shard: its tenants back to back, one live stack at a time.
 fn run_shard(ctx: &ShardCtx<'_>, job: &ShardJob<'_>) -> PodResult<ShardOutput> {
     let started = Instant::now();
+    let mut fleet = FleetSet::default();
     let tenants = job
         .tenants
         .iter()
-        .map(|&(tenant, trace)| serve_tenant(ctx, job.shard, tenant, trace))
+        .map(|&(tenant, trace)| serve_tenant(ctx, job.shard, tenant, trace, &mut fleet))
         .collect::<PodResult<Vec<_>>>()?;
     let stats = ShardStats {
         shard: job.shard,
@@ -557,17 +585,24 @@ fn run_shard(ctx: &ShardCtx<'_>, job: &ShardJob<'_>) -> PodResult<ShardOutput> {
         requests: job.tenants.iter().map(|(_, t)| t.len() as u64).sum(),
         busy_us: started.elapsed().as_micros().max(1) as u64,
     };
-    Ok(ShardOutput { tenants, stats })
+    Ok(ShardOutput {
+        tenants,
+        stats,
+        fleet,
+    })
 }
 
 /// Serve one tenant start to finish through the solo replay loop
 /// ([`replay_stack`]), so its report is byte-identical to its solo
-/// replay. The stack is dropped before the shard's next tenant starts.
+/// replay. Under a policy the tenant's stored fingerprints are folded
+/// into the shard's `fleet` set; the stack is then dropped before the
+/// shard's next tenant starts.
 fn serve_tenant(
     ctx: &ShardCtx<'_>,
     shard: usize,
     tenant: u16,
     trace: &Trace,
+    fleet: &mut FleetSet,
 ) -> PodResult<TenantOutput> {
     let spec = ctx.spec;
     let cfg = ctx.cfg;
@@ -613,15 +648,13 @@ fn serve_tenant(
 
     let (mut report, stack) = replay_stack(spec, cfg, trace, chain, ctx.verify, setup)?;
     let capacity = cfg.policy.as_ref().map(|_| {
-        let engine = stack.dedup().engine();
-        (
-            TenantCapacity {
-                tenant,
-                logical_blocks: engine.introspect().map.mapped,
-                physical_blocks: report.capacity_used_blocks,
-            },
-            engine.store().contents().map(|(_, fp)| fp).collect(),
-        )
+        let store = stack.dedup().engine().store();
+        fleet.extend(store.contents().map(|(_, fp)| fp));
+        TenantCapacity {
+            tenant,
+            logical_blocks: store.introspect().mapped,
+            physical_blocks: report.capacity_used_blocks,
+        }
     });
     let mut chain = stack.into_observer();
     if ctx.profile {
@@ -686,6 +719,16 @@ mod tests {
         let err = serve(&tenants, 3).expect_err("shards > tenants");
         assert!(err.to_string().contains("at least one tenant"), "{err}");
         assert!(serve(&tenants, 2).is_ok());
+        // One past the u16 id space: refused before any stack is built,
+        // instead of two tenants sharing id 0.
+        let empty = Trace {
+            name: "empty".into(),
+            requests: Vec::new(),
+            memory_budget_bytes: 0,
+        };
+        let too_many = vec![empty; u16::MAX as usize + 2];
+        let err = serve(&too_many, 1).expect_err("65,537 tenants");
+        assert!(err.to_string().contains("at most 65536"), "{err}");
     }
 
     #[test]
@@ -898,6 +941,75 @@ mod tests {
                 ),
             }
         }
+    }
+
+    #[test]
+    fn fleet_unique_blocks_is_the_exact_cross_tenant_union() {
+        use pod_types::{IoRequest, Lba, SimTime};
+        // One single-block write per content id, each to its own LBA.
+        let tenant = |ids: Vec<u64>| Trace {
+            name: "hand".into(),
+            requests: ids
+                .into_iter()
+                .enumerate()
+                .map(|(i, id)| {
+                    let i = i as u64;
+                    IoRequest::write(
+                        i,
+                        SimTime::from_micros(i * 10),
+                        Lba::new(i),
+                        vec![Fingerprint::from_content_id(id)],
+                    )
+                })
+                .collect(),
+            memory_budget_bytes: 1 << 20,
+        };
+        let tenants = [
+            tenant((1..=100).collect()),
+            tenant((50..=150).collect()),
+            tenant((1..=10).chain(200..=210).collect()),
+        ];
+        // |A ∪ B ∪ C| = |1..=150| + |200..=210| = 150 + 11.
+        let mut cfg = SystemConfig::test_default();
+        cfg.policy = Some(stress_policy());
+        for (shards, jobs) in [(1, 1), (2, 2), (3, 8)] {
+            let rep = ServeBuilder::new(Scheme::Pod)
+                .config(cfg.clone())
+                .tenants(&tenants)
+                .shards(shards)
+                .jobs(jobs)
+                .run()
+                .expect("serve");
+            let agg = &rep.aggregate;
+            assert_eq!(agg.fleet_unique_blocks, 161, "shards={shards} jobs={jobs}");
+            for (cap, trace) in agg.tenant_capacity.iter().zip(&tenants) {
+                assert_eq!(
+                    cap.physical_blocks,
+                    trace.write_count() as u64,
+                    "tenant {} stores every distinct write",
+                    cap.tenant
+                );
+            }
+        }
+
+        // A derived fleet counts the same union at every shard count.
+        let tenants = fleet(8);
+        let counts: Vec<u64> = [1, 2, 4, 8]
+            .into_iter()
+            .map(|shards| {
+                ServeBuilder::new(Scheme::Pod)
+                    .config(cfg.clone())
+                    .tenants(&tenants)
+                    .shards(shards)
+                    .jobs(2)
+                    .run()
+                    .expect("serve")
+                    .aggregate
+                    .fleet_unique_blocks
+            })
+            .collect();
+        assert!(counts[0] > 0);
+        assert!(counts.iter().all(|&c| c == counts[0]), "{counts:?}");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::stack::cache::CacheLayer;
 use crate::stack::dedup::DedupLayer;
 use crate::stack::disk::DiskBackend;
 use crate::stack::QosGauges;
-use pod_types::{Introspect, IoRequest, PodResult};
+use pod_types::{IoRequest, PodResult};
 
 /// Mutable views of the stack's layers handed to a background task.
 pub struct LayerCtx<'a> {
@@ -259,8 +259,7 @@ impl BackgroundTask for SharedTierTask {
             // Epoch boundary: re-earn the share from this epoch's
             // dedup-hit locality (hits / lookups, per-mille). A tenant
             // with no index traffic this epoch is cold by definition.
-            let idx = ctx.dedup.engine().introspect().index;
-            let (hits, misses) = (idx.hits, idx.misses);
+            let (hits, misses, _) = ctx.dedup.engine().index().stats();
             let dh = hits - self.last_hits;
             let dm = misses - self.last_misses;
             self.last_hits = hits;
