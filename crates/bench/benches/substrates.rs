@@ -6,14 +6,15 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use pod_cache::{ArcCache, GhostCache, LfuCache, LruCache};
+use pod_core::pool::default_width;
 use pod_dedup::index::IndexEntry;
 use pod_dedup::{ChunkStore, IndexTable};
 use pod_disk::engine::isolated_latency;
 use pod_disk::{ArraySim, DiskSpec, RaidConfig, RaidGeometry, SchedulerKind};
 use pod_hash::fnv1a_64;
-use pod_trace::reconstruct::{split_into_records, trace_from_fiu};
+use pod_trace::reconstruct::{split_into_records, FiuLoader};
 use pod_trace::{fiu, TraceProfile};
-use pod_types::{Fingerprint, Lba, Pba, SimTime};
+use pod_types::{Fingerprint, IoRequest, Lba, Pba, SimTime};
 use std::hint::black_box;
 
 fn bench_hashing(c: &mut Criterion) {
@@ -257,9 +258,27 @@ fn bench_event_engine(c: &mut Criterion) {
     });
 }
 
+/// `text` through a loader of `width`, fed in the blocks `pod-cli
+/// --trace` reads: `FiuLoader::BLOCK_BYTES`, cut after the last `\n`.
+fn load_fiu(text: &str, width: usize) -> Vec<IoRequest> {
+    let mut loader = FiuLoader::new(width);
+    let mut rest = text;
+    while !rest.is_empty() {
+        let block = &rest.as_bytes()[..rest.len().min(FiuLoader::BLOCK_BYTES)];
+        let end = match block.iter().rposition(|&b| b == b'\n') {
+            Some(nl) if block.len() < rest.len() => nl + 1,
+            _ => rest.len(),
+        };
+        loader.feed(&rest[..end]).expect("well-formed text");
+        rest = &rest[end..];
+    }
+    loader.finish()
+}
+
 /// The input stage: what runs before the first request is replayed.
 /// Generation is per request (`Elements`); the FIU load and writer are
-/// per byte of trace text.
+/// per byte of trace text. The load runs sequentially (width 1) and at
+/// the width `pod-cli` uses (`default_width()`).
 fn bench_trace(c: &mut Criterion) {
     let profile = TraceProfile::web_vm().scaled(0.25);
     let trace = profile.generate(42);
@@ -271,9 +290,15 @@ fn bench_trace(c: &mut Criterion) {
         b.iter(|| profile.generate(black_box(42)))
     });
     g.throughput(Throughput::Bytes(text.len() as u64));
-    g.bench_function("fiu_parse_reconstruct", |b| {
-        b.iter(|| trace_from_fiu("bench", black_box(&text), 0))
+    g.bench_function("fiu_load_width_1", |b| {
+        b.iter(|| load_fiu(black_box(&text), 1))
     });
+    let width = default_width();
+    if width > 1 {
+        g.bench_function(format!("fiu_load_width_{width}"), |b| {
+            b.iter(|| load_fiu(black_box(&text), width))
+        });
+    }
     g.bench_function("fiu_format", |b| {
         b.iter(|| fiu::format_records(black_box(&records)))
     });

@@ -1,10 +1,47 @@
 //! Flag parsing shared by all subcommands (no external dependencies).
 
 use pod_core::Scheme;
+use pod_trace::reconstruct::FiuLoader;
 use pod_trace::{Trace, TraceProfile};
+use pod_types::IoRequest;
+use std::io::Read;
 
 /// Largest `--scale`: a thousand times the paper's traces.
 const MAX_SCALE: f64 = 1000.0;
+
+/// Stream an FIU file through a [`FiuLoader`] at the executor width, a
+/// block at a time: each read is cut after its last `\n`, checked as
+/// UTF-8 and fed, and the partial line carries into the next block. A
+/// bad line stops the parse but not the read, so every error is the
+/// one `read_to_string` then parsing the whole body would give.
+fn load_fiu(path: &str) -> Result<Vec<IoRequest>, String> {
+    let reading = |e: std::io::Error| format!("reading {path}: {e}");
+    let mut file = std::fs::File::open(path).map_err(reading)?;
+    let mut loader = FiuLoader::new(pod_core::pool::default_width());
+    let mut parsed = Ok(());
+    let mut buf = Vec::with_capacity(2 * FiuLoader::BLOCK_BYTES);
+    loop {
+        let read = (&mut file)
+            .take(FiuLoader::BLOCK_BYTES as u64)
+            .read_to_end(&mut buf)
+            .map_err(reading)?;
+        let end = match read {
+            0 => buf.len(),
+            _ => buf.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1),
+        };
+        let text = std::str::from_utf8(&buf[..end])
+            .map_err(|_| format!("reading {path}: stream did not contain valid UTF-8"))?;
+        if parsed.is_ok() {
+            parsed = loader.feed(text);
+        }
+        buf.drain(..end);
+        if read == 0 {
+            break;
+        }
+    }
+    parsed.map_err(|e| format!("parsing {path}: {e}"))?;
+    Ok(loader.finish())
+}
 
 /// Parsed command-line options.
 #[derive(Debug, Clone)]
@@ -217,10 +254,12 @@ impl CliArgs {
     /// otherwise generated from the profile.
     pub fn load_trace(&self) -> Result<Trace, String> {
         if let Some(path) = &self.trace_path {
-            let body = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let budget = self.memory_bytes()?.unwrap_or(500 * 1024 * 1024);
-            pod_trace::reconstruct::trace_from_fiu(path, &body, budget)
-                .map_err(|e| format!("parsing {path}: {e}"))
+            Ok(Trace {
+                name: path.clone(),
+                requests: load_fiu(path)?,
+                memory_budget_bytes: budget,
+            })
         } else {
             let profile = self.resolve_profile()?;
             Ok(profile.scaled(self.scale).generate(self.seed))

@@ -15,13 +15,14 @@
 //!
 //! There is one line parser, [`parse_record`]: it takes its fields
 //! straight off the line and borrows the process name, so it allocates
-//! nothing. [`records`] runs it over a whole body; [`parse_line`] and
-//! [`parse_str`] are the same parser followed by [`RecordRef::to_record`],
-//! and [`crate::reconstruct::trace_from_fiu`] feeds [`records`] into the
-//! reconstructor without ever holding a `BlockRecord`. A trace file is
-//! untrusted input: every field is bounds-checked here, where it enters
-//! (see [`MAX_RECORD_BLOCKS`]), and a bad line is a
-//! [`PodError::TraceParse`] naming it.
+//! nothing. [`parse_line`] and [`parse_str`] are the same parser
+//! followed by [`RecordRef::to_record`].
+//! [`crate::reconstruct::FiuLoader`] runs it over pieces of a body on
+//! several threads, with the same skip rule and line numbering as
+//! [`parse_str`], and feeds the reconstructor without ever holding a
+//! `BlockRecord`. A trace file is untrusted input: every field is
+//! bounds-checked here, where it enters (see [`MAX_RECORD_BLOCKS`]), and
+//! a bad line is a [`PodError::TraceParse`] naming it.
 
 use pod_types::fingerprint::decode_hex;
 use pod_types::{Fingerprint, IoOp, PodError, PodResult};
@@ -173,20 +174,23 @@ pub fn parse_line(line: &str, line_no: usize) -> PodResult<BlockRecord> {
     parse_record(line, line_no).map(|r| r.to_record())
 }
 
-/// Every record of a trace body in file order, or the first bad line's
-/// error; `#`-prefixed lines and blank lines are skipped.
-pub fn records(body: &str) -> impl Iterator<Item = PodResult<RecordRef<'_>>> {
-    body.lines().enumerate().filter_map(|(i, line)| {
-        let line = line.trim();
-        let skip = line.is_empty() || line.starts_with('#');
-        (!skip).then(|| parse_record(line, i + 1))
-    })
+/// One line of a body: `None` for a blank or `#`-prefixed line, else
+/// [`parse_record`] of the trimmed line.
+pub(crate) fn parse_body_line(line: &str, line_no: usize) -> Option<PodResult<RecordRef<'_>>> {
+    let line = line.trim();
+    let skip = line.is_empty() || line.starts_with('#');
+    (!skip).then(|| parse_record(line, line_no))
 }
 
-/// Parse a whole trace body into owned records; skips what [`records`]
-/// skips.
+/// Parse a whole trace body into owned records in file order, or the
+/// first bad line's error; `#`-prefixed lines and blank lines are
+/// skipped.
 pub fn parse_str(body: &str) -> PodResult<Vec<BlockRecord>> {
-    records(body).map(|r| r.map(|r| r.to_record())).collect()
+    body.lines()
+        .enumerate()
+        .filter_map(|(i, line)| parse_body_line(line, i + 1))
+        .map(|r| r.map(|r| r.to_record()))
+        .collect()
 }
 
 /// Append one record in the canonical dialect, without the newline.

@@ -9,15 +9,26 @@
 //!
 //! There is one reconstructor, [`Reconstructor`]: records go in one at a
 //! time and nothing but the finished requests is kept.
-//! [`reconstruct_requests`] pushes a slice of owned records through it;
-//! [`trace_from_fiu`] pushes the FIU parser's borrowed records through
-//! it, which is how a trace file is loaded — one pass over the text, one
-//! allocation per write request (its chunk vector, sized exactly) and
-//! none per line.
+//! [`reconstruct_requests`] pushes a slice of owned records through it.
+//! [`FiuLoader`] is how a trace file is loaded: the body arrives in
+//! blocks of whole lines, each block is cut into one piece per thread,
+//! every piece goes through the FIU parser and its own reconstructor, and
+//! the pieces are stitched back in file order — one allocation per write
+//! request (its chunk vector, sized exactly), a bounded number per block
+//! and none per line. [`trace_from_fiu`] is that loader fed one block.
+//!
+//! The stitch is exact: a piece's requests are what the sequential loop
+//! would have made of its records, except that the sequential loop may
+//! have absorbed the piece's first records into the request pending at
+//! the cut. It does so exactly when the first request continues the
+//! pending one (timestamp, op, LBA) and their block counts sum within a
+//! `u32`; a continuing run that would pass `u32::MAX` splits somewhere
+//! inside the piece, so that piece is re-pushed from the carried state
+//! instead.
 
 use crate::fiu::{self, BlockRecord, RecordRef};
 use crate::synth::Trace;
-use pod_types::{Fingerprint, IoOp, IoRequest, Lba, PodResult, SimTime};
+use pod_types::{Fingerprint, IoOp, IoRequest, Lba, PodError, PodResult, RequestId, SimTime};
 
 /// The request under construction; a write's fingerprints collect in
 /// [`Reconstructor::chunks`].
@@ -29,11 +40,17 @@ struct Pending {
 }
 
 impl Pending {
+    /// Whether a run starting at `lba` with this timestamp and op
+    /// continues this request (its length is the caller's check).
+    fn continued_by(&self, ts_us: u64, op: IoOp, lba: u64) -> bool {
+        self.ts_us == ts_us
+            && self.op == op
+            && self.lba.checked_add(u64::from(self.nblocks)) == Some(lba)
+    }
+
     /// The block count after taking `r`, when `r` continues this request.
     fn extended_by(&self, r: &RecordRef<'_>) -> Option<u32> {
-        let continues = self.ts_us == r.ts_us
-            && self.op == r.op
-            && self.lba.checked_add(u64::from(self.nblocks)) == Some(r.lba);
+        let continues = self.continued_by(r.ts_us, r.op, r.lba);
         self.nblocks.checked_add(r.nblocks).filter(|_| continues)
     }
 }
@@ -88,11 +105,175 @@ impl Reconstructor {
         self.chunks.clear();
     }
 
+    /// Flush, then make the finished request `r` the pending one again.
+    fn reopen(&mut self, r: IoRequest) {
+        self.flush();
+        self.cur = Some(Pending {
+            ts_us: r.arrival.as_micros(),
+            op: r.op,
+            lba: r.lba.raw(),
+            nblocks: r.nblocks,
+        });
+        self.chunks.extend_from_slice(&r.chunks);
+    }
+
+    /// Push every record of `text` — whole lines, the first of them line
+    /// `lines_before + 1` of the body — and return how many lines it held.
+    fn push_lines(&mut self, text: &str, lines_before: usize) -> PodResult<usize> {
+        let mut lines = 0;
+        for line in text.lines() {
+            lines += 1;
+            if let Some(r) = fiu::parse_body_line(line, lines_before + lines) {
+                self.push(&r?);
+            }
+        }
+        Ok(lines)
+    }
+
+    /// Take over `piece`: the requests a fresh reconstructor made of the
+    /// records that follow this one's. Ids are renumbered, and the
+    /// piece's first request joins the pending one when it continues it
+    /// and the joined length fits a `u32` — exactly when the sequential
+    /// loop would have absorbed its records. When it continues but does
+    /// not fit, the sequential loop would have split the run inside the
+    /// piece: nothing is changed and `false` tells the caller to push
+    /// the piece's records instead.
+    fn adopt(&mut self, piece: Vec<IoRequest>) -> bool {
+        let mut piece = piece.into_iter();
+        let Some(first) = piece.next() else {
+            return true;
+        };
+        match &mut self.cur {
+            Some(p) if p.continued_by(first.arrival.as_micros(), first.op, first.lba.raw()) => {
+                let Some(total) = p.nblocks.checked_add(first.nblocks) else {
+                    return false;
+                };
+                p.nblocks = total;
+                self.chunks.extend_from_slice(&first.chunks);
+            }
+            _ => self.reopen(first),
+        }
+        // The piece's last request may be continued by the next piece.
+        let Some(last) = piece.next_back() else {
+            return true;
+        };
+        self.flush();
+        let base = self.out.len() as u64;
+        self.out.extend(piece.zip(base..).map(|(mut r, id)| {
+            r.id = RequestId(id);
+            r
+        }));
+        self.reopen(last);
+        true
+    }
+
     /// The reconstructed requests, ids sequential from 0.
     pub fn finish(mut self) -> Vec<IoRequest> {
         self.flush();
         self.out
     }
+}
+
+/// The FIU load: [`feed`](Self::feed) the body in blocks of whole lines,
+/// in file order, then [`finish`](Self::finish). What it returns is
+/// `reconstruct_requests(&fiu::parse_str(body)?)` at any width and any
+/// cut, ids and the first bad line's error included.
+///
+/// Each block is cut after a `\n` into `width` pieces of about equal
+/// length. The calling thread pushes the first piece into the carried
+/// [`Reconstructor`]; the others run on scoped workers through fresh
+/// ones, numbering their lines from 1, and are stitched back in order:
+/// a piece's error line is offset by the lines before it, and its
+/// requests are adopted by the carried reconstructor under the rule in
+/// the [module docs](self).
+pub struct FiuLoader {
+    width: usize,
+    /// Lines fed so far.
+    lines: usize,
+    rc: Reconstructor,
+}
+
+impl FiuLoader {
+    /// Bytes `pod-cli` reads from a trace file per block: small enough
+    /// that the file is never held whole, large enough that a block's
+    /// thread spawns cost nothing next to parsing it.
+    pub const BLOCK_BYTES: usize = 1 << 20;
+
+    /// A loader that parses each block on `width` threads (at least 1).
+    pub fn new(width: usize) -> Self {
+        Self {
+            width: width.max(1),
+            lines: 0,
+            rc: Reconstructor::default(),
+        }
+    }
+
+    /// Load the body's next block: whole lines, the last one ending in
+    /// `\n` unless the block ends the body. After an error the load is
+    /// over; the error names the body's first bad line.
+    pub fn feed(&mut self, block: &str) -> PodResult<()> {
+        let pieces = split_at_lines(block, self.width);
+        let (head, rest) = pieces.split_first().expect("at least one piece");
+        let (head_lines, tails) = std::thread::scope(|s| {
+            let workers: Vec<_> = rest
+                .iter()
+                .map(|piece| {
+                    s.spawn(move || -> PodResult<(usize, Vec<IoRequest>)> {
+                        let mut rc = Reconstructor::default();
+                        let lines = rc.push_lines(piece, 0)?;
+                        Ok((lines, rc.finish()))
+                    })
+                })
+                .collect();
+            let head_lines = self.rc.push_lines(head, self.lines);
+            let tails: Vec<_> = workers
+                .into_iter()
+                .map(|w| w.join().expect("FIU loader worker panicked"))
+                .collect();
+            (head_lines, tails)
+        });
+        self.lines += head_lines?;
+        for (piece, tail) in rest.iter().zip(tails) {
+            let before = self.lines;
+            let (lines, requests) = tail.map_err(|e| match e {
+                PodError::TraceParse { line, reason } => PodError::TraceParse {
+                    line: line + before,
+                    reason,
+                },
+                other => other,
+            })?;
+            if !self.rc.adopt(requests) {
+                self.rc.push_lines(piece, before)?;
+            }
+            self.lines += lines;
+        }
+        Ok(())
+    }
+
+    /// The reconstructed requests, ids sequential from 0.
+    pub fn finish(self) -> Vec<IoRequest> {
+        self.rc.finish()
+    }
+}
+
+/// `text` cut after a `\n` into at most `n` pieces of about equal
+/// length; the first piece is always there, possibly empty.
+fn split_at_lines(text: &str, n: usize) -> Vec<&str> {
+    let mut pieces = Vec::with_capacity(n);
+    let mut rest = text;
+    for left in (1..n).rev() {
+        let target = rest.len() / (left + 1);
+        let Some(nl) = rest.as_bytes()[target..].iter().position(|&b| b == b'\n') else {
+            break;
+        };
+        let (piece, tail) = rest.split_at(target + nl + 1);
+        pieces.push(piece);
+        rest = tail;
+    }
+    if pieces.is_empty() || !rest.is_empty() {
+        pieces.push(rest);
+    }
+    pieces
 }
 
 /// Merge per-block records into original requests.
@@ -116,15 +297,14 @@ pub fn trace_from_records(name: &str, records: &[BlockRecord], memory_budget_byt
 
 /// Parse an FIU trace body and reconstruct it in the same pass: what
 /// `trace_from_records(name, &fiu::parse_str(body)?, ..)` returns,
-/// without the record vector in between.
+/// without the record vector in between. The body is one block to a
+/// [`FiuLoader`] of width 1.
 pub fn trace_from_fiu(name: &str, body: &str, memory_budget_bytes: u64) -> PodResult<Trace> {
-    let mut rc = Reconstructor::default();
-    for r in fiu::records(body) {
-        rc.push(&r?);
-    }
+    let mut loader = FiuLoader::new(1);
+    loader.feed(body)?;
     Ok(Trace {
         name: name.to_string(),
-        requests: rc.finish(),
+        requests: loader.finish(),
         memory_budget_bytes,
     })
 }
@@ -156,6 +336,9 @@ pub fn split_into_records(trace: &Trace) -> Vec<BlockRecord> {
 mod tests {
     use super::*;
     use crate::profile::TraceProfile;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use std::fmt::Write;
 
     fn rec(ts: u64, lba: u64, op: IoOp, hash_id: u64) -> BlockRecord {
         BlockRecord {
@@ -290,6 +473,133 @@ mod tests {
         match trace_from_fiu("homes", &bad, 0) {
             Err(pod_types::PodError::TraceParse { line, .. }) => assert_eq!(line, lines + 1),
             other => panic!("expected a TraceParse, got {other:?}"),
+        }
+    }
+
+    /// `body` fed to a loader of `width` in blocks, each cut after the
+    /// first `\n` at or past the next of the ascending byte offsets `cuts`.
+    fn load_in_blocks(body: &str, width: usize, cuts: &[usize]) -> PodResult<Vec<IoRequest>> {
+        let mut loader = FiuLoader::new(width);
+        let mut start = 0;
+        for &cut in cuts {
+            let from = cut.max(start);
+            let Some(nl) = body.as_bytes()[from..].iter().position(|&b| b == b'\n') else {
+                break;
+            };
+            loader.feed(&body[start..from + nl + 1])?;
+            start = from + nl + 1;
+        }
+        loader.feed(&body[start..])?;
+        Ok(loader.finish())
+    }
+
+    /// Block cuts for a `len`-byte body: a few large blocks, or blocks
+    /// of a few hundred bytes.
+    fn random_cuts(rng: &mut StdRng, len: usize) -> Vec<usize> {
+        let step = if rng.random_bool(0.5) {
+            200
+        } else {
+            len / 4 + 1
+        };
+        let mut cuts = Vec::new();
+        let mut at = 0;
+        loop {
+            at += rng.random_range(1..2 * step);
+            if at >= len {
+                return cuts;
+            }
+            cuts.push(at);
+        }
+    }
+
+    /// `trace` as FIU text with comment, blank and CRLF lines mixed in.
+    fn noisy_fiu(trace: &Trace, rng: &mut StdRng) -> String {
+        let text = crate::fiu::format_records(&split_into_records(trace));
+        let mut out = String::with_capacity(2 * text.len());
+        for line in text.lines() {
+            match rng.random_range(0..16u32) {
+                0 => out.push_str("# comment\n"),
+                1 => out.push('\n'),
+                2 => out.push_str("  \r\n"),
+                _ => {}
+            }
+            out.push_str(line);
+            out.push_str(if rng.random_bool(0.1) { "\r\n" } else { "\n" });
+        }
+        out
+    }
+
+    #[test]
+    fn loader_is_exact_at_any_width_and_cut() {
+        // The reference is the sequential parse then reconstruction, ids
+        // and the first bad line's error included.
+        let mut rng = StdRng::seed_from_u64(26);
+        let profiles = [
+            TraceProfile::web_vm().scaled(0.002),
+            TraceProfile::homes().scaled(0.003),
+            TraceProfile::mail().scaled(0.0005),
+        ];
+        let bad_lines = [
+            "1 1 p 0 0 W 8 0 *",
+            "1 1 p 0 65537 R 8 0 *",
+            "1 1 p 0 1 X 8 0 *",
+            "1 1 p 0",
+        ];
+        for (seed, profile) in profiles.iter().enumerate() {
+            let body = noisy_fiu(&profile.generate(seed as u64), &mut rng);
+            let want = reconstruct_requests(&crate::fiu::parse_str(&body).expect("parse"));
+            assert!(want.len() > 100, "profile {seed}: {} requests", want.len());
+            let mut lines: Vec<&str> = body.lines().collect();
+            let at = rng.random_range(0..lines.len());
+            lines.insert(at, bad_lines[rng.random_range(0..bad_lines.len())]);
+            let bad = lines.join("\n");
+            let want_err = crate::fiu::parse_str(&bad).expect_err("a bad line");
+            for width in [1, 2, 3, 8] {
+                for _ in 0..3 {
+                    let cuts = random_cuts(&mut rng, body.len());
+                    let got = load_in_blocks(&body, width, &cuts).expect("parse");
+                    assert_eq!(got, want, "profile {seed}, width {width}, cuts {cuts:?}");
+                    for r in got.iter().filter(|r| r.op.is_write()) {
+                        assert_eq!(r.chunks.capacity(), r.chunks.len(), "sized exactly");
+                    }
+                    let cuts = random_cuts(&mut rng, bad.len());
+                    let err = load_in_blocks(&bad, width, &cuts).expect_err("a bad line");
+                    assert_eq!(
+                        err,
+                        want_err,
+                        "profile {seed}, width {width}, bad line {}",
+                        at + 1
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn loader_splits_an_overflowing_run_where_the_sequential_loop_does() {
+        // 65,537 same-timestamp contiguous reads of 65,536 blocks: the run
+        // passes u32::MAX, so the sequential loop makes requests of 65,535
+        // and 2 records. A block or piece cut inside the run must split
+        // it there too — not at the cut, and not at a piece's own split.
+        let max = crate::fiu::MAX_RECORD_BLOCKS;
+        let mut body = String::new();
+        for i in 0..65_537u64 {
+            writeln!(body, "7 1 p {} {max} R 8 0 *", i * u64::from(max)).expect("write");
+        }
+        let want = reconstruct_requests(&crate::fiu::parse_str(&body).expect("parse"));
+        let sizes: Vec<u32> = want.iter().map(|r| r.nblocks).collect();
+        assert_eq!(sizes, [65_535 * max, 2 * max]);
+        let len = body.len();
+        for width in [1, 2, 3, 8] {
+            for cuts in [
+                vec![],
+                vec![len / 2],
+                vec![len / 3, 2 * len / 3],
+                vec![len - 40],
+            ] {
+                let got = load_in_blocks(&body, width, &cuts).expect("parse");
+                assert_eq!(got, want, "width {width}, cuts {cuts:?}");
+            }
         }
     }
 }

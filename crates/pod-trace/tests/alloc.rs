@@ -2,10 +2,12 @@
 //!
 //! A counting global allocator wraps the system allocator (the same
 //! arrangement as `pod-dedup/tests/alloc.rs`). Loading a trace body
-//! through [`trace_from_fiu`] — what `pod-cli --trace` calls — may
-//! allocate for its output only: the request vector as it grows, and one
-//! exactly-sized chunk vector per *write request*. Nothing per line: no
-//! field vector, no process-name `String`, no `BlockRecord`.
+//! through [`trace_from_fiu`] may allocate for its output only: the
+//! request vector as it grows, and one exactly-sized chunk vector per
+//! *write request*. Streaming it through [`FiuLoader`] in blocks on two
+//! threads, as `pod-cli --trace` does, adds a bound per block. Nothing
+//! per line: no field vector, no process-name `String`, no
+//! `BlockRecord`.
 //!
 //! The file holds a single test on purpose — the counter is
 //! process-global, and a lone test keeps the measurement window free of
@@ -15,7 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pod_trace::reconstruct::trace_from_fiu;
+use pod_trace::reconstruct::{trace_from_fiu, FiuLoader};
 use pod_types::Fingerprint;
 
 /// Counts every allocation and reallocation made through the global
@@ -71,6 +73,39 @@ fn load(body: &str) -> (u64, u64) {
     (during, trace.len() as u64)
 }
 
+/// Blocks the streamed load cuts a body into, and the allocations one
+/// block may cost whatever its length: two threads' scope, spawn and
+/// join, the piece list, and the worker's request vector growing.
+const BLOCKS: usize = 8;
+const PER_BLOCK: u64 = 32;
+
+/// [`load`] as `pod-cli --trace` streams it: `BLOCKS` blocks of whole
+/// lines, each parsed in two pieces.
+fn load_streamed(body: &str) -> (u64, u64) {
+    let cuts: Vec<usize> = (1..BLOCKS)
+        .map(|k| {
+            body[..k * body.len() / BLOCKS]
+                .rfind('\n')
+                .expect("a newline")
+                + 1
+        })
+        .chain([body.len()])
+        .collect();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut loader = FiuLoader::new(2);
+    let mut start = 0;
+    for end in cuts {
+        loader.feed(&body[start..end]).expect("well-formed body");
+        start = end;
+    }
+    let requests = loader.finish();
+    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    for r in requests.iter().filter(|r| r.op.is_write()) {
+        assert_eq!(r.chunks.capacity(), r.chunks.len(), "sized exactly");
+    }
+    (during, requests.len() as u64)
+}
+
 #[test]
 fn fiu_load_allocates_for_its_output_only() {
     let (reads, writes) = (body(false), body(true));
@@ -91,5 +126,20 @@ fn fiu_load_allocates_for_its_output_only() {
     assert!(
         allocations < 2 * REQUESTS,
         "{allocations} allocations loading {REQUESTS} write requests ({LINES} lines)"
+    );
+
+    // Streamed in blocks on two threads: a bound per block, plus one
+    // chunk vector per write request — still nothing per line.
+    let (allocations, requests) = load_streamed(&reads);
+    assert_eq!(requests, REQUESTS);
+    assert!(
+        allocations <= BLOCKS as u64 * PER_BLOCK,
+        "{allocations} allocations streaming {LINES} read lines in {BLOCKS} blocks"
+    );
+    let (allocations, requests) = load_streamed(&writes);
+    assert_eq!(requests, REQUESTS);
+    assert!(
+        allocations <= BLOCKS as u64 * PER_BLOCK + REQUESTS,
+        "{allocations} allocations streaming {REQUESTS} write requests in {BLOCKS} blocks"
     );
 }
