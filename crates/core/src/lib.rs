@@ -64,7 +64,7 @@ pub use metrics::{LatencyHistogram, Metrics, Timeline};
 pub use obs::{
     FaultKind, Layer, ObserverChain, StackCounters, StackEvent, StackObserver, StateSnapshot,
 };
-pub use oracle::{IntegrityDiff, IntegrityReport, OracleObserver, ReferenceModel};
+pub use oracle::{IntegrityDiff, IntegrityReport, OracleObserver};
 pub use pool::Executor;
 pub use prof::{HostProfile, ProfPhase, ProfSink};
 pub use runner::{ReplayBuilder, ReplayReport, ReplaySizing};
@@ -95,7 +95,7 @@ pub mod prelude {
         FaultKind, Layer, LayerHistograms, ObserverChain, StackCounters, StackEvent, StackObserver,
         StateSnapshot, TraceRecorder,
     };
-    pub use crate::oracle::{IntegrityDiff, IntegrityReport, OracleObserver, ReferenceModel};
+    pub use crate::oracle::{IntegrityDiff, IntegrityReport};
     pub use crate::prof::{HostProfile, ProfPhase, ProfSink};
     pub use crate::runner::{ReplayBuilder, ReplayReport};
     pub use crate::scheme::Scheme;

@@ -2,105 +2,51 @@
 //!
 //! A replay is only trustworthy if, after all the dedup remapping,
 //! cache indirection and fault recovery, every logical block still
-//! reads back the content last written to it. This module provides the
-//! differential check: a deliberately naive [`ReferenceModel`] (a flat
-//! LBA → fingerprint map with no dedup, no caching, no failure
-//! handling) is run in lockstep with the real stack, and a post-replay
-//! [`OracleObserver::verify`] pass walks every live logical block
-//! through the real Map/ChunkStore path and diffs it against the
-//! model.
+//! reads back the content last written to it. [`verify`] is that check,
+//! and its reference is the trace itself: one pass over the requests
+//! from newest to oldest marks each written LBA in a [`BlockSet`], and
+//! the first time a block is met, the fingerprint there is by
+//! definition the last write to it. The pass resolves the block through
+//! the real Map/ChunkStore path right there and diffs the two.
 //!
-//! Because the model shares *no* code with the stack's write path, any
-//! divergence — a misdirected extent, a refcount bug that let a pinned
-//! block be overwritten, a crash-recovery gap, an injected corruption —
-//! shows up as a pinpointed [`IntegrityDiff`]. The same pass also folds
-//! in the store's own internal invariants
-//! ([`ChunkStore::check_invariants`]) and a full NVRAM journal replay
+//! The reference shares *no* code with the stack — no dedup, no
+//! eviction, no recovery, not even a model to keep in step: nothing is
+//! recorded while the replay runs. Any divergence — a misdirected
+//! extent, a refcount bug that let a pinned block be overwritten, a
+//! crash-recovery gap, an injected corruption — shows up as a
+//! pinpointed [`IntegrityDiff`]. The same call also folds in the
+//! store's own internal invariants ([`ChunkStore::check_invariants`])
+//! and a full NVRAM journal replay
 //! ([`ChunkStore::verify_journal_recovery`]), so structural damage is
 //! caught even when the content mapping happens to survive it.
 //!
-//! The oracle is strictly opt-in: [`ReplayBuilder::verify`] wires it
-//! up, and with it off the replay hot path runs the exact same
-//! zero-allocation route as before (enforced by `tests/alloc.rs`).
+//! The oracle is strictly opt-in: [`ReplayBuilder::verify`] runs it
+//! once, after the replay finishes, so the replay hot path is the same
+//! zero-allocation route with it on or off (enforced by
+//! `tests/alloc.rs`).
 //!
 //! [`ChunkStore::check_invariants`]: pod_dedup::ChunkStore::check_invariants
 //! [`ChunkStore::verify_journal_recovery`]: pod_dedup::ChunkStore::verify_journal_recovery
 //! [`ReplayBuilder::verify`]: crate::runner::ReplayBuilder::verify
 
-use std::collections::HashMap;
 use std::fmt;
 
-use crate::obs::{StackEvent, StackObserver};
 use crate::stack::DedupLayer;
-use pod_types::{Fingerprint, IoRequest, Lba};
+use pod_dedup::BlockSet;
+use pod_trace::Trace;
+use pod_types::{Fingerprint, IoRequest};
 
 /// How many divergent blocks an [`IntegrityReport`] keeps verbatim;
 /// beyond this only the count grows.
 pub const MAX_REPORTED_DIFFS: usize = 8;
 
-/// The reference model: what a perfect, dedup-free store would hold.
-///
-/// One entry per logical block ever written, pointing at the
-/// fingerprint of the content last written there. Overwrites replace;
-/// nothing is ever shared, evicted or recovered — the model cannot
-/// have the bugs it is checking for.
-#[derive(Debug, Clone, Default)]
-pub struct ReferenceModel {
-    map: HashMap<u64, Fingerprint>,
-}
-
-impl ReferenceModel {
-    /// An empty model.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Apply one trace request: writes update the model block by
-    /// block, reads are ignored (they carry no content identity).
-    pub fn record_request(&mut self, req: &IoRequest) {
-        if !req.op.is_write() {
-            return;
-        }
-        for (lba, fp) in req.write_chunks() {
-            self.map.insert(lba.raw(), fp);
-        }
-    }
-
-    /// Directly set the expected content of one block — test hook for
-    /// forcing a divergence.
-    pub fn insert(&mut self, lba: u64, fp: Fingerprint) {
-        self.map.insert(lba, fp);
-    }
-
-    /// Expected content of `lba`, if the block was ever written.
-    pub fn expected(&self, lba: u64) -> Option<Fingerprint> {
-        self.map.get(&lba).copied()
-    }
-
-    /// Number of live logical blocks the model tracks.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` while nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Live LBAs in ascending order — the deterministic verify walk.
-    fn sorted_lbas(&self) -> Vec<u64> {
-        let mut lbas: Vec<u64> = self.map.keys().copied().collect();
-        lbas.sort_unstable();
-        lbas
-    }
-}
-
-/// One logical block whose stored content disagrees with the model.
+/// One logical block whose stored content disagrees with the last
+/// write the trace made to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntegrityDiff {
     /// The divergent logical block.
     pub lba: u64,
-    /// What the reference model says was last written there.
+    /// The content the trace last wrote there.
     pub expected: Fingerprint,
     /// What the real stack resolves the block to (`None` = the mapping
     /// was lost entirely).
@@ -130,16 +76,16 @@ impl fmt::Display for IntegrityDiff {
 /// Outcome of one verification pass.
 #[derive(Debug, Clone, Default)]
 pub struct IntegrityReport {
-    /// Logical blocks walked (one per live model entry).
+    /// Logical blocks checked (one per block the trace wrote).
     pub checked: u64,
-    /// Blocks whose stored content diverged from the model.
+    /// Blocks whose stored content diverged from their last write.
     pub divergent: u64,
-    /// The first [`MAX_REPORTED_DIFFS`] divergences, in LBA order.
+    /// The [`MAX_REPORTED_DIFFS`] lowest divergent LBAs, ascending.
     pub diffs: Vec<IntegrityDiff>,
     /// Store-internal invariant or journal-recovery failure, if any.
     pub invariant_error: Option<String>,
-    /// Faults the observer saw injected during the replay (context for
-    /// reading a failure — a clean run should pass even with these).
+    /// Faults injected during the replay (context for reading a
+    /// failure — a clean run should pass even with these).
     pub faults_seen: u64,
 }
 
@@ -176,106 +122,178 @@ impl IntegrityReport {
     }
 }
 
-/// The oracle: a [`ReferenceModel`] fed in lockstep with the replay
-/// plus the post-replay differential walk.
+/// Check every block `trace` wrote against what `dedup` resolves it
+/// to, then fold in the store's invariants and journal recovery.
 ///
-/// As a [`StackObserver`] it rides the chain to count injected faults;
-/// the request stream is fed to it directly by the runner (events are
-/// `Copy` and deliberately carry no request payloads).
-#[derive(Debug, Default)]
-pub struct OracleObserver {
-    model: ReferenceModel,
-    faults_seen: u64,
+/// `trace` is the trace `dedup` replayed (a replay refuses any LBA
+/// outside its store's logical space, which sizes the pass's seen-set).
+/// Throttled serve requests are copies of trace requests with the same
+/// content in the same per-tenant order, so the tenant's own trace is
+/// the reference for them too. [`IntegrityReport::faults_seen`] is left
+/// at 0 for the caller, who holds the stack's counters.
+pub fn verify(dedup: &DedupLayer, trace: &Trace) -> IntegrityReport {
+    let store = dedup.engine().store();
+    let mut seen = BlockSet::new(store.logical_blocks());
+    let mut report = IntegrityReport::default();
+    let mut diffs = Vec::new();
+    let writes = trace.requests.iter().rev().filter(|r| r.op.is_write());
+    for (lba, expected) in writes.flat_map(IoRequest::write_chunks) {
+        if !seen.insert(lba.raw()) {
+            continue; // a newer write already set this block's content
+        }
+        report.checked += 1;
+        let actual = dedup.content_of(lba);
+        if actual != Some(expected) {
+            diffs.push(IntegrityDiff {
+                lba: lba.raw(),
+                expected,
+                actual,
+            });
+        }
+    }
+    report.divergent = diffs.len() as u64;
+    diffs.sort_unstable_by_key(|d| d.lba);
+    diffs.truncate(MAX_REPORTED_DIFFS);
+    report.diffs = diffs;
+    if let Err(e) = store
+        .check_invariants()
+        .and_then(|()| store.verify_journal_recovery())
+    {
+        report.invariant_error = Some(e.to_string());
+    }
+    report
 }
+
+/// The oracle's per-request hook, from when it kept a model in step
+/// with the replay. [`verify`] needs no feed, so
+/// [`observe_request`](Self::observe_request) does nothing; the type
+/// stays because `benchmark/src/traced.rs` mirrors the replay loop
+/// through it.
+#[derive(Debug, Default)]
+pub struct OracleObserver;
 
 impl OracleObserver {
-    /// A fresh oracle with an empty model.
+    /// The hook.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
-    /// Mirror one trace request into the reference model.
-    pub fn observe_request(&mut self, req: &IoRequest) {
-        self.model.record_request(req);
-    }
-
-    /// The reference model (inspection).
-    pub fn model(&self) -> &ReferenceModel {
-        &self.model
-    }
-
-    /// Walk every live logical block through the real dedup layer and
-    /// diff the resolved content against the model, then fold in the
-    /// store's internal invariants and an NVRAM journal recovery check.
-    pub fn verify(&self, dedup: &DedupLayer) -> IntegrityReport {
-        let mut report = IntegrityReport {
-            faults_seen: self.faults_seen,
-            ..IntegrityReport::default()
-        };
-        for lba in self.model.sorted_lbas() {
-            report.checked += 1;
-            let expected = self.model.expected(lba).expect("live model entry");
-            let actual = dedup.content_of(Lba::new(lba));
-            if actual != Some(expected) {
-                report.divergent += 1;
-                if report.diffs.len() < MAX_REPORTED_DIFFS {
-                    report.diffs.push(IntegrityDiff {
-                        lba,
-                        expected,
-                        actual,
-                    });
-                }
-            }
-        }
-        let store = dedup.engine().store();
-        if let Err(e) = store
-            .check_invariants()
-            .and_then(|()| store.verify_journal_recovery())
-        {
-            report.invariant_error = Some(e.to_string());
-        }
-        report
-    }
-}
-
-impl StackObserver for OracleObserver {
-    fn on_event(&mut self, ev: &StackEvent) {
-        if matches!(ev, StackEvent::FaultInjected { .. }) {
-            self.faults_seen += 1;
-        }
-    }
+    /// Does nothing: the trace is the reference.
+    pub fn observe_request(&mut self, _req: &IoRequest) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::FaultKind;
-    use pod_types::SimTime;
+    use crate::runner::replay_finished;
+    use crate::{Scheme, StorageStack};
+    use pod_trace::TraceProfile;
+    use pod_types::Lba;
+    use std::collections::HashMap;
 
     fn fp(id: u64) -> Fingerprint {
         Fingerprint::from_content_id(id)
     }
 
-    fn wreq(id: u64, lba: u64, contents: &[u64]) -> IoRequest {
-        IoRequest::write(
-            id,
-            SimTime::from_micros(id),
-            Lba::new(lba),
-            contents.iter().copied().map(fp).collect(),
-        )
+    fn finished(scheme: Scheme, trace: &Trace) -> StorageStack {
+        replay_finished(scheme, trace).1
+    }
+
+    /// The spec the backward pass must equal: every write applied
+    /// oldest first to a map, then each entry checked in LBA order.
+    /// Returns the blocks checked and every divergence, ascending.
+    fn last_write_model(dedup: &DedupLayer, trace: &Trace) -> (u64, Vec<IntegrityDiff>) {
+        let mut model: HashMap<u64, Fingerprint> = HashMap::new();
+        for req in trace.requests.iter().filter(|r| r.op.is_write()) {
+            for (lba, fp) in req.write_chunks() {
+                model.insert(lba.raw(), fp);
+            }
+        }
+        let mut lbas: Vec<u64> = model.keys().copied().collect();
+        lbas.sort_unstable();
+        let diffs = lbas
+            .into_iter()
+            .filter_map(|lba| {
+                let expected = model[&lba];
+                let actual = dedup.content_of(Lba::new(lba));
+                (actual != Some(expected)).then_some(IntegrityDiff {
+                    lba,
+                    expected,
+                    actual,
+                })
+            })
+            .collect();
+        (model.len() as u64, diffs)
+    }
+
+    /// `verify` agrees with the model on everything it reports.
+    fn assert_matches_model(dedup: &DedupLayer, trace: &Trace, what: &str) -> IntegrityReport {
+        let (checked, all) = last_write_model(dedup, trace);
+        let rep = verify(dedup, trace);
+        assert_eq!(rep.checked, checked, "{what}: blocks checked");
+        assert_eq!(rep.divergent, all.len() as u64, "{what}: divergent");
+        let lowest = &all[..all.len().min(MAX_REPORTED_DIFFS)];
+        assert_eq!(rep.diffs, lowest, "{what}: the lowest LBAs, ascending");
+        assert_eq!(rep.invariant_error, None, "{what}");
+        rep
     }
 
     #[test]
-    fn model_tracks_last_write_per_block() {
-        let mut m = ReferenceModel::new();
-        m.record_request(&wreq(0, 10, &[1, 2, 3]));
-        m.record_request(&wreq(1, 11, &[9])); // overwrite middle block
-        m.record_request(&IoRequest::read(2, SimTime::ZERO, Lba::new(10), 3));
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.expected(10), Some(fp(1)));
-        assert_eq!(m.expected(11), Some(fp(9)));
-        assert_eq!(m.expected(12), Some(fp(3)));
-        assert_eq!(m.expected(13), None);
+    fn backward_pass_equals_a_last_write_model() {
+        for profile in [
+            TraceProfile::web_vm(),
+            TraceProfile::homes(),
+            TraceProfile::mail(),
+        ] {
+            let trace = profile.scaled(0.004).generate(17);
+            let written: usize = trace
+                .requests
+                .iter()
+                .filter(|r| r.op.is_write())
+                .map(|r| r.chunks.len())
+                .sum();
+            for scheme in Scheme::all() {
+                let stack = finished(scheme, &trace);
+                let what = format!("{scheme} on {}", trace.name);
+                let rep = assert_matches_model(stack.dedup(), &trace, &what);
+                assert!(rep.passed(), "{what}: {}", rep.summary());
+                assert!(
+                    (rep.checked as usize) < written,
+                    "{what}: the trace rewrites blocks ({} of {written} distinct)",
+                    rep.checked
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_mutated_trace_diverges_exactly_where_its_last_writes_changed() {
+        let trace = TraceProfile::mail().scaled(0.004).generate(17);
+        let stack = finished(Scheme::Pod, &trace);
+        // Change the content of every fifth write. Only blocks whose
+        // last write was changed may diverge; rewritten ones must not.
+        let mut mutated = trace.clone();
+        for req in mutated
+            .requests
+            .iter_mut()
+            .filter(|r| r.op.is_write())
+            .step_by(5)
+        {
+            for chunk in &mut req.chunks {
+                *chunk = fp(chunk.prefix_u64() ^ 0x5A5A_5A5A);
+            }
+        }
+        let rep = assert_matches_model(stack.dedup(), &mutated, "mutated trace");
+        assert!(
+            rep.divergent > MAX_REPORTED_DIFFS as u64,
+            "{} divergent",
+            rep.divergent
+        );
+        assert_eq!(rep.diffs.len(), MAX_REPORTED_DIFFS);
+        assert!(rep.diffs.windows(2).all(|w| w[0].lba < w[1].lba));
+        assert!(rep.summary().contains("FAIL"), "{}", rep.summary());
+        // The unmutated trace still passes against the same stack.
+        assert!(verify(stack.dedup(), &trace).passed());
     }
 
     #[test]
@@ -302,20 +320,5 @@ mod tests {
         };
         assert!(ok.passed());
         assert!(ok.summary().contains("PASS"));
-    }
-
-    #[test]
-    fn observer_counts_fault_events() {
-        let mut o = OracleObserver::new();
-        o.on_event(&StackEvent::FaultInjected {
-            kind: FaultKind::ReadError,
-            delay_us: 500,
-        });
-        o.on_event(&StackEvent::Recovered {
-            kind: FaultKind::ReadError,
-            repaired_entries: 0,
-        });
-        o.on_event(&StackEvent::Finished);
-        assert_eq!(o.faults_seen, 1);
     }
 }

@@ -19,7 +19,7 @@
 use crate::config::SystemConfig;
 use crate::metrics::{Metrics, Timeline};
 use crate::obs::{ObserverChain, StackCounters, StackObserver, TraceRecorder};
-use crate::oracle::{IntegrityReport, OracleObserver};
+use crate::oracle::{self, IntegrityReport};
 use crate::prof::{HostProfile, ProfSink};
 use crate::scheme::Scheme;
 use crate::serve::TokenBucket;
@@ -205,17 +205,11 @@ pub(crate) fn replay_stack(
         stack.push_task(Box::new(task));
     }
     let mut throttle = setup.throttle;
-    // The oracle rides outside the stack: events carry no request
-    // payloads, so the reference model is fed the raw stream here.
-    let mut oracle = verify.then(OracleObserver::new);
 
     // ---- Replay -------------------------------------------------
     let n = trace.requests.len();
     let warmup = warmup_requests(cfg, n);
     for (idx, req) in trace.requests.iter().enumerate() {
-        if let Some(oracle) = oracle.as_mut() {
-            oracle.observe_request(req);
-        }
         let wait_us = throttle
             .as_mut()
             .map_or(0, |bucket| bucket.admit(req.arrival.as_micros()));
@@ -239,14 +233,28 @@ pub(crate) fn replay_stack(
     stack.finish()?;
 
     // Verify after finish(): drains, crash recovery and any injected
-    // end-of-replay corruption are all visible to the walk.
-    let integrity = oracle.map(|o| {
-        let mut rep = o.verify(stack.dedup());
-        rep.faults_seen = stack.observer().counters().faults_injected;
-        rep
+    // end-of-replay corruption are all visible to the pass.
+    let integrity = verify.then(|| IntegrityReport {
+        faults_seen: stack.observer().counters().faults_injected,
+        ..oracle::verify(stack.dedup(), trace)
     });
     let report = collect_report(&stack, spec.name, trace, warmup, integrity);
     Ok((report, stack))
+}
+
+/// `trace` replayed solo through `scheme` under the test config, with
+/// the finished stack — for tests that inspect end-of-replay state.
+#[cfg(test)]
+pub(crate) fn replay_finished(scheme: Scheme, trace: &Trace) -> (ReplayReport, StorageStack) {
+    replay_stack(
+        &scheme.stack_spec(),
+        &SystemConfig::test_default(),
+        trace,
+        ObserverChain::new(),
+        false,
+        TenantSetup::default(),
+    )
+    .expect("replay")
 }
 
 /// Number of leading requests excluded from measurement under `cfg`.
@@ -419,12 +427,12 @@ impl<'t> ReplayBuilder<'t> {
         self
     }
 
-    /// Run the end-to-end integrity oracle alongside the replay: a
-    /// naive [`ReferenceModel`](crate::oracle::ReferenceModel) shadows
-    /// every write, and after the replay each live logical block is
-    /// resolved through the real Map/ChunkStore path and diffed against
-    /// it. The verdict lands in [`ReplayReport::integrity`]. Off by
-    /// default — with it off the replay takes the zero-allocation path.
+    /// Run the end-to-end integrity oracle after the replay: every
+    /// block the trace wrote is resolved through the real Map/ChunkStore
+    /// path and diffed against its last write (see [`oracle::verify`]).
+    /// The verdict lands in [`ReplayReport::integrity`]. Off by default;
+    /// on or off, the replay loop itself is the same zero-allocation
+    /// path.
     pub fn verify(mut self, verify: bool) -> Self {
         self.core.verify = verify;
         self
@@ -871,6 +879,36 @@ mod tests {
             assert!(integ.passed(), "{s}: {}", integ.summary());
             assert!(integ.checked > 0, "{s}: oracle walked live blocks");
             assert_eq!(integ.faults_seen, 0, "{s}: no faults configured");
+        }
+    }
+
+    /// Post-Process defers dedup to a background pass that `finish`
+    /// drains; after that it must hold what inline Full-Dedupe holds
+    /// for the same trace — the equivalence hybrid inline/out-of-line
+    /// schemes rest on.
+    #[test]
+    fn drained_post_process_reaches_full_dedupe_capacity_and_content() {
+        let finished = |s: Scheme, t: &Trace| {
+            let (rep, stack) = replay_finished(s, t);
+            (rep.capacity_used_blocks, stack)
+        };
+        for name in ["web-vm", "homes", "mail"] {
+            let t = tiny_trace(name);
+            let (post_blocks, post) = finished(Scheme::PostProcess, &t);
+            let (full_blocks, full) = finished(Scheme::FullDedupe, &t);
+            assert_eq!(post.dedup().scan_backlog(), 0, "{name}: drained");
+            assert_eq!(post_blocks, full_blocks, "{name}: capacity used");
+            let (native_blocks, _) = finished(Scheme::Native, &t);
+            assert!(full_blocks < native_blocks, "{name}: duplicates removed");
+            let written = t.requests.iter().filter(|r| r.op.is_write());
+            for lba in written.flat_map(|r| r.lbas()) {
+                assert_eq!(
+                    post.dedup().content_of(lba),
+                    full.dedup().content_of(lba),
+                    "{name}: content of lba {}",
+                    lba.raw()
+                );
+            }
         }
     }
 

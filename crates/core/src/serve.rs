@@ -355,12 +355,11 @@ impl<'t> ServeBuilder<'t> {
         self
     }
 
-    /// Run the end-to-end integrity oracle alongside every tenant's
+    /// Run the end-to-end integrity oracle after every tenant's
     /// replay, exactly as
     /// [`ReplayBuilder::verify`](crate::ReplayBuilder::verify) does for
-    /// a solo run: each tenant gets its own
-    /// [`ReferenceModel`](crate::oracle::ReferenceModel) shadow and the
-    /// verdict lands in its report's
+    /// a solo run: each tenant's stack is checked against the tenant's
+    /// own trace and the verdict lands in its report's
     /// [`integrity`](ReplayReport::integrity). Off by default.
     pub fn verify(mut self, verify: bool) -> Self {
         self.core.verify = verify;

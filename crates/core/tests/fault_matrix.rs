@@ -60,6 +60,52 @@ fn every_scheme_survives_every_fault_class_with_zero_divergence() {
     }
 }
 
+/// Foreground disk jobs `scheme` submits replaying the tiny trace. Up
+/// to its crash point a crash plan replays exactly as a clean run does,
+/// so a crash at job `j` fires iff `j` is within that count: bisect.
+fn foreground_jobs(scheme: Scheme) -> u64 {
+    let fires = |job| {
+        replay_verified(scheme, Some(FaultPlan::crash(7, job)))
+            .stack
+            .faults_injected
+            > 0
+    };
+    let (mut fired, mut missed) = (1, tiny_trace().len() as u64 + 1);
+    assert!(fires(fired), "{scheme}: a crash at the first job fires");
+    while missed - fired > 1 {
+        let mid = fired + (missed - fired) / 2;
+        if fires(mid) {
+            fired = mid;
+        } else {
+            missed = mid;
+        }
+    }
+    fired
+}
+
+#[test]
+fn a_crash_at_any_point_of_the_replay_recovers_with_zero_divergence() {
+    const POINTS: u64 = 16;
+    for scheme in Scheme::all() {
+        let jobs = foreground_jobs(scheme);
+        assert!(jobs >= POINTS, "{scheme}: {jobs} jobs");
+        for k in 1..=POINTS {
+            let job = k * jobs / POINTS;
+            let rep = replay_verified(scheme, Some(FaultPlan::crash(7, job)));
+            let integ = rep.integrity.as_ref().expect("oracle attached");
+            assert!(
+                integ.passed(),
+                "{scheme} x crash at job {job}/{jobs}: {}",
+                integ.summary()
+            );
+            assert!(
+                rep.stack.recoveries >= 1,
+                "{scheme} x crash at job {job}/{jobs}: recovery ran"
+            );
+        }
+    }
+}
+
 #[test]
 fn transient_faults_recover_and_cost_latency() {
     let clean = replay_verified(Scheme::Pod, None);

@@ -10,6 +10,13 @@
 //! the read cache: each entry costs [`INDEX_ENTRY_BYTES`] (fingerprint +
 //! PBA + count + LRU links), and [`IndexTable::resize_bytes`] is the hook
 //! the Swap Module drives every epoch.
+//!
+//! Every `Count` change goes through [`IndexTable`]: a query hit, an
+//! insert (fresh or over an existing key), an upsert, an eviction
+//! victim, a resize spill and a removal each move one entry between the
+//! eight log₂ buckets of [`IndexTable::heat`]. The histogram therefore
+//! covers the whole table exactly and reading it is a copy, which is
+//! what lets every epoch snapshot carry it.
 
 use pod_cache::{LfuCache, LruCache};
 use pod_types::{log2_bucket8, Fingerprint, Pba};
@@ -53,13 +60,10 @@ pub struct IndexTable {
     hits: u64,
     misses: u64,
     inserts: u64,
+    /// Entries per log₂ `Count` bucket, kept in step with every count
+    /// change (see the module docs).
+    heat: [u64; 8],
 }
-
-/// Entries sampled for the `Count`-heat histogram in one
-/// [`IndexTable::heat`] call. Bounds snapshot cost on large tables; the
-/// LRU sample is the MRU head, i.e. the entries dedup decisions are
-/// actually consulting.
-pub const HEAT_SAMPLE_ENTRIES: usize = 4096;
 
 /// Flat gauge snapshot of an [`IndexTable`] (see
 /// [`pod_types::Introspect`]).
@@ -77,9 +81,9 @@ pub struct IndexState {
     pub inserts: u64,
     /// Cumulative backing-cache evictions (churn gauge).
     pub evictions: u64,
-    /// Log2-bucketed `Count` heat over a bounded sample of entries:
-    /// bucket i counts entries with `Count` in [2^i, 2^(i+1)) (bucket 0
-    /// is 0–1, bucket 7 is ≥128).
+    /// Log2-bucketed `Count` heat over every entry: bucket i counts
+    /// entries with `Count` in [2^i, 2^(i+1)) (bucket 0 is 0–1, bucket 7
+    /// is ≥128).
     pub heat: [u64; 8],
 }
 
@@ -101,6 +105,7 @@ impl IndexTable {
             hits: 0,
             misses: 0,
             inserts: 0,
+            heat: [0; 8],
         }
     }
 
@@ -128,29 +133,29 @@ impl IndexTable {
         let found = match &mut self.backing {
             Backing::Lru(c) => c.get_mut(fp).map(|e| {
                 e.count += 1;
-                e.pba
+                (e.pba, e.count)
             }),
             Backing::Lfu(c) => {
                 // LFU bumps frequency on get; update count via a second
                 // borrow-free step.
-                let hit = c.get(fp).map(|e| e.pba);
-                if hit.is_some() {
-                    if let Some(e) = c.peek(fp).copied() {
-                        c.insert(
-                            *fp,
-                            IndexEntry {
-                                pba: e.pba,
-                                count: e.count + 1,
-                            },
-                        );
-                    }
+                let hit = c.get(fp).copied();
+                if let Some(e) = hit {
+                    c.insert(
+                        *fp,
+                        IndexEntry {
+                            pba: e.pba,
+                            count: e.count + 1,
+                        },
+                    );
                 }
-                hit
+                hit.map(|e| (e.pba, e.count + 1))
             }
         };
         match found {
-            Some(pba) => {
+            Some((pba, count)) => {
                 self.hits += 1;
+                self.heat[log2_bucket8((count - 1).into())] -= 1;
+                self.heat[log2_bucket8(count.into())] += 1;
                 Some(pba)
             }
             None => {
@@ -174,10 +179,24 @@ impl IndexTable {
     pub fn insert(&mut self, fp: Fingerprint, pba: Pba) -> Option<Fingerprint> {
         self.inserts += 1;
         let entry = IndexEntry { pba, count: 0 };
-        match &mut self.backing {
-            Backing::Lru(c) => c.insert(fp, entry).map(|(victim, _)| victim),
-            Backing::Lfu(c) => c.insert(fp, entry).map(|(victim, _)| victim),
+        let (replaced, victim) = match &mut self.backing {
+            Backing::Lru(c) => {
+                let mut replaced = None;
+                let victim = c.upsert(fp, entry, |e, new| {
+                    replaced = Some(e.count);
+                    *e = new;
+                });
+                (replaced, victim)
+            }
+            Backing::Lfu(c) => (c.peek(&fp).map(|e| e.count), c.insert(fp, entry)),
+        };
+        if let Some(count) = replaced {
+            self.heat[log2_bucket8(count.into())] -= 1;
         }
+        // The new entry is counted even when it bounces off a
+        // zero-capacity table: it is then its own victim, uncounted below.
+        self.heat[0] += 1;
+        self.evicted(victim)
     }
 
     /// Update an existing entry's location preserving its `Count`, or
@@ -193,8 +212,11 @@ impl IndexTable {
                     e.pba = new.pba;
                     fresh = false;
                 });
-                self.inserts += u64::from(fresh);
-                return victim.map(|(victim, _)| victim);
+                if fresh {
+                    self.inserts += 1;
+                    self.heat[0] += 1;
+                }
+                return self.evicted(victim);
             }
             Backing::Lfu(c) => {
                 if let Some(e) = c.peek(&fp).copied() {
@@ -215,10 +237,22 @@ impl IndexTable {
     /// Remove a (stale) entry — e.g. the physical block was overwritten
     /// and the fingerprint no longer matches its content.
     pub fn remove(&mut self, fp: &Fingerprint) -> Option<IndexEntry> {
-        match &mut self.backing {
+        let removed = match &mut self.backing {
             Backing::Lru(c) => c.remove(fp),
             Backing::Lfu(c) => c.remove(fp),
+        };
+        if let Some(e) = removed {
+            self.heat[log2_bucket8(e.count.into())] -= 1;
         }
+        removed
+    }
+
+    /// Take an entry that left the table out of [`IndexTable::heat`],
+    /// returning its fingerprint.
+    fn evicted(&mut self, victim: Option<(Fingerprint, IndexEntry)>) -> Option<Fingerprint> {
+        let (fp, e) = victim?;
+        self.heat[log2_bucket8(e.count.into())] -= 1;
+        Some(fp)
     }
 
     /// Entries currently cached.
@@ -252,18 +286,17 @@ impl IndexTable {
     /// reserved disk region and register them with the ghost index.
     pub fn resize_bytes(&mut self, bytes: u64) -> Vec<Fingerprint> {
         let entries = (bytes / INDEX_ENTRY_BYTES) as usize;
-        match &mut self.backing {
-            Backing::Lru(c) => c
-                .set_capacity(entries)
-                .into_iter()
-                .map(|(fp, _)| fp)
-                .collect(),
-            Backing::Lfu(c) => c
-                .set_capacity(entries)
-                .into_iter()
-                .map(|(fp, _)| fp)
-                .collect(),
-        }
+        let spilled = match &mut self.backing {
+            Backing::Lru(c) => c.set_capacity(entries),
+            Backing::Lfu(c) => c.set_capacity(entries),
+        };
+        spilled
+            .into_iter()
+            .map(|(fp, e)| {
+                self.heat[log2_bucket8(e.count.into())] -= 1;
+                fp
+            })
+            .collect()
     }
 
     /// `(hits, misses, inserts)` counters.
@@ -280,24 +313,10 @@ impl IndexTable {
         }
     }
 
-    /// Log2-bucketed `Count`-heat histogram over at most
-    /// [`HEAT_SAMPLE_ENTRIES`] entries (the MRU head under LRU, an
-    /// arbitrary-but-deterministic sample under LFU). Allocation-free.
+    /// Log2-bucketed `Count`-heat histogram over every entry, kept
+    /// incrementally (see the module docs): reading it is a copy.
     pub fn heat(&self) -> [u64; 8] {
-        let mut heat = [0u64; 8];
-        match &self.backing {
-            Backing::Lru(c) => {
-                for (_, e) in c.iter().take(HEAT_SAMPLE_ENTRIES) {
-                    heat[log2_bucket8(e.count as u64)] += 1;
-                }
-            }
-            Backing::Lfu(c) => {
-                for (_, e, _) in c.iter().take(HEAT_SAMPLE_ENTRIES) {
-                    heat[log2_bucket8(e.count as u64)] += 1;
-                }
-            }
-        }
-        heat
+        self.heat
     }
 }
 

@@ -8,13 +8,17 @@
 //! write (the classic NVRAM failure mode) and stop at the last complete
 //! record.
 //!
-//! Recovery rebuilds the redirected LBA→PBA relation by replaying the
-//! journal in order; reference counts and content state are rebuilt by
-//! the store's scan, as in any journaled system.
+//! Recovery rebuilds the redirected LBA→PBA relation from the journal;
+//! reference counts and content state are rebuilt by the store's scan,
+//! as in any journaled system. [`MapJournal::replay`] is the one
+//! decoder: it reads the entries newest first and reports each LBA once,
+//! with its final state, so checking the journal against the live Map
+//! table needs no hash map — a [`BlockSet`] of LBAs already reported is
+//! the only state.
 
+use crate::store::BlockSet;
 use pod_hash::fnv1a_64;
 use pod_types::{Lba, Pba, PodError, PodResult};
-use std::collections::HashMap;
 
 /// Bytes per journal entry: 8 (lba) + 8 (pba) + 1 (op) + 3 (checksum).
 pub const JOURNAL_ENTRY_BYTES: usize = 20;
@@ -76,57 +80,62 @@ impl MapJournal {
         self.buf.is_empty()
     }
 
-    /// Replay the journal, returning the redirected mapping it encodes.
+    /// Replay the journal: call `visit(lba, state)` once for every LBA
+    /// it names, with that LBA's final state — `Some(pba)` when its last
+    /// entry redirects it, `None` when its last entry clears it. Entries
+    /// are read newest first, so the first entry met for an LBA is its
+    /// last; `blocks` is the logical space the journal maps, and sizes
+    /// the set of LBAs already reported.
     ///
-    /// A torn final entry (incomplete length or bad checksum on the last
-    /// record) is tolerated and ignored — that is precisely the state an
-    /// interrupted NVRAM append leaves behind. Corruption anywhere
-    /// *before* the tail is an integrity error.
-    pub fn replay(&self) -> PodResult<HashMap<u64, u64>> {
-        let mut map = HashMap::new();
-        let complete = self.buf.len() / JOURNAL_ENTRY_BYTES;
-        for i in 0..complete {
-            let entry = &self.buf[i * JOURNAL_ENTRY_BYTES..(i + 1) * JOURNAL_ENTRY_BYTES];
-            let sum = fnv1a_64(&entry[0..17]);
-            if entry[17..20] != sum.to_le_bytes()[0..3] {
-                if i + 1 == complete {
-                    // Torn tail: stop replay here.
-                    break;
-                }
-                return Err(PodError::Inconsistency(format!(
-                    "journal entry {i} fails its checksum"
-                )));
-            }
+    /// A torn final entry (incomplete length, bad checksum or unknown op
+    /// on the last record) is tolerated and ignored — that is precisely
+    /// the state an interrupted NVRAM append leaves behind. Corruption
+    /// anywhere *before* the tail, or an LBA at or past `blocks`, is an
+    /// integrity error naming the first such entry in append order; the
+    /// visits made before an error is returned mean nothing.
+    pub fn replay(&self, blocks: u64, mut visit: impl FnMut(u64, Option<u64>)) -> PodResult<()> {
+        let complete = self.entries();
+        let mut reported = BlockSet::new(blocks);
+        let mut error = None;
+        let entries = self.buf.chunks_exact(JOURNAL_ENTRY_BYTES).enumerate();
+        for (i, entry) in entries.rev() {
             let lba = u64::from_le_bytes(entry[0..8].try_into().expect("8 bytes"));
             let pba = u64::from_le_bytes(entry[8..16].try_into().expect("8 bytes"));
-            match entry[16] {
-                OP_REMAP => {
-                    map.insert(lba, pba);
+            let op = entry[16];
+            let fault = if entry[17..20] != fnv1a_64(&entry[0..17]).to_le_bytes()[0..3] {
+                Some(format!("journal entry {i} fails its checksum"))
+            } else if op != OP_REMAP && op != OP_CLEAR {
+                Some(format!("journal entry {i} has unknown op {op}"))
+            } else {
+                None
+            };
+            match fault {
+                // Torn tail: an interrupted append, ignored.
+                Some(_) if i + 1 == complete => {}
+                // Walking backwards, each fault found precedes the last.
+                Some(msg) => error = Some(msg),
+                None if lba >= blocks => {
+                    error = Some(format!(
+                        "journal entry {i} names lba {lba} outside the {blocks}-block logical space"
+                    ));
                 }
-                OP_CLEAR => {
-                    map.remove(&lba);
-                }
-                other => {
-                    if i + 1 == complete {
-                        break;
+                None => {
+                    if error.is_none() && reported.insert(lba) {
+                        visit(lba, (op == OP_REMAP).then_some(pba));
                     }
-                    return Err(PodError::Inconsistency(format!(
-                        "journal entry {i} has unknown op {other}"
-                    )));
                 }
             }
         }
-        Ok(map)
+        error.map_or(Ok(()), |msg| Err(PodError::Inconsistency(msg)))
     }
 
-    /// Compact the journal to a checkpoint of `mapping` (one remap entry
-    /// per live redirection). Returns the bytes saved.
-    pub fn checkpoint(&mut self, mapping: &HashMap<u64, u64>) -> usize {
+    /// Compact the journal to a checkpoint of `redirections` (one remap
+    /// entry per live redirection, in the order given). Returns the
+    /// bytes saved.
+    pub fn checkpoint(&mut self, redirections: impl IntoIterator<Item = (u64, u64)>) -> usize {
         let before = self.buf.len();
         let mut fresh = MapJournal::new();
-        let mut entries: Vec<(&u64, &u64)> = mapping.iter().collect();
-        entries.sort_unstable();
-        for (&lba, &pba) in entries {
+        for (lba, pba) in redirections {
             fresh.append_remap(Lba::new(lba), Pba::new(pba));
         }
         self.buf = fresh.buf;
@@ -137,6 +146,18 @@ impl MapJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
+    /// Logical space of the test journals.
+    const BLOCKS: u64 = 1_000;
+
+    /// The redirections `j` recovers, ascending by LBA.
+    fn recovered(j: &MapJournal) -> PodResult<Vec<(u64, u64)>> {
+        let mut out = Vec::new();
+        j.replay(BLOCKS, |lba, pba| out.extend(pba.map(|p| (lba, p))))?;
+        out.sort_unstable();
+        Ok(out)
+    }
 
     #[test]
     fn entry_size_matches_paper() {
@@ -153,14 +174,45 @@ mod tests {
         j.append_remap(Lba::new(2), Pba::new(100));
         j.append_remap(Lba::new(1), Pba::new(200)); // supersedes
         j.append_clear(Lba::new(2));
-        let map = j.replay().expect("clean journal replays");
-        assert_eq!(map.len(), 1);
-        assert_eq!(map.get(&1), Some(&200));
+        assert_eq!(recovered(&j).expect("clean journal replays"), [(1, 200)]);
+        // Each LBA is reported once, with its final state.
+        let mut visits = Vec::new();
+        j.replay(BLOCKS, |lba, pba| visits.push((lba, pba)))
+            .expect("replays");
+        assert_eq!(visits, [(2, None), (1, Some(200))]);
+    }
+
+    #[test]
+    fn replay_matches_a_forward_replay_into_a_map() {
+        // The spec: apply every entry oldest first to a map.
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut j = MapJournal::new();
+        let mut model: HashMap<u64, u64> = HashMap::new();
+        for _ in 0..5_000 {
+            let lba = next(64) * 13;
+            if next(4) == 0 {
+                j.append_clear(Lba::new(lba));
+                model.remove(&lba);
+            } else {
+                let pba = next(BLOCKS);
+                j.append_remap(Lba::new(lba), Pba::new(pba));
+                model.insert(lba, pba);
+            }
+        }
+        let mut want: Vec<(u64, u64)> = model.into_iter().collect();
+        want.sort_unstable();
+        assert_eq!(recovered(&j).expect("replays"), want);
     }
 
     #[test]
     fn empty_journal_replays_empty() {
-        assert!(MapJournal::new().replay().expect("empty ok").is_empty());
+        assert!(recovered(&MapJournal::new()).expect("empty ok").is_empty());
     }
 
     #[test]
@@ -171,11 +223,8 @@ mod tests {
         // Simulate a power cut mid-append: drop 7 bytes of the tail.
         let mut bytes = j.bytes().to_vec();
         bytes.truncate(bytes.len() - 7);
-        let recovered = MapJournal::from_bytes(bytes)
-            .replay()
-            .expect("tolerates tail");
-        assert_eq!(recovered.len(), 1);
-        assert_eq!(recovered.get(&1), Some(&100));
+        let torn = MapJournal::from_bytes(bytes);
+        assert_eq!(recovered(&torn).expect("tolerates tail"), [(1, 100)]);
     }
 
     #[test]
@@ -186,7 +235,7 @@ mod tests {
         let mut bytes = j.bytes().to_vec();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF; // scribble the final checksum
-        let recovered = MapJournal::from_bytes(bytes).replay().expect("tail only");
+        let recovered = recovered(&MapJournal::from_bytes(bytes)).expect("tail only");
         assert_eq!(recovered.len(), 1);
     }
 
@@ -198,7 +247,41 @@ mod tests {
         j.append_remap(Lba::new(3), Pba::new(300));
         let mut bytes = j.bytes().to_vec();
         bytes[5] ^= 0xFF; // corrupt the FIRST entry
-        assert!(MapJournal::from_bytes(bytes).replay().is_err());
+        assert!(recovered(&MapJournal::from_bytes(bytes)).is_err());
+    }
+
+    #[test]
+    fn the_first_bad_entry_in_append_order_is_named() {
+        let mut j = MapJournal::new();
+        for i in 0..6 {
+            j.append_remap(Lba::new(i), Pba::new(100 + i));
+        }
+        let mut bytes = j.bytes().to_vec();
+        // Entry 1: an op no writer emits, with a valid checksum.
+        let e1 = JOURNAL_ENTRY_BYTES;
+        bytes[e1 + 16] = 9;
+        let sum = fnv1a_64(&bytes[e1..e1 + 17]);
+        bytes[e1 + 17..e1 + 20].copy_from_slice(&sum.to_le_bytes()[0..3]);
+        // Entry 3: a bad checksum; entry 5 (the tail): another.
+        bytes[3 * JOURNAL_ENTRY_BYTES] ^= 0xFF;
+        bytes[5 * JOURNAL_ENTRY_BYTES] ^= 0xFF;
+        let err = |bytes: &[u8]| {
+            recovered(&MapJournal::from_bytes(bytes.to_vec()))
+                .expect_err("corrupt before the tail")
+                .to_string()
+        };
+        assert!(err(&bytes).contains("journal entry 1 has unknown op 9"));
+        // Without entry 1's damage, entry 3 is the first.
+        let mut fixed = bytes.clone();
+        fixed[e1..e1 + JOURNAL_ENTRY_BYTES].copy_from_slice(&j.bytes()[e1..2 * e1]);
+        assert!(err(&fixed).contains("journal entry 3 fails its checksum"));
+        // An LBA outside the logical space is an error even at the tail.
+        let mut far = MapJournal::new();
+        far.append_remap(Lba::new(BLOCKS), Pba::new(1));
+        assert!(recovered(&far)
+            .expect_err("outside the space")
+            .to_string()
+            .contains("journal entry 0 names lba 1000 outside the 1000-block logical space"));
     }
 
     #[test]
@@ -208,22 +291,29 @@ mod tests {
             j.append_remap(Lba::new(i % 4), Pba::new(i));
         }
         let before = j.bytes().len();
-        let live = j.replay().expect("replay");
-        let saved = j.checkpoint(&live);
+        let live = recovered(&j).expect("replay");
+        let saved = j.checkpoint(live.iter().copied());
         assert_eq!(j.entries(), 4, "only live redirections remain");
         assert_eq!(saved, before - 4 * JOURNAL_ENTRY_BYTES);
-        assert_eq!(j.replay().expect("recheck"), live);
+        assert_eq!(recovered(&j).expect("recheck"), live);
     }
 
     #[test]
     fn checkpoint_is_deterministic() {
-        let mut map = HashMap::new();
-        map.insert(5u64, 50u64);
-        map.insert(1, 10);
+        // Two histories with one final state checkpoint to one image.
         let mut a = MapJournal::new();
+        a.append_remap(Lba::new(5), Pba::new(7));
+        a.append_remap(Lba::new(1), Pba::new(10));
+        a.append_remap(Lba::new(5), Pba::new(50));
         let mut b = MapJournal::new();
-        a.checkpoint(&map);
-        b.checkpoint(&map);
+        b.append_remap(Lba::new(1), Pba::new(10));
+        b.append_remap(Lba::new(9), Pba::new(90));
+        b.append_remap(Lba::new(5), Pba::new(50));
+        b.append_clear(Lba::new(9));
+        let live = recovered(&a).expect("a replays");
+        assert_eq!(live, recovered(&b).expect("b replays"));
+        a.checkpoint(live.iter().copied());
+        b.checkpoint(live.iter().copied());
         assert_eq!(a.bytes(), b.bytes(), "sorted checkpoint is stable");
     }
 }

@@ -37,6 +37,6 @@ pub use engine::{
     DedupConfig, DedupEngine, DedupPolicy, DedupState, ReadPlan, RecoveryOutcome, ScanOutcome,
     WriteOutcome, WriteScratch, WriteSummary,
 };
-pub use index::{IndexPolicy, IndexState, IndexTable, HEAT_SAMPLE_ENTRIES, INDEX_ENTRY_BYTES};
+pub use index::{IndexPolicy, IndexState, IndexTable, INDEX_ENTRY_BYTES};
 pub use journal::{MapJournal, JOURNAL_ENTRY_BYTES};
-pub use store::{ChunkStore, MapState};
+pub use store::{BlockSet, ChunkStore, MapState};

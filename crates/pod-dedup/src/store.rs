@@ -122,6 +122,49 @@ impl<T: Copy + Default + PartialEq> BlockTable<T> {
     }
 }
 
+/// A set of block addresses over the bounded range `[0, blocks)`: one
+/// bit per block, held in 64-bit words paged like the store's own
+/// tables, so a page (32 KiB, 262,144 blocks) is allocated the first
+/// time a block in it is inserted and a set over the whole array costs a
+/// directory plus the regions actually touched. The one-pass checks
+/// that read a log newest entry first — the integrity oracle over a
+/// trace, the journal check over its entries — mark each block here to
+/// keep only its last write.
+#[derive(Debug)]
+pub struct BlockSet {
+    words: BlockTable<u64>,
+    blocks: u64,
+}
+
+impl BlockSet {
+    /// An empty set over `[0, blocks)`; allocates only the directory.
+    pub fn new(blocks: u64) -> Self {
+        Self {
+            words: BlockTable::new(blocks.div_ceil(64)),
+            blocks,
+        }
+    }
+
+    /// Add `block`, returning `true` when it was not in the set yet.
+    ///
+    /// # Panics
+    /// If `block` is outside the set's range: callers size the set to
+    /// the address space their blocks were already checked against.
+    #[inline]
+    pub fn insert(&mut self, block: u64) -> bool {
+        assert!(
+            block < self.blocks,
+            "block {block} outside a {}-block set",
+            self.blocks
+        );
+        let word = self.words.slot(block / 64);
+        let bit = 1u64 << (block % 64);
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+}
+
 /// Mapping + refcount + content state of the deduplicated block space.
 #[derive(Debug)]
 pub struct ChunkStore {
@@ -212,20 +255,28 @@ impl ChunkStore {
     /// Compact the journal to the live redirected set, returning bytes
     /// saved. (A deployment would do this when the NVRAM region fills.)
     pub fn checkpoint_journal(&mut self) -> usize {
-        let live = self.redirections().collect();
-        self.journal.checkpoint(&live)
+        let live: Vec<(u64, u64)> = self.redirections().collect();
+        self.journal.checkpoint(live)
     }
 
     /// Verify that replaying the journal reproduces exactly the live
     /// redirected mapping — the crash-recovery correctness property.
+    ///
+    /// The journal's final state for each LBA it names must be the live
+    /// state: redirected to that PBA, or not redirected. The redirections
+    /// it recovers are then distinct live ones, so the two sets are equal
+    /// exactly when their sizes are, and LBAs the journal never names
+    /// need no visit.
     pub fn verify_journal_recovery(&self) -> PodResult<()> {
-        let recovered = self.journal.replay()?;
-        let live: std::collections::HashMap<u64, u64> = self.redirections().collect();
-        if recovered != live {
+        let (mut recovered, mut agrees) = (0u64, true);
+        self.journal.replay(self.logical_blocks, |lba, pba| {
+            recovered += u64::from(pba.is_some());
+            agrees &= self.mapped_pba(lba).filter(|&p| p != lba) == pba;
+        })?;
+        if !agrees || recovered != self.redirected {
             return Err(PodError::Inconsistency(format!(
-                "journal recovers {} redirections, live state has {}",
-                recovered.len(),
-                live.len()
+                "journal recovers {recovered} redirections, live state has {}",
+                self.redirected
             )));
         }
         Ok(())

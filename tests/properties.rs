@@ -2,9 +2,11 @@
 //! crates through the public API.
 
 use pod::cache::LruCache;
-use pod::dedup::{ChunkStore, DedupConfig, DedupEngine, DedupPolicy};
+use pod::dedup::{
+    ChunkStore, DedupConfig, DedupEngine, DedupPolicy, IndexPolicy, IndexTable, INDEX_ENTRY_BYTES,
+};
 use pod::trace::reconstruct::{reconstruct_requests, split_into_records};
-use pod::types::{Fingerprint, IoRequest, Lba, Pba, SimTime};
+use pod::types::{log2_bucket8, Fingerprint, IoRequest, Lba, Pba, SimTime};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -212,6 +214,82 @@ proptest! {
         check_lru_against_model(|k| k, cap, &ops)?;
         check_lru_against_model(OneChainKey, cap, &ops)?;
         check_lru_against_model(FourChainKey, cap, &ops)?;
+    }
+}
+
+// ---------------------------------------------------------------------
+// IndexTable: the incremental heat histogram against a recount.
+// ---------------------------------------------------------------------
+
+/// Distinct fingerprints an index op sequence draws from: few enough
+/// that queries heat entries into the upper buckets.
+const INDEX_KEYS: u8 = 24;
+
+#[derive(Debug, Clone)]
+enum IndexOp {
+    /// Query a fingerprint this many times.
+    Query(u8, u8),
+    Insert(u8, u16),
+    Upsert(u8, u16),
+    Remove(u8),
+    /// Resize to this many entries (0 included).
+    Resize(u8),
+}
+
+fn index_op() -> impl Strategy<Value = IndexOp> {
+    // Queries are listed twice so that entries heat up between resets.
+    prop_oneof![
+        (0..INDEX_KEYS, 1u8..40).prop_map(|(k, n)| IndexOp::Query(k, n)),
+        (0..INDEX_KEYS, 1u8..40).prop_map(|(k, n)| IndexOp::Query(k, n)),
+        (0..INDEX_KEYS, any::<u16>()).prop_map(|(k, p)| IndexOp::Insert(k, p)),
+        (0..INDEX_KEYS, any::<u16>()).prop_map(|(k, p)| IndexOp::Upsert(k, p)),
+        (0..INDEX_KEYS).prop_map(IndexOp::Remove),
+        (0u8..30).prop_map(IndexOp::Resize),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn index_heat_equals_a_recount(
+        cap in 0usize..30,
+        ops in proptest::collection::vec(index_op(), 1..300),
+    ) {
+        let fp = |k: u8| Fingerprint::from_content_id(u64::from(k));
+        for policy in [IndexPolicy::Lru, IndexPolicy::Lfu] {
+            let mut t = IndexTable::with_policy(cap, policy);
+            for op in &ops {
+                match *op {
+                    IndexOp::Query(k, n) => {
+                        for _ in 0..n {
+                            t.query(&fp(k));
+                        }
+                    }
+                    IndexOp::Insert(k, p) => {
+                        t.insert(fp(k), Pba::new(p.into()));
+                    }
+                    IndexOp::Upsert(k, p) => {
+                        t.upsert(fp(k), Pba::new(p.into()));
+                    }
+                    IndexOp::Remove(k) => {
+                        t.remove(&fp(k));
+                    }
+                    IndexOp::Resize(c) => {
+                        t.resize_bytes(u64::from(c) * INDEX_ENTRY_BYTES);
+                    }
+                }
+                // Every key the ops can name is peeked, so this visits
+                // every entry. With at most 30 entries it is also what
+                // the old walk over the 4,096 most recent entries saw.
+                let mut recount = [0u64; 8];
+                let mut entries = 0;
+                for e in (0..INDEX_KEYS).filter_map(|k| t.peek(&fp(k))) {
+                    recount[log2_bucket8(e.count.into())] += 1;
+                    entries += 1;
+                }
+                prop_assert_eq!(entries, t.len(), "{:?}: every entry peeked", policy);
+                prop_assert_eq!(t.heat(), recount, "{:?} after {:?}", policy, op);
+            }
+        }
     }
 }
 
