@@ -1,6 +1,6 @@
 //! Microbenches for the substrate crates: hashing, caches, index table,
-//! chunk store, RAID planning, the event engine, and the trace input
-//! stage. These
+//! chunk store, RAID planning, the event engine (alone and under the
+//! paper array's job mixes), and the trace input stage. These
 //! establish that the simulator itself is fast enough that replay
 //! results measure the *modelled* system, not harness overhead.
 
@@ -258,6 +258,68 @@ fn bench_event_engine(c: &mut Criterion) {
     });
 }
 
+/// Deterministic 64-bit mixer for address scattering (splitmix64).
+fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The paper array (4-disk RAID-5 over WD1600AAJS members) under three
+/// canonical job mixes, in jobs per second. Each run drives the array
+/// the way a replay does: `run_until` each arrival, submit, drain at the
+/// end. Arrivals are spaced above the mix's worst-case service time
+/// (~21 ms for one op: full seek plus half a revolution; an RMW is two
+/// dependent phases), the primary-storage regime where the disks keep
+/// up. Job counts are trace-replay sized, so per-job storage shows.
+fn bench_array_mixes(c: &mut Criterion) {
+    type Submit = fn(&mut ArraySim, SimTime, u64, u64);
+    let mixes: [(&str, u64, u64, Submit); 3] = [
+        // Scattered 4 KiB reads: the dedup-index / Cat-3 lookup shape.
+        ("random-4k", 2_000_000, 25_000, |sim, at, i, cap| {
+            sim.submit_read(at, Pba::new(mix64(i) % cap), 1);
+        }),
+        // Back-to-back 64-block sequential reads: streaming scans that
+        // fan one stripe-width op out to every member.
+        ("seq-extent", 500_000, 8_000, |sim, at, i, cap| {
+            sim.submit_read(at, Pba::new(i * 64 % (cap - 64)), 64);
+        }),
+        // Scattered small writes: the RAID-5 read-modify-write path POD's
+        // Cat-1 traffic hits; `| 1` keeps them off stripe-unit alignment.
+        ("raid5-rmw", 400_000, 50_000, |sim, at, i, cap| {
+            sim.submit_write(at, Pba::new((mix64(i ^ 0xDEAD) % (cap - 8)) | 1), 4);
+        }),
+    ];
+    let mut g = c.benchmark_group("array_mix");
+    for (name, jobs, spacing_us, submit) in mixes {
+        g.throughput(Throughput::Elements(jobs));
+        g.bench_function(name, |b| {
+            b.iter_batched(
+                || {
+                    ArraySim::new(
+                        RaidGeometry::new(RaidConfig::paper_raid5()),
+                        DiskSpec::wd1600aajs(),
+                        SchedulerKind::Fifo,
+                    )
+                },
+                |mut sim| {
+                    let cap = sim.data_capacity_blocks();
+                    for i in 0..jobs {
+                        let at = SimTime::from_micros(i * spacing_us);
+                        sim.run_until(at);
+                        submit(&mut sim, at, i, cap);
+                    }
+                    sim.run_to_idle();
+                    sim
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    g.finish();
+}
+
 /// `text` through a loader of `width`, fed in the blocks `pod-cli
 /// --trace` reads: `FiuLoader::BLOCK_BYTES`, cut after the last `\n`.
 fn load_fiu(text: &str, width: usize) -> Vec<IoRequest> {
@@ -313,6 +375,7 @@ criterion_group!(
     bench_chunk_store,
     bench_raid_planning,
     bench_event_engine,
+    bench_array_mixes,
     bench_trace
 );
 criterion_main!(benches);

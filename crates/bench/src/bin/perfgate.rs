@@ -1,41 +1,28 @@
-//! Layer benches and gates the repo benchmark (`benchmark/`) has no
-//! seam for. The perf record of this repository is `benchmark/`; this
-//! binary writes no file and compares against nothing stored.
+//! Layer gates the repo benchmark (`benchmark/`) has no seam for. The
+//! perf record of this repository is `benchmark/`; this binary writes
+//! no file and compares against nothing stored.
 //!
 //! ```text
-//! cargo run --release -p pod-bench --bin perfgate
-//! cargo run --release -p pod-bench --bin perfgate -- --disk-only
-//! cargo run --release -p pod-bench --bin perfgate -- --serve-only --scale 0.02
+//! cargo run --release -p pod-bench --bin perfgate -- --scale 0.02
 //! ```
 //!
-//! Two sections, both run by default:
-//!
-//! * **disk** (`--disk-only`) — *measured*: jobs drained per wall-clock
-//!   second by the event engine under three canonical mixes
-//!   (`random-4k`, `seq-extent`, `raid5-rmw`), next to `replay-full`,
-//!   the mail trace under POD end to end. Printed, not gated.
-//! * **serve** (`--serve-only`) — *projected*: the sharded engine's
-//!   critical-path aggregate rate at 1/2/4/8 shards (total requests
-//!   over the slowest shard's busy span, each shard timed uncontended;
-//!   not wall-clock throughput), gated at >= 2x for 4 shards vs 1; then
-//!   the deterministic shared-tier gate — the locality-prioritized tier
-//!   must not dedup worse than the flat static split.
+//! The sharded engine's critical-path aggregate rate at 1/2/4/8 shards
+//! (total requests over the slowest shard's busy span, each shard timed
+//! uncontended; a *projection*, not wall-clock throughput), which must
+//! reach 2x or more at 4 shards vs 1; then the deterministic shared-tier
+//! gate: the locality-prioritized tier must not dedup worse than the
+//! flat static split.
 //!
 //! `--report-only` prints a failed gate without exiting non-zero.
 
 use pod_core::serve::ServeBuilder;
 use pod_core::{Scheme, ServePolicy, SystemConfig};
-use pod_disk::{ArraySim, DiskSpec, RaidConfig, RaidGeometry, SchedulerKind};
 use pod_trace::TraceProfile;
-use pod_types::{Pba, SimTime};
-use std::time::Instant;
 
 struct Args {
     report_only: bool,
     scale: f64,
     reps: usize,
-    disk_only: bool,
-    serve_only: bool,
 }
 
 fn parse_args() -> Args {
@@ -43,8 +30,6 @@ fn parse_args() -> Args {
         report_only: false,
         scale: 0.1,
         reps: 3,
-        disk_only: false,
-        serve_only: false,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -52,14 +37,6 @@ fn parse_args() -> Args {
         match argv[i].as_str() {
             "--report-only" => {
                 args.report_only = true;
-                i += 1;
-            }
-            "--disk-only" => {
-                args.disk_only = true;
-                i += 1;
-            }
-            "--serve-only" => {
-                args.serve_only = true;
                 i += 1;
             }
             "--scale" => {
@@ -84,16 +61,12 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: perfgate [--disk-only] [--serve-only] [--scale F] \
-                     [--reps N] [--report-only]\n\
-                     runs the disk-engine microbenches (measured jobs/s, with\n\
-                     the mail trace under POD end to end as replay-full) and\n\
-                     the sharded-serve scaling sweep (projected critical-path\n\
+                    "usage: perfgate [--scale F] [--reps N] [--report-only]\n\
+                     runs the sharded-serve scaling sweep (projected critical-path\n\
                      rate, best of N repetitions) with its two gates: >= 2x at\n\
                      4 shards vs 1, and prioritized >= static dedup-hit rate on\n\
-                     the shared tier. Writes no file.\n\
-                     --disk-only / --serve-only run one section; --report-only\n\
-                     prints a failed gate but exits 0"
+                     the shared tier. Writes no file. --report-only prints a\n\
+                     failed gate but exits 0"
                 );
                 std::process::exit(0);
             }
@@ -114,129 +87,6 @@ fn best_of(reps: usize, mut run: impl FnMut() -> f64) -> f64 {
     (0..reps)
         .map(|_| run().max(1e-9))
         .fold(f64::INFINITY, f64::min)
-}
-
-/// One disk-engine microbench measurement (simulator throughput in
-/// jobs drained per wall-clock second — the number ROADMAP's "10×
-/// replay throughput" target cashes out to).
-struct DiskEntry {
-    mix: String,
-    jobs: u64,
-    wall_s: f64,
-    jobs_per_sec: f64,
-}
-
-/// The paper's evaluation array: 4-disk RAID-5 over WD1600AAJS members.
-fn disk_sim() -> ArraySim {
-    ArraySim::new(
-        RaidGeometry::new(RaidConfig::paper_raid5()),
-        DiskSpec::wd1600aajs(),
-        SchedulerKind::Fifo,
-    )
-}
-
-/// Deterministic 64-bit mixer for address scattering (splitmix64).
-fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Drive `total` jobs through `sim` replay-style: advance the clock to
-/// each arrival with `run_until`, submit, and drain at the end — exactly
-/// how `StorageStack` drives the array during trace replay. `make` plans
-/// one job at the given arrival time.
-fn drive_replay(
-    sim: &mut ArraySim,
-    total: u64,
-    spacing_us: u64,
-    mut make: impl FnMut(&mut ArraySim, SimTime, u64),
-) {
-    for i in 0..total {
-        let at = SimTime::from_micros(i * spacing_us);
-        sim.run_until(at);
-        make(sim, at, i);
-    }
-    sim.run_to_idle();
-}
-
-/// Disk-engine microbenches: jobs/sec for the three canonical mixes,
-/// best of `reps`. Deterministic workloads; only wall clock varies.
-fn disk_microbench(reps: usize) -> Vec<DiskEntry> {
-    // Job counts sized to trace-replay scale (the paper traces run to
-    // millions of requests) so per-job storage costs show up, while each
-    // mix still finishes in well under a second per rep in CI.
-    const RANDOM_JOBS: u64 = 2_000_000;
-    const SEQ_JOBS: u64 = 500_000;
-    const RMW_JOBS: u64 = 400_000;
-
-    // Arrival spacing per mix sits above the worst-case service time, the
-    // common primary-storage regime (disks keep up, the array drains
-    // between requests); replay of the paper traces drives the array the
-    // same way. For wd1600aajs the worst single op is ~21 ms (max seek +
-    // half revolution), an RMW spans two such phases.
-    type MixFn = Box<dyn Fn(&mut ArraySim)>;
-    let mixes: [(&str, u64, MixFn); 3] = [
-        (
-            // Scattered 4 KiB reads: the dedup-index / Cat-3 lookup shape.
-            "random-4k",
-            RANDOM_JOBS,
-            Box::new(|sim: &mut ArraySim| {
-                let cap = sim.data_capacity_blocks();
-                drive_replay(sim, RANDOM_JOBS, 25_000, |s, at, i| {
-                    let pba = Pba::new(mix64(i) % cap);
-                    s.submit_read(at, pba, 1);
-                });
-            }),
-        ),
-        (
-            // Back-to-back 64-block sequential reads: streaming scans
-            // fanning one stripe-width op out to every member.
-            "seq-extent",
-            SEQ_JOBS,
-            Box::new(|sim: &mut ArraySim| {
-                let cap = sim.data_capacity_blocks();
-                drive_replay(sim, SEQ_JOBS, 8_000, |s, at, i| {
-                    let pba = Pba::new(i * 64 % (cap - 64));
-                    s.submit_read(at, pba, 64);
-                });
-            }),
-        ),
-        (
-            // Scattered small writes: the RAID-5 read-modify-write path
-            // (two dependent phases per job) POD's Cat-1 traffic hits.
-            "raid5-rmw",
-            RMW_JOBS,
-            Box::new(|sim: &mut ArraySim| {
-                let cap = sim.data_capacity_blocks();
-                drive_replay(sim, RMW_JOBS, 50_000, |s, at, i| {
-                    // +1 keeps writes off stripe-unit alignment → RMW.
-                    let pba = Pba::new((mix64(i ^ 0xDEAD) % (cap - 8)) | 1);
-                    s.submit_write(at, pba, 4);
-                });
-            }),
-        ),
-    ];
-
-    let mut out = Vec::new();
-    for (name, jobs, run) in &mixes {
-        let best = best_of(reps, || {
-            let mut sim = disk_sim();
-            let t0 = Instant::now();
-            run(&mut sim);
-            let wall = t0.elapsed().as_secs_f64();
-            assert_eq!(sim.job_count() as u64, *jobs, "{name}: job count");
-            wall
-        });
-        out.push(DiskEntry {
-            mix: (*name).into(),
-            jobs: *jobs,
-            wall_s: best,
-            jobs_per_sec: *jobs as f64 / best,
-        });
-    }
-    out
 }
 
 /// One point of the sharded-serve scaling sweep.
@@ -427,66 +277,17 @@ fn tier_gate(tier: &[TierEntry], report_only: bool) {
     }
 }
 
-/// End-to-end replay throughput entry for the disk section: the mail
-/// trace under POD, so the disk microbenches sit next to the replay
-/// they are a layer of.
-fn disk_replay_entry(scale: f64, reps: usize) -> DiskEntry {
-    let trace = TraceProfile::mail().scaled(scale).generate(BENCH_SEED);
-    let best = best_of(reps, || {
-        let t0 = Instant::now();
-        Scheme::Pod
-            .builder()
-            .config(SystemConfig::paper_default())
-            .trace(&trace)
-            .run()
-            .unwrap_or_else(|e| die(&format!("replay-full: {e}")));
-        t0.elapsed().as_secs_f64()
-    });
-    DiskEntry {
-        mix: "replay-full".into(),
-        jobs: trace.len() as u64,
-        wall_s: best,
-        jobs_per_sec: trace.len() as f64 / best,
-    }
-}
-
-fn print_disk_table(disk: &[DiskEntry]) {
-    println!(
-        "\n{:<18} {:>9} {:>9} {:>12}",
-        "disk mix", "jobs", "wall(s)", "jobs/s"
-    );
-    for e in disk {
-        println!(
-            "{:<18} {:>9} {:>9.3} {:>12.0}",
-            e.mix, e.jobs, e.wall_s, e.jobs_per_sec
-        );
-    }
-}
-
 fn main() {
     let args = parse_args();
-
-    if args.disk_only || !args.serve_only {
-        println!(
-            "perfgate: disk-engine microbenches (measured), best of {} ...",
-            args.reps
-        );
-        let mut disk = disk_microbench(args.reps);
-        disk.push(disk_replay_entry(args.scale, args.reps));
-        print_disk_table(&disk);
-    }
-
-    if args.serve_only || !args.disk_only {
-        println!(
-            "perfgate: serve scaling sweep (projected; {} tenants, shards {:?}), \
-             scale {}, best of {} ...",
-            SERVE_TENANTS, SERVE_SHARDS, args.scale, args.reps
-        );
-        let serve = serve_bench(args.scale, args.reps);
-        print_serve_table(&serve);
-        serve_scaling_gate(&serve, args.report_only);
-        let tier = tier_bench(args.scale);
-        print_tier_table(&tier);
-        tier_gate(&tier, args.report_only);
-    }
+    println!(
+        "perfgate: serve scaling sweep (projected; {} tenants, shards {:?}), \
+         scale {}, best of {} ...",
+        SERVE_TENANTS, SERVE_SHARDS, args.scale, args.reps
+    );
+    let serve = serve_bench(args.scale, args.reps);
+    print_serve_table(&serve);
+    serve_scaling_gate(&serve, args.report_only);
+    let tier = tier_bench(args.scale);
+    print_tier_table(&tier);
+    tier_gate(&tier, args.report_only);
 }

@@ -10,7 +10,7 @@ use crate::config::FaultPlan;
 use crate::obs::FaultKind;
 use crate::runner::ReplaySizing;
 use pod_disk::engine::DiskStats;
-use pod_disk::{ArraySim, JobId, PhysOp};
+use pod_disk::{ArraySim, JobId};
 use pod_types::{Pba, SimDuration, SimTime};
 
 /// One injected fault, queued by a fault-aware backend for the stack
@@ -95,47 +95,6 @@ impl ArrayBackend {
     pub fn sim(&self) -> &ArraySim {
         &self.sim
     }
-
-    /// Assemble the dependent phases of a write job: on-disk index
-    /// lookups (random reads in the index region) precede the data
-    /// writes; each extent contributes its RAID write plan, with all
-    /// extents' read phases merged and all write phases merged (they
-    /// proceed in parallel).
-    fn build_write_phases(
-        &mut self,
-        extents: &[(Pba, u32)],
-        disk_lookups: u32,
-    ) -> Vec<Vec<PhysOp>> {
-        // Plan straight into the simulator's pooled buffers; phases left
-        // empty are dropped (and their buffers recycled) by
-        // `submit_phases`, so the whole path is allocation-free.
-        let mut lookup_phase = self.sim.pooled_ops();
-        for _ in 0..disk_lookups {
-            // Spread lookups pseudo-randomly (deterministically) across
-            // the index region: hash-index probes are random reads.
-            let offset = self.lookup_counter.wrapping_mul(7_919) % self.region_blocks;
-            self.lookup_counter += 1;
-            self.sim.geometry().plan_read_into(
-                Pba::new(self.index_region_base + offset),
-                1,
-                &mut lookup_phase,
-            );
-        }
-
-        let mut pre_phase = self.sim.pooled_ops();
-        let mut write_phase = self.sim.pooled_ops();
-        for &(pba, len) in extents {
-            self.sim
-                .geometry()
-                .plan_write_into(pba, len, &mut pre_phase, &mut write_phase);
-        }
-
-        let mut phases = self.sim.pooled_phases();
-        phases.push(lookup_phase);
-        phases.push(pre_phase);
-        phases.push(write_phase);
-        phases
-    }
 }
 
 impl DiskBackend for ArrayBackend {
@@ -148,48 +107,50 @@ impl DiskBackend for ArrayBackend {
     }
 
     fn submit_write(&mut self, at: SimTime, extents: &[(Pba, u32)], index_lookups: u32) -> JobId {
-        let phases = self.build_write_phases(extents, index_lookups);
-        self.sim.submit_phases(at, phases)
+        self.sim.submit_job(at, |plan| {
+            // On-disk index lookups precede the data: hash-index probes
+            // are random reads, spread pseudo-randomly (deterministically)
+            // across the index region.
+            for _ in 0..index_lookups {
+                let offset = self.lookup_counter.wrapping_mul(7_919) % self.region_blocks;
+                self.lookup_counter += 1;
+                plan.read(Pba::new(self.index_region_base + offset), 1);
+            }
+            plan.end_phase();
+            // Every extent's pre-reads form one phase and its writes the
+            // next: the extents proceed in parallel.
+            for &(pba, len) in extents {
+                plan.write(pba, len);
+            }
+        })
     }
 
     fn submit_read(&mut self, at: SimTime, extents: &[(Pba, u32)]) -> JobId {
-        let mut ops = self.sim.pooled_ops();
-        for &(pba, len) in extents {
-            self.sim.geometry().plan_read_into(pba, len, &mut ops);
-        }
-        let mut phases = self.sim.pooled_phases();
-        phases.push(ops);
-        self.sim.submit_phases(at, phases)
+        self.sim.submit_job(at, |plan| {
+            for &(pba, len) in extents {
+                plan.read(pba, len);
+            }
+        })
     }
 
     fn submit_scan_read(&mut self, at: SimTime, extents: &[(Pba, u32)]) {
-        let mut ops = self.sim.pooled_ops();
-        for &(pba, len) in extents {
-            self.sim.geometry().plan_read_into(pba, len, &mut ops);
-        }
-        let mut phases = self.sim.pooled_phases();
-        phases.push(ops);
-        self.sim.submit_phases(at, phases);
+        self.submit_read(at, extents);
     }
 
     fn submit_swap(&mut self, at: SimTime, blocks: u64) {
-        let mut remaining = blocks;
-        let mut ops = self.sim.pooled_ops();
-        while remaining > 0 {
-            let chunk = remaining.min(256);
-            let start = self.swap_region_base + (self.swap_cursor % self.region_blocks);
-            // Clamp runs that would spill past the region.
-            let len =
-                chunk.min(self.region_blocks - (self.swap_cursor % self.region_blocks)) as u32;
-            self.sim
-                .geometry()
-                .plan_stream_write_into(Pba::new(start), len, &mut ops);
-            self.swap_cursor += len as u64;
-            remaining -= len as u64;
-        }
-        let mut phases = self.sim.pooled_phases();
-        phases.push(ops);
-        self.sim.submit_phases(at, phases);
+        self.sim.submit_job(at, |plan| {
+            let mut remaining = blocks;
+            while remaining > 0 {
+                let chunk = remaining.min(256);
+                let start = self.swap_region_base + (self.swap_cursor % self.region_blocks);
+                // Clamp runs that would spill past the region.
+                let len =
+                    chunk.min(self.region_blocks - (self.swap_cursor % self.region_blocks)) as u32;
+                plan.stream_write(Pba::new(start), len);
+                self.swap_cursor += len as u64;
+                remaining -= len as u64;
+            }
+        });
     }
 
     fn completion(&self, job: JobId) -> Option<SimTime> {

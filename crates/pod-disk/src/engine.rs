@@ -9,39 +9,29 @@
 //!
 //! Each disk owns a pending queue drained by the configured
 //! [`SchedulerKind`]; service times come from
-//! [`DiskSpec::service_time`]. Event ordering is `(time, sequence)` with
-//! a strictly monotonic sequence, so simulations are fully deterministic.
+//! [`DiskSpec::service_time`]. Events are ordered by time, ties in the
+//! order they were scheduled, so simulations are fully deterministic.
 //!
-//! # Buffer pooling
-//!
-//! Op and phase vectors cycle through internal pools
-//! ([`ArraySim::pooled_ops`] / [`ArraySim::pooled_phases`]); phases are
-//! moved, never cloned, into the disk queues, so a steady-state replay
-//! submits jobs without allocating (`crates/core/tests/alloc.rs` pins
-//! that).
+//! A job in flight lives in a reusable slot that keeps its ops back to
+//! back with the phase boundaries beside them ([`ArraySim::submit_job`]
+//! plans straight into it), so a steady-state replay submits and runs
+//! jobs without allocating (`crates/core/tests/alloc.rs` pins that).
 
 use crate::raid::{PhysOp, RaidGeometry};
 use crate::sched::{PendingView, SchedulerKind};
 use crate::spec::DiskSpec;
 use pod_types::{Pba, SimDuration, SimTime};
-use std::cmp::Ordering;
-use std::collections::binary_heap::PeekMut;
-use std::collections::BinaryHeap;
 
 /// Handle to a submitted job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct JobId(usize);
 
-/// Pools keep at most this many spare buffers; beyond it, buffers are
-/// simply dropped (bounds memory under pathological churn).
-const POOL_CAP: usize = 64;
-
 #[derive(Debug)]
 enum EventKind {
-    /// A phase's ops enter the disk queues.
-    PhaseArrive { job: usize },
-    /// An in-flight op on `disk` finishes.
-    OpComplete { disk: usize, job: usize },
+    /// The job in `slot` sends its current phase to the disk queues.
+    PhaseArrive { slot: usize },
+    /// An in-flight op of the job in `slot` finishes on `disk`.
+    OpComplete { disk: usize, slot: usize },
     /// A background write-cache flush on `disk` finishes.
     FlushComplete { disk: usize },
 }
@@ -49,34 +39,14 @@ enum EventKind {
 #[derive(Debug)]
 struct Event {
     at_us: u64,
-    seq: u64,
     kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at_us == other.at_us && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so earliest (time, seq) pops
-        // first.
-        (other.at_us, other.seq).cmp(&(self.at_us, self.seq))
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
 struct QueuedOp {
     op: PhysOp,
     arrival_us: u64,
-    job: usize,
+    slot: usize,
 }
 
 /// Per-disk utilisation counters.
@@ -126,15 +96,21 @@ impl DiskState {
 /// Sentinel in [`ArraySim::finish`] for a job that has not completed.
 const UNFINISHED: u64 = u64::MAX;
 
-/// State of a job that still has phases to run. Jobs leave this list as
-/// soon as they complete — the long-lived per-job record is a single
-/// `u64` finish time, which keeps replay memory flat (millions of jobs)
-/// instead of growing a fat struct per request.
-#[derive(Debug)]
-struct ActiveJob {
+/// A job with phases still to run. The slot goes back to the free list
+/// when the job completes, keeping its buffers' capacity for the next
+/// job; the long-lived per-job record is a single `u64` finish time,
+/// which keeps replay memory flat over millions of jobs.
+#[derive(Debug, Default)]
+struct Job {
+    /// Index into [`ArraySim::finish`].
     id: usize,
-    phases: Vec<Vec<PhysOp>>,
-    current_phase: usize,
+    /// Every phase's ops, back to back.
+    ops: Vec<PhysOp>,
+    /// End of each phase in `ops` (exclusive); never an empty phase.
+    ends: Vec<usize>,
+    /// Phase now in the disk queues.
+    phase: usize,
+    /// Ops of that phase not yet complete.
     outstanding: usize,
 }
 
@@ -144,23 +120,73 @@ pub struct ArraySim {
     spec: DiskSpec,
     sched: SchedulerKind,
     clock: SimTime,
-    events: BinaryHeap<Event>,
-    seq: u64,
+    /// Pending events, latest first: the next event is the last element.
+    /// A caller that advances the clock before submitting (the stack
+    /// does) keeps it to a completion per busy disk plus the phase
+    /// arrivals due next, a handful, so a sorted vector beats a heap.
+    events: Vec<Event>,
     disks: Vec<DiskState>,
     /// Finish time per job id, µs ([`UNFINISHED`] until completion).
     finish: Vec<u64>,
-    /// Jobs with phases still to run (a handful at a time under replay).
-    active: Vec<ActiveJob>,
+    /// Job slots, in flight or free.
+    jobs: Vec<Job>,
+    /// Slots of `jobs` not in flight.
+    free: Vec<usize>,
     /// Failed members (RAID-5 degraded mode).
     failed: Vec<bool>,
     /// Count of `true` entries in `failed` (degraded check is per-submit).
     nfailed: usize,
-    /// Reusable buffers cycled through submissions.
-    op_pool: Vec<Vec<PhysOp>>,
-    phase_pool: Vec<Vec<Vec<PhysOp>>>,
-    /// Scratch for scheduler views and per-phase touched-disk sets.
+    /// Writes [`JobPlan::write`] holds back for the phase after the
+    /// current one.
+    held_writes: Vec<PhysOp>,
+    /// Scratch for scheduler views and the degraded-mode rewrite.
     view_scratch: Vec<PendingView>,
-    touched_scratch: Vec<usize>,
+    degrade_scratch: Vec<PhysOp>,
+}
+
+/// The job [`ArraySim::submit_job`] is planning: ops join the current
+/// phase, and [`JobPlan::end_phase`] starts the next one. A phase left
+/// empty is never built.
+pub struct JobPlan<'a> {
+    geometry: &'a RaidGeometry,
+    ops: &'a mut Vec<PhysOp>,
+    ends: &'a mut Vec<usize>,
+    held_writes: &'a mut Vec<PhysOp>,
+}
+
+impl JobPlan<'_> {
+    /// Add a read of `[pba, pba+nblocks)` to the current phase.
+    pub fn read(&mut self, pba: Pba, nblocks: u32) {
+        self.geometry.plan_read_into(pba, nblocks, self.ops);
+    }
+
+    /// Add a write of `[pba, pba+nblocks)` including parity work: its
+    /// pre-reads join the current phase, its data and parity writes the
+    /// phase after it.
+    pub fn write(&mut self, pba: Pba, nblocks: u32) {
+        self.geometry
+            .plan_write_into(pba, nblocks, self.ops, self.held_writes);
+    }
+
+    /// Add a parity-less streaming write of `[pba, pba+nblocks)` to the
+    /// current phase.
+    pub fn stream_write(&mut self, pba: Pba, nblocks: u32) {
+        self.geometry.plan_stream_write_into(pba, nblocks, self.ops);
+    }
+
+    /// Add one physical op to the current phase.
+    pub fn op(&mut self, op: PhysOp) {
+        self.ops.push(op);
+    }
+
+    /// Close the current phase (a no-op when it is empty); writes held
+    /// back by [`JobPlan::write`] open the next one.
+    pub fn end_phase(&mut self) {
+        if self.ops.len() > self.ends.last().copied().unwrap_or(0) {
+            self.ends.push(self.ops.len());
+        }
+        self.ops.append(self.held_writes);
+    }
 }
 
 impl ArraySim {
@@ -172,17 +198,16 @@ impl ArraySim {
             spec,
             sched,
             clock: SimTime::ZERO,
-            events: BinaryHeap::new(),
-            seq: 0,
+            events: Vec::new(),
             disks: (0..ndisks).map(|_| DiskState::new()).collect(),
             finish: Vec::new(),
-            active: Vec::new(),
+            jobs: Vec::new(),
+            free: Vec::new(),
             failed: vec![false; ndisks],
             nfailed: 0,
-            op_pool: Vec::new(),
-            phase_pool: Vec::new(),
+            held_writes: Vec::new(),
             view_scratch: Vec::new(),
-            touched_scratch: Vec::new(),
+            degrade_scratch: Vec::new(),
         }
     }
 
@@ -238,65 +263,32 @@ impl ArraySim {
     /// rebuild proceeds stripe group by stripe group).
     pub fn submit_rebuild(&mut self, at: SimTime, disk: usize, region_blocks: u64) -> JobId {
         const CHUNK: u64 = 256;
-        let mut phases: Vec<Vec<PhysOp>> = Vec::new();
-        let mut off = 0;
-        while off < region_blocks {
-            let len = CHUNK.min(region_blocks - off) as u32;
-            let mut reads: Vec<PhysOp> = Vec::new();
-            for d in 0..self.disks.len() {
-                if d != disk && !self.failed[d] {
-                    reads.push(PhysOp {
+        let survivors: Vec<usize> = (0..self.disks.len())
+            .filter(|&d| d != disk && !self.failed[d])
+            .collect();
+        self.submit_job(at, |plan| {
+            let mut off = 0;
+            while off < region_blocks {
+                let len = CHUNK.min(region_blocks - off) as u32;
+                for &d in &survivors {
+                    plan.op(PhysOp {
                         disk: d,
                         lba: off,
                         nblocks: len,
                         write: false,
                     });
                 }
-            }
-            let write = vec![PhysOp {
-                disk,
-                lba: off,
-                nblocks: len,
-                write: true,
-            }];
-            phases.push(reads);
-            phases.push(write);
-            off += len as u64;
-        }
-        self.submit_phases(at, phases)
-    }
-
-    /// Rewrite one phase for degraded mode: reads addressing a failed
-    /// disk become reconstruction reads on every survivor; writes to a
-    /// failed disk are dropped.
-    fn degrade_phase(&mut self, phase: &mut Vec<PhysOp>) {
-        let mut out = self.take_op_buf();
-        for op in phase.drain(..) {
-            if !self.failed[op.disk] {
-                out.push(op);
-                continue;
-            }
-            if op.write {
-                // Data will be reconstructed from parity later; the
-                // parity ops of the same plan keep redundancy current.
-                continue;
-            }
-            // Reconstruction: read the same local extent from every
-            // surviving member.
-            for d in 0..self.disks.len() {
-                if d == op.disk || self.failed[d] {
-                    continue;
-                }
-                out.push(PhysOp {
-                    disk: d,
-                    lba: op.lba,
-                    nblocks: op.nblocks,
-                    write: false,
+                plan.end_phase();
+                plan.op(PhysOp {
+                    disk,
+                    lba: off,
+                    nblocks: len,
+                    write: true,
                 });
+                plan.end_phase();
+                off += len as u64;
             }
-        }
-        let drained = std::mem::replace(phase, out);
-        self.recycle_op_buf(drained);
+        })
     }
 
     /// The array's address arithmetic.
@@ -319,122 +311,105 @@ impl ArraySim {
         self.clock
     }
 
-    /// Take a cleared op buffer from the internal pool. Buffers handed
-    /// to [`ArraySim::submit_phases`] are recycled automatically, so
-    /// planning into pooled buffers makes submission allocation-free.
-    pub fn pooled_ops(&mut self) -> Vec<PhysOp> {
-        self.take_op_buf()
-    }
-
-    /// Take a cleared phase list from the internal pool; see
-    /// [`ArraySim::pooled_ops`].
-    pub fn pooled_phases(&mut self) -> Vec<Vec<PhysOp>> {
-        self.phase_pool.pop().unwrap_or_default()
-    }
-
-    fn take_op_buf(&mut self) -> Vec<PhysOp> {
-        self.op_pool.pop().unwrap_or_default()
-    }
-
-    fn recycle_op_buf(&mut self, mut buf: Vec<PhysOp>) {
-        if buf.capacity() > 0 && self.op_pool.len() < POOL_CAP {
-            buf.clear();
-            self.op_pool.push(buf);
-        }
-    }
-
-    fn recycle_phase_buf(&mut self, mut phases: Vec<Vec<PhysOp>>) {
-        for p in phases.drain(..) {
-            self.recycle_op_buf(p);
-        }
-        if phases.capacity() > 0 && self.phase_pool.len() < POOL_CAP {
-            self.phase_pool.push(phases);
-        }
-    }
-
     /// Submit a job of dependent phases starting at `at` (which must not
     /// be earlier than any previously submitted job's start; trace replay
-    /// naturally satisfies this).
-    pub fn submit_phases(&mut self, at: SimTime, mut phases: Vec<Vec<PhysOp>>) -> JobId {
-        // Degraded-mode transform, then drop empty phases up front so
-        // phase advancement never stalls.
+    /// naturally satisfies this). `plan` adds the ops through a
+    /// [`JobPlan`]; a job with no ops completes at `at`.
+    pub fn submit_job(&mut self, at: SimTime, plan: impl FnOnce(&mut JobPlan<'_>)) -> JobId {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.jobs.push(Job::default());
+            self.jobs.len() - 1
+        });
+        let job = &mut self.jobs[slot];
+        job.ops.clear();
+        job.ends.clear();
+        let mut p = JobPlan {
+            geometry: &self.geometry,
+            ops: &mut job.ops,
+            ends: &mut job.ends,
+            held_writes: &mut self.held_writes,
+        };
+        plan(&mut p);
+        // Close the last phase, then the writes it held back, if any.
+        p.end_phase();
+        p.end_phase();
         if self.is_degraded() {
-            let mut i = 0;
-            while i < phases.len() {
-                let mut p = std::mem::take(&mut phases[i]);
-                self.degrade_phase(&mut p);
-                phases[i] = p;
-                i += 1;
-            }
-        }
-        if phases.iter().any(|p| p.is_empty()) {
-            let mut kept = self.pooled_phases();
-            for p in phases.drain(..) {
-                if p.is_empty() {
-                    self.recycle_op_buf(p);
-                } else {
-                    kept.push(p);
-                }
-            }
-            self.recycle_phase_buf(phases);
-            phases = kept;
+            self.degrade(slot);
         }
 
         let id = self.finish.len();
-        if phases.is_empty() {
-            self.recycle_phase_buf(phases);
+        let job = &mut self.jobs[slot];
+        if job.ends.is_empty() {
             // Pure-metadata job: completes instantly at submission.
             self.finish.push(at.as_micros());
+            self.free.push(slot);
             return JobId(id);
         }
+        job.id = id;
+        job.phase = 0;
         self.finish.push(UNFINISHED);
-        self.active.push(ActiveJob {
-            id,
-            phases,
-            current_phase: 0,
-            outstanding: 0,
-        });
-        self.push_event(at.as_micros(), EventKind::PhaseArrive { job: id });
+        self.push_event(at.as_micros(), EventKind::PhaseArrive { slot });
         JobId(id)
+    }
+
+    /// Rewrite a planned job for degraded mode: reads addressing a
+    /// failed disk become reconstruction reads on every survivor; writes
+    /// to a failed disk are dropped, and a phase left empty goes.
+    fn degrade(&mut self, slot: usize) {
+        let job = &mut self.jobs[slot];
+        let mut out = std::mem::take(&mut self.degrade_scratch);
+        out.clear();
+        // Phases kept so far, and where the last of them ends in `out`.
+        let (mut start, mut kept, mut closed) = (0, 0, 0);
+        for k in 0..job.ends.len() {
+            let end = job.ends[k];
+            for &op in &job.ops[start..end] {
+                if !self.failed[op.disk] {
+                    out.push(op);
+                } else if !op.write {
+                    // Reconstruction: read the same local extent from
+                    // every surviving member. (A write to the failed disk
+                    // is rebuilt from parity later; the parity ops of the
+                    // same plan keep redundancy current.)
+                    for d in (0..self.disks.len()).filter(|&d| d != op.disk && !self.failed[d]) {
+                        out.push(PhysOp {
+                            disk: d,
+                            lba: op.lba,
+                            nblocks: op.nblocks,
+                            write: false,
+                        });
+                    }
+                }
+            }
+            start = end;
+            if out.len() > closed {
+                closed = out.len();
+                job.ends[kept] = closed;
+                kept += 1;
+            }
+        }
+        job.ends.truncate(kept);
+        std::mem::swap(&mut job.ops, &mut out);
+        self.degrade_scratch = out;
     }
 
     /// Submit a read of `[pba, pba+nblocks)` through the RAID mapping.
     pub fn submit_read(&mut self, at: SimTime, pba: Pba, nblocks: u32) -> JobId {
-        let mut ops = self.take_op_buf();
-        self.geometry.plan_read_into(pba, nblocks, &mut ops);
-        let mut phases = self.pooled_phases();
-        phases.push(ops);
-        self.submit_phases(at, phases)
+        self.submit_job(at, |plan| plan.read(pba, nblocks))
     }
 
     /// Submit a write of `[pba, pba+nblocks)` including parity work.
     pub fn submit_write(&mut self, at: SimTime, pba: Pba, nblocks: u32) -> JobId {
-        let mut reads = self.take_op_buf();
-        let mut writes = self.take_op_buf();
-        self.geometry
-            .plan_write_into(pba, nblocks, &mut reads, &mut writes);
-        let mut phases = self.pooled_phases();
-        if reads.is_empty() {
-            self.recycle_op_buf(reads);
-        } else {
-            phases.push(reads);
-        }
-        phases.push(writes);
-        self.submit_phases(at, phases)
+        self.submit_job(at, |plan| plan.write(pba, nblocks))
     }
 
     /// Process events up to and including `t`.
     pub fn run_until(&mut self, t: SimTime) {
         let t_us = t.as_micros();
-        // Single-traversal drain: `peek_mut` + `PeekMut::pop` re-sifts
-        // the heap once per event instead of the peek-then-pop pair.
-        loop {
-            let ev = match self.events.peek_mut() {
-                Some(head) if head.at_us <= t_us => PeekMut::pop(head),
-                _ => break,
-            };
+        while self.events.last().is_some_and(|ev| ev.at_us <= t_us) {
+            let ev = self.events.pop().expect("checked non-empty");
             self.clock = SimTime::from_micros(ev.at_us);
-            self.handle(ev);
+            self.handle(ev.kind);
         }
         self.clock = self.clock.max_of(t);
     }
@@ -443,7 +418,7 @@ impl ArraySim {
     pub fn run_to_idle(&mut self) {
         while let Some(ev) = self.events.pop() {
             self.clock = SimTime::from_micros(ev.at_us);
-            self.handle(ev);
+            self.handle(ev.kind);
         }
     }
 
@@ -497,79 +472,61 @@ impl ArraySim {
         wait as f64 / ops as f64
     }
 
-    /// Index of `job` in the active list. Active jobs number at most a
-    /// handful under replay, so a linear scan beats any map.
-    fn active_idx(&self, job: usize) -> usize {
-        self.active
-            .iter()
-            .position(|a| a.id == job)
-            .expect("job is active")
-    }
-
+    /// Schedule an event at `at_us`, after every event already due then.
     fn push_event(&mut self, at_us: u64, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.events.push(Event { at_us, seq, kind });
+        // Latest first, so the new event moves in front of every event due
+        // at or before it: equal times keep scheduling order, as a
+        // sequence number would. The queue is a handful long.
+        self.events.push(Event { at_us, kind });
+        let mut i = self.events.len() - 1;
+        while i > 0 && self.events[i - 1].at_us <= at_us {
+            self.events.swap(i - 1, i);
+            i -= 1;
+        }
     }
 
-    fn handle(&mut self, ev: Event) {
-        match ev.kind {
-            EventKind::PhaseArrive { job } => {
-                let now_us = self.clock.as_micros();
-                let a_idx = self.active_idx(job);
-                let a = &mut self.active[a_idx];
-                let cp = a.current_phase;
-                let mut ops = std::mem::take(&mut a.phases[cp]);
-                a.outstanding = ops.len();
-                let mut touched = std::mem::take(&mut self.touched_scratch);
-                touched.clear();
-                for op in ops.drain(..) {
+    fn handle(&mut self, kind: EventKind) {
+        let now_us = self.clock.as_micros();
+        match kind {
+            EventKind::PhaseArrive { slot } => {
+                let job = &mut self.jobs[slot];
+                let start = job.phase.checked_sub(1).map_or(0, |p| job.ends[p]);
+                let end = job.ends[job.phase];
+                job.outstanding = end - start;
+                for &op in &self.jobs[slot].ops[start..end] {
                     debug_assert!(op.disk < self.disks.len(), "op addressed to missing disk");
                     let d = &mut self.disks[op.disk];
                     d.pending.push(QueuedOp {
                         op,
                         arrival_us: now_us,
-                        job,
+                        slot,
                     });
                     d.stats.max_queue_depth = d.stats.max_queue_depth.max(d.pending.len());
-                    if !touched.contains(&op.disk) {
-                        touched.push(op.disk);
-                    }
                 }
-                self.recycle_op_buf(ops);
-                for &disk in &touched {
-                    self.try_dispatch(disk);
+                // Every touched disk dispatches once, in first-touch order,
+                // after the whole phase is queued: a disk's first call
+                // leaves it busy, so its later calls return at once.
+                for i in start..end {
+                    self.try_dispatch(self.jobs[slot].ops[i].disk);
                 }
-                touched.clear();
-                self.touched_scratch = touched;
             }
             EventKind::FlushComplete { disk } => {
                 self.disks[disk].busy = false;
                 self.try_dispatch(disk);
             }
-            EventKind::OpComplete { disk, job } => {
+            EventKind::OpComplete { disk, slot } => {
                 self.disks[disk].busy = false;
-                let a_idx = self.active_idx(job);
-                let a = &mut self.active[a_idx];
-                debug_assert!(a.outstanding > 0, "completion for idle job");
-                a.outstanding -= 1;
-                let mut next_phase = false;
-                let mut done = false;
-                if a.outstanding == 0 {
-                    a.current_phase += 1;
-                    if a.current_phase < a.phases.len() {
-                        next_phase = true;
+                let job = &mut self.jobs[slot];
+                debug_assert!(job.outstanding > 0, "completion for idle job");
+                job.outstanding -= 1;
+                if job.outstanding == 0 {
+                    job.phase += 1;
+                    if job.phase < job.ends.len() {
+                        self.push_event(now_us, EventKind::PhaseArrive { slot });
                     } else {
-                        done = true;
+                        self.finish[job.id] = now_us;
+                        self.free.push(slot);
                     }
-                }
-                if next_phase {
-                    let now_us = self.clock.as_micros();
-                    self.push_event(now_us, EventKind::PhaseArrive { job });
-                } else if done {
-                    self.finish[job] = self.clock.as_micros();
-                    let a = self.active.swap_remove(a_idx);
-                    self.recycle_phase_buf(a.phases);
                 }
                 self.try_dispatch(disk);
             }
@@ -613,6 +570,8 @@ impl ArraySim {
             sched.pick(views, d.head, d.direction_up)
         };
         d.direction_up = dir;
+        // `swap_remove` moves the last op into the hole, which is what
+        // FIFO's index tie-break sees next (see `SchedulerKind::Fifo`).
         let q = d.pending.swap_remove(idx);
 
         // Write-back cache admission: an admitted write completes at
@@ -627,7 +586,10 @@ impl ArraySim {
             d.stats.ops += 1;
             d.stats.busy_us += service;
             d.stats.queue_wait_us += now_us.saturating_sub(q.arrival_us);
-            self.push_event(now_us + service, EventKind::OpComplete { disk, job: q.job });
+            self.push_event(
+                now_us + service,
+                EventKind::OpComplete { disk, slot: q.slot },
+            );
             return;
         }
 
@@ -643,7 +605,10 @@ impl ArraySim {
         } else {
             d.stats.blocks_read += q.op.nblocks as u64;
         }
-        self.push_event(now_us + service, EventKind::OpComplete { disk, job: q.job });
+        self.push_event(
+            now_us + service,
+            EventKind::OpComplete { disk, slot: q.slot },
+        );
     }
 }
 
@@ -773,22 +738,57 @@ mod tests {
     fn empty_job_completes_at_submit_time() {
         let mut sim = single_sim();
         let at = SimTime::from_micros(123);
-        let j = sim.submit_phases(at, vec![]);
+        let j = sim.submit_job(at, |plan| plan.end_phase());
         assert_eq!(sim.job_completion(j), Some(at));
     }
 
     #[test]
     fn empty_phases_are_skipped() {
         let mut sim = single_sim();
-        let ops = vec![PhysOp {
-            disk: 0,
-            lba: 0,
-            nblocks: 1,
-            write: false,
-        }];
-        let j = sim.submit_phases(SimTime::ZERO, vec![vec![], ops, vec![]]);
+        let j = sim.submit_job(SimTime::ZERO, |plan| {
+            plan.end_phase();
+            plan.op(PhysOp {
+                disk: 0,
+                lba: 0,
+                nblocks: 1,
+                write: false,
+            });
+            plan.end_phase();
+            plan.end_phase();
+        });
         sim.run_to_idle();
-        assert!(sim.job_completion(j).is_some());
+        // One phase: a single 1-block read at the head, transfer only.
+        assert_eq!(sim.job_completion(j), Some(SimTime::from_micros(10)));
+    }
+
+    #[test]
+    fn fifo_ties_follow_the_queue_not_submission_order() {
+        // J0 keeps the disk busy while J1 (t = 1 µs) and then J2 and J3
+        // (both t = 2 µs) queue. Dispatching J1 swap-removes it, moving
+        // J3 into index 0, so FIFO's lowest-index tie-break serves J3
+        // before J2. Pinned: changing it would move simulated latencies.
+        let mut sim = single_sim();
+        sim.submit_read(SimTime::ZERO, Pba::new(0), 100);
+        let j1 = sim.submit_read(SimTime::from_micros(1), Pba::new(9_000), 1);
+        let j2 = sim.submit_read(SimTime::from_micros(2), Pba::new(2_000), 1);
+        let j3 = sim.submit_read(SimTime::from_micros(2), Pba::new(8_000), 1);
+        sim.run_to_idle();
+        let at = |j| sim.job_completion(j).expect("done").as_micros();
+        assert_eq!((at(j1), at(j3), at(j2)), (6_959, 12_354, 18_161));
+    }
+
+    #[test]
+    fn finished_jobs_give_their_slot_back() {
+        // Jobs that complete before the next submission reuse one slot.
+        let mut sim = raid5_sim();
+        for i in 0..100u64 {
+            let at = SimTime::from_micros(i * 100_000);
+            sim.run_until(at);
+            sim.submit_write(at, Pba::new(i * 37), 4);
+        }
+        sim.run_to_idle();
+        assert_eq!(sim.jobs.len(), 1);
+        assert_eq!(sim.free, [0]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   explicitly.
 //! * [`engine`] — the event engine ([`ArraySim`]): multi-phase jobs
 //!   (e.g. RMW read-phase → write-phase) over per-disk queues, driven by
-//!   a binary-heap event loop; completion times per job.
+//!   a sorted-vector event loop; completion times per job.
 //! * [`alloc`] — the physical block store: extent allocator with
 //!   reference counts (dedup shares blocks; `Count` pins them).
 //! * [`nvram`] — NVRAM accounting for the Map table (§IV-D2).
@@ -32,7 +32,7 @@ pub mod sched;
 pub mod spec;
 
 pub use alloc::{AllocState, BlockStore};
-pub use engine::{isolated_latency, ArraySim, DiskStats, JobId};
+pub use engine::{isolated_latency, ArraySim, DiskStats, JobId, JobPlan};
 pub use nvram::NvramModel;
 pub use raid::{PhysOp, RaidGeometry, WritePlan};
 pub use sched::SchedulerKind;

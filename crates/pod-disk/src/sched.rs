@@ -10,7 +10,11 @@
 /// Queue discipline used by each simulated disk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// First-in first-out.
+    /// First-in first-out: earliest arrival, ties to the lowest index
+    /// in the pending queue. The engine removes a dispatched op with
+    /// `swap_remove`, moving the queue's last op into its place, so ops
+    /// that arrived at the same time are not always served in the order
+    /// they were submitted.
     #[default]
     Fifo,
     /// Shortest seek time first (greedy).
@@ -54,7 +58,7 @@ impl SchedulerKind {
         debug_assert!(!pending.is_empty());
         match self {
             SchedulerKind::Fifo => {
-                // Earliest arrival; ties by submission order (stable min).
+                // Earliest arrival; ties to the lowest index (stable min).
                 let mut best = 0;
                 for (i, op) in pending.iter().enumerate().skip(1) {
                     if op.arrival_us < pending[best].arrival_us {
@@ -132,6 +136,8 @@ mod tests {
 
     #[test]
     fn fifo_tie_breaks_by_submission_order() {
+        // On a slice, index order; the engine's queues are not kept in
+        // submission order (`engine::tests::fifo_ties_follow_the_queue_not_submission_order`).
         let pending = [view(100, 10), view(50, 10)];
         let (i, _) = SchedulerKind::Fifo.pick(&pending, 0, true);
         assert_eq!(i, 0);

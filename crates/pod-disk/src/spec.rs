@@ -76,7 +76,7 @@ impl DiskSpec {
         let frac = (distance as f64 / self.capacity_blocks as f64).min(1.0);
         let us =
             self.min_seek_us as f64 + (self.max_seek_us - self.min_seek_us) as f64 * frac.sqrt();
-        SimDuration::from_micros(us.round() as u64)
+        SimDuration::from_micros(round_non_negative(us))
     }
 
     /// Full service time for an access at `distance` blocks from the
@@ -107,6 +107,23 @@ impl DiskSpec {
             ));
         }
         Ok(())
+    }
+}
+
+/// `x.round() as u64` for a finite `x ≥ 0`, without the libm call.
+///
+/// Below 2^52 the sum `x + 0.5` truncates to the rounded value, except
+/// just under 0.5, where the sum itself rounds up to 1.0; from 2^52 on
+/// every `f64` is already an integer.
+#[inline]
+fn round_non_negative(x: f64) -> u64 {
+    const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+    if x < 0.5 {
+        0
+    } else if x < TWO_POW_52 {
+        (x + 0.5) as u64
+    } else {
+        x as u64
     }
 }
 
@@ -214,6 +231,57 @@ mod tests {
         assert_eq!(mid.as_micros(), 100 + 450); // 100 + 900*0.5
         assert_eq!(far.as_micros(), 1_000);
         assert_eq!(beyond, far, "distance clamps at full stroke");
+    }
+
+    /// The seek model exactly as written, rounded by `f64::round`.
+    fn libm_seek_us(d: &DiskSpec, distance: u64) -> u64 {
+        let frac = (distance as f64 / d.capacity_blocks as f64).min(1.0);
+        (d.min_seek_us as f64 + (d.max_seek_us - d.min_seek_us) as f64 * frac.sqrt()).round() as u64
+    }
+
+    #[test]
+    fn seek_time_rounds_exactly_like_f64_round() {
+        let mut sub_us = DiskSpec::test_disk();
+        // Seeks of 0..=1 µs: every distance up to a quarter of the disk
+        // rounds down, the quarter itself (exactly 0.5) and beyond up.
+        sub_us.min_seek_us = 0;
+        sub_us.max_seek_us = 1;
+        for d in [DiskSpec::test_disk(), DiskSpec::wd1600aajs(), sub_us] {
+            let cap = d.capacity_blocks;
+            let stride = (cap / 100_003).max(1);
+            let distances = (1..=65_536).chain((1..=cap + 1).step_by(stride as usize));
+            for distance in distances.chain([cap - 1, cap, cap + 1, u64::MAX]) {
+                assert_eq!(
+                    d.seek_time(distance).as_micros(),
+                    libm_seek_us(&d, distance),
+                    "{d:?} at distance {distance}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rounding_edges() {
+        let just_below_half = f64::from_bits(0.5f64.to_bits() - 1);
+        assert_eq!(
+            just_below_half + 0.5,
+            1.0,
+            "the case the first arm exists for"
+        );
+        let odd_past_2_52 = 4_503_599_627_370_497.0;
+        for x in [
+            0.0,
+            just_below_half,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            1.5,
+            2.5,
+            1_000.499_999_999_999_9,
+            odd_past_2_52,
+            f64::MAX,
+        ] {
+            assert_eq!(round_non_negative(x), x.round() as u64, "{x:e}");
+        }
     }
 
     #[test]

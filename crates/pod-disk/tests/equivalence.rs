@@ -4,11 +4,14 @@
 //! written: a plain `BinaryHeap` loop with a peek-then-pop drain, a
 //! per-job record, fresh vectors for every phase and scheduler view, and
 //! every service time through the `DiskSpec` f64 math. The production
-//! [`ArraySim`] is the same model with pooled buffers, a `peek_mut`
-//! drain and a single-op dispatch shortcut. The property: for arbitrary
-//! job mixes over every scheduler, RAID level, and cache configuration,
-//! it produces **identical** completion times, clocks, and
-//! [`DiskStats`].
+//! [`ArraySim`] is the same model with a sorted event vector, jobs in
+//! reusable slots with their phases flat, seek rounding without the libm
+//! call and a single-op dispatch shortcut. The property: for arbitrary
+//! job mixes — single requests, jobs shaped like the storage stack's
+//! (index lookups, several extents' pre-reads, then their writes) and
+//! rebuilds — over every scheduler, RAID level, cache configuration and
+//! both disk presets, it produces **identical** completion times,
+//! clocks, and [`DiskStats`].
 
 use pod_disk::raid::{PhysOp, RaidGeometry, WritePlan};
 use pod_disk::sched::{PendingView, SchedulerKind};
@@ -346,6 +349,19 @@ mod reference {
     }
 }
 
+/// What a multi-extent [`Step::Job`] does with its extents — one shape
+/// per way the storage stack's array backend submits.
+#[derive(Clone, Copy, Debug)]
+enum JobKind {
+    /// Index-lookup reads, then every extent's pre-reads, then their
+    /// writes, with an empty phase planned in between.
+    Write,
+    /// Every extent's reads in one phase.
+    Read,
+    /// Parity-less streaming writes of every extent in one phase.
+    Swap,
+}
+
 /// One step of a generated scenario.
 #[derive(Clone, Debug)]
 enum Step {
@@ -357,6 +373,22 @@ enum Step {
         nblocks: u32,
         gap_us: u64,
     },
+    /// Submit one job over several extents, `gap_us` after the previous
+    /// step; `lookups` are 1-block index probes (writes only).
+    Job {
+        kind: JobKind,
+        lookups: Vec<u64>,
+        extents: Vec<(u64, u32)>,
+        gap_us: u64,
+    },
+    /// Fail and replace member `disk` (RAID-5, when no member is down),
+    /// then rebuild its first `region_blocks`, `gap_us` after the
+    /// previous step.
+    Rebuild {
+        disk: usize,
+        region_blocks: u64,
+        gap_us: u64,
+    },
     /// Advance both engines with `run_until(now + gap_us)`.
     Advance { gap_us: u64 },
 }
@@ -365,25 +397,69 @@ enum Step {
 struct Scenario {
     sched: SchedulerKind,
     raid: RaidConfig,
+    /// `DiskSpec::wd1600aajs()` (a 41.9 M-block member) instead of
+    /// `DiskSpec::test_disk()`.
+    wd: bool,
     write_cache_blocks: u64,
     steps: Vec<Step>,
 }
 
-fn spec_with_cache(cache: u64) -> DiskSpec {
-    let mut s = DiskSpec::test_disk();
-    s.write_cache_blocks = cache;
+fn spec_of(scenario: &Scenario) -> DiskSpec {
+    let mut s = if scenario.wd {
+        DiskSpec::wd1600aajs()
+    } else {
+        DiskSpec::test_disk()
+    };
+    s.write_cache_blocks = scenario.write_cache_blocks;
     s
+}
+
+/// The phases `ArraySim::submit_rebuild` documents: per 256-block chunk,
+/// reads of every member but `disk` and `failed`, then the write of
+/// `disk`.
+fn rebuild_phases(
+    ndisks: usize,
+    disk: usize,
+    region_blocks: u64,
+    failed: Option<usize>,
+) -> Vec<Vec<PhysOp>> {
+    let mut phases = Vec::new();
+    let mut off = 0;
+    while off < region_blocks {
+        let len = 256.min(region_blocks - off) as u32;
+        let op = |disk, write| PhysOp {
+            disk,
+            lba: off,
+            nblocks: len,
+            write,
+        };
+        phases.push(
+            (0..ndisks)
+                .filter(|&d| d != disk && Some(d) != failed)
+                .map(|d| op(d, false))
+                .collect(),
+        );
+        phases.push(vec![op(disk, true)]);
+        off += len as u64;
+    }
+    phases
 }
 
 /// Drive both engines through `scenario` and assert identical
 /// externally observable state at every advance point and at the end.
 fn check(scenario: &Scenario, degrade_at: Option<(usize, usize)>) {
-    let spec = spec_with_cache(scenario.write_cache_blocks);
-    let geo = || RaidGeometry::new(scenario.raid.clone());
-    let mut fast = ArraySim::new(geo(), spec.clone(), scenario.sched);
-    let mut slow = reference::RefArraySim::new(geo(), spec.clone(), scenario.sched);
+    let spec = spec_of(scenario);
+    let geo = RaidGeometry::new(scenario.raid.clone());
+    let mut fast = ArraySim::new(geo.clone(), spec.clone(), scenario.sched);
+    let mut slow = reference::RefArraySim::new(geo.clone(), spec.clone(), scenario.sched);
 
     let data_cap = scenario.raid.data_disks() as u64 * spec.capacity_blocks;
+    // Keep an extent on-device.
+    let extent = |pba: u64, nblocks: u32| {
+        let nblocks = nblocks.clamp(1, 256);
+        (Pba::new(pba % (data_cap - nblocks as u64)), nblocks)
+    };
+    let mut failed = None;
     let mut t = 0u64;
     let mut fast_jobs = Vec::new();
     let mut slow_jobs = Vec::new();
@@ -392,6 +468,7 @@ fn check(scenario: &Scenario, degrade_at: Option<(usize, usize)>) {
             if at_step == i {
                 fast.fail_disk(disk).expect("raid5 fail");
                 slow.fail_disk(disk);
+                failed = Some(disk);
             }
         }
         match *step {
@@ -403,9 +480,7 @@ fn check(scenario: &Scenario, degrade_at: Option<(usize, usize)>) {
             } => {
                 t += gap_us;
                 let at = SimTime::from_micros(t);
-                // Keep the extent on-device.
-                let nblocks = nblocks.clamp(1, 256);
-                let pba = Pba::new(pba % (data_cap - nblocks as u64));
+                let (pba, nblocks) = extent(pba, nblocks);
                 if write {
                     fast_jobs.push(fast.submit_write(at, pba, nblocks));
                     slow_jobs.push(slow.submit_write(at, pba, nblocks));
@@ -413,6 +488,64 @@ fn check(scenario: &Scenario, degrade_at: Option<(usize, usize)>) {
                     fast_jobs.push(fast.submit_read(at, pba, nblocks));
                     slow_jobs.push(slow.submit_read(at, pba, nblocks));
                 }
+            }
+            Step::Job {
+                kind,
+                ref lookups,
+                ref extents,
+                gap_us,
+            } => {
+                t += gap_us;
+                let at = SimTime::from_micros(t);
+                let extents: Vec<_> = extents.iter().map(|&(p, n)| extent(p, n)).collect();
+                // The reference's phases, planned alongside: the empty
+                // second phase stands for the one `end_phase` skips.
+                let (mut first, mut reads, mut writes) = (Vec::new(), Vec::new(), Vec::new());
+                fast_jobs.push(fast.submit_job(at, |plan| match kind {
+                    JobKind::Write => {
+                        for &l in lookups {
+                            let (pba, _) = extent(l, 1);
+                            plan.read(pba, 1);
+                            geo.plan_read_into(pba, 1, &mut first);
+                        }
+                        plan.end_phase();
+                        plan.end_phase();
+                        for &(pba, n) in &extents {
+                            plan.write(pba, n);
+                            geo.plan_write_into(pba, n, &mut reads, &mut writes);
+                        }
+                    }
+                    JobKind::Read => {
+                        for &(pba, n) in &extents {
+                            plan.read(pba, n);
+                            geo.plan_read_into(pba, n, &mut first);
+                        }
+                    }
+                    JobKind::Swap => {
+                        for &(pba, n) in &extents {
+                            plan.stream_write(pba, n);
+                            geo.plan_stream_write_into(pba, n, &mut first);
+                        }
+                    }
+                }));
+                let phases = vec![first, Vec::new(), reads, writes];
+                slow_jobs.push(slow.submit_phases(at, phases));
+            }
+            Step::Rebuild {
+                disk,
+                region_blocks,
+                gap_us,
+            } => {
+                t += gap_us;
+                let at = SimTime::from_micros(t);
+                let disk = disk % scenario.raid.ndisks;
+                if scenario.raid.level == RaidLevel::Raid5 && failed.is_none() {
+                    fast.fail_disk(disk).expect("raid5 fail");
+                    fast.repair_disk(disk);
+                }
+                fast_jobs.push(fast.submit_rebuild(at, disk, region_blocks));
+                let phases = rebuild_phases(scenario.raid.ndisks, disk, region_blocks, failed);
+                slow_jobs.push(slow.submit_phases(at, phases));
             }
             Step::Advance { gap_us } => {
                 t += gap_us;
@@ -461,16 +594,56 @@ mod properties {
     use proptest::prelude::*;
 
     fn step() -> impl Strategy<Value = Step> {
-        prop_oneof![
+        let submit = || {
             (any::<bool>(), any::<u64>(), 1u32..200, 0u64..30_000).prop_map(
                 |(write, pba, nblocks, gap_us)| Step::Submit {
                     write,
                     pba,
                     nblocks,
                     gap_us,
+                },
+            )
+        };
+        let job = || {
+            let kind = prop_oneof![
+                Just(JobKind::Write),
+                Just(JobKind::Write),
+                Just(JobKind::Read),
+                Just(JobKind::Swap),
+            ];
+            (
+                kind,
+                vec(any::<u64>(), 0..4),
+                vec((any::<u64>(), 1u32..64), 1..5),
+                0u64..30_000,
+            )
+                .prop_map(|(kind, lookups, extents, gap_us)| Step::Job {
+                    kind,
+                    lookups,
+                    extents,
+                    gap_us,
+                })
+        };
+        let rebuild =
+            (0usize..4, 1u64..600, 0u64..30_000).prop_map(|(disk, region_blocks, gap_us)| {
+                Step::Rebuild {
+                    disk,
+                    region_blocks,
+                    gap_us,
                 }
-            ),
-            (0u64..50_000).prop_map(|gap_us| Step::Advance { gap_us }),
+            });
+        let advance = || (0u64..50_000).prop_map(|gap_us| Step::Advance { gap_us });
+        // Arms are drawn uniformly: a quarter single requests, a quarter
+        // multi-extent jobs, three eighths advances, an eighth rebuilds.
+        prop_oneof![
+            submit(),
+            submit(),
+            job(),
+            job(),
+            advance(),
+            advance(),
+            advance(),
+            rebuild,
         ]
     }
 
@@ -490,10 +663,11 @@ mod properties {
             Just(RaidConfig::paper_raid5()),
         ];
         let cache = prop_oneof![Just(0u64), Just(32u64), Just(256u64)];
-        (sched, raid, cache, vec(step(), 1..120)).prop_map(
-            |(sched, raid, write_cache_blocks, steps)| Scenario {
+        (sched, raid, any::<bool>(), cache, vec(step(), 1..120)).prop_map(
+            |(sched, raid, wd, write_cache_blocks, steps)| Scenario {
                 sched,
                 raid,
+                wd,
                 write_cache_blocks,
                 steps,
             },
@@ -522,7 +696,9 @@ mod properties {
 }
 
 /// Deterministic spot checks: dense bursty mixes (deep queues, every
-/// scheduler) that would be low-probability draws for the generator.
+/// scheduler, both disk presets) that would be low-probability draws
+/// for the generator. Every fifth step is a multi-extent write job, and
+/// a rebuild runs under the burst.
 #[test]
 fn dense_burst_equivalence() {
     for sched in [
@@ -534,30 +710,46 @@ fn dense_burst_equivalence() {
             .map(|i| {
                 // Zero/near-zero gaps → queue depths in the dozens.
                 let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                Step::Submit {
-                    write: i % 3 == 0,
-                    pba: h,
-                    nblocks: (h % 64 + 1) as u32,
-                    gap_us: (i % 4) * 7,
+                let gap_us = (i % 4) * 7;
+                match i {
+                    200 => Step::Rebuild {
+                        disk: 1,
+                        region_blocks: 1_000,
+                        gap_us,
+                    },
+                    _ if i % 5 == 4 => Step::Job {
+                        kind: JobKind::Write,
+                        lookups: vec![h, h >> 7],
+                        extents: vec![(h, 3), (h >> 9, 20), (h >> 3, 60)],
+                        gap_us,
+                    },
+                    _ => Step::Submit {
+                        write: i % 3 == 0,
+                        pba: h,
+                        nblocks: (h % 64 + 1) as u32,
+                        gap_us,
+                    },
                 }
             })
             .collect();
-        check(
-            &Scenario {
-                sched,
-                raid: RaidConfig::paper_raid5(),
-                write_cache_blocks: 0,
-                steps,
-            },
-            None,
-        );
+        for wd in [false, true] {
+            check(
+                &Scenario {
+                    sched,
+                    raid: RaidConfig::paper_raid5(),
+                    wd,
+                    write_cache_blocks: 0,
+                    steps: steps.clone(),
+                },
+                None,
+            );
+        }
     }
 }
 
 /// The paper-array shape with idle gaps between every job: each op sees
-/// an empty queue, so every dispatch takes the single-op fast path and
-/// quiescent jobs take the analytic path — compare against the
-/// heap-driven reference step by step.
+/// an empty queue, so every dispatch takes the single-op fast path —
+/// compare against the heap-driven reference step by step.
 #[test]
 fn idle_gap_fast_path_equivalence() {
     let steps: Vec<Step> = (0..300u64)
@@ -580,6 +772,7 @@ fn idle_gap_fast_path_equivalence() {
             &Scenario {
                 sched: SchedulerKind::Fifo,
                 raid,
+                wd: false,
                 write_cache_blocks: 0,
                 steps: steps.clone(),
             },
