@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use pod_cache::{ArcCache, GhostCache, LfuCache, LruCache};
 use pod_core::pool::default_width;
 use pod_dedup::index::IndexEntry;
-use pod_dedup::{ChunkStore, IndexTable};
+use pod_dedup::{ChunkStore, IndexPolicy, IndexTable, INDEX_ENTRY_BYTES};
 use pod_disk::engine::isolated_latency;
 use pod_disk::{ArraySim, DiskSpec, RaidConfig, RaidGeometry, SchedulerKind};
 use pod_hash::fnv1a_64;
@@ -138,7 +138,7 @@ fn bench_caches(c: &mut Criterion) {
 fn bench_index_table(c: &mut Criterion) {
     c.bench_function("index_table_query_insert", |b| {
         b.iter_batched(
-            || IndexTable::new(8_192),
+            || IndexTable::with_byte_budget_policy(8_192 * INDEX_ENTRY_BYTES, IndexPolicy::Lru),
             |mut t| {
                 for i in 0..16_384u64 {
                     let fp = Fingerprint::from_content_id(i % 12_288);
@@ -203,17 +203,29 @@ fn bench_chunk_store(c: &mut Criterion) {
     g.finish();
 }
 
+/// The planners as the event engine runs them: into phase buffers
+/// reused from job to job, cleared before each plan.
 fn bench_raid_planning(c: &mut Criterion) {
     let g5 = RaidGeometry::new(RaidConfig::paper_raid5());
+    let (mut reads, mut writes) = (Vec::new(), Vec::new());
+    let mut write = |b: &mut criterion::Bencher, pba: u64, nblocks: u32| {
+        b.iter(|| {
+            reads.clear();
+            writes.clear();
+            g5.plan_write_into(black_box(Pba::new(pba)), nblocks, &mut reads, &mut writes);
+            black_box((reads.len(), writes.len()))
+        })
+    };
     let mut g = c.benchmark_group("raid_plan");
-    g.bench_function("small_write_rmw", |b| {
-        b.iter(|| g5.plan_write(black_box(Pba::new(12_345)), 4))
-    });
-    g.bench_function("full_stripe_write", |b| {
-        b.iter(|| g5.plan_write(black_box(Pba::new(0)), 48))
-    });
+    g.bench_function("small_write_rmw", |b| write(b, 12_345, 4));
+    g.bench_function("full_stripe_write", |b| write(b, 0, 48));
+    let mut ops = Vec::new();
     g.bench_function("large_read", |b| {
-        b.iter(|| g5.plan_read(black_box(Pba::new(777)), 128))
+        b.iter(|| {
+            ops.clear();
+            g5.plan_read_into(black_box(Pba::new(777)), 128, &mut ops);
+            black_box(ops.len())
+        })
     });
     g.finish();
 }

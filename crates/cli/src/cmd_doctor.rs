@@ -1,11 +1,12 @@
-//! `pod-cli doctor` — self-check: replay a workload through every
-//! scheme and verify the system's internal invariants end to end
-//! (store consistency, journal recovery, determinism, headline shapes).
+//! `pod-cli doctor` — self-check: run a workload's writes through every
+//! dedup policy, replay it, and verify the system's internal invariants
+//! end to end (store consistency, journal recovery, determinism,
+//! headline shapes). Exits 1 when any check fails.
 
 use crate::args::CliArgs;
 use pod_core::experiments::run_schemes;
 use pod_core::Scheme;
-use pod_dedup::{DedupConfig, DedupEngine, DedupPolicy};
+use pod_dedup::{DedupConfig, DedupEngine, DedupPolicy, WriteScratch};
 
 pub fn run(args: &CliArgs) -> Result<(), String> {
     let mut failures = 0usize;
@@ -31,15 +32,19 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
     let trace = args.load_trace()?;
     let cfg = args.system_config()?;
 
-    // 1. Engine-level: process every write through each policy and check
-    //    store invariants + journal recovery.
+    // 1. Engine-level: process every write through each policy (with
+    //    Post-Process's backlog then scanned) and check store
+    //    invariants + journal recovery.
+    let logical = trace.address_span_blocks().max(1_024);
+    let mut scratch = WriteScratch::new();
     for policy in [
         DedupPolicy::Native,
         DedupPolicy::FullDedupe,
         DedupPolicy::IDedup,
         DedupPolicy::SelectDedupe,
+        DedupPolicy::PostProcess,
+        DedupPolicy::IODedup,
     ] {
-        let logical = trace.address_span_blocks().max(1_024);
         let mut engine = DedupEngine::new(
             policy,
             DedupConfig {
@@ -48,13 +53,15 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
                 ..DedupConfig::default()
             },
         );
-        let mut err = String::new();
-        for req in trace.requests.iter().filter(|r| r.op.is_write()) {
-            if let Err(e) = engine.process_write(req) {
-                err = e.to_string();
-                break;
-            }
+        let mut run = trace
+            .requests
+            .iter()
+            .filter(|r| r.op.is_write())
+            .try_for_each(|req| engine.process_write_into(req, &mut scratch).map(drop));
+        if run.is_ok() && policy == DedupPolicy::PostProcess {
+            run = engine.post_process_scan(engine.scan_backlog()).map(drop);
         }
+        let err = run.err().map(|e| e.to_string()).unwrap_or_default();
         let inv = engine.store().check_invariants();
         let jr = engine.store().verify_journal_recovery();
         check(

@@ -466,8 +466,8 @@ impl ServePolicy {
     }
 
     /// Statically partitioned tier of `mib` MiB: every tenant gets the
-    /// same slice regardless of locality — the baseline the perf gate
-    /// compares prioritized sharing against.
+    /// same slice regardless of locality — the baseline the shared-tier
+    /// test compares prioritized sharing against.
     pub fn static_tier(mib: u64) -> Self {
         Self {
             shared_tier_bytes: mib << 20,
@@ -576,30 +576,6 @@ impl ServePolicy {
         }
         Ok(())
     }
-
-    /// Compact rendering for config summaries.
-    fn summary(&self) -> String {
-        let mut s = format!("tier:{}KiB", self.shared_tier_bytes >> 10);
-        if self.is_static() {
-            s.push_str(":static");
-        } else {
-            s.push_str(&format!(":{}/{}pm", self.hot_share_pm, self.cold_share_pm));
-        }
-        let d = &self.default_tenant;
-        if let Some(r) = d.rate_limit_rps {
-            s.push_str(&format!(" rate:{r}x{}", d.burst_requests));
-        }
-        if let Some(q) = d.cache_quota_bytes {
-            s.push_str(&format!(" quota:{}KiB", q >> 10));
-        }
-        if let Some(q) = d.soft_quota_bytes {
-            s.push_str(&format!(" soft:{}KiB", q >> 10));
-        }
-        if !self.tenant_overrides.is_empty() {
-            s.push_str(&format!(" overrides:{}", self.tenant_overrides.len()));
-        }
-        s
-    }
 }
 
 impl SystemConfig {
@@ -695,60 +671,6 @@ impl SystemConfig {
             policy.validate()?;
         }
         Ok(())
-    }
-
-    /// Compact one-line rendering of the knobs that distinguish one
-    /// run from another — used by panic messages and diagnostics so a
-    /// failing replay always names the configuration it ran under.
-    pub fn summary(&self) -> String {
-        let mut s = format!(
-            "raid={}x{} sched={:?} mem={} idx_frac={:.2} T={} idedup={} \
-             policy={:?}/{:?} hash={}us x{} warmup={:.2} epoch={}",
-            self.raid.ndisks,
-            self.raid.stripe_unit_blocks,
-            self.scheduler,
-            match self.memory_bytes {
-                Some(b) => format!("{b}B"),
-                None => format!("scale {:.3}", self.memory_scale),
-            },
-            self.index_fraction,
-            self.select_threshold,
-            self.idedup_threshold,
-            self.index_policy,
-            self.read_policy,
-            self.latency.hash_us_per_chunk,
-            self.latency.hash_workers,
-            self.warmup_fraction,
-            self.icache.epoch_requests,
-        );
-        if let Some(d) = self.fail_disk {
-            s.push_str(&format!(" fail_disk={d}"));
-        }
-        if let Some(plan) = &self.faults {
-            s.push_str(&format!(" faults=seed:{}", plan.seed));
-            if plan.read_error_rate > 0 || plan.write_error_rate > 0 {
-                s.push_str(&format!(
-                    " err:r{}/w{}",
-                    plan.read_error_rate, plan.write_error_rate
-                ));
-            }
-            if plan.latency_spike_rate > 0 {
-                s.push_str(&format!(" spike:{}", plan.latency_spike_rate));
-            }
-            if plan.torn_write_rate > 0 {
-                s.push_str(&format!(" torn:{}", plan.torn_write_rate));
-            }
-            if let Some(n) = plan.crash_after_jobs {
-                s.push_str(&format!(" crash:{n}"));
-            }
-            if let Some(lba) = plan.corrupt_lba {
-                s.push_str(&format!(" corrupt:{lba}"));
-            }
-        }
-        if let Some(policy) = &self.policy {
-            s.push_str(&format!(" policy=[{}]", policy.summary()));
-        }
-        s
     }
 }
 
@@ -860,27 +782,6 @@ mod tests {
         assert!(c.validate().is_err(), "config validation covers the plan");
         c.faults = Some(FaultPlan::transient(7));
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn summary_names_the_distinguishing_knobs() {
-        let mut c = SystemConfig::test_default();
-        let s = c.summary();
-        assert!(s.contains("raid=4x16"), "{s}");
-        assert!(s.contains("T=3"), "{s}");
-        assert!(!s.contains("faults"), "{s}");
-
-        c.fail_disk = Some(2);
-        c.faults = Some(FaultPlan::all(7));
-        let s = c.summary();
-        assert!(s.contains("fail_disk=2"), "{s}");
-        assert!(s.contains("faults=seed:7"), "{s}");
-        assert!(s.contains("err:r64/w64"), "{s}");
-        assert!(s.contains("crash:200"), "{s}");
-
-        c.policy = Some(ServePolicy::prioritized_tier(2));
-        let s = c.summary();
-        assert!(s.contains("policy=[tier:2048KiB:1750/250pm]"), "{s}");
     }
 
     #[test]

@@ -24,52 +24,9 @@ use pod_types::Pba;
 /// chunk's content exists at `pba`.
 pub type ChunkCandidate = Option<Pba>;
 
-/// The category a write request falls into, with the chunk index ranges
-/// to deduplicate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WriteClass {
-    /// Category 1: dedup all chunks (request removed from disk I/O).
-    FullyRedundantSequential,
-    /// Category 2: write all chunks, dedup nothing.
-    ScatteredPartial,
-    /// Category 3: dedup the given chunk ranges `(start, len)`, write
-    /// the rest.
-    ContiguousPartial(Vec<(usize, usize)>),
-    /// No chunk is redundant: plain unique write.
-    Unique,
-}
-
-impl WriteClass {
-    /// Chunk index ranges to deduplicate under this classification, given
-    /// the request length.
-    pub fn dedup_ranges(&self, nchunks: usize) -> Vec<(usize, usize)> {
-        match self {
-            WriteClass::FullyRedundantSequential => vec![(0, nchunks)],
-            WriteClass::ContiguousPartial(ranges) => ranges.clone(),
-            WriteClass::ScatteredPartial | WriteClass::Unique => Vec::new(),
-        }
-    }
-
-    /// `true` when the whole request is eliminated from disk I/O.
-    pub fn removes_request(&self) -> bool {
-        matches!(self, WriteClass::FullyRedundantSequential)
-    }
-
-    /// The allocation-free tag of this classification.
-    pub fn kind(&self) -> ClassKind {
-        match self {
-            WriteClass::FullyRedundantSequential => ClassKind::FullyRedundantSequential,
-            WriteClass::ScatteredPartial => ClassKind::ScatteredPartial,
-            WriteClass::ContiguousPartial(_) => ClassKind::ContiguousPartial,
-            WriteClass::Unique => ClassKind::Unique,
-        }
-    }
-}
-
-/// Allocation-free classification tag. The `*_into` classifiers return
-/// this and deposit the dedup ranges into caller-owned scratch, so the
-/// replay hot path never touches the heap; [`WriteClass`] remains the
-/// owned form for reporting and tests.
+/// Classification tag. The classifiers return this and deposit the
+/// dedup ranges into caller-owned scratch, so the replay hot path never
+/// touches the heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClassKind {
     /// Category 1: dedup all chunks (request removed from disk I/O).
@@ -82,35 +39,10 @@ pub enum ClassKind {
     Unique,
 }
 
-impl ClassKind {
-    /// `true` when the whole request is eliminated from disk I/O.
-    pub fn removes_request(&self) -> bool {
-        matches!(self, ClassKind::FullyRedundantSequential)
-    }
-
-    /// Rebuild the owned [`WriteClass`], attaching `ranges` for the
-    /// contiguous-partial case.
-    pub fn into_class(self, ranges: &[(usize, usize)]) -> WriteClass {
-        match self {
-            ClassKind::FullyRedundantSequential => WriteClass::FullyRedundantSequential,
-            ClassKind::ScatteredPartial => WriteClass::ScatteredPartial,
-            ClassKind::ContiguousPartial => WriteClass::ContiguousPartial(ranges.to_vec()),
-            ClassKind::Unique => WriteClass::Unique,
-        }
-    }
-}
-
 /// Maximal runs of consecutive chunks whose candidates exist and are
-/// physically sequential (`pba[i+1] == pba[i] + 1`). Returns
-/// `(start, len)` pairs.
-pub fn sequential_runs(candidates: &[ChunkCandidate]) -> Vec<(usize, usize)> {
-    let mut runs = Vec::new();
-    sequential_runs_into(candidates, &mut runs);
-    runs
-}
-
-/// [`sequential_runs`] into caller-owned scratch (cleared first).
-pub fn sequential_runs_into(candidates: &[ChunkCandidate], runs: &mut Vec<(usize, usize)>) {
+/// physically sequential (`pba[i+1] == pba[i] + 1`), as `(start, len)`
+/// pairs in caller-owned scratch (cleared first).
+fn sequential_runs_into(candidates: &[ChunkCandidate], runs: &mut Vec<(usize, usize)>) {
     runs.clear();
     let mut i = 0;
     while i < candidates.len() {
@@ -135,13 +67,7 @@ pub fn sequential_runs_into(candidates: &[ChunkCandidate], runs: &mut Vec<(usize
 }
 
 /// Classify a write request for **Select-Dedupe** with the given
-/// duplicate-run `threshold` (paper default 3).
-pub fn classify_for_select(candidates: &[ChunkCandidate], threshold: usize) -> WriteClass {
-    let (mut runs, mut ranges) = (Vec::new(), Vec::new());
-    classify_for_select_into(candidates, threshold, &mut runs, &mut ranges).into_class(&ranges)
-}
-
-/// [`classify_for_select`] into caller-owned scratch: `runs` receives the
+/// duplicate-run `threshold` (paper default 3). `runs` receives the
 /// sequential candidate runs, `ranges` the chunk index ranges to
 /// deduplicate (both cleared first). For the fully-redundant-sequential
 /// case `ranges` holds the single full-request range, so callers can
@@ -182,14 +108,8 @@ pub fn classify_for_select_into(
 /// Classify for **iDedup**: only sequential duplicate runs of at least
 /// `threshold` chunks are deduplicated; anything else — including fully
 /// redundant small requests — is written as-is. This is the
-/// capacity-oriented policy POD argues against.
-pub fn classify_for_idedup(candidates: &[ChunkCandidate], threshold: usize) -> WriteClass {
-    let (mut runs, mut ranges) = (Vec::new(), Vec::new());
-    classify_for_idedup_into(candidates, threshold, &mut runs, &mut ranges).into_class(&ranges)
-}
-
-/// [`classify_for_idedup`] into caller-owned scratch (see
-/// [`classify_for_select_into`] for the scratch contract).
+/// capacity-oriented policy POD argues against. Scratch contract as in
+/// [`classify_for_select_into`].
 pub fn classify_for_idedup_into(
     candidates: &[ChunkCandidate],
     threshold: usize,
@@ -213,14 +133,8 @@ pub fn classify_for_idedup_into(
 
 /// Classify for **Full-Dedupe**: every chunk with a candidate is
 /// deduplicated, regardless of layout. Scattered dedup is exactly what
-/// causes Full-Dedupe's fragmentation problem.
-pub fn classify_for_full(candidates: &[ChunkCandidate]) -> WriteClass {
-    let mut ranges = Vec::new();
-    classify_for_full_into(candidates, &mut ranges).into_class(&ranges)
-}
-
-/// [`classify_for_full`] into caller-owned scratch (see
-/// [`classify_for_select_into`] for the scratch contract).
+/// causes Full-Dedupe's fragmentation problem. Scratch contract as in
+/// [`classify_for_select_into`].
 pub fn classify_for_full_into(
     candidates: &[ChunkCandidate],
     ranges: &mut Vec<(usize, usize)>,
@@ -246,6 +160,10 @@ pub fn classify_for_full_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ClassKind::*;
+
+    /// A classification with the ranges it deposited.
+    type Class = (ClassKind, Vec<(usize, usize)>);
 
     fn c(vals: &[i64]) -> Vec<ChunkCandidate> {
         // -1 = no candidate; otherwise the candidate PBA.
@@ -260,74 +178,99 @@ mod tests {
             .collect()
     }
 
+    fn runs(cand: &[ChunkCandidate]) -> Vec<(usize, usize)> {
+        let mut runs = Vec::new();
+        sequential_runs_into(cand, &mut runs);
+        runs
+    }
+
+    fn select(cand: &[ChunkCandidate], threshold: usize) -> Class {
+        let (mut runs, mut ranges) = (Vec::new(), Vec::new());
+        let kind = classify_for_select_into(cand, threshold, &mut runs, &mut ranges);
+        (kind, ranges)
+    }
+
+    fn idedup(cand: &[ChunkCandidate], threshold: usize) -> Class {
+        let (mut runs, mut ranges) = (Vec::new(), Vec::new());
+        let kind = classify_for_idedup_into(cand, threshold, &mut runs, &mut ranges);
+        (kind, ranges)
+    }
+
+    fn full(cand: &[ChunkCandidate]) -> Class {
+        let mut ranges = Vec::new();
+        let kind = classify_for_full_into(cand, &mut ranges);
+        (kind, ranges)
+    }
+
     #[test]
     fn runs_detected() {
         let cand = c(&[10, 11, 12, -1, 50, 99, 100]);
-        assert_eq!(sequential_runs(&cand), vec![(0, 3), (4, 1), (5, 2)]);
+        assert_eq!(runs(&cand), vec![(0, 3), (4, 1), (5, 2)]);
     }
 
     #[test]
     fn runs_split_on_non_sequential_candidates() {
         let cand = c(&[10, 12, 13]);
-        assert_eq!(sequential_runs(&cand), vec![(0, 1), (1, 2)]);
+        assert_eq!(runs(&cand), vec![(0, 1), (1, 2)]);
     }
 
     #[test]
     fn empty_candidates_no_runs() {
-        assert!(sequential_runs(&c(&[-1, -1])).is_empty());
-        assert!(sequential_runs(&[]).is_empty());
+        assert!(runs(&c(&[-1, -1])).is_empty());
+        assert!(runs(&[]).is_empty());
     }
 
     // --- Select-Dedupe ---
 
     #[test]
     fn select_cat1_fully_redundant_sequential() {
-        let cls = classify_for_select(&c(&[7, 8, 9, 10]), 3);
-        assert_eq!(cls, WriteClass::FullyRedundantSequential);
-        assert!(cls.removes_request());
-        assert_eq!(cls.dedup_ranges(4), vec![(0, 4)]);
+        assert_eq!(
+            select(&c(&[7, 8, 9, 10]), 3),
+            (FullyRedundantSequential, vec![(0, 4)])
+        );
     }
 
     #[test]
     fn select_single_block_fully_redundant_is_cat1() {
         // The small-write case iDedup ignores and POD embraces.
-        let cls = classify_for_select(&c(&[42]), 3);
-        assert_eq!(cls, WriteClass::FullyRedundantSequential);
+        assert_eq!(
+            select(&c(&[42]), 3),
+            (FullyRedundantSequential, vec![(0, 1)])
+        );
     }
 
     #[test]
     fn select_cat2_scattered_below_threshold() {
-        let cls = classify_for_select(&c(&[5, -1, -1, 77]), 3);
-        assert_eq!(cls, WriteClass::ScatteredPartial);
-        assert!(cls.dedup_ranges(4).is_empty());
+        assert_eq!(select(&c(&[5, -1, -1, 77]), 3), (ScatteredPartial, vec![]));
     }
 
     #[test]
     fn select_cat3_contiguous_run_at_threshold() {
-        let cls = classify_for_select(&c(&[20, 21, 22, -1, -1]), 3);
-        assert_eq!(cls, WriteClass::ContiguousPartial(vec![(0, 3)]));
-        assert_eq!(cls.dedup_ranges(5), vec![(0, 3)]);
+        assert_eq!(
+            select(&c(&[20, 21, 22, -1, -1]), 3),
+            (ContiguousPartial, vec![(0, 3)])
+        );
     }
 
     #[test]
     fn select_fully_redundant_but_scattered_is_not_cat1() {
         // All chunks redundant but stored non-sequentially: deduping all
         // of them would fragment reads. Runs of >= threshold still dedup.
-        let cls = classify_for_select(&c(&[10, 20, 30, 40]), 3);
-        assert_eq!(cls, WriteClass::ScatteredPartial);
-        let cls2 = classify_for_select(&c(&[10, 11, 12, 40]), 3);
-        assert_eq!(cls2, WriteClass::ContiguousPartial(vec![(0, 3)]));
+        assert_eq!(select(&c(&[10, 20, 30, 40]), 3), (ScatteredPartial, vec![]));
+        assert_eq!(
+            select(&c(&[10, 11, 12, 40]), 3),
+            (ContiguousPartial, vec![(0, 3)])
+        );
     }
 
     #[test]
     fn select_unique_request() {
-        assert_eq!(classify_for_select(&c(&[-1, -1]), 3), WriteClass::Unique);
+        assert_eq!(select(&c(&[-1, -1]), 3), (Unique, vec![]));
     }
 
     #[test]
     fn select_short_redundant_run_below_threshold_scattered() {
-        let cls = classify_for_select(&c(&[10, 11, -1, -1]), 3);
-        assert_eq!(cls, WriteClass::ScatteredPartial);
+        assert_eq!(select(&c(&[10, 11, -1, -1]), 3), (ScatteredPartial, vec![]));
     }
 
     // --- iDedup ---
@@ -335,38 +278,33 @@ mod tests {
     #[test]
     fn idedup_bypasses_small_fully_redundant_requests() {
         // 2-block fully redundant request, threshold 8: bypassed.
-        let cls = classify_for_idedup(&c(&[5, 6]), 8);
-        assert_eq!(cls, WriteClass::ScatteredPartial);
-        assert!(cls.dedup_ranges(2).is_empty());
+        assert_eq!(idedup(&c(&[5, 6]), 8), (ScatteredPartial, vec![]));
     }
 
     #[test]
     fn idedup_dedups_long_sequential_runs() {
         let cand = c(&[10, 11, 12, 13, 14, 15, 16, 17, -1, -1]);
-        let cls = classify_for_idedup(&cand, 8);
-        assert_eq!(cls, WriteClass::ContiguousPartial(vec![(0, 8)]));
+        assert_eq!(idedup(&cand, 8), (ContiguousPartial, vec![(0, 8)]));
     }
 
     #[test]
     fn idedup_full_request_run_is_cat1() {
         let cand = c(&[10, 11, 12, 13, 14, 15, 16, 17]);
-        let cls = classify_for_idedup(&cand, 8);
-        assert_eq!(cls, WriteClass::FullyRedundantSequential);
+        assert_eq!(idedup(&cand, 8), (FullyRedundantSequential, vec![(0, 8)]));
     }
 
     #[test]
     fn idedup_unique() {
-        assert_eq!(classify_for_idedup(&c(&[-1]), 8), WriteClass::Unique);
+        assert_eq!(idedup(&c(&[-1]), 8), (Unique, vec![]));
     }
 
     // --- Full-Dedupe ---
 
     #[test]
     fn full_dedups_every_candidate_even_scattered() {
-        let cls = classify_for_full(&c(&[10, -1, 99, -1]));
         assert_eq!(
-            cls,
-            WriteClass::ContiguousPartial(vec![(0, 1), (2, 1)]),
+            full(&c(&[10, -1, 99, -1])),
+            (ContiguousPartial, vec![(0, 1), (2, 1)]),
             "scattered chunks are deduplicated anyway"
         );
     }
@@ -374,79 +312,37 @@ mod tests {
     #[test]
     fn full_fully_redundant_any_layout_removes_request() {
         // Even a scattered fully-redundant request is entirely deduped.
-        let cls = classify_for_full(&c(&[10, 50, 90]));
-        assert_eq!(cls, WriteClass::FullyRedundantSequential);
-        assert!(cls.removes_request());
+        assert_eq!(
+            full(&c(&[10, 50, 90])),
+            (FullyRedundantSequential, vec![(0, 3)])
+        );
     }
 
     #[test]
     fn full_unique() {
-        assert_eq!(classify_for_full(&c(&[-1, -1])), WriteClass::Unique);
-    }
-
-    // --- scratch-based variants ---
-
-    #[test]
-    fn into_variants_agree_with_owned_classifiers() {
-        let cases = [
-            c(&[7, 8, 9, 10]),
-            c(&[42]),
-            c(&[5, -1, -1, 77]),
-            c(&[20, 21, 22, -1, -1]),
-            c(&[10, 20, 30, 40]),
-            c(&[10, 11, 12, 40]),
-            c(&[-1, -1]),
-            c(&[10, -1, 99, -1]),
-            c(&[]),
-        ];
-        let (mut runs, mut ranges) = (Vec::new(), Vec::new());
-        for cand in &cases {
-            for threshold in [1, 3, 8] {
-                let kind = classify_for_select_into(cand, threshold, &mut runs, &mut ranges);
-                assert_eq!(
-                    kind.into_class(&ranges),
-                    classify_for_select(cand, threshold),
-                    "select {cand:?} t={threshold}"
-                );
-                let kind = classify_for_idedup_into(cand, threshold, &mut runs, &mut ranges);
-                assert_eq!(
-                    kind.into_class(&ranges),
-                    classify_for_idedup(cand, threshold),
-                    "idedup {cand:?} t={threshold}"
-                );
-            }
-            let kind = classify_for_full_into(cand, &mut ranges);
-            assert_eq!(
-                kind.into_class(&ranges),
-                classify_for_full(cand),
-                "full {cand:?}"
-            );
-        }
+        assert_eq!(full(&c(&[-1, -1])), (Unique, vec![]));
     }
 
     #[test]
     fn into_variants_fill_full_range_for_cat1() {
         // The scratch contract: FullyRedundantSequential deposits the
-        // single full-request range so callers drive dedup off `ranges`.
-        let (mut runs, mut ranges) = (Vec::new(), Vec::new());
+        // single full-request range so callers drive dedup off `ranges`,
+        // and reused scratch is cleared by every call.
+        let (mut runs, mut ranges) = (Vec::new(), vec![(9, 9)]);
         let kind = classify_for_select_into(&c(&[7, 8, 9]), 3, &mut runs, &mut ranges);
-        assert_eq!(kind, ClassKind::FullyRedundantSequential);
-        assert!(kind.removes_request());
+        assert_eq!(kind, FullyRedundantSequential);
         assert_eq!(ranges, vec![(0, 3)]);
 
         let kind = classify_for_idedup_into(&c(&[7, 8, 9]), 3, &mut runs, &mut ranges);
-        assert_eq!(kind, ClassKind::FullyRedundantSequential);
+        assert_eq!(kind, FullyRedundantSequential);
         assert_eq!(ranges, vec![(0, 3)]);
 
         let kind = classify_for_full_into(&c(&[10, 50, 90]), &mut ranges);
-        assert_eq!(kind, ClassKind::FullyRedundantSequential);
+        assert_eq!(kind, FullyRedundantSequential);
         assert_eq!(ranges, vec![(0, 3)]);
-    }
 
-    #[test]
-    fn kind_roundtrips_through_write_class() {
-        let cls = classify_for_select(&c(&[20, 21, 22, -1, -1]), 3);
-        assert_eq!(cls.kind(), ClassKind::ContiguousPartial);
-        assert_eq!(cls.kind().into_class(&[(0, 3)]), cls);
+        let kind = classify_for_select_into(&c(&[-1]), 3, &mut runs, &mut ranges);
+        assert_eq!(kind, Unique);
+        assert!(runs.is_empty() && ranges.is_empty());
     }
 }

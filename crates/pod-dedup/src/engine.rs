@@ -11,14 +11,15 @@
 //!    written to disk as usual;
 //! 4. consistency is enforced by the store's reference counts.
 //!
-//! The engine performs **no I/O itself**: a [`WriteOutcome`] reports the
-//! extents that must hit disk, the count of on-disk index lookups to
-//! charge (Full-Dedupe's miss penalty), and the index victims for the
-//! ghost caches. `pod-core` translates outcomes into simulator jobs.
+//! The engine performs **no I/O itself**: a [`WriteSummary`] reports the
+//! count of on-disk index lookups to charge (Full-Dedupe's miss
+//! penalty), and the caller's [`WriteScratch`] holds the extents that
+//! must hit disk and the index victims for the ghost caches. `pod-core`
+//! translates them into simulator jobs.
 
 use crate::classify::{
     classify_for_full_into, classify_for_idedup_into, classify_for_select_into, ChunkCandidate,
-    ClassKind, WriteClass,
+    ClassKind,
 };
 use crate::index::{IndexState, IndexTable};
 use crate::store::{ChunkStore, MapState};
@@ -114,29 +115,6 @@ impl Default for DedupConfig {
     }
 }
 
-/// What a write request did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WriteOutcome {
-    /// The classification the request received.
-    pub class: WriteClass,
-    /// Physical extents that must be written to disk (merged).
-    pub write_extents: Vec<(Pba, u32)>,
-    /// Chunks eliminated from the write stream.
-    pub deduped_blocks: u32,
-    /// Chunks actually written.
-    pub written_blocks: u32,
-    /// `true` when no disk write is needed at all (request removed).
-    pub removed: bool,
-    /// On-disk index lookups to charge before the write (Full-Dedupe).
-    pub disk_index_lookups: u32,
-    /// Index-table victims evicted while processing (ghost-index feed).
-    pub index_victims: Vec<Fingerprint>,
-    /// Fingerprints that missed the in-memory index (ghost-index probe
-    /// feed: a ghost hit on one of these means a larger index cache
-    /// would have detected the redundancy).
-    pub index_miss_fps: Vec<Fingerprint>,
-}
-
 /// Reusable buffers for [`DedupEngine::process_write_into`].
 ///
 /// The replay loop owns one `WriteScratch` and threads it through every
@@ -145,8 +123,9 @@ pub struct WriteOutcome {
 /// ghost-cache feeds, per-chunk candidates, classification runs/ranges —
 /// lives here and is reused (cleared, capacity retained) call to call.
 ///
-/// After a call returns, the three public vectors hold that write's
-/// results; they are valid until the next `process_write_into` call.
+/// After a call returns, the three public vectors and
+/// [`WriteScratch::dedup_ranges`] hold that write's results; they are
+/// valid until the next `process_write_into` call.
 #[derive(Debug, Default)]
 pub struct WriteScratch {
     /// Physical extents that must be written to disk (merged).
@@ -188,6 +167,15 @@ impl WriteScratch {
         }
     }
 
+    /// Chunk index ranges `(start, len)` this write's classification
+    /// chose to deduplicate: the whole request for Cat-1, the policy's
+    /// chosen runs for Cat-3, none otherwise. A chunk whose
+    /// candidate went stale while the request was applied is written
+    /// instead.
+    pub fn dedup_ranges(&self) -> &[(usize, usize)] {
+        &self.ranges
+    }
+
     /// In-memory index hits for a write of `total_chunks` chunks: every
     /// chunk that did not land in `index_miss_fps` hit the hot index.
     pub fn index_hits(&self, total_chunks: u64) -> u64 {
@@ -205,27 +193,11 @@ impl WriteScratch {
         self.runs.clear();
         self.ranges.clear();
     }
-
-    /// Convert this call's scratch contents plus its [`WriteSummary`]
-    /// into the owned [`WriteOutcome`] (the allocating compatibility
-    /// form).
-    pub fn into_outcome(self, summary: WriteSummary) -> WriteOutcome {
-        WriteOutcome {
-            class: summary.kind.into_class(&self.ranges),
-            write_extents: self.write_extents,
-            deduped_blocks: summary.deduped_blocks,
-            written_blocks: summary.written_blocks,
-            removed: summary.removed,
-            disk_index_lookups: summary.disk_index_lookups,
-            index_victims: self.index_victims,
-            index_miss_fps: self.index_miss_fps,
-        }
-    }
 }
 
-/// Allocation-free result of [`DedupEngine::process_write_into`]: the
-/// `Copy` counterpart of [`WriteOutcome`], with the vectors left in the
-/// caller's [`WriteScratch`].
+/// Result of [`DedupEngine::process_write_into`]: the `Copy` part of
+/// what a write did, with its vectors left in the caller's
+/// [`WriteScratch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteSummary {
     /// The classification the request received.
@@ -349,20 +321,23 @@ pub struct DedupState {
 /// A deduplication engine with one policy.
 ///
 /// ```
-/// use pod_dedup::{DedupConfig, DedupEngine, DedupPolicy};
+/// use pod_dedup::{DedupConfig, DedupEngine, DedupPolicy, WriteScratch};
 /// use pod_types::{Fingerprint, IoRequest, Lba, SimTime};
 ///
 /// let mut engine = DedupEngine::new(DedupPolicy::SelectDedupe, DedupConfig::default());
+/// let mut scratch = WriteScratch::new();
 /// let chunks: Vec<Fingerprint> = (1..=3).map(Fingerprint::from_content_id).collect();
 ///
 /// // First write stores the data...
 /// let w1 = IoRequest::write(0, SimTime::ZERO, Lba::new(0), chunks.clone());
-/// assert_eq!(engine.process_write(&w1).unwrap().written_blocks, 3);
+/// let summary = engine.process_write_into(&w1, &mut scratch).unwrap();
+/// assert_eq!(summary.written_blocks, 3);
 ///
 /// // ...an identical write elsewhere is fully deduplicated: no disk I/O.
 /// let w2 = IoRequest::write(1, SimTime::from_micros(10), Lba::new(100), chunks);
-/// let outcome = engine.process_write(&w2).unwrap();
-/// assert!(outcome.removed);
+/// let summary = engine.process_write_into(&w2, &mut scratch).unwrap();
+/// assert!(summary.removed);
+/// assert!(scratch.write_extents.is_empty());
 /// assert_eq!(engine.store().used_blocks(), 3);
 /// ```
 #[derive(Debug)]
@@ -446,25 +421,10 @@ impl DedupEngine {
     }
 
     /// Process one write request, updating store/index state and
-    /// reporting the disk work required.
-    ///
-    /// Allocating convenience wrapper over [`process_write_into`]; the
-    /// replay hot path threads a reusable [`WriteScratch`] through the
-    /// `_into` form instead.
-    ///
-    /// [`process_write_into`]: DedupEngine::process_write_into
-    pub fn process_write(&mut self, req: &IoRequest) -> PodResult<WriteOutcome> {
-        let mut scratch = WriteScratch::new();
-        let summary = self.process_write_into(req, &mut scratch)?;
-        Ok(scratch.into_outcome(summary))
-    }
-
-    /// Process one write request using caller-owned scratch buffers.
-    ///
-    /// Identical semantics to [`DedupEngine::process_write`], but all
-    /// vector results land in `scratch` (cleared first) and the returned
-    /// [`WriteSummary`] is `Copy` — in steady state (warm buffers, warm
-    /// tables) this path performs no heap allocation at all.
+    /// reporting the disk work required. Every vector result lands in
+    /// `scratch` (cleared first) and the returned [`WriteSummary`] is
+    /// `Copy`: in steady state (warm buffers, warm tables) this path
+    /// performs no heap allocation at all.
     pub fn process_write_into(
         &mut self,
         req: &IoRequest,
@@ -637,9 +597,10 @@ impl DedupEngine {
     /// Plan a read: map the logical range to physical extents.
     pub fn plan_read(&self, req: &IoRequest) -> ReadPlan {
         debug_assert!(req.op.is_read());
-        ReadPlan {
-            extents: self.store.read_extents(req.lba, req.nblocks),
-        }
+        let mut extents = Vec::new();
+        self.store
+            .read_extents_into(req.lba, req.nblocks, &mut extents);
+        ReadPlan { extents }
     }
 
     /// Content currently readable at a logical block (used by I/O-Dedup's
@@ -700,17 +661,6 @@ impl DedupEngine {
         Some(pba)
     }
 
-    /// Gauge snapshot of the whole engine: Index table, Map table and
-    /// background-scan state in one struct. See [`pod_types::Introspect`].
-    pub fn state(&self) -> DedupState {
-        DedupState {
-            index: self.index.introspect(),
-            map: self.store.introspect(),
-            scan_backlog: self.scan_queue.len() as u64,
-            disk_index_entries: self.disk_index_entries(),
-        }
-    }
-
     /// PostProcess only: run one background deduplication pass over up to
     /// `max_chunks` queued chunks. Returns what the pass did; the caller
     /// charges `read_extents` as background disk reads (the scanner must
@@ -750,12 +700,9 @@ impl DedupEngine {
                 }
             }
         }
-        out.read_extents = merge_extents(&{
-            let mut sorted = pbas;
-            sorted.sort_unstable();
-            sorted.dedup();
-            sorted
-        });
+        pbas.sort_unstable();
+        pbas.dedup();
+        merge_extents_into(&pbas, &mut out.read_extents);
         Ok(out)
     }
 
@@ -804,19 +751,20 @@ impl DedupEngine {
 impl Introspect for DedupEngine {
     type State = DedupState;
 
+    /// Gauge snapshot of the whole engine: Index table, Map table and
+    /// background-scan state in one struct.
     fn introspect(&self) -> DedupState {
-        self.state()
+        DedupState {
+            index: self.index.introspect(),
+            map: self.store.introspect(),
+            scan_backlog: self.scan_queue.len() as u64,
+            disk_index_entries: self.disk_index_entries(),
+        }
     }
 }
 
-/// Merge an ordered PBA list into contiguous `(start, len)` extents.
-fn merge_extents(pbas: &[Pba]) -> Vec<(Pba, u32)> {
-    let mut out = Vec::new();
-    merge_extents_into(pbas, &mut out);
-    out
-}
-
-/// [`merge_extents`] into caller-owned scratch (cleared first).
+/// Merge an ordered PBA list into contiguous `(start, len)` extents in
+/// caller-owned scratch (cleared first).
 fn merge_extents_into(pbas: &[Pba], out: &mut Vec<(Pba, u32)>) {
     out.clear();
     for &p in pbas {
@@ -845,6 +793,14 @@ mod tests {
         )
     }
 
+    /// One write through fresh scratch: the summary, plus the scratch
+    /// holding that write's extents, dedup ranges and ghost feeds.
+    fn write(e: &mut DedupEngine, req: &IoRequest) -> PodResult<(WriteSummary, WriteScratch)> {
+        let mut scratch = WriteScratch::new();
+        let summary = e.process_write_into(req, &mut scratch)?;
+        Ok((summary, scratch))
+    }
+
     fn rreq(id: u64, lba: u64, n: u32) -> IoRequest {
         IoRequest::read(id, SimTime::from_micros(id), Lba::new(lba), n)
     }
@@ -865,11 +821,11 @@ mod tests {
     #[test]
     fn native_writes_everything() {
         let mut e = engine(DedupPolicy::Native);
-        let o1 = e.process_write(&wreq(0, 0, &[1, 2, 3])).expect("w1");
+        let (o1, s1) = write(&mut e, &wreq(0, 0, &[1, 2, 3])).expect("w1");
         assert_eq!(o1.written_blocks, 3);
-        assert_eq!(o1.write_extents, vec![(Pba::new(0), 3)]);
+        assert_eq!(s1.write_extents, vec![(Pba::new(0), 3)]);
         // Identical content rewritten: still written (no dedup).
-        let o2 = e.process_write(&wreq(1, 10, &[1, 2, 3])).expect("w2");
+        let (o2, _) = write(&mut e, &wreq(1, 10, &[1, 2, 3])).expect("w2");
         assert_eq!(o2.written_blocks, 3);
         assert!(!o2.removed);
         assert_eq!(e.store().used_blocks(), 6, "two full copies on disk");
@@ -879,11 +835,12 @@ mod tests {
     #[test]
     fn select_removes_fully_redundant_sequential_request() {
         let mut e = engine(DedupPolicy::SelectDedupe);
-        e.process_write(&wreq(0, 0, &[1, 2, 3])).expect("w1");
-        let o = e.process_write(&wreq(1, 10, &[1, 2, 3])).expect("w2");
-        assert!(o.removed, "class {:?}", o.class);
+        write(&mut e, &wreq(0, 0, &[1, 2, 3])).expect("w1");
+        let (o, s) = write(&mut e, &wreq(1, 10, &[1, 2, 3])).expect("w2");
+        assert!(o.removed, "class {:?}", o.kind);
         assert_eq!(o.deduped_blocks, 3);
-        assert!(o.write_extents.is_empty());
+        assert_eq!(s.dedup_ranges(), [(0, 3)]);
+        assert!(s.write_extents.is_empty());
         assert_eq!(e.store().used_blocks(), 3, "single physical copy");
         assert_eq!(e.store().nvram().entries(), 3, "3 redirected map entries");
         e.store().check_invariants().expect("invariants");
@@ -892,10 +849,10 @@ mod tests {
     #[test]
     fn select_removes_small_single_block_rewrite() {
         let mut e = engine(DedupPolicy::SelectDedupe);
-        e.process_write(&wreq(0, 5, &[42])).expect("w1");
+        write(&mut e, &wreq(0, 5, &[42])).expect("w1");
         // Same content, same location: the archetypal small redundant
         // write POD eliminates.
-        let o = e.process_write(&wreq(1, 5, &[42])).expect("w2");
+        let (o, _) = write(&mut e, &wreq(1, 5, &[42])).expect("w2");
         assert!(o.removed);
         assert_eq!(e.store().used_blocks(), 1);
         assert_eq!(e.store().nvram().entries(), 0, "same-location: no redirect");
@@ -904,11 +861,12 @@ mod tests {
     #[test]
     fn select_skips_scattered_partial() {
         let mut e = engine(DedupPolicy::SelectDedupe);
-        e.process_write(&wreq(0, 0, &[1])).expect("seed 1");
-        e.process_write(&wreq(1, 100, &[2])).expect("seed 2");
+        write(&mut e, &wreq(0, 0, &[1])).expect("seed 1");
+        write(&mut e, &wreq(1, 100, &[2])).expect("seed 2");
         // Request with 2 scattered duplicates (below threshold 3) + fresh.
-        let o = e.process_write(&wreq(2, 10, &[1, 99, 2, 98])).expect("w");
-        assert_eq!(o.class, WriteClass::ScatteredPartial);
+        let (o, s) = write(&mut e, &wreq(2, 10, &[1, 99, 2, 98])).expect("w");
+        assert_eq!(o.kind, ClassKind::ScatteredPartial);
+        assert!(s.dedup_ranges().is_empty());
         assert_eq!(o.deduped_blocks, 0);
         assert_eq!(o.written_blocks, 4, "category 2 writes everything");
         // Subsequent read of 10..14 is a single extent: no fragmentation.
@@ -919,12 +877,11 @@ mod tests {
     #[test]
     fn select_dedups_contiguous_run_in_partial_request() {
         let mut e = engine(DedupPolicy::SelectDedupe);
-        e.process_write(&wreq(0, 0, &[1, 2, 3, 4])).expect("seed");
+        write(&mut e, &wreq(0, 0, &[1, 2, 3, 4])).expect("seed");
         // 6-block request: first 4 chunks duplicate the stored run.
-        let o = e
-            .process_write(&wreq(1, 100, &[1, 2, 3, 4, 50, 51]))
-            .expect("w");
-        assert_eq!(o.class, WriteClass::ContiguousPartial(vec![(0, 4)]));
+        let (o, s) = write(&mut e, &wreq(1, 100, &[1, 2, 3, 4, 50, 51])).expect("w");
+        assert_eq!(o.kind, ClassKind::ContiguousPartial);
+        assert_eq!(s.dedup_ranges(), [(0, 4)]);
         assert_eq!(o.deduped_blocks, 4);
         assert_eq!(o.written_blocks, 2);
         e.store().check_invariants().expect("invariants");
@@ -933,9 +890,9 @@ mod tests {
     #[test]
     fn full_dedupes_scattered_chunks_causing_fragmentation() {
         let mut e = engine(DedupPolicy::FullDedupe);
-        e.process_write(&wreq(0, 0, &[1])).expect("seed1");
-        e.process_write(&wreq(1, 500, &[2])).expect("seed2");
-        let o = e.process_write(&wreq(2, 10, &[1, 99, 2])).expect("w");
+        write(&mut e, &wreq(0, 0, &[1])).expect("seed1");
+        write(&mut e, &wreq(1, 500, &[2])).expect("seed2");
+        let (o, _) = write(&mut e, &wreq(2, 10, &[1, 99, 2])).expect("w");
         assert_eq!(o.deduped_blocks, 2);
         assert_eq!(o.written_blocks, 1);
         // The read back is fragmented: 0, 11, 500.
@@ -947,10 +904,10 @@ mod tests {
     fn full_disk_lookups_charged_on_ram_misses() {
         let mut e = engine(DedupPolicy::FullDedupe);
         // Cold unique chunks: each consults the on-disk index.
-        let o = e.process_write(&wreq(0, 0, &[1, 2, 3])).expect("w");
+        let (o, _) = write(&mut e, &wreq(0, 0, &[1, 2, 3])).expect("w");
         assert_eq!(o.disk_index_lookups, 2, "3 cold consults, capped at 2");
         // Re-write after the hot index knows them: no disk lookups.
-        let o2 = e.process_write(&wreq(1, 10, &[1, 2, 3])).expect("w2");
+        let (o2, _) = write(&mut e, &wreq(1, 10, &[1, 2, 3])).expect("w2");
         assert_eq!(o2.disk_index_lookups, 0);
         assert!(o2.removed);
     }
@@ -969,8 +926,8 @@ mod tests {
             },
         );
         let contents: Vec<u64> = (1..=8).collect();
-        e.process_write(&wreq(0, 0, &contents)).expect("seed");
-        let o = e.process_write(&wreq(1, 100, &contents)).expect("w");
+        write(&mut e, &wreq(0, 0, &contents)).expect("seed");
+        let (o, _) = write(&mut e, &wreq(1, 100, &contents)).expect("w");
         assert!(o.removed, "disk index found all 8 duplicates");
         assert_eq!(
             o.disk_index_lookups, 2,
@@ -992,8 +949,8 @@ mod tests {
                 ..DedupConfig::default()
             },
         );
-        e.process_write(&wreq(0, 0, &[1, 2, 3])).expect("seed");
-        let o = e.process_write(&wreq(1, 10, &[1, 2, 3])).expect("w");
+        write(&mut e, &wreq(0, 0, &[1, 2, 3])).expect("seed");
+        let (o, _) = write(&mut e, &wreq(1, 10, &[1, 2, 3])).expect("w");
         assert!(o.removed, "disk index found all duplicates");
         assert!(o.disk_index_lookups > 0);
     }
@@ -1001,8 +958,8 @@ mod tests {
     #[test]
     fn idedup_bypasses_small_redundant_writes() {
         let mut e = engine(DedupPolicy::IDedup);
-        e.process_write(&wreq(0, 0, &[7])).expect("seed");
-        let o = e.process_write(&wreq(1, 9, &[7])).expect("w");
+        write(&mut e, &wreq(0, 0, &[7])).expect("seed");
+        let (o, _) = write(&mut e, &wreq(1, 9, &[7])).expect("w");
         assert!(!o.removed, "iDedup ignores small writes");
         assert_eq!(o.written_blocks, 1);
     }
@@ -1011,8 +968,8 @@ mod tests {
     fn idedup_dedups_long_sequential_duplicates() {
         let mut e = engine(DedupPolicy::IDedup);
         let contents: Vec<u64> = (1..=8).collect();
-        e.process_write(&wreq(0, 0, &contents)).expect("seed");
-        let o = e.process_write(&wreq(1, 100, &contents)).expect("w");
+        write(&mut e, &wreq(0, 0, &contents)).expect("seed");
+        let (o, _) = write(&mut e, &wreq(1, 100, &contents)).expect("w");
         assert!(o.removed, "8-block sequential duplicate run deduped");
         assert_eq!(o.deduped_blocks, 8);
     }
@@ -1020,12 +977,12 @@ mod tests {
     #[test]
     fn stale_index_entries_are_dropped() {
         let mut e = engine(DedupPolicy::SelectDedupe);
-        e.process_write(&wreq(0, 0, &[1])).expect("w1");
+        write(&mut e, &wreq(0, 0, &[1])).expect("w1");
         // Overwrite lba 0 with new content: pba 0 now holds fp(2).
-        e.process_write(&wreq(1, 0, &[2])).expect("w2");
+        write(&mut e, &wreq(1, 0, &[2])).expect("w2");
         // A new write of fp(1): index still maps fp(1)->pba0, but the
         // content check must reject it and write fresh.
-        let o = e.process_write(&wreq(2, 50, &[1])).expect("w3");
+        let (o, _) = write(&mut e, &wreq(2, 50, &[1])).expect("w3");
         assert!(!o.removed, "stale candidate must not be deduped");
         assert_eq!(o.written_blocks, 1);
         e.store().check_invariants().expect("invariants");
@@ -1034,12 +991,11 @@ mod tests {
     #[test]
     fn consistency_shared_block_never_overwritten() {
         let mut e = engine(DedupPolicy::SelectDedupe);
-        e.process_write(&wreq(0, 0, &[1, 2, 3])).expect("w1");
-        e.process_write(&wreq(1, 10, &[1, 2, 3]))
-            .expect("dedup onto 0..3");
+        write(&mut e, &wreq(0, 0, &[1, 2, 3])).expect("w1");
+        write(&mut e, &wreq(1, 10, &[1, 2, 3])).expect("dedup onto 0..3");
         // Overwrite the original location with new data; the shared
         // blocks must survive for lba 10..13.
-        e.process_write(&wreq(2, 0, &[7, 8, 9])).expect("w2");
+        write(&mut e, &wreq(2, 0, &[7, 8, 9])).expect("w2");
         let plan = e.plan_read(&rreq(3, 10, 3));
         // lba 10..13 still maps to the original physical copy 0..3.
         assert_eq!(plan.extents, vec![(Pba::new(0), 3)]);
@@ -1049,8 +1005,8 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut e = engine(DedupPolicy::SelectDedupe);
-        e.process_write(&wreq(0, 0, &[1, 2, 3])).expect("w1");
-        e.process_write(&wreq(1, 10, &[1, 2, 3])).expect("w2");
+        write(&mut e, &wreq(0, 0, &[1, 2, 3])).expect("w1");
+        write(&mut e, &wreq(1, 10, &[1, 2, 3])).expect("w2");
         let c = e.counters();
         assert_eq!(c.write_requests, 2);
         assert_eq!(c.removed_requests, 1);
@@ -1075,11 +1031,14 @@ mod tests {
             Pba::new(6),
             Pba::new(9),
         ];
+        let mut out = vec![(Pba::new(99), 1)];
+        merge_extents_into(&pbas, &mut out);
         assert_eq!(
-            merge_extents(&pbas),
+            out,
             vec![(Pba::new(1), 2), (Pba::new(5), 2), (Pba::new(9), 1)]
         );
-        assert!(merge_extents(&[]).is_empty());
+        merge_extents_into(&[], &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -1095,7 +1054,7 @@ mod tests {
         );
         // 8 cold consults -> exactly one page fault.
         let contents: Vec<u64> = (1..=8).collect();
-        let o = e.process_write(&wreq(0, 0, &contents)).expect("w");
+        let (o, _) = write(&mut e, &wreq(0, 0, &contents)).expect("w");
         assert_eq!(o.disk_index_lookups, 1);
     }
 
@@ -1110,12 +1069,10 @@ mod tests {
         // Same content at lbas 112..123 — index ends up pointing at the
         // most recent copy.
         let contents = vec![0u64; 11];
-        e.process_write(&wreq(0, 112, &contents)).expect("w1");
+        write(&mut e, &wreq(0, 112, &contents)).expect("w1");
         // Overwrite the same range: chunk i dedups lba 112+i onto the
         // candidate, releasing blocks later chunks had as candidates.
-        let o = e
-            .process_write(&wreq(1, 112, &contents))
-            .expect("w2 must not error");
+        let (o, _) = write(&mut e, &wreq(1, 112, &contents)).expect("w2 must not error");
         assert_eq!(
             o.deduped_blocks + o.written_blocks,
             11,
@@ -1127,8 +1084,8 @@ mod tests {
     #[test]
     fn post_process_scan_dedups_backlog() {
         let mut e = engine(DedupPolicy::PostProcess);
-        e.process_write(&wreq(0, 0, &[1, 2, 3])).expect("w1");
-        e.process_write(&wreq(1, 10, &[1, 2, 3])).expect("w2");
+        write(&mut e, &wreq(0, 0, &[1, 2, 3])).expect("w1");
+        write(&mut e, &wreq(1, 10, &[1, 2, 3])).expect("w2");
         assert_eq!(e.scan_backlog(), 6);
         assert_eq!(e.store().used_blocks(), 6, "nothing deduped inline");
         let scan = e.post_process_scan(100).expect("scan");
@@ -1143,10 +1100,10 @@ mod tests {
     #[test]
     fn post_process_scan_skips_overwritten_chunks() {
         let mut e = engine(DedupPolicy::PostProcess);
-        e.process_write(&wreq(0, 0, &[1])).expect("w1");
+        write(&mut e, &wreq(0, 0, &[1])).expect("w1");
         // Overwrite before the scanner gets there: the stale queue entry
         // must be ignored, not misdeduped.
-        e.process_write(&wreq(1, 0, &[2])).expect("w2");
+        write(&mut e, &wreq(1, 0, &[2])).expect("w2");
         let scan = e.post_process_scan(10).expect("scan");
         assert_eq!(scan.scanned_chunks, 2);
         assert_eq!(scan.deduped_chunks, 0);
@@ -1157,7 +1114,7 @@ mod tests {
     fn post_process_scan_batches() {
         let mut e = engine(DedupPolicy::PostProcess);
         for i in 0..4u64 {
-            e.process_write(&wreq(i, i * 10, &[100 + i])).expect("w");
+            write(&mut e, &wreq(i, i * 10, &[100 + i])).expect("w");
         }
         assert_eq!(e.scan_backlog(), 4);
         let s1 = e.post_process_scan(3).expect("scan");
@@ -1170,8 +1127,8 @@ mod tests {
     #[test]
     fn iodedup_tracks_content_without_dedup() {
         let mut e = engine(DedupPolicy::IODedup);
-        e.process_write(&wreq(0, 0, &[7, 8])).expect("w1");
-        let o = e.process_write(&wreq(1, 10, &[7, 8])).expect("w2");
+        write(&mut e, &wreq(0, 0, &[7, 8])).expect("w1");
+        let (o, _) = write(&mut e, &wreq(1, 10, &[7, 8])).expect("w2");
         assert!(!o.removed, "I/O-Dedup never eliminates writes");
         assert_eq!(e.store().used_blocks(), 4, "both copies on disk");
         assert_eq!(e.content_of(Lba::new(0)), Some(fp(7)));
@@ -1190,17 +1147,17 @@ mod tests {
                 ..DedupConfig::default()
             },
         );
-        e.process_write(&wreq(0, 0, &[1, 2])).expect("w1");
-        let o = e.process_write(&wreq(1, 10, &[3, 4])).expect("w2");
-        assert_eq!(o.index_victims.len(), 2, "2-entry index evicts both");
+        write(&mut e, &wreq(0, 0, &[1, 2])).expect("w1");
+        let (_, s) = write(&mut e, &wreq(1, 10, &[3, 4])).expect("w2");
+        assert_eq!(s.index_victims.len(), 2, "2-entry index evicts both");
     }
 
     #[test]
     fn crash_recovery_rebuilds_index_from_map() {
         let mut e = engine(DedupPolicy::SelectDedupe);
-        e.process_write(&wreq(0, 0, &[1, 2, 3])).expect("seed");
-        e.process_write(&wreq(1, 10, &[1, 2, 3])).expect("dedup");
-        e.process_write(&wreq(2, 20, &[7, 8, 9])).expect("unique");
+        write(&mut e, &wreq(0, 0, &[1, 2, 3])).expect("seed");
+        write(&mut e, &wreq(1, 10, &[1, 2, 3])).expect("dedup");
+        write(&mut e, &wreq(2, 20, &[7, 8, 9])).expect("unique");
         let live_blocks = e.store().used_blocks();
         let cap_bytes = e.index().capacity_bytes();
         let policy = e.index().policy();
@@ -1219,7 +1176,7 @@ mod tests {
             assert_eq!(entry.count, 0);
         }
         // The engine still dedups correctly after recovery.
-        let o = e.process_write(&wreq(3, 30, &[7, 8, 9])).expect("post");
+        let (o, _) = write(&mut e, &wreq(3, 30, &[7, 8, 9])).expect("post");
         assert!(o.removed, "recovered index still finds duplicates");
         e.store().check_invariants().expect("invariants");
     }
@@ -1236,7 +1193,7 @@ mod tests {
             },
         );
         for i in 0..4u64 {
-            e.process_write(&wreq(i, i * 10, &[100 + i])).expect("w");
+            write(&mut e, &wreq(i, i * 10, &[100 + i])).expect("w");
         }
         assert_eq!(e.scan_backlog(), 4);
         let outcome = e.recover_after_crash().expect("recovery");
@@ -1250,7 +1207,7 @@ mod tests {
     #[test]
     fn corrupt_lba_flips_content_without_touching_mapping() {
         let mut e = engine(DedupPolicy::SelectDedupe);
-        e.process_write(&wreq(0, 5, &[42])).expect("w");
+        write(&mut e, &wreq(0, 5, &[42])).expect("w");
         assert_eq!(e.corrupt_lba(Lba::new(999)), None, "never written");
         let pba = e.corrupt_lba(Lba::new(5)).expect("live block");
         assert_eq!(e.store().lookup(Lba::new(5)), Some(pba), "mapping intact");

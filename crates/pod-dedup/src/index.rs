@@ -88,14 +88,10 @@ pub struct IndexState {
 }
 
 impl IndexTable {
-    /// Index table with space for `capacity_entries` hot entries (LRU,
-    /// the paper's policy).
-    pub fn new(capacity_entries: usize) -> Self {
-        Self::with_policy(capacity_entries, IndexPolicy::Lru)
-    }
-
-    /// Index table with an explicit replacement policy.
-    pub fn with_policy(capacity_entries: usize, policy: IndexPolicy) -> Self {
+    /// Index table sized by a byte budget (whole [`INDEX_ENTRY_BYTES`]
+    /// entries) under a replacement policy.
+    pub fn with_byte_budget_policy(bytes: u64, policy: IndexPolicy) -> Self {
+        let capacity_entries = (bytes / INDEX_ENTRY_BYTES) as usize;
         let backing = match policy {
             IndexPolicy::Lru => Backing::Lru(LruCache::new(capacity_entries)),
             IndexPolicy::Lfu => Backing::Lfu(LfuCache::new(capacity_entries)),
@@ -107,16 +103,6 @@ impl IndexTable {
             inserts: 0,
             heat: [0; 8],
         }
-    }
-
-    /// Index table sized by a byte budget.
-    pub fn with_byte_budget(bytes: u64) -> Self {
-        Self::new((bytes / INDEX_ENTRY_BYTES) as usize)
-    }
-
-    /// Index table sized by a byte budget with an explicit policy.
-    pub fn with_byte_budget_policy(bytes: u64, policy: IndexPolicy) -> Self {
-        Self::with_policy((bytes / INDEX_ENTRY_BYTES) as usize, policy)
     }
 
     /// The active replacement policy.
@@ -344,9 +330,14 @@ mod tests {
         Fingerprint::from_content_id(id)
     }
 
+    /// A table with room for `entries` entries.
+    fn table(entries: u64, policy: IndexPolicy) -> IndexTable {
+        IndexTable::with_byte_budget_policy(entries * INDEX_ENTRY_BYTES, policy)
+    }
+
     #[test]
     fn query_hit_returns_pba_and_bumps_count() {
-        let mut t = IndexTable::new(4);
+        let mut t = table(4, IndexPolicy::Lru);
         t.insert(fp(1), Pba::new(100));
         assert_eq!(t.peek(&fp(1)).expect("present").count, 0);
         assert_eq!(t.query(&fp(1)), Some(Pba::new(100)));
@@ -357,14 +348,14 @@ mod tests {
 
     #[test]
     fn query_miss_counts() {
-        let mut t = IndexTable::new(4);
+        let mut t = table(4, IndexPolicy::Lru);
         assert_eq!(t.query(&fp(9)), None);
         assert_eq!(t.stats(), (0, 1, 0));
     }
 
     #[test]
     fn lru_eviction_returns_victim() {
-        let mut t = IndexTable::new(2);
+        let mut t = table(2, IndexPolicy::Lru);
         assert_eq!(t.insert(fp(1), Pba::new(1)), None);
         assert_eq!(t.insert(fp(2), Pba::new(2)), None);
         t.query(&fp(1)); // 2 becomes LRU
@@ -374,14 +365,14 @@ mod tests {
 
     #[test]
     fn byte_budget_sizing() {
-        let t = IndexTable::with_byte_budget(10 * INDEX_ENTRY_BYTES + 7);
+        let t = IndexTable::with_byte_budget_policy(10 * INDEX_ENTRY_BYTES + 7, IndexPolicy::Lru);
         assert_eq!(t.capacity(), 10);
         assert_eq!(t.capacity_bytes(), 10 * INDEX_ENTRY_BYTES);
     }
 
     #[test]
     fn resize_spills_lru_first() {
-        let mut t = IndexTable::with_byte_budget(4 * INDEX_ENTRY_BYTES);
+        let mut t = table(4, IndexPolicy::Lru);
         for i in 0..4 {
             t.insert(fp(i), Pba::new(i));
         }
@@ -395,7 +386,7 @@ mod tests {
 
     #[test]
     fn zero_budget_bounces_everything() {
-        let mut t = IndexTable::with_byte_budget(0);
+        let mut t = table(0, IndexPolicy::Lru);
         assert_eq!(t.capacity(), 0);
         t.insert(fp(1), Pba::new(1));
         assert_eq!(t.query(&fp(1)), None);
@@ -403,7 +394,7 @@ mod tests {
 
     #[test]
     fn remove_stale_entry() {
-        let mut t = IndexTable::new(4);
+        let mut t = table(4, IndexPolicy::Lru);
         t.insert(fp(1), Pba::new(1));
         assert!(t.remove(&fp(1)).is_some());
         assert_eq!(t.query(&fp(1)), None);
@@ -412,7 +403,7 @@ mod tests {
 
     #[test]
     fn reinsert_refreshes_pba_and_resets_count() {
-        let mut t = IndexTable::new(4);
+        let mut t = table(4, IndexPolicy::Lru);
         t.insert(fp(1), Pba::new(1));
         t.query(&fp(1));
         t.insert(fp(1), Pba::new(2));
@@ -423,7 +414,7 @@ mod tests {
 
     #[test]
     fn lfu_policy_evicts_coldest() {
-        let mut t = IndexTable::with_policy(2, IndexPolicy::Lfu);
+        let mut t = table(2, IndexPolicy::Lfu);
         assert_eq!(t.policy(), IndexPolicy::Lfu);
         t.insert(fp(1), Pba::new(1));
         t.insert(fp(2), Pba::new(2));
@@ -439,7 +430,7 @@ mod tests {
 
     #[test]
     fn lfu_query_tracks_count_and_location() {
-        let mut t = IndexTable::with_policy(4, IndexPolicy::Lfu);
+        let mut t = table(4, IndexPolicy::Lfu);
         t.insert(fp(1), Pba::new(10));
         assert_eq!(t.query(&fp(1)), Some(Pba::new(10)));
         assert!(t.peek(&fp(1)).expect("present").count >= 1);
@@ -450,7 +441,7 @@ mod tests {
 
     #[test]
     fn lfu_resize_spills() {
-        let mut t = IndexTable::with_policy(4, IndexPolicy::Lfu);
+        let mut t = table(4, IndexPolicy::Lfu);
         for i in 0..4 {
             t.insert(fp(i), Pba::new(i));
         }
@@ -463,14 +454,14 @@ mod tests {
 
     #[test]
     fn default_policy_is_lru() {
-        assert_eq!(IndexTable::new(4).policy(), IndexPolicy::Lru);
+        assert_eq!(table(4, IndexPolicy::default()).policy(), IndexPolicy::Lru);
         assert_eq!(IndexPolicy::default(), IndexPolicy::Lru);
     }
 
     #[test]
     fn heat_histogram_buckets_counts() {
         use pod_types::Introspect;
-        let mut t = IndexTable::new(8);
+        let mut t = table(8, IndexPolicy::Lru);
         t.insert(fp(1), Pba::new(1)); // count 0 -> bucket 0
         t.insert(fp(2), Pba::new(2));
         for _ in 0..3 {
@@ -488,7 +479,7 @@ mod tests {
         assert_eq!(st.heat.iter().sum::<u64>(), 3);
         assert_eq!(st.hits, 153);
         // Eviction churn reaches the gauge under both policies.
-        let mut small = IndexTable::with_policy(1, IndexPolicy::Lfu);
+        let mut small = table(1, IndexPolicy::Lfu);
         small.insert(fp(1), Pba::new(1));
         small.insert(fp(2), Pba::new(2));
         assert_eq!(small.introspect().evictions, 1);

@@ -32,10 +32,10 @@ pub mod index;
 pub mod journal;
 pub mod store;
 
-pub use classify::{classify_for_select, ChunkCandidate, ClassKind, WriteClass};
+pub use classify::{ChunkCandidate, ClassKind};
 pub use engine::{
     DedupConfig, DedupEngine, DedupPolicy, DedupState, ReadPlan, RecoveryOutcome, ScanOutcome,
-    WriteOutcome, WriteScratch, WriteSummary,
+    WriteScratch, WriteSummary,
 };
 pub use index::{IndexPolicy, IndexState, IndexTable, INDEX_ENTRY_BYTES};
 pub use journal::{MapJournal, JOURNAL_ENTRY_BYTES};

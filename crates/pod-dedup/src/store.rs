@@ -470,16 +470,10 @@ impl ChunkStore {
     }
 
     /// Physical extents backing a logical range, merged over contiguous
-    /// physical runs — the read path's fragmentation signal. Unwritten
-    /// blocks read from their home location.
-    pub fn read_extents(&self, lba: Lba, nblocks: u32) -> Vec<(Pba, u32)> {
-        let mut out = Vec::new();
-        self.read_extents_into(lba, nblocks, &mut out);
-        out
-    }
-
-    /// [`ChunkStore::read_extents`] into a caller-owned buffer (cleared
-    /// first), so a replay's read misses reuse one allocation.
+    /// physical runs — the read path's fragmentation signal — into a
+    /// caller-owned buffer (cleared first), so a replay's read misses
+    /// reuse one allocation. Unwritten blocks read from their home
+    /// location.
     pub fn read_extents_into(&self, lba: Lba, nblocks: u32, out: &mut Vec<(Pba, u32)>) {
         out.clear();
         for i in 0..nblocks as u64 {
@@ -676,6 +670,12 @@ mod tests {
         ChunkStore::new(1_000, 1_000)
     }
 
+    fn extents_of(s: &ChunkStore, lba: Lba, nblocks: u32) -> Vec<(Pba, u32)> {
+        let mut out = Vec::new();
+        s.read_extents_into(lba, nblocks, &mut out);
+        out
+    }
+
     #[test]
     fn first_write_goes_home() {
         let mut s = store();
@@ -779,7 +779,7 @@ mod tests {
         for i in 0..4 {
             s.write_unique(Lba::new(10 + i), fp(i), None).expect("w");
         }
-        let ex = s.read_extents(Lba::new(10), 4);
+        let ex = extents_of(&s, Lba::new(10), 4);
         assert_eq!(ex, vec![(Pba::new(10), 4)]);
     }
 
@@ -792,7 +792,7 @@ mod tests {
         // Dedup lba 11 onto a far-away block.
         s.write_unique(Lba::new(500), fp(100), None).expect("w far");
         s.dedup_to(Lba::new(11), Pba::new(500)).expect("dedup");
-        let ex = s.read_extents(Lba::new(10), 4);
+        let ex = extents_of(&s, Lba::new(10), 4);
         assert_eq!(
             ex,
             vec![(Pba::new(10), 1), (Pba::new(500), 1), (Pba::new(12), 2)],
@@ -803,7 +803,7 @@ mod tests {
     #[test]
     fn unwritten_blocks_read_from_home() {
         let s = store();
-        let ex = s.read_extents(Lba::new(42), 3);
+        let ex = extents_of(&s, Lba::new(42), 3);
         assert_eq!(ex, vec![(Pba::new(42), 3)]);
     }
 
@@ -825,7 +825,7 @@ mod tests {
             assert_eq!(p.raw(), base.raw() + i);
         }
         // The redirected run reads back as ONE extent: no fragmentation.
-        let ex = s.read_extents(Lba::new(0), 3);
+        let ex = extents_of(&s, Lba::new(0), 3);
         assert_eq!(ex.len(), 1);
         s.check_invariants().expect("invariants");
     }
@@ -919,7 +919,7 @@ mod tests {
         // Out-of-range blocks read as untouched and allocate nothing.
         let far = 1 << 40;
         assert_eq!(s.lookup(Lba::new(far)), None);
-        assert_eq!(s.read_extents(Lba::new(far), 2), vec![(Pba::new(far), 2)]);
+        assert_eq!(extents_of(&s, Lba::new(far), 2), vec![(Pba::new(far), 2)]);
         assert_eq!(s.content_at(Pba::new(20)), None);
         assert_eq!(s.refcount(Pba::new(far)), 0);
         // A physical block beyond the table is not allocated.

@@ -34,6 +34,6 @@ pub mod spec;
 pub use alloc::{AllocState, BlockStore};
 pub use engine::{isolated_latency, ArraySim, DiskStats, JobId, JobPlan};
 pub use nvram::NvramModel;
-pub use raid::{PhysOp, RaidGeometry, WritePlan};
+pub use raid::{PhysOp, RaidGeometry};
 pub use sched::SchedulerKind;
 pub use spec::{DiskSpec, RaidConfig, RaidLevel};

@@ -26,31 +26,6 @@ pub struct PhysOp {
     pub write: bool,
 }
 
-/// A write decomposed into dependent phases: every op of phase *i* must
-/// complete before any op of phase *i+1* starts. RMW = \[reads, writes\];
-/// full-stripe = \[writes\].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WritePlan {
-    /// Ordered phases.
-    pub phases: Vec<Vec<PhysOp>>,
-}
-
-impl WritePlan {
-    /// Total blocks moved across all phases.
-    pub fn total_blocks(&self) -> u64 {
-        self.phases
-            .iter()
-            .flatten()
-            .map(|op| op.nblocks as u64)
-            .sum()
-    }
-
-    /// Total op count.
-    pub fn total_ops(&self) -> usize {
-        self.phases.iter().map(|p| p.len()).sum()
-    }
-}
-
 /// Address arithmetic for a configured array.
 #[derive(Clone, Debug)]
 pub struct RaidGeometry {
@@ -158,20 +133,12 @@ impl RaidGeometry {
         pba.raw() / self.stripe_data_blocks()
     }
 
-    /// Plan a read of `[pba, pba + nblocks)`: one op per disk-contiguous
-    /// fragment, merged where fragments abut on the same disk.
-    pub fn plan_read(&self, pba: Pba, nblocks: u32) -> Vec<PhysOp> {
-        let mut ops: Vec<PhysOp> = Vec::new();
-        self.plan_read_into(pba, nblocks, &mut ops);
-        ops
-    }
-
-    /// Append the read plan for `[pba, pba + nblocks)` to `buf` — the
-    /// allocation-free form of [`RaidGeometry::plan_read`]. Fragment
-    /// merging is confined to the ops appended by *this* call: anything
-    /// already in `buf` (e.g. a previous extent's plan) is never fused
-    /// with, so op boundaries are identical whether extents are planned
-    /// into one pooled buffer or separate vectors.
+    /// Append the read plan for `[pba, pba + nblocks)` to `buf`: one op
+    /// per disk-contiguous fragment, merged where fragments abut on the
+    /// same disk. Fragment merging is confined to the ops appended by
+    /// *this* call: anything already in `buf` (e.g. a previous extent's
+    /// plan) is never fused with, so op boundaries are identical whether
+    /// extents are planned into one pooled buffer or separate vectors.
     pub fn plan_read_into(&self, pba: Pba, nblocks: u32, buf: &mut Vec<PhysOp>) {
         let u = self.cfg.stripe_unit_blocks;
         // Common case: the extent lies inside one stripe unit → exactly
@@ -228,29 +195,13 @@ impl RaidGeometry {
         }
     }
 
-    /// Plan a write of `[pba, pba + nblocks)` including parity
-    /// maintenance.
-    pub fn plan_write(&self, pba: Pba, nblocks: u32) -> WritePlan {
-        let mut reads = Vec::new();
-        let mut writes = Vec::new();
-        self.plan_write_into(pba, nblocks, &mut reads, &mut writes);
-        if reads.is_empty() {
-            WritePlan {
-                phases: vec![writes],
-            }
-        } else {
-            WritePlan {
-                phases: vec![reads, writes],
-            }
-        }
-    }
-
-    /// Append the write plan for `[pba, pba + nblocks)` to caller-owned
-    /// phase buffers — the allocation-free form of
-    /// [`RaidGeometry::plan_write`]. Pre-read ops (RAID-5 RMW /
-    /// reconstruct) land in `reads`, data + parity writes in `writes`;
-    /// when nothing is appended to `reads` the write is single-phase.
-    /// Merging is confined to the ops this call appends.
+    /// Append the write plan for `[pba, pba + nblocks)`, parity
+    /// maintenance included, to caller-owned phase buffers. The phases
+    /// are dependent: every pre-read op (RAID-5 RMW / reconstruct) lands
+    /// in `reads` and must complete before the data + parity writes in
+    /// `writes` start; when nothing is appended to `reads` the write is
+    /// single-phase (full stripe, RAID-0, single disk). Merging is
+    /// confined to the ops this call appends.
     pub fn plan_write_into(
         &self,
         pba: Pba,
@@ -402,6 +353,24 @@ mod tests {
         RaidGeometry::new(RaidConfig::paper_raid5()) // 4 disks, u=16
     }
 
+    fn read_ops(g: &RaidGeometry, pba: u64, nblocks: u32) -> Vec<PhysOp> {
+        let mut ops = Vec::new();
+        g.plan_read_into(Pba::new(pba), nblocks, &mut ops);
+        ops
+    }
+
+    /// The write's dependent phases: `[reads, writes]`, or `[writes]`
+    /// when nothing is pre-read.
+    fn write_phases(g: &RaidGeometry, pba: u64, nblocks: u32) -> Vec<Vec<PhysOp>> {
+        let (mut reads, mut writes) = (Vec::new(), Vec::new());
+        g.plan_write_into(Pba::new(pba), nblocks, &mut reads, &mut writes);
+        if reads.is_empty() {
+            vec![writes]
+        } else {
+            vec![reads, writes]
+        }
+    }
+
     #[test]
     fn single_maps_identity() {
         let g = RaidGeometry::new(RaidConfig::single());
@@ -447,7 +416,7 @@ mod tests {
     #[test]
     fn plan_read_single_fragment() {
         let g = raid5();
-        let ops = g.plan_read(Pba::new(0), 8);
+        let ops = read_ops(&g, 0, 8);
         assert_eq!(ops.len(), 1);
         assert_eq!(
             ops[0],
@@ -463,7 +432,7 @@ mod tests {
     #[test]
     fn plan_read_spans_units() {
         let g = raid5();
-        let ops = g.plan_read(Pba::new(8), 16); // blocks 8..24: unit0 tail + unit1 head
+        let ops = read_ops(&g, 8, 16); // blocks 8..24: unit0 tail + unit1 head
         assert_eq!(ops.len(), 2);
         assert_eq!(
             ops[0],
@@ -488,7 +457,7 @@ mod tests {
     #[test]
     fn plan_read_merges_contiguous_same_disk() {
         let g = RaidGeometry::new(RaidConfig::single());
-        let ops = g.plan_read(Pba::new(100), 64);
+        let ops = read_ops(&g, 100, 64);
         assert_eq!(ops.len(), 1);
         assert_eq!(ops[0].nblocks, 64);
     }
@@ -496,10 +465,10 @@ mod tests {
     #[test]
     fn small_write_is_rmw() {
         let g = raid5();
-        let plan = g.plan_write(Pba::new(0), 4);
-        assert_eq!(plan.phases.len(), 2, "read phase then write phase");
-        let reads = &plan.phases[0];
-        let writes = &plan.phases[1];
+        let phases = write_phases(&g, 0, 4);
+        assert_eq!(phases.len(), 2, "read phase then write phase");
+        let reads = &phases[0];
+        let writes = &phases[1];
         // Old data + old parity reads.
         assert_eq!(reads.len(), 2);
         assert!(reads.iter().all(|op| !op.write));
@@ -511,16 +480,16 @@ mod tests {
         assert_eq!(writes.len(), 2);
         assert!(writes.iter().all(|op| op.write));
         // 4 ops for a 4-block write: the small-write penalty.
-        assert_eq!(plan.total_ops(), 4);
+        assert_eq!(phases.iter().map(Vec::len).sum::<usize>(), 4);
     }
 
     #[test]
     fn full_stripe_write_has_no_reads() {
         let g = raid5();
         // Full stripe = 48 data blocks (3 units of 16).
-        let plan = g.plan_write(Pba::new(0), 48);
-        assert_eq!(plan.phases.len(), 1);
-        let writes = &plan.phases[0];
+        let phases = write_phases(&g, 0, 48);
+        assert_eq!(phases.len(), 1);
+        let writes = &phases[0];
         assert_eq!(writes.len(), 4, "3 data units + 1 parity unit");
         assert!(writes.iter().all(|op| op.write));
         let parity_ops: Vec<_> = writes.iter().filter(|op| op.disk == 0).collect();
@@ -532,12 +501,12 @@ mod tests {
     fn majority_write_uses_reconstruct() {
         let g = raid5();
         // 32 of 48 blocks: reconstruct-write reads the untouched 16.
-        let plan = g.plan_write(Pba::new(0), 32);
-        assert_eq!(plan.phases.len(), 2);
-        let reads = &plan.phases[0];
+        let phases = write_phases(&g, 0, 32);
+        assert_eq!(phases.len(), 2);
+        let reads = &phases[0];
         let read_blocks: u64 = reads.iter().map(|op| op.nblocks as u64).sum();
         assert_eq!(read_blocks, 16, "reads only the untouched unit");
-        let writes = &plan.phases[1];
+        let writes = &phases[1];
         assert_eq!(writes.iter().filter(|op| op.disk == 0).count(), 1);
     }
 
@@ -545,17 +514,17 @@ mod tests {
     fn multi_stripe_write_decomposes_per_stripe() {
         let g = raid5();
         // 96 blocks = exactly stripes 0 and 1, both full.
-        let plan = g.plan_write(Pba::new(0), 96);
-        assert_eq!(plan.phases.len(), 1);
-        assert_eq!(plan.phases[0].len(), 8);
+        let phases = write_phases(&g, 0, 96);
+        assert_eq!(phases.len(), 1);
+        assert_eq!(phases[0].len(), 8);
     }
 
     #[test]
     fn parity_extent_matches_data_offsets() {
         let g = raid5();
         // Write blocks 4..8 (offsets 4..8 within unit 0).
-        let plan = g.plan_write(Pba::new(4), 4);
-        let reads = &plan.phases[0];
+        let phases = write_phases(&g, 4, 4);
+        let reads = &phases[0];
         let parity_read = reads.iter().find(|op| op.disk == 0).expect("parity read");
         assert_eq!(parity_read.lba, 4);
         assert_eq!(parity_read.nblocks, 4);
@@ -564,8 +533,9 @@ mod tests {
     #[test]
     fn write_plan_block_accounting() {
         let g = raid5();
-        let plan = g.plan_write(Pba::new(0), 4);
+        let phases = write_phases(&g, 0, 4);
         // RMW: read 4 + parity 4, write 4 + parity 4 = 16 blocks moved.
-        assert_eq!(plan.total_blocks(), 16);
+        let moved: u64 = phases.iter().flatten().map(|op| op.nblocks as u64).sum();
+        assert_eq!(moved, 16);
     }
 }

@@ -13,11 +13,30 @@
 //! both disk presets, it produces **identical** completion times,
 //! clocks, and [`DiskStats`].
 
-use pod_disk::raid::{PhysOp, RaidGeometry, WritePlan};
+use pod_disk::raid::{PhysOp, RaidGeometry};
 use pod_disk::sched::{PendingView, SchedulerKind};
 use pod_disk::spec::{DiskSpec, RaidConfig, RaidLevel};
 use pod_disk::{ArraySim, DiskStats};
 use pod_types::{Pba, SimTime};
+
+/// The allocating read plan the reference engine was written against.
+fn plan_read(geometry: &RaidGeometry, pba: Pba, nblocks: u32) -> Vec<PhysOp> {
+    let mut ops = Vec::new();
+    geometry.plan_read_into(pba, nblocks, &mut ops);
+    ops
+}
+
+/// The allocating write plan the reference engine was written against:
+/// `[reads, writes]`, or `[writes]` when nothing is pre-read.
+fn plan_write(geometry: &RaidGeometry, pba: Pba, nblocks: u32) -> Vec<Vec<PhysOp>> {
+    let (mut reads, mut writes) = (Vec::new(), Vec::new());
+    geometry.plan_write_into(pba, nblocks, &mut reads, &mut writes);
+    if reads.is_empty() {
+        vec![writes]
+    } else {
+        vec![reads, writes]
+    }
+}
 
 /// The pre-optimization engine, verbatim.
 mod reference {
@@ -190,12 +209,12 @@ mod reference {
         }
 
         pub fn submit_read(&mut self, at: SimTime, pba: Pba, nblocks: u32) -> JobId {
-            let ops = self.geometry.plan_read(pba, nblocks);
+            let ops = plan_read(&self.geometry, pba, nblocks);
             self.submit_phases(at, vec![ops])
         }
 
         pub fn submit_write(&mut self, at: SimTime, pba: Pba, nblocks: u32) -> JobId {
-            let WritePlan { phases } = self.geometry.plan_write(pba, nblocks);
+            let phases = plan_write(&self.geometry, pba, nblocks);
             self.submit_phases(at, phases)
         }
 

@@ -341,7 +341,7 @@ impl ICache {
     }
 
     /// Probe the ghost index with fingerprints that missed the actual
-    /// index (from `WriteOutcome::index_miss_fps`).
+    /// index (from `WriteScratch::index_miss_fps`).
     pub fn on_index_misses(&mut self, misses: &[Fingerprint]) {
         self.monitor.index_misses += misses.len() as u64;
         for fp in misses {

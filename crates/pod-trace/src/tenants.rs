@@ -13,11 +13,11 @@
 //! * [`MergedStream`] — a deterministic k-way merge over tenant
 //!   request streams, yielding `(tenant, index-within-tenant, request)`
 //!   in global arrival order with a fixed `(arrival, tenant)`
-//!   tie-break; and
-//! * [`relocation_bases`] — the consolidated-address-space region base
-//!   of each tenant, using the same 1 MiB-aligned layout as
-//!   [`merge_tenants`](crate::merge_tenants), so routers can map a
-//!   global LBA back to its tenant.
+//!   tie-break.
+//!
+//! It also holds `relocation_bases`, the 1 MiB-aligned region layout
+//! [`merge_tenants`](crate::merge_tenants) relocates each tenant into;
+//! that is its only caller, so it is crate-private.
 
 use crate::profile::TraceProfile;
 use crate::synth::Trace;
@@ -44,11 +44,10 @@ pub fn derive_tenants(profile: &TraceProfile, tenants: usize, seed: u64) -> Vec<
 
 /// Consolidated-address-space region base of each tenant: region `i`
 /// starts where region `i-1`'s span ends, rounded up to 256 blocks
-/// (1 MiB) — the identical layout rule
-/// [`merge_tenants`](crate::merge_tenants) applies when it physically
-/// relocates requests. Returns one extra trailing element: the end of
+/// (1 MiB) — the layout rule [`merge_tenants`](crate::merge_tenants)
+/// applies when it physically relocates requests. Returns one extra trailing element: the end of
 /// the last region (the consolidated footprint).
-pub fn relocation_bases(tenants: &[Trace]) -> Vec<u64> {
+pub(crate) fn relocation_bases(tenants: &[Trace]) -> Vec<u64> {
     let mut bases = Vec::with_capacity(tenants.len() + 1);
     let mut offset = 0u64;
     for t in tenants {

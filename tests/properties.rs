@@ -3,7 +3,8 @@
 
 use pod::cache::LruCache;
 use pod::dedup::{
-    ChunkStore, DedupConfig, DedupEngine, DedupPolicy, IndexPolicy, IndexTable, INDEX_ENTRY_BYTES,
+    ChunkStore, ClassKind, DedupConfig, DedupEngine, DedupPolicy, IndexPolicy, IndexTable,
+    WriteScratch, INDEX_ENTRY_BYTES,
 };
 use pod::trace::reconstruct::{reconstruct_requests, split_into_records};
 use pod::types::{log2_bucket8, Fingerprint, IoRequest, Lba, Pba, SimTime};
@@ -256,7 +257,7 @@ proptest! {
     ) {
         let fp = |k: u8| Fingerprint::from_content_id(u64::from(k));
         for policy in [IndexPolicy::Lru, IndexPolicy::Lfu] {
-            let mut t = IndexTable::with_policy(cap, policy);
+            let mut t = IndexTable::with_byte_budget_policy(cap as u64 * INDEX_ENTRY_BYTES, policy);
             for op in &ops {
                 match *op {
                     IndexOp::Query(k, n) => {
@@ -400,6 +401,7 @@ proptest! {
                     ..DedupConfig::default()
                 },
             );
+            let mut scratch = WriteScratch::new();
             let mut truth: HashMap<u64, Fingerprint> = HashMap::new();
             for (i, (lba, contents)) in writes.iter().enumerate() {
                 let lba = *lba as u64;
@@ -413,7 +415,7 @@ proptest! {
                     Lba::new(lba),
                     chunks.clone(),
                 );
-                engine.process_write(&req).expect("write processed");
+                engine.process_write_into(&req, &mut scratch).expect("write processed");
                 for (off, fp) in chunks.iter().enumerate() {
                     truth.insert(lba + off as u64, *fp);
                 }
@@ -449,8 +451,9 @@ proptest! {
     ) {
         let candidates: Vec<Option<Pba>> =
             cands.iter().map(|c| c.map(Pba::new)).collect();
-        let class = pod::dedup::classify_for_select(&candidates, threshold);
-        for (start, len) in class.dedup_ranges(candidates.len()) {
+        let (mut runs, mut ranges) = (Vec::new(), Vec::new());
+        pod::dedup::classify::classify_for_select_into(&candidates, threshold, &mut runs, &mut ranges);
+        for &(start, len) in &ranges {
             prop_assert!(start + len <= candidates.len());
             for c in &candidates[start..start + len] {
                 prop_assert!(c.is_some(), "dedup range covers non-candidate");
@@ -478,7 +481,6 @@ proptest! {
             1..80,
         ),
     ) {
-        use pod::dedup::WriteClass;
         const T: usize = 3;
         let mut engine = DedupEngine::new(
             DedupPolicy::SelectDedupe,
@@ -490,6 +492,7 @@ proptest! {
                 ..DedupConfig::default()
             },
         );
+        let mut scratch = WriteScratch::new();
         for (i, (lba, contents)) in writes.iter().enumerate() {
             let chunks: Vec<Fingerprint> = contents
                 .iter()
@@ -502,27 +505,28 @@ proptest! {
                 Lba::new(*lba as u64),
                 chunks,
             );
-            let out = engine.process_write(&req).expect("write processed");
+            let out = engine.process_write_into(&req, &mut scratch).expect("write processed");
             prop_assert_eq!(
                 out.deduped_blocks + out.written_blocks, n,
                 "every chunk is either deduped or written"
             );
-            match &out.class {
-                WriteClass::FullyRedundantSequential => {
+            match out.kind {
+                ClassKind::FullyRedundantSequential => {
                     // Cat-1: the request vanishes from the disk stream.
                     prop_assert_eq!(out.written_blocks, 0);
                     prop_assert_eq!(out.deduped_blocks, n);
                     prop_assert!(out.removed);
-                    prop_assert!(out.write_extents.is_empty());
+                    prop_assert!(scratch.write_extents.is_empty());
                 }
-                WriteClass::ScatteredPartial => {
+                ClassKind::ScatteredPartial => {
                     // Cat-2: scattered redundancy is written anyway.
                     prop_assert_eq!(out.deduped_blocks, 0);
                     prop_assert_eq!(out.written_blocks, n);
                     prop_assert!(!out.removed);
                 }
-                WriteClass::ContiguousPartial(ranges) => {
+                ClassKind::ContiguousPartial => {
                     // Cat-3: only runs of >= T chunks are deduplicated.
+                    let ranges = scratch.dedup_ranges();
                     prop_assert!(!ranges.is_empty());
                     let mut deduped = 0u32;
                     for &(start, len) in ranges {
@@ -533,7 +537,7 @@ proptest! {
                     prop_assert_eq!(out.deduped_blocks, deduped);
                     prop_assert!(!out.removed);
                 }
-                WriteClass::Unique => {
+                ClassKind::Unique => {
                     prop_assert_eq!(out.deduped_blocks, 0);
                     prop_assert_eq!(out.written_blocks, n);
                     prop_assert!(!out.removed);
