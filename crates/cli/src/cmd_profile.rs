@@ -125,10 +125,7 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
         let mut folded = String::new();
         prof.write_folded(&mut folded);
         std::fs::write(path, &folded).map_err(|e| format!("writing {path}: {e}"))?;
-        println!(
-            "wrote {} folded stacks to {path}",
-            folded.lines().count()
-        );
+        println!("wrote {} folded stacks to {path}", folded.lines().count());
     }
     Ok(())
 }

@@ -487,11 +487,6 @@ impl ServePolicy {
             .unwrap_or(self.default_tenant)
     }
 
-    /// True when the tier weighting is flat (static partitioning).
-    pub fn is_static(&self) -> bool {
-        self.hot_share_pm == 1000 && self.cold_share_pm == 1000
-    }
-
     /// True when the policy constrains nothing at all.
     pub fn is_noop(&self) -> bool {
         self.shared_tier_bytes == 0
@@ -792,10 +787,10 @@ mod tests {
         assert_eq!(p.default_tenant.burst_requests, 64);
         assert_eq!(p.default_tenant.cache_quota_bytes, Some(4 << 20));
         assert_eq!(p.default_tenant.soft_quota_bytes, Some(2 << 20));
-        assert!(!p.is_static());
+        assert_eq!((p.hot_share_pm, p.cold_share_pm), (1750, 250));
 
         let p = ServePolicy::parse("tier:4,static").expect("parse");
-        assert!(p.is_static());
+        assert_eq!((p.hot_share_pm, p.cold_share_pm), (1000, 1000));
         assert_eq!(p, ServePolicy::static_tier(4));
 
         let p = ServePolicy::parse("tier:4,hot:600,cold:100").expect("parse");

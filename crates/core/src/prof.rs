@@ -563,6 +563,9 @@ mod tests {
         // After a lap the timer restarts: the next reading must not
         // include the sleep.
         let tail = t.elapsed_ns().expect("timer enabled");
-        assert!(tail < 3_000_000, "post-lap reading {tail} ns includes the sleep");
+        assert!(
+            tail < 3_000_000,
+            "post-lap reading {tail} ns includes the sleep"
+        );
     }
 }

@@ -494,7 +494,7 @@ struct TenantOutput {
 }
 
 /// Distinct stored fingerprints. `Fingerprint` hashes only its 8-byte
-/// prefix (one `write_u64`), so FNV costs 8 rounds per insert, not 32.
+/// prefix (one `write_u64`), so FNV costs 8 rounds per insert, not 16.
 type FleetSet = HashSet<Fingerprint, FnvBuildHasher>;
 
 struct ShardOutput {

@@ -21,8 +21,11 @@
 use pod_cache::{LfuCache, LruCache};
 use pod_types::{log2_bucket8, Fingerprint, Pba};
 
-/// Modeled in-memory footprint of one hash-index entry: 32 B fingerprint
-/// + 8 B PBA + 4 B count + ~20 B of map/LRU overhead.
+/// Modeled in-memory footprint of one hash-index entry in the simulated
+/// system: 32 B SHA-256 fingerprint + 8 B PBA + 4 B count + ~20 B of
+/// map/LRU overhead. A modeled cost that sizes the Index table against
+/// the read cache, not the host's key size (a host [`Fingerprint`] is
+/// 16 B); changing it would move every report.
 pub const INDEX_ENTRY_BYTES: u64 = 64;
 
 /// Replacement policy for the hot-entry table. The paper uses LRU

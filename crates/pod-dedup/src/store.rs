@@ -28,7 +28,7 @@ use pod_types::fingerprint::FINGERPRINT_BYTES;
 use pod_types::{log2_bucket8, Fingerprint, Introspect, Lba, Pba, PodError, PodResult};
 
 /// Entries per [`BlockTable`] page: 4,096 blocks = 16 MiB of address
-/// space, so a page is 16 KiB (refcounts) to 128 KiB (content).
+/// space, so a page is 16 KiB (refcounts) to 64 KiB (content).
 const PAGE_ENTRIES: usize = 4_096;
 
 /// Entries compared at once by [`BlockTable::iter`]'s zero-skipping

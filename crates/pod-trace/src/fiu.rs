@@ -10,8 +10,10 @@
 //! one line per (4 KiB) block, with the content hash of written blocks.
 //! This module parses and emits that shape so the real traces (or any
 //! trace exported in the same dialect) can be replayed through POD
-//! unchanged. Hashes may be 32-hex-digit MD5 (zero-extended) or
-//! 64-hex-digit SHA-256; read records may carry `*` in the hash column.
+//! unchanged. Hashes may be 32-hex-digit MD5, which fills a
+//! [`Fingerprint`] exactly, or 64-hex-digit SHA-256, which is validated
+//! in full and read at its first 128 bits; read records may carry `*`
+//! in the hash column. [`format_records`] writes the MD5 dialect.
 //!
 //! There is one line parser, [`parse_record`]: it takes its fields
 //! straight off the line and borrows the process name, so it allocates
@@ -24,7 +26,7 @@
 //! bounds-checked here, where it enters (see [`MAX_RECORD_BLOCKS`]), and
 //! a bad line is a [`PodError::TraceParse`] naming it.
 
-use pod_types::fingerprint::decode_hex;
+use pod_types::fingerprint::{decode_hex, FINGERPRINT_BYTES};
 use pod_types::{Fingerprint, IoOp, PodError, PodResult};
 use std::fmt::Write;
 
@@ -33,8 +35,8 @@ use std::fmt::Write;
 /// FIU rows are per 4 KiB block (`1`); dialects that export a whole
 /// request per row stay far below this, since no block layer issues a
 /// 256 MiB request. The bound is what keeps a crafted row from asking
-/// the reconstructor for a multi-gigabyte chunk vector (each written
-/// block costs 32 bytes of fingerprint, so one row is at most 2 MiB).
+/// the reconstructor for a multi-gigabyte chunk vector (16 bytes of
+/// fingerprint per block, so one row is at most 1 MiB).
 pub const MAX_RECORD_BLOCKS: u32 = 65_536;
 
 /// One parsed per-block trace line.
@@ -159,11 +161,16 @@ pub fn parse_record(line: &str, line_no: usize) -> PodResult<RecordRef<'_>> {
 }
 
 fn parse_hash(s: &str) -> Option<Fingerprint> {
-    let mut bytes = [0u8; 32];
+    let mut bytes = [0u8; FINGERPRINT_BYTES];
     match s {
         "*" | "-" => {}
-        // MD5: the first 16 bytes, the rest zero.
-        _ if s.len() == 32 => decode_hex(s, &mut bytes[..16])?,
+        // SHA-256: every digit must be hex; the first 128 bits are kept.
+        _ if s.len() == 4 * FINGERPRINT_BYTES => {
+            let (head, tail) = s.split_at(2 * FINGERPRINT_BYTES);
+            decode_hex(head, &mut bytes)?;
+            decode_hex(tail, &mut [0u8; FINGERPRINT_BYTES])?;
+        }
+        // MD5: the fingerprint exactly.
         _ => decode_hex(s, &mut bytes)?,
     }
     Some(Fingerprint::from_bytes(bytes))
@@ -235,7 +242,8 @@ mod tests {
         assert_eq!(r.lba, 512);
         assert_eq!(r.nblocks, 1);
         assert_eq!(r.op, IoOp::Write);
-        assert_eq!(r.hash.to_hex(), SHA);
+        // A SHA-256 column is read at its first 128 bits.
+        assert_eq!(r.hash.to_hex(), SHA[..32]);
     }
 
     #[test]
@@ -247,12 +255,56 @@ mod tests {
     }
 
     #[test]
-    fn parse_md5_hash_zero_extends() {
+    fn parse_md5_hash_is_the_fingerprint() {
         let md5 = "d41d8cd98f00b204e9800998ecf8427e";
         let line = format!("1 1 p 0 1 W 8 0 {md5}");
         let r = parse_line(&line, 1).expect("parse");
-        assert_eq!(&r.hash.as_bytes()[..4], &[0xd4, 0x1d, 0x8c, 0xd9]);
-        assert_eq!(&r.hash.as_bytes()[16..], &[0u8; 16]);
+        assert_eq!(
+            r.hash.as_bytes(),
+            &[
+                0xd4, 0x1d, 0x8c, 0xd9, 0x8f, 0x00, 0xb2, 0x04, 0xe9, 0x80, 0x09, 0x98, 0xec, 0xf8,
+                0x42, 0x7e
+            ]
+        );
+        assert_eq!(r.hash.to_hex(), md5);
+    }
+
+    #[test]
+    fn sha256_hash_is_validated_past_the_kept_bits() {
+        // Only the first 32 digits reach the fingerprint, but a non-hex
+        // digit anywhere in positions 33–64 still rejects the line.
+        for pos in [32, 40, 63] {
+            let mut hash = SHA.to_string();
+            hash.replace_range(pos..pos + 1, "x");
+            match parse_line(&format!("1 1 p 0 1 W 8 0 {hash}"), 3) {
+                Err(PodError::TraceParse { line: 3, reason }) => assert_eq!(reason, "bad hash"),
+                other => panic!("digit {}: expected bad hash, got {other:?}", pos + 1),
+            }
+        }
+    }
+
+    #[test]
+    fn md5_and_sha256_dialects_load_to_equal_requests() {
+        // One trace rendered in the MD5 dialect `format_records` writes,
+        // and with every hash column widened to 64 digits.
+        let t = crate::TraceProfile::mail().scaled(0.02).generate(42);
+        let md5 = format_records(&crate::reconstruct::split_into_records(&t));
+        let sha: String = md5
+            .lines()
+            .map(|line| {
+                let wide = if line.ends_with('*') {
+                    ""
+                } else {
+                    "0123456789abcdefFEDCBA9876543210"
+                };
+                format!("{line}{wide}\n")
+            })
+            .collect();
+        assert_ne!(md5, sha);
+        let load = |body: &str| crate::reconstruct::trace_from_fiu("t", body, 0).expect("load");
+        let (a, b) = (load(&md5), load(&sha));
+        assert!(a.write_count() > 0);
+        assert_eq!(a.requests, b.requests);
     }
 
     #[test]

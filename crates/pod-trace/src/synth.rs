@@ -520,7 +520,33 @@ mod tests {
         assert!(ratio > 0.4, "mail should be heavily redundant: {ratio:.3}");
     }
 
-    /// FNV-1a over every field of every request, little-endian.
+    /// The 32-byte form fingerprints had before they became 16 bytes:
+    /// the raw id and three SplitMix64 lanes. The pins below were taken
+    /// over it, so they hash it to show the trace itself did not move.
+    fn wide_fingerprint(fp: &pod_types::Fingerprint) -> [u8; 32] {
+        fn splitmix(mut z: u64) -> u64 {
+            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        let id = fp.content_id();
+        let lanes = [
+            id,
+            splitmix(id ^ 0xA5A5_A5A5_A5A5_A5A5),
+            splitmix(id.rotate_left(17)),
+            splitmix(!id),
+        ];
+        let mut out = [0u8; 32];
+        for (dst, lane) in out.chunks_exact_mut(8).zip(lanes) {
+            dst.copy_from_slice(&lane.to_le_bytes());
+        }
+        assert_eq!(out[..16], fp.as_bytes()[..], "a generated fingerprint");
+        out
+    }
+
+    /// FNV-1a over every field of every request, little-endian, with
+    /// each fingerprint in its former 32-byte form.
     fn trace_digest(t: &Trace) -> u64 {
         use std::hash::Hasher;
         let mut h = pod_hash::FnvHasher::default();
@@ -531,7 +557,7 @@ mod tests {
             h.write(&r.lba.raw().to_le_bytes());
             h.write(&r.nblocks.to_le_bytes());
             for fp in &r.chunks {
-                h.write(fp.as_bytes());
+                h.write(&wide_fingerprint(fp));
             }
         }
         h.finish()
@@ -579,13 +605,33 @@ mod tests {
     #[test]
     fn format_records_is_byte_stable() {
         // The FIU text the benchmark harness and `pod-cli gen --out`
-        // write: pinned at the same commit, before the writer changed.
+        // write: pinned at the same commit, before the writer changed,
+        // when it wrote 64-digit hashes. Widening each 32-digit hash
+        // back to its former 64 digits must give that text again.
         let t = TraceProfile::web_vm().scaled(0.1).generate(42);
         let text = crate::fiu::format_records(&crate::reconstruct::split_into_records(&t));
-        let got = pod_hash::fnv1a_64(text.as_bytes());
+        let mut wide = String::with_capacity(text.len() * 5 / 4);
+        for line in text.lines() {
+            let (head, hash) = line.rsplit_once(' ').expect("nine fields");
+            wide.push_str(head);
+            wide.push(' ');
+            match pod_types::Fingerprint::from_hex(hash) {
+                Some(fp) => wide.extend(wide_fingerprint(&fp).iter().map(|b| format!("{b:02x}"))),
+                None => wide.push_str(hash),
+            }
+            wide.push('\n');
+        }
+        let got = pod_hash::fnv1a_64(wide.as_bytes());
         assert_eq!(
             got,
             0x5000_a221_996c_f4c7,
+            "widened FIU text digest {got:#018x} over {} bytes",
+            wide.len()
+        );
+        let got = pod_hash::fnv1a_64(text.as_bytes());
+        assert_eq!(
+            got,
+            0xb34a_f548_dc53_8465,
             "FIU text digest {got:#018x} over {} bytes",
             text.len()
         );

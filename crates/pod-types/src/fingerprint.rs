@@ -1,27 +1,38 @@
 //! Content fingerprints.
 //!
-//! A `Fingerprint` identifies the *content* of one 4 KiB chunk. In the
-//! real system it is the SHA-256 of the chunk data; in trace replay it
-//! is carried in the trace record, exactly as the FIU traces carry
-//! per-chunk MD5 values. Two chunks are duplicates iff their
-//! fingerprints are equal — like the paper (and every production dedup
-//! system) we treat hash collisions as impossible.
+//! A `Fingerprint` identifies the *content* of one 4 KiB chunk. In
+//! trace replay it is carried in the trace record, exactly as the FIU
+//! traces carry one MD5 per block (§IV-A), so it is 128 bits wide: the
+//! width of that column. A 64-digit (SHA-256) column is read at its
+//! first 128 bits. Two chunks are duplicates iff their fingerprints are
+//! equal — like the paper (and every production dedup system) we treat
+//! hash collisions as impossible.
+//!
+//! The width is the host's representation only. What the simulated
+//! system pays per index entry is modeled separately
+//! (`pod_dedup::INDEX_ENTRY_BYTES`), so no report depends on it; every
+//! trace, index, cache and store table holding fingerprints does.
 
 use core::fmt;
 use core::hash::{Hash, Hasher};
 
-/// Number of bytes in a fingerprint (SHA-256 output size).
-pub const FINGERPRINT_BYTES: usize = 32;
+/// Number of bytes in a fingerprint: 128 bits, the width of the FIU
+/// traces' MD5 column. A wider hash is read at its first 128 bits.
+pub const FINGERPRINT_BYTES: usize = 16;
 
-/// A 256-bit content fingerprint.
+/// A 128-bit content fingerprint.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Fingerprint(pub [u8; FINGERPRINT_BYTES]);
 
+// Every trace chunk, store slot and cache key holds one: keep it at
+// the MD5 width.
+const _: () = assert!(size_of::<Fingerprint>() == 16);
+
 /// Hashes by the 64-bit prefix alone, in one `write_u64`: the bytes are
-/// already a hash, so feeding a hasher all 32 (plus the length prefix
+/// already a hash, so feeding a hasher all 16 (plus the length prefix
 /// the derive adds) buys no spread and costs a multiply per byte under
 /// FNV on every index and ghost-index operation. `Eq` still compares
-/// all 32 bytes, so equal fingerprints hash equally and prefix
+/// all 16 bytes, so equal fingerprints hash equally and prefix
 /// collisions only share a bucket.
 impl Hash for Fingerprint {
     #[inline]
@@ -45,9 +56,9 @@ impl Fingerprint {
     ///
     /// Trace generators label each distinct chunk content with a
     /// `content_id`; this expands the id into a full-width fingerprint by
-    /// a splittable mix (SplitMix64 finalizer applied to four lanes), so
-    /// that the bytes look hash-like (uniform) while remaining a pure
-    /// function of the id. Distinct ids map to distinct fingerprints.
+    /// a splittable mix (SplitMix64 finalizer on the second lane), so
+    /// that the bytes look hash-like while remaining a pure function of
+    /// the id. Distinct ids map to distinct fingerprints.
     pub fn from_content_id(content_id: u64) -> Self {
         #[inline]
         fn splitmix(mut z: u64) -> u64 {
@@ -57,13 +68,11 @@ impl Fingerprint {
             z ^ (z >> 31)
         }
         let mut out = [0u8; FINGERPRINT_BYTES];
-        // Lane 0 carries the raw id so the mapping is trivially injective;
-        // the remaining lanes are mixed so the value is well distributed
-        // for use as a HashMap key.
+        // Lane 0 carries the raw id so the mapping is trivially injective
+        // (and the `Hash` prefix is the id); lane 1 is mixed so the value
+        // looks like a digest.
         out[0..8].copy_from_slice(&content_id.to_le_bytes());
         out[8..16].copy_from_slice(&splitmix(content_id ^ 0xA5A5_A5A5_A5A5_A5A5).to_le_bytes());
-        out[16..24].copy_from_slice(&splitmix(content_id.rotate_left(17)).to_le_bytes());
-        out[24..32].copy_from_slice(&splitmix(!content_id).to_le_bytes());
         Self(out)
     }
 
@@ -105,7 +114,7 @@ impl Fingerprint {
         out.push_str(core::str::from_utf8(&buf).expect("hex digits are ASCII"));
     }
 
-    /// Parse a fingerprint from a hex string (64 hex digits).
+    /// Parse a fingerprint from a hex string (32 hex digits).
     pub fn from_hex(hex: &str) -> Option<Self> {
         let mut out = [0u8; FINGERPRINT_BYTES];
         decode_hex(hex.trim(), &mut out)?;
@@ -195,7 +204,7 @@ mod tests {
     fn hex_roundtrip() {
         let fp = Fingerprint::from_content_id(123_456_789);
         let hex = fp.to_hex();
-        assert_eq!(hex.len(), 64);
+        assert_eq!(hex.len(), 32);
         assert_eq!(Fingerprint::from_hex(&hex), Some(fp));
     }
 
@@ -203,9 +212,14 @@ mod tests {
     fn from_hex_rejects_bad_input() {
         assert_eq!(Fingerprint::from_hex(""), None);
         assert_eq!(Fingerprint::from_hex("zz"), None);
-        let almost = "a".repeat(63);
+        let almost = "a".repeat(31);
         assert_eq!(Fingerprint::from_hex(&almost), None);
-        let bad_char = format!("{}g", "a".repeat(63));
+        assert_eq!(
+            Fingerprint::from_hex(&"a".repeat(64)),
+            None,
+            "a SHA-256 width"
+        );
+        let bad_char = format!("{}g", "a".repeat(31));
         assert_eq!(Fingerprint::from_hex(&bad_char), None);
     }
 
@@ -233,7 +247,7 @@ mod tests {
     fn zero_fingerprint_is_zero_id() {
         assert_eq!(Fingerprint::ZERO.content_id(), 0);
         // But from_content_id(0) is NOT all-zero beyond the first lane —
-        // the mixed lanes distinguish "synthetic id 0" from the canonical
+        // the mixed lane distinguishes "synthetic id 0" from the canonical
         // zero-chunk fingerprint.
         assert_ne!(Fingerprint::from_content_id(0), Fingerprint::ZERO);
     }

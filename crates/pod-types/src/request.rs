@@ -5,7 +5,8 @@
 //! hash values of the data chunks are also included with other attributes
 //! of replayed requests", §IV-A). The simulator charges the 32 µs/4 KiB
 //! fingerprinting delay separately, so no real hashing happens on the
-//! replay path.
+//! replay path. Each chunk is one 16-byte [`Fingerprint`], the width of
+//! the traces' MD5 column, so a write's `chunks` costs 16 B per block.
 
 use crate::block::Lba;
 use crate::fingerprint::Fingerprint;
