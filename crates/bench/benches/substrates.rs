@@ -5,10 +5,10 @@
 //! results measure the *modelled* system, not harness overhead.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use pod_cache::{ArcCache, GhostCache, LfuCache, LruCache};
+use pod_cache::{GhostCache, LruCache};
 use pod_core::pool::default_width;
 use pod_dedup::index::IndexEntry;
-use pod_dedup::{ChunkStore, IndexPolicy, IndexTable, INDEX_ENTRY_BYTES};
+use pod_dedup::{ChunkStore, IndexTable, INDEX_ENTRY_BYTES};
 use pod_disk::engine::isolated_latency;
 use pod_disk::{ArraySim, DiskSpec, RaidConfig, RaidGeometry, SchedulerKind};
 use pod_hash::fnv1a_64;
@@ -40,7 +40,7 @@ fn bench_caches(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    // The two above are L1-resident (1,024 `u64` entries) and say
+    // The one above is L1-resident (1,024 `u64` entries) and says
     // nothing about the tables a replay lives in. These two run at the
     // benchmark's scale: `mail-pod`'s unique-chunk sequence through a
     // full 32,768-entry fingerprint index and its 65,536-entry ghost,
@@ -105,40 +105,13 @@ fn bench_caches(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    g.bench_function("arc_insert_get", |b| {
-        b.iter_batched(
-            || ArcCache::<u64, u64>::new(1_024),
-            |mut cache| {
-                for i in 0..4_096u64 {
-                    if cache.get(&(i % 2_048)).is_none() {
-                        cache.insert(i % 2_048, i);
-                    }
-                }
-                cache
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("lfu_insert_get", |b| {
-        b.iter_batched(
-            || LfuCache::<u64, u64>::new(1_024),
-            |mut cache| {
-                for i in 0..4_096u64 {
-                    cache.insert(i % 2_048, i);
-                    black_box(cache.get(&(i % 512)));
-                }
-                cache
-            },
-            BatchSize::SmallInput,
-        )
-    });
     g.finish();
 }
 
 fn bench_index_table(c: &mut Criterion) {
     c.bench_function("index_table_query_insert", |b| {
         b.iter_batched(
-            || IndexTable::with_byte_budget_policy(8_192 * INDEX_ENTRY_BYTES, IndexPolicy::Lru),
+            || IndexTable::with_byte_budget(8_192 * INDEX_ENTRY_BYTES),
             |mut t| {
                 for i in 0..16_384u64 {
                     let fp = Fingerprint::from_content_id(i % 12_288);

@@ -33,11 +33,11 @@ pub struct SystemConfig {
     /// Full-Dedupe on-disk index page-fault rate (1 in N consults reads
     /// a page from disk; see `pod_dedup::DedupConfig`).
     pub index_page_fault_rate: u64,
-    /// Replacement policy of the hot-fingerprint index (LRU per the
-    /// paper; LFU for the ablation bench).
+    /// Replacement policy of the hot-fingerprint index: LRU, the
+    /// paper's and the only one.
     pub index_policy: IndexPolicy,
-    /// Replacement policy of the read cache (LRU per the paper; ARC for
-    /// the ablation bench).
+    /// Replacement policy of the read cache: LRU, the paper's and the
+    /// only one.
     pub read_policy: ReadCachePolicy,
     /// Controller fast-path service-time model (hashing, cache hits,
     /// metadata).

@@ -15,8 +15,8 @@
 //!
 //! The table starts at 16 slots and doubles on demand, so
 //! [`LruCache::new`] costs the same whatever the capacity: a ghost as
-//! large as the whole DRAM budget, or an LFU frequency bucket created
-//! with `usize::MAX`, pays for what it holds, not for what it may hold.
+//! large as the whole DRAM budget pays for what it holds, not for what
+//! it may hold.
 //!
 //! The index table and read cache of POD are both LRU-managed (paper
 //! §III-B: "The Index table in our POD design is organized in an LRU

@@ -89,7 +89,8 @@ pub struct DedupConfig {
     /// request cluster in containers, so most consults hit an already
     /// resident page). 1 = every consult faults.
     pub index_page_fault_rate: u64,
-    /// Replacement policy of the in-memory index table.
+    /// Replacement policy of the in-memory index table; LRU is the
+    /// only one (see [`IndexPolicy`](crate::index::IndexPolicy)).
     pub index_policy: crate::index::IndexPolicy,
     /// Expected number of distinct physical blocks the replay will
     /// populate (from trace statistics). Pre-sizes the on-disk
@@ -367,7 +368,7 @@ impl DedupEngine {
     pub fn new(policy: DedupPolicy, cfg: DedupConfig) -> Self {
         let expected = cfg.expected_unique_blocks as usize;
         let store = ChunkStore::new(cfg.logical_blocks, cfg.overflow_blocks);
-        let index = IndexTable::with_byte_budget_policy(cfg.index_budget_bytes, cfg.index_policy);
+        let index = IndexTable::with_byte_budget(cfg.index_budget_bytes);
         let disk_index = if matches!(policy, DedupPolicy::FullDedupe | DedupPolicy::PostProcess) {
             FpMap::with_capacity_and_hasher(expected, FnvBuildHasher::default())
         } else {
@@ -632,8 +633,7 @@ impl DedupEngine {
         // or "recovery" would be fabricating state.
         self.store.verify_journal_recovery()?;
 
-        let mut fresh =
-            IndexTable::with_byte_budget_policy(self.index.capacity_bytes(), self.index.policy());
+        let mut fresh = IndexTable::with_byte_budget(self.index.capacity_bytes());
         let mut rebuilt = 0u64;
         let mut dropped = 0u64;
         for (pba, fp) in self.store.contents() {
@@ -918,7 +918,7 @@ mod tests {
         let mut e = DedupEngine::new(
             DedupPolicy::FullDedupe,
             DedupConfig {
-                index_budget_bytes: crate::index::INDEX_ENTRY_BYTES,
+                index_budget_bytes: crate::INDEX_ENTRY_BYTES,
                 logical_blocks: 10_000,
                 overflow_blocks: 10_000,
                 index_page_fault_rate: 1,
@@ -942,7 +942,7 @@ mod tests {
         let mut e = DedupEngine::new(
             DedupPolicy::FullDedupe,
             DedupConfig {
-                index_budget_bytes: crate::index::INDEX_ENTRY_BYTES,
+                index_budget_bytes: crate::INDEX_ENTRY_BYTES,
                 logical_blocks: 10_000,
                 overflow_blocks: 10_000,
                 index_page_fault_rate: 1,
@@ -1141,7 +1141,7 @@ mod tests {
         let mut e = DedupEngine::new(
             DedupPolicy::SelectDedupe,
             DedupConfig {
-                index_budget_bytes: 2 * crate::index::INDEX_ENTRY_BYTES,
+                index_budget_bytes: 2 * crate::INDEX_ENTRY_BYTES,
                 logical_blocks: 10_000,
                 overflow_blocks: 10_000,
                 ..DedupConfig::default()
@@ -1160,13 +1160,11 @@ mod tests {
         write(&mut e, &wreq(2, 20, &[7, 8, 9])).expect("unique");
         let live_blocks = e.store().used_blocks();
         let cap_bytes = e.index().capacity_bytes();
-        let policy = e.index().policy();
 
         let outcome = e.recover_after_crash().expect("recovery");
         assert_eq!(outcome.index_entries_rebuilt, live_blocks);
         assert_eq!(outcome.index_entries_evicted, 0);
         assert_eq!(e.index().capacity_bytes(), cap_bytes, "budget preserved");
-        assert_eq!(e.index().policy(), policy);
         assert_eq!(e.index().len() as u64, live_blocks);
         // Every live block's content is findable again, with Count
         // reset to 0 (paper: initialized on insert).
@@ -1186,7 +1184,7 @@ mod tests {
         let mut e = DedupEngine::new(
             DedupPolicy::PostProcess,
             DedupConfig {
-                index_budget_bytes: 2 * crate::index::INDEX_ENTRY_BYTES,
+                index_budget_bytes: 2 * crate::INDEX_ENTRY_BYTES,
                 logical_blocks: 10_000,
                 overflow_blocks: 10_000,
                 ..DedupConfig::default()

@@ -18,26 +18,15 @@
 //! covers the whole table exactly and reading it is a copy, which is
 //! what lets every epoch snapshot carry it.
 
-use pod_cache::{LfuCache, LruCache};
-use pod_types::{log2_bucket8, Fingerprint, Pba};
+use pod_cache::LruCache;
+use pod_types::{log2_bucket8, Fingerprint, Pba, INDEX_ENTRY_BYTES};
 
-/// Modeled in-memory footprint of one hash-index entry in the simulated
-/// system: 32 B SHA-256 fingerprint + 8 B PBA + 4 B count + ~20 B of
-/// map/LRU overhead. A modeled cost that sizes the Index table against
-/// the read cache, not the host's key size (a host [`Fingerprint`] is
-/// 16 B); changing it would move every report.
-pub const INDEX_ENTRY_BYTES: u64 = 64;
-
-/// Replacement policy for the hot-entry table. The paper uses LRU
-/// (§III-B); LFU is the ablation alternative suggested by the per-entry
-/// `Count` field (see the `index_policy` bench).
+/// LRU only (§III-B); kept because the benchmark harness names the `index_policy` fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexPolicy {
     /// Least-recently-used (the paper's design).
     #[default]
     Lru,
-    /// Least-frequently-used (evict the coldest `Count`).
-    Lfu,
 }
 
 /// One hot index entry.
@@ -49,17 +38,10 @@ pub struct IndexEntry {
     pub count: u32,
 }
 
-/// Policy-backed storage for the hot-entry table.
-#[derive(Debug)]
-enum Backing {
-    Lru(LruCache<Fingerprint, IndexEntry>),
-    Lfu(LfuCache<Fingerprint, IndexEntry>),
-}
-
-/// Table of hot fingerprints (LRU by default, LFU for the ablation).
+/// LRU table of hot fingerprints.
 #[derive(Debug)]
 pub struct IndexTable {
-    backing: Backing,
+    cache: LruCache<Fingerprint, IndexEntry>,
     hits: u64,
     misses: u64,
     inserts: u64,
@@ -92,15 +74,10 @@ pub struct IndexState {
 
 impl IndexTable {
     /// Index table sized by a byte budget (whole [`INDEX_ENTRY_BYTES`]
-    /// entries) under a replacement policy.
-    pub fn with_byte_budget_policy(bytes: u64, policy: IndexPolicy) -> Self {
-        let capacity_entries = (bytes / INDEX_ENTRY_BYTES) as usize;
-        let backing = match policy {
-            IndexPolicy::Lru => Backing::Lru(LruCache::new(capacity_entries)),
-            IndexPolicy::Lfu => Backing::Lfu(LfuCache::new(capacity_entries)),
-        };
+    /// entries).
+    pub fn with_byte_budget(bytes: u64) -> Self {
         Self {
-            backing,
+            cache: LruCache::new((bytes / INDEX_ENTRY_BYTES) as usize),
             hits: 0,
             misses: 0,
             inserts: 0,
@@ -108,44 +85,16 @@ impl IndexTable {
         }
     }
 
-    /// The active replacement policy.
-    pub fn policy(&self) -> IndexPolicy {
-        match self.backing {
-            Backing::Lru(_) => IndexPolicy::Lru,
-            Backing::Lfu(_) => IndexPolicy::Lfu,
-        }
-    }
-
-    /// Query a fingerprint. A hit bumps the entry's `Count` (and, for
-    /// LFU, its replacement frequency) and returns the candidate PBA.
+    /// Query a fingerprint. A hit bumps the entry's `Count` and its
+    /// recency and returns the candidate PBA.
     pub fn query(&mut self, fp: &Fingerprint) -> Option<Pba> {
-        let found = match &mut self.backing {
-            Backing::Lru(c) => c.get_mut(fp).map(|e| {
+        match self.cache.get_mut(fp) {
+            Some(e) => {
                 e.count += 1;
-                (e.pba, e.count)
-            }),
-            Backing::Lfu(c) => {
-                // LFU bumps frequency on get; update count via a second
-                // borrow-free step.
-                let hit = c.get(fp).copied();
-                if let Some(e) = hit {
-                    c.insert(
-                        *fp,
-                        IndexEntry {
-                            pba: e.pba,
-                            count: e.count + 1,
-                        },
-                    );
-                }
-                hit.map(|e| (e.pba, e.count + 1))
-            }
-        };
-        match found {
-            Some((pba, count)) => {
                 self.hits += 1;
-                self.heat[log2_bucket8((count - 1).into())] -= 1;
-                self.heat[log2_bucket8(count.into())] += 1;
-                Some(pba)
+                self.heat[log2_bucket8((e.count - 1).into())] -= 1;
+                self.heat[log2_bucket8(e.count.into())] += 1;
+                Some(e.pba)
             }
             None => {
                 self.misses += 1;
@@ -156,10 +105,7 @@ impl IndexTable {
 
     /// Look up without statistics or promotion (test/diagnostic use).
     pub fn peek(&self, fp: &Fingerprint) -> Option<IndexEntry> {
-        match &self.backing {
-            Backing::Lru(c) => c.peek(fp).copied(),
-            Backing::Lfu(c) => c.peek(fp).copied(),
-        }
+        self.cache.peek(fp).copied()
     }
 
     /// Insert (or refresh) the location of a fingerprint with `Count`
@@ -168,17 +114,11 @@ impl IndexTable {
     pub fn insert(&mut self, fp: Fingerprint, pba: Pba) -> Option<Fingerprint> {
         self.inserts += 1;
         let entry = IndexEntry { pba, count: 0 };
-        let (replaced, victim) = match &mut self.backing {
-            Backing::Lru(c) => {
-                let mut replaced = None;
-                let victim = c.upsert(fp, entry, |e, new| {
-                    replaced = Some(e.count);
-                    *e = new;
-                });
-                (replaced, victim)
-            }
-            Backing::Lfu(c) => (c.peek(&fp).map(|e| e.count), c.insert(fp, entry)),
-        };
+        let mut replaced = None;
+        let victim = self.cache.upsert(fp, entry, |e, new| {
+            replaced = Some(e.count);
+            *e = new;
+        });
         if let Some(count) = replaced {
             self.heat[log2_bucket8(count.into())] -= 1;
         }
@@ -193,43 +133,24 @@ impl IndexTable {
     /// (category 2) creates a newer copy of hot content. Returns the
     /// evicted victim on insert.
     pub fn upsert(&mut self, fp: Fingerprint, pba: Pba) -> Option<Fingerprint> {
-        match &mut self.backing {
-            Backing::Lru(c) => {
-                // One probe decides between relocating and inserting.
-                let mut fresh = true;
-                let victim = c.upsert(fp, IndexEntry { pba, count: 0 }, |e, new| {
-                    e.pba = new.pba;
-                    fresh = false;
-                });
-                if fresh {
-                    self.inserts += 1;
-                    self.heat[0] += 1;
-                }
-                return self.evicted(victim);
-            }
-            Backing::Lfu(c) => {
-                if let Some(e) = c.peek(&fp).copied() {
-                    c.insert(
-                        fp,
-                        IndexEntry {
-                            pba,
-                            count: e.count,
-                        },
-                    );
-                    return None;
-                }
-            }
+        // One probe decides between relocating and inserting.
+        let entry = IndexEntry { pba, count: 0 };
+        let mut fresh = true;
+        let victim = self.cache.upsert(fp, entry, |e, new| {
+            e.pba = new.pba;
+            fresh = false;
+        });
+        if fresh {
+            self.inserts += 1;
+            self.heat[0] += 1;
         }
-        self.insert(fp, pba)
+        self.evicted(victim)
     }
 
     /// Remove a (stale) entry — e.g. the physical block was overwritten
     /// and the fingerprint no longer matches its content.
     pub fn remove(&mut self, fp: &Fingerprint) -> Option<IndexEntry> {
-        let removed = match &mut self.backing {
-            Backing::Lru(c) => c.remove(fp),
-            Backing::Lfu(c) => c.remove(fp),
-        };
+        let removed = self.cache.remove(fp);
         if let Some(e) = removed {
             self.heat[log2_bucket8(e.count.into())] -= 1;
         }
@@ -246,10 +167,7 @@ impl IndexTable {
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        match &self.backing {
-            Backing::Lru(c) => c.len(),
-            Backing::Lfu(c) => c.len(),
-        }
+        self.cache.len()
     }
 
     /// `true` when no entries are cached.
@@ -259,10 +177,7 @@ impl IndexTable {
 
     /// Capacity in entries.
     pub fn capacity(&self) -> usize {
-        match &self.backing {
-            Backing::Lru(c) => c.capacity(),
-            Backing::Lfu(c) => c.capacity(),
-        }
+        self.cache.capacity()
     }
 
     /// Current byte footprint at capacity.
@@ -270,15 +185,13 @@ impl IndexTable {
         self.capacity() as u64 * INDEX_ENTRY_BYTES
     }
 
-    /// Resize to a new byte budget; spilled entries (coldest-first per
-    /// the policy) are returned so the Swap Module can stage them to the
+    /// Resize to a new byte budget; spilled entries (least recently
+    /// used first) are returned so the Swap Module can stage them to the
     /// reserved disk region and register them with the ghost index.
     pub fn resize_bytes(&mut self, bytes: u64) -> Vec<Fingerprint> {
-        let entries = (bytes / INDEX_ENTRY_BYTES) as usize;
-        let spilled = match &mut self.backing {
-            Backing::Lru(c) => c.set_capacity(entries),
-            Backing::Lfu(c) => c.set_capacity(entries),
-        };
+        let spilled = self
+            .cache
+            .set_capacity((bytes / INDEX_ENTRY_BYTES) as usize);
         spilled
             .into_iter()
             .map(|(fp, e)| {
@@ -296,10 +209,7 @@ impl IndexTable {
     /// Cumulative evictions from the backing cache (insert pressure
     /// plus Swap-Module shrinks).
     pub fn evictions(&self) -> u64 {
-        match &self.backing {
-            Backing::Lru(c) => c.evictions(),
-            Backing::Lfu(c) => c.evictions(),
-        }
+        self.cache.evictions()
     }
 
     /// Log2-bucketed `Count`-heat histogram over every entry, kept
@@ -334,13 +244,13 @@ mod tests {
     }
 
     /// A table with room for `entries` entries.
-    fn table(entries: u64, policy: IndexPolicy) -> IndexTable {
-        IndexTable::with_byte_budget_policy(entries * INDEX_ENTRY_BYTES, policy)
+    fn table(entries: u64) -> IndexTable {
+        IndexTable::with_byte_budget(entries * INDEX_ENTRY_BYTES)
     }
 
     #[test]
     fn query_hit_returns_pba_and_bumps_count() {
-        let mut t = table(4, IndexPolicy::Lru);
+        let mut t = table(4);
         t.insert(fp(1), Pba::new(100));
         assert_eq!(t.peek(&fp(1)).expect("present").count, 0);
         assert_eq!(t.query(&fp(1)), Some(Pba::new(100)));
@@ -351,14 +261,14 @@ mod tests {
 
     #[test]
     fn query_miss_counts() {
-        let mut t = table(4, IndexPolicy::Lru);
+        let mut t = table(4);
         assert_eq!(t.query(&fp(9)), None);
         assert_eq!(t.stats(), (0, 1, 0));
     }
 
     #[test]
     fn lru_eviction_returns_victim() {
-        let mut t = table(2, IndexPolicy::Lru);
+        let mut t = table(2);
         assert_eq!(t.insert(fp(1), Pba::new(1)), None);
         assert_eq!(t.insert(fp(2), Pba::new(2)), None);
         t.query(&fp(1)); // 2 becomes LRU
@@ -368,14 +278,14 @@ mod tests {
 
     #[test]
     fn byte_budget_sizing() {
-        let t = IndexTable::with_byte_budget_policy(10 * INDEX_ENTRY_BYTES + 7, IndexPolicy::Lru);
+        let t = IndexTable::with_byte_budget(10 * INDEX_ENTRY_BYTES + 7);
         assert_eq!(t.capacity(), 10);
         assert_eq!(t.capacity_bytes(), 10 * INDEX_ENTRY_BYTES);
     }
 
     #[test]
     fn resize_spills_lru_first() {
-        let mut t = table(4, IndexPolicy::Lru);
+        let mut t = table(4);
         for i in 0..4 {
             t.insert(fp(i), Pba::new(i));
         }
@@ -389,7 +299,7 @@ mod tests {
 
     #[test]
     fn zero_budget_bounces_everything() {
-        let mut t = table(0, IndexPolicy::Lru);
+        let mut t = table(0);
         assert_eq!(t.capacity(), 0);
         t.insert(fp(1), Pba::new(1));
         assert_eq!(t.query(&fp(1)), None);
@@ -397,7 +307,7 @@ mod tests {
 
     #[test]
     fn remove_stale_entry() {
-        let mut t = table(4, IndexPolicy::Lru);
+        let mut t = table(4);
         t.insert(fp(1), Pba::new(1));
         assert!(t.remove(&fp(1)).is_some());
         assert_eq!(t.query(&fp(1)), None);
@@ -406,7 +316,7 @@ mod tests {
 
     #[test]
     fn reinsert_refreshes_pba_and_resets_count() {
-        let mut t = table(4, IndexPolicy::Lru);
+        let mut t = table(4);
         t.insert(fp(1), Pba::new(1));
         t.query(&fp(1));
         t.insert(fp(1), Pba::new(2));
@@ -416,55 +326,9 @@ mod tests {
     }
 
     #[test]
-    fn lfu_policy_evicts_coldest() {
-        let mut t = table(2, IndexPolicy::Lfu);
-        assert_eq!(t.policy(), IndexPolicy::Lfu);
-        t.insert(fp(1), Pba::new(1));
-        t.insert(fp(2), Pba::new(2));
-        // Heat up fp(2); fp(1) becomes the LFU victim even though it is
-        // not the LRU one.
-        t.query(&fp(2));
-        t.query(&fp(2));
-        t.query(&fp(1));
-        let victim = t.insert(fp(3), Pba::new(3));
-        assert_eq!(victim, Some(fp(1)));
-        assert!(t.peek(&fp(2)).is_some());
-    }
-
-    #[test]
-    fn lfu_query_tracks_count_and_location() {
-        let mut t = table(4, IndexPolicy::Lfu);
-        t.insert(fp(1), Pba::new(10));
-        assert_eq!(t.query(&fp(1)), Some(Pba::new(10)));
-        assert!(t.peek(&fp(1)).expect("present").count >= 1);
-        t.upsert(fp(1), Pba::new(20));
-        assert_eq!(t.peek(&fp(1)).expect("present").pba, Pba::new(20));
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn lfu_resize_spills() {
-        let mut t = table(4, IndexPolicy::Lfu);
-        for i in 0..4 {
-            t.insert(fp(i), Pba::new(i));
-        }
-        t.query(&fp(0));
-        let spilled = t.resize_bytes(2 * INDEX_ENTRY_BYTES);
-        assert_eq!(spilled.len(), 2);
-        assert!(!spilled.contains(&fp(0)), "hot entry survives the shrink");
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn default_policy_is_lru() {
-        assert_eq!(table(4, IndexPolicy::default()).policy(), IndexPolicy::Lru);
-        assert_eq!(IndexPolicy::default(), IndexPolicy::Lru);
-    }
-
-    #[test]
     fn heat_histogram_buckets_counts() {
         use pod_types::Introspect;
-        let mut t = table(8, IndexPolicy::Lru);
+        let mut t = table(8);
         t.insert(fp(1), Pba::new(1)); // count 0 -> bucket 0
         t.insert(fp(2), Pba::new(2));
         for _ in 0..3 {
@@ -481,8 +345,8 @@ mod tests {
         assert_eq!(st.heat[7], 1);
         assert_eq!(st.heat.iter().sum::<u64>(), 3);
         assert_eq!(st.hits, 153);
-        // Eviction churn reaches the gauge under both policies.
-        let mut small = table(1, IndexPolicy::Lfu);
+        // Eviction churn reaches the gauge.
+        let mut small = table(1);
         small.insert(fp(1), Pba::new(1));
         small.insert(fp(2), Pba::new(2));
         assert_eq!(small.introspect().evictions, 1);

@@ -37,6 +37,7 @@ pub use engine::{
     DedupConfig, DedupEngine, DedupPolicy, DedupState, ReadPlan, RecoveryOutcome, ScanOutcome,
     WriteScratch, WriteSummary,
 };
-pub use index::{IndexPolicy, IndexState, IndexTable, INDEX_ENTRY_BYTES};
+pub use index::{IndexPolicy, IndexState, IndexTable};
 pub use journal::{MapJournal, JOURNAL_ENTRY_BYTES};
+pub use pod_types::INDEX_ENTRY_BYTES;
 pub use store::{BlockSet, ChunkStore, MapState};

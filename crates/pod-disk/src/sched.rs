@@ -5,7 +5,8 @@
 //! disk queue* ("the significant number of reduced write requests ...
 //! greatly shortens the length of the disk I/O queue", §IV-B). We provide
 //! FIFO (MD's effective order under trace replay), SSTF, and a LOOK-style
-//! elevator for the `scheduler_ablation` bench.
+//! elevator, compared by `experiments::scheduler_sweep`
+//! (`ablation_scheduler.csv`).
 
 /// Queue discipline used by each simulated disk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]

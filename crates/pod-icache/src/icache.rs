@@ -15,90 +15,15 @@
 //! traffic in blocks so the replay driver can charge it as disk I/O).
 
 use crate::monitor::{AccessMonitor, EpochSnapshot};
-use pod_cache::{ArcCache, GhostCache, GhostState, LruCache};
-use pod_types::{Fingerprint, Introspect, Lba, BLOCK_BYTES};
+use pod_cache::{GhostCache, GhostState, LruCache};
+use pod_types::{Fingerprint, Introspect, Lba, BLOCK_BYTES, INDEX_ENTRY_BYTES};
 
-/// Replacement policy of the read cache. The paper's design is LRU; ARC
-/// is the scan-resistant alternative its own citation (Megiddo & Modha)
-/// suggests, exercised by the `read_policy` ablation.
+/// LRU only (§III-C); kept because the benchmark harness names the `read_policy` fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadCachePolicy {
     /// Least-recently-used (the paper's design).
     #[default]
     Lru,
-    /// Adaptive Replacement Cache (scan-resistant).
-    Arc,
-}
-
-/// Policy-backed read-cache storage. Evictions go straight into the
-/// ghost read cache the caller passes to [`ReadBacking::insert`] — the
-/// fill path runs once per fetched or write-allocated block and must
-/// not build a victim list; only the epoch-rate
-/// [`ReadBacking::set_capacity`] returns one. The ARC variant is boxed:
-/// its four internal lists make it far larger than the LRU variant,
-/// and one cache lives per iCache, so the indirection costs nothing
-/// hot.
-#[derive(Debug)]
-enum ReadBacking {
-    Lru(LruCache<u64, ()>),
-    Arc(Box<ArcCache<u64, ()>>),
-}
-
-impl ReadBacking {
-    fn new(policy: ReadCachePolicy, entries: usize) -> Self {
-        match policy {
-            ReadCachePolicy::Lru => ReadBacking::Lru(LruCache::new(entries)),
-            ReadCachePolicy::Arc => ReadBacking::Arc(Box::new(ArcCache::new(entries))),
-        }
-    }
-
-    fn get(&mut self, key: u64) -> bool {
-        match self {
-            ReadBacking::Lru(c) => c.get(&key).is_some(),
-            ReadBacking::Arc(c) => c.get(&key).is_some(),
-        }
-    }
-
-    /// Insert `key`, handing every block it evicts straight to the
-    /// external `ghost`; returns how many that was. The LRU evicts at
-    /// most one, so the fill path builds no list of victims.
-    fn insert(&mut self, key: u64, ghost: &mut GhostCache<u64>) -> u64 {
-        match self {
-            ReadBacking::Lru(c) => match c.insert(key, ()) {
-                Some((victim, ())) => {
-                    ghost.record_eviction(victim);
-                    1
-                }
-                None => 0,
-            },
-            ReadBacking::Arc(c) => {
-                c.insert(key, ());
-                let victims = c.take_evicted();
-                for &victim in &victims {
-                    ghost.record_eviction(victim);
-                }
-                victims.len() as u64
-            }
-        }
-    }
-
-    fn set_capacity(&mut self, entries: usize) -> Vec<u64> {
-        match self {
-            ReadBacking::Lru(c) => c
-                .set_capacity(entries)
-                .into_iter()
-                .map(|(k, _)| k)
-                .collect(),
-            ReadBacking::Arc(c) => c.set_capacity(entries),
-        }
-    }
-
-    fn occupancy(&self) -> (usize, usize) {
-        match self {
-            ReadBacking::Lru(c) => (c.len(), c.capacity()),
-            ReadBacking::Arc(c) => (c.len(), c.capacity()),
-        }
-    }
 }
 
 /// Flat gauge snapshot of an [`ICache`] (see [`pod_types::Introspect`]):
@@ -164,7 +89,7 @@ pub struct ICacheConfig {
     /// `false` freezes the partition (the paper's "Static" strategy,
     /// used by Fig. 3 and by the Select-Dedupe-only configuration).
     pub adaptive: bool,
-    /// Read-cache replacement policy.
+    /// Read-cache replacement policy; LRU is the only one.
     pub read_policy: ReadCachePolicy,
 }
 
@@ -228,7 +153,9 @@ pub struct ICache {
     cfg: ICacheConfig,
     index_bytes: u64,
     read_bytes: u64,
-    read_cache: ReadBacking,
+    /// Keyed by LBA (or content key); a fill evicts at most one block,
+    /// straight into `ghost_read`.
+    read_cache: LruCache<u64, ()>,
     ghost_read: GhostCache<u64>,
     ghost_index: GhostCache<Fingerprint>,
     monitor: AccessMonitor,
@@ -248,11 +175,11 @@ impl ICache {
         // hold: "The maximum size of an actual cache and its ghost cache
         // is set to be equal to the total size of the DRAM" (Fig. 7).
         let ghost_read_entries = (cfg.total_bytes / BLOCK_BYTES) as usize;
-        let ghost_index_entries = (cfg.total_bytes / pod_dedup_entry_bytes()) as usize;
+        let ghost_index_entries = (cfg.total_bytes / INDEX_ENTRY_BYTES) as usize;
         Self {
             index_bytes,
             read_bytes,
-            read_cache: ReadBacking::new(cfg.read_policy, read_entries),
+            read_cache: LruCache::new(read_entries),
             ghost_read: GhostCache::new(ghost_read_entries),
             ghost_index: GhostCache::new(ghost_index_entries),
             monitor: AccessMonitor::new(),
@@ -316,7 +243,7 @@ impl ICache {
     /// content-addressed caches (I/O-Dedup) key blocks by fingerprint
     /// prefix so duplicate content shares one slot.
     pub fn read_lookup_key(&mut self, key: u64) -> bool {
-        if self.read_cache.get(key) {
+        if self.read_cache.get(&key).is_some() {
             self.monitor.read_hits += 1;
             true
         } else {
@@ -330,7 +257,10 @@ impl ICache {
 
     /// Like [`ICache::read_fill`] with an arbitrary cache key.
     pub fn read_fill_key(&mut self, key: u64) {
-        self.read_evictions += self.read_cache.insert(key, &mut self.ghost_read);
+        if let Some((victim, ())) = self.read_cache.insert(key, ()) {
+            self.read_evictions += 1;
+            self.ghost_read.record_eviction(victim);
+        }
     }
 
     /// Feed index-table evictions into the ghost index.
@@ -406,7 +336,7 @@ impl ICache {
         // Resize the read cache now; evicted blocks go to the ghost and
         // their data to the swap region.
         let read_entries = (self.read_bytes / BLOCK_BYTES) as usize;
-        for victim in self.read_cache.set_capacity(read_entries) {
+        for (victim, ()) in self.read_cache.set_capacity(read_entries) {
             self.read_evictions += 1;
             self.ghost_read.record_eviction(victim);
         }
@@ -424,7 +354,6 @@ impl Introspect for ICache {
     type State = ICacheState;
 
     fn introspect(&self) -> ICacheState {
-        let (read_len, read_capacity) = self.read_cache.occupancy();
         let (egr, egi) = match &self.last_epoch {
             Some(e) => (e.ghost_read_hits, e.ghost_index_hits),
             None => (0, 0),
@@ -435,8 +364,8 @@ impl Introspect for ICache {
             index_per_mille: self.index_bytes * 1000 / (self.index_bytes + self.read_bytes).max(1),
             epochs: self.epochs,
             repartitions: self.repartitions,
-            read_len: read_len as u64,
-            read_capacity: read_capacity as u64,
+            read_len: self.read_cache.len() as u64,
+            read_capacity: self.read_cache.capacity() as u64,
             read_evictions: self.read_evictions,
             ghost_read: self.ghost_read.introspect(),
             ghost_index: self.ghost_index.introspect(),
@@ -446,13 +375,6 @@ impl Introspect for ICache {
             benefit_index_us: egi * self.cfg.write_miss_penalty_us,
         }
     }
-}
-
-/// Bytes per index entry, mirrored from `pod-dedup` (kept as a local
-/// constant to avoid a dependency cycle; checked equal in pod-core
-/// tests).
-fn pod_dedup_entry_bytes() -> u64 {
-    64
 }
 
 #[cfg(test)]
@@ -606,59 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn arc_read_policy_is_scan_resistant() {
-        let mk = |policy| {
-            let mut c = ICache::new(ICacheConfig {
-                read_policy: policy,
-                ..ICacheConfig::fixed(64 * BLOCK_BYTES, 0.5)
-            });
-            // Hot set of 8 blocks, touched repeatedly.
-            for i in 0..8u64 {
-                c.read_fill(Lba::new(i));
-            }
-            for _ in 0..4 {
-                for i in 0..8u64 {
-                    if !c.read_lookup(Lba::new(i)) {
-                        c.read_fill(Lba::new(i));
-                    }
-                }
-            }
-            // One-pass cold scan of 200 blocks.
-            for i in 1_000..1_200u64 {
-                if !c.read_lookup(Lba::new(i)) {
-                    c.read_fill(Lba::new(i));
-                }
-            }
-            // Survivors of the hot set.
-            (0..8u64).filter(|&i| c.read_lookup(Lba::new(i))).count()
-        };
-        let lru_survivors = mk(ReadCachePolicy::Lru);
-        let arc_survivors = mk(ReadCachePolicy::Arc);
-        assert!(
-            arc_survivors >= lru_survivors,
-            "ARC ({arc_survivors}) must resist the scan at least as well as LRU ({lru_survivors})"
-        );
-        assert!(arc_survivors >= 4, "ARC keeps most of the hot set");
-    }
-
-    #[test]
-    fn arc_policy_supports_repartition() {
-        let mut c = ICache::new(ICacheConfig {
-            epoch_requests: 10,
-            read_policy: ReadCachePolicy::Arc,
-            ..ICacheConfig::adaptive(8 * 1024 * 1024)
-        });
-        for i in 0..10u64 {
-            c.on_index_victims(&[Fingerprint::from_content_id(i)]);
-            c.on_index_misses(&[Fingerprint::from_content_id(i)]);
-            if let Some(rp) = c.note_request(true) {
-                assert!(rp.index_grew);
-            }
-        }
-        assert!(c.repartitions() > 0);
-    }
-
-    #[test]
     fn introspect_reflects_partition_and_ghosts() {
         let mut c = ICache::new(cfg(8 * MB));
         let st0 = c.introspect();
@@ -686,13 +555,33 @@ mod tests {
 
     #[test]
     fn read_evictions_count_fills_and_shrinks() {
-        let mut c = ICache::new(cfg(4 * BLOCK_BYTES)); // 2-block read cache
-        c.read_fill(Lba::new(1));
-        c.read_fill(Lba::new(2));
-        c.read_fill(Lba::new(3)); // evicts 1
-        assert_eq!(c.introspect().read_evictions, 1);
-        assert_eq!(c.introspect().read_len, 2);
-        assert_eq!(c.introspect().ghost_read.len, 1);
+        let mut c = ICache::new(cfg(40 * BLOCK_BYTES)); // 20-block read cache
+        for i in 0..21u64 {
+            c.read_fill(Lba::new(i)); // the 21st fill evicts block 0
+        }
+        let st = c.introspect();
+        assert_eq!(st.read_evictions, 1);
+        assert_eq!(st.read_len, 20);
+        assert_eq!(st.ghost_read.len, 1);
+        assert!(c.ghost_read.contains(&0));
+
+        // A write-heavy epoch grows the index by one 4-block step, so
+        // the read cache sheds its four least recent blocks: 1..=4.
+        for i in 0..10u64 {
+            c.on_index_victims(&[fp(i)]);
+            c.on_index_misses(&[fp(i)]);
+            c.note_request(true);
+        }
+        let st = c.introspect();
+        assert_eq!(st.repartitions, 1);
+        assert_eq!(st.read_capacity, 16);
+        assert_eq!(st.read_len, st.read_capacity);
+        assert_eq!(st.read_evictions, 1 + 4);
+        assert_eq!(st.ghost_read.len, 1 + 4);
+        for victim in 0..=4u64 {
+            assert!(c.ghost_read.contains(&victim), "block {victim} in ghost");
+        }
+        assert!(c.read_lookup(Lba::new(5)), "block 5 survives the shrink");
     }
 
     #[test]

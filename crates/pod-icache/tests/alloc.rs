@@ -1,23 +1,21 @@
 //! A cache costs what it holds, not what its capacity says.
 //!
 //! `LruCache::new` is called with very large capacities on purpose: the
-//! ghost caches are each as large as the whole DRAM budget (Fig. 7), the
-//! index holds millions of entries at a 256 MiB budget, and every
-//! `LfuCache` frequency bucket is an `LruCache::new(usize::MAX)` that
-//! is created and dropped as entries change frequency. A table sized
-//! from the capacity up front makes each of those a multi-megabyte
-//! allocation that the run then faults in page by page; the
-//! grow-on-demand table must make all three cheap. A byte-counting
+//! ghost caches are each sized to the whole DRAM budget (Fig. 7), and
+//! the index holds millions of entries at a 256 MiB budget. A table
+//! sized from the capacity up front makes each of those a
+//! multi-megabyte allocation that the run then faults in page by page;
+//! the grow-on-demand table must keep them cheap. A byte-counting
 //! global allocator holds them to that.
 //!
 //! The file holds a single test on purpose — the counter is
-//! process-global (see `pod-dedup/tests/sparse.rs`), so the three
-//! phases run in sequence inside it.
+//! process-global (see `pod-dedup/tests/sparse.rs`), so the two phases
+//! run in sequence inside it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pod_cache::{LfuCache, LruCache};
+use pod_cache::LruCache;
 use pod_icache::{ICache, ICacheConfig};
 use pod_types::Fingerprint;
 
@@ -60,33 +58,12 @@ fn bytes_allocated<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 #[test]
 fn caches_cost_what_they_hold_not_their_capacity() {
-    // An unbounded LRU — what every LFU frequency bucket is.
+    // An unbounded LRU: the limit of a ghost sized to the whole budget.
     let (lru, bytes) = bytes_allocated(|| LruCache::<Fingerprint, ()>::new(usize::MAX));
     assert!(lru.is_empty());
     assert!(
         bytes < 1 << 10,
         "LruCache::new(usize::MAX) asked for {bytes} bytes before holding anything"
-    );
-
-    // Mixed traffic on a small LFU: frequency buckets come and go on
-    // every touch, so a capacity-sized table per bucket shows here as
-    // tens of megabytes per bucket created.
-    let (lfu, bytes) = bytes_allocated(|| {
-        let mut lfu = LfuCache::<u64, u64>::new(1_024);
-        for i in 0..20_000u64 {
-            // A hot set that climbs the frequencies, over a cold stream
-            // that keeps the cache full and evicting.
-            let key = if i % 3 == 0 { i } else { i % 257 };
-            if lfu.get(&key).is_none() {
-                lfu.insert(key, i);
-            }
-        }
-        lfu
-    });
-    assert_eq!(lfu.len(), 1_024);
-    assert!(
-        bytes < 16 << 20,
-        "20,000 ops on a 1,024-entry LfuCache asked for {bytes} bytes"
     );
 
     // The iCache at the `readmix-fiu` budget: a 65,536-block ghost read

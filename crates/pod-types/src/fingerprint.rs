@@ -10,8 +10,8 @@
 //!
 //! The width is the host's representation only. What the simulated
 //! system pays per index entry is modeled separately
-//! (`pod_dedup::INDEX_ENTRY_BYTES`), so no report depends on it; every
-//! trace, index, cache and store table holding fingerprints does.
+//! ([`INDEX_ENTRY_BYTES`]), so no report depends on it; every trace,
+//! index, cache and store table holding fingerprints does.
 
 use core::fmt;
 use core::hash::{Hash, Hasher};
@@ -19,6 +19,13 @@ use core::hash::{Hash, Hasher};
 /// Number of bytes in a fingerprint: 128 bits, the width of the FIU
 /// traces' MD5 column. A wider hash is read at its first 128 bits.
 pub const FINGERPRINT_BYTES: usize = 16;
+
+/// Modeled in-memory footprint of one hash-index entry in the simulated
+/// system: 32 B SHA-256 fingerprint + 8 B PBA + 4 B count + ~20 B of
+/// map/LRU overhead. A modeled cost that sizes the Index table and the
+/// ghost index against the read cache, not the host's key size (a host
+/// [`Fingerprint`] is 16 B); changing it would move every report.
+pub const INDEX_ENTRY_BYTES: u64 = 64;
 
 /// A 128-bit content fingerprint.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

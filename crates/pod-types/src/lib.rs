@@ -21,7 +21,7 @@ pub mod time;
 
 pub use block::{Lba, Pba, BLOCK_BYTES, BLOCK_SHIFT};
 pub use error::{PodError, PodResult};
-pub use fingerprint::Fingerprint;
+pub use fingerprint::{Fingerprint, INDEX_ENTRY_BYTES};
 pub use introspect::{log2_bucket8, Introspect};
 pub use request::{IoOp, IoRequest, RequestId};
 pub use time::{SimDuration, SimTime};

@@ -3,8 +3,8 @@
 
 use pod::cache::LruCache;
 use pod::dedup::{
-    ChunkStore, ClassKind, DedupConfig, DedupEngine, DedupPolicy, IndexPolicy, IndexTable,
-    WriteScratch, INDEX_ENTRY_BYTES,
+    ChunkStore, ClassKind, DedupConfig, DedupEngine, DedupPolicy, IndexTable, WriteScratch,
+    INDEX_ENTRY_BYTES,
 };
 use pod::trace::reconstruct::{reconstruct_requests, split_into_records};
 use pod::types::{log2_bucket8, Fingerprint, IoRequest, Lba, Pba, SimTime};
@@ -256,40 +256,38 @@ proptest! {
         ops in proptest::collection::vec(index_op(), 1..300),
     ) {
         let fp = |k: u8| Fingerprint::from_content_id(u64::from(k));
-        for policy in [IndexPolicy::Lru, IndexPolicy::Lfu] {
-            let mut t = IndexTable::with_byte_budget_policy(cap as u64 * INDEX_ENTRY_BYTES, policy);
-            for op in &ops {
-                match *op {
-                    IndexOp::Query(k, n) => {
-                        for _ in 0..n {
-                            t.query(&fp(k));
-                        }
-                    }
-                    IndexOp::Insert(k, p) => {
-                        t.insert(fp(k), Pba::new(p.into()));
-                    }
-                    IndexOp::Upsert(k, p) => {
-                        t.upsert(fp(k), Pba::new(p.into()));
-                    }
-                    IndexOp::Remove(k) => {
-                        t.remove(&fp(k));
-                    }
-                    IndexOp::Resize(c) => {
-                        t.resize_bytes(u64::from(c) * INDEX_ENTRY_BYTES);
+        let mut t = IndexTable::with_byte_budget(cap as u64 * INDEX_ENTRY_BYTES);
+        for op in &ops {
+            match *op {
+                IndexOp::Query(k, n) => {
+                    for _ in 0..n {
+                        t.query(&fp(k));
                     }
                 }
-                // Every key the ops can name is peeked, so this visits
-                // every entry. With at most 30 entries it is also what
-                // the old walk over the 4,096 most recent entries saw.
-                let mut recount = [0u64; 8];
-                let mut entries = 0;
-                for e in (0..INDEX_KEYS).filter_map(|k| t.peek(&fp(k))) {
-                    recount[log2_bucket8(e.count.into())] += 1;
-                    entries += 1;
+                IndexOp::Insert(k, p) => {
+                    t.insert(fp(k), Pba::new(p.into()));
                 }
-                prop_assert_eq!(entries, t.len(), "{:?}: every entry peeked", policy);
-                prop_assert_eq!(t.heat(), recount, "{:?} after {:?}", policy, op);
+                IndexOp::Upsert(k, p) => {
+                    t.upsert(fp(k), Pba::new(p.into()));
+                }
+                IndexOp::Remove(k) => {
+                    t.remove(&fp(k));
+                }
+                IndexOp::Resize(c) => {
+                    t.resize_bytes(u64::from(c) * INDEX_ENTRY_BYTES);
+                }
             }
+            // Every key the ops can name is peeked, so this visits
+            // every entry. With at most 30 entries it is also what
+            // the old walk over the 4,096 most recent entries saw.
+            let mut recount = [0u64; 8];
+            let mut entries = 0;
+            for e in (0..INDEX_KEYS).filter_map(|k| t.peek(&fp(k))) {
+                recount[log2_bucket8(e.count.into())] += 1;
+                entries += 1;
+            }
+            prop_assert_eq!(entries, t.len(), "every entry peeked");
+            prop_assert_eq!(t.heat(), recount, "after {:?}", op);
         }
     }
 }
