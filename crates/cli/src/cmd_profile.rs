@@ -23,7 +23,9 @@
 
 use crate::args::CliArgs;
 use pod_core::obs::Layer;
-use pod_core::{HostProfile, ProfPhase};
+use pod_core::pool::{default_width, set_default_width};
+use pod_core::stack::disk_on_own_thread;
+use pod_core::{HostProfile, ProfPhase, ReplayReport};
 
 pub fn run(args: &CliArgs) -> Result<(), String> {
     args.apply_jobs();
@@ -36,14 +38,33 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
         args.scheme
     );
 
+    let replay = |profile: bool| -> Result<(ReplayReport, f64), String> {
+        let t0 = std::time::Instant::now();
+        let (rep, _chain) = args
+            .scheme
+            .builder()
+            .config(cfg.clone())
+            .trace(&trace)
+            .profile(profile)
+            .run_observed()
+            .map_err(|e| e.to_string())?;
+        Ok((rep, t0.elapsed().as_secs_f64()))
+    };
+    // Where the default layout, the third replay of each rep, puts the
+    // array.
+    let threaded = disk_on_own_thread(&cfg);
+    let width = default_width();
+    let inline_replay = || {
+        // At width 1 the array stays inline, as it does when profiled.
+        set_default_width(1);
+        let run = replay(false);
+        set_default_width(width);
+        run
+    };
+
     // Untimed warmup so neither timed run pays first-touch costs
     // (page cache, lazy statics).
-    args.scheme
-        .builder()
-        .config(cfg.clone())
-        .trace(&trace)
-        .run()
-        .map_err(|e| e.to_string())?;
+    replay(false)?;
 
     // Interleaved A/B pairs: single runs are dominated by host noise
     // (CPU frequency, steal time, allocator reuse), but within one
@@ -54,40 +75,22 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
     const REPS: usize = 5;
     let mut base_s = f64::INFINITY;
     let mut prof_s = f64::INFINITY;
+    let mut default_s = f64::INFINITY;
     let mut pair_overheads = Vec::with_capacity(REPS);
-    let mut base = None;
-    let mut profiled = None;
+    let mut runs = None;
     for _ in 0..REPS {
-        let t0 = std::time::Instant::now();
-        let b = args
-            .scheme
-            .builder()
-            .config(cfg.clone())
-            .trace(&trace)
-            .run()
-            .map_err(|e| e.to_string())?;
-        let b_s = t0.elapsed().as_secs_f64();
+        let (base, b_s) = inline_replay()?;
         base_s = base_s.min(b_s);
-        base = Some(b);
-
-        let t1 = std::time::Instant::now();
-        let (rep, _chain) = args
-            .scheme
-            .builder()
-            .config(cfg.clone())
-            .trace(&trace)
-            .profile(true)
-            .run_observed()
-            .map_err(|e| e.to_string())?;
-        let p_s = t1.elapsed().as_secs_f64();
+        let (rep, p_s) = replay(true)?;
         prof_s = prof_s.min(p_s);
-        profiled = Some(rep);
         if b_s > 0.0 {
             pair_overheads.push((p_s - b_s) / b_s * 100.0);
         }
+        let (default, d_s) = replay(false)?;
+        default_s = default_s.min(d_s);
+        runs = Some((base, rep, default));
     }
-    let base = base.expect("at least one baseline rep");
-    let rep = profiled.expect("at least one profiled rep");
+    let (base, rep, default) = runs.expect("at least one rep");
     let prof = rep
         .profile
         .as_ref()
@@ -95,13 +98,16 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
     if prof.is_empty() {
         return Err("host profile is empty — no phases were timed".into());
     }
-    // Profiling must not perturb the simulation itself.
-    if (rep.overall.mean_us() - base.overall.mean_us()).abs() > 1e-9 {
-        return Err(format!(
-            "profiled replay diverged from baseline: mean {} vs {} µs",
-            rep.overall.mean_us(),
-            base.overall.mean_us()
-        ));
+    // Neither profiling nor where the array runs may perturb the
+    // simulation itself.
+    for (what, other) in [("profiled", &rep), ("default-layout", &default)] {
+        if (other.overall.mean_us() - base.overall.mean_us()).abs() > 1e-9 {
+            return Err(format!(
+                "{what} replay diverged from baseline: mean {} vs {} µs",
+                other.overall.mean_us(),
+                base.overall.mean_us()
+            ));
+        }
     }
 
     print!("{}", render_table(prof));
@@ -112,8 +118,14 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
         pair_overheads[pair_overheads.len() / 2]
     };
     println!(
-        "\nwall time: {base_s:.3} s un-profiled, {prof_s:.3} s profiled (overhead {overhead_pct:+.1}%, median of {REPS} A/B pairs)"
+        "\nwall time: {base_s:.3} s un-profiled, {prof_s:.3} s profiled (overhead {overhead_pct:+.1}%, median of {REPS} A/B pairs; disk inline in both)"
     );
+    let placement = if threaded {
+        "on its own thread"
+    } else {
+        "inline"
+    };
+    println!("default layout: {default_s:.3} s un-profiled, disk {placement}");
     println!(
         "simulated layer shares: cache {:.1}%  dedup {:.1}%  disk {:.1}%",
         rep.stack.layer_share(Layer::Cache) * 100.0,

@@ -46,7 +46,7 @@ mod spec;
 pub use background::{BackgroundTask, LayerCtx, PostProcessTask, RepartitionTask, SharedTierTask};
 pub use cache::CacheLayer;
 pub use dedup::DedupLayer;
-pub use disk::{ArrayBackend, DiskBackend, FaultRecord, FaultyBackend};
+pub use disk::{disk_on_own_thread, ArrayBackend, DiskBackend, FaultRecord, FaultyBackend};
 pub use spec::{BackgroundKind, CacheKeying, StackSpec};
 
 // Re-exported from `obs` where they now live, so `pod_core::stack::*`
@@ -79,7 +79,9 @@ pub struct QosGauges {
 /// background tasks and the observer chain threaded through all of
 /// them.
 ///
-/// Build one per replay with [`StorageStack::with_observer`], then:
+/// Build one per replay with [`StorageStack::with_observer`], which
+/// also decides whether the simulated array runs on a thread of its
+/// own ([`disk_on_own_thread`]), then:
 ///
 /// 1. [`run_until`](Self::run_until) each request's arrival,
 /// 2. [`process_request`](Self::process_request) it,
@@ -202,10 +204,15 @@ impl StorageStack {
         if let Some(disk) = cfg.fail_disk {
             sim.fail_disk(disk)?;
         }
-        let backend = ArrayBackend::new(sim, &sizing);
+        let array = ArrayBackend::new(sim, &sizing);
+        let backend: Box<dyn DiskBackend> = if disk_on_own_thread(cfg) {
+            Box::new(disk::ThreadedBackend::spawn(array))
+        } else {
+            Box::new(array)
+        };
         let disk: Box<dyn DiskBackend> = match &cfg.faults {
-            Some(plan) => Box::new(FaultyBackend::new(Box::new(backend), plan.clone())),
-            None => Box::new(backend),
+            Some(plan) => Box::new(FaultyBackend::new(backend, plan.clone())),
+            None => backend,
         };
 
         let tasks: Vec<Box<dyn BackgroundTask>> = spec
@@ -578,7 +585,11 @@ impl StorageStack {
         &self.dedup
     }
 
-    /// The disk backend.
+    /// The disk backend. Its queries ([`DiskBackend::completion`],
+    /// [`DiskBackend::stats`]) are valid only after
+    /// [`finish`](Self::finish) has run it to idle: until then the
+    /// array may still be applying the replay's calls on its own
+    /// thread (see [`disk_on_own_thread`]).
     pub fn disk(&self) -> &dyn DiskBackend {
         self.disk.as_ref()
     }

@@ -20,6 +20,12 @@
 //! disk. Handing a victim to its ghost and planning a read miss must
 //! not allocate either.
 //!
+//! With the profiler on, a stack keeps its simulated array inline. A
+//! third phase repeats the eviction run with profiling off at an
+//! executor width of 2, which puts the array on a thread of its own:
+//! the counter is process-wide, so the window covers both the replay
+//! thread filling the disk log and the worker applying it.
+//!
 //! The file holds a single test on purpose — the counter is
 //! process-global, and a lone test keeps the measurement window free of
 //! harness or sibling-test traffic.
@@ -28,6 +34,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pod_core::obs::{LayerHistograms, ObserverChain, TraceRecorder};
+use pod_core::stack::disk_on_own_thread;
 use pod_core::{ProfSink, Scheme, StackEvent, StackObserver, StorageStack, SystemConfig};
 use pod_trace::Trace;
 use pod_types::{Fingerprint, Introspect, IoRequest, Lba, SimTime};
@@ -201,8 +208,9 @@ fn rotate_contents(set: &mut [IoRequest], pass: u64) {
 /// working set overruns all four, so every written chunk misses the
 /// index and evicts from it and its ghost, every write-allocated or
 /// fetched block evicts from the read cache and its ghost, and every
-/// read misses.
-fn replay_under_eviction_is_allocation_free() {
+/// read misses. Profiled, the array runs inline; not profiled (at an
+/// executor width of 2), it runs on its own thread.
+fn replay_under_eviction_is_allocation_free(profiled: bool) {
     let mut set = eviction_working_set();
     let trace = Trace {
         name: "alloc-probe-evicting".into(),
@@ -211,7 +219,9 @@ fn replay_under_eviction_is_allocation_free() {
     };
     let mut cfg = SystemConfig::test_default();
     cfg.memory_bytes = Some(1 << 20);
-    cfg.host_profiling = true;
+    cfg.host_profiling = profiled;
+    pod_core::pool::set_default_width(2);
+    assert_eq!(disk_on_own_thread(&cfg), !profiled);
     let mut chain = ObserverChain::new();
     chain.push(LayerHistograms::new());
     chain.push(TraceRecorder::new(
@@ -220,7 +230,9 @@ fn replay_under_eviction_is_allocation_free() {
         64,
         1 << 20,
     ));
-    chain.push(ProfSink::new());
+    if profiled {
+        chain.push(ProfSink::new());
+    }
     let mut stack =
         StorageStack::with_observer(&Scheme::SelectDedupe.stack_spec(), &cfg, &trace, chain)
             .expect("valid stack");
@@ -245,11 +257,16 @@ fn replay_under_eviction_is_allocation_free() {
         fewest_allocations_in_8_windows(|| run_passes(4))
     };
 
+    let disk = if profiled {
+        "inline"
+    } else {
+        "on its own thread"
+    };
     assert_eq!(
         best, 0,
-        "steady-state process_request under eviction allocated at least \
-         {best} times in every one of 8 windows of 4 passes over 2,048 \
-         blocks against a 1 MiB budget"
+        "steady-state process_request under eviction, disk {disk}, \
+         allocated at least {best} times in every one of 8 windows of 4 \
+         passes over 2,048 blocks against a 1 MiB budget"
     );
 
     // The windows measured what they claim to: all four lists are full
@@ -354,5 +371,6 @@ fn steady_state_replay_with_full_observer_chain_is_allocation_free() {
         "every write was timed"
     );
 
-    replay_under_eviction_is_allocation_free();
+    replay_under_eviction_is_allocation_free(true);
+    replay_under_eviction_is_allocation_free(false);
 }

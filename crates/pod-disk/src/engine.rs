@@ -22,9 +22,24 @@ use crate::sched::{PendingView, SchedulerKind};
 use crate::spec::DiskSpec;
 use pod_types::{Pba, SimDuration, SimTime};
 
-/// Handle to a submitted job.
+/// Handle to a submitted job: its submission index. The `n`th job an
+/// [`ArraySim`] accepts (counting from 0, pure-metadata jobs included)
+/// is `JobId::from_index(n)`, so a caller that logs submissions for a
+/// simulator running elsewhere can name each job before it is applied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct JobId(usize);
+
+impl JobId {
+    /// The id of the `index`th submitted job.
+    pub const fn from_index(index: usize) -> Self {
+        Self(index)
+    }
+
+    /// The job's submission index.
+    pub const fn index(self) -> usize {
+        self.0
+    }
+}
 
 #[derive(Debug)]
 enum EventKind {
@@ -732,6 +747,40 @@ mod tests {
         );
         let stats = sim.disk_stats();
         assert!(stats.iter().filter(|s| s.ops > 0).count() >= 2);
+    }
+
+    #[test]
+    fn job_ids_are_dense_submission_indices() {
+        let mut sim = raid5_sim();
+        let mut ids = Vec::new();
+        let mut at = SimTime::ZERO;
+        for round in 0..3u64 {
+            if round == 2 {
+                // Degraded mode rewrites plans; it must not renumber.
+                sim.fail_disk(1).expect("raid5 tolerates one failure");
+            }
+            for i in 0..8u64 {
+                at += SimDuration::from_micros(50_000);
+                sim.run_until(at);
+                // A pure-metadata job, a swap-style streaming write, an
+                // RMW write and a read: each takes the next index.
+                ids.push(sim.submit_job(at, |plan| plan.end_phase()));
+                ids.push(
+                    sim.submit_job(at, |plan| plan.stream_write(Pba::new(4_096 + i * 64), 64)),
+                );
+                ids.push(sim.submit_write(at, Pba::new(i * 37), 4));
+                ids.push(sim.submit_read(at, Pba::new(i * 101), 8));
+            }
+        }
+        sim.run_to_idle();
+        // Completed jobs handed their slots back, so slots were reused
+        // while ids kept counting.
+        assert!(sim.jobs.len() < ids.len() / 4, "slots reused");
+        for (n, &id) in ids.iter().enumerate() {
+            assert_eq!(id, JobId::from_index(n));
+            assert_eq!(id.index(), n);
+            assert!(sim.job_completion(id).is_some(), "job {n} completed");
+        }
     }
 
     #[test]
