@@ -564,6 +564,15 @@ impl ServePolicy {
                 self.cold_share_pm, self.hot_share_pm
             )));
         }
+        // The grant is `budget × share / 1000` with a budget of up to
+        // MAX_BUDGET_BYTES, so the share bounds that product.
+        let max_share_pm = u64::MAX / MAX_BUDGET_BYTES;
+        if self.hot_share_pm > max_share_pm {
+            return Err(PodError::InvalidConfig(format!(
+                "hot tier share of {} per mille exceeds the {max_share_pm} limit",
+                self.hot_share_pm
+            )));
+        }
         self.default_tenant.validate()?;
         for (t, p) in &self.tenant_overrides {
             p.validate()
@@ -824,6 +833,18 @@ mod tests {
         assert!(c.validate().is_err(), "config validation covers policy");
         c.policy = Some(ServePolicy::prioritized_tier(1));
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn serve_policy_rejects_a_hot_share_that_overflows_the_grant() {
+        let mut p = ServePolicy::prioritized_tier(1);
+        p.hot_share_pm = u64::MAX;
+        assert!(
+            matches!(p.validate(), Err(PodError::InvalidConfig(_))),
+            "unbounded hot share must be rejected"
+        );
+        p.hot_share_pm = u64::MAX / MAX_BUDGET_BYTES;
+        assert!(p.validate().is_ok(), "the largest safe share passes");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * [`scheme`] — [`Scheme`]: Native / Full-Dedupe / iDedup /
 //!   Select-Dedupe / POD (= Select-Dedupe + adaptive iCache).
 //! * [`stack`] — the layered [`StorageStack`]: cache / dedup / disk
-//!   layers plus background tasks, composed declaratively from a
+//!   layers plus fixed background steps, composed declaratively from a
 //!   [`StackSpec`] with an observer chain threaded through every layer.
 //! * [`obs`] — structured observability: typed
 //!   [`StackEvent`]s, [`ObserverChain`] fan-out,

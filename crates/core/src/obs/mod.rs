@@ -194,7 +194,7 @@ pub enum StackEvent {
         /// The sampled state.
         snap: StateSnapshot,
     },
-    /// A request finished its foreground processing (background tasks
+    /// A request finished its foreground processing (background steps
     /// run after this event).
     RequestDone {
         /// `true` for writes.
@@ -238,7 +238,7 @@ pub enum StackEvent {
         /// Host nanoseconds spent.
         ns: u64,
     },
-    /// The replay finished: background tasks drained, disks idle, all
+    /// The replay finished: background scans drained, disks idle, all
     /// deferred [`LayerLatency`](Self::LayerLatency) events delivered.
     /// Recorders flush partial state on this event.
     Finished,

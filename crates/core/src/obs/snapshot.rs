@@ -30,7 +30,7 @@ pub struct StateSnapshot {
     /// Dedup-engine gauges: Index table, Map table, scan backlog.
     pub dedup: DedupState,
     /// Shared-tier index target (bytes) last applied by the serving
-    /// engine's tier task; 0 when no [`ServePolicy`] is active.
+    /// engine's shared tier; 0 when no [`ServePolicy`] is active.
     ///
     /// [`ServePolicy`]: crate::config::ServePolicy
     pub tier_target_bytes: u64,

@@ -137,7 +137,7 @@ pub enum ProfPhase {
     DiskRun,
     /// Collecting completions and retiring pending requests.
     DiskCommit,
-    /// Background tasks (post-process dedup, cache maintenance).
+    /// Background steps (post-process dedup, cache maintenance, shared tier).
     Background,
     /// Epoch snapshot sampling.
     Snapshot,

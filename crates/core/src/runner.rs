@@ -22,8 +22,8 @@ use crate::obs::{ObserverChain, StackCounters, StackObserver, TraceRecorder};
 use crate::oracle::{self, IntegrityReport};
 use crate::prof::{HostProfile, ProfSink};
 use crate::scheme::Scheme;
-use crate::serve::TokenBucket;
-use crate::stack::{SharedTierTask, StackSpec, StorageStack};
+use crate::serve::{SharedTierTask, TokenBucket};
+use crate::stack::{StackSpec, StorageStack};
 use pod_dedup::engine::EngineCounters;
 use pod_disk::engine::DiskStats;
 use pod_trace::Trace;
@@ -167,15 +167,15 @@ impl ReplaySizing {
 }
 
 /// What the serving engine adds to one tenant's replay. The default is
-/// a solo replay: tenant 0 (untagged on the wire), no policy task, no
+/// a solo replay: tenant 0 (untagged on the wire), no shared tier, no
 /// admission control.
 #[derive(Default)]
 pub(crate) struct TenantSetup {
     /// Tenant id stamped on every per-request event.
     pub(crate) tenant: u16,
-    /// The tenant's shared-tier task, registered after the
-    /// spec-declared background tasks.
-    pub(crate) tier_task: Option<SharedTierTask>,
+    /// The tenant's shared tier, run after the stack's own background
+    /// steps.
+    pub(crate) tier: Option<SharedTierTask>,
     /// Rate-limit admission: a throttled request is processed at its
     /// admission time, which delays the tenant's later arrivals.
     pub(crate) throttle: Option<TokenBucket>,
@@ -201,9 +201,7 @@ pub(crate) fn replay_stack(
 ) -> PodResult<(ReplayReport, StorageStack)> {
     let mut stack = StorageStack::with_observer(spec, cfg, trace, observer)?;
     stack.set_tenant(setup.tenant);
-    if let Some(task) = setup.tier_task {
-        stack.push_task(Box::new(task));
-    }
+    stack.set_tier(setup.tier);
     let mut throttle = setup.throttle;
 
     // ---- Replay -------------------------------------------------

@@ -1,6 +1,6 @@
 //! The five evaluated schemes.
 
-use crate::stack::{BackgroundKind, CacheKeying, StackSpec};
+use crate::stack::{CacheKeying, StackSpec};
 use pod_dedup::DedupPolicy;
 
 /// A complete storage-stack configuration under evaluation (paper §IV).
@@ -92,14 +92,6 @@ impl Scheme {
     /// point where a `Scheme` becomes layer configuration — the replay
     /// driver consumes only the returned [`StackSpec`].
     pub fn stack_spec(&self) -> StackSpec {
-        let mut background = Vec::new();
-        if matches!(self.policy(), DedupPolicy::PostProcess) {
-            background.push(BackgroundKind::PostProcessScan);
-        }
-        // Every stack closes iCache epochs — non-adaptive stacks still
-        // account requests (against a fixed or empty budget), they just
-        // never repartition.
-        background.push(BackgroundKind::IcacheRepartition);
         StackSpec {
             name: self.name(),
             policy: self.policy(),
@@ -111,7 +103,6 @@ impl Scheme {
             } else {
                 CacheKeying::Lba
             },
-            background,
         }
     }
 
@@ -209,26 +200,26 @@ mod tests {
         }
     }
 
+    /// Observed, not declared: a tiny replay scans in the background
+    /// exactly under Post-Process, and every stack closes iCache epochs
+    /// (non-adaptive stacks still account requests, they just never
+    /// repartition).
     #[test]
-    fn stack_spec_background_tasks() {
+    fn background_steps_follow_the_scheme() {
+        let trace = pod_trace::TraceProfile::mail().scaled(0.004).generate(17);
         for s in Scheme::extended() {
-            let spec = s.stack_spec();
-            // Only Post-Process registers a scan; everyone closes epochs.
+            let rep = s
+                .builder()
+                .config(crate::SystemConfig::test_default())
+                .trace(&trace)
+                .run()
+                .expect("replay");
             assert_eq!(
-                spec.has_background(BackgroundKind::PostProcessScan),
+                rep.stack.background_scans > 0,
                 s == Scheme::PostProcess,
                 "{s}"
             );
-            assert!(
-                spec.has_background(BackgroundKind::IcacheRepartition),
-                "{s}"
-            );
-            // Scan must precede epoch accounting (the monolithic loop's
-            // order, preserved by construction).
-            assert_eq!(
-                spec.background.last(),
-                Some(&BackgroundKind::IcacheRepartition)
-            );
+            assert!(rep.icache_epochs > 0, "{s}");
         }
     }
 
@@ -245,16 +236,9 @@ mod tests {
 
         let native = Scheme::Native.stack_spec();
         assert!(!native.dedups && !native.inline_hashing);
-        assert_eq!(native.background, vec![BackgroundKind::IcacheRepartition]);
 
         let post = Scheme::PostProcess.stack_spec();
         assert!(post.dedups && !post.inline_hashing, "hashes out-of-band");
-        assert_eq!(
-            post.background,
-            vec![
-                BackgroundKind::PostProcessScan,
-                BackgroundKind::IcacheRepartition
-            ]
-        );
+        assert_eq!(post.policy, DedupPolicy::PostProcess);
     }
 }

@@ -27,24 +27,23 @@
 //! spans are reported separately in [`ShardStats`] (they are the only
 //! non-deterministic output, and the CLI keeps them off stdout).
 //!
-//! Under a [`ServePolicy`](crate::config::ServePolicy) the fleet-wide
-//! capacity view is folded on the workers too: each shard inserts its
-//! tenants' stored fingerprints into one set before dropping each
-//! stack, and the caller only unions the N shard sets. Set union is
-//! order-free, so [`ServeAggregate::fleet_unique_blocks`] carries the
-//! same guarantee.
+//! Under a [`ServePolicy`] the fleet-wide capacity view is folded on
+//! the workers too: each shard inserts its tenants' stored fingerprints
+//! into one set before dropping each stack, and the caller only unions
+//! the N shard sets. Set union is order-free, so
+//! [`ServeAggregate::fleet_unique_blocks`] carries the same guarantee.
 
 use std::collections::HashSet;
 use std::fmt;
 use std::time::Instant;
 
-use crate::config::SystemConfig;
+use crate::config::{ServePolicy, SystemConfig};
 use crate::metrics::Metrics;
-use crate::obs::{ObserverChain, StackCounters, TraceRecorder};
+use crate::obs::{ObserverChain, StackCounters, StackEvent, TraceRecorder};
 use crate::prof::{HostProfile, ProfSink};
 use crate::runner::{recorder_epoch, replay_stack, BuilderCore, ReplayReport, TenantSetup};
 use crate::scheme::Scheme;
-use crate::stack::{SharedTierTask, StackSpec};
+use crate::stack::{CacheLayer, DedupLayer, StackSpec};
 use pod_dedup::engine::EngineCounters;
 use pod_hash::fnv::FnvBuildHasher;
 use pod_trace::Trace;
@@ -94,7 +93,7 @@ pub struct TenantReport {
 /// SPACE-style per-tenant capacity attribution: the tenant's logical
 /// footprint against the physical blocks its isolated array holds
 /// after deduplication. Collected only when a
-/// [`ServePolicy`](crate::config::ServePolicy) is active.
+/// [`ServePolicy`] is active.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantCapacity {
     /// Tenant id.
@@ -130,7 +129,7 @@ pub struct ServeAggregate {
     /// An exact count (each shard worker folds its tenants' stores into
     /// a set; the sets are unioned), identical at any shard count,
     /// worker width and tenant order.
-    /// 0 when no [`ServePolicy`](crate::config::ServePolicy) is active.
+    /// 0 when no [`ServePolicy`] is active.
     ///
     /// [`capacity_used_blocks`]: Self::capacity_used_blocks
     pub fleet_unique_blocks: u64,
@@ -569,6 +568,168 @@ impl TokenBucket {
     }
 }
 
+/// Shard-local shared fingerprint-cache tier, HPDedup-style: every
+/// iCache epoch the tenant's recent dedup-hit locality re-earns its
+/// slice of the tier, and the dedup index is resized to its iCache
+/// partition plus that grant (capped by the tenant's quotas).
+///
+/// The serving engine installs one per tenant stack when a
+/// [`ServePolicy`] is active; the stack runs it after the iCache
+/// repartition step, so a repartition's fresh partition size is
+/// immediately re-extended by the grant. All inputs — the tenant's own
+/// request count and its own index hit/miss deltas — are independent of
+/// shard or worker topology, which is what keeps per-tenant reports
+/// byte-identical across `--shards`/`--jobs` (DESIGN.md §13).
+#[derive(Debug)]
+pub(crate) struct SharedTierTask {
+    tenant: u16,
+    /// Locality re-evaluation cadence (the iCache epoch length).
+    epoch_requests: u64,
+    /// Per-tenant base slice: `shared_tier_bytes / fleet_tenants`.
+    /// Divided fleet-wide (not per shard) so the grant is independent
+    /// of how tenants map onto shards.
+    base_bytes: u64,
+    hot_threshold_pm: u64,
+    cold_threshold_pm: u64,
+    hot_share_pm: u64,
+    cold_share_pm: u64,
+    hard_quota: Option<u64>,
+    soft_quota: Option<u64>,
+    /// Requests seen by this task (its own epoch clock).
+    requests: u64,
+    /// Cumulative index hits/misses at the last epoch boundary.
+    last_hits: u64,
+    last_misses: u64,
+    /// Current locality share (per-mille of `base_bytes`); starts
+    /// neutral at 1000.
+    share_pm: u64,
+    /// Index size we last applied; resize only when the target moves.
+    applied_bytes: u64,
+    /// iCache partition bytes at the last apply, to detect a
+    /// repartition having reset the index underneath us.
+    last_partition: u64,
+}
+
+impl SharedTierTask {
+    /// Build tenant `tenant`'s tier competitor in a fleet of
+    /// `fleet_tenants` under `policy`.
+    fn new(tenant: u16, epoch_requests: u64, fleet_tenants: usize, policy: &ServePolicy) -> Self {
+        let limits = policy.tenant(tenant);
+        Self {
+            tenant,
+            epoch_requests: epoch_requests.max(1),
+            base_bytes: policy.shared_tier_bytes / fleet_tenants as u64,
+            hot_threshold_pm: policy.hot_threshold_pm,
+            cold_threshold_pm: policy.cold_threshold_pm,
+            hot_share_pm: policy.hot_share_pm,
+            cold_share_pm: policy.cold_share_pm,
+            hard_quota: limits.cache_quota_bytes,
+            soft_quota: limits.soft_quota_bytes,
+            requests: 0,
+            last_hits: 0,
+            last_misses: 0,
+            share_pm: 1000,
+            applied_bytes: 0,
+            // Sentinel: resolved to the engine's build-time size on the
+            // first request (the engine starts at the bare partition).
+            last_partition: u64::MAX,
+        }
+    }
+
+    /// The tenant's current index target: iCache partition + earned
+    /// grant, capped by the hard quota always and by the soft quota
+    /// unless the tenant is hot (soft quotas yield to locality,
+    /// hard quotas never do).
+    fn target(&self, partition: u64) -> u64 {
+        let grant = self.base_bytes * self.share_pm / 1000;
+        let mut target = partition + grant;
+        if self.share_pm <= 1000 {
+            if let Some(soft) = self.soft_quota {
+                target = target.min(soft);
+            }
+        }
+        if let Some(hard) = self.hard_quota {
+            target = target.min(hard);
+        }
+        target
+    }
+
+    /// The `(index target bytes, share per mille)` gauges a
+    /// [`StateSnapshot`](crate::obs::StateSnapshot) carries. Both read 0
+    /// until the tier has seen its first request.
+    pub(crate) fn gauges(&self) -> (u64, u64) {
+        if self.requests == 0 {
+            (0, 0)
+        } else {
+            (self.applied_bytes, self.share_pm)
+        }
+    }
+
+    /// Crash recovery rebuilt the index with fresh hit/miss counters:
+    /// this epoch's locality counts from zero again.
+    pub(crate) fn on_index_rebuilt(&mut self) {
+        self.last_hits = 0;
+        self.last_misses = 0;
+    }
+
+    /// Account one request: at epoch boundaries re-earn the share, and
+    /// re-apply the index target whenever it or the partition moved.
+    pub(crate) fn after_request(
+        &mut self,
+        cache: &mut CacheLayer,
+        dedup: &mut DedupLayer,
+        observer: &mut ObserverChain,
+    ) {
+        self.requests += 1;
+        let partition = cache.index_bytes();
+        if self.last_partition == u64::MAX {
+            // First request: the engine was built at the bare partition
+            // size; the tier starts granting at the first epoch
+            // boundary, so the warm-up epoch is policy-neutral.
+            self.last_partition = partition;
+            self.applied_bytes = partition;
+        }
+        let boundary = self.requests.is_multiple_of(self.epoch_requests);
+        if boundary {
+            // Epoch boundary: re-earn the share from this epoch's
+            // dedup-hit locality (hits / lookups, per-mille). A tenant
+            // with no index traffic this epoch is cold by definition.
+            let (hits, misses, _) = dedup.engine().index().stats();
+            let dh = hits - self.last_hits;
+            let dm = misses - self.last_misses;
+            self.last_hits = hits;
+            self.last_misses = misses;
+            let locality_pm = (dh * 1000).checked_div(dh + dm).unwrap_or(0);
+            self.share_pm = if locality_pm >= self.hot_threshold_pm {
+                self.hot_share_pm
+            } else if locality_pm <= self.cold_threshold_pm {
+                self.cold_share_pm
+            } else {
+                1000
+            };
+        }
+        // Re-apply at epoch boundaries, and whenever a repartition just
+        // reset the index to the bare partition size (the stack's
+        // repartition step runs just before this one).
+        if boundary || partition != self.last_partition {
+            let target = self.target(partition);
+            if target != self.applied_bytes || partition != self.last_partition {
+                let victims = dedup.resize_index(target);
+                cache.on_index_victims(&victims);
+                if !victims.is_empty() {
+                    observer.emit(&StackEvent::QuotaEviction {
+                        tenant: self.tenant,
+                        victims: victims.len() as u64,
+                        index_bytes: target,
+                    });
+                }
+            }
+            self.applied_bytes = target;
+            self.last_partition = partition;
+        }
+    }
+}
+
 /// Serve one shard: its tenants back to back, one live stack at a time.
 fn run_shard(ctx: &ShardCtx<'_>, job: &ShardJob<'_>) -> PodResult<ShardOutput> {
     let started = Instant::now();
@@ -624,22 +785,16 @@ fn serve_tenant(
         ..TenantSetup::default()
     };
     if let Some(policy) = &cfg.policy {
-        // The QoS layer rides as one extra background task per tenant
-        // plus per-tenant admission control; with no policy none of
-        // this exists and the stack is byte-for-byte the pre-policy
-        // one.
-        let tp = policy.tenant(tenant);
-        setup.tier_task = Some(SharedTierTask::new(
+        // The QoS layer rides as one shared-tier step per tenant plus
+        // per-tenant admission control; with no policy none of this
+        // exists and the stack is byte-for-byte the pre-policy one.
+        setup.tier = Some(SharedTierTask::new(
             tenant,
             cfg.icache.epoch_requests,
-            policy.shared_tier_bytes / ctx.fleet_tenants as u64,
-            policy.hot_threshold_pm,
-            policy.cold_threshold_pm,
-            policy.hot_share_pm,
-            policy.cold_share_pm,
-            tp.cache_quota_bytes,
-            tp.soft_quota_bytes,
+            ctx.fleet_tenants,
+            policy,
         ));
+        let tp = policy.tenant(tenant);
         setup.throttle = tp
             .rate_limit_rps
             .map(|rate| TokenBucket::new(rate, tp.burst_requests));
@@ -673,7 +828,7 @@ fn serve_tenant(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ServePolicy, TenantPolicy};
+    use crate::config::TenantPolicy;
     use pod_trace::{derive_tenants, TraceProfile};
 
     fn fleet(n: usize) -> Vec<Trace> {
@@ -893,7 +1048,7 @@ mod tests {
         let mut baseline: Option<Vec<String>> = None;
         for (shards, jobs) in [(1, 1), (2, 2), (4, 8)] {
             // Oracle and recorder on, so the replay loop runs with every
-            // serve-only input live: tenant id, tier task, token bucket.
+            // serve-only input live: tenant id, shared tier, token bucket.
             let (rep, recorders) = ServeBuilder::new(Scheme::Pod)
                 .config(cfg.clone())
                 .tenants(&tenants)
@@ -1071,7 +1226,7 @@ mod tests {
         let mut cfg = SystemConfig::test_default();
         let mut policy = ServePolicy::prioritized_tier(2);
         // Hard quota far below the index population at the first epoch
-        // boundary (~250 entries on this trace): the tier task must
+        // boundary (~250 entries on this trace): the shared tier must
         // shrink the populated index and attribute the evictions.
         policy.default_tenant.cache_quota_bytes = Some(8 << 10);
         cfg.policy = Some(policy);

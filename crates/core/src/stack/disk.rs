@@ -1,7 +1,7 @@
 //! The disk layer: phase planning and submission behind a trait.
 //!
 //! [`DiskBackend`] is the seam the ROADMAP's multi-backend direction
-//! plugs into: the replay driver and background tasks speak extents and
+//! plugs into: the replay driver and its background steps speak extents and
 //! jobs, never RAID geometry. [`ArrayBackend`] is the paper's HDD
 //! RAID-5 array ([`ArraySim`]) plus the replay's reserved-region layout
 //! (on-disk index probes, iCache swap area).

@@ -3,7 +3,11 @@
 //! A replay is a [`StorageStack`] driven by a thin loop: the stack is
 //! composed once from a declarative [`StackSpec`] and then processes
 //! requests with **zero scheme branching** — every scheme difference is
-//! a layer parameter or a registered background task.
+//! a layer parameter or one of three fixed background steps that run
+//! after each request, in this order: the Post-Process scan (only when
+//! `spec.policy` is `PostProcess`), the iCache epoch and repartition
+//! (every stack), and the tenant's shared tier (only when the serving
+//! engine installed one).
 //!
 //! ```text
 //!             IoRequest stream (trace order)
@@ -14,13 +18,14 @@
 //!            └──┬────────┬────────┬──┘
 //!               │        │        │ after every request
 //!         reads │ writes │        ▼
-//!   ┌───────────▼──┐  ┌──▼───────────┐  ┌──────────────────┐
-//!   │  CacheLayer  │  │  DedupLayer  │  │ BackgroundTask[] │
-//!   │ iCache: keys,│  │ engine + the │  │ post-process scan│
-//!   │ fills, ghost │  │ write scratch│  │ iCache repartition│
-//!   └───────┬──────┘  └──────┬───────┘  └────────┬─────────┘
-//!           │ misses         │ extents           │ scans / swaps
-//!           └─────────┬──────┴────────────┬──────┘
+//!   ┌───────────▼──┐  ┌──▼───────────┐  ┌─────────────────────┐
+//!   │  CacheLayer  │  │  DedupLayer  │  │  background steps   │
+//!   │ iCache: keys,│  │ engine + the │  │ 1 post-process scan │
+//!   │ fills, ghost │  │ write scratch│  │ 2 iCache repartition│
+//!   │              │  │              │  │ 3 shared tier       │
+//!   └───────┬──────┘  └──────┬───────┘  └──────────┬──────────┘
+//!           │ misses         │ extents             │ scans / swaps
+//!           └─────────┬──────┴────────────┬────────┘
 //!                     ▼                   ▼
 //!            ┌────────────────────────────────┐
 //!            │       dyn DiskBackend          │  phase planning +
@@ -31,52 +36,36 @@
 //! ```
 //!
 //! Layer contracts are the traits in this module and [`crate::obs`]:
-//! [`DiskBackend`] (extents in, jobs out), [`BackgroundTask`] (runs
-//! after each request via [`LayerCtx`]), and
-//! [`StackObserver`] (typed
-//! [`StackEvent`]s, fanned out by the stack's
-//! [`ObserverChain`]).
+//! [`DiskBackend`] (extents in, jobs out) and [`StackObserver`] (typed
+//! [`StackEvent`]s, fanned out by the stack's [`ObserverChain`]).
 
-mod background;
 mod cache;
 mod dedup;
 mod disk;
 mod spec;
 
-pub use background::{BackgroundTask, LayerCtx, PostProcessTask, RepartitionTask, SharedTierTask};
 pub use cache::CacheLayer;
 pub use dedup::DedupLayer;
 pub use disk::{disk_on_own_thread, ArrayBackend, DiskBackend, FaultRecord, FaultyBackend};
-pub use spec::{BackgroundKind, CacheKeying, StackSpec};
+pub use spec::{CacheKeying, StackSpec};
 
 // Re-exported from `obs` where they now live, so `pod_core::stack::*`
 // call sites keep compiling.
 pub use crate::obs::{StackCounters, StackObserver};
 
-use crate::config::SystemConfig;
+use crate::config::{PostProcess, SystemConfig};
 use crate::obs::{FaultKind, Layer, ObserverChain, StackEvent, StateSnapshot};
 use crate::prof::{ProfPhase, ProfTimer};
 use crate::runner::ReplaySizing;
-use pod_dedup::DedupConfig;
+use crate::serve::SharedTierTask;
+use pod_dedup::{DedupConfig, DedupPolicy};
 use pod_disk::{ArraySim, JobId, RaidGeometry};
 use pod_icache::{ICache, ICacheConfig};
 use pod_trace::Trace;
 use pod_types::{Introspect, IoOp, IoRequest, PodError, PodResult, SimDuration, SimTime};
 
-/// QoS gauges published by the serving engine's policy tasks and
-/// copied into every [`StateSnapshot`]. All-zero (and off the wire)
-/// when no [`ServePolicy`](crate::config::ServePolicy) is active.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QosGauges {
-    /// Dedup-index size target last applied by the shared-tier task.
-    pub tier_target_bytes: u64,
-    /// Locality share (per-mille of the tenant's base tier slice)
-    /// earned in the last epoch.
-    pub tier_share_pm: u64,
-}
-
 /// A composed storage stack: cache over dedup over disk, plus the
-/// background tasks and the observer chain threaded through all of
+/// background steps and the observer chain threaded through all of
 /// them.
 ///
 /// Build one per replay with [`StorageStack::with_observer`], which
@@ -91,7 +80,12 @@ pub struct StorageStack {
     cache: CacheLayer,
     dedup: DedupLayer,
     disk: Box<dyn DiskBackend>,
-    tasks: Vec<Box<dyn BackgroundTask>>,
+    /// The Post-Process scan cadence; `Some` only when the spec's
+    /// policy is [`DedupPolicy::PostProcess`].
+    post_process: Option<PostProcess>,
+    /// The tenant's shared tier, installed by the serving engine under
+    /// a [`ServePolicy`](crate::config::ServePolicy).
+    tier: Option<SharedTierTask>,
     observer: ObserverChain,
     /// (request index, arrival, disk submit time, job) for disk-bound
     /// requests.
@@ -120,8 +114,6 @@ pub struct StorageStack {
     /// serialized wire; the serving engine assigns real ids via
     /// [`set_tenant`](Self::set_tenant).
     tenant: u16,
-    /// QoS gauges, written by policy tasks and sampled into snapshots.
-    qos: QosGauges,
     /// Host profiling is on ([`SystemConfig::host_profiling`]): each
     /// profiled phase is wrapped in a [`ProfTimer`] and its elapsed
     /// host nanoseconds emitted as [`StackEvent::HostPhase`]. Off (the
@@ -215,20 +207,6 @@ impl StorageStack {
             None => backend,
         };
 
-        let tasks: Vec<Box<dyn BackgroundTask>> = spec
-            .background
-            .iter()
-            .map(|kind| -> Box<dyn BackgroundTask> {
-                match kind {
-                    BackgroundKind::PostProcessScan => Box::new(PostProcessTask::new(
-                        cfg.post_process.interval,
-                        cfg.post_process.batch,
-                    )),
-                    BackgroundKind::IcacheRepartition => Box::new(RepartitionTask),
-                }
-            })
-            .collect();
-
         if cfg.host_profiling {
             // Pay the one-time scope-clock calibration here, not inside
             // the first profiled phase.
@@ -238,7 +216,8 @@ impl StorageStack {
             cache: CacheLayer::new(icache, spec.keying, spec.dedups),
             dedup,
             disk,
-            tasks,
+            post_process: (spec.policy == DedupPolicy::PostProcess).then_some(cfg.post_process),
+            tier: None,
             observer,
             pending: Vec::with_capacity(trace.requests.len()),
             direct: Vec::new(),
@@ -251,7 +230,6 @@ impl StorageStack {
             fault_scratch: Vec::new(),
             corrupt_lba: cfg.faults.as_ref().and_then(|p| p.corrupt_lba),
             tenant: 0,
-            qos: QosGauges::default(),
             prof: cfg.host_profiling,
         })
     }
@@ -289,11 +267,10 @@ impl StorageStack {
         self.tenant
     }
 
-    /// Register an extra background task after the spec-declared ones.
-    /// The serving engine uses this to attach per-tenant policy tasks
-    /// (e.g. [`SharedTierTask`]) that a plain replay never carries.
-    pub(crate) fn push_task(&mut self, task: Box<dyn BackgroundTask>) {
-        self.tasks.push(task);
+    /// Install the tenant's shared tier, the last background step. The
+    /// serving engine sets it under a policy; a plain replay has none.
+    pub(crate) fn set_tier(&mut self, tier: Option<SharedTierTask>) {
+        self.tier = tier;
     }
 
     /// Emit a [`StackEvent::ThrottleWait`] of `us` microseconds for
@@ -313,8 +290,8 @@ impl StorageStack {
         self.prof_emit(ProfPhase::DiskRun, timer);
     }
 
-    /// Process one request through the layers, then run every registered
-    /// background task. `measured` is `false` during warm-up.
+    /// Process one request through the layers, then run the background
+    /// steps. `measured` is `false` during warm-up.
     pub fn process_request(
         &mut self,
         idx: usize,
@@ -335,9 +312,17 @@ impl StorageStack {
             tenant: self.tenant,
         });
         self.prof_lap(&mut timer, ProfPhase::Observe);
-        self.run_tasks(|task, ctx| task.after_request(ctx, idx, req))?;
+        if let Some(pp) = self.post_process {
+            if ((idx + 1) as u64).is_multiple_of(pp.interval) {
+                self.post_process_scan(pp.batch, Some(req.arrival))?;
+            }
+        }
+        self.repartition(req);
+        if let Some(tier) = &mut self.tier {
+            tier.after_request(&mut self.cache, &mut self.dedup, &mut self.observer);
+        }
         self.prof_lap(&mut timer, ProfPhase::Background);
-        // Sample after the background tasks so the snapshot sees the
+        // Sample after the background steps so the snapshot sees the
         // epoch's repartition (if any) already applied.
         self.requests_done += 1;
         if self.requests_done.is_multiple_of(self.snap_every) {
@@ -351,13 +336,15 @@ impl StorageStack {
     /// are `Copy` and built from counters and fixed-size histograms.
     fn sample_snapshot(&mut self) {
         let timer = ProfTimer::start(self.prof);
+        let (tier_target_bytes, tier_share_pm) =
+            self.tier.as_ref().map_or((0, 0), SharedTierTask::gauges);
         let snap = StateSnapshot {
             seq: self.snap_seq,
             requests: self.requests_done,
             icache: self.cache.icache().introspect(),
             dedup: self.dedup.engine().introspect(),
-            tier_target_bytes: self.qos.tier_target_bytes,
-            tier_share_pm: self.qos.tier_share_pm,
+            tier_target_bytes,
+            tier_share_pm,
         };
         self.snap_seq += 1;
         self.observer.emit(&StackEvent::Snapshot { snap });
@@ -378,6 +365,9 @@ impl StorageStack {
             });
             if rec.kind == FaultKind::Crash {
                 let outcome = self.dedup.recover_after_crash()?;
+                if let Some(tier) = &mut self.tier {
+                    tier.on_index_rebuilt();
+                }
                 self.observer.emit(&StackEvent::Recovered {
                     kind: FaultKind::Crash,
                     repaired_entries: outcome.index_entries_rebuilt,
@@ -479,38 +469,60 @@ impl StorageStack {
         }
     }
 
-    /// Run every background task against the layers, tolerating the
-    /// task list and the layers being disjoint borrows of `self`.
-    fn run_tasks(
-        &mut self,
-        mut f: impl FnMut(&mut dyn BackgroundTask, &mut LayerCtx<'_>) -> PodResult<()>,
-    ) -> PodResult<()> {
-        let mut tasks = std::mem::take(&mut self.tasks);
-        let mut result = Ok(());
-        for task in &mut tasks {
-            let mut ctx = LayerCtx {
-                cache: &mut self.cache,
-                dedup: &mut self.dedup,
-                disk: self.disk.as_mut(),
-                observer: &mut self.observer,
-                qos: &mut self.qos,
-            };
-            result = f(task.as_mut(), &mut ctx);
-            if result.is_err() {
-                break;
+    /// One Post-Process pass: scan up to `batch` queued chunks and,
+    /// unless the replay is draining (`at` is `None`), charge the
+    /// re-reads as a background disk job at `at` (the fingerprinting
+    /// itself is off the critical path). Returns the chunks scanned.
+    fn post_process_scan(&mut self, batch: usize, at: Option<SimTime>) -> PodResult<u64> {
+        let scan = self.dedup.scan(batch)?;
+        self.observer.emit(&StackEvent::BackgroundScan {
+            scanned_chunks: scan.scanned_chunks,
+            deduped_chunks: scan.deduped_chunks,
+        });
+        if let Some(at) = at {
+            if !scan.read_extents.is_empty() {
+                self.disk.submit_scan_read(at, &scan.read_extents);
             }
         }
-        self.tasks = tasks;
-        result
+        Ok(scan.scanned_chunks)
     }
 
-    /// End of trace: drain every background task, run the disks to
+    /// iCache adaptation: close epochs on every request and, when the
+    /// cost-benefit accounting decides to repartition, resize the index
+    /// table (feeding its victims to the ghost index) and charge the
+    /// swap traffic to the disks.
+    fn repartition(&mut self, req: &IoRequest) {
+        let Some(rp) = self.cache.note_request(req.op.is_write()) else {
+            return;
+        };
+        let victims = self.dedup.resize_index(rp.index_bytes);
+        self.cache.on_index_victims(&victims);
+        self.observer.emit(&StackEvent::Repartition {
+            index_bytes: rp.index_bytes,
+            read_bytes: rp.read_bytes,
+            swap_blocks: rp.swap_blocks,
+            index_grew: rp.index_grew,
+        });
+        if rp.swap_blocks > 0 {
+            self.disk.submit_swap(req.arrival, rp.swap_blocks);
+            self.observer.emit(&StackEvent::Swap {
+                blocks: rp.swap_blocks,
+            });
+        }
+    }
+
+    /// End of trace: drain the Post-Process backlog, run the disks to
     /// idle so all pending jobs have completion times, attribute each
     /// disk-bound request's service time to the disk layer, and emit
     /// the final [`StackEvent::Finished`].
     pub fn finish(&mut self) -> PodResult<()> {
         let timer = ProfTimer::start(self.prof);
-        self.run_tasks(|task, ctx| task.drain(ctx))?;
+        if let Some(pp) = self.post_process {
+            // Drain the backlog so the capacity numbers reflect a
+            // completed background pass (no further disk charges: the
+            // replay clock has stopped advancing).
+            while self.dedup.scan_backlog() > 0 && self.post_process_scan(pp.batch, None)? > 0 {}
+        }
         self.prof_emit(ProfPhase::Background, timer);
         let timer = ProfTimer::start(self.prof);
         self.disk.run_to_idle();

@@ -20,17 +20,6 @@ pub enum CacheKeying {
     Content,
 }
 
-/// A background task the stack registers and runs after every request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackgroundKind {
-    /// Periodic out-of-line deduplication scan (Post-Process schemes).
-    /// Also drains its backlog when the replay finishes.
-    PostProcessScan,
-    /// iCache epoch accounting and (for adaptive stacks) cost-benefit
-    /// repartitioning with swap-region traffic.
-    IcacheRepartition,
-}
-
 /// Complete, declarative description of one storage stack.
 ///
 /// Everything a [`Scheme`](crate::Scheme) used to mean by inline
@@ -38,12 +27,11 @@ pub enum BackgroundKind {
 ///
 /// | field | layer it configures |
 /// |---|---|
-/// | `policy` | [`DedupLayer`](crate::stack::DedupLayer) write-path policy |
+/// | `policy` | [`DedupLayer`](crate::stack::DedupLayer) write-path policy; `PostProcess` adds the background scan |
 /// | `dedups` | whether the dedup module (and its DRAM budget) exists |
 /// | `inline_hashing` | fingerprinting latency on the write's critical path |
 /// | `adaptive_icache` | [`CacheLayer`](crate::stack::CacheLayer) repartitioning |
 /// | `keying` | read-cache key derivation |
-/// | `background` | registered [`BackgroundTask`](crate::stack::BackgroundTask)s, in run order |
 #[derive(Debug, Clone, PartialEq)]
 pub struct StackSpec {
     /// Display name (the paper's figure labels).
@@ -59,13 +47,4 @@ pub struct StackSpec {
     pub adaptive_icache: bool,
     /// Read-cache key derivation.
     pub keying: CacheKeying,
-    /// Background tasks, in the order they run after each request.
-    pub background: Vec<BackgroundKind>,
-}
-
-impl StackSpec {
-    /// `true` when the spec registers `kind`.
-    pub fn has_background(&self, kind: BackgroundKind) -> bool {
-        self.background.contains(&kind)
-    }
 }

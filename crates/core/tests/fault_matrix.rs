@@ -8,10 +8,12 @@
 //! NVRAM Map — and after all of it, every live logical block must still
 //! read back the content last written to it (zero oracle divergence).
 //! Only deliberate silent corruption may make the oracle fail, and then
-//! it must pinpoint the damaged LBA.
+//! it must pinpoint the damaged LBA. The serving engine gets the same
+//! matrix, with and without a QoS policy, so the shared tier's index
+//! resizes meet crash recovery.
 
 use pod_core::prelude::*;
-use pod_trace::TraceProfile;
+use pod_trace::{derive_tenants, TraceProfile};
 
 fn tiny_trace() -> pod_trace::Trace {
     TraceProfile::mail().scaled(0.004).generate(17)
@@ -55,6 +57,59 @@ fn every_scheme_survives_every_fault_class_with_zero_divergence() {
                         "{scheme} x {label}: plan injected nothing"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// Serve × policy × fault class: 4 tenants on 2 shards, each tenant
+/// verified by its own oracle. The policy drives every QoS mechanism at
+/// once (shared tier, rate limit, hard and soft quotas), so tier-driven
+/// index resizes interleave with crash recovery's index rebuild.
+#[test]
+fn serve_survives_every_policy_and_fault_class_with_zero_divergence() {
+    let tenants = derive_tenants(&TraceProfile::mail().scaled(0.003), 4, 5);
+    let policies = [
+        ("no-policy", None),
+        (
+            "policy",
+            Some(ServePolicy::parse("tier:2,rate:40,burst:4,quota:1,soft:1").expect("policy")),
+        ),
+    ];
+    let plans: [(&str, Option<FaultPlan>); 4] = [
+        ("no-fault", None),
+        ("transient", Some(FaultPlan::transient(7))),
+        ("crash", Some(FaultPlan::crash(7, 150))),
+        ("all", Some(FaultPlan::all(7))),
+    ];
+    for (policy_label, policy) in &policies {
+        for (plan_label, plan) in &plans {
+            let mut cfg = SystemConfig::test_default();
+            cfg.policy = policy.clone();
+            cfg.faults = plan.clone();
+            let rep = ServeBuilder::new(Scheme::Pod)
+                .config(cfg)
+                .tenants(&tenants)
+                .shards(2)
+                .verify(true)
+                .run()
+                .expect("serve completes under faults");
+            for t in &rep.tenants {
+                let label = format!("{policy_label} x {plan_label} x tenant {}", t.tenant);
+                let integ = t.report.integrity.as_ref().expect("oracle attached");
+                assert!(integ.passed(), "{label}: {}", integ.summary());
+                assert!(integ.checked > 0, "{label}: oracle walked blocks");
+                let faults = t.report.stack.faults_injected;
+                if plan.is_some() {
+                    assert!(faults > 0, "{label}: plan injected nothing");
+                } else {
+                    assert_eq!(faults, 0, "{label}: clean run");
+                }
+                assert_eq!(
+                    t.report.stack.throttle_waits > 0,
+                    policy.is_some(),
+                    "{label}: the policy is live exactly when set"
+                );
             }
         }
     }

@@ -242,6 +242,68 @@ fn prioritized_shared_tier_dedups_more_than_a_static_split() {
     );
 }
 
+/// Every [`StateSnapshot`] one tenant stack emits, in order, into a log
+/// shared by all of a run's tenant stacks.
+struct SnapshotLog(u16, Arc<Mutex<Vec<(u16, StateSnapshot)>>>);
+
+impl StackObserver for SnapshotLog {
+    fn on_event(&mut self, ev: &StackEvent) {
+        if let StackEvent::Snapshot { snap } = ev {
+            self.1.lock().expect("log lock").push((self.0, *snap));
+        }
+    }
+}
+
+/// The shared tier's budget, measured. Tenants earn their grants
+/// independently, so the pool is only conserved statistically; the
+/// hard bound is every tenant hot at once. Per epoch `k`, the grants
+/// actually applied (index target above the iCache partition, summed
+/// over tenants' snapshot `k`) must stay within
+/// `shared_tier_bytes × hot_share_pm / 1000`. Same skewed fleet and
+/// starved DRAM budget as the prioritized-tier gate, so both hot and
+/// cold tenants occur.
+#[test]
+fn shared_tier_grants_stay_within_the_all_hot_bound() {
+    let mut tenants = derive_tenants(&TraceProfile::mail().scaled(0.05), 4, 42);
+    tenants.extend(derive_tenants(&TraceProfile::web_vm().scaled(0.05), 4, 43));
+    let policy = ServePolicy::parse("tier:2").expect("policy");
+    let bound = policy.shared_tier_bytes * policy.hot_share_pm / 1000;
+    let mut cfg = SystemConfig::paper_default();
+    cfg.memory_bytes = Some(1 << 20);
+    cfg.policy = Some(policy.clone());
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&log);
+    ServeBuilder::new(Scheme::Pod)
+        .config(cfg)
+        .tenants(&tenants)
+        .shards(2)
+        .observer(move |t| ObserverChain::new().with(SnapshotLog(t, Arc::clone(&sink))))
+        .run()
+        .expect("serve");
+    let log = log.lock().expect("log lock");
+    let mut granted: Vec<u64> = Vec::new();
+    for (_, snap) in log.iter() {
+        let k = snap.seq as usize;
+        if granted.len() <= k {
+            granted.resize(k + 1, 0);
+        }
+        granted[k] += snap
+            .tier_target_bytes
+            .saturating_sub(snap.icache.index_bytes);
+    }
+    assert!(granted.iter().any(|&g| g > 0), "the tier granted something");
+    for (k, &g) in granted.iter().enumerate() {
+        assert!(g <= bound, "epoch {k}: {g} B granted, bound {bound} B");
+    }
+    let peak = granted.iter().copied().max().unwrap_or(0);
+    eprintln!(
+        "peak epoch grant {peak} B = {:.3} x the {} B pool (bound {:.3} x)",
+        peak as f64 / policy.shared_tier_bytes as f64,
+        policy.shared_tier_bytes,
+        bound as f64 / policy.shared_tier_bytes as f64
+    );
+}
+
 /// Scaling gate, a wall-clock measurement and so not tier-1: run it with
 /// `cargo test --release -p pod-core --test serve -- --ignored`. Eight
 /// mail tenants are served by one worker, so each shard's busy span is
