@@ -16,11 +16,13 @@
 //! epoch boundary, so all of them on a default replay).
 
 use crate::args::CliArgs;
-use crate::cmd_stats::{parse_sections, Section};
-use pod_core::obs::json::Json;
-use pod_core::StateSnapshot;
+use crate::cmd_stats::pct;
+use pod_core::obs::{EpochRow, LayerHistograms, TraceRecorder};
 use std::fmt::Write as _;
 use std::path::Path;
+
+/// The sections [`TraceRecorder::read_jsonl`] returns.
+type Sections = [(TraceRecorder, Option<LayerHistograms>)];
 
 pub fn run(args: &CliArgs) -> Result<(), String> {
     let path = args
@@ -29,12 +31,9 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
         .ok_or("figures needs --in <trace.jsonl> (write one with replay --trace-out)")?;
     let out_dir = args.out.as_deref().unwrap_or("figures");
     let body = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let sections = parse_sections(&body)?;
-    if sections.is_empty() {
-        return Err("trace contains no meta line".into());
-    }
+    let sections = TraceRecorder::read_jsonl(&body)?;
     std::fs::create_dir_all(out_dir).map_err(|e| format!("creating {out_dir}: {e}"))?;
-    for (name, csv) in export(&sections)? {
+    for (name, csv) in export(&sections) {
         let target = Path::new(out_dir).join(name);
         std::fs::write(&target, csv).map_err(|e| format!("writing {}: {e}", target.display()))?;
         println!("wrote {}", target.display());
@@ -42,113 +41,94 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Build the three CSVs from parsed sections. Split from [`run`] so
+/// Build the three CSVs from read sections. Split from [`run`] so
 /// tests can assert on the exact cell values without touching the
 /// filesystem.
-pub fn export(sections: &[Section]) -> Result<Vec<(&'static str, String)>, String> {
-    Ok(vec![
-        ("dedup_ratio.csv", dedup_ratio_csv(sections)?),
-        ("partition_split.csv", partition_split_csv(sections)?),
-        ("write_traffic_saved.csv", write_traffic_csv(sections)?),
-    ])
+pub fn export(sections: &Sections) -> Vec<(&'static str, String)> {
+    let dedup_ratio = |e: &EpochRow| {
+        let (deduped, written) = (e.deduped_blocks, e.written_blocks);
+        let ratio = saved_pct(e);
+        Some(format!("{},{deduped},{written},{ratio:.2}", e.requests))
+    };
+    let partition_split = |e: &EpochRow| {
+        let ic = e.snap?.icache;
+        Some(format!(
+            "{},{},{},{},{},{},{},{}",
+            ic.index_bytes,
+            ic.read_bytes,
+            ic.index_per_mille,
+            ic.repartitions,
+            ic.epoch_ghost_index_hits,
+            ic.epoch_ghost_read_hits,
+            ic.benefit_index_us,
+            ic.benefit_read_us,
+        ))
+    };
+    let write_traffic = |e: &EpochRow| {
+        Some(format!(
+            "{},{},{},{},{},{},{},{:.2}",
+            e.writes,
+            e.cat1,
+            e.cat2,
+            e.cat3,
+            e.unique,
+            e.deduped_blocks,
+            e.written_blocks,
+            saved_pct(e),
+        ))
+    };
+    vec![
+        (
+            "dedup_ratio.csv",
+            csv(
+                sections,
+                "requests,deduped_blocks,written_blocks,dedup_ratio_pct",
+                dedup_ratio,
+            ),
+        ),
+        (
+            "partition_split.csv",
+            csv(
+                sections,
+                "index_bytes,read_bytes,index_per_mille,repartitions,\
+                 ghost_index_hits,ghost_read_hits,benefit_index_us,benefit_read_us",
+                partition_split,
+            ),
+        ),
+        (
+            "write_traffic_saved.csv",
+            csv(
+                sections,
+                "writes,cat1,cat2,cat3,unique,deduped_blocks,written_blocks,saved_pct",
+                write_traffic,
+            ),
+        ),
+    ]
 }
 
-fn epoch_u64(e: &Json, key: &str) -> Result<u64, String> {
-    e.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("epoch row missing \"{key}\""))
-}
-
-fn dedup_ratio_csv(sections: &[Section]) -> Result<String, String> {
-    let mut out =
-        String::from("scheme,trace,epoch,requests,deduped_blocks,written_blocks,dedup_ratio_pct\n");
-    for s in sections {
-        for e in &s.epochs {
-            let (epoch, requests) = (epoch_u64(e, "epoch")?, epoch_u64(e, "requests")?);
-            let deduped = epoch_u64(e, "deduped_blocks")?;
-            let written = epoch_u64(e, "written_blocks")?;
-            let ratio = if deduped + written == 0 {
-                0.0
-            } else {
-                deduped as f64 * 100.0 / (deduped + written) as f64
-            };
-            let _ = writeln!(
-                out,
-                "{},{},{epoch},{requests},{deduped},{written},{ratio:.2}",
-                s.scheme, s.trace
-            );
+/// One CSV: a `scheme,trace,epoch,<columns>` header, then a line per
+/// epoch row for which `cells` gives the remaining cells.
+fn csv(sections: &Sections, columns: &str, cells: impl Fn(&EpochRow) -> Option<String>) -> String {
+    let mut out = format!("scheme,trace,epoch,{columns}\n");
+    for (rec, _) in sections {
+        for e in rec.rows() {
+            if let Some(cells) = cells(e) {
+                let _ = writeln!(out, "{},{},{},{cells}", rec.scheme(), rec.trace(), e.epoch);
+            }
         }
     }
-    Ok(out)
+    out
 }
 
-fn partition_split_csv(sections: &[Section]) -> Result<String, String> {
-    let mut out = String::from(
-        "scheme,trace,epoch,index_bytes,read_bytes,index_per_mille,repartitions,\
-         ghost_index_hits,ghost_read_hits,benefit_index_us,benefit_read_us\n",
-    );
-    for s in sections {
-        for e in &s.epochs {
-            let Some(snapj) = e.get("snap") else {
-                continue;
-            };
-            let epoch = epoch_u64(e, "epoch")?;
-            let snap = StateSnapshot::from_json_obj(snapj)
-                .map_err(|err| format!("epoch {epoch} snap: {err}"))?;
-            let ic = &snap.icache;
-            let _ = writeln!(
-                out,
-                "{},{},{epoch},{},{},{},{},{},{},{},{}",
-                s.scheme,
-                s.trace,
-                ic.index_bytes,
-                ic.read_bytes,
-                ic.index_per_mille,
-                ic.repartitions,
-                ic.epoch_ghost_index_hits,
-                ic.epoch_ghost_read_hits,
-                ic.benefit_index_us,
-                ic.benefit_read_us,
-            );
-        }
-    }
-    Ok(out)
-}
-
-fn write_traffic_csv(sections: &[Section]) -> Result<String, String> {
-    let mut out = String::from(
-        "scheme,trace,epoch,writes,cat1,cat2,cat3,unique,deduped_blocks,written_blocks,saved_pct\n",
-    );
-    for s in sections {
-        for e in &s.epochs {
-            let epoch = epoch_u64(e, "epoch")?;
-            let writes = epoch_u64(e, "writes")?;
-            let (cat1, cat2, cat3, unique) = (
-                epoch_u64(e, "cat1")?,
-                epoch_u64(e, "cat2")?,
-                epoch_u64(e, "cat3")?,
-                epoch_u64(e, "unique")?,
-            );
-            let deduped = epoch_u64(e, "deduped_blocks")?;
-            let written = epoch_u64(e, "written_blocks")?;
-            let saved = if deduped + written == 0 {
-                0.0
-            } else {
-                deduped as f64 * 100.0 / (deduped + written) as f64
-            };
-            let _ = writeln!(
-                out,
-                "{},{},{epoch},{writes},{cat1},{cat2},{cat3},{unique},{deduped},{written},{saved:.2}",
-                s.scheme, s.trace
-            );
-        }
-    }
-    Ok(out)
+/// Chunks eliminated as a percentage of chunks deduplicated or written.
+fn saved_pct(e: &EpochRow) -> f64 {
+    pct(e.deduped_blocks, e.deduped_blocks + e.written_blocks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pod_core::StateSnapshot;
 
     fn two_epoch_jsonl() -> String {
         let mut snap0 = StateSnapshot::default();
@@ -190,8 +170,8 @@ mod tests {
 
     #[test]
     fn csvs_carry_per_epoch_series() {
-        let sections = parse_sections(&two_epoch_jsonl()).expect("parse");
-        let csvs = export(&sections).expect("export");
+        let sections = TraceRecorder::read_jsonl(&two_epoch_jsonl()).expect("parse");
+        let csvs = export(&sections);
         assert_eq!(csvs.len(), 3);
 
         let ratio = &csvs[0].1;
@@ -223,9 +203,14 @@ mod tests {
             "\"unique\":0,\"deduped_blocks\":0,\"written_blocks\":0,\"repartitions\":0,",
             "\"swap_blocks\":0,\"scans\":0,\"scanned_chunks\":0,\"cache_us\":0,\"dedup_us\":0,",
             "\"disk_us\":0}\n",
+            "{\"type\":\"summary\",\"requests\":2,\"reads\":2,\"read_hits\":0,",
+            "\"frag_sum\":2,\"frag_reads\":2,\"writes\":0,\"cat1\":0,\"cat2\":0,\"cat3\":0,",
+            "\"unique\":0,\"deduped_blocks\":0,\"written_blocks\":0,\"repartitions\":0,",
+            "\"swap_blocks\":0,\"scans\":0,\"scanned_chunks\":0,\"cache_us\":0,\"dedup_us\":0,",
+            "\"disk_us\":0}\n",
         );
-        let sections = parse_sections(jsonl).expect("parse");
-        let csvs = export(&sections).expect("export");
+        let sections = TraceRecorder::read_jsonl(jsonl).expect("parse");
+        let csvs = export(&sections);
         assert_eq!(csvs[1].1.lines().count(), 1, "header only");
         assert_eq!(csvs[0].1.lines().count(), 2, "ratio row still exported");
     }

@@ -1,53 +1,38 @@
 //! `pod-cli monitor` — replay a trace with a live in-terminal
-//! dashboard fed by the epoch [`StateSnapshot`] stream.
+//! dashboard fed by the epoch [`StateSnapshot`](pod_core::StateSnapshot)
+//! stream.
 //!
-//! A [`MonitorSink`] rides the observer chain: every
-//! [`StackEvent::Snapshot`] closes an epoch (write mix accumulated
-//! since the previous snapshot) and, in live mode, redraws the frame
-//! with an ANSI clear. With `--headless` no live frames are drawn; the
-//! final frame is printed once after the replay, so CI and golden
-//! tests get a deterministic dump of the same dashboard.
+//! A [`MonitorSink`] rides the observer chain and folds events into
+//! [`EpochRow`]s, the trace recorder's rows: every
+//! [`StackEvent::Snapshot`] closes a row (which keeps that snapshot)
+//! and, in live mode, redraws the frame with an ANSI clear. With
+//! `--headless` no live frames are drawn; the final frame is printed
+//! once after the replay, so CI and golden tests get a deterministic
+//! dump of the same dashboard.
 //!
 //! The frame is built entirely from replayed state — no wall-clock
 //! time — so the same trace, seed and config always render the same
 //! text.
 
 use crate::args::CliArgs;
-use crate::cmd_stats::sparkline;
-use pod_core::obs::{StackEvent, StackObserver};
-use pod_core::StateSnapshot;
-use pod_dedup::ClassKind;
+use crate::cmd_stats::{pct, sparkline};
+use pod_core::obs::{EpochRow, StackEvent, StackObserver};
 use std::fmt::Write as _;
 
-/// Per-epoch write mix: Cat-1, Cat-2, Cat-3, unique request counts.
-type WriteMix = [u64; 4];
-
-/// Observer that accumulates the snapshot history plus the write mix
-/// of each epoch, and optionally redraws the dashboard live.
+/// Observer that folds the event stream into one [`EpochRow`] per
+/// epoch, closed at each snapshot, and optionally redraws the
+/// dashboard live.
 pub struct MonitorSink {
     live: bool,
     scheme: String,
     trace: String,
-    /// Snapshot history, one entry per epoch boundary.
-    snaps: Vec<StateSnapshot>,
-    /// Write mix per closed epoch, parallel to `snaps`.
-    mix_history: Vec<WriteMix>,
-    /// Mix accumulated since the last snapshot.
-    epoch_mix: WriteMix,
-    total_mix: WriteMix,
-    deduped_blocks: u64,
-    written_blocks: u64,
-    /// Completed requests per tenant id (index = tenant). Rendered only
-    /// when a nonzero tenant has been seen — single-stack replays tag
-    /// every event with tenant 0 and their frames are unchanged.
-    tenant_requests: Vec<u64>,
-    tagged: bool,
-    /// QoS tallies (serve policy only); the `qos` line is rendered only
-    /// when one of them is nonzero, so policy-free frames are unchanged.
-    throttle_waits: u64,
-    throttle_wait_us: u64,
-    quota_evictions: u64,
-    quota_evicted_fps: u64,
+    /// One row per closed epoch; each carries the snapshot that closed
+    /// it.
+    epochs: Vec<EpochRow>,
+    /// Activity since the last snapshot.
+    open: EpochRow,
+    /// Activity over the whole replay.
+    total: EpochRow,
 }
 
 impl MonitorSink {
@@ -57,18 +42,9 @@ impl MonitorSink {
             live,
             scheme: scheme.into(),
             trace: trace.into(),
-            snaps: Vec::new(),
-            mix_history: Vec::new(),
-            epoch_mix: [0; 4],
-            total_mix: [0; 4],
-            deduped_blocks: 0,
-            written_blocks: 0,
-            tenant_requests: Vec::new(),
-            tagged: false,
-            throttle_waits: 0,
-            throttle_wait_us: 0,
-            quota_evictions: 0,
-            quota_evicted_fps: 0,
+            epochs: Vec::new(),
+            open: EpochRow::default(),
+            total: EpochRow::default(),
         }
     }
 
@@ -77,10 +53,11 @@ impl MonitorSink {
     pub fn render_frame(&self) -> String {
         let mut out = String::new();
         writeln!(out, "== monitor — {} / {} ==", self.scheme, self.trace).expect("write");
-        let Some(last) = self.snaps.last() else {
+        let Some(last) = self.epochs.last().and_then(|row| row.snap) else {
             writeln!(out, "no snapshots yet").expect("write");
             return out;
         };
+        let snaps = || self.epochs.iter().filter_map(|row| row.snap);
         let mib = |b: u64| b as f64 / (1024.0 * 1024.0);
         let ic = &last.icache;
         writeln!(
@@ -90,11 +67,7 @@ impl MonitorSink {
         )
         .expect("write");
 
-        let split: Vec<u64> = self
-            .snaps
-            .iter()
-            .map(|s| s.icache.index_per_mille)
-            .collect();
+        let split: Vec<u64> = snaps().map(|s| s.icache.index_per_mille).collect();
         writeln!(
             out,
             "partition split \u{2030}  {}  index {:.1} MiB / read {:.1} MiB",
@@ -103,16 +76,8 @@ impl MonitorSink {
             mib(ic.read_bytes)
         )
         .expect("write");
-        let ghost_idx: Vec<u64> = self
-            .snaps
-            .iter()
-            .map(|s| s.icache.epoch_ghost_index_hits)
-            .collect();
-        let ghost_read: Vec<u64> = self
-            .snaps
-            .iter()
-            .map(|s| s.icache.epoch_ghost_read_hits)
-            .collect();
+        let ghost_idx: Vec<u64> = snaps().map(|s| s.icache.epoch_ghost_index_hits).collect();
+        let ghost_read: Vec<u64> = snaps().map(|s| s.icache.epoch_ghost_read_hits).collect();
         writeln!(
             out,
             "ghost hits/epoch   index {} ({} total)   read {} ({} total)",
@@ -129,34 +94,26 @@ impl MonitorSink {
         )
         .expect("write");
 
-        let pct = |n: u64, d: u64| {
-            if d == 0 {
-                0.0
-            } else {
-                n as f64 * 100.0 / d as f64
-            }
-        };
-        let last_mix = self.mix_history.last().copied().unwrap_or([0; 4]);
-        let last_writes: u64 = last_mix.iter().sum();
-        let total_writes: u64 = self.total_mix.iter().sum();
-        for (label, mix, writes) in [
-            ("write mix (epoch)", last_mix, last_writes),
-            ("write mix (total)", self.total_mix, total_writes),
+        let last_epoch = self.epochs.last().copied().unwrap_or_default();
+        for (label, mix) in [
+            ("write mix (epoch)", last_epoch),
+            ("write mix (total)", self.total),
         ] {
             writeln!(
                 out,
-                "{label}  Cat-1 {:>5.1}%  Cat-2 {:>5.1}%  Cat-3 {:>5.1}%  unique {:>5.1}%  ({writes} writes)",
-                pct(mix[0], writes),
-                pct(mix[1], writes),
-                pct(mix[2], writes),
-                pct(mix[3], writes),
+                "{label}  Cat-1 {:>5.1}%  Cat-2 {:>5.1}%  Cat-3 {:>5.1}%  unique {:>5.1}%  ({} writes)",
+                pct(mix.cat1, mix.writes),
+                pct(mix.cat2, mix.writes),
+                pct(mix.cat3, mix.writes),
+                pct(mix.unique, mix.writes),
+                mix.writes,
             )
             .expect("write");
         }
         writeln!(
             out,
             "chunks             {} eliminated, {} written\n",
-            self.deduped_blocks, self.written_blocks
+            self.total.deduped_blocks, self.total.written_blocks
         )
         .expect("write");
 
@@ -190,84 +147,20 @@ impl MonitorSink {
             last.dedup.scan_backlog
         )
         .expect("write");
-        if last.tier_target_bytes != 0 || last.tier_share_pm != 0 {
-            writeln!(
-                out,
-                "shared tier  index target {:.1} MiB, locality share {}\u{2030}",
-                mib(last.tier_target_bytes),
-                last.tier_share_pm
-            )
-            .expect("write");
-        }
-        if self.throttle_waits + self.quota_evictions > 0 {
-            writeln!(
-                out,
-                "qos         {} throttled (+{:.1} ms), {} quota evictions ({} fingerprints)",
-                self.throttle_waits,
-                self.throttle_wait_us as f64 / 1e3,
-                self.quota_evictions,
-                self.quota_evicted_fps
-            )
-            .expect("write");
-        }
-        if self.tagged {
-            write!(out, "tenants    ").expect("write");
-            for (t, &n) in self.tenant_requests.iter().enumerate() {
-                write!(out, " {t}:{n}").expect("write");
-            }
-            out.push('\n');
-        }
         out
     }
 }
 
 impl StackObserver for MonitorSink {
     fn on_event(&mut self, ev: &StackEvent) {
-        match *ev {
-            StackEvent::WriteClassified {
-                category,
-                deduped_blocks,
-                written_blocks,
-                ..
-            } => {
-                let slot = match category {
-                    ClassKind::FullyRedundantSequential => 0,
-                    ClassKind::ScatteredPartial => 1,
-                    ClassKind::ContiguousPartial => 2,
-                    ClassKind::Unique => 3,
-                };
-                self.epoch_mix[slot] += 1;
-                self.total_mix[slot] += 1;
-                self.deduped_blocks += u64::from(deduped_blocks);
-                self.written_blocks += u64::from(written_blocks);
+        self.open.absorb(ev);
+        self.total.absorb(ev);
+        if let StackEvent::Snapshot { .. } = ev {
+            self.epochs.push(std::mem::take(&mut self.open));
+            if self.live {
+                // Clear screen, home cursor, redraw.
+                print!("\x1b[2J\x1b[H{}", self.render_frame());
             }
-            StackEvent::Snapshot { snap } => {
-                self.snaps.push(snap);
-                self.mix_history.push(std::mem::take(&mut self.epoch_mix));
-                if self.live {
-                    // Clear screen, home cursor, redraw.
-                    print!("\x1b[2J\x1b[H{}", self.render_frame());
-                }
-            }
-            StackEvent::ThrottleWait { us, .. } => {
-                self.throttle_waits += 1;
-                self.throttle_wait_us += us;
-            }
-            StackEvent::QuotaEviction { victims, .. } => {
-                self.quota_evictions += 1;
-                self.quota_evicted_fps += victims;
-            }
-            StackEvent::RequestDone { tenant, .. } => {
-                let slot = tenant as usize;
-                if slot >= self.tenant_requests.len() {
-                    self.tenant_requests.resize(slot + 1, 0);
-                }
-                self.tenant_requests[slot] += 1;
-                if tenant != 0 {
-                    self.tagged = true;
-                }
-            }
-            _ => {}
         }
     }
 }
@@ -317,6 +210,8 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pod_core::StateSnapshot;
+    use pod_dedup::ClassKind;
 
     fn snap(seq: u64, index_pm: u64) -> StateSnapshot {
         let mut s = StateSnapshot {
@@ -360,10 +255,20 @@ mod tests {
         });
         sink.on_event(&StackEvent::Snapshot { snap: snap(1, 625) });
 
-        assert_eq!(sink.snaps.len(), 2);
-        assert_eq!(sink.mix_history, vec![[1, 0, 0, 0], [0, 0, 0, 1]]);
-        assert_eq!(sink.total_mix, [1, 0, 0, 1]);
-        assert_eq!((sink.deduped_blocks, sink.written_blocks), (8, 4));
+        assert_eq!(sink.epochs.len(), 2);
+        let mix = |r: &EpochRow| [r.cat1, r.cat2, r.cat3, r.unique];
+        assert_eq!(mix(&sink.epochs[0]), [1, 0, 0, 0]);
+        assert_eq!(mix(&sink.epochs[1]), [0, 0, 0, 1]);
+        assert_eq!(
+            sink.epochs[1].snap,
+            Some(snap(1, 625)),
+            "a row carries its snapshot"
+        );
+        assert_eq!(mix(&sink.total), [1, 0, 0, 1]);
+        assert_eq!(
+            (sink.total.deduped_blocks, sink.total.written_blocks),
+            (8, 4)
+        );
 
         let frame = sink.render_frame();
         assert!(frame.contains("snapshot 1 @ 200 requests"), "{frame}");
@@ -376,67 +281,5 @@ mod tests {
             "{frame}"
         );
         assert!(frame.contains("write mix (total)  Cat-1  50.0%"), "{frame}");
-    }
-
-    #[test]
-    fn qos_lines_render_only_for_policy_streams() {
-        // Policy-free stream: no qos line, no tier line.
-        let mut solo = MonitorSink::new(false, "POD", "mail");
-        solo.on_event(&StackEvent::Snapshot { snap: snap(0, 500) });
-        let frame = solo.render_frame();
-        assert!(!frame.contains("qos"), "{frame}");
-        assert!(!frame.contains("shared tier"), "{frame}");
-
-        // Policy stream: throttles, evictions and tier gauges show up.
-        let mut sink = MonitorSink::new(false, "POD", "mail");
-        sink.on_event(&StackEvent::ThrottleWait {
-            tenant: 1,
-            us: 1500,
-        });
-        sink.on_event(&StackEvent::ThrottleWait { tenant: 1, us: 500 });
-        sink.on_event(&StackEvent::QuotaEviction {
-            tenant: 1,
-            victims: 16,
-            index_bytes: 4096,
-        });
-        let mut s = snap(0, 500);
-        s.tier_target_bytes = 2 << 20;
-        s.tier_share_pm = 1750;
-        sink.on_event(&StackEvent::Snapshot { snap: s });
-        let frame = sink.render_frame();
-        assert!(
-            frame
-                .contains("qos         2 throttled (+2.0 ms), 1 quota evictions (16 fingerprints)"),
-            "{frame}"
-        );
-        assert!(
-            frame.contains("shared tier  index target 2.0 MiB, locality share 1750\u{2030}"),
-            "{frame}"
-        );
-    }
-
-    #[test]
-    fn tenant_tagged_events_render_a_breakdown_untagged_do_not() {
-        let done = |tenant: u16| StackEvent::RequestDone {
-            write: false,
-            measured: true,
-            tenant,
-        };
-        // Single-stack replay: every event carries tenant 0 — frame
-        // stays exactly as before.
-        let mut solo = MonitorSink::new(false, "POD", "mail");
-        solo.on_event(&done(0));
-        solo.on_event(&StackEvent::Snapshot { snap: snap(0, 500) });
-        assert!(!solo.render_frame().contains("tenants "));
-
-        // Serve-style stream: nonzero tenants appear → per-tenant
-        // request counts are rendered.
-        let mut multi = MonitorSink::new(false, "POD", "mail");
-        for t in [0u16, 1, 1, 2, 0] {
-            multi.on_event(&done(t));
-        }
-        multi.on_event(&StackEvent::Snapshot { snap: snap(0, 500) });
-        let frame = multi.render_frame();
-        assert!(frame.contains("tenants     0:2 1:2 2:1"), "{frame}");
     }
 }

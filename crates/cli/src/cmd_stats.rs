@@ -4,8 +4,8 @@
 //! sparkline timelines.
 
 use crate::args::CliArgs;
-use pod_core::obs::json::{parse, Json};
-use pod_core::{LatencyHistogram, Layer, StateSnapshot};
+use pod_core::obs::{EpochRow, LayerHistograms, TraceRecorder};
+use pod_core::{Layer, StateSnapshot};
 
 pub fn run(args: &CliArgs) -> Result<(), String> {
     let path = args
@@ -17,56 +17,35 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// One scheme's section of the JSONL file: a `meta` header, its epoch
-/// rows, and the closing `summary`. Shared with `pod-cli figures`,
-/// which exports the same rows as CSV.
-pub struct Section {
-    /// Scheme label from the meta line.
-    pub scheme: String,
-    /// Trace label from the meta line.
-    pub trace: String,
-    /// Requests per epoch row.
-    pub epoch_requests: u64,
-    /// Issuing tenant, when the section came from a tenant-scoped
-    /// recorder (`pod-cli serve --trace-out`). Untagged traces parse to
-    /// `None` and render exactly as before.
-    pub tenant: Option<u64>,
-    /// The parsed epoch rows, in time order.
-    pub epochs: Vec<Json>,
-    /// The closing summary row, when present.
-    pub summary: Option<Json>,
-}
-
 /// Render the whole JSONL document. Split from [`run`] so the golden
 /// snapshot test can diff the exact text the user sees.
 pub fn render(jsonl: &str) -> Result<String, String> {
-    let sections = parse_sections(jsonl)?;
-    if sections.is_empty() {
-        return Err("trace contains no meta line".into());
-    }
+    let sections = TraceRecorder::read_jsonl(jsonl)?;
     let mut out = String::new();
-    for s in &sections {
-        render_section(&mut out, s)?;
+    for (rec, hists) in &sections {
+        render_section(&mut out, rec, hists.as_ref());
     }
-    render_tenant_breakdown(&mut out, &sections)?;
+    render_tenant_breakdown(&mut out, &sections);
     Ok(out)
 }
 
 /// Cross-section per-tenant table, emitted only when at least one
 /// section is tenant-tagged — untagged (single-stack) traces render
 /// byte-identically to older builds.
-fn render_tenant_breakdown(out: &mut String, sections: &[Section]) -> Result<(), String> {
+fn render_tenant_breakdown(
+    out: &mut String,
+    sections: &[(TraceRecorder, Option<LayerHistograms>)],
+) {
     use std::fmt::Write as _;
-    if sections.iter().all(|s| s.tenant.is_none()) {
-        return Ok(());
+    if sections.iter().all(|(rec, _)| rec.tenant().is_none()) {
+        return;
     }
     // QoS columns appear only when some tenant was throttled or
-    // quota-evicted (the recorder omits zero counters), so policy-free
-    // traces keep the historical table shape.
-    let qos = sections.iter().any(|s| {
-        s.summary.as_ref().is_some_and(|sum| {
-            sum.get("throttle_waits").is_some() || sum.get("quota_evictions").is_some()
-        })
+    // quota-evicted, so policy-free traces keep the historical table
+    // shape.
+    let qos = sections.iter().any(|(rec, _)| {
+        let sum = rec.totals();
+        sum.throttle_waits > 0 || sum.quota_evictions > 0
     });
     writeln!(
         out,
@@ -78,98 +57,40 @@ fn render_tenant_breakdown(out: &mut String, sections: &[Section]) -> Result<(),
         }
     )
     .expect("write to string");
-    for s in sections {
-        let Some(tenant) = s.tenant else { continue };
-        let sum = s
-            .summary
-            .as_ref()
-            .ok_or_else(|| format!("tenant {tenant} section has no summary line"))?;
-        let g = |key: &str| -> Result<u64, String> {
-            sum.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("tenant {tenant} summary missing \"{key}\""))
-        };
-        let (deduped, written) = (g("deduped_blocks")?, g("written_blocks")?);
+    for (rec, _) in sections {
+        let Some(tenant) = rec.tenant() else { continue };
+        let sum = rec.totals();
         write!(
             out,
             "  {tenant:>6}  {:<16} {:>9} {:>9} {:>10}  {:>5.1}%",
-            s.trace,
-            g("requests")?,
-            g("writes")?,
-            deduped,
-            pct(deduped, deduped + written),
+            rec.trace(),
+            sum.requests,
+            sum.writes,
+            sum.deduped_blocks,
+            pct(
+                sum.deduped_blocks,
+                sum.deduped_blocks.saturating_add(sum.written_blocks)
+            ),
         )
         .expect("write to string");
         if qos {
-            let opt = |key: &str| sum.get(key).and_then(Json::as_u64).unwrap_or(0);
             write!(
                 out,
                 "  {:>8}  {:>8.1} {:>8}",
-                opt("throttle_waits"),
-                opt("throttle_wait_us") as f64 / 1e3,
-                opt("quota_evicted_fps"),
+                sum.throttle_waits,
+                sum.throttle_wait_us as f64 / 1e3,
+                sum.quota_evicted_fps,
             )
             .expect("write to string");
         }
         out.push('\n');
     }
     out.push('\n');
-    Ok(())
 }
 
-/// Split a JSONL trace into per-scheme [`Section`]s, validating the
-/// meta/epoch/summary line structure.
-pub fn parse_sections(jsonl: &str) -> Result<Vec<Section>, String> {
-    let mut sections: Vec<Section> = Vec::new();
-    for (i, line) in jsonl.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let kind = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing \"type\"", i + 1))?;
-        match kind {
-            "meta" => sections.push(Section {
-                scheme: req_str(&v, "scheme", i)?,
-                trace: req_str(&v, "trace", i)?,
-                epoch_requests: req_u64(&v, "epoch_requests", i)?,
-                tenant: v.get("tenant").and_then(Json::as_u64),
-                epochs: Vec::new(),
-                summary: None,
-            }),
-            "epoch" => sections
-                .last_mut()
-                .ok_or_else(|| format!("line {}: epoch before meta", i + 1))?
-                .epochs
-                .push(v),
-            "summary" => {
-                sections
-                    .last_mut()
-                    .ok_or_else(|| format!("line {}: summary before meta", i + 1))?
-                    .summary = Some(v)
-            }
-            other => return Err(format!("line {}: unknown type \"{other}\"", i + 1)),
-        }
-    }
-    Ok(sections)
-}
-
-fn req_str(v: &Json, key: &str, line: usize) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("line {}: missing \"{key}\"", line + 1))
-}
-
-fn req_u64(v: &Json, key: &str, line: usize) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("line {}: missing \"{key}\"", line + 1))
-}
-
-fn pct(part: u64, whole: u64) -> f64 {
+/// `part` as a percentage of `whole` (0 when `whole` is 0). Shared
+/// with the `monitor` dashboard and the `figures` CSVs.
+pub(crate) fn pct(part: u64, whole: u64) -> f64 {
     if whole == 0 {
         0.0
     } else {
@@ -191,154 +112,129 @@ pub(crate) fn sparkline(values: &[u64]) -> String {
         .collect()
 }
 
-fn render_section(out: &mut String, s: &Section) -> Result<(), String> {
+fn render_section(out: &mut String, rec: &TraceRecorder, hists: Option<&LayerHistograms>) {
     use std::fmt::Write as _;
-    let sum = s
-        .summary
-        .as_ref()
-        .ok_or_else(|| format!("section {}/{} has no summary line", s.scheme, s.trace))?;
-    let g = |key: &str| -> Result<u64, String> {
-        sum.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("summary missing \"{key}\""))
-    };
+    let sum = rec.totals();
+    let epochs = rec.rows();
 
-    let requests = g("requests")?;
-    let reads = g("reads")?;
-    let read_hits = g("read_hits")?;
-    let writes = g("writes")?;
-    let (cat1, cat2, cat3, unique) = (g("cat1")?, g("cat2")?, g("cat3")?, g("unique")?);
-    let (deduped, written) = (g("deduped_blocks")?, g("written_blocks")?);
-    let (frag_sum, frag_reads) = (g("frag_sum")?, g("frag_reads")?);
-    let (cache_us, dedup_us, disk_us) = (g("cache_us")?, g("dedup_us")?, g("disk_us")?);
-
-    let tenant_tag = s
-        .tenant
+    let tenant_tag = rec
+        .tenant()
         .map(|t| format!("tenant {t}, "))
         .unwrap_or_default();
     writeln!(
         out,
         "== {} / {} ({tenant_tag}{} requests/epoch, {} epochs) ==\n",
-        s.scheme,
-        s.trace,
-        s.epoch_requests,
-        s.epochs.len()
+        rec.scheme(),
+        rec.trace(),
+        rec.epoch_requests(),
+        epochs.len()
     )
     .expect("write to string");
     writeln!(
         out,
-        "requests {requests}   reads {reads} (cache hit {:.1}%)   writes {writes}",
-        pct(read_hits, reads)
+        "requests {}   reads {} (cache hit {:.1}%)   writes {}",
+        sum.requests,
+        sum.reads,
+        pct(sum.read_hits, sum.reads),
+        sum.writes
     )
     .expect("write to string");
-    if frag_reads > 0 {
+    if sum.frag_reads > 0 {
         writeln!(
             out,
             "read fragmentation: {:.2} fragments per missed read",
-            frag_sum as f64 / frag_reads as f64
+            sum.frag_sum as f64 / sum.frag_reads as f64
         )
         .expect("write to string");
     }
 
     writeln!(out, "\nwrite classification:").expect("write to string");
     for (label, n) in [
-        ("Cat-1 fully-redundant sequential", cat1),
-        ("Cat-2 scattered partial", cat2),
-        ("Cat-3 contiguous partial", cat3),
-        ("unique", unique),
+        ("Cat-1 fully-redundant sequential", sum.cat1),
+        ("Cat-2 scattered partial", sum.cat2),
+        ("Cat-3 contiguous partial", sum.cat3),
+        ("unique", sum.unique),
     ] {
-        writeln!(out, "  {label:<34} {n:>9}  {:>5.1}%", pct(n, writes)).expect("write to string");
+        writeln!(out, "  {label:<34} {n:>9}  {:>5.1}%", pct(n, sum.writes))
+            .expect("write to string");
     }
     writeln!(
         out,
-        "  chunks: {deduped} eliminated, {written} written to disk"
+        "  chunks: {} eliminated, {} written to disk",
+        sum.deduped_blocks, sum.written_blocks
     )
     .expect("write to string");
 
-    let (reparts, swaps, scans, scanned) = (
-        g("repartitions")?,
-        g("swap_blocks")?,
-        g("scans")?,
-        g("scanned_chunks")?,
-    );
     writeln!(
         out,
-        "\nbackground: {reparts} repartitions, {swaps} swap blocks, {scans} scans ({scanned} chunks)"
+        "\nbackground: {} repartitions, {} swap blocks, {} scans ({} chunks)",
+        sum.repartitions, sum.swap_blocks, sum.scans, sum.scanned_chunks
     )
     .expect("write to string");
 
-    // QoS tallies appear only in serve-policy traces (the recorder
-    // omits zero counters), so legacy renders are byte-identical.
-    let opt = |key: &str| sum.get(key).and_then(Json::as_u64).unwrap_or(0);
-    let (tw, qe) = (opt("throttle_waits"), opt("quota_evictions"));
-    if tw + qe > 0 {
+    // QoS tallies are nonzero only in serve-policy traces, so legacy
+    // renders are byte-identical.
+    if sum.throttle_waits > 0 || sum.quota_evictions > 0 {
         writeln!(
             out,
-            "qos: {tw} throttled requests (+{:.1} ms simulated), {qe} quota evictions ({} fingerprints)",
-            opt("throttle_wait_us") as f64 / 1e3,
-            opt("quota_evicted_fps"),
+            "qos: {} throttled requests (+{:.1} ms simulated), {} quota evictions ({} fingerprints)",
+            sum.throttle_waits,
+            sum.throttle_wait_us as f64 / 1e3,
+            sum.quota_evictions,
+            sum.quota_evicted_fps,
         )
         .expect("write to string");
     }
 
-    let total_us = (cache_us + dedup_us + disk_us).max(1);
+    // Each total fits in a u64 (the reader checks); their sum may not.
+    let total_us = sum
+        .cache_us
+        .saturating_add(sum.dedup_us)
+        .saturating_add(sum.disk_us);
     writeln!(
         out,
         "layer time: cache {:.1}%  dedup {:.1}%  disk {:.1}%  (total {:.1} s)",
-        pct(cache_us, total_us),
-        pct(dedup_us, total_us),
-        pct(disk_us, total_us),
-        (cache_us + dedup_us + disk_us) as f64 / 1e6
+        pct(sum.cache_us, total_us),
+        pct(sum.dedup_us, total_us),
+        pct(sum.disk_us, total_us),
+        total_us as f64 / 1e6
     )
     .expect("write to string");
 
-    // Host wall-clock time appears only in traces recorded with
-    // profiling on (the recorder omits the zero counter), so legacy
-    // traces render byte-identically.
-    if let Some(host_ns) = sum.get("host_ns").and_then(Json::as_u64) {
-        if host_ns > 0 {
-            writeln!(
-                out,
-                "host time: {:.1} ms wall-clock attributed across the stack",
-                host_ns as f64 / 1e6
-            )
-            .expect("write to string");
-        }
+    // Host wall-clock time is nonzero only in traces recorded with
+    // profiling on, so legacy traces render byte-identically.
+    if sum.host_ns > 0 {
+        writeln!(
+            out,
+            "host time: {:.1} ms wall-clock attributed across the stack",
+            sum.host_ns as f64 / 1e6
+        )
+        .expect("write to string");
     }
 
-    if let Some(snap) = sum.get("snap") {
-        let snap = StateSnapshot::from_json_obj(snap).map_err(|e| format!("summary snap: {e}"))?;
-        render_snapshot(out, &snap);
+    if let Some(snap) = &sum.snap {
+        render_snapshot(out, snap);
     }
 
-    if s.epochs.len() > 1 {
-        writeln!(out, "\ntimeline ({} epochs):", s.epochs.len()).expect("write to string");
-        for (label, key) in [
-            ("writes", "writes"),
-            ("chunks eliminated", "deduped_blocks"),
-            ("dedup layer µs", "dedup_us"),
+    if epochs.len() > 1 {
+        writeln!(out, "\ntimeline ({} epochs):", epochs.len()).expect("write to string");
+        let series = |f: fn(&EpochRow) -> u64| epochs.iter().map(f).collect::<Vec<u64>>();
+        for (label, values) in [
+            ("writes", series(|e| e.writes)),
+            ("chunks eliminated", series(|e| e.deduped_blocks)),
+            ("dedup layer µs", series(|e| e.dedup_us)),
         ] {
-            let series: Vec<u64> = s
-                .epochs
-                .iter()
-                .map(|e| e.get(key).and_then(Json::as_u64).unwrap_or(0))
-                .collect();
-            writeln!(out, "  {label:<18} {}", sparkline(&series)).expect("write to string");
+            writeln!(out, "  {label:<18} {}", sparkline(&values)).expect("write to string");
         }
         // Host wall-clock per epoch, only for profiled traces.
-        let host: Vec<u64> = s
-            .epochs
-            .iter()
-            .map(|e| e.get("host_ns").and_then(Json::as_u64).unwrap_or(0))
-            .collect();
+        let host = series(|e| e.host_ns);
         if host.iter().any(|&v| v > 0) {
             writeln!(out, "  {:<18} {}", "host ns", sparkline(&host)).expect("write to string");
         }
         // Snapshot-derived series: the partition split over time.
-        let split: Vec<u64> = s
-            .epochs
+        let split: Vec<u64> = epochs
             .iter()
-            .filter_map(|e| e.get("snap")?.get("index_pm").and_then(Json::as_u64))
+            .filter_map(|e| Some(e.snap?.icache.index_per_mille))
             .collect();
         if split.len() > 1 {
             writeln!(
@@ -351,9 +247,14 @@ fn render_section(out: &mut String, s: &Section) -> Result<(), String> {
         }
     }
 
-    render_layer_histograms(out, sum)?;
+    for layer in Layer::ALL {
+        let Some(hist) = hists.map(|h| h.layer(layer)).filter(|h| h.total() > 0) else {
+            continue;
+        };
+        writeln!(out, "\nlatency histogram — {} layer:", layer.name()).expect("write to string");
+        out.push_str(&hist.render(30));
+    }
     out.push('\n');
-    Ok(())
 }
 
 /// Render the snapshot-derived "final state" block: partition split,
@@ -425,38 +326,6 @@ fn render_snapshot(out: &mut String, snap: &StateSnapshot) {
         )
         .expect("write to string");
     }
-}
-
-fn render_layer_histograms(out: &mut String, sum: &Json) -> Result<(), String> {
-    use std::fmt::Write as _;
-    for layer in Layer::ALL {
-        let Some(arr) = sum
-            .get(&format!("hist_{}", layer.name()))
-            .and_then(Json::as_arr)
-        else {
-            continue;
-        };
-        let mut buckets = [0u64; 28];
-        if arr.len() != buckets.len() {
-            return Err(format!(
-                "hist_{}: expected 28 buckets, got {}",
-                layer.name(),
-                arr.len()
-            ));
-        }
-        for (slot, v) in buckets.iter_mut().zip(arr) {
-            *slot = v
-                .as_u64()
-                .ok_or_else(|| format!("hist_{}: non-integer bucket", layer.name()))?;
-        }
-        let hist = LatencyHistogram::from_buckets(buckets);
-        if hist.total() > 0 {
-            writeln!(out, "\nlatency histogram — {} layer:", layer.name())
-                .expect("write to string");
-            out.push_str(&hist.render(30));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

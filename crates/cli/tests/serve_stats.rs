@@ -1,6 +1,6 @@
 //! Round trip: `serve --trace-out`-style tenant-tagged JSONL through
-//! the `stats` parser and renderer, plus the untagged path staying
-//! unchanged.
+//! the trace reader and the `stats` renderer, plus the untagged path
+//! staying unchanged.
 
 use pod_cli::cmd_stats;
 use pod_core::obs::TraceRecorder;
@@ -27,11 +27,11 @@ fn serve_jsonl(tenants: usize) -> String {
 #[test]
 fn tenant_tagged_trace_round_trips_with_a_breakdown() {
     let jsonl = serve_jsonl(3);
-    let sections = cmd_stats::parse_sections(&jsonl).expect("parse");
+    let sections = TraceRecorder::read_jsonl(&jsonl).expect("parse");
     assert_eq!(sections.len(), 3);
-    for (i, s) in sections.iter().enumerate() {
-        assert_eq!(s.tenant, Some(i as u64), "meta carries the tenant id");
-        assert!(s.summary.is_some(), "every section closes with a summary");
+    for (i, (rec, _)) in sections.iter().enumerate() {
+        assert_eq!(rec.tenant(), Some(i as u16), "meta carries the tenant id");
+        assert!(!rec.rows().is_empty(), "every section carries its epochs");
     }
     let rendered = cmd_stats::render(&jsonl).expect("render");
     assert!(rendered.contains("per-tenant breakdown:"), "{rendered}");
@@ -60,9 +60,9 @@ fn untagged_trace_parses_and_renders_as_before() {
     let jsonl = String::from_utf8(out).expect("utf8");
     assert!(!jsonl.contains("tenant"), "untagged stays off the wire");
 
-    let sections = cmd_stats::parse_sections(&jsonl).expect("parse");
+    let sections = TraceRecorder::read_jsonl(&jsonl).expect("parse");
     assert_eq!(sections.len(), 1);
-    assert_eq!(sections[0].tenant, None);
+    assert_eq!(sections[0].0.tenant(), None);
     let rendered = cmd_stats::render(&jsonl).expect("render");
     assert!(!rendered.contains("per-tenant breakdown"), "{rendered}");
     assert!(rendered.contains("== POD / mail (256 requests/epoch"));

@@ -184,17 +184,7 @@ const HOSTILE_JSON: [&str; 5] = [
 /// the JSON reader's stack (SIGABRT).
 #[test]
 fn mutated_recordings_never_panic() {
-    let dir = std::env::temp_dir().join(format!("pod-fuzz-jsonl-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create the scratch directory");
-    let recorded = dir.join("recorded.jsonl");
-    let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
-        .args(["replay", "--scheme", "pod", "--profile", "mail"])
-        .args(["--scale", "0.01", "--trace-out"])
-        .arg(&recorded)
-        .output()
-        .expect("spawn pod-cli");
-    assert_eq!(out.status.code(), Some(0), "recording failed");
-    let body = std::fs::read_to_string(&recorded).expect("read the recording");
+    let (dir, body) = record("pod-fuzz-jsonl");
     let lines: Vec<&str> = body.lines().collect();
     assert!(lines.len() > 4, "recording too short to mutate");
 
@@ -222,14 +212,8 @@ fn mutated_recordings_never_panic() {
             _ => lines[at] = "[".repeat(100_000),
         }
         std::fs::write(&mutant, lines.join("\n")).expect("write the mutant");
-        for cmd in ["stats", "figures"] {
-            let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
-                .args([cmd, "--in"])
-                .arg(&mutant)
-                .arg("--out")
-                .arg(dir.join("figs"))
-                .output()
-                .expect("spawn pod-cli");
+        let codes = ["stats", "figures"].map(|cmd| {
+            let out = read_back(cmd, &mutant, &dir);
             let what = format!("case {case}: {cmd} --in <mutant>");
             assert_clean_exit(&out, &what);
             assert_ne!(
@@ -237,7 +221,60 @@ fn mutated_recordings_never_panic() {
                 Some(2),
                 "{what}: a bad file is not a usage error"
             );
-        }
+            out.status.code()
+        });
+        assert_eq!(codes[0], codes[1], "case {case}: stats and figures agree");
     }
+    std::fs::remove_dir_all(&dir).expect("remove the scratch directory");
+}
+
+/// Record `replay --scheme pod --profile mail --scale 0.01` into a new
+/// scratch directory; returns the directory and the recording.
+fn record(name: &str) -> (std::path::PathBuf, String) {
+    let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the scratch directory");
+    let recorded = dir.join("recorded.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
+        .args(["replay", "--scheme", "pod", "--profile", "mail"])
+        .args(["--scale", "0.01", "--trace-out"])
+        .arg(&recorded)
+        .output()
+        .expect("spawn pod-cli");
+    assert_eq!(out.status.code(), Some(0), "recording failed");
+    let body = std::fs::read_to_string(&recorded).expect("read the recording");
+    (dir, body)
+}
+
+/// Run `stats` or `figures` on a recorded file.
+fn read_back(cmd: &str, recording: &std::path::Path, dir: &std::path::Path) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_pod-cli"))
+        .args([cmd, "--in"])
+        .arg(recording)
+        .arg("--out")
+        .arg(dir.join("figs"))
+        .output()
+        .expect("spawn pod-cli")
+}
+
+/// A recording whose first epoch row lost its `"writes"` key: `stats`
+/// used to exit 0 and draw that epoch as a zero bar while `figures`
+/// exited 1. Both now refuse it, with the same error.
+#[test]
+fn a_renamed_key_fails_stats_and_figures_alike() {
+    let (dir, body) = record("pod-renamed-key");
+    let mut lines: Vec<&str> = body.lines().collect();
+    assert!(lines[1].starts_with(r#"{"type":"epoch","epoch":0,"#));
+    let renamed = lines[1].replacen(r#""writes":"#, r#""renamed":"#, 1);
+    lines[1] = &renamed;
+    let mutant = dir.join("mutant.jsonl");
+    std::fs::write(&mutant, lines.join("\n")).expect("write the mutant");
+
+    let errors = ["stats", "figures"].map(|cmd| {
+        let out = read_back(cmd, &mutant, &dir);
+        assert_eq!(out.status.code(), Some(1), "{cmd} refuses the file");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    });
+    assert_eq!(errors[0], errors[1], "one reader, one error");
+    assert!(errors[0].starts_with(r#"error: line 2: missing "writes""#));
     std::fs::remove_dir_all(&dir).expect("remove the scratch directory");
 }

@@ -66,6 +66,16 @@ impl Json {
         }
     }
 
+    /// The value as an array of exactly `N` unsigned integers.
+    pub fn as_u64_array<const N: usize>(&self) -> Option<[u64; N]> {
+        let items = self.as_arr().filter(|items| items.len() == N)?;
+        let mut out = [0; N];
+        for (slot, item) in out.iter_mut().zip(items) {
+            *slot = item.as_u64()?;
+        }
+        Some(out)
+    }
+
     /// The value as a bool.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

@@ -1,8 +1,10 @@
 //! Built-in observer sinks: per-layer histograms and the epoch-granular
-//! trace recorder behind `pod replay --trace-out`.
+//! trace recorder behind `pod replay --trace-out`, with the one codec
+//! of its JSONL wire schema ([`TraceRecorder::write_jsonl`] and its
+//! inverse [`TraceRecorder::read_jsonl`]).
 
 use crate::metrics::LatencyHistogram;
-use crate::obs::json::push_str_escaped;
+use crate::obs::json::{self, push_str_escaped, Json};
 use crate::obs::{Layer, StackEvent, StackObserver, StateSnapshot};
 use pod_dedup::ClassKind;
 use std::io::Write;
@@ -32,25 +34,93 @@ impl LayerHistograms {
         }
     }
 
+    fn layer_mut(&mut self, layer: Layer) -> &mut LatencyHistogram {
+        match layer {
+            Layer::Cache => &mut self.cache,
+            Layer::Dedup => &mut self.dedup,
+            Layer::Disk => &mut self.disk,
+        }
+    }
+
     /// Total recorded samples across all layers.
     pub fn total(&self) -> u64 {
         Layer::ALL.iter().map(|&l| self.layer(l).total()).sum()
+    }
+
+    /// Parse the `hist_<layer>` bucket arrays of a summary line: all
+    /// three (28 buckets each) or none.
+    fn from_json_obj(v: &Json) -> Result<Option<Self>, String> {
+        let arrays = Layer::ALL.map(|layer| v.get(&format!("hist_{}", layer.name())));
+        if arrays.iter().all(Option::is_none) {
+            return Ok(None);
+        }
+        let mut hists = Self::new();
+        for (layer, arr) in Layer::ALL.into_iter().zip(arrays) {
+            let buckets = arr
+                .and_then(Json::as_u64_array)
+                .ok_or("hist_* arrays come all three or none, 28 buckets each")?;
+            *hists.layer_mut(layer) = LatencyHistogram::from_buckets(buckets);
+        }
+        Ok(Some(hists))
     }
 }
 
 impl StackObserver for LayerHistograms {
     fn on_event(&mut self, ev: &StackEvent) {
         if let StackEvent::LayerLatency { layer, us } = *ev {
-            match layer {
-                Layer::Cache => self.cache.record(us),
-                Layer::Dedup => self.dedup.record(us),
-                Layer::Disk => self.disk.record(us),
-            }
+            self.layer_mut(layer).record(us);
         }
     }
 }
 
-/// One epoch's aggregated activity — a row of the JSONL trace.
+/// An [`EpochRow`]'s counters in wire order: the one table behind
+/// [`EpochRow::push_fields`], the summing and
+/// [`EpochRow::from_json_obj`], so the three cannot drift apart.
+///
+/// Keys before the `;` are written on every row and required on read;
+/// `= 0` marks the two that read as 0 when absent (they arrived with
+/// the fault layer, after the first recordings). Each bracketed group
+/// after the `;` is written only when its first counter is nonzero —
+/// QoS tallies exist only under a serve policy and host time only
+/// under profiling, so other recordings keep the older wire format —
+/// and reads as 0 when absent.
+macro_rules! epoch_counters {
+    ($m:ident) => {
+        $m! {
+            requests, reads, read_hits, frag_sum, frag_reads,
+            writes, cat1, cat2, cat3, unique,
+            deduped_blocks, written_blocks, repartitions, swap_blocks,
+            scans, scanned_chunks, faults = 0, recoveries = 0,
+            cache_us, dedup_us, disk_us;
+            [throttle_waits, throttle_wait_us],
+            [quota_evictions, quota_evicted_fps],
+            [host_ns]
+        }
+    };
+}
+
+/// A `u64` member of a JSONL object; `default` is what an absent key
+/// reads as (`None`: the key is required).
+fn counter(v: &Json, key: &str, default: Option<u64>) -> Result<u64, String> {
+    match v.get(key) {
+        None => default.ok_or_else(|| format!("missing \"{key}\"")),
+        Some(n) => n.as_u64().ok_or_else(|| format!("bad \"{key}\"")),
+    }
+}
+
+/// The optional `tenant` member of a JSONL line.
+fn tenant_of(v: &Json) -> Result<Option<u16>, String> {
+    v.get("tenant")
+        .map(|t| {
+            t.as_u64()
+                .and_then(|t| u16::try_from(t).ok())
+                .ok_or_else(|| "bad \"tenant\"".to_string())
+        })
+        .transpose()
+}
+
+/// One epoch's aggregated activity — a row of the JSONL trace (which
+/// keys are written when: the `epoch_counters!` table in this module).
 ///
 /// All counts are totals within the epoch. Disk time is attributed at
 /// job completion (see [`StackEvent::LayerLatency`]), so it
@@ -102,21 +172,16 @@ pub struct EpochRow {
     pub dedup_us: u64,
     /// µs attributed to the disks.
     pub disk_us: u64,
-    /// Requests delayed by a tenant rate limit. Serialized only when
-    /// nonzero — policy-free recordings keep the pre-QoS wire format.
+    /// Requests delayed by a tenant rate limit.
     pub throttle_waits: u64,
-    /// Total simulated delay added by rate limiting, µs (serialized
-    /// only when nonzero).
+    /// Total simulated delay added by rate limiting, µs.
     pub throttle_wait_us: u64,
-    /// Quota/tier index shrinks that evicted fingerprints (serialized
-    /// only when nonzero).
+    /// Quota/tier index shrinks that evicted fingerprints.
     pub quota_evictions: u64,
-    /// Fingerprints evicted by quota/tier shrinks (serialized only
-    /// when nonzero).
+    /// Fingerprints evicted by quota/tier shrinks.
     pub quota_evicted_fps: u64,
-    /// Host wall-clock nanoseconds attributed within the epoch.
-    /// Nonzero only when host profiling is on (serialized only when
-    /// nonzero, so unprofiled recordings keep the old wire format).
+    /// Host wall-clock nanoseconds attributed within the epoch;
+    /// nonzero only when host profiling is on.
     pub host_ns: u64,
     /// Last state snapshot sampled within the epoch, if any. Serialized
     /// as a nested `"snap"` object in the JSONL row; the summary row
@@ -129,7 +194,9 @@ pub struct EpochRow {
 }
 
 impl EpochRow {
-    fn absorb(&mut self, ev: &StackEvent) {
+    /// Fold one event into the row's tallies; a
+    /// [`StackEvent::Snapshot`] becomes the row's `snap`.
+    pub fn absorb(&mut self, ev: &StackEvent) {
         match *ev {
             StackEvent::ReadLookup { hit, .. } => {
                 self.reads += 1;
@@ -185,39 +252,23 @@ impl EpochRow {
         }
     }
 
-    fn add(&mut self, other: &EpochRow) {
-        self.requests += other.requests;
-        self.reads += other.reads;
-        self.read_hits += other.read_hits;
-        self.frag_sum += other.frag_sum;
-        self.frag_reads += other.frag_reads;
-        self.writes += other.writes;
-        self.cat1 += other.cat1;
-        self.cat2 += other.cat2;
-        self.cat3 += other.cat3;
-        self.unique += other.unique;
-        self.deduped_blocks += other.deduped_blocks;
-        self.written_blocks += other.written_blocks;
-        self.repartitions += other.repartitions;
-        self.swap_blocks += other.swap_blocks;
-        self.scans += other.scans;
-        self.scanned_chunks += other.scanned_chunks;
-        self.faults += other.faults;
-        self.recoveries += other.recoveries;
-        self.cache_us += other.cache_us;
-        self.dedup_us += other.dedup_us;
-        self.disk_us += other.disk_us;
-        self.throttle_waits += other.throttle_waits;
-        self.throttle_wait_us += other.throttle_wait_us;
-        self.quota_evictions += other.quota_evictions;
-        self.quota_evicted_fps += other.quota_evicted_fps;
-        self.host_ns += other.host_ns;
+    /// Add `other`'s counters to this row (its snapshot and tenant
+    /// win when set); `None` when a sum overflows `u64`.
+    fn checked_add(&mut self, other: &EpochRow) -> Option<()> {
+        macro_rules! sum {
+            ($($key:ident $(= $d:literal)?),+; $([$($opt:ident),+]),+) => {
+                $( self.$key = self.$key.checked_add(other.$key)?; )+
+                $($( self.$opt = self.$opt.checked_add(other.$opt)?; )+)+
+            };
+        }
+        epoch_counters!(sum);
         if other.snap.is_some() {
             self.snap = other.snap;
         }
         if other.tenant.is_some() {
             self.tenant = other.tenant;
         }
+        Some(())
     }
 
     fn push_fields(&self, out: &mut String) {
@@ -225,64 +276,49 @@ impl EpochRow {
         if let Some(tenant) = self.tenant {
             let _ = write!(out, r#""tenant":{tenant},"#);
         }
-        let _ = write!(
-            out,
-            concat!(
-                r#""requests":{},"reads":{},"read_hits":{},"frag_sum":{},"frag_reads":{},"#,
-                r#""writes":{},"cat1":{},"cat2":{},"cat3":{},"unique":{},"#,
-                r#""deduped_blocks":{},"written_blocks":{},"repartitions":{},"swap_blocks":{},"#,
-                r#""scans":{},"scanned_chunks":{},"faults":{},"recoveries":{},"#,
-                r#""cache_us":{},"dedup_us":{},"disk_us":{}"#
-            ),
-            self.requests,
-            self.reads,
-            self.read_hits,
-            self.frag_sum,
-            self.frag_reads,
-            self.writes,
-            self.cat1,
-            self.cat2,
-            self.cat3,
-            self.unique,
-            self.deduped_blocks,
-            self.written_blocks,
-            self.repartitions,
-            self.swap_blocks,
-            self.scans,
-            self.scanned_chunks,
-            self.faults,
-            self.recoveries,
-            self.cache_us,
-            self.dedup_us,
-            self.disk_us,
-        );
-        // QoS tallies exist only under a serve policy; omit-when-zero
-        // keeps every policy-free recording byte-identical to the
-        // pre-QoS format.
-        if self.throttle_waits > 0 {
-            let _ = write!(
-                out,
-                r#","throttle_waits":{},"throttle_wait_us":{}"#,
-                self.throttle_waits, self.throttle_wait_us
-            );
+        macro_rules! emit {
+            ($($key:ident $(= $d:literal)?),+; $([$lead:ident $(, $rest:ident)*]),+) => {
+                let mut first = true;
+                $(
+                    if !std::mem::replace(&mut first, false) { out.push(','); }
+                    let _ = write!(out, concat!("\"", stringify!($key), "\":{}"), self.$key);
+                )+
+                $(
+                    if self.$lead > 0 {
+                        let _ = write!(out, concat!(",\"", stringify!($lead), "\":{}"), self.$lead);
+                        $( let _ = write!(out, concat!(",\"", stringify!($rest), "\":{}"), self.$rest); )*
+                    }
+                )+
+            };
         }
-        if self.quota_evictions > 0 {
-            let _ = write!(
-                out,
-                r#","quota_evictions":{},"quota_evicted_fps":{}"#,
-                self.quota_evictions, self.quota_evicted_fps
-            );
-        }
-        // Host time exists only under `host_profiling`; omit-when-zero
-        // keeps every unprofiled recording byte-identical.
-        if self.host_ns > 0 {
-            let _ = write!(out, r#","host_ns":{}"#, self.host_ns);
-        }
+        epoch_counters!(emit);
         if let Some(snap) = &self.snap {
             out.push_str(r#","snap":{"#);
             snap.push_json_fields(out);
             out.push('}');
         }
+    }
+
+    /// Parse a row back from a JSONL epoch or summary line: the inverse
+    /// of what the writer puts after the line's `type` (and `epoch`)
+    /// keys — the counters, the optional `tenant` and the optional
+    /// nested `snap`. `epoch` is left 0; extra keys are ignored.
+    pub fn from_json_obj(v: &Json) -> Result<EpochRow, String> {
+        let mut row = EpochRow {
+            tenant: tenant_of(v)?,
+            ..EpochRow::default()
+        };
+        macro_rules! read {
+            ($($key:ident $(= $d:literal)?),+; $([$($opt:ident),+]),+) => {
+                $( row.$key = counter(v, stringify!($key), None $(.or(Some($d)))?)?; )+
+                $($( row.$opt = counter(v, stringify!($opt), Some(0))?; )+)+
+            };
+        }
+        epoch_counters!(read);
+        if let Some(snap) = v.get("snap") {
+            row.snap = Some(StateSnapshot::from_json_obj(snap).map_err(|e| format!("snap: {e}"))?);
+        }
+        Ok(row)
     }
 }
 
@@ -365,13 +401,19 @@ impl TraceRecorder {
 
     /// Sum of every closed row — the whole-replay totals.
     pub fn totals(&self) -> EpochRow {
+        // Live tallies stay far below u64::MAX (2^64 µs is 584,000
+        // years), and `read_jsonl` rejects rows whose sum overflows.
+        self.checked_totals().expect("epoch rows sum within u64")
+    }
+
+    fn checked_totals(&self) -> Option<EpochRow> {
         let mut total = EpochRow::default();
         for row in &self.rows {
-            total.add(row);
+            total.checked_add(row)?;
         }
         total.epoch = self.rows.len() as u64;
         total.tenant = self.tenant;
-        total
+        Some(total)
     }
 
     fn flush(&mut self) {
@@ -432,6 +474,97 @@ impl TraceRecorder {
         }
         line.push('}');
         writeln!(out, "{line}")
+    }
+
+    /// Read a JSONL recording back: the exact inverse of
+    /// [`write_jsonl`](Self::write_jsonl), one recorder (with the
+    /// summary's histograms, if any) per section. The one reader of the
+    /// wire schema, and it accepts what the writer produces and nothing
+    /// less: a meta line opens every section and a summary closes it;
+    /// epochs number 0, 1, … and match the meta line's tenant and epoch
+    /// count; the summary is the checked sum of the rows; the `hist_*`
+    /// arrays come all three or none. Row keys follow
+    /// [`EpochRow::from_json_obj`]; blank lines are skipped.
+    pub fn read_jsonl(
+        jsonl: &str,
+    ) -> Result<Vec<(TraceRecorder, Option<LayerHistograms>)>, String> {
+        let mut sections = Vec::new();
+        // The open section and the epoch count its meta line announced.
+        let mut open: Option<(TraceRecorder, u64)> = None;
+        let no_summary = |rec: &TraceRecorder| {
+            format!("section {}/{} has no summary line", rec.scheme, rec.trace)
+        };
+        for (i, line) in jsonl.lines().enumerate() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let at = |e: String| format!("line {}: {e}", i + 1);
+            let v = json::parse(line).map_err(at)?;
+            let kind = v.get("type").and_then(Json::as_str);
+            match (kind, open.take()) {
+                (Some("meta"), Some((rec, _))) => return Err(no_summary(&rec)),
+                (Some("meta"), None) => open = Some(Self::from_meta(&v).map_err(at)?),
+                (Some("epoch"), Some((mut rec, epochs))) => {
+                    let mut row = EpochRow::from_json_obj(&v).map_err(at)?;
+                    row.epoch = counter(&v, "epoch", None).map_err(at)?;
+                    if row.epoch != rec.rows.len() as u64 {
+                        return Err(at(format!("epoch {} out of order", row.epoch)));
+                    }
+                    if row.tenant != rec.tenant {
+                        return Err(at("epoch row of another tenant".into()));
+                    }
+                    rec.rows.push(row);
+                    open = Some((rec, epochs));
+                }
+                (Some("summary"), Some((rec, epochs))) => {
+                    let mut summary = EpochRow::from_json_obj(&v).map_err(at)?;
+                    summary.epoch = rec.rows.len() as u64;
+                    if summary.epoch != epochs {
+                        return Err(at(format!(
+                            "meta line announces {epochs} epochs, section has {}",
+                            summary.epoch
+                        )));
+                    }
+                    let totals = rec.checked_totals().ok_or_else(|| {
+                        at("epoch rows overflow a u64 counter when summed".into())
+                    })?;
+                    if summary != totals {
+                        return Err(at("summary is not the sum of the epoch rows".into()));
+                    }
+                    sections.push((rec, LayerHistograms::from_json_obj(&v).map_err(at)?));
+                }
+                (Some(kind @ ("epoch" | "summary")), None) => {
+                    return Err(at(format!("{kind} before meta")))
+                }
+                (Some(other), _) => return Err(at(format!("unknown type \"{other}\""))),
+                (None, _) => return Err(at("missing \"type\"".into())),
+            }
+        }
+        if let Some((rec, _)) = &open {
+            return Err(no_summary(rec));
+        }
+        if sections.is_empty() {
+            return Err("trace contains no meta line".into());
+        }
+        Ok(sections)
+    }
+
+    /// An empty recorder from a meta line, and the epoch count the line
+    /// announces.
+    fn from_meta(v: &Json) -> Result<(Self, u64), String> {
+        if counter(v, "version", None)? != 1 {
+            return Err("unsupported \"version\"".into());
+        }
+        let text = |key: &str| {
+            v.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_owned)
+                .ok_or_else(|| format!("missing \"{key}\""))
+        };
+        let mut rec = Self::new(text("scheme")?, text("trace")?, 1, 0);
+        rec.epoch_requests = counter(v, "epoch_requests", None)?;
+        rec.tenant = tenant_of(v)?;
+        Ok((rec, counter(v, "epochs", None)?))
     }
 }
 
@@ -558,29 +691,13 @@ mod tests {
         let mut buf = Vec::new();
         r.write_jsonl(&mut buf, Some(&hists)).expect("write");
         let text = String::from_utf8(buf).expect("utf8");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3, "meta + 1 epoch + summary:\n{text}");
+        assert_eq!(text.lines().count(), 3, "meta + 1 epoch + summary:\n{text}");
 
-        // Every line parses back with the shared reader.
-        for line in &lines {
-            crate::obs::json::parse(line).expect("valid JSON line");
-        }
-        let meta = crate::obs::json::parse(lines[0]).expect("meta");
-        assert_eq!(meta.get("type").and_then(|v| v.as_str()), Some("meta"));
-        assert_eq!(
-            meta.get("trace").and_then(|v| v.as_str()),
-            Some("mail \"x\""),
-            "escaped label round-trips"
-        );
-        let epoch = crate::obs::json::parse(lines[1]).expect("epoch");
-        assert_eq!(epoch.get("cat1").and_then(|v| v.as_u64()), Some(1));
-        let summary = crate::obs::json::parse(lines[2]).expect("summary");
-        let hist = summary
-            .get("hist_dedup")
-            .and_then(|v| v.as_arr())
-            .expect("dedup histogram");
-        assert_eq!(hist.len(), 28);
-        assert_eq!(hist.iter().filter_map(|v| v.as_u64()).sum::<u64>(), 1);
+        // Every line reads back with the one reader.
+        let (back, back_hists) = &TraceRecorder::read_jsonl(&text).expect("reads back")[0];
+        assert_eq!(back.trace(), "mail \"x\"", "escaped label round-trips");
+        assert_eq!(back.rows()[0].cat1, 1);
+        assert_eq!(back_hists.as_ref(), Some(&hists));
     }
 
     #[test]
@@ -607,15 +724,17 @@ mod tests {
         let mut buf = Vec::new();
         r.write_jsonl(&mut buf, None).expect("write");
         let text = String::from_utf8(buf).expect("utf8");
-        let lines: Vec<&str> = text.lines().collect();
-        let epoch = crate::obs::json::parse(lines[1]).expect("epoch row");
-        let nested = epoch.get("snap").expect("nested snap object");
-        let back = StateSnapshot::from_json_obj(nested).expect("parse snap");
-        assert_eq!(back, snap, "snapshot round-trips through the epoch row");
-        let bare = crate::obs::json::parse(lines[2]).expect("snapless epoch");
-        assert!(bare.get("snap").is_none());
-        let summary = crate::obs::json::parse(lines[3]).expect("summary");
-        assert!(summary.get("snap").is_some(), "summary carries final snap");
+        assert_eq!(
+            text.matches(r#""snap":{"#).count(),
+            2,
+            "epoch 0 and summary"
+        );
+        let back = &TraceRecorder::read_jsonl(&text).expect("reads back")[0].0;
+        assert_eq!(
+            back.rows(),
+            r.rows(),
+            "snapshot round-trips through the rows"
+        );
     }
 
     #[test]
@@ -679,16 +798,8 @@ mod tests {
         let mut buf = Vec::new();
         r.write_jsonl(&mut buf, None).expect("write");
         let text = String::from_utf8(buf).expect("utf8");
-        let summary =
-            crate::obs::json::parse(text.lines().last().expect("summary")).expect("summary parses");
-        assert_eq!(
-            summary.get("throttle_wait_us").and_then(|v| v.as_u64()),
-            Some(120)
-        );
-        assert_eq!(
-            summary.get("quota_evictions").and_then(|v| v.as_u64()),
-            Some(1)
-        );
+        let back = &TraceRecorder::read_jsonl(&text).expect("reads back")[0].0;
+        assert_eq!(back.rows(), r.rows(), "QoS tallies round-trip");
     }
 
     #[test]
@@ -719,9 +830,9 @@ mod tests {
         let mut buf = Vec::new();
         r.write_jsonl(&mut buf, None).expect("write");
         let text = String::from_utf8(buf).expect("utf8");
-        let summary =
-            crate::obs::json::parse(text.lines().last().expect("summary")).expect("summary parses");
-        assert_eq!(summary.get("host_ns").and_then(|v| v.as_u64()), Some(1_000));
+        assert!(text.contains(r#""host_ns":1000"#), "{text}");
+        let back = &TraceRecorder::read_jsonl(&text).expect("reads back")[0].0;
+        assert_eq!(back.rows(), r.rows(), "host time round-trips");
     }
 
     #[test]
@@ -737,5 +848,77 @@ mod tests {
             !text.contains("tenant"),
             "untagged recording must not mention tenants:\n{text}"
         );
+    }
+
+    /// A small tagged recording with histograms, as JSONL lines.
+    fn recorded_lines() -> Vec<String> {
+        let mut r = TraceRecorder::new("POD", "mail", 1, 4).with_tenant(3);
+        r.on_event(&req_done());
+        r.on_event(&req_done());
+        r.on_event(&StackEvent::Finished);
+        let mut hists = LayerHistograms::new();
+        for layer in Layer::ALL {
+            hists.on_event(&StackEvent::LayerLatency { layer, us: 5 });
+        }
+        let mut buf = Vec::new();
+        r.write_jsonl(&mut buf, Some(&hists)).expect("write");
+        let text = String::from_utf8(buf).expect("utf8");
+        text.lines().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn reader_accepts_what_the_writer_produces_and_nothing_less() {
+        let lines = recorded_lines();
+        let read = |lines: &[String]| TraceRecorder::read_jsonl(&lines.join("\n"));
+        // Keys that predate the fault layer read as 0; extra keys are
+        // ignored.
+        let old: Vec<String> = lines
+            .iter()
+            .map(|l| l.replace(r#","faults":0,"recoveries":0"#, r#","meteor":1"#))
+            .collect();
+        assert_eq!(read(&old).expect("old rows").len(), 1);
+
+        let edit = |i: usize, from: &str, to: &str| {
+            let mut lines = lines.clone();
+            assert!(lines[i].contains(from), "{from} in {}", lines[i]);
+            lines[i] = lines[i].replacen(from, to, 1);
+            read(&lines).expect_err(&format!("{from} -> {to}"))
+        };
+        assert!(edit(1, r#""writes":"#, r#""writes_":"#).contains(r#"missing "writes""#));
+        assert!(edit(2, r#""epoch":1"#, r#""epoch":2"#).contains("out of order"));
+        assert!(edit(2, r#""tenant":3"#, r#""tenant":4"#).contains("tenant"));
+        assert!(edit(0, r#""epochs":2"#, r#""epochs":3"#).contains("announces"));
+        assert!(edit(3, r#""requests":2"#, r#""requests":3"#).contains("not the sum"));
+        assert!(edit(3, r#""hist_disk":"#, r#""hist_x":"#).contains("all three or none"));
+        assert!(edit(3, r#""hist_disk":[0,"#, r#""hist_disk":["#).contains("28 buckets"));
+        assert!(edit(0, r#""version":1"#, r#""version":2"#).contains("version"));
+
+        let cut = &lines[..3];
+        assert!(read(cut).expect_err("no summary").contains("no summary"));
+        assert!(read(&cut[1..])
+            .expect_err("meta")
+            .contains("epoch before meta"));
+        assert_eq!(read(&[]).expect_err("empty"), "trace contains no meta line");
+    }
+
+    /// Each row holds 2^53, the largest integer the JSON reader takes;
+    /// 2,048 of them sum past `u64::MAX`. The reader must say so, not
+    /// overflow (a panic in a debug build).
+    #[test]
+    fn rows_summing_past_u64_are_an_error_not_an_overflow() {
+        const ROWS: u64 = 2_048;
+        let lines = recorded_lines();
+        let mut doc = vec![lines[0].replace(r#""epochs":2"#, &format!(r#""epochs":{ROWS}"#))];
+        doc.extend((0..ROWS).map(|epoch| {
+            lines[1]
+                .replace(r#""epoch":0"#, &format!(r#""epoch":{epoch}"#))
+                .replace(
+                    r#""requests":1,"#,
+                    &format!(r#""requests":{},"#, 1u64 << 53),
+                )
+        }));
+        doc.push(lines[3].clone());
+        let err = TraceRecorder::read_jsonl(&doc.join("\n")).expect_err("overflowing sum");
+        assert!(err.contains("overflow"), "{err}");
     }
 }

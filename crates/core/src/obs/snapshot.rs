@@ -1,4 +1,4 @@
-//! Epoch-boundary state snapshots: the [`Introspect`] gauges of every
+//! Epoch-boundary state snapshots: the `introspect()` gauges of every
 //! stateful component, folded into one `Copy` struct.
 //!
 //! [`StorageStack`](crate::stack::StorageStack) samples a
@@ -6,10 +6,9 @@
 //! icache.epoch_requests` completed requests) plus once at the end of
 //! the replay, and emits it as [`StackEvent::Snapshot`] through the
 //! observer chain. Sampling is allocation-free: the per-crate
-//! `introspect()` impls copy counters and fixed-size histograms, never
+//! `introspect()` methods copy counters and fixed-size histograms, never
 //! owned buffers — `crates/core/tests/alloc.rs` pins this.
 //!
-//! [`Introspect`]: pod_types::Introspect
 //! [`StackEvent::Snapshot`]: crate::obs::StackEvent::Snapshot
 
 use crate::obs::json::Json;
@@ -135,24 +134,10 @@ impl StateSnapshot {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("bad snapshot field {k:?}"))
         };
-        let hist = |k: &str| -> Result<[u64; 8], String> {
-            let arr = v
-                .get(k)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("bad snapshot histogram {k:?}"))?;
-            if arr.len() != 8 {
-                return Err(format!(
-                    "snapshot histogram {k:?} has {} buckets",
-                    arr.len()
-                ));
-            }
-            let mut out = [0u64; 8];
-            for (slot, item) in out.iter_mut().zip(arr) {
-                *slot = item
-                    .as_u64()
-                    .ok_or_else(|| format!("bad bucket in {k:?}"))?;
-            }
-            Ok(out)
+        let hist = |k: &str| {
+            v.get(k)
+                .and_then(Json::as_u64_array)
+                .ok_or_else(|| format!("bad snapshot histogram {k:?}"))
         };
         let mut snap = StateSnapshot::default();
         macro_rules! read {

@@ -47,7 +47,7 @@ use crate::stack::{CacheLayer, DedupLayer, StackSpec};
 use pod_dedup::engine::EngineCounters;
 use pod_hash::fnv::FnvBuildHasher;
 use pod_trace::Trace;
-use pod_types::{Fingerprint, Introspect, PodError, PodResult};
+use pod_types::{Fingerprint, PodError, PodResult};
 
 /// Reject a topology the engine cannot serve: no tenants, more tenants
 /// than `u16` ids, no shards, or more shards than tenants (an empty

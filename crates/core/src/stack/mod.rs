@@ -62,7 +62,7 @@ use pod_dedup::{DedupConfig, DedupPolicy};
 use pod_disk::{ArraySim, JobId, RaidGeometry};
 use pod_icache::{ICache, ICacheConfig};
 use pod_trace::Trace;
-use pod_types::{Introspect, IoOp, IoRequest, PodError, PodResult, SimDuration, SimTime};
+use pod_types::{IoOp, IoRequest, PodError, PodResult, SimDuration, SimTime};
 
 /// A composed storage stack: cache over dedup over disk, plus the
 /// background steps and the observer chain threaded through all of
@@ -331,7 +331,7 @@ impl StorageStack {
         Ok(())
     }
 
-    /// Sample every component's [`Introspect`] gauges and emit them as
+    /// Sample every component's `introspect()` gauges and emit them as
     /// one [`StackEvent::Snapshot`]. Allocation-free: the state structs
     /// are `Copy` and built from counters and fixed-size histograms.
     fn sample_snapshot(&mut self) {

@@ -37,7 +37,7 @@ use pod_core::obs::{LayerHistograms, ObserverChain, TraceRecorder};
 use pod_core::stack::disk_on_own_thread;
 use pod_core::{ProfSink, Scheme, StackEvent, StackObserver, StorageStack, SystemConfig};
 use pod_trace::Trace;
-use pod_types::{Fingerprint, Introspect, IoRequest, Lba, SimTime};
+use pod_types::{Fingerprint, IoRequest, Lba, SimTime};
 
 /// Counts every allocation and reallocation made through the global
 /// allocator. Deallocations are deliberately not counted: freeing is

@@ -18,7 +18,7 @@ pub struct GhostCache<K> {
 }
 
 /// Flat gauge snapshot of a [`GhostCache`] (see
-/// [`pod_types::Introspect`]).
+/// [`GhostCache::introspect`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GhostState {
     /// Remembered evicted keys.
@@ -89,12 +89,9 @@ impl<K: Eq + Hash + Clone> GhostCache<K> {
     pub fn clear(&mut self) {
         self.inner.clear();
     }
-}
 
-impl<K: Eq + Hash + Clone> pod_types::Introspect for GhostCache<K> {
-    type State = GhostState;
-
-    fn introspect(&self) -> GhostState {
+    /// Gauge snapshot: cheap, allocation-free, `Copy`.
+    pub fn introspect(&self) -> GhostState {
         GhostState {
             len: self.len() as u64,
             capacity: self.capacity() as u64,

@@ -119,7 +119,7 @@ pub struct LruCache<K, V> {
 }
 
 /// Flat gauge snapshot of an [`LruCache`] (see
-/// [`Introspect`](pod_types::Introspect)).
+/// [`LruCache::introspect`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LruState {
     /// Cached entries.
@@ -426,12 +426,9 @@ impl<K: Eq + Hash, V> LruCache<K, V> {
             n => self.slab[n as usize].prev = to,
         }
     }
-}
 
-impl<K: Eq + Hash, V> pod_types::Introspect for LruCache<K, V> {
-    type State = LruState;
-
-    fn introspect(&self) -> LruState {
+    /// Gauge snapshot: cheap, allocation-free, `Copy`.
+    pub fn introspect(&self) -> LruState {
         LruState {
             len: self.len() as u64,
             capacity: self.capacity as u64,
@@ -611,7 +608,6 @@ mod tests {
 
     #[test]
     fn eviction_counter_tracks_pop_and_shrink() {
-        use pod_types::Introspect;
         let mut c = LruCache::new(2);
         c.insert(1, ());
         c.insert(2, ());

@@ -24,7 +24,7 @@ use crate::classify::{
 use crate::index::{IndexState, IndexTable};
 use crate::store::{ChunkStore, MapState};
 use pod_hash::fnv::FnvBuildHasher;
-use pod_types::{Fingerprint, Introspect, IoRequest, Lba, Pba, PodResult};
+use pod_types::{Fingerprint, IoRequest, Lba, Pba, PodResult};
 use std::collections::HashMap;
 
 /// Fingerprint → physical block map (the Full-Dedupe on-disk index).
@@ -305,7 +305,7 @@ impl EngineCounters {
 }
 
 /// Flat gauge snapshot of a whole [`DedupEngine`] (see
-/// [`pod_types::Introspect`]): the Index table, the Map table and the
+/// [`DedupEngine::introspect`]): the Index table, the Map table and the
 /// background-scan backlog, sampled together at an epoch boundary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DedupState {
@@ -746,14 +746,10 @@ impl DedupEngine {
         merge_extents_into(&scratch.pbas, &mut scratch.write_extents);
         Ok(())
     }
-}
-
-impl Introspect for DedupEngine {
-    type State = DedupState;
 
     /// Gauge snapshot of the whole engine: Index table, Map table and
     /// background-scan state in one struct.
-    fn introspect(&self) -> DedupState {
+    pub fn introspect(&self) -> DedupState {
         DedupState {
             index: self.index.introspect(),
             map: self.store.introspect(),

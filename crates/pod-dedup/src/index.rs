@@ -51,7 +51,7 @@ pub struct IndexTable {
 }
 
 /// Flat gauge snapshot of an [`IndexTable`] (see
-/// [`pod_types::Introspect`]).
+/// [`IndexTable::introspect`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexState {
     /// Hot entries currently cached.
@@ -217,12 +217,9 @@ impl IndexTable {
     pub fn heat(&self) -> [u64; 8] {
         self.heat
     }
-}
 
-impl pod_types::Introspect for IndexTable {
-    type State = IndexState;
-
-    fn introspect(&self) -> IndexState {
+    /// Gauge snapshot: cheap, allocation-free, `Copy`.
+    pub fn introspect(&self) -> IndexState {
         IndexState {
             entries: self.len() as u64,
             capacity: self.capacity() as u64,
@@ -327,7 +324,6 @@ mod tests {
 
     #[test]
     fn heat_histogram_buckets_counts() {
-        use pod_types::Introspect;
         let mut t = table(8);
         t.insert(fp(1), Pba::new(1)); // count 0 -> bucket 0
         t.insert(fp(2), Pba::new(2));

@@ -25,7 +25,7 @@
 use crate::journal::MapJournal;
 use pod_disk::{AllocState, BlockStore, NvramModel};
 use pod_types::fingerprint::FINGERPRINT_BYTES;
-use pod_types::{log2_bucket8, Fingerprint, Introspect, Lba, Pba, PodError, PodResult};
+use pod_types::{log2_bucket8, Fingerprint, Lba, Pba, PodError, PodResult};
 
 /// Entries per [`BlockTable`] page: 4,096 blocks = 16 MiB of address
 /// space, so a page is 16 KiB (refcounts) to 64 KiB (content).
@@ -201,7 +201,7 @@ pub struct ChunkStore {
 }
 
 /// Flat gauge snapshot of a [`ChunkStore`]'s Map table (see
-/// [`pod_types::Introspect`]).
+/// [`ChunkStore::introspect`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MapState {
     /// Logical blocks with a live mapping.
@@ -638,12 +638,9 @@ impl ChunkStore {
             self.journal.append_clear(Lba::new(home));
         }
     }
-}
 
-impl Introspect for ChunkStore {
-    type State = MapState;
-
-    fn introspect(&self) -> MapState {
+    /// Gauge snapshot: cheap, allocation-free, `Copy`.
+    pub fn introspect(&self) -> MapState {
         MapState {
             mapped: self.mapped,
             unique_blocks: self.fan_in[0],

@@ -27,7 +27,7 @@ pub struct BlockStore {
 }
 
 /// Flat gauge snapshot of a [`BlockStore`] (see
-/// [`pod_types::Introspect`]): how fragmented the recycled free space
+/// [`BlockStore::introspect`]): how fragmented the recycled free space
 /// has become relative to the untouched frontier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocState {
@@ -191,12 +191,9 @@ impl BlockStore {
             }
         }
     }
-}
 
-impl pod_types::Introspect for BlockStore {
-    type State = AllocState;
-
-    fn introspect(&self) -> AllocState {
+    /// Gauge snapshot: cheap, allocation-free, `Copy`.
+    pub fn introspect(&self) -> AllocState {
         let hole_blocks = self.hole_blocks();
         let virgin = self.capacity - self.frontier;
         let free = hole_blocks + virgin;
@@ -300,7 +297,6 @@ mod tests {
 
     #[test]
     fn introspect_reports_fragmentation() {
-        use pod_types::Introspect;
         let mut s = BlockStore::new(10);
         assert_eq!(
             s.introspect(),

@@ -16,7 +16,7 @@
 
 use crate::monitor::{AccessMonitor, EpochSnapshot};
 use pod_cache::{GhostCache, GhostState, LruCache};
-use pod_types::{Fingerprint, Introspect, Lba, BLOCK_BYTES, INDEX_ENTRY_BYTES};
+use pod_types::{Fingerprint, Lba, BLOCK_BYTES, INDEX_ENTRY_BYTES};
 
 /// LRU only (§III-C); kept because the benchmark harness names the `read_policy` fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -26,7 +26,7 @@ pub enum ReadCachePolicy {
     Lru,
 }
 
-/// Flat gauge snapshot of an [`ICache`] (see [`pod_types::Introspect`]):
+/// Flat gauge snapshot of an [`ICache`] (see [`ICache::introspect`]):
 /// the partition split, both ghost caches, and the cost-benefit inputs
 /// of the most recently closed epoch. Benefits are exact integer
 /// products (hits × penalty µs), so snapshots stay `Eq`.
@@ -348,12 +348,9 @@ impl ICache {
             index_grew: grew_index,
         })
     }
-}
 
-impl Introspect for ICache {
-    type State = ICacheState;
-
-    fn introspect(&self) -> ICacheState {
+    /// Gauge snapshot: cheap, allocation-free, `Copy`.
+    pub fn introspect(&self) -> ICacheState {
         let (egr, egi) = match &self.last_epoch {
             Some(e) => (e.ghost_read_hits, e.ghost_index_hits),
             None => (0, 0),

@@ -1,30 +1,19 @@
-//! State introspection: cheap, allocation-free gauge snapshots.
+//! State introspection helpers.
 //!
 //! Every stateful component of the stack (caches, tables, allocators,
-//! the iCache) implements [`Introspect`], returning a plain-old-data
-//! `State` struct of gauges — lengths, capacities, cumulative counters,
-//! fixed-size histograms. The replay runner samples these at epoch
-//! boundaries and forwards them through the observer chain, so the
-//! paper's internal mechanisms (ghost hits, cost-benefit values, Count
-//! heat, map fan-in) become observable without touching hot-path code.
+//! the iCache) has an inherent `introspect()` method returning a
+//! plain-old-data `State` struct of gauges — lengths, capacities,
+//! cumulative counters, fixed-size histograms. The replay runner
+//! samples these at epoch boundaries and forwards them through the
+//! observer chain, so the paper's internal mechanisms (ghost hits,
+//! cost-benefit values, Count heat, map fan-in) become observable
+//! without touching hot-path code.
 //!
 //! The contract mirrors the observer substrate's zero-allocation
-//! guarantee: `State` must be `Copy` (no owned buffers) and
-//! `introspect` must not allocate. Fractions are reported in per-mille
-//! (`u64`), never `f64`, so snapshots stay `Eq` and byte-comparable in
-//! golden tests.
-
-/// A component that can report its internal state as a flat gauge
-/// struct, cheaply and without allocating.
-pub trait Introspect {
-    /// The plain-old-data snapshot this component produces.
-    type State: Copy + Eq + Default + core::fmt::Debug;
-
-    /// Capture the current state. Must not allocate and must be cheap
-    /// enough to call at every epoch boundary (bounded work, never
-    /// proportional to the full table size).
-    fn introspect(&self) -> Self::State;
-}
+//! guarantee: a `State` is `Copy` (no owned buffers) and
+//! `introspect()` does not allocate. Fractions are reported in
+//! per-mille (`u64`), never `f64`, so snapshots stay `Eq` and
+//! byte-comparable in golden tests.
 
 /// Bucket a value into one of 8 log2-spaced bins: 0–1, 2–3, 4–7, …,
 /// ≥128. Shared by the Count-heat and map fan-in histograms.
