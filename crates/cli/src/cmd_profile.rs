@@ -3,19 +3,20 @@
 //! Everything `replay` prints is **simulated** time: modelled disk
 //! seeks and hash latencies. This command answers the other question —
 //! where does the *host* actually spend its wall clock while running
-//! the simulation? It replays the trace twice:
+//! the simulation? Each of five interleaved pairs replays the trace
+//! twice, in the layout a plain `replay` at the same `--jobs` uses:
 //!
 //! 1. un-profiled, to get a clean baseline wall time;
-//! 2. with [`SystemConfig::host_profiling`](pod_core::SystemConfig) on
-//!    and a `ProfSink` on the observer chain, yielding a
-//!    [`HostProfile`].
+//! 2. with a `ProfSink` on the observer chain, which turns the stack's
+//!    timers on and yields a [`HostProfile`].
 //!
 //! The difference between the two wall times is the profiler's own
 //! overhead, reported next to the breakdown so the numbers can be
 //! trusted (a fixed cost per phase, so its share grows as the replay
-//! loop gets faster; DESIGN §14 has current numbers). `--out <path>` also
-//! writes the profile as folded stacks (`pod;<layer>;<phase> <ns>`)
-//! for flamegraph tooling.
+//! loop gets faster; DESIGN §14 has current numbers). The wall line
+//! names the disk's placement and the share of the profiled wall the
+//! phases account for. `--out <path>` also writes the profile as folded
+//! stacks (`pod;<layer>;<phase> <ns>`) for flamegraph tooling.
 //!
 //! The two replays produce identical simulated results — profiling only
 //! reads the monotonic clock and emits extra observer events — which
@@ -23,7 +24,6 @@
 
 use crate::args::CliArgs;
 use pod_core::obs::Layer;
-use pod_core::pool::{default_width, set_default_width};
 use pod_core::stack::disk_on_own_thread;
 use pod_core::{HostProfile, ProfPhase, ReplayReport};
 
@@ -50,17 +50,6 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         Ok((rep, t0.elapsed().as_secs_f64()))
     };
-    // Where the default layout, the third replay of each rep, puts the
-    // array.
-    let threaded = disk_on_own_thread(&cfg);
-    let width = default_width();
-    let inline_replay = || {
-        // At width 1 the array stays inline, as it does when profiled.
-        set_default_width(1);
-        let run = replay(false);
-        set_default_width(width);
-        run
-    };
 
     // Untimed warmup so neither timed run pays first-touch costs
     // (page cache, lazy statics).
@@ -70,27 +59,35 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
     // (CPU frequency, steal time, allocator reuse), but within one
     // back-to-back pair both sides see nearly the same host state, so
     // the per-pair ratio is stable where the raw wall times are not.
-    // The reported overhead is the median pair ratio; the wall times
-    // shown are each side's best.
+    // Every figure printed is a median: each side's wall, the pair
+    // ratio, and the table, which comes from the median profiled rep.
     const REPS: usize = 5;
-    let mut base_s = f64::INFINITY;
-    let mut prof_s = f64::INFINITY;
-    let mut default_s = f64::INFINITY;
+    let mut base_walls = Vec::with_capacity(REPS);
+    let mut profiled = Vec::with_capacity(REPS);
     let mut pair_overheads = Vec::with_capacity(REPS);
-    let mut runs = None;
     for _ in 0..REPS {
-        let (base, b_s) = inline_replay()?;
-        base_s = base_s.min(b_s);
+        let (base, b_s) = replay(false)?;
         let (rep, p_s) = replay(true)?;
-        prof_s = prof_s.min(p_s);
+        // Profiling may not perturb the simulation itself.
+        if (rep.overall.mean_us() - base.overall.mean_us()).abs() > 1e-9 {
+            return Err(format!(
+                "profiled replay diverged from baseline: mean {} vs {} µs",
+                rep.overall.mean_us(),
+                base.overall.mean_us()
+            ));
+        }
         if b_s > 0.0 {
             pair_overheads.push((p_s - b_s) / b_s * 100.0);
         }
-        let (default, d_s) = replay(false)?;
-        default_s = default_s.min(d_s);
-        runs = Some((base, rep, default));
+        base_walls.push(b_s);
+        profiled.push((rep, p_s));
     }
-    let (base, rep, default) = runs.expect("at least one rep");
+    base_walls.sort_by(f64::total_cmp);
+    pair_overheads.sort_by(f64::total_cmp);
+    profiled.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let base_s = base_walls[REPS / 2];
+    let overhead_pct = pair_overheads.get(pair_overheads.len() / 2).copied();
+    let (rep, prof_s) = &profiled[REPS / 2];
     let prof = rep
         .profile
         .as_ref()
@@ -98,34 +95,18 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
     if prof.is_empty() {
         return Err("host profile is empty — no phases were timed".into());
     }
-    // Neither profiling nor where the array runs may perturb the
-    // simulation itself.
-    for (what, other) in [("profiled", &rep), ("default-layout", &default)] {
-        if (other.overall.mean_us() - base.overall.mean_us()).abs() > 1e-9 {
-            return Err(format!(
-                "{what} replay diverged from baseline: mean {} vs {} µs",
-                other.overall.mean_us(),
-                base.overall.mean_us()
-            ));
-        }
-    }
 
     print!("{}", render_table(prof));
-    pair_overheads.sort_by(|a, b| a.total_cmp(b));
-    let overhead_pct = if pair_overheads.is_empty() {
-        0.0
+    let layout = if disk_on_own_thread() {
+        "disk on its own thread"
     } else {
-        pair_overheads[pair_overheads.len() / 2]
+        "disk inline"
     };
     println!(
-        "\nwall time: {base_s:.3} s un-profiled, {prof_s:.3} s profiled (overhead {overhead_pct:+.1}%, median of {REPS} A/B pairs; disk inline in both)"
+        "\nwall time: {base_s:.3} s un-profiled, {prof_s:.3} s profiled (overhead {:+.1}%, medians of {REPS} A/B pairs; {layout}); attributed = {:.1}% of the profiled wall",
+        overhead_pct.unwrap_or(0.0),
+        prof.total_ns() as f64 / 1e9 / prof_s * 100.0,
     );
-    let placement = if threaded {
-        "on its own thread"
-    } else {
-        "inline"
-    };
-    println!("default layout: {default_s:.3} s un-profiled, disk {placement}");
     println!(
         "simulated layer shares: cache {:.1}%  dedup {:.1}%  disk {:.1}%",
         rep.stack.layer_share(Layer::Cache) * 100.0,

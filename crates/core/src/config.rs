@@ -61,12 +61,6 @@ pub struct SystemConfig {
     /// per-tenant QoS. `None` = the policy layer is absent entirely
     /// (zero overhead); single-stack replays ignore it.
     pub policy: Option<ServePolicy>,
-    /// Emit [`StackEvent::HostPhase`](crate::StackEvent) events
-    /// attributing real host wall-clock nanoseconds to each phase of
-    /// the replay loop (see [`crate::prof`]). Off by default: without
-    /// it no host-time event ever reaches the wire, so reports, traces
-    /// and golden fixtures are byte-identical to pre-profiler output.
-    pub host_profiling: bool,
 }
 
 /// Controller fast-path service-time model.
@@ -604,7 +598,6 @@ impl SystemConfig {
             fail_disk: None,
             faults: None,
             policy: None,
-            host_profiling: false,
         }
     }
 

@@ -228,10 +228,10 @@ pub enum StackEvent {
     },
     /// Real host wall-clock nanoseconds spent in one profiled phase of
     /// the replay loop (see [`ProfPhase`](crate::prof::ProfPhase)).
-    /// Emitted only when
-    /// [`SystemConfig::host_profiling`](crate::SystemConfig) is on —
-    /// the default replay produces none, so traces and golden fixtures
-    /// recorded without profiling are byte-identical.
+    /// Emitted only when the stack's chain holds a
+    /// [`ProfSink`](crate::prof::ProfSink) — the default replay
+    /// produces none, so traces and golden fixtures recorded without
+    /// profiling are byte-identical.
     HostPhase {
         /// The phase the time belongs to.
         phase: crate::prof::ProfPhase,

@@ -13,16 +13,22 @@
 //! The profiler rides the existing observer chain and keeps the repo's
 //! zero-allocation discipline:
 //!
-//! * the stack wraps each profiled phase in a [`ProfTimer`] (one
-//!   `Option` of a monotonic stamp, no heap) and emits one
-//!   [`StackEvent::HostPhase`] per scope when
-//!   [`SystemConfig::host_profiling`](crate::SystemConfig) is on;
-//! * a [`ProfSink`] on the chain folds those events into a
-//!   [`HostProfile`]: per-phase counts, total nanoseconds and log₂
-//!   histograms in fixed arrays;
-//! * with profiling off (the default) not a single event is emitted and
+//! * a [`ProfSink`] on the chain turns the profiler on: the stack then
+//!   wraps each profiled phase in a [`ProfTimer`] (one `Option` of a
+//!   monotonic stamp, no heap) and emits one [`StackEvent::HostPhase`]
+//!   per scope;
+//! * the sink folds those events into a [`HostProfile`]: per-phase
+//!   counts, total nanoseconds and log₂ histograms in fixed arrays;
+//! * with no sink (the default) not a single event is emitted and
 //!   every report stays byte-identical — the golden fixtures never see
 //!   host time.
+//!
+//! The phases partition the wall clock of the thread that runs the
+//! replay loop. Where the simulated array runs on a thread of its own
+//! ([`disk_on_own_thread`](crate::stack::disk_on_own_thread)), a wait
+//! on that thread lands in the phase that made the call: a batch
+//! hand-over mostly in `disk_submit` or `disk_run`, the final join in
+//! `disk_run`.
 //!
 //! [`HostProfile`] renders folded stacks (`pod;<layer>;<phase> <ns>`)
 //! for flamegraph tooling.
@@ -100,9 +106,9 @@ mod clock {
 }
 
 /// Warm up the scope clock (TSC calibration on x86_64, no-op
-/// elsewhere). The stack calls this at build time when
-/// `host_profiling` is on, so the one-time ~2 ms calibration spin
-/// never lands inside a profiled phase.
+/// elsewhere). The stack calls this at build time when its chain
+/// holds a [`ProfSink`], so the one-time ~2 ms calibration spin never
+/// lands inside a profiled phase.
 pub fn calibrate() {
     #[cfg(target_arch = "x86_64")]
     clock::ns_per_tick();
@@ -175,11 +181,6 @@ impl ProfPhase {
             ProfPhase::Snapshot => "snapshot",
             ProfPhase::Observe => "observe",
         }
-    }
-
-    /// Inverse of [`name`](Self::name).
-    pub fn from_name(s: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|p| p.name() == s)
     }
 
     /// The coarse layer this phase belongs to (one of [`PROF_LAYERS`]).
@@ -340,16 +341,6 @@ impl HostProfile {
         self.phases.iter().all(|p| p.count == 0)
     }
 
-    /// Fraction of attributed time spent in `phase` (0 when empty).
-    pub fn share(&self, phase: ProfPhase) -> f64 {
-        let total = self.total_ns();
-        if total == 0 {
-            0.0
-        } else {
-            self.phase(phase).total_ns as f64 / total as f64
-        }
-    }
-
     /// Total nanoseconds attributed to one coarse layer label.
     pub fn layer_ns(&self, layer: &str) -> u64 {
         ProfPhase::ALL
@@ -400,30 +391,11 @@ impl HostProfile {
             out.push('\n');
         }
     }
-
-    /// Parse folded-stack lines back into `(stack, ns)` pairs. Inverse
-    /// of [`write_folded`](Self::write_folded) up to phase totals.
-    pub fn parse_folded(s: &str) -> Result<Vec<(String, u64)>, String> {
-        let mut out = Vec::new();
-        for (i, line) in s.lines().enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let (stack, ns) = line
-                .rsplit_once(' ')
-                .ok_or_else(|| format!("line {}: no sample count", i + 1))?;
-            let ns: u64 = ns
-                .parse()
-                .map_err(|_| format!("line {}: bad sample count {ns:?}", i + 1))?;
-            out.push((stack.to_string(), ns));
-        }
-        Ok(out)
-    }
 }
 
 /// Observer sink that folds [`StackEvent::HostPhase`] events into a
-/// [`HostProfile`]. Attach it to a chain, replay, then
-/// `chain.take_sink::<ProfSink>()`.
+/// [`HostProfile`]. Attaching it to a stack's chain turns the stack's
+/// timers on; replay, then `chain.take_sink::<ProfSink>()`.
 #[derive(Debug, Clone, Default)]
 pub struct ProfSink {
     profile: HostProfile,
@@ -433,11 +405,6 @@ impl ProfSink {
     /// A sink with an empty profile.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The profile accumulated so far.
-    pub fn profile(&self) -> &HostProfile {
-        &self.profile
     }
 
     /// Consume the sink, yielding its profile.
@@ -471,11 +438,12 @@ mod tests {
 
     #[test]
     fn names_round_trip_and_layers_are_exhaustive() {
+        let names: std::collections::HashSet<_> =
+            ProfPhase::ALL.into_iter().map(ProfPhase::name).collect();
+        assert_eq!(names.len(), ProfPhase::COUNT, "phase names are unique");
         for phase in ProfPhase::ALL {
-            assert_eq!(ProfPhase::from_name(phase.name()), Some(phase));
             assert!(PROF_LAYERS.contains(&phase.layer()));
         }
-        assert_eq!(ProfPhase::from_name("nope"), None);
     }
 
     #[test]
@@ -490,19 +458,18 @@ mod tests {
     }
 
     #[test]
-    fn folded_output_parses_back_to_phase_totals() {
-        let p = sample_profile();
+    fn folded_output_is_one_line_per_recorded_phase() {
         let mut folded = String::new();
-        p.write_folded(&mut folded);
-        let stacks = HostProfile::parse_folded(&folded).expect("parse");
+        sample_profile().write_folded(&mut folded);
         // `observe` recorded one zero-ns scope: present in the folded
         // output with a 0 sample.
-        assert_eq!(stacks.len(), 4);
-        let total: u64 = stacks.iter().map(|(_, ns)| ns).sum();
-        assert_eq!(total, p.total_ns());
-        assert!(stacks
-            .iter()
-            .any(|(s, ns)| s == "pod;disk;disk_run" && *ns == 40_000));
+        assert_eq!(
+            folded,
+            "pod;cache;cache_lookup 200\n\
+             pod;dedup;dedup_classify 1500\n\
+             pod;disk;disk_run 40000\n\
+             pod;other;observe 0\n"
+        );
     }
 
     #[test]
@@ -525,10 +492,9 @@ mod tests {
             ns: 42,
         });
         sink.on_event(&StackEvent::Finished);
-        assert_eq!(sink.profile().total_ns(), 42);
-        assert_eq!(sink.profile().phase(ProfPhase::Background).count, 1);
         let p = sink.into_profile();
-        assert!(!p.is_empty());
+        assert_eq!(p.total_ns(), 42);
+        assert_eq!(p.phase(ProfPhase::Background).count, 1);
     }
 
     #[test]

@@ -436,12 +436,11 @@ impl<'t> ReplayBuilder<'t> {
         self
     }
 
-    /// Profile host wall-clock time per stack phase: turns on
-    /// [`SystemConfig::host_profiling`], attaches a [`ProfSink`] and
-    /// lands the aggregated [`HostProfile`] in
-    /// [`ReplayReport::profile`]. Off by default — with it off no
-    /// `HostPhase` event is ever emitted and reports are byte-identical
-    /// to a build without the profiler.
+    /// Profile host wall-clock time per stack phase: attaches a
+    /// [`ProfSink`], which turns the stack's timers on, and lands the
+    /// aggregated [`HostProfile`] in [`ReplayReport::profile`]. Off by
+    /// default — with it off no `HostPhase` event is ever emitted and
+    /// reports are byte-identical to a build without the profiler.
     pub fn profile(mut self, profile: bool) -> Self {
         self.core.profile = profile;
         self
@@ -455,10 +454,7 @@ impl<'t> ReplayBuilder<'t> {
     /// Replay and also return the observer chain, so attached sinks
     /// (recorders, histograms, custom observers) can be extracted by
     /// type via [`ObserverChain::take_sink`].
-    pub fn run_observed(mut self) -> PodResult<(ReplayReport, ObserverChain)> {
-        if self.core.profile {
-            self.core.cfg.host_profiling = true;
-        }
+    pub fn run_observed(self) -> PodResult<(ReplayReport, ObserverChain)> {
         self.core.cfg.validate()?;
         let trace = self.trace.ok_or_else(|| {
             PodError::InvalidConfig(

@@ -389,10 +389,7 @@ impl<'t> ServeBuilder<'t> {
     /// it returns recorders rather than whole observer chains because
     /// the chains live on worker threads (the remaining builder
     /// divergence, documented on [`observer`](Self::observer)).
-    pub fn run_recorded(mut self) -> PodResult<(ServeReport, Vec<TraceRecorder>)> {
-        if self.core.profile {
-            self.core.cfg.host_profiling = true;
-        }
+    pub fn run_recorded(self) -> PodResult<(ServeReport, Vec<TraceRecorder>)> {
         self.core.cfg.validate()?;
         let tenants = self.tenants.ok_or_else(|| {
             PodError::InvalidConfig(

@@ -12,7 +12,7 @@
 //! replay reads completions once, after [`DiskBackend::run_to_idle`].
 //! [`disk_on_own_thread`] is the rule that picks it.
 
-use crate::config::{FaultPlan, SystemConfig};
+use crate::config::FaultPlan;
 use crate::obs::FaultKind;
 use crate::pool;
 use crate::runner::ReplaySizing;
@@ -183,15 +183,13 @@ impl DiskBackend for ArrayBackend {
     }
 }
 
-/// Whether a stack built now under `cfg` runs its simulated array on a
-/// thread of its own: when [`pool::default_width`] (`--jobs`, or the
-/// machine's available parallelism) is 2 or more, for a solo replay, a
-/// serve shard's tenants and an experiment grid's stacks alike. A
-/// profiled replay keeps its disk inline, because the profiler's phases
-/// partition one thread's wall clock. Results never depend on the
-/// answer.
-pub fn disk_on_own_thread(cfg: &SystemConfig) -> bool {
-    !cfg.host_profiling && pool::default_width() >= 2
+/// Whether a stack built now runs its simulated array on a thread of
+/// its own: when [`pool::default_width`] (`--jobs`, or the machine's
+/// available parallelism) is 2 or more, for a solo replay, a serve
+/// shard's tenants and an experiment grid's stacks alike, profiled or
+/// not. Results never depend on the answer.
+pub fn disk_on_own_thread() -> bool {
+    pool::default_width() >= 2
 }
 
 /// Commands a batch of the disk log holds before it is handed over.
@@ -885,12 +883,5 @@ mod tests {
                 assert_eq!(faulty.completion(job), Some(want), "job {j}");
             }
         }
-    }
-
-    #[test]
-    fn a_profiled_replay_keeps_its_disk_inline() {
-        let mut cfg = SystemConfig::test_default();
-        cfg.host_profiling = true;
-        assert!(!disk_on_own_thread(&cfg));
     }
 }

@@ -55,7 +55,7 @@ pub use crate::obs::{StackCounters, StackObserver};
 
 use crate::config::{PostProcess, SystemConfig};
 use crate::obs::{FaultKind, Layer, ObserverChain, StackEvent, StateSnapshot};
-use crate::prof::{ProfPhase, ProfTimer};
+use crate::prof::{ProfPhase, ProfSink, ProfTimer};
 use crate::runner::ReplaySizing;
 use crate::serve::SharedTierTask;
 use pod_dedup::{DedupConfig, DedupPolicy};
@@ -114,7 +114,7 @@ pub struct StorageStack {
     /// serialized wire; the serving engine assigns real ids via
     /// [`set_tenant`](Self::set_tenant).
     tenant: u16,
-    /// Host profiling is on ([`SystemConfig::host_profiling`]): each
+    /// Host profiling is on (the chain holds a [`ProfSink`]): each
     /// profiled phase is wrapped in a [`ProfTimer`] and its elapsed
     /// host nanoseconds emitted as [`StackEvent::HostPhase`]. Off (the
     /// default), every timer is inert and no event is emitted — the
@@ -125,7 +125,8 @@ pub struct StorageStack {
 impl StorageStack {
     /// Compose the stack described by `spec` for one replay of `trace`,
     /// fanning layer events out to `observer` (an empty chain keeps the
-    /// built-in counters only).
+    /// built-in counters only). A [`ProfSink`] on the chain turns the
+    /// host profiler on.
     pub fn with_observer(
         spec: &StackSpec,
         cfg: &SystemConfig,
@@ -197,7 +198,7 @@ impl StorageStack {
             sim.fail_disk(disk)?;
         }
         let array = ArrayBackend::new(sim, &sizing);
-        let backend: Box<dyn DiskBackend> = if disk_on_own_thread(cfg) {
+        let backend: Box<dyn DiskBackend> = if disk_on_own_thread() {
             Box::new(disk::ThreadedBackend::spawn(array))
         } else {
             Box::new(array)
@@ -207,7 +208,8 @@ impl StorageStack {
             None => backend,
         };
 
-        if cfg.host_profiling {
+        let prof = observer.sink::<ProfSink>().is_some();
+        if prof {
             // Pay the one-time scope-clock calibration here, not inside
             // the first profiled phase.
             crate::prof::calibrate();
@@ -230,7 +232,7 @@ impl StorageStack {
             fault_scratch: Vec::new(),
             corrupt_lba: cfg.faults.as_ref().and_then(|p| p.corrupt_lba),
             tenant: 0,
-            prof: cfg.host_profiling,
+            prof,
         })
     }
 

@@ -8,9 +8,10 @@
 //! allocations — while the stack fans every [`StackEvent`] out to the
 //! built-in counters, a [`LayerHistograms`] sink, an epoch-closing
 //! [`TraceRecorder`], a custom observer and the host wall-clock
-//! profiler (`host_profiling` on, `ProfSink` attached). This is the
-//! zero-allocation contract `pod_core::obs` documents: observation is
-//! counter bumps into fixed-size storage, never per-event boxing.
+//! profiler (a `ProfSink` attached, which turns its timers on). This
+//! is the zero-allocation contract `pod_core::obs` documents:
+//! observation is counter bumps into fixed-size storage, never
+//! per-event boxing.
 //!
 //! That working set fits its budget, so nothing is ever evicted and no
 //! read misses. A second phase repeats the measurement where a replay
@@ -20,11 +21,12 @@
 //! disk. Handing a victim to its ghost and planning a read miss must
 //! not allocate either.
 //!
-//! With the profiler on, a stack keeps its simulated array inline. A
-//! third phase repeats the eviction run with profiling off at an
-//! executor width of 2, which puts the array on a thread of its own:
-//! the counter is process-wide, so the window covers both the replay
-//! thread filling the disk log and the worker applying it.
+//! The eviction phase runs three times: profiled at an executor width
+//! of 1, which keeps the simulated array inline, then profiled and not
+//! at a width of 2, which puts the array on a thread of its own. The
+//! counter is process-wide, so the window covers both the replay thread
+//! filling the disk log, the profiler's timers around each hand-over
+//! included, and the worker applying it.
 //!
 //! The file holds a single test on purpose — the counter is
 //! process-global, and a lone test keeps the measurement window free of
@@ -208,9 +210,9 @@ fn rotate_contents(set: &mut [IoRequest], pass: u64) {
 /// working set overruns all four, so every written chunk misses the
 /// index and evicts from it and its ghost, every write-allocated or
 /// fetched block evicts from the read cache and its ghost, and every
-/// read misses. Profiled, the array runs inline; not profiled (at an
-/// executor width of 2), it runs on its own thread.
-fn replay_under_eviction_is_allocation_free(profiled: bool) {
+/// read misses. At an executor `width` of 1 the array runs inline; at
+/// 2 it runs on its own thread.
+fn replay_under_eviction_is_allocation_free(width: usize, profiled: bool) {
     let mut set = eviction_working_set();
     let trace = Trace {
         name: "alloc-probe-evicting".into(),
@@ -219,9 +221,8 @@ fn replay_under_eviction_is_allocation_free(profiled: bool) {
     };
     let mut cfg = SystemConfig::test_default();
     cfg.memory_bytes = Some(1 << 20);
-    cfg.host_profiling = profiled;
-    pod_core::pool::set_default_width(2);
-    assert_eq!(disk_on_own_thread(&cfg), !profiled);
+    pod_core::pool::set_default_width(width);
+    assert_eq!(disk_on_own_thread(), width >= 2);
     let mut chain = ObserverChain::new();
     chain.push(LayerHistograms::new());
     chain.push(TraceRecorder::new(
@@ -257,14 +258,9 @@ fn replay_under_eviction_is_allocation_free(profiled: bool) {
         fewest_allocations_in_8_windows(|| run_passes(4))
     };
 
-    let disk = if profiled {
-        "inline"
-    } else {
-        "on its own thread"
-    };
     assert_eq!(
         best, 0,
-        "steady-state process_request under eviction, disk {disk}, \
+        "steady-state process_request under eviction at width {width}, profiled {profiled}, \
          allocated at least {best} times in every one of 8 windows of 4 \
          passes over 2,048 blocks against a 1 MiB budget"
     );
@@ -292,12 +288,13 @@ fn steady_state_replay_with_full_observer_chain_is_allocation_free() {
         requests: set.clone(),
         memory_budget_bytes: 64 << 20,
     };
-    let mut cfg = SystemConfig::test_default();
-    // Host profiling on: the hot path additionally reads the monotonic
-    // clock and emits `HostPhase` events, all of which must also be
-    // allocation-free (the zero-allocation contract covers the
-    // profiler — that is what makes its <5% overhead claim credible).
-    cfg.host_profiling = true;
+    let cfg = SystemConfig::test_default();
+    // The array inline, as on a one-core host; the eviction phase below
+    // also covers it on a thread of its own.
+    pod_core::pool::set_default_width(1);
+    // The `ProfSink` below turns host profiling on: the hot path
+    // additionally reads the monotonic clock and emits `HostPhase`
+    // events, all of which must also be allocation-free.
     // The full chain: built-in counters (always on) + per-layer
     // histograms + an epoch-closing recorder (pre-sized far beyond the
     // requests this test issues) + a custom tally + the host profiler.
@@ -371,6 +368,7 @@ fn steady_state_replay_with_full_observer_chain_is_allocation_free() {
         "every write was timed"
     );
 
-    replay_under_eviction_is_allocation_free(true);
-    replay_under_eviction_is_allocation_free(false);
+    replay_under_eviction_is_allocation_free(1, true);
+    replay_under_eviction_is_allocation_free(2, true);
+    replay_under_eviction_is_allocation_free(2, false);
 }

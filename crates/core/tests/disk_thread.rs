@@ -5,12 +5,14 @@
 //!
 //! The placement rule reads the process-wide executor width, so every
 //! test here sets it under one lock: width 1 keeps the disk inline,
-//! width 2 gives every replay, a serve's included, its disk thread.
+//! width 2 gives every replay, a serve's and a profiled one's included,
+//! its disk thread.
 
 use pod_core::config::{FaultPlan, ServePolicy};
 use pod_core::pool::set_default_width;
 use pod_core::prelude::*;
 use pod_core::stack::disk_on_own_thread;
+use pod_core::{ProfPhase, ProfSink};
 use pod_trace::{derive_tenants, Trace, TraceProfile};
 use std::sync::Mutex;
 
@@ -48,6 +50,27 @@ fn replay(scheme: Scheme, trace: &Trace, cfg: &SystemConfig) -> (String, Vec<u8>
     (format!("{report:?}"), jsonl)
 }
 
+/// A profiled replay: its report without the profile, and how many
+/// scopes each phase timed.
+fn profiled(
+    scheme: Scheme,
+    trace: &Trace,
+    cfg: &SystemConfig,
+) -> (String, [u64; ProfPhase::COUNT]) {
+    let mut report = scheme
+        .builder()
+        .config(cfg.clone())
+        .trace(trace)
+        .profile(true)
+        .run()
+        .expect("profiled replay");
+    let prof = report.profile.take().expect("profile attached");
+    (
+        format!("{report:?}"),
+        ProfPhase::ALL.map(|p| prof.phase(p).count),
+    )
+}
+
 #[test]
 fn every_scheme_and_fault_plan_replays_identically_with_the_disk_on_its_own_thread() {
     let traces = [
@@ -70,15 +93,21 @@ fn every_scheme_and_fault_plan_replays_identically_with_the_disk_on_its_own_thre
         cfg.disk.capacity_blocks = 40_000;
         for trace in &traces {
             for scheme in Scheme::extended() {
-                let [inline, threaded] = PLACEMENTS.map(|(width, on_thread)| {
-                    at_width(width, || {
-                        assert_eq!(disk_on_own_thread(&cfg), on_thread, "width {width}");
-                        replay(scheme, trace, &cfg)
-                    })
-                });
+                let [(inline, prof_inline), (threaded, prof_threaded)] =
+                    PLACEMENTS.map(|(width, on_thread)| {
+                        at_width(width, || {
+                            assert_eq!(disk_on_own_thread(), on_thread, "width {width}");
+                            (replay(scheme, trace, &cfg), profiled(scheme, trace, &cfg))
+                        })
+                    });
                 let case = format!("{scheme} on {} under {plan:?}", trace.name);
                 assert!(inline.0 == threaded.0, "report differs: {case}");
                 assert!(inline.1 == threaded.1, "JSONL differs: {case}");
+                // Profiling leaves the placement and the report alone.
+                let same = inline.0 == prof_inline.0 && inline.0 == prof_threaded.0;
+                assert!(same, "profiled report differs: {case}");
+                // The front end runs the same scopes in either layout.
+                assert_eq!(prof_inline.1, prof_threaded.1, "phase counts: {case}");
             }
         }
     }
@@ -95,7 +124,7 @@ fn a_serve_is_identical_with_disk_threads() {
         };
         let serve = |width: usize, shards: usize| {
             at_width(width, || {
-                assert_eq!(disk_on_own_thread(&cfg), width >= 2, "width {width}");
+                assert_eq!(disk_on_own_thread(), width >= 2, "width {width}");
                 let report = ServeBuilder::new(Scheme::Pod)
                     .config(cfg.clone())
                     .tenants(&tenants)
@@ -145,11 +174,12 @@ fn a_stack_dropped_mid_replay_joins_its_disk_thread() {
         wait_for(0, "no disk thread outside a replay");
         let trace = TraceProfile::web_vm().scaled(0.004).generate(17);
         let cfg = SystemConfig::test_default();
+        // Profiled: a `ProfSink` on the chain leaves the placement alone.
         let mut stack = StorageStack::with_observer(
             &Scheme::Native.stack_spec(),
             &cfg,
             &trace,
-            ObserverChain::new(),
+            ObserverChain::new().with(ProfSink::new()),
         )
         .expect("valid stack");
         for (idx, req) in trace.requests.iter().take(trace.len() / 2).enumerate() {
@@ -162,6 +192,30 @@ fn a_stack_dropped_mid_replay_joins_its_disk_thread() {
         // Joined in the drop; the kernel may list an exited thread for
         // a moment after the join returns.
         wait_for(0, "the disk thread outlived its stack");
+    });
+}
+
+#[test]
+fn a_profiled_replay_with_a_disk_thread_attributes_at_most_its_wall() {
+    // The phases partition the replay thread's wall clock; the disk
+    // thread's own work must not be counted on top of it.
+    let trace = TraceProfile::mail().scaled(0.05).generate(17);
+    at_width(2, || {
+        assert!(disk_on_own_thread());
+        let t0 = std::time::Instant::now();
+        let report = Scheme::Pod
+            .builder()
+            .trace(&trace)
+            .profile(true)
+            .run()
+            .expect("profiled replay");
+        let wall_ns = t0.elapsed().as_nanos() as f64;
+        let attributed = report.profile.expect("profile attached").total_ns() as f64;
+        assert!(attributed > 0.0, "nothing was timed");
+        assert!(
+            attributed <= 1.05 * wall_ns,
+            "{attributed} ns attributed, {wall_ns} ns wall"
+        );
     });
 }
 
