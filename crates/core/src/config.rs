@@ -5,7 +5,9 @@ use pod_disk::{DiskSpec, RaidConfig, SchedulerKind};
 use pod_icache::ReadCachePolicy;
 use pod_types::{PodError, PodResult};
 
-/// Full configuration of a simulated POD deployment.
+/// Full configuration of a simulated POD deployment. The array is the
+/// paper's kind: every member healthy and every write a media write,
+/// so only its geometry, disk model and queue discipline are chosen.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SystemConfig {
     /// Array geometry (paper: 4-disk RAID-5, 64 KiB stripe unit).
@@ -51,9 +53,6 @@ pub struct SystemConfig {
     pub icache: ICacheTuning,
     /// Background post-process deduplication cadence.
     pub post_process: PostProcess,
-    /// Fail this member disk before replay begins (RAID-5 degraded-mode
-    /// evaluation). `None` = healthy array.
-    pub fail_disk: Option<usize>,
     /// Deterministic fault-injection plan applied to the disk backend.
     /// `None` = no fault layer is installed at all (zero overhead).
     pub faults: Option<FaultPlan>,
@@ -595,7 +594,6 @@ impl SystemConfig {
             warmup_fraction: 0.15,
             icache: ICacheTuning::default(),
             post_process: PostProcess::default(),
-            fail_disk: None,
             faults: None,
             policy: None,
         }
@@ -649,17 +647,6 @@ impl SystemConfig {
             return Err(PodError::InvalidConfig(
                 "icache min_fraction must be in [0,0.5]".into(),
             ));
-        }
-        if let Some(d) = self.fail_disk {
-            if d >= self.raid.ndisks {
-                return Err(PodError::InvalidConfig(format!(
-                    "fail_disk {d} out of range for {} disks",
-                    self.raid.ndisks
-                )));
-            }
-            if self.raid.level != pod_disk::RaidLevel::Raid5 {
-                return Err(PodError::InvalidConfig("fail_disk requires RAID-5".into()));
-            }
         }
         if let Some(plan) = &self.faults {
             plan.validate()?;

@@ -681,35 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn degraded_array_replay_is_slower_and_pod_still_helps() {
-        let t = tiny_trace("mail");
-        let mut degraded_cfg = SystemConfig::test_default();
-        degraded_cfg.fail_disk = Some(1);
-        let healthy = replay(Scheme::Native, &t);
-        let degraded = replay_with(Scheme::Native, &t, degraded_cfg.clone());
-        assert!(
-            degraded.reads.mean_us() >= healthy.reads.mean_us(),
-            "reconstruction reads cost: {} vs {}",
-            degraded.reads.mean_us(),
-            healthy.reads.mean_us()
-        );
-        // POD's write elimination still pays off in degraded mode.
-        let degraded_pod = replay_with(Scheme::Pod, &t, degraded_cfg);
-        assert!(degraded_pod.overall.mean_us() < degraded.overall.mean_us());
-    }
-
-    #[test]
-    fn fail_disk_validation() {
-        let mut cfg = SystemConfig::test_default();
-        cfg.fail_disk = Some(99);
-        assert!(cfg.validate().is_err());
-        cfg.fail_disk = Some(1);
-        assert!(cfg.validate().is_ok());
-        cfg.raid = pod_disk::RaidConfig::single();
-        assert!(cfg.validate().is_err(), "degraded mode needs RAID-5");
-    }
-
-    #[test]
     fn empty_trace_is_fine() {
         let trace = Trace {
             name: "empty".into(),

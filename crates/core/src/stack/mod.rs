@@ -193,10 +193,7 @@ impl StorageStack {
             sizing.max_request_blocks,
         );
 
-        let mut sim = ArraySim::new(geometry, cfg.disk.clone(), cfg.scheduler);
-        if let Some(disk) = cfg.fail_disk {
-            sim.fail_disk(disk)?;
-        }
+        let sim = ArraySim::new(geometry, cfg.disk.clone(), cfg.scheduler);
         let array = ArrayBackend::new(sim, &sizing);
         let backend: Box<dyn DiskBackend> = if disk_on_own_thread() {
             Box::new(disk::ThreadedBackend::spawn(array))

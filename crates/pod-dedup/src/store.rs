@@ -464,8 +464,8 @@ impl ChunkStore {
     /// [`ChunkStore::write_unique`] as `preallocated`.
     pub fn alloc_overflow(&mut self, n: u32) -> PodResult<Pba> {
         let base = self.overflow.alloc_extent(n)?;
-        // BlockStore tracks its own refcount 1; ChunkStore's refs start at
-        // 0 and are claimed by write_unique. Record liveness lazily.
+        // ChunkStore's refs for the extent start at 0 and are claimed by
+        // write_unique.
         Ok(Pba::new(self.logical_blocks + base.raw()))
     }
 
@@ -587,7 +587,7 @@ impl ChunkStore {
         self.note_ref_change(was, was - 1);
         if was == 1 && pba >= self.logical_blocks {
             // Return the overflow block to its allocator.
-            self.overflow.decref(Pba::new(pba - self.logical_blocks))?;
+            self.overflow.free(Pba::new(pba - self.logical_blocks))?;
         }
         Ok(())
     }

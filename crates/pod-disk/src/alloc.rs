@@ -1,19 +1,18 @@
-//! Physical block store: allocation, reference counting, capacity
-//! accounting.
+//! Physical block store: extent allocation and capacity accounting.
 //!
 //! Deduplication makes physical blocks *shared*: many LBAs can map to one
-//! PBA (the Map table's m-to-1 relation, paper §III-B), and the Index
-//! table's `Count` "is also used to prevent the referenced data blocks
-//! from being modified or deleted". `BlockStore` owns that lifecycle:
+//! PBA (the Map table's m-to-1 relation, paper §III-B). The reference
+//! counts that pin a shared block live with the Map table (the dedup
+//! crate's `ChunkStore`); `BlockStore` is the allocator underneath it:
 //! extent allocation (sequential-first, so fresh writes lay out
-//! contiguously like a real allocator), per-block reference counts, and
-//! the used-capacity number that Fig. 10 reports.
+//! contiguously like a real allocator) and the used-capacity number that
+//! Fig. 10 reports.
 
-use pod_hash::fnv::FnvBuildHasher;
 use pod_types::{Pba, PodError, PodResult};
-use std::collections::HashMap;
 
-/// Allocator + refcounts over a fixed physical space.
+/// Extent allocator over a fixed physical space. The live blocks are
+/// those below the frontier outside every recycled extent, so no
+/// per-block table is kept.
 #[derive(Debug)]
 pub struct BlockStore {
     capacity: u64,
@@ -21,9 +20,6 @@ pub struct BlockStore {
     frontier: u64,
     /// Recycled extents (start, len), kept sorted by start for merge.
     free_extents: Vec<(u64, u64)>,
-    /// Reference counts of live blocks. Blocks absent from the map are
-    /// free (refcount 0).
-    refs: HashMap<u64, u32, FnvBuildHasher>,
 }
 
 /// Flat gauge snapshot of a [`BlockStore`] (see
@@ -33,7 +29,7 @@ pub struct BlockStore {
 pub struct AllocState {
     /// Physical capacity in blocks.
     pub capacity: u64,
-    /// Live blocks (refcount ≥ 1).
+    /// Live blocks.
     pub used: u64,
     /// Bump-pointer position: blocks ever allocated.
     pub frontier: u64,
@@ -54,7 +50,6 @@ impl BlockStore {
             capacity,
             frontier: 0,
             free_extents: Vec::new(),
-            refs: HashMap::default(),
         }
     }
 
@@ -63,13 +58,13 @@ impl BlockStore {
         self.capacity
     }
 
-    /// Blocks currently live (refcount ≥ 1). This is the paper's
-    /// "storage capacity used" metric (Fig. 10).
+    /// Blocks currently live. This is the paper's "storage capacity
+    /// used" metric (Fig. 10).
     pub fn used_blocks(&self) -> u64 {
-        self.refs.len() as u64
+        self.frontier - self.hole_blocks()
     }
 
-    /// Allocate `nblocks` contiguous physical blocks with refcount 1.
+    /// Allocate `nblocks` contiguous physical blocks.
     ///
     /// Allocation is contiguous-extent: a fresh write lands sequentially,
     /// which is what makes later reads of *undeduplicated* data cheap and
@@ -87,9 +82,6 @@ impl BlockStore {
             } else {
                 self.free_extents[idx] = (start + n, len - n);
             }
-            for b in start..start + n {
-                self.refs.insert(b, 1);
-            }
             return Ok(Pba::new(start));
         }
         if self.frontier + n > self.capacity {
@@ -97,51 +89,22 @@ impl BlockStore {
         }
         let start = self.frontier;
         self.frontier += n;
-        for b in start..start + n {
-            self.refs.insert(b, 1);
-        }
         Ok(Pba::new(start))
     }
 
-    /// Increment the reference count of a live block (a new LBA now maps
-    /// to it).
-    pub fn incref(&mut self, pba: Pba) -> PodResult<u32> {
-        match self.refs.get_mut(&pba.raw()) {
-            Some(c) => {
-                *c += 1;
-                Ok(*c)
-            }
-            None => Err(PodError::NotAllocated(pba.raw())),
-        }
-    }
-
-    /// Decrement the reference count; frees the block when it reaches
-    /// zero. Returns the remaining count.
-    pub fn decref(&mut self, pba: Pba) -> PodResult<u32> {
+    /// Free a live block, returning it to the recycled extents.
+    pub fn free(&mut self, pba: Pba) -> PodResult<()> {
         let raw = pba.raw();
-        match self.refs.get_mut(&raw) {
-            Some(c) if *c > 1 => {
-                *c -= 1;
-                Ok(*c)
-            }
-            Some(_) => {
-                self.refs.remove(&raw);
-                self.release_extent(raw, 1);
-                Ok(0)
-            }
-            None => Err(PodError::NotAllocated(raw)),
+        let pos = self.free_extents.partition_point(|&(s, _)| s <= raw);
+        let recycled = pos.checked_sub(1).is_some_and(|i| {
+            let (s, len) = self.free_extents[i];
+            raw < s + len
+        });
+        if raw >= self.frontier || recycled {
+            return Err(PodError::NotAllocated(raw));
         }
-    }
-
-    /// Current reference count (0 for free blocks).
-    pub fn refcount(&self, pba: Pba) -> u32 {
-        self.refs.get(&pba.raw()).copied().unwrap_or(0)
-    }
-
-    /// Whether a block is referenced by more than one LBA — such blocks
-    /// must not be overwritten in place (data-consistency rule, §III-B).
-    pub fn is_shared(&self, pba: Pba) -> bool {
-        self.refcount(pba) > 1
+        self.release_extent(raw, 1);
+        Ok(())
     }
 
     /// Bump-pointer position: blocks ever handed out (recycled or not).
@@ -155,18 +118,10 @@ impl BlockStore {
     }
 
     /// Total blocks sitting in recycled free extents. O(holes), and the
-    /// neighbour-merging in [`BlockStore::decref`] keeps the extent list
+    /// neighbour-merging in [`BlockStore::free`] keeps the extent list
     /// short, so this is cheap enough for per-epoch sampling.
     pub fn hole_blocks(&self) -> u64 {
         self.free_extents.iter().map(|&(_, len)| len).sum()
-    }
-
-    /// Fraction of physical space consumed (0..=1).
-    pub fn utilization(&self) -> f64 {
-        if self.capacity == 0 {
-            return 0.0;
-        }
-        self.used_blocks() as f64 / self.capacity as f64
     }
 
     fn release_extent(&mut self, start: u64, len: u64) {
@@ -199,7 +154,7 @@ impl BlockStore {
         let free = hole_blocks + virgin;
         AllocState {
             capacity: self.capacity,
-            used: self.used_blocks(),
+            used: self.frontier - hole_blocks,
             frontier: self.frontier,
             holes: self.free_extent_count(),
             hole_blocks,
@@ -224,23 +179,28 @@ mod tests {
 
     #[test]
     fn refcounting_lifecycle() {
+        // One live reference per block: allocation takes it, `free`
+        // drops it, and a second free finds nothing to drop.
         let mut s = BlockStore::new(100);
         let p = s.alloc_extent(1).expect("alloc");
-        assert_eq!(s.refcount(p), 1);
-        assert!(!s.is_shared(p));
-        assert_eq!(s.incref(p).expect("incref"), 2);
-        assert!(s.is_shared(p));
-        assert_eq!(s.decref(p).expect("decref"), 1);
-        assert_eq!(s.decref(p).expect("decref"), 0);
-        assert_eq!(s.refcount(p), 0);
+        assert_eq!(s.used_blocks(), 1);
+        s.free(p).expect("free");
         assert_eq!(s.used_blocks(), 0);
+        assert_eq!(s.free(p), Err(PodError::NotAllocated(0)));
+        // Inside a merged recycled extent, not only at its start.
+        let q = s.alloc_extent(4).expect("alloc");
+        s.free(q.add(1)).expect("free");
+        s.free(q.add(2)).expect("free");
+        let again = s.free(q.add(2));
+        assert_eq!(again, Err(PodError::NotAllocated(q.add(2).raw())));
+        assert_eq!(s.used_blocks(), 2);
+        s.free(q.add(3)).expect("live after the extent");
     }
 
     #[test]
     fn decref_free_block_errors() {
         let mut s = BlockStore::new(100);
-        assert_eq!(s.decref(Pba::new(5)), Err(PodError::NotAllocated(5)));
-        assert_eq!(s.incref(Pba::new(5)), Err(PodError::NotAllocated(5)));
+        assert_eq!(s.free(Pba::new(5)), Err(PodError::NotAllocated(5)));
     }
 
     #[test]
@@ -249,7 +209,7 @@ mod tests {
         let a = s.alloc_extent(4).expect("a");
         let _b = s.alloc_extent(4).expect("b");
         for i in 0..4 {
-            s.decref(a.add(i)).expect("free a");
+            s.free(a.add(i)).expect("free a");
         }
         // 4 recycled + 2 frontier blocks remain; an 8-block alloc fails,
         // but a 4-block alloc reuses the freed extent.
@@ -263,10 +223,10 @@ mod tests {
         let mut s = BlockStore::new(10);
         let a = s.alloc_extent(2).expect("a");
         let b = s.alloc_extent(2).expect("b");
-        s.decref(a).expect("");
-        s.decref(a.add(1)).expect("");
-        s.decref(b).expect("");
-        s.decref(b.add(1)).expect("");
+        s.free(a).expect("");
+        s.free(a.add(1)).expect("");
+        s.free(b).expect("");
+        s.free(b.add(1)).expect("");
         // All four blocks merge into one extent; a 4-block alloc fits.
         let c = s.alloc_extent(4).expect("merged");
         assert_eq!(c, Pba::new(0));
@@ -287,15 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn utilization() {
-        let mut s = BlockStore::new(10);
-        assert_eq!(s.utilization(), 0.0);
-        s.alloc_extent(5).expect("");
-        assert!((s.utilization() - 0.5).abs() < 1e-12);
-        assert_eq!(BlockStore::new(0).utilization(), 0.0);
-    }
-
-    #[test]
     fn introspect_reports_fragmentation() {
         let mut s = BlockStore::new(10);
         assert_eq!(
@@ -307,8 +258,8 @@ mod tests {
         );
         let a = s.alloc_extent(4).expect("a");
         let _b = s.alloc_extent(2).expect("b");
-        s.decref(a).expect("");
-        s.decref(a.add(2)).expect("");
+        s.free(a).expect("");
+        s.free(a.add(2)).expect("");
         // Two single-block holes, four virgin blocks past the frontier.
         let st = s.introspect();
         assert_eq!(st.used, 4);
@@ -327,7 +278,7 @@ mod tests {
         let mut s = BlockStore::new(10);
         let a = s.alloc_extent(6).expect("a");
         for i in 0..6 {
-            s.decref(a.add(i)).expect("");
+            s.free(a.add(i)).expect("");
         }
         let b = s.alloc_extent(2).expect("b");
         assert_eq!(b, Pba::new(0));

@@ -11,6 +11,8 @@
 //! [`SchedulerKind`]; service times come from
 //! [`DiskSpec::service_time`]. Events are ordered by time, ties in the
 //! order they were scheduled, so simulations are fully deterministic.
+//! The array is the paper's: every member healthy and every op a media
+//! access, so a write is counted when it reaches the platter.
 //!
 //! A job in flight lives in a reusable slot that keeps its ops back to
 //! back with the phase boundaries beside them ([`ArraySim::submit_job`]
@@ -47,8 +49,6 @@ enum EventKind {
     PhaseArrive { slot: usize },
     /// An in-flight op of the job in `slot` finishes on `disk`.
     OpComplete { disk: usize, slot: usize },
-    /// A background write-cache flush on `disk` finishes.
-    FlushComplete { disk: usize },
 }
 
 #[derive(Debug)]
@@ -88,10 +88,6 @@ struct DiskState {
     direction_up: bool,
     pending: Vec<QueuedOp>,
     stats: DiskStats,
-    /// Dirty writes admitted to the on-drive write-back cache, awaiting
-    /// an idle moment to flush to media.
-    dirty: std::collections::VecDeque<PhysOp>,
-    dirty_blocks: u64,
 }
 
 impl DiskState {
@@ -102,8 +98,6 @@ impl DiskState {
             direction_up: true,
             pending: Vec::new(),
             stats: DiskStats::default(),
-            dirty: std::collections::VecDeque::new(),
-            dirty_blocks: 0,
         }
     }
 }
@@ -147,16 +141,11 @@ pub struct ArraySim {
     jobs: Vec<Job>,
     /// Slots of `jobs` not in flight.
     free: Vec<usize>,
-    /// Failed members (RAID-5 degraded mode).
-    failed: Vec<bool>,
-    /// Count of `true` entries in `failed` (degraded check is per-submit).
-    nfailed: usize,
     /// Writes [`JobPlan::write`] holds back for the phase after the
     /// current one.
     held_writes: Vec<PhysOp>,
-    /// Scratch for scheduler views and the degraded-mode rewrite.
+    /// Scratch for scheduler views.
     view_scratch: Vec<PendingView>,
-    degrade_scratch: Vec<PhysOp>,
 }
 
 /// The job [`ArraySim::submit_job`] is planning: ops join the current
@@ -189,11 +178,6 @@ impl JobPlan<'_> {
         self.geometry.plan_stream_write_into(pba, nblocks, self.ops);
     }
 
-    /// Add one physical op to the current phase.
-    pub fn op(&mut self, op: PhysOp) {
-        self.ops.push(op);
-    }
-
     /// Close the current phase (a no-op when it is empty); writes held
     /// back by [`JobPlan::write`] open the next one.
     pub fn end_phase(&mut self) {
@@ -218,92 +202,9 @@ impl ArraySim {
             finish: Vec::new(),
             jobs: Vec::new(),
             free: Vec::new(),
-            failed: vec![false; ndisks],
-            nfailed: 0,
             held_writes: Vec::new(),
             view_scratch: Vec::new(),
-            degrade_scratch: Vec::new(),
         }
-    }
-
-    /// Fail a member disk. Subsequent reads addressing it are served in
-    /// degraded mode (reconstruction from the surviving members);
-    /// writes addressed to it are dropped (the data is recoverable from
-    /// parity). Only redundant levels support this.
-    pub fn fail_disk(&mut self, disk: usize) -> pod_types::PodResult<()> {
-        if self.geometry.config().level != crate::spec::RaidLevel::Raid5 {
-            return Err(pod_types::PodError::InvalidConfig(
-                "degraded mode requires a redundant RAID level".into(),
-            ));
-        }
-        if disk >= self.disks.len() {
-            return Err(pod_types::PodError::OutOfRange {
-                what: "disk",
-                value: disk as u64,
-                limit: self.disks.len() as u64,
-            });
-        }
-        if self.failed.iter().filter(|f| **f).count() >= 1 && !self.failed[disk] {
-            return Err(pod_types::PodError::InvalidConfig(
-                "RAID-5 survives only a single disk failure".into(),
-            ));
-        }
-        if !self.failed[disk] {
-            self.failed[disk] = true;
-            self.nfailed += 1;
-        }
-        Ok(())
-    }
-
-    /// Mark a failed disk replaced (healthy but empty); run
-    /// [`ArraySim::submit_rebuild`] to restore its contents.
-    pub fn repair_disk(&mut self, disk: usize) {
-        if let Some(f) = self.failed.get_mut(disk) {
-            if *f {
-                self.nfailed -= 1;
-            }
-            *f = false;
-        }
-    }
-
-    /// Whether any member is currently failed.
-    pub fn is_degraded(&self) -> bool {
-        self.nfailed != 0
-    }
-
-    /// Submit a rebuild of `disk` covering the first `region_blocks` of
-    /// each member: every stripe chunk is read from all survivors and
-    /// the reconstructed data written to the replacement. Returns the
-    /// rebuild job (one phase per chunk pair, sequentially dependent —
-    /// rebuild proceeds stripe group by stripe group).
-    pub fn submit_rebuild(&mut self, at: SimTime, disk: usize, region_blocks: u64) -> JobId {
-        const CHUNK: u64 = 256;
-        let survivors: Vec<usize> = (0..self.disks.len())
-            .filter(|&d| d != disk && !self.failed[d])
-            .collect();
-        self.submit_job(at, |plan| {
-            let mut off = 0;
-            while off < region_blocks {
-                let len = CHUNK.min(region_blocks - off) as u32;
-                for &d in &survivors {
-                    plan.op(PhysOp {
-                        disk: d,
-                        lba: off,
-                        nblocks: len,
-                        write: false,
-                    });
-                }
-                plan.end_phase();
-                plan.op(PhysOp {
-                    disk,
-                    lba: off,
-                    nblocks: len,
-                    write: true,
-                });
-                plan.end_phase();
-                off += len as u64;
-            }
-        })
     }
 
     /// The array's address arithmetic.
@@ -348,9 +249,6 @@ impl ArraySim {
         // Close the last phase, then the writes it held back, if any.
         p.end_phase();
         p.end_phase();
-        if self.is_degraded() {
-            self.degrade(slot);
-        }
 
         let id = self.finish.len();
         let job = &mut self.jobs[slot];
@@ -365,47 +263,6 @@ impl ArraySim {
         self.finish.push(UNFINISHED);
         self.push_event(at.as_micros(), EventKind::PhaseArrive { slot });
         JobId(id)
-    }
-
-    /// Rewrite a planned job for degraded mode: reads addressing a
-    /// failed disk become reconstruction reads on every survivor; writes
-    /// to a failed disk are dropped, and a phase left empty goes.
-    fn degrade(&mut self, slot: usize) {
-        let job = &mut self.jobs[slot];
-        let mut out = std::mem::take(&mut self.degrade_scratch);
-        out.clear();
-        // Phases kept so far, and where the last of them ends in `out`.
-        let (mut start, mut kept, mut closed) = (0, 0, 0);
-        for k in 0..job.ends.len() {
-            let end = job.ends[k];
-            for &op in &job.ops[start..end] {
-                if !self.failed[op.disk] {
-                    out.push(op);
-                } else if !op.write {
-                    // Reconstruction: read the same local extent from
-                    // every surviving member. (A write to the failed disk
-                    // is rebuilt from parity later; the parity ops of the
-                    // same plan keep redundancy current.)
-                    for d in (0..self.disks.len()).filter(|&d| d != op.disk && !self.failed[d]) {
-                        out.push(PhysOp {
-                            disk: d,
-                            lba: op.lba,
-                            nblocks: op.nblocks,
-                            write: false,
-                        });
-                    }
-                }
-            }
-            start = end;
-            if out.len() > closed {
-                closed = out.len();
-                job.ends[kept] = closed;
-                kept += 1;
-            }
-        }
-        job.ends.truncate(kept);
-        std::mem::swap(&mut job.ops, &mut out);
-        self.degrade_scratch = out;
     }
 
     /// Submit a read of `[pba, pba+nblocks)` through the RAID mapping.
@@ -465,17 +322,6 @@ impl ArraySim {
         self.finish.len()
     }
 
-    /// Mean fraction of elapsed simulated time the disks spent busy
-    /// (0..=1); a utilization probe for load studies.
-    pub fn utilization(&self) -> f64 {
-        let elapsed = self.clock.as_micros();
-        if elapsed == 0 || self.disks.is_empty() {
-            return 0.0;
-        }
-        let busy: u64 = self.disks.iter().map(|d| d.stats.busy_us).sum();
-        (busy as f64 / (elapsed as f64 * self.disks.len() as f64)).min(1.0)
-    }
-
     /// Mean queue wait per op across all disks, µs. 0.0 (not NaN) when
     /// no op has completed yet.
     pub fn mean_queue_wait_us(&self) -> f64 {
@@ -525,10 +371,6 @@ impl ArraySim {
                     self.try_dispatch(self.jobs[slot].ops[i].disk);
                 }
             }
-            EventKind::FlushComplete { disk } => {
-                self.disks[disk].busy = false;
-                self.try_dispatch(disk);
-            }
             EventKind::OpComplete { disk, slot } => {
                 self.disks[disk].busy = false;
                 let job = &mut self.jobs[slot];
@@ -552,21 +394,7 @@ impl ArraySim {
         let now_us = self.clock.as_micros();
         let sched = self.sched;
         let d = &mut self.disks[disk];
-        if d.busy {
-            return;
-        }
-        if d.pending.is_empty() {
-            // Idle: flush one cached dirty write to media.
-            if let Some(op) = d.dirty.pop_front() {
-                let distance = d.head.abs_diff(op.lba);
-                let service = self.spec.service_time(distance, op.nblocks).as_micros();
-                d.head = op.lba + op.nblocks as u64;
-                d.busy = true;
-                d.dirty_blocks -= op.nblocks as u64;
-                d.stats.busy_us += service;
-                d.stats.blocks_written += op.nblocks as u64;
-                self.push_event(now_us + service, EventKind::FlushComplete { disk });
-            }
+        if d.busy || d.pending.is_empty() {
             return;
         }
         let (idx, dir) = if d.pending.len() == 1 {
@@ -588,26 +416,6 @@ impl ArraySim {
         // `swap_remove` moves the last op into the hole, which is what
         // FIFO's index tie-break sees next (see `SchedulerKind::Fifo`).
         let q = d.pending.swap_remove(idx);
-
-        // Write-back cache admission: an admitted write completes at
-        // interface transfer speed and is flushed later; media blocks
-        // are accounted at flush time.
-        let cache_room = self.spec.write_cache_blocks.saturating_sub(d.dirty_blocks);
-        if q.op.write && self.spec.write_cache_blocks > 0 && q.op.nblocks as u64 <= cache_room {
-            let service = self.spec.service_time(0, q.op.nblocks).as_micros();
-            d.dirty.push_back(q.op);
-            d.dirty_blocks += q.op.nblocks as u64;
-            d.busy = true;
-            d.stats.ops += 1;
-            d.stats.busy_us += service;
-            d.stats.queue_wait_us += now_us.saturating_sub(q.arrival_us);
-            self.push_event(
-                now_us + service,
-                EventKind::OpComplete { disk, slot: q.slot },
-            );
-            return;
-        }
-
         let distance = d.head.abs_diff(q.op.lba);
         let service = self.spec.service_time(distance, q.op.nblocks).as_micros();
         d.head = q.op.lba + q.op.nblocks as u64;
@@ -754,11 +562,7 @@ mod tests {
         let mut sim = raid5_sim();
         let mut ids = Vec::new();
         let mut at = SimTime::ZERO;
-        for round in 0..3u64 {
-            if round == 2 {
-                // Degraded mode rewrites plans; it must not renumber.
-                sim.fail_disk(1).expect("raid5 tolerates one failure");
-            }
+        for _ in 0..3 {
             for i in 0..8u64 {
                 at += SimDuration::from_micros(50_000);
                 sim.run_until(at);
@@ -796,12 +600,7 @@ mod tests {
         let mut sim = single_sim();
         let j = sim.submit_job(SimTime::ZERO, |plan| {
             plan.end_phase();
-            plan.op(PhysOp {
-                disk: 0,
-                lba: 0,
-                nblocks: 1,
-                write: false,
-            });
+            plan.read(Pba::new(0), 1);
             plan.end_phase();
             plan.end_phase();
         });
@@ -979,158 +778,13 @@ mod tests {
     }
 
     #[test]
-    fn degraded_read_reconstructs_from_survivors() {
-        let mut healthy = raid5_sim();
-        let healthy_lat = isolated_latency(&mut healthy, SimTime::ZERO, Pba::new(1_000), 4, false);
-
-        let mut sim = raid5_sim();
-        // pba 1000 maps to disk 3 (stripe 20, parity on 0).
-        let (victim, _) = sim.geometry().map_block(Pba::new(1_000));
-        sim.fail_disk(victim).expect("raid5 tolerates one failure");
-        let degraded_lat = isolated_latency(&mut sim, SimTime::ZERO, Pba::new(1_000), 4, false);
-        // Reconstruction reads hit every survivor.
-        let active = sim.disk_stats().iter().filter(|s| s.ops > 0).count();
-        assert_eq!(active, 3, "all survivors read for reconstruction");
-        assert!(
-            degraded_lat >= healthy_lat,
-            "degraded {degraded_lat:?} vs healthy {healthy_lat:?}"
-        );
-    }
-
-    #[test]
-    fn degraded_write_drops_failed_disk_ops() {
-        let mut sim = raid5_sim();
-        let (victim, _) = sim.geometry().map_block(Pba::new(0));
-        sim.fail_disk(victim).expect("fail");
-        let _ = isolated_latency(&mut sim, SimTime::ZERO, Pba::new(0), 1, true);
-        let stats = sim.disk_stats();
-        assert_eq!(stats[victim].ops, 0, "no I/O to the failed member");
-        let parity_writes: u64 = stats.iter().map(|s| s.blocks_written).sum();
-        assert!(parity_writes > 0, "parity still updated");
-    }
-
-    #[test]
-    fn rebuild_writes_the_replacement() {
-        let mut sim = raid5_sim();
-        sim.fail_disk(2).expect("fail");
-        sim.repair_disk(2);
-        let job = sim.submit_rebuild(SimTime::ZERO, 2, 1_024);
-        sim.run_to_idle();
-        assert!(sim.job_completion(job).is_some());
-        let stats = sim.disk_stats();
-        assert_eq!(
-            stats[2].blocks_written, 1_024,
-            "replacement fully rewritten"
-        );
-        for d in [0usize, 1, 3] {
-            assert_eq!(stats[d].blocks_read, 1_024, "survivor {d} fully read");
-        }
-        assert!(!sim.is_degraded());
-    }
-
-    #[test]
-    fn failure_injection_guard_rails() {
-        // Non-redundant level refuses.
-        let mut r0 = ArraySim::new(
-            RaidGeometry::new(RaidConfig {
-                level: RaidLevel::Raid0,
-                ndisks: 4,
-                stripe_unit_blocks: 16,
-            }),
-            DiskSpec::test_disk(),
-            SchedulerKind::Fifo,
-        );
-        assert!(r0.fail_disk(0).is_err());
-
-        let mut sim = raid5_sim();
-        assert!(sim.fail_disk(99).is_err(), "unknown disk");
-        sim.fail_disk(1).expect("first failure ok");
-        assert!(sim.fail_disk(2).is_err(), "double failure not survivable");
-        assert!(
-            sim.fail_disk(1).is_ok(),
-            "re-failing the same disk is idempotent"
-        );
-    }
-
-    #[test]
-    fn write_cache_absorbs_small_writes() {
-        let mut spec = DiskSpec::test_disk();
-        spec.write_cache_blocks = 64;
-        let mut cached = ArraySim::new(
-            RaidGeometry::new(RaidConfig::single()),
-            spec,
-            SchedulerKind::Fifo,
-        );
-        // Random small write: with the cache it completes at transfer
-        // speed (4 blocks * 10us = 40us) instead of ~6ms.
-        let lat = isolated_latency(&mut cached, SimTime::ZERO, Pba::new(5_000), 4, true);
-        assert_eq!(lat.as_micros(), 40, "admitted at interface speed");
-        // The flush still reaches the media eventually.
-        assert_eq!(cached.disk_stats()[0].blocks_written, 4, "flushed to media");
-    }
-
-    #[test]
-    fn write_cache_overflow_falls_back_to_media() {
-        let mut spec = DiskSpec::test_disk();
-        spec.write_cache_blocks = 4;
-        let mut sim = ArraySim::new(
-            RaidGeometry::new(RaidConfig::single()),
-            spec,
-            SchedulerKind::Fifo,
-        );
-        // First write fills the cache; the second (submitted before any
-        // idle time to flush) must go straight to media.
-        let j1 = sim.submit_write(SimTime::ZERO, Pba::new(5_000), 4);
-        let j2 = sim.submit_write(SimTime::ZERO, Pba::new(6_000), 4);
-        sim.run_to_idle();
-        let t1 = sim.job_completion(j1).expect("j1");
-        let t2 = sim.job_completion(j2).expect("j2");
-        assert_eq!(t1.as_micros(), 40, "first admitted");
-        assert!(
-            (t2 - t1).as_micros() > 5_000,
-            "second pays a media access: {:?}",
-            t2 - t1
-        );
-    }
-
-    #[test]
-    fn write_cache_disabled_by_default() {
-        let mut sim = single_sim();
-        let lat = isolated_latency(&mut sim, SimTime::ZERO, Pba::new(5_000), 4, true);
-        assert!(lat.as_micros() > 5_000, "no cache: media write");
-    }
-
-    #[test]
-    fn flushes_happen_during_idle_and_reads_wait_at_most_one_flush() {
-        let mut spec = DiskSpec::test_disk();
-        spec.write_cache_blocks = 64;
-        let mut sim = ArraySim::new(
-            RaidGeometry::new(RaidConfig::single()),
-            spec,
-            SchedulerKind::Fifo,
-        );
-        let _w = sim.submit_write(SimTime::ZERO, Pba::new(5_000), 4);
-        // Long idle gap: the flush runs in the background.
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(
-            sim.disk_stats()[0].blocks_written,
-            4,
-            "flush done during idle"
-        );
-        let r = sim.submit_read(SimTime::from_secs(1), Pba::new(5_000), 4);
-        sim.run_to_idle();
-        assert!(sim.job_completion(r).is_some());
-    }
-
-    #[test]
     fn utilization_and_queue_wait_probes() {
         let mut sim = single_sim();
-        assert_eq!(sim.utilization(), 0.0, "no time elapsed");
         // Two back-to-back ops: the second waits for the first.
         sim.submit_read(SimTime::ZERO, Pba::new(5_000), 1);
         sim.submit_read(SimTime::ZERO, Pba::new(100), 1);
         sim.run_to_idle();
-        let u = sim.utilization();
+        let u = sim.disk_stats()[0].busy_us as f64 / sim.now().as_micros() as f64;
         assert!(u > 0.9, "serial ops keep the single disk busy: {u}");
         assert!(sim.mean_queue_wait_us() > 0.0, "second op queued");
     }

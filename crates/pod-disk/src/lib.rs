@@ -16,9 +16,11 @@
 //!   explicitly.
 //! * [`engine`] — the event engine ([`ArraySim`]): multi-phase jobs
 //!   (e.g. RMW read-phase → write-phase) over per-disk queues, driven by
-//!   a sorted-vector event loop; completion times per job.
-//! * [`alloc`] — the physical block store: extent allocator with
-//!   reference counts (dedup shares blocks; `Count` pins them).
+//!   a sorted-vector event loop; completion times per job. The array is
+//!   healthy and every write reaches the media, as in the paper's
+//!   measurements (§IV-A/B).
+//! * [`alloc`] — the physical block store: extent allocator and used
+//!   capacity (the dedup layer keeps the reference counts).
 //! * [`nvram`] — NVRAM accounting for the Map table (§IV-D2).
 
 #![forbid(unsafe_code)]

@@ -22,12 +22,6 @@ pub struct DiskSpec {
     pub rpm: u32,
     /// Sustained transfer time per 4 KiB block, µs.
     pub transfer_us_per_block: u64,
-    /// On-drive volatile write-back cache, in blocks (0 = disabled, the
-    /// default: the paper's evaluation measures media writes, as do
-    /// battery-less production arrays that disable drive caches for
-    /// durability). When enabled, admitted writes complete at interface
-    /// transfer speed and are flushed to media when the disk idles.
-    pub write_cache_blocks: u64,
 }
 
 impl DiskSpec {
@@ -41,7 +35,6 @@ impl DiskSpec {
             max_seek_us: 17_000,
             rpm: 7200,
             transfer_us_per_block: 42,
-            write_cache_blocks: 0,
         }
     }
 
@@ -54,7 +47,6 @@ impl DiskSpec {
             max_seek_us: 1_000,
             rpm: 6_000, // 10 ms/rev -> 5 ms half-rev
             transfer_us_per_block: 10,
-            write_cache_blocks: 0,
         }
     }
 

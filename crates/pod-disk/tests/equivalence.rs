@@ -9,9 +9,9 @@
 //! call and a single-op dispatch shortcut. The property: for arbitrary
 //! job mixes — single requests, jobs shaped like the storage stack's
 //! (index lookups, several extents' pre-reads, then their writes) and
-//! rebuilds — over every scheduler, RAID level, cache configuration and
-//! both disk presets, it produces **identical** completion times,
-//! clocks, and [`DiskStats`].
+//! deep chains of dependent read phases — over every scheduler, RAID
+//! level and both disk presets, it produces **identical** completion
+//! times, clocks, and [`DiskStats`].
 
 use pod_disk::raid::{PhysOp, RaidGeometry};
 use pod_disk::sched::{PendingView, SchedulerKind};
@@ -51,7 +51,6 @@ mod reference {
     enum EventKind {
         PhaseArrive { job: usize },
         OpComplete { disk: usize, job: usize },
-        FlushComplete { disk: usize },
     }
 
     #[derive(Debug)]
@@ -92,8 +91,6 @@ mod reference {
         direction_up: bool,
         pending: Vec<QueuedOp>,
         stats: DiskStats,
-        dirty: std::collections::VecDeque<PhysOp>,
-        dirty_blocks: u64,
     }
 
     impl DiskState {
@@ -104,8 +101,6 @@ mod reference {
                 direction_up: true,
                 pending: Vec::new(),
                 stats: DiskStats::default(),
-                dirty: std::collections::VecDeque::new(),
-                dirty_blocks: 0,
             }
         }
     }
@@ -127,7 +122,6 @@ mod reference {
         seq: u64,
         disks: Vec<DiskState>,
         jobs: Vec<JobState>,
-        failed: Vec<bool>,
     }
 
     impl RefArraySim {
@@ -142,52 +136,11 @@ mod reference {
                 seq: 0,
                 disks: (0..ndisks).map(|_| DiskState::new()).collect(),
                 jobs: Vec::new(),
-                failed: vec![false; ndisks],
             }
-        }
-
-        pub fn fail_disk(&mut self, disk: usize) {
-            self.failed[disk] = true;
-        }
-
-        fn is_degraded(&self) -> bool {
-            self.failed.iter().any(|f| *f)
-        }
-
-        fn degrade_ops(&self, ops: Vec<PhysOp>) -> Vec<PhysOp> {
-            if !self.is_degraded() {
-                return ops;
-            }
-            let mut out: Vec<PhysOp> = Vec::new();
-            for op in ops {
-                if !self.failed[op.disk] {
-                    out.push(op);
-                    continue;
-                }
-                if op.write {
-                    continue;
-                }
-                for d in 0..self.disks.len() {
-                    if d == op.disk || self.failed[d] {
-                        continue;
-                    }
-                    out.push(PhysOp {
-                        disk: d,
-                        lba: op.lba,
-                        nblocks: op.nblocks,
-                        write: false,
-                    });
-                }
-            }
-            out
         }
 
         pub fn submit_phases(&mut self, at: SimTime, phases: Vec<Vec<PhysOp>>) -> JobId {
-            let phases: Vec<Vec<PhysOp>> = phases
-                .into_iter()
-                .map(|p| self.degrade_ops(p))
-                .filter(|p| !p.is_empty())
-                .collect();
+            let phases: Vec<Vec<PhysOp>> = phases.into_iter().filter(|p| !p.is_empty()).collect();
             let id = self.jobs.len();
             if phases.is_empty() {
                 self.jobs.push(JobState {
@@ -282,10 +235,6 @@ mod reference {
                         self.try_dispatch(disk);
                     }
                 }
-                EventKind::FlushComplete { disk } => {
-                    self.disks[disk].busy = false;
-                    self.try_dispatch(disk);
-                }
                 EventKind::OpComplete { disk, job } => {
                     self.disks[disk].busy = false;
                     let j = &mut self.jobs[job];
@@ -307,21 +256,7 @@ mod reference {
         fn try_dispatch(&mut self, disk: usize) {
             let now = self.clock;
             let d = &mut self.disks[disk];
-            if d.busy {
-                return;
-            }
-            if d.pending.is_empty() {
-                if let Some(op) = d.dirty.pop_front() {
-                    let distance = d.head.abs_diff(op.lba);
-                    let service = self.spec.service_time(distance, op.nblocks);
-                    d.head = op.lba + op.nblocks as u64;
-                    d.busy = true;
-                    d.dirty_blocks -= op.nblocks as u64;
-                    d.stats.busy_us += service.as_micros();
-                    d.stats.blocks_written += op.nblocks as u64;
-                    let done = now + service;
-                    self.push_event(done, EventKind::FlushComplete { disk });
-                }
+            if d.busy || d.pending.is_empty() {
                 return;
             }
             let views: Vec<PendingView> = d
@@ -335,21 +270,6 @@ mod reference {
             let (idx, dir) = self.sched.pick(&views, d.head, d.direction_up);
             d.direction_up = dir;
             let q = d.pending.swap_remove(idx);
-
-            let cache_room = self.spec.write_cache_blocks.saturating_sub(d.dirty_blocks);
-            if q.op.write && self.spec.write_cache_blocks > 0 && q.op.nblocks as u64 <= cache_room {
-                let service = self.spec.service_time(0, q.op.nblocks);
-                d.dirty.push_back(q.op);
-                d.dirty_blocks += q.op.nblocks as u64;
-                d.busy = true;
-                d.stats.ops += 1;
-                d.stats.busy_us += service.as_micros();
-                d.stats.queue_wait_us += now.as_micros().saturating_sub(q.arrival_us);
-                let done = now + service;
-                self.push_event(done, EventKind::OpComplete { disk, job: q.job });
-                return;
-            }
-
             let distance = d.head.abs_diff(q.op.lba);
             let service = self.spec.service_time(distance, q.op.nblocks);
             d.head = q.op.lba + q.op.nblocks as u64;
@@ -400,12 +320,11 @@ enum Step {
         extents: Vec<(u64, u32)>,
         gap_us: u64,
     },
-    /// Fail and replace member `disk` (RAID-5, when no member is down),
-    /// then rebuild its first `region_blocks`, `gap_us` after the
-    /// previous step.
-    Rebuild {
-        disk: usize,
-        region_blocks: u64,
+    /// Submit one job of dependent phases, `gap_us` after the previous
+    /// step: each phase reads its extents, and starts only once the
+    /// phase before it has completed.
+    Chain {
+        phases: Vec<Vec<(u64, u32)>>,
         gap_us: u64,
     },
     /// Advance both engines with `run_until(now + gap_us)`.
@@ -419,55 +338,17 @@ struct Scenario {
     /// `DiskSpec::wd1600aajs()` (a 41.9 M-block member) instead of
     /// `DiskSpec::test_disk()`.
     wd: bool,
-    write_cache_blocks: u64,
     steps: Vec<Step>,
-}
-
-fn spec_of(scenario: &Scenario) -> DiskSpec {
-    let mut s = if scenario.wd {
-        DiskSpec::wd1600aajs()
-    } else {
-        DiskSpec::test_disk()
-    };
-    s.write_cache_blocks = scenario.write_cache_blocks;
-    s
-}
-
-/// The phases `ArraySim::submit_rebuild` documents: per 256-block chunk,
-/// reads of every member but `disk` and `failed`, then the write of
-/// `disk`.
-fn rebuild_phases(
-    ndisks: usize,
-    disk: usize,
-    region_blocks: u64,
-    failed: Option<usize>,
-) -> Vec<Vec<PhysOp>> {
-    let mut phases = Vec::new();
-    let mut off = 0;
-    while off < region_blocks {
-        let len = 256.min(region_blocks - off) as u32;
-        let op = |disk, write| PhysOp {
-            disk,
-            lba: off,
-            nblocks: len,
-            write,
-        };
-        phases.push(
-            (0..ndisks)
-                .filter(|&d| d != disk && Some(d) != failed)
-                .map(|d| op(d, false))
-                .collect(),
-        );
-        phases.push(vec![op(disk, true)]);
-        off += len as u64;
-    }
-    phases
 }
 
 /// Drive both engines through `scenario` and assert identical
 /// externally observable state at every advance point and at the end.
-fn check(scenario: &Scenario, degrade_at: Option<(usize, usize)>) {
-    let spec = spec_of(scenario);
+fn check(scenario: &Scenario) {
+    let spec = if scenario.wd {
+        DiskSpec::wd1600aajs()
+    } else {
+        DiskSpec::test_disk()
+    };
     let geo = RaidGeometry::new(scenario.raid.clone());
     let mut fast = ArraySim::new(geo.clone(), spec.clone(), scenario.sched);
     let mut slow = reference::RefArraySim::new(geo.clone(), spec.clone(), scenario.sched);
@@ -478,18 +359,10 @@ fn check(scenario: &Scenario, degrade_at: Option<(usize, usize)>) {
         let nblocks = nblocks.clamp(1, 256);
         (Pba::new(pba % (data_cap - nblocks as u64)), nblocks)
     };
-    let mut failed = None;
     let mut t = 0u64;
     let mut fast_jobs = Vec::new();
     let mut slow_jobs = Vec::new();
     for (i, step) in scenario.steps.iter().enumerate() {
-        if let Some((at_step, disk)) = degrade_at {
-            if at_step == i {
-                fast.fail_disk(disk).expect("raid5 fail");
-                slow.fail_disk(disk);
-                failed = Some(disk);
-            }
-        }
         match *step {
             Step::Submit {
                 write,
@@ -550,21 +423,31 @@ fn check(scenario: &Scenario, degrade_at: Option<(usize, usize)>) {
                 let phases = vec![first, Vec::new(), reads, writes];
                 slow_jobs.push(slow.submit_phases(at, phases));
             }
-            Step::Rebuild {
-                disk,
-                region_blocks,
-                gap_us,
-            } => {
+            Step::Chain { ref phases, gap_us } => {
                 t += gap_us;
                 let at = SimTime::from_micros(t);
-                let disk = disk % scenario.raid.ndisks;
-                if scenario.raid.level == RaidLevel::Raid5 && failed.is_none() {
-                    fast.fail_disk(disk).expect("raid5 fail");
-                    fast.repair_disk(disk);
-                }
-                fast_jobs.push(fast.submit_rebuild(at, disk, region_blocks));
-                let phases = rebuild_phases(scenario.raid.ndisks, disk, region_blocks, failed);
-                slow_jobs.push(slow.submit_phases(at, phases));
+                let phases: Vec<Vec<_>> = phases
+                    .iter()
+                    .map(|p| p.iter().map(|&(pba, n)| extent(pba, n)).collect())
+                    .collect();
+                fast_jobs.push(fast.submit_job(at, |plan| {
+                    for phase in &phases {
+                        for &(pba, n) in phase {
+                            plan.read(pba, n);
+                        }
+                        plan.end_phase();
+                    }
+                }));
+                let ops = phases
+                    .iter()
+                    .map(|phase| {
+                        phase
+                            .iter()
+                            .flat_map(|&(pba, n)| plan_read(&geo, pba, n))
+                            .collect()
+                    })
+                    .collect();
+                slow_jobs.push(slow.submit_phases(at, ops));
             }
             Step::Advance { gap_us } => {
                 t += gap_us;
@@ -643,17 +526,14 @@ mod properties {
                     gap_us,
                 })
         };
-        let rebuild =
-            (0usize..4, 1u64..600, 0u64..30_000).prop_map(|(disk, region_blocks, gap_us)| {
-                Step::Rebuild {
-                    disk,
-                    region_blocks,
-                    gap_us,
-                }
-            });
+        let chain = (
+            vec(vec((any::<u64>(), 1u32..256), 1..4), 1..10),
+            0u64..30_000,
+        )
+            .prop_map(|(phases, gap_us)| Step::Chain { phases, gap_us });
         let advance = || (0u64..50_000).prop_map(|gap_us| Step::Advance { gap_us });
         // Arms are drawn uniformly: a quarter single requests, a quarter
-        // multi-extent jobs, three eighths advances, an eighth rebuilds.
+        // multi-extent jobs, three eighths advances, an eighth chains.
         prop_oneof![
             submit(),
             submit(),
@@ -662,7 +542,7 @@ mod properties {
             advance(),
             advance(),
             advance(),
-            rebuild,
+            chain,
         ]
     }
 
@@ -681,35 +561,20 @@ mod properties {
             }),
             Just(RaidConfig::paper_raid5()),
         ];
-        let cache = prop_oneof![Just(0u64), Just(32u64), Just(256u64)];
-        (sched, raid, any::<bool>(), cache, vec(step(), 1..120)).prop_map(
-            |(sched, raid, wd, write_cache_blocks, steps)| Scenario {
+        (sched, raid, any::<bool>(), vec(step(), 1..120)).prop_map(|(sched, raid, wd, steps)| {
+            Scenario {
                 sched,
                 raid,
                 wd,
-                write_cache_blocks,
                 steps,
-            },
-        )
+            }
+        })
     }
 
     proptest! {
         #[test]
         fn engine_matches_pre_change_reference(s in scenario()) {
-            check(&s, None);
-        }
-
-        #[test]
-        fn degraded_engine_matches_reference(
-            s in scenario(),
-            fail_step in 0usize..120,
-            victim in 0usize..4,
-        ) {
-            // Degraded mode only exists for RAID-5.
-            let mut s = s;
-            s.raid = RaidConfig::paper_raid5();
-            let at = fail_step % s.steps.len().max(1);
-            check(&s, Some((at, victim)));
+            check(&s);
         }
     }
 }
@@ -717,7 +582,7 @@ mod properties {
 /// Deterministic spot checks: dense bursty mixes (deep queues, every
 /// scheduler, both disk presets) that would be low-probability draws
 /// for the generator. Every fifth step is a multi-extent write job, and
-/// a rebuild runs under the burst.
+/// an eight-phase chain runs under the burst.
 #[test]
 fn dense_burst_equivalence() {
     for sched in [
@@ -731,9 +596,8 @@ fn dense_burst_equivalence() {
                 let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 let gap_us = (i % 4) * 7;
                 match i {
-                    200 => Step::Rebuild {
-                        disk: 1,
-                        region_blocks: 1_000,
+                    200 => Step::Chain {
+                        phases: (0..8).map(|k| vec![(h >> (7 * k), 125)]).collect(),
                         gap_us,
                     },
                     _ if i % 5 == 4 => Step::Job {
@@ -752,16 +616,12 @@ fn dense_burst_equivalence() {
             })
             .collect();
         for wd in [false, true] {
-            check(
-                &Scenario {
-                    sched,
-                    raid: RaidConfig::paper_raid5(),
-                    wd,
-                    write_cache_blocks: 0,
-                    steps: steps.clone(),
-                },
-                None,
-            );
+            check(&Scenario {
+                sched,
+                raid: RaidConfig::paper_raid5(),
+                wd,
+                steps: steps.clone(),
+            });
         }
     }
 }
@@ -787,15 +647,11 @@ fn idle_gap_fast_path_equivalence() {
         })
         .collect();
     for raid in [RaidConfig::single(), RaidConfig::paper_raid5()] {
-        check(
-            &Scenario {
-                sched: SchedulerKind::Fifo,
-                raid,
-                wd: false,
-                write_cache_blocks: 0,
-                steps: steps.clone(),
-            },
-            None,
-        );
+        check(&Scenario {
+            sched: SchedulerKind::Fifo,
+            raid,
+            wd: false,
+            steps: steps.clone(),
+        });
     }
 }
