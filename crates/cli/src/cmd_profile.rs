@@ -109,9 +109,9 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
     );
     println!(
         "simulated layer shares: cache {:.1}%  dedup {:.1}%  disk {:.1}%",
-        rep.stack.layer_share(Layer::Cache) * 100.0,
-        rep.stack.layer_share(Layer::Dedup) * 100.0,
-        rep.stack.layer_share(Layer::Disk) * 100.0,
+        rep.stack.all.layer_share(Layer::Cache) * 100.0,
+        rep.stack.all.layer_share(Layer::Dedup) * 100.0,
+        rep.stack.all.layer_share(Layer::Disk) * 100.0,
     );
 
     if let Some(path) = &args.out {

@@ -71,10 +71,7 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
     );
     println!(
         "write classification: {} Cat-1, {} Cat-2, {} Cat-3, {} unique",
-        rep.stack.cat1_writes,
-        rep.stack.cat2_writes,
-        rep.stack.cat3_writes,
-        rep.stack.unique_writes
+        rep.stack.all.cat1, rep.stack.all.cat2, rep.stack.all.cat3, rep.stack.all.unique
     );
     println!(
         "read-cache hit rate {:.1}%   read fragmentation {:.2}   NVRAM peak {:.2} KiB",
@@ -84,9 +81,9 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
     );
     println!(
         "layer time shares: cache {:.1}%  dedup {:.1}%  disk {:.1}%",
-        rep.stack.layer_share(Layer::Cache) * 100.0,
-        rep.stack.layer_share(Layer::Dedup) * 100.0,
-        rep.stack.layer_share(Layer::Disk) * 100.0,
+        rep.stack.all.layer_share(Layer::Cache) * 100.0,
+        rep.stack.all.layer_share(Layer::Dedup) * 100.0,
+        rep.stack.all.layer_share(Layer::Disk) * 100.0,
     );
     if let Some(prof) = &rep.profile {
         // Host wall-clock shares sit next to the simulated shares above

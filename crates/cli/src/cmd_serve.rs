@@ -167,7 +167,7 @@ pub fn render_report(rep: &ServeReport) -> String {
         out,
         "aggregate NVRAM peak {:.2} KiB   read-cache hit {:.1}%",
         a.nvram_peak_bytes as f64 / 1024.0,
-        a.stack.read_hit_rate() * 100.0,
+        a.stack.measured_reads.read_hit_rate() * 100.0,
     )
     .expect("write to string");
     // QoS section: present only when a serve policy attributed capacity
@@ -179,7 +179,7 @@ pub fn render_report(rep: &ServeReport) -> String {
         )
         .expect("write to string");
         for t in &rep.tenants {
-            let s = &t.report.stack;
+            let s = &t.report.stack.all;
             let cap = a
                 .tenant_capacity
                 .iter()

@@ -143,7 +143,7 @@ fn render_section(out: &mut String, rec: &TraceRecorder, hists: Option<&LayerHis
         writeln!(
             out,
             "read fragmentation: {:.2} fragments per missed read",
-            sum.frag_sum as f64 / sum.frag_reads as f64
+            sum.read_fragmentation()
         )
         .expect("write to string");
     }

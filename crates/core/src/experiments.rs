@@ -982,7 +982,7 @@ mod tests {
             // The recorder's write mix matches the report's counters.
             assert_eq!(
                 recorder.totals().cat1,
-                report.stack.cat1_writes,
+                report.stack.all.cat1,
                 "{scheme}: Cat-1 totals agree"
             );
         }

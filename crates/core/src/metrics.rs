@@ -108,8 +108,7 @@ impl LatencyHistogram {
 
     /// Record one response time in µs.
     pub fn record(&mut self, us: u64) {
-        let idx = (64 - us.max(1).leading_zeros() as usize - 1).min(27);
-        self.buckets[idx] += 1;
+        self.buckets[pod_types::log2_bucket::<28>(us)] += 1;
     }
 
     /// Bucket counts, index i covering `[2^i, 2^(i+1))` µs.

@@ -2,7 +2,7 @@
 //!
 //! Every layer of the [`StorageStack`](crate::stack::StorageStack)
 //! reports what it did as a [`StackEvent`] through one
-//! [`ObserverChain`]. The chain always aggregates [`StackCounters`]
+//! [`ObserverChain`]. The chain always folds [`StackCounters`]
 //! (what [`ReplayReport`](crate::ReplayReport) needs) and fans the same
 //! event out to any number of attached sinks — per-layer
 //! [`LayerHistograms`], an epoch-granular [`TraceRecorder`], or a
@@ -310,7 +310,7 @@ impl ObserverChain {
     /// attachment order.
     #[inline]
     pub fn emit(&mut self, ev: &StackEvent) {
-        self.counters.on_event(ev);
+        self.counters.fold(ev);
         for sink in &mut self.sinks {
             sink.on_event(ev);
         }
@@ -353,243 +353,64 @@ impl std::fmt::Debug for ObserverChain {
     }
 }
 
-/// The built-in aggregate counters: everything
-/// [`ReplayReport`](crate::ReplayReport) derives its rates from, plus
-/// the per-category write mix and per-layer time totals.
+/// The chain's built-in counters: the whole replay as one recorder
+/// row, plus the few tallies a [`ReplayReport`](crate::ReplayReport)
+/// needs that no JSONL key carries.
+///
+/// The chain folds every event through [`EpochRow::absorb`], and the
+/// serving engine sums tenants through the `epoch_counters!` table,
+/// so the report and a `--trace-out` recording cannot disagree.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StackCounters {
-    /// Read requests in the measured region.
-    pub reads_measured: u64,
-    /// Measured read requests fully served from cache.
-    pub read_hits_measured: u64,
-    /// Total physical fragments over measured missed reads.
-    pub frag_sum: u64,
-    /// Measured reads that went to disk (fragmentation denominator).
-    pub frag_reads: u64,
-    /// Write requests processed by the dedup layer (all, incl. warm-up).
-    pub writes_processed: u64,
-    /// Writes fully eliminated from the disk stream (all, incl. warm-up).
-    pub writes_eliminated: u64,
-    /// Cat-1 (fully redundant sequential) writes (all, incl. warm-up).
-    pub cat1_writes: u64,
-    /// Cat-2 (scattered partial) writes (all, incl. warm-up).
-    pub cat2_writes: u64,
-    /// Cat-3 (contiguous partial) writes (all, incl. warm-up).
-    pub cat3_writes: u64,
-    /// Unique (nothing redundant) writes (all, incl. warm-up).
-    pub unique_writes: u64,
-    /// Cache repartitions observed.
-    pub repartitions: u64,
-    /// Swap-region blocks charged to the disks.
-    pub swap_blocks: u64,
+    /// Every event of the replay, warm-up included, folded into one
+    /// row: equal to [`TraceRecorder::totals`] except for `epoch`
+    /// (left 0) and `host_ns` (always 0 — host time is
+    /// nondeterministic and never reaches a report).
+    pub all: EpochRow,
+    /// The same fold over read events outside warm-up only: its
+    /// `reads`, `read_hits`, `frag_sum` and `frag_reads` are the
+    /// measured window behind the report's read-cache hit rate and
+    /// fragmentation; every other field stays 0.
+    pub measured_reads: EpochRow,
     /// State snapshots sampled at epoch boundaries.
     pub snapshots: u64,
-    /// Background deduplication passes run.
-    pub background_scans: u64,
-    /// Chunks examined by background passes.
-    pub background_scanned_chunks: u64,
-    /// Faults injected by the fault layer.
-    pub faults_injected: u64,
     /// Total service delay added by injected faults, µs.
     pub fault_delay_us: u64,
-    /// Recoveries (transparent retries + crash-recovery passes).
-    pub recoveries: u64,
     /// Index entries rebuilt from the NVRAM Map by crash recovery.
     pub index_entries_rebuilt: u64,
-    /// Total µs attributed to the cache layer (full-hit service).
-    pub cache_time_us: u64,
-    /// Total µs attributed to the dedup layer (hashing + metadata).
-    pub dedup_time_us: u64,
-    /// Total µs attributed to the disks (service + queueing).
-    pub disk_time_us: u64,
-    /// Requests delayed by a tenant rate limit (serve policy only).
-    pub throttle_waits: u64,
-    /// Total simulated delay added by rate limiting, µs.
-    pub throttle_wait_us: u64,
-    /// Quota/tier index shrinks that evicted fingerprints.
-    pub quota_evictions: u64,
-    /// Fingerprints evicted by quota/tier shrinks.
-    pub quota_evicted_fps: u64,
 }
 
 impl StackCounters {
-    /// Read-cache hit rate over the measured region (0 when no reads).
-    pub fn read_hit_rate(&self) -> f64 {
-        if self.reads_measured == 0 {
-            0.0
-        } else {
-            self.read_hits_measured as f64 / self.reads_measured as f64
-        }
-    }
-
-    /// Mean physical fragments per missed read (1.0 = never fragmented).
-    pub fn read_fragmentation(&self) -> f64 {
-        if self.frag_reads == 0 {
-            1.0
-        } else {
-            self.frag_sum as f64 / self.frag_reads as f64
-        }
-    }
-
-    /// Total µs attributed to `layer`.
-    pub fn layer_time_us(&self, layer: Layer) -> u64 {
-        match layer {
-            Layer::Cache => self.cache_time_us,
-            Layer::Dedup => self.dedup_time_us,
-            Layer::Disk => self.disk_time_us,
-        }
-    }
-
-    /// Sum of all per-layer time attributions, µs.
-    pub fn total_layer_time_us(&self) -> u64 {
-        Layer::ALL.iter().map(|&l| self.layer_time_us(l)).sum()
-    }
-
-    /// `layer`'s share of the total attributed time (0 when none).
-    pub fn layer_share(&self, layer: Layer) -> f64 {
-        let total = self.total_layer_time_us();
-        if total == 0 {
-            0.0
-        } else {
-            self.layer_time_us(layer) as f64 / total as f64
-        }
-    }
-
-    /// Fold `other` into `self` field by field. Every field is an
-    /// additive tally, so summing per-tenant (or per-shard) counter
-    /// sets yields exactly the counters one consolidated stack would
-    /// have reported — the serving engine's aggregate view.
-    pub fn absorb(&mut self, other: &StackCounters) {
-        let StackCounters {
-            reads_measured,
-            read_hits_measured,
-            frag_sum,
-            frag_reads,
-            writes_processed,
-            writes_eliminated,
-            cat1_writes,
-            cat2_writes,
-            cat3_writes,
-            unique_writes,
-            repartitions,
-            swap_blocks,
-            snapshots,
-            background_scans,
-            background_scanned_chunks,
-            faults_injected,
-            fault_delay_us,
-            recoveries,
-            index_entries_rebuilt,
-            cache_time_us,
-            dedup_time_us,
-            disk_time_us,
-            throttle_waits,
-            throttle_wait_us,
-            quota_evictions,
-            quota_evicted_fps,
-        } = other;
-        self.reads_measured += reads_measured;
-        self.read_hits_measured += read_hits_measured;
-        self.frag_sum += frag_sum;
-        self.frag_reads += frag_reads;
-        self.writes_processed += writes_processed;
-        self.writes_eliminated += writes_eliminated;
-        self.cat1_writes += cat1_writes;
-        self.cat2_writes += cat2_writes;
-        self.cat3_writes += cat3_writes;
-        self.unique_writes += unique_writes;
-        self.repartitions += repartitions;
-        self.swap_blocks += swap_blocks;
-        self.snapshots += snapshots;
-        self.background_scans += background_scans;
-        self.background_scanned_chunks += background_scanned_chunks;
-        self.faults_injected += faults_injected;
-        self.fault_delay_us += fault_delay_us;
-        self.recoveries += recoveries;
-        self.index_entries_rebuilt += index_entries_rebuilt;
-        self.cache_time_us += cache_time_us;
-        self.dedup_time_us += dedup_time_us;
-        self.disk_time_us += disk_time_us;
-        self.throttle_waits += throttle_waits;
-        self.throttle_wait_us += throttle_wait_us;
-        self.quota_evictions += quota_evictions;
-        self.quota_evicted_fps += quota_evicted_fps;
-    }
-}
-
-impl StackObserver for StackCounters {
-    fn on_event(&mut self, ev: &StackEvent) {
+    /// Fold one event: the row takes every count; the arms below add
+    /// only what the row does not carry.
+    #[inline]
+    pub(crate) fn fold(&mut self, ev: &StackEvent) {
         match *ev {
-            StackEvent::ReadLookup { hit, measured, .. } => {
-                if measured {
-                    self.reads_measured += 1;
-                    if hit {
-                        self.read_hits_measured += 1;
-                    }
-                }
-            }
-            StackEvent::ReadFragments {
-                fragments,
-                measured,
-                ..
-            } => {
-                if measured {
-                    self.frag_sum += fragments;
-                    self.frag_reads += 1;
-                }
-            }
-            StackEvent::WriteClassified {
-                category, removed, ..
-            } => {
-                self.writes_processed += 1;
-                if removed {
-                    self.writes_eliminated += 1;
-                }
-                match category {
-                    ClassKind::FullyRedundantSequential => self.cat1_writes += 1,
-                    ClassKind::ScatteredPartial => self.cat2_writes += 1,
-                    ClassKind::ContiguousPartial => self.cat3_writes += 1,
-                    ClassKind::Unique => self.unique_writes += 1,
-                }
-            }
-            StackEvent::Repartition { .. } => self.repartitions += 1,
-            StackEvent::BackgroundScan { scanned_chunks, .. } => {
-                self.background_scans += 1;
-                self.background_scanned_chunks += scanned_chunks;
-            }
-            StackEvent::Swap { blocks } => self.swap_blocks += blocks,
-            StackEvent::FaultInjected { delay_us, .. } => {
-                self.faults_injected += 1;
-                self.fault_delay_us += delay_us;
-            }
+            // Reports are byte-identical at any serve topology, and
+            // host wall-clock would break that.
+            StackEvent::HostPhase { .. } => return,
+            StackEvent::ReadLookup { measured: true, .. }
+            | StackEvent::ReadFragments { measured: true, .. } => self.measured_reads.absorb(ev),
+            StackEvent::Snapshot { .. } => self.snapshots += 1,
+            StackEvent::FaultInjected { delay_us, .. } => self.fault_delay_us += delay_us,
             StackEvent::Recovered {
                 repaired_entries, ..
-            } => {
-                self.recoveries += 1;
-                self.index_entries_rebuilt += repaired_entries;
-            }
-            StackEvent::LayerLatency { layer, us } => match layer {
-                Layer::Cache => self.cache_time_us += us,
-                Layer::Dedup => self.dedup_time_us += us,
-                Layer::Disk => self.disk_time_us += us,
-            },
-            StackEvent::ThrottleWait { us, .. } => {
-                self.throttle_waits += 1;
-                self.throttle_wait_us += us;
-            }
-            StackEvent::QuotaEviction { victims, .. } => {
-                self.quota_evictions += 1;
-                self.quota_evicted_fps += victims;
-            }
-            StackEvent::Snapshot { .. } => self.snapshots += 1,
-            // Host time is deliberately NOT tallied here: the built-in
-            // counters feed deterministic reports (byte-identical at
-            // any serve topology), and wall-clock would break that.
-            // Host nanoseconds live in ProfSink / EpochRow only.
-            StackEvent::RequestDone { .. }
-            | StackEvent::HostPhase { .. }
-            | StackEvent::Finished => {}
+            } => self.index_entries_rebuilt += repaired_entries,
+            _ => {}
         }
+        self.all.absorb(ev);
+    }
+
+    /// Add `other`'s counters to these. Every counter is additive,
+    /// so summing per-tenant counters yields exactly what one
+    /// consolidated stack would have reported — the serving engine's
+    /// aggregate view.
+    pub(crate) fn absorb(&mut self, other: &StackCounters) {
+        self.all.add(&other.all);
+        self.measured_reads.add(&other.measured_reads);
+        self.snapshots += other.snapshots;
+        self.fault_delay_us += other.fault_delay_us;
+        self.index_entries_rebuilt += other.index_entries_rebuilt;
     }
 }
 
@@ -600,45 +421,46 @@ mod tests {
     #[test]
     fn hit_rate_and_fragmentation_defaults() {
         let c = StackCounters::default();
-        assert_eq!(c.read_hit_rate(), 0.0);
-        assert_eq!(c.read_fragmentation(), 1.0);
-        assert_eq!(c.layer_share(Layer::Disk), 0.0);
+        assert_eq!(c.measured_reads.read_hit_rate(), 0.0);
+        assert_eq!(c.measured_reads.read_fragmentation(), 1.0);
+        assert_eq!(c.all.layer_share(Layer::Disk), 0.0);
     }
 
     #[test]
     fn counters_accumulate_from_events() {
         let mut c = StackCounters::default();
-        c.on_event(&StackEvent::ReadLookup {
+        c.fold(&StackEvent::ReadLookup {
             hit: true,
             measured: true,
             tenant: 0,
         });
-        c.on_event(&StackEvent::ReadLookup {
+        c.fold(&StackEvent::ReadLookup {
             hit: false,
             measured: true,
             tenant: 0,
         });
-        // Warm-up: ignored.
-        c.on_event(&StackEvent::ReadLookup {
+        // Warm-up: in the whole-replay row, not the measured reads.
+        c.fold(&StackEvent::ReadLookup {
             hit: true,
             measured: false,
             tenant: 0,
         });
-        c.on_event(&StackEvent::ReadFragments {
+        c.fold(&StackEvent::ReadFragments {
             fragments: 3,
             measured: true,
             tenant: 0,
         });
-        c.on_event(&StackEvent::Swap { blocks: 7 });
-        c.on_event(&StackEvent::Snapshot {
+        c.fold(&StackEvent::Swap { blocks: 7 });
+        c.fold(&StackEvent::Snapshot {
             snap: StateSnapshot::default(),
         });
         assert_eq!(c.snapshots, 1);
-        assert_eq!(c.reads_measured, 2);
-        assert_eq!(c.read_hits_measured, 1);
-        assert!((c.read_hit_rate() - 0.5).abs() < 1e-12);
-        assert!((c.read_fragmentation() - 3.0).abs() < 1e-12);
-        assert_eq!(c.swap_blocks, 7);
+        assert_eq!(c.measured_reads.reads, 2);
+        assert_eq!(c.measured_reads.read_hits, 1);
+        assert_eq!((c.all.reads, c.all.read_hits), (3, 2));
+        assert!((c.measured_reads.read_hit_rate() - 0.5).abs() < 1e-12);
+        assert!((c.measured_reads.read_fragmentation() - 3.0).abs() < 1e-12);
+        assert_eq!(c.all.swap_blocks, 7);
     }
 
     #[test]
@@ -653,32 +475,42 @@ mod tests {
             measured: true,
             tenant: 0,
         };
-        c.on_event(&write(ClassKind::FullyRedundantSequential, true));
-        c.on_event(&write(ClassKind::ScatteredPartial, false));
-        c.on_event(&write(ClassKind::ContiguousPartial, false));
-        c.on_event(&write(ClassKind::Unique, false));
+        c.fold(&write(ClassKind::FullyRedundantSequential, true));
+        c.fold(&write(ClassKind::ScatteredPartial, false));
+        c.fold(&write(ClassKind::ContiguousPartial, false));
+        c.fold(&write(ClassKind::Unique, false));
         assert_eq!(
-            (c.cat1_writes, c.cat2_writes, c.cat3_writes, c.unique_writes),
+            (c.all.cat1, c.all.cat2, c.all.cat3, c.all.unique),
             (1, 1, 1, 1)
         );
-        assert_eq!(c.writes_processed, 4);
-        assert_eq!(c.writes_eliminated, 1);
+        assert_eq!(c.all.writes, 4);
+        assert_eq!(c.all.written_blocks, 4);
     }
 
     #[test]
     fn layer_time_shares() {
         let mut c = StackCounters::default();
-        c.on_event(&StackEvent::LayerLatency {
+        c.fold(&StackEvent::LayerLatency {
             layer: Layer::Dedup,
             us: 30,
         });
-        c.on_event(&StackEvent::LayerLatency {
+        c.fold(&StackEvent::LayerLatency {
             layer: Layer::Disk,
             us: 70,
         });
-        assert_eq!(c.total_layer_time_us(), 100);
-        assert!((c.layer_share(Layer::Disk) - 0.7).abs() < 1e-12);
-        assert!((c.layer_share(Layer::Cache)).abs() < 1e-12);
+        assert_eq!(Layer::ALL.map(|l| c.all.layer_us(l)), [0, 30, 70]);
+        assert!((c.all.layer_share(Layer::Disk) - 0.7).abs() < 1e-12);
+        assert!((c.all.layer_share(Layer::Cache)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn host_time_never_reaches_the_counters() {
+        let mut c = StackCounters::default();
+        c.fold(&StackEvent::HostPhase {
+            phase: crate::prof::ProfPhase::DiskRun,
+            ns: 1_000,
+        });
+        assert_eq!(c, StackCounters::default());
     }
 
     #[test]
@@ -708,7 +540,7 @@ mod tests {
         chain.emit(&StackEvent::Finished);
         chain.emit(&StackEvent::Swap { blocks: 1 });
         // Counters ran too.
-        assert_eq!(chain.counters().swap_blocks, 1);
+        assert_eq!(chain.counters().all.swap_blocks, 1);
         let first: Tagger = chain.take_sink().expect("tagger present");
         assert_eq!(first.tag, 1, "take_sink returns the first match");
         assert_eq!(first.seen, vec![1, 1]);
@@ -719,36 +551,36 @@ mod tests {
 
     #[test]
     fn sink_readback_by_type() {
-        let chain = ObserverChain::new().with(StackCounters::default());
-        assert!(chain.sink::<StackCounters>().is_some());
-        assert!(chain.sink::<LayerHistograms>().is_none());
+        let chain = ObserverChain::new().with(LayerHistograms::new());
+        assert!(chain.sink::<LayerHistograms>().is_some());
+        assert!(chain.sink::<TraceRecorder>().is_none());
     }
 
     #[test]
     fn counters_absorb_sums_every_field() {
         let mut a = StackCounters::default();
-        a.on_event(&StackEvent::ReadLookup {
+        a.fold(&StackEvent::ReadLookup {
             hit: true,
             measured: true,
             tenant: 1,
         });
-        a.on_event(&StackEvent::LayerLatency {
+        a.fold(&StackEvent::LayerLatency {
             layer: Layer::Disk,
             us: 40,
         });
         let mut b = StackCounters::default();
-        b.on_event(&StackEvent::ReadLookup {
+        b.fold(&StackEvent::ReadLookup {
             hit: false,
             measured: true,
             tenant: 2,
         });
-        b.on_event(&StackEvent::Swap { blocks: 3 });
+        b.fold(&StackEvent::Swap { blocks: 3 });
         let mut sum = a;
         sum.absorb(&b);
-        assert_eq!(sum.reads_measured, 2);
-        assert_eq!(sum.read_hits_measured, 1);
-        assert_eq!(sum.disk_time_us, 40);
-        assert_eq!(sum.swap_blocks, 3);
+        assert_eq!(sum.measured_reads.reads, 2);
+        assert_eq!(sum.measured_reads.read_hits, 1);
+        assert_eq!(sum.all.disk_us, 40);
+        assert_eq!(sum.all.swap_blocks, 3);
     }
 
     #[test]
@@ -769,44 +601,50 @@ mod tests {
     #[test]
     fn fault_events_accumulate_in_counters() {
         let mut c = StackCounters::default();
-        c.on_event(&StackEvent::FaultInjected {
+        c.fold(&StackEvent::FaultInjected {
             kind: FaultKind::ReadError,
             delay_us: 500,
         });
-        c.on_event(&StackEvent::FaultInjected {
+        c.fold(&StackEvent::FaultInjected {
             kind: FaultKind::LatencySpike,
             delay_us: 8_000,
         });
-        c.on_event(&StackEvent::Recovered {
+        c.fold(&StackEvent::Recovered {
             kind: FaultKind::ReadError,
             repaired_entries: 0,
         });
-        c.on_event(&StackEvent::Recovered {
+        c.fold(&StackEvent::Recovered {
             kind: FaultKind::Crash,
             repaired_entries: 17,
         });
-        assert_eq!(c.faults_injected, 2);
+        assert_eq!(c.all.faults, 2);
         assert_eq!(c.fault_delay_us, 8_500);
-        assert_eq!(c.recoveries, 2);
+        assert_eq!(c.all.recoveries, 2);
         assert_eq!(c.index_entries_rebuilt, 17);
     }
 
     #[test]
     fn qos_events_accumulate_and_absorb() {
         let mut a = StackCounters::default();
-        a.on_event(&StackEvent::ThrottleWait { tenant: 1, us: 250 });
-        a.on_event(&StackEvent::ThrottleWait { tenant: 1, us: 750 });
-        a.on_event(&StackEvent::QuotaEviction {
+        a.fold(&StackEvent::ThrottleWait { tenant: 1, us: 250 });
+        a.fold(&StackEvent::ThrottleWait { tenant: 1, us: 750 });
+        a.fold(&StackEvent::QuotaEviction {
             tenant: 1,
             victims: 32,
             index_bytes: 4096,
         });
-        assert_eq!((a.throttle_waits, a.throttle_wait_us), (2, 1000));
-        assert_eq!((a.quota_evictions, a.quota_evicted_fps), (1, 32));
+        assert_eq!((a.all.throttle_waits, a.all.throttle_wait_us), (2, 1000));
+        assert_eq!((a.all.quota_evictions, a.all.quota_evicted_fps), (1, 32));
         let mut sum = StackCounters::default();
         sum.absorb(&a);
         sum.absorb(&a);
-        assert_eq!((sum.throttle_waits, sum.throttle_wait_us), (4, 2000));
-        assert_eq!((sum.quota_evictions, sum.quota_evicted_fps), (2, 64));
+        assert_eq!(
+            (sum.all.throttle_waits, sum.all.throttle_wait_us),
+            (4, 2000)
+        );
+        assert_eq!(
+            (sum.all.quota_evictions, sum.all.quota_evicted_fps),
+            (2, 64)
+        );
     }
 }

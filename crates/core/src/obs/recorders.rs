@@ -196,6 +196,7 @@ pub struct EpochRow {
 impl EpochRow {
     /// Fold one event into the row's tallies; a
     /// [`StackEvent::Snapshot`] becomes the row's `snap`.
+    #[inline]
     pub fn absorb(&mut self, ev: &StackEvent) {
         match *ev {
             StackEvent::ReadLookup { hit, .. } => {
@@ -250,6 +251,53 @@ impl EpochRow {
             StackEvent::RequestDone { .. } => self.requests += 1,
             StackEvent::Finished => {}
         }
+    }
+
+    /// Reads fully served from cache over all reads (0 when none).
+    pub fn read_hit_rate(&self) -> f64 {
+        if self.reads == 0 {
+            0.0
+        } else {
+            self.read_hits as f64 / self.reads as f64
+        }
+    }
+
+    /// Mean physical fragments per missed read (1.0 = never
+    /// fragmented, and when no read missed).
+    pub fn read_fragmentation(&self) -> f64 {
+        if self.frag_reads == 0 {
+            1.0
+        } else {
+            self.frag_sum as f64 / self.frag_reads as f64
+        }
+    }
+
+    /// µs attributed to `layer`.
+    pub fn layer_us(&self, layer: Layer) -> u64 {
+        match layer {
+            Layer::Cache => self.cache_us,
+            Layer::Dedup => self.dedup_us,
+            Layer::Disk => self.disk_us,
+        }
+    }
+
+    /// `layer`'s share of the µs attributed to all layers (0 when
+    /// none).
+    pub fn layer_share(&self, layer: Layer) -> f64 {
+        let total: u64 = Layer::ALL.iter().map(|&l| self.layer_us(l)).sum();
+        if total == 0 {
+            0.0
+        } else {
+            self.layer_us(layer) as f64 / total as f64
+        }
+    }
+
+    /// Add `other`'s counters to this row, as
+    /// [`checked_add`](Self::checked_add) does. Live tallies stay far
+    /// below `u64::MAX` (2^64 µs is 584,000 years).
+    pub(crate) fn add(&mut self, other: &EpochRow) {
+        self.checked_add(other)
+            .expect("row counters sum within u64");
     }
 
     /// Add `other`'s counters to this row (its snapshot and tenant

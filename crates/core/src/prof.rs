@@ -259,12 +259,7 @@ impl PhaseAgg {
     fn record(&mut self, ns: u64) {
         self.count += 1;
         self.total_ns += ns;
-        let idx = if ns == 0 {
-            0
-        } else {
-            (63 - ns.leading_zeros() as usize).min(PROF_BUCKETS - 1)
-        };
-        self.buckets[idx] += 1;
+        self.buckets[pod_types::log2_bucket::<PROF_BUCKETS>(ns)] += 1;
     }
 
     fn absorb(&mut self, other: &PhaseAgg) {

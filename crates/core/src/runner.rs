@@ -62,9 +62,9 @@ pub struct ReplayReport {
     pub icache_repartitions: u64,
     /// Final index-cache share of the memory budget.
     pub final_index_fraction: f64,
-    /// The full structured counter stream from the replay's
-    /// [`StackObserver`] — everything the
-    /// derived rates above were computed from.
+    /// The replay's event stream folded once: the whole-replay row a
+    /// [`TraceRecorder`] would sum to, plus the measured-window reads
+    /// the read-cache rates above come from.
     pub stack: StackCounters,
     /// Mean response time per arrival-time window (60 windows across the
     /// replayed span) — the latency curve over the day.
@@ -233,7 +233,7 @@ pub(crate) fn replay_stack(
     // Verify after finish(): drains, crash recovery and any injected
     // end-of-replay corruption are all visible to the pass.
     let integrity = verify.then(|| IntegrityReport {
-        faults_seen: stack.observer().counters().faults_injected,
+        faults_seen: stack.observer().counters().all.faults,
         ..oracle::verify(stack.dedup(), trace)
     });
     let report = collect_report(&stack, spec.name, trace, warmup, integrity);
@@ -343,8 +343,8 @@ fn collect_report(
         counters: stack.dedup().counters(),
         capacity_used_blocks: stack.dedup().capacity_used_blocks(),
         nvram_peak_bytes: stack.dedup().nvram_peak_bytes(),
-        read_cache_hit_rate: counters.read_hit_rate(),
-        read_fragmentation: counters.read_fragmentation(),
+        read_cache_hit_rate: counters.measured_reads.read_hit_rate(),
+        read_fragmentation: counters.measured_reads.read_fragmentation(),
         disk: stack.disk().stats(),
         icache_epochs: stack.cache().epochs(),
         icache_repartitions: stack.cache().repartitions(),
@@ -812,7 +812,7 @@ mod tests {
         let reads_in_rows: u64 = rec.rows().iter().map(|r| r.reads).sum();
         // Recorder rows count all requests, counters only measured ones
         // (test config has no warm-up, so they agree).
-        assert_eq!(reads_in_rows, report.stack.reads_measured);
+        assert_eq!(reads_in_rows, report.stack.measured_reads.reads);
     }
 
     #[test]
@@ -922,11 +922,11 @@ mod tests {
     fn layer_time_totals_are_populated() {
         let t = tiny_trace("mail");
         let rep = replay_with(Scheme::Pod, &t, SystemConfig::test_default());
-        assert!(rep.stack.dedup_time_us > 0, "writes hashed inline");
-        assert!(rep.stack.disk_time_us > 0, "disk-bound requests exist");
+        assert!(rep.stack.all.dedup_us > 0, "writes hashed inline");
+        assert!(rep.stack.all.disk_us > 0, "disk-bound requests exist");
         let share_sum: f64 = crate::obs::Layer::ALL
             .iter()
-            .map(|&l| rep.stack.layer_share(l))
+            .map(|&l| rep.stack.all.layer_share(l))
             .sum();
         assert!(
             (share_sum - 1.0).abs() < 1e-9,

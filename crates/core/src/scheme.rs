@@ -214,11 +214,7 @@ mod tests {
                 .trace(&trace)
                 .run()
                 .expect("replay");
-            assert_eq!(
-                rep.stack.background_scans > 0,
-                s == Scheme::PostProcess,
-                "{s}"
-            );
+            assert_eq!(rep.stack.all.scans > 0, s == Scheme::PostProcess, "{s}");
             assert!(rep.icache_epochs > 0, "{s}");
         }
     }

@@ -931,8 +931,8 @@ mod tests {
         // No policy: the QoS layer leaves no trace in the aggregate.
         assert_eq!(rep.aggregate.fleet_unique_blocks, 0);
         assert!(rep.aggregate.tenant_capacity.is_empty());
-        assert_eq!(rep.aggregate.stack.throttle_waits, 0);
-        assert_eq!(rep.aggregate.stack.quota_evictions, 0);
+        assert_eq!(rep.aggregate.stack.all.throttle_waits, 0);
+        assert_eq!(rep.aggregate.stack.all.quota_evictions, 0);
     }
 
     /// Compile-pass regression for the `tenants` lifetime rebinding:
@@ -1013,8 +1013,8 @@ mod tests {
             .run()
             .expect("serve");
         let agg = &rep.aggregate;
-        assert!(agg.stack.throttle_waits > 0, "rate limits bind");
-        assert!(agg.stack.throttle_wait_us > 0);
+        assert!(agg.stack.all.throttle_waits > 0, "rate limits bind");
+        assert!(agg.stack.all.throttle_wait_us > 0);
         assert!(
             agg.fleet_unique_blocks > 0 && agg.fleet_unique_blocks <= agg.capacity_used_blocks,
             "fleet union {} vs summed capacity {}",
@@ -1233,10 +1233,10 @@ mod tests {
             .run()
             .expect("serve");
         assert!(
-            rep.aggregate.stack.quota_evictions > 0,
+            rep.aggregate.stack.all.quota_evictions > 0,
             "a 64 KiB hard quota must evict: {:?}",
             rep.aggregate.stack
         );
-        assert!(rep.aggregate.stack.quota_evicted_fps > 0);
+        assert!(rep.aggregate.stack.all.quota_evicted_fps > 0);
     }
 }

@@ -275,9 +275,9 @@ fn replay_under_eviction_is_allocation_free(width: usize, profiled: bool) {
     assert_eq!(index.hits, 0);
     stack.finish().expect("finish");
     let counters = *stack.into_observer().counters();
-    assert_eq!(counters.unique_writes, idx as u64 / 2, "nothing deduped");
-    assert_eq!(counters.reads_measured, idx as u64 / 2);
-    assert_eq!(counters.read_hits_measured, 0, "every read missed");
+    assert_eq!(counters.all.unique, idx as u64 / 2, "nothing deduped");
+    assert_eq!(counters.measured_reads.reads, idx as u64 / 2);
+    assert_eq!(counters.measured_reads.read_hits, 0, "every read missed");
 }
 
 #[test]
@@ -334,9 +334,9 @@ fn steady_state_replay_with_full_observer_chain_is_allocation_free() {
     stack.finish().expect("finish");
     let mut chain = stack.into_observer();
     let counters = *chain.counters();
-    assert_eq!(counters.writes_processed, idx as u64 / 2);
+    assert_eq!(counters.all.writes, idx as u64 / 2);
     let tally: EventTally = chain.take_sink().expect("tally attached");
-    assert_eq!(tally.writes, counters.writes_processed);
+    assert_eq!(tally.writes, counters.all.writes);
     assert_eq!(tally.done, idx as u64);
     // Snapshots were sampled at every epoch boundary — inside the
     // measured windows too (several epochs elapse per window with the

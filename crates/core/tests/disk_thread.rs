@@ -40,7 +40,7 @@ fn replay(scheme: Scheme, trace: &Trace, cfg: &SystemConfig) -> (String, Vec<u8>
         .run_observed()
         .expect("replay");
     if cfg.faults.is_some() {
-        assert!(report.stack.faults_injected > 0, "the plan fired");
+        assert!(report.stack.all.faults > 0, "the plan fired");
     }
     let recorder: TraceRecorder = chain.take_sink().expect("recorder attached");
     let mut jsonl = Vec::new();

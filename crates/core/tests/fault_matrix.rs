@@ -49,11 +49,11 @@ fn every_scheme_survives_every_fault_class_with_zero_divergence() {
             );
             match label {
                 &"no-fault" => {
-                    assert_eq!(rep.stack.faults_injected, 0, "{scheme}: clean run");
+                    assert_eq!(rep.stack.all.faults, 0, "{scheme}: clean run");
                 }
                 _ => {
                     assert!(
-                        rep.stack.faults_injected > 0,
+                        rep.stack.all.faults > 0,
                         "{scheme} x {label}: plan injected nothing"
                     );
                 }
@@ -99,14 +99,14 @@ fn serve_survives_every_policy_and_fault_class_with_zero_divergence() {
                 let integ = t.report.integrity.as_ref().expect("oracle attached");
                 assert!(integ.passed(), "{label}: {}", integ.summary());
                 assert!(integ.checked > 0, "{label}: oracle walked blocks");
-                let faults = t.report.stack.faults_injected;
+                let faults = t.report.stack.all.faults;
                 if plan.is_some() {
                     assert!(faults > 0, "{label}: plan injected nothing");
                 } else {
                     assert_eq!(faults, 0, "{label}: clean run");
                 }
                 assert_eq!(
-                    t.report.stack.throttle_waits > 0,
+                    t.report.stack.all.throttle_waits > 0,
                     policy.is_some(),
                     "{label}: the policy is live exactly when set"
                 );
@@ -122,7 +122,8 @@ fn foreground_jobs(scheme: Scheme) -> u64 {
     let fires = |job| {
         replay_verified(scheme, Some(FaultPlan::crash(7, job)))
             .stack
-            .faults_injected
+            .all
+            .faults
             > 0
     };
     let (mut fired, mut missed) = (1, tiny_trace().len() as u64 + 1);
@@ -154,7 +155,7 @@ fn a_crash_at_any_point_of_the_replay_recovers_with_zero_divergence() {
                 integ.summary()
             );
             assert!(
-                rep.stack.recoveries >= 1,
+                rep.stack.all.recoveries >= 1,
                 "{scheme} x crash at job {job}/{jobs}: recovery ran"
             );
         }
@@ -165,9 +166,9 @@ fn a_crash_at_any_point_of_the_replay_recovers_with_zero_divergence() {
 fn transient_faults_recover_and_cost_latency() {
     let clean = replay_verified(Scheme::Pod, None);
     let faulty = replay_verified(Scheme::Pod, Some(FaultPlan::transient(7)));
-    assert!(faulty.stack.faults_injected > 0);
+    assert!(faulty.stack.all.faults > 0);
     assert_eq!(
-        faulty.stack.recoveries, faulty.stack.faults_injected,
+        faulty.stack.all.recoveries, faulty.stack.all.faults,
         "every transient fault is transparently retried"
     );
     assert!(faulty.stack.fault_delay_us > 0, "retries cost time");
@@ -185,8 +186,8 @@ fn crash_mid_replay_rebuilds_the_index_from_the_map() {
     let rep = replay_verified(Scheme::Pod, Some(FaultPlan::crash(7, 150)));
     let integ = rep.integrity.as_ref().expect("oracle attached");
     assert!(integ.passed(), "{}", integ.summary());
-    assert!(rep.stack.faults_injected >= 1, "the crash fired");
-    assert!(rep.stack.recoveries >= 1, "recovery ran");
+    assert!(rep.stack.all.faults >= 1, "the crash fired");
+    assert!(rep.stack.all.recoveries >= 1, "recovery ran");
     assert!(
         rep.stack.index_entries_rebuilt > 0,
         "the Index was repopulated from the NVRAM Map"
@@ -202,7 +203,7 @@ fn torn_and_spiking_writes_stay_consistent() {
         let rep = replay_verified(Scheme::SelectDedupe, Some(plan));
         let integ = rep.integrity.as_ref().expect("oracle attached");
         assert!(integ.passed(), "{}", integ.summary());
-        assert!(rep.stack.faults_injected > 0);
+        assert!(rep.stack.all.faults > 0);
     }
 }
 
@@ -227,16 +228,16 @@ fn silent_corruption_is_caught_and_pinpointed() {
 fn fault_injection_is_deterministic() {
     let a = replay_verified(Scheme::Pod, Some(FaultPlan::all(7)));
     let b = replay_verified(Scheme::Pod, Some(FaultPlan::all(7)));
-    assert_eq!(a.stack.faults_injected, b.stack.faults_injected);
+    assert_eq!(a.stack.all.faults, b.stack.all.faults);
     assert_eq!(a.stack.fault_delay_us, b.stack.fault_delay_us);
-    assert_eq!(a.stack.recoveries, b.stack.recoveries);
+    assert_eq!(a.stack.all.recoveries, b.stack.all.recoveries);
     assert_eq!(a.overall.mean_us(), b.overall.mean_us());
     assert_eq!(a.counters, b.counters);
     // A different seed draws a different fault schedule.
     let c = replay_verified(Scheme::Pod, Some(FaultPlan::all(8)));
     assert!(
         c.stack.fault_delay_us != a.stack.fault_delay_us
-            || c.stack.faults_injected != a.stack.faults_injected,
+            || c.stack.all.faults != a.stack.all.faults,
         "seed must steer the fault schedule"
     );
 }
@@ -255,6 +256,6 @@ fn fault_events_round_trip_through_the_trace_recorder() {
     let rec: TraceRecorder = chain.take_sink().expect("recorder attached");
     let faults_in_rows: u64 = rec.rows().iter().map(|r| r.faults).sum();
     let recoveries_in_rows: u64 = rec.rows().iter().map(|r| r.recoveries).sum();
-    assert_eq!(faults_in_rows, rep.stack.faults_injected);
-    assert_eq!(recoveries_in_rows, rep.stack.recoveries);
+    assert_eq!(faults_in_rows, rep.stack.all.faults);
+    assert_eq!(recoveries_in_rows, rep.stack.all.recoveries);
 }

@@ -2,9 +2,10 @@
 //! `read_jsonl` gives back — rows, totals and histograms — under every
 //! scheme, profiled and under a fault plan, and from a tenant-tagged
 //! serve under a QoS policy, so every optional key of the wire schema
-//! is exercised.
+//! is exercised. A report's whole-replay counters are the same row the
+//! recorder sums.
 
-use pod_core::obs::{LayerHistograms, TraceRecorder};
+use pod_core::obs::{EpochRow, LayerHistograms, TraceRecorder};
 use pod_core::prelude::*;
 use pod_trace::{derive_tenants, TraceProfile};
 
@@ -99,4 +100,38 @@ fn tenant_tagged_policy_serve_round_trips_qos_keys() {
             .any(|t| t.snap.is_some_and(|s| s.tier_target_bytes > 0)),
         "tier gauges"
     );
+}
+
+/// The report and the recorder fold one event stream into one row: the
+/// report's whole-replay row is the recorder's totals, every scheme,
+/// with and without faults. The one place they differ is pinned too:
+/// the report's read-cache rates cover only the measured window after
+/// warm-up (15 % under `paper_default`), the rows every request.
+#[test]
+fn the_report_row_is_the_recorder_totals() {
+    let trace = TraceProfile::mail().scaled(0.004).generate(7);
+    for scheme in Scheme::extended() {
+        for faults in [None, Some(FaultPlan::all(7))] {
+            let label = format!("{scheme} faults {:?}", faults.is_some());
+            let mut cfg = SystemConfig::paper_default();
+            cfg.faults = faults;
+            let (rep, mut chain) = scheme
+                .builder()
+                .config(cfg)
+                .trace(&trace)
+                .record(0)
+                .run_observed()
+                .expect("replay succeeds");
+            let totals = chain
+                .take_sink::<TraceRecorder>()
+                .expect("recorder")
+                .totals();
+            // A totals row numbers the epochs it summed.
+            assert_eq!(rep.stack.all, EpochRow { epoch: 0, ..totals }, "{label}");
+            assert_eq!(rep.counters.write_requests, totals.writes, "{label}");
+            // Warm-up reads are in the row, not in the measured window.
+            let measured = rep.stack.measured_reads.reads;
+            assert_eq!((measured, totals.reads), (424, 487), "{label}");
+        }
+    }
 }

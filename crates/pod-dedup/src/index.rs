@@ -19,7 +19,7 @@
 //! what lets every epoch snapshot carry it.
 
 use pod_cache::LruCache;
-use pod_types::{log2_bucket8, Fingerprint, Pba, INDEX_ENTRY_BYTES};
+use pod_types::{log2_bucket, Fingerprint, Pba, INDEX_ENTRY_BYTES};
 
 /// LRU only (§III-B); kept because the benchmark harness names the `index_policy` fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,8 +92,8 @@ impl IndexTable {
             Some(e) => {
                 e.count += 1;
                 self.hits += 1;
-                self.heat[log2_bucket8((e.count - 1).into())] -= 1;
-                self.heat[log2_bucket8(e.count.into())] += 1;
+                self.heat[log2_bucket::<8>((e.count - 1).into())] -= 1;
+                self.heat[log2_bucket::<8>(e.count.into())] += 1;
                 Some(e.pba)
             }
             None => {
@@ -120,7 +120,7 @@ impl IndexTable {
             *e = new;
         });
         if let Some(count) = replaced {
-            self.heat[log2_bucket8(count.into())] -= 1;
+            self.heat[log2_bucket::<8>(count.into())] -= 1;
         }
         // The new entry is counted even when it bounces off a
         // zero-capacity table: it is then its own victim, uncounted below.
@@ -152,7 +152,7 @@ impl IndexTable {
     pub fn remove(&mut self, fp: &Fingerprint) -> Option<IndexEntry> {
         let removed = self.cache.remove(fp);
         if let Some(e) = removed {
-            self.heat[log2_bucket8(e.count.into())] -= 1;
+            self.heat[log2_bucket::<8>(e.count.into())] -= 1;
         }
         removed
     }
@@ -161,7 +161,7 @@ impl IndexTable {
     /// returning its fingerprint.
     fn evicted(&mut self, victim: Option<(Fingerprint, IndexEntry)>) -> Option<Fingerprint> {
         let (fp, e) = victim?;
-        self.heat[log2_bucket8(e.count.into())] -= 1;
+        self.heat[log2_bucket::<8>(e.count.into())] -= 1;
         Some(fp)
     }
 
@@ -195,7 +195,7 @@ impl IndexTable {
         spilled
             .into_iter()
             .map(|(fp, e)| {
-                self.heat[log2_bucket8(e.count.into())] -= 1;
+                self.heat[log2_bucket::<8>(e.count.into())] -= 1;
                 fp
             })
             .collect()

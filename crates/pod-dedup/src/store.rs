@@ -25,7 +25,7 @@
 use crate::journal::MapJournal;
 use pod_disk::{AllocState, BlockStore, NvramModel};
 use pod_types::fingerprint::FINGERPRINT_BYTES;
-use pod_types::{log2_bucket8, Fingerprint, Lba, Pba, PodError, PodResult};
+use pod_types::{log2_bucket, Fingerprint, Lba, Pba, PodError, PodResult};
 
 /// Entries per [`BlockTable`] page: 4,096 blocks = 16 MiB of address
 /// space, so a page is 16 KiB (refcounts) to 64 KiB (content).
@@ -514,7 +514,7 @@ impl ChunkStore {
         for (_, c) in self.refs.iter() {
             total_refs += c as u64;
             live += 1;
-            fan_in[log2_bucket8(c as u64)] += 1;
+            fan_in[log2_bucket::<8>(c as u64)] += 1;
         }
         if total_refs != mapped {
             return Err(PodError::Inconsistency(format!(
@@ -596,12 +596,12 @@ impl ChunkStore {
     /// means "not live" on either side).
     fn note_ref_change(&mut self, old: u32, new: u32) {
         if old > 0 {
-            self.fan_in[log2_bucket8(old as u64)] -= 1;
+            self.fan_in[log2_bucket::<8>(old as u64)] -= 1;
         } else {
             self.live += 1;
         }
         if new > 0 {
-            self.fan_in[log2_bucket8(new as u64)] += 1;
+            self.fan_in[log2_bucket::<8>(new as u64)] += 1;
         } else {
             self.live -= 1;
         }

@@ -109,15 +109,6 @@ impl ICacheConfig {
             read_policy: ReadCachePolicy::Lru,
         }
     }
-
-    /// Fixed partition with the given index fraction (Fig. 3 sweep).
-    pub fn fixed(total_bytes: u64, index_fraction: f64) -> Self {
-        Self {
-            initial_index_fraction: index_fraction,
-            adaptive: false,
-            ..Self::adaptive(total_bytes)
-        }
-    }
 }
 
 /// A partition change decided at an epoch boundary.
@@ -402,7 +393,9 @@ mod tests {
     fn fixed_partition_never_repartitions() {
         let mut c = ICache::new(ICacheConfig {
             epoch_requests: 5,
-            ..ICacheConfig::fixed(8 * MB, 0.3)
+            adaptive: false,
+            initial_index_fraction: 0.3,
+            ..ICacheConfig::adaptive(8 * MB)
         });
         assert!((c.index_bytes() as f64 / (8.0 * MB as f64) - 0.3).abs() < 0.01);
         // Heavy ghost traffic, but adaptation is off.

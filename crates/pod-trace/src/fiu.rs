@@ -17,7 +17,7 @@
 //!
 //! There is one line parser, [`parse_record`]: it takes its fields
 //! straight off the line and borrows the process name, so it allocates
-//! nothing. [`parse_line`] and [`parse_str`] are the same parser
+//! nothing. [`parse_str`] is the same parser over a whole body,
 //! followed by [`RecordRef::to_record`].
 //! [`crate::reconstruct::FiuLoader`] runs it over pieces of a body on
 //! several threads, with the same skip rule and line numbering as
@@ -176,11 +176,6 @@ fn parse_hash(s: &str) -> Option<Fingerprint> {
     Some(Fingerprint::from_bytes(bytes))
 }
 
-/// Parse one trace line into an owned record.
-pub fn parse_line(line: &str, line_no: usize) -> PodResult<BlockRecord> {
-    parse_record(line, line_no).map(|r| r.to_record())
-}
-
 /// One line of a body: `None` for a blank or `#`-prefixed line, else
 /// [`parse_record`] of the trimmed line.
 pub(crate) fn parse_body_line(line: &str, line_no: usize) -> Option<PodResult<RecordRef<'_>>> {
@@ -235,7 +230,7 @@ mod tests {
     #[test]
     fn parse_write_line() {
         let line = format!("1000 42 httpd 512 1 W 8 0 {SHA}");
-        let r = parse_line(&line, 1).expect("parse");
+        let r = parse_record(&line, 1).expect("parse");
         assert_eq!(r.ts_us, 1000);
         assert_eq!(r.pid, 42);
         assert_eq!(r.process, "httpd");
@@ -248,7 +243,7 @@ mod tests {
 
     #[test]
     fn parse_read_line_with_star_hash() {
-        let r = parse_line("5 1 mail 100 2 R 8 0 *", 1).expect("parse");
+        let r = parse_record("5 1 mail 100 2 R 8 0 *", 1).expect("parse");
         assert_eq!(r.op, IoOp::Read);
         assert_eq!(r.hash, Fingerprint::ZERO);
         assert_eq!(r.nblocks, 2);
@@ -258,7 +253,7 @@ mod tests {
     fn parse_md5_hash_is_the_fingerprint() {
         let md5 = "d41d8cd98f00b204e9800998ecf8427e";
         let line = format!("1 1 p 0 1 W 8 0 {md5}");
-        let r = parse_line(&line, 1).expect("parse");
+        let r = parse_record(&line, 1).expect("parse");
         assert_eq!(
             r.hash.as_bytes(),
             &[
@@ -276,7 +271,7 @@ mod tests {
         for pos in [32, 40, 63] {
             let mut hash = SHA.to_string();
             hash.replace_range(pos..pos + 1, "x");
-            match parse_line(&format!("1 1 p 0 1 W 8 0 {hash}"), 3) {
+            match parse_record(&format!("1 1 p 0 1 W 8 0 {hash}"), 3) {
                 Err(PodError::TraceParse { line: 3, reason }) => assert_eq!(reason, "bad hash"),
                 other => panic!("digit {}: expected bad hash, got {other:?}", pos + 1),
             }
@@ -309,12 +304,12 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed() {
-        assert!(parse_line("", 1).is_err());
-        assert!(parse_line("1 2 3", 1).is_err());
-        assert!(parse_line("x 1 p 0 1 W 8 0 *", 1).is_err());
-        assert!(parse_line("1 1 p 0 1 X 8 0 *", 1).is_err());
-        assert!(parse_line("1 1 p 0 0 W 8 0 *", 2).is_err(), "zero length");
-        assert!(parse_line("1 1 p 0 1 W 8 0 nothex", 1).is_err());
+        assert!(parse_record("", 1).is_err());
+        assert!(parse_record("1 2 3", 1).is_err());
+        assert!(parse_record("x 1 p 0 1 W 8 0 *", 1).is_err());
+        assert!(parse_record("1 1 p 0 1 X 8 0 *", 1).is_err());
+        assert!(parse_record("1 1 p 0 0 W 8 0 *", 2).is_err(), "zero length");
+        assert!(parse_record("1 1 p 0 1 W 8 0 nothex", 1).is_err());
     }
 
     #[test]
@@ -347,7 +342,7 @@ mod tests {
             ("1 1 p 0 1 W 8 0 **", "bad hash"),
         ];
         for (line, want) in cases {
-            match parse_line(line, 7) {
+            match parse_record(line, 7) {
                 Err(PodError::TraceParse { line: 7, reason }) => {
                     assert!(reason.contains(want), "{line:?}: {reason:?} lacks {want:?}")
                 }
@@ -355,7 +350,7 @@ mod tests {
             }
         }
         // The bounds themselves are inclusive.
-        let r = parse_line("1 1 p 18446744073709486079 65536 R 8 0 *", 1).expect("at the bounds");
+        let r = parse_record("1 1 p 18446744073709486079 65536 R 8 0 *", 1).expect("at the bounds");
         assert_eq!(r.lba + u64::from(r.nblocks), u64::MAX);
         assert_eq!(r.nblocks, MAX_RECORD_BLOCKS);
     }
@@ -382,7 +377,7 @@ mod tests {
 
     #[test]
     fn error_carries_line_number() {
-        let e = parse_line("garbage", 17).expect_err("must fail");
+        let e = parse_record("garbage", 17).expect_err("must fail");
         match e {
             PodError::TraceParse { line, .. } => assert_eq!(line, 17),
             other => panic!("unexpected error {other:?}"),

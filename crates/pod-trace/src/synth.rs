@@ -85,15 +85,6 @@ impl Trace {
             .map(|r| r.arrival)
             .unwrap_or(SimTime::ZERO)
     }
-
-    /// A prefix of the trace (cheap way to shorten replay in tests).
-    pub fn prefix(&self, n: usize) -> Trace {
-        Trace {
-            name: self.name.clone(),
-            requests: self.requests.iter().take(n).cloned().collect(),
-            memory_budget_bytes: self.memory_budget_bytes,
-        }
-    }
 }
 
 /// One previously generated write: the content-id sequence and where it
@@ -635,14 +626,6 @@ mod tests {
             "FIU text digest {got:#018x} over {} bytes",
             text.len()
         );
-    }
-
-    #[test]
-    fn prefix_truncates() {
-        let t = small("web-vm");
-        let p = t.prefix(10);
-        assert_eq!(p.len(), 10);
-        assert_eq!(p.requests[..], t.requests[..10]);
     }
 
     #[test]

@@ -222,5 +222,5 @@ fn facade_prelude_exposes_the_observability_surface() {
         .1;
     let hists: LayerHistograms = chain.take_sink().expect("attached sink");
     assert!(hists.total() > 0, "layer latencies observed");
-    assert!(chain.counters().cat1_writes > 0, "POD sees Cat-1 writes");
+    assert!(chain.counters().all.cat1 > 0, "POD sees Cat-1 writes");
 }

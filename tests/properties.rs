@@ -7,7 +7,7 @@ use pod::dedup::{
     INDEX_ENTRY_BYTES,
 };
 use pod::trace::reconstruct::{reconstruct_requests, split_into_records};
-use pod::types::{log2_bucket8, Fingerprint, IoRequest, Lba, Pba, SimTime};
+use pod::types::{log2_bucket, Fingerprint, IoRequest, Lba, Pba, SimTime};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -283,7 +283,7 @@ proptest! {
             let mut recount = [0u64; 8];
             let mut entries = 0;
             for e in (0..INDEX_KEYS).filter_map(|k| t.peek(&fp(k))) {
-                recount[log2_bucket8(e.count.into())] += 1;
+                recount[log2_bucket::<8>(e.count.into())] += 1;
                 entries += 1;
             }
             prop_assert_eq!(entries, t.len(), "every entry peeked");
