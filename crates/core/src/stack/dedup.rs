@@ -118,7 +118,7 @@ impl DedupLayer {
 
     /// Peak NVRAM consumed by the Map table (§IV-D2 metric).
     pub fn nvram_peak_bytes(&self) -> u64 {
-        self.engine.store().nvram().peak_bytes()
+        self.engine.store().nvram_peak_bytes()
     }
 
     /// Rebuild the engine's volatile state (Index table, scan backlog)

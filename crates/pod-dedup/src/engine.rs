@@ -838,7 +838,7 @@ mod tests {
         assert_eq!(s.dedup_ranges(), [(0, 3)]);
         assert!(s.write_extents.is_empty());
         assert_eq!(e.store().used_blocks(), 3, "single physical copy");
-        assert_eq!(e.store().nvram().entries(), 3, "3 redirected map entries");
+        assert_eq!(e.store().redirected_entries(), 3, "3 map entries");
         e.store().check_invariants().expect("invariants");
     }
 
@@ -851,7 +851,7 @@ mod tests {
         let (o, _) = write(&mut e, &wreq(1, 5, &[42])).expect("w2");
         assert!(o.removed);
         assert_eq!(e.store().used_blocks(), 1);
-        assert_eq!(e.store().nvram().entries(), 0, "same-location: no redirect");
+        assert_eq!(e.store().redirected_entries(), 0, "same location");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! index, not a hash probe. See DESIGN.md §8, "Block-indexed store".
 
 use crate::journal::MapJournal;
-use pod_disk::{AllocState, BlockStore, NvramModel};
+use pod_disk::{AllocState, BlockStore};
 use pod_types::fingerprint::FINGERPRINT_BYTES;
 use pod_types::{log2_bucket, Fingerprint, Lba, Pba, PodError, PodResult};
 
@@ -34,6 +34,11 @@ const PAGE_ENTRIES: usize = 4_096;
 /// Entries compared at once by [`BlockTable::iter`]'s zero-skipping
 /// scan; divides [`PAGE_ENTRIES`].
 const SCAN_RUN: usize = 64;
+
+/// NVRAM bytes per redirected Map-table entry (paper §IV-D2, which
+/// reports only this footprint: peaks of 0.8/0.3/1.5 MB for the three
+/// traces).
+pub const MAP_ENTRY_BYTES: u64 = 20;
 
 /// A table indexed by block address over the bounded range `[0, blocks)`:
 /// a directory of [`PAGE_ENTRIES`]-entry pages, each allocated
@@ -186,10 +191,11 @@ pub struct ChunkStore {
     mapped: u64,
     /// Live physical blocks (non-zero `refs` entries).
     live: u64,
-    /// NVRAM accounting for redirected (deduplicated) map entries.
-    nvram: NvramModel,
-    /// Count of mapping entries whose PBA differs from home.
+    /// Count of mapping entries whose PBA differs from home: the
+    /// NVRAM-resident Map-table entries.
     redirected: u64,
+    /// High-water mark of `redirected`.
+    peak_redirected: u64,
     /// Persistent journal of redirection changes (the NVRAM Map table's
     /// on-media format; see `crate::journal`).
     journal: MapJournal,
@@ -212,9 +218,9 @@ pub struct MapState {
     pub shared_blocks: u64,
     /// Mapping entries whose PBA differs from home (NVRAM-resident).
     pub redirected: u64,
-    /// NVRAM Map-table entries.
+    /// NVRAM Map-table entries (= `redirected`).
     pub nvram_entries: u64,
-    /// NVRAM Map-table bytes.
+    /// NVRAM Map-table bytes ([`MAP_ENTRY_BYTES`] per entry).
     pub nvram_bytes: u64,
     /// Journal records pending checkpoint.
     pub journal_entries: u64,
@@ -240,8 +246,8 @@ impl ChunkStore {
             content: BlockTable::new(physical_blocks),
             mapped: 0,
             live: 0,
-            nvram: NvramModel::new(),
             redirected: 0,
+            peak_redirected: 0,
             journal: MapJournal::new(),
             fan_in: [0; 8],
         }
@@ -335,14 +341,15 @@ impl ChunkStore {
         self.live
     }
 
-    /// NVRAM (Map table) accounting.
-    pub fn nvram(&self) -> &NvramModel {
-        &self.nvram
-    }
-
     /// Count of redirected map entries.
     pub fn redirected_entries(&self) -> u64 {
         self.redirected
+    }
+
+    /// High-water mark of the NVRAM Map table in bytes — the number
+    /// §IV-D2 reports.
+    pub fn nvram_peak_bytes(&self) -> u64 {
+        self.peak_redirected * MAP_ENTRY_BYTES
     }
 
     /// Log2-bucketed refcount fan-in histogram (bucket 0 = refcount 1).
@@ -489,7 +496,7 @@ impl ChunkStore {
     /// Verify internal invariants (used by property tests): the sum of
     /// per-PBA refcounts equals the mapping size, every mapped PBA is
     /// live, and the incremental counters (mapped, live, redirected,
-    /// NVRAM, fan-in) agree with a recount of the tables.
+    /// fan-in) agree with a recount of the tables.
     pub fn check_invariants(&self) -> PodResult<()> {
         let mut mapped = 0u64;
         let mut redirected = 0u64;
@@ -530,13 +537,6 @@ impl ChunkStore {
         if redirected != self.redirected {
             return Err(PodError::Inconsistency(format!(
                 "redirected count {} != recomputed {redirected}",
-                self.redirected
-            )));
-        }
-        if self.nvram.entries() != self.redirected {
-            return Err(PodError::Inconsistency(format!(
-                "nvram entries {} != redirected {}",
-                self.nvram.entries(),
                 self.redirected
             )));
         }
@@ -608,7 +608,7 @@ impl ChunkStore {
     }
 
     /// Point `home` at `new` (it was at `old`) and keep the redirection
-    /// count, NVRAM accounting and journal in step.
+    /// count, its high-water mark and the journal in step.
     fn remap(&mut self, home: u64, old: Option<u64>, new: u64) {
         *self.mapping.slot(home) = new + 1;
         if old.is_none() {
@@ -619,12 +619,9 @@ impl ChunkStore {
         match (was_redirected, is_redirected) {
             (false, true) => {
                 self.redirected += 1;
-                self.nvram.add_entries(1);
+                self.peak_redirected = self.peak_redirected.max(self.redirected);
             }
-            (true, false) => {
-                self.redirected -= 1;
-                self.nvram.remove_entries(1);
-            }
+            (true, false) => self.redirected -= 1,
             _ => {}
         }
         // Journal the change so a power failure can recover the Map
@@ -646,8 +643,8 @@ impl ChunkStore {
             unique_blocks: self.fan_in[0],
             shared_blocks: self.shared_blocks(),
             redirected: self.redirected,
-            nvram_entries: self.nvram.entries(),
-            nvram_bytes: self.nvram.bytes(),
+            nvram_entries: self.redirected,
+            nvram_bytes: self.redirected * MAP_ENTRY_BYTES,
             journal_entries: self.journal.entries() as u64,
             fan_in: self.fan_in,
             overflow: self.overflow.introspect(),
@@ -705,7 +702,6 @@ mod tests {
         assert!(s.is_shared(Pba::new(1)));
         assert_eq!(s.used_blocks(), 1, "one physical copy");
         assert_eq!(s.redirected_entries(), 1);
-        assert_eq!(s.nvram().entries(), 1);
         s.check_invariants().expect("invariants");
     }
 
@@ -832,12 +828,12 @@ mod tests {
         let mut s = store();
         s.write_unique(Lba::new(1), fp(1), None).expect("w");
         s.dedup_to(Lba::new(2), Pba::new(1)).expect("d");
-        assert_eq!(s.nvram().entries(), 1);
+        assert_eq!(s.redirected_entries(), 1);
         // lba2 is overwritten with unique data at its own home: the
         // redirected entry disappears.
         s.write_unique(Lba::new(2), fp(2), None).expect("w2");
-        assert_eq!(s.nvram().entries(), 0);
-        assert_eq!(s.nvram().peak_bytes(), 20);
+        assert_eq!(s.redirected_entries(), 0);
+        assert_eq!(s.nvram_peak_bytes(), 20);
         s.check_invariants().expect("invariants");
     }
 

@@ -317,11 +317,6 @@ impl ArraySim {
         self.disks.iter().map(|d| d.stats.blocks_read).sum()
     }
 
-    /// Number of jobs submitted so far.
-    pub fn job_count(&self) -> usize {
-        self.finish.len()
-    }
-
     /// Mean queue wait per op across all disks, µs. 0.0 (not NaN) when
     /// no op has completed yet.
     pub fn mean_queue_wait_us(&self) -> f64 {
@@ -455,16 +450,11 @@ pub fn isolated_latency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{RaidConfig, RaidLevel};
+    use crate::spec::RaidConfig;
 
-    fn single_sim() -> ArraySim {
-        ArraySim::new(
-            RaidGeometry::new(RaidConfig::single()),
-            DiskSpec::test_disk(),
-            SchedulerKind::Fifo,
-        )
-    }
-
+    /// The paper array over test disks (10,000 blocks, seek 100 µs +
+    /// 900 µs × √(distance / 10,000), half a revolution 5,000 µs, 10 µs
+    /// per block), FIFO.
     fn raid5_sim() -> ArraySim {
         ArraySim::new(
             RaidGeometry::new(RaidConfig::paper_raid5()),
@@ -473,23 +463,34 @@ mod tests {
         )
     }
 
+    /// The data block stored at `local` on member `disk` of the paper
+    /// array. Panics on a parity block: member `d` holds parity at
+    /// locals `16s..16s+16` of the stripes `s ≡ d (mod 4)`.
+    fn member_pba(disk: usize, local: u64) -> Pba {
+        let g = RaidGeometry::new(RaidConfig::paper_raid5());
+        (0..3 * DiskSpec::test_disk().capacity_blocks)
+            .map(Pba::new)
+            .find(|&pba| g.map_block(pba) == (disk, local))
+            .expect("a data block, not parity")
+    }
+
     #[test]
     fn single_read_latency_matches_model() {
-        let mut sim = single_sim();
-        // Head at 0; read 1 block at lba 10000: seek(10000)=1000 + rot 5000
-        // + xfer 10 = 6010us.
-        let lat = isolated_latency(&mut sim, SimTime::ZERO, Pba::new(10_000), 1, false);
-        assert_eq!(lat.as_micros(), 6_010);
+        let mut sim = raid5_sim();
+        // Head at 0; read 1 block at local 2500 of disk 1: seek(2500) =
+        // 100 + 900 × √0.25 = 550, + rot 5000 + xfer 10 = 5560 µs.
+        let lat = isolated_latency(&mut sim, SimTime::ZERO, member_pba(1, 2_500), 1, false);
+        assert_eq!(lat.as_micros(), 5_560);
     }
 
     #[test]
     fn sequential_read_after_read_is_transfer_only() {
-        let mut sim = single_sim();
-        let j1 = sim.submit_read(SimTime::ZERO, Pba::new(100), 4);
+        let mut sim = raid5_sim();
+        let j1 = sim.submit_read(SimTime::ZERO, member_pba(1, 100), 4);
         sim.run_to_idle();
         let t1 = sim.job_completion(j1).expect("j1 done");
-        // Head now at 104; read continues at 104.
-        let j2 = sim.submit_read(t1, Pba::new(104), 4);
+        // Disk 1's head now at local 104; the read continues there.
+        let j2 = sim.submit_read(t1, member_pba(1, 104), 4);
         sim.run_to_idle();
         let t2 = sim.job_completion(j2).expect("j2 done");
         assert_eq!((t2 - t1).as_micros(), 40, "4 blocks * 10us, no seek");
@@ -497,14 +498,15 @@ mod tests {
 
     #[test]
     fn queueing_delays_second_job() {
-        let mut sim = single_sim();
-        let j1 = sim.submit_read(SimTime::ZERO, Pba::new(5_000), 1);
-        let j2 = sim.submit_read(SimTime::ZERO, Pba::new(5_000), 1);
+        let mut sim = raid5_sim();
+        let pba = member_pba(1, 5_000);
+        let j1 = sim.submit_read(SimTime::ZERO, pba, 1);
+        let j2 = sim.submit_read(SimTime::ZERO, pba, 1);
         sim.run_to_idle();
         let t1 = sim.job_completion(j1).expect("j1");
         let t2 = sim.job_completion(j2).expect("j2");
         assert!(t2 > t1, "second job waits for the first");
-        // Second job: head already at 5001, seek distance 1.
+        // Second job: head already at local 5001, seek distance 1.
         assert!(t2.as_micros() > t1.as_micros());
     }
 
@@ -589,7 +591,7 @@ mod tests {
 
     #[test]
     fn empty_job_completes_at_submit_time() {
-        let mut sim = single_sim();
+        let mut sim = raid5_sim();
         let at = SimTime::from_micros(123);
         let j = sim.submit_job(at, |plan| plan.end_phase());
         assert_eq!(sim.job_completion(j), Some(at));
@@ -597,7 +599,7 @@ mod tests {
 
     #[test]
     fn empty_phases_are_skipped() {
-        let mut sim = single_sim();
+        let mut sim = raid5_sim();
         let j = sim.submit_job(SimTime::ZERO, |plan| {
             plan.end_phase();
             plan.read(Pba::new(0), 1);
@@ -605,24 +607,32 @@ mod tests {
             plan.end_phase();
         });
         sim.run_to_idle();
-        // One phase: a single 1-block read at the head, transfer only.
+        // One phase: a single 1-block read at the head (pba 0 is local 0
+        // of disk 1), transfer only.
         assert_eq!(sim.job_completion(j), Some(SimTime::from_micros(10)));
     }
 
     #[test]
     fn fifo_ties_follow_the_queue_not_submission_order() {
-        // J0 keeps the disk busy while J1 (t = 1 µs) and then J2 and J3
-        // (both t = 2 µs) queue. Dispatching J1 swap-removes it, moving
-        // J3 into index 0, so FIFO's lowest-index tie-break serves J3
-        // before J2. Pinned: changing it would move simulated latencies.
-        let mut sim = single_sim();
-        sim.submit_read(SimTime::ZERO, Pba::new(0), 100);
-        let j1 = sim.submit_read(SimTime::from_micros(1), Pba::new(9_000), 1);
-        let j2 = sim.submit_read(SimTime::from_micros(2), Pba::new(2_000), 1);
-        let j3 = sim.submit_read(SimTime::from_micros(2), Pba::new(8_000), 1);
+        // All four reads go to disk 1. J0 keeps it busy while J1
+        // (t = 1 µs) and then J2 and J3 (both t = 2 µs) queue.
+        // Dispatching J1 swap-removes it, moving J3 into index 0, so
+        // FIFO's lowest-index tie-break serves J3 before J2. Pinned:
+        // changing it would move simulated latencies. By local LBA:
+        //   J0: 16 blocks at 0, head at 0: 160 → done 160, head 16.
+        //   J1: at 8116, distance 8100: 100 + 900 × √0.81 = 910,
+        //       + 5000 + 10 → 5920, done 6080, head 8117.
+        //   J3: at 4517, distance 3600: 100 + 900 × √0.36 = 640,
+        //       + 5010 → 5650, done 11730, head 4518.
+        //   J2: at 2018, distance 2500: 550 + 5010 → 5560, done 17290.
+        let mut sim = raid5_sim();
+        sim.submit_read(SimTime::ZERO, member_pba(1, 0), 16);
+        let j1 = sim.submit_read(SimTime::from_micros(1), member_pba(1, 8_116), 1);
+        let j2 = sim.submit_read(SimTime::from_micros(2), member_pba(1, 2_018), 1);
+        let j3 = sim.submit_read(SimTime::from_micros(2), member_pba(1, 4_517), 1);
         sim.run_to_idle();
         let at = |j| sim.job_completion(j).expect("done").as_micros();
-        assert_eq!((at(j1), at(j3), at(j2)), (6_959, 12_354, 18_161));
+        assert_eq!((at(j1), at(j3), at(j2)), (6_080, 11_730, 17_290));
     }
 
     #[test]
@@ -641,7 +651,7 @@ mod tests {
 
     #[test]
     fn run_until_is_incremental() {
-        let mut sim = single_sim();
+        let mut sim = raid5_sim();
         let j = sim.submit_read(SimTime::ZERO, Pba::new(5_000), 1);
         sim.run_until(SimTime::from_micros(10));
         assert!(sim.job_completion(j).is_none(), "op still in flight");
@@ -654,10 +664,10 @@ mod tests {
         // Regression for the heap-drain rewrite: an event scheduled at
         // exactly `t` must be processed by `run_until(t)` (the bound is
         // inclusive), and the job must not complete one call late.
-        let mut sim = single_sim();
+        let mut sim = raid5_sim();
         let j = sim.submit_read(SimTime::ZERO, Pba::new(10_000), 1);
         let done = {
-            let mut probe = single_sim();
+            let mut probe = raid5_sim();
             let p = probe.submit_read(SimTime::ZERO, Pba::new(10_000), 1);
             probe.run_to_idle();
             probe.job_completion(p).expect("probe completes")
@@ -696,7 +706,7 @@ mod tests {
 
     #[test]
     fn mean_queue_wait_is_zero_not_nan_before_any_op() {
-        let sim = single_sim();
+        let sim = raid5_sim();
         let w = sim.mean_queue_wait_us();
         assert_eq!(w, 0.0, "no completed ops must read as 0.0, not NaN");
         assert!(!w.is_nan());
@@ -725,13 +735,23 @@ mod tests {
 
     #[test]
     fn stats_accumulate() {
-        let mut sim = single_sim();
-        let _ = isolated_latency(&mut sim, SimTime::ZERO, Pba::new(1_000), 4, true);
-        let s = &sim.disk_stats()[0];
-        assert_eq!(s.ops, 1);
-        assert_eq!(s.blocks_written, 4);
-        assert_eq!(s.blocks_read, 0);
-        assert!(s.busy_us > 0);
+        let mut sim = raid5_sim();
+        // A 4-block RMW write at local 328 of data disk 3, parity at
+        // local 328 of disk 0. Each of the two pre-reads, from head 0:
+        // seek(328) = 100 + 900 × √0.0328 ≈ 263, + 5000 + 40 = 5303,
+        // head at 332; each write back at distance 4: 100 + 900 × √0.0004
+        // = 118, + 5040 = 5158.
+        let _ = isolated_latency(&mut sim, SimTime::ZERO, member_pba(3, 328), 4, true);
+        let rmw = DiskStats {
+            ops: 2,
+            blocks_read: 4,
+            blocks_written: 4,
+            busy_us: 5_303 + 5_158,
+            queue_wait_us: 0,
+            max_queue_depth: 1,
+        };
+        let idle = DiskStats::default();
+        assert_eq!(sim.disk_stats(), [rmw, idle, idle, rmw]);
     }
 
     #[test]
@@ -740,15 +760,15 @@ mod tests {
         // first even though it arrived later.
         let mk = |sched| {
             let mut sim = ArraySim::new(
-                RaidGeometry::new(RaidConfig::single()),
+                RaidGeometry::new(RaidConfig::paper_raid5()),
                 DiskSpec::test_disk(),
                 sched,
             );
-            // Occupy the disk with a long op at lba 0.
-            let _busy = sim.submit_read(SimTime::ZERO, Pba::new(0), 100);
-            // Queue: far op arrives first, near op second.
-            let far = sim.submit_read(SimTime::from_micros(1), Pba::new(9_000), 1);
-            let near = sim.submit_read(SimTime::from_micros(2), Pba::new(150), 1);
+            // Occupy disk 1 with a long op at local 0.
+            let _busy = sim.submit_read(SimTime::ZERO, member_pba(1, 0), 16);
+            // Queue on disk 1: far op arrives first, near op second.
+            let far = sim.submit_read(SimTime::from_micros(1), member_pba(1, 9_000), 1);
+            let near = sim.submit_read(SimTime::from_micros(2), member_pba(1, 170), 1);
             sim.run_to_idle();
             (
                 sim.job_completion(far).expect("far"),
@@ -762,30 +782,25 @@ mod tests {
     }
 
     #[test]
-    fn raid0_striping_parallelizes() {
-        let mut sim = ArraySim::new(
-            RaidGeometry::new(RaidConfig {
-                level: RaidLevel::Raid0,
-                ndisks: 4,
-                stripe_unit_blocks: 16,
-            }),
-            DiskSpec::test_disk(),
-            SchedulerKind::Fifo,
-        );
-        let _ = isolated_latency(&mut sim, SimTime::ZERO, Pba::new(0), 64, false);
-        let active = sim.disk_stats().iter().filter(|s| s.ops > 0).count();
-        assert_eq!(active, 4, "64 blocks = one unit on each disk");
+    fn full_stripe_read_parallelizes() {
+        let mut sim = raid5_sim();
+        // Stripe 0 = one 16-block unit on each data disk (1, 2, 3), each
+        // at local 0 under the head: 160 µs apiece, all at once.
+        let lat = isolated_latency(&mut sim, SimTime::ZERO, Pba::new(0), 48, false);
+        assert_eq!(lat.as_micros(), 160, "one unit's transfer, not three");
+        let ops: Vec<u64> = sim.disk_stats().iter().map(|s| s.ops).collect();
+        assert_eq!(ops, [0, 1, 1, 1], "every data disk busy, parity idle");
     }
 
     #[test]
     fn utilization_and_queue_wait_probes() {
-        let mut sim = single_sim();
-        // Two back-to-back ops: the second waits for the first.
-        sim.submit_read(SimTime::ZERO, Pba::new(5_000), 1);
-        sim.submit_read(SimTime::ZERO, Pba::new(100), 1);
+        let mut sim = raid5_sim();
+        // Two back-to-back ops on disk 1: the second waits for the first.
+        sim.submit_read(SimTime::ZERO, member_pba(1, 5_000), 1);
+        sim.submit_read(SimTime::ZERO, member_pba(1, 100), 1);
         sim.run_to_idle();
-        let u = sim.disk_stats()[0].busy_us as f64 / sim.now().as_micros() as f64;
-        assert!(u > 0.9, "serial ops keep the single disk busy: {u}");
+        let u = sim.disk_stats()[1].busy_us as f64 / sim.now().as_micros() as f64;
+        assert!(u > 0.9, "serial ops keep the member busy: {u}");
         assert!(sim.mean_queue_wait_us() > 0.0, "second op queued");
     }
 

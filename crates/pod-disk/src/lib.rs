@@ -9,7 +9,7 @@
 //! * [`spec`] — disk mechanical parameters ([`DiskSpec`], with a
 //!   WD1600AAJS-calibrated preset) and array geometry ([`RaidConfig`]).
 //! * [`sched`] — per-disk I/O schedulers (FIFO, SSTF, elevator/SCAN).
-//! * [`raid`] — RAID-0/RAID-5 address mapping and write planning,
+//! * [`raid`] — RAID-5 address mapping and write planning,
 //!   including the RAID-5 small-write read-modify-write penalty and
 //!   full-stripe write detection. The RMW penalty is the mechanism that
 //!   makes each *eliminated* write so valuable to POD, so it is modelled
@@ -21,21 +21,18 @@
 //!   measurements (§IV-A/B).
 //! * [`alloc`] — the physical block store: extent allocator and used
 //!   capacity (the dedup layer keeps the reference counts).
-//! * [`nvram`] — NVRAM accounting for the Map table (§IV-D2).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alloc;
 pub mod engine;
-pub mod nvram;
 pub mod raid;
 pub mod sched;
 pub mod spec;
 
 pub use alloc::{AllocState, BlockStore};
 pub use engine::{isolated_latency, ArraySim, DiskStats, JobId, JobPlan};
-pub use nvram::NvramModel;
 pub use raid::{PhysOp, RaidGeometry};
 pub use sched::SchedulerKind;
-pub use spec::{DiskSpec, RaidConfig, RaidLevel};
+pub use spec::{DiskSpec, RaidConfig};

@@ -10,7 +10,7 @@
 //! reconstruct-write alternative Linux MD uses when most of a stripe is
 //! being overwritten.
 
-use crate::spec::{RaidConfig, RaidLevel};
+use crate::spec::RaidConfig;
 use pod_types::Pba;
 
 /// One physical operation addressed to a member disk.
@@ -95,37 +95,19 @@ impl RaidGeometry {
     /// Map a data block address to `(disk, disk-local block)`.
     #[inline]
     pub fn map_block(&self, pba: Pba) -> (usize, u64) {
-        let u = self.cfg.stripe_unit_blocks;
-        let n = self.cfg.ndisks as u64;
-        match self.cfg.level {
-            RaidLevel::Single => (0, pba.raw()),
-            RaidLevel::Raid0 => {
-                let (unit, off) = self.split_unit(pba.raw());
-                let disk = self.mod_disks(unit) as usize;
-                let local = (unit / n) * u + off;
-                (disk, local)
-            }
-            RaidLevel::Raid5 => {
-                let data_disks = n - 1;
-                let (unit, off) = self.split_unit(pba.raw());
-                let stripe = unit / data_disks;
-                let unit_in_stripe = unit % data_disks;
-                let parity_disk = self.mod_disks(stripe) as usize;
-                let disk = self.mod_disks(parity_disk as u64 + 1 + unit_in_stripe) as usize;
-                let local = stripe * u + off;
-                (disk, local)
-            }
-        }
+        let data_disks = self.cfg.ndisks as u64 - 1;
+        let (unit, off) = self.split_unit(pba.raw());
+        let stripe = unit / data_disks;
+        let unit_in_stripe = unit % data_disks;
+        let parity_disk = self.mod_disks(stripe);
+        let disk = self.mod_disks(parity_disk + 1 + unit_in_stripe) as usize;
+        let local = stripe * self.cfg.stripe_unit_blocks + off;
+        (disk, local)
     }
 
-    /// Parity disk of the stripe containing data block `pba`
-    /// (RAID-5 only).
-    pub fn parity_disk(&self, pba: Pba) -> Option<usize> {
-        if self.cfg.level != RaidLevel::Raid5 {
-            return None;
-        }
-        let stripe = self.stripe_of(pba);
-        Some((stripe % self.cfg.ndisks as u64) as usize)
+    /// Parity disk of the stripe containing data block `pba`.
+    pub fn parity_disk(&self, pba: Pba) -> usize {
+        (self.stripe_of(pba) % self.cfg.ndisks as u64) as usize
     }
 
     /// Stripe number containing data block `pba`.
@@ -200,24 +182,9 @@ impl RaidGeometry {
     /// are dependent: every pre-read op (RAID-5 RMW / reconstruct) lands
     /// in `reads` and must complete before the data + parity writes in
     /// `writes` start; when nothing is appended to `reads` the write is
-    /// single-phase (full stripe, RAID-0, single disk). Merging is
-    /// confined to the ops this call appends.
+    /// single-phase (every stripe it touches is written whole). Merging
+    /// is confined to the ops this call appends.
     pub fn plan_write_into(
-        &self,
-        pba: Pba,
-        nblocks: u32,
-        reads: &mut Vec<PhysOp>,
-        writes: &mut Vec<PhysOp>,
-    ) {
-        match self.cfg.level {
-            RaidLevel::Single | RaidLevel::Raid0 => {
-                self.plan_stream_write_into(pba, nblocks, writes);
-            }
-            RaidLevel::Raid5 => self.plan_raid5_write_into(pba, nblocks, reads, writes),
-        }
-    }
-
-    fn plan_raid5_write_into(
         &self,
         pba: Pba,
         nblocks: u32,
@@ -372,34 +339,15 @@ mod tests {
     }
 
     #[test]
-    fn single_maps_identity() {
-        let g = RaidGeometry::new(RaidConfig::single());
-        assert_eq!(g.map_block(Pba::new(1234)), (0, 1234));
-    }
-
-    #[test]
-    fn raid0_round_robin_units() {
-        let g = RaidGeometry::new(RaidConfig {
-            level: RaidLevel::Raid0,
-            ndisks: 4,
-            stripe_unit_blocks: 16,
-        });
-        assert_eq!(g.map_block(Pba::new(0)), (0, 0));
-        assert_eq!(g.map_block(Pba::new(16)), (1, 0));
-        assert_eq!(g.map_block(Pba::new(64)), (0, 16));
-        assert_eq!(g.map_block(Pba::new(17)), (1, 1));
-    }
-
-    #[test]
     fn raid5_parity_rotates() {
         let g = raid5();
         // stripe 0: parity disk 0; data units on disks 1,2,3
-        assert_eq!(g.parity_disk(Pba::new(0)), Some(0));
+        assert_eq!(g.parity_disk(Pba::new(0)), 0);
         assert_eq!(g.map_block(Pba::new(0)), (1, 0));
         assert_eq!(g.map_block(Pba::new(16)), (2, 0));
         assert_eq!(g.map_block(Pba::new(32)), (3, 0));
         // stripe 1 (data blocks 48..96): parity disk 1; first data unit disk 2
-        assert_eq!(g.parity_disk(Pba::new(48)), Some(1));
+        assert_eq!(g.parity_disk(Pba::new(48)), 1);
         assert_eq!(g.map_block(Pba::new(48)), (2, 16));
     }
 
@@ -408,7 +356,7 @@ mod tests {
         let g = raid5();
         for pba in 0..500u64 {
             let (disk, _) = g.map_block(Pba::new(pba));
-            let parity = g.parity_disk(Pba::new(pba)).expect("raid5");
+            let parity = g.parity_disk(Pba::new(pba));
             assert_ne!(disk, parity, "pba {pba}");
         }
     }
@@ -456,10 +404,57 @@ mod tests {
 
     #[test]
     fn plan_read_merges_contiguous_same_disk() {
-        let g = RaidGeometry::new(RaidConfig::single());
-        let ops = read_ops(&g, 100, 64);
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].nblocks, 64);
+        // 3 disks, u=16: a stripe holds 32 data blocks. Unit 1 (blocks
+        // 16..32, stripe 0, parity disk 0) and unit 2 (blocks 32..48,
+        // stripe 1, parity disk 1) both sit on disk 2, at local 0..16 and
+        // 16..32: one op.
+        let g = RaidGeometry::new(RaidConfig {
+            ndisks: 3,
+            stripe_unit_blocks: 16,
+        });
+        let ops = read_ops(&g, 16, 32);
+        assert_eq!(
+            ops,
+            [PhysOp {
+                disk: 2,
+                lba: 0,
+                nblocks: 32,
+                write: false
+            }]
+        );
+    }
+
+    #[test]
+    fn non_power_of_two_arrays_map_and_plan() {
+        // 3 and 5 members, units of 16 and 12 blocks: the div/mod
+        // fallbacks of `mod_disks` and `split_unit`.
+        for (ndisks, unit) in [(3, 16), (3, 12), (5, 16), (5, 12)] {
+            let g = RaidGeometry::new(RaidConfig {
+                ndisks,
+                stripe_unit_blocks: unit,
+            });
+            let sdb = g.stripe_data_blocks();
+            assert_eq!(sdb, (ndisks as u64 - 1) * unit);
+            let mut seen = std::collections::HashSet::new();
+            for pba in (0..3 * sdb).map(Pba::new) {
+                let (disk, local) = g.map_block(pba);
+                assert!(disk < ndisks && local < 3 * unit, "{ndisks}x{unit} {pba:?}");
+                assert!(
+                    seen.insert((disk, local)),
+                    "{ndisks}x{unit}: {pba:?} reused"
+                );
+                assert_ne!(disk, g.parity_disk(pba), "{ndisks}x{unit} {pba:?}");
+
+                let phases = write_phases(&g, pba.raw(), 1);
+                let ops: Vec<usize> = phases.iter().map(Vec::len).collect();
+                assert_eq!(ops, [2, 2], "{ndisks}x{unit} {pba:?}: RMW");
+            }
+            for stripe in 0..3 {
+                let phases = write_phases(&g, stripe * sdb, sdb as u32);
+                assert_eq!(phases.len(), 1, "{ndisks}x{unit} stripe {stripe}");
+                assert_eq!(phases[0].len(), ndisks, "data units + parity");
+            }
+        }
     }
 
     #[test]

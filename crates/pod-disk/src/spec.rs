@@ -119,23 +119,12 @@ fn round_non_negative(x: f64) -> u64 {
     }
 }
 
-/// RAID organisation of the array.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RaidLevel {
-    /// Single disk (no striping).
-    Single,
-    /// Striping, no redundancy.
-    Raid0,
-    /// Striping with rotating parity; small writes pay read-modify-write.
-    Raid5,
-}
-
-/// Array geometry configuration.
+/// Array geometry: a RAID-5 with rotating parity, where small writes
+/// pay read-modify-write (the paper's array, §IV-B).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RaidConfig {
-    /// RAID level.
-    pub level: RaidLevel,
-    /// Number of member disks.
+    /// Number of member disks, one stripe unit of each stripe holding
+    /// parity.
     pub ndisks: usize,
     /// Stripe unit in 4 KiB blocks (paper: 64 KiB → 16 blocks).
     pub stripe_unit_blocks: u64,
@@ -146,49 +135,27 @@ impl RaidConfig {
     /// (§IV-B).
     pub fn paper_raid5() -> Self {
         Self {
-            level: RaidLevel::Raid5,
             ndisks: 4,
-            stripe_unit_blocks: 16,
-        }
-    }
-
-    /// Single-disk configuration.
-    pub fn single() -> Self {
-        Self {
-            level: RaidLevel::Single,
-            ndisks: 1,
             stripe_unit_blocks: 16,
         }
     }
 
     /// Data disks per stripe (excludes parity).
     pub fn data_disks(&self) -> usize {
-        match self.level {
-            RaidLevel::Single => 1,
-            RaidLevel::Raid0 => self.ndisks,
-            RaidLevel::Raid5 => self.ndisks - 1,
-        }
+        self.ndisks - 1
     }
 
     /// Validate invariants.
     pub fn validate(&self) -> PodResult<()> {
-        if self.ndisks == 0 {
+        if self.ndisks < 3 {
             return Err(PodError::InvalidConfig(
-                "array needs at least 1 disk".into(),
+                "RAID-5 requires at least 3 disks".into(),
             ));
         }
         if self.stripe_unit_blocks == 0 {
             return Err(PodError::InvalidConfig("stripe unit is zero".into()));
         }
-        match self.level {
-            RaidLevel::Single if self.ndisks != 1 => Err(PodError::InvalidConfig(
-                "Single level requires exactly 1 disk".into(),
-            )),
-            RaidLevel::Raid5 if self.ndisks < 3 => Err(PodError::InvalidConfig(
-                "RAID-5 requires at least 3 disks".into(),
-            )),
-            _ => Ok(()),
-        }
+        Ok(())
     }
 }
 
@@ -303,30 +270,15 @@ mod tests {
     #[test]
     fn raid_config_validation() {
         assert!(RaidConfig::paper_raid5().validate().is_ok());
-        assert!(RaidConfig::single().validate().is_ok());
         let bad = RaidConfig {
-            level: RaidLevel::Raid5,
             ndisks: 2,
             stripe_unit_blocks: 16,
         };
         assert!(bad.validate().is_err());
         let bad2 = RaidConfig {
-            level: RaidLevel::Single,
-            ndisks: 2,
-            stripe_unit_blocks: 16,
+            ndisks: 4,
+            stripe_unit_blocks: 0,
         };
         assert!(bad2.validate().is_err());
-    }
-
-    #[test]
-    fn data_disks_per_level() {
-        assert_eq!(RaidConfig::paper_raid5().data_disks(), 3);
-        let r0 = RaidConfig {
-            level: RaidLevel::Raid0,
-            ndisks: 4,
-            stripe_unit_blocks: 16,
-        };
-        assert_eq!(r0.data_disks(), 4);
-        assert_eq!(RaidConfig::single().data_disks(), 1);
     }
 }

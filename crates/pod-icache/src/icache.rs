@@ -14,7 +14,7 @@
 //! reserved swap region (the returned [`Repartition`] carries the swap
 //! traffic in blocks so the replay driver can charge it as disk I/O).
 
-use crate::monitor::{AccessMonitor, EpochSnapshot};
+use crate::monitor::AccessMonitor;
 use pod_cache::{GhostCache, GhostState, LruCache};
 use pod_types::{Fingerprint, Lba, BLOCK_BYTES, INDEX_ENTRY_BYTES};
 
@@ -153,7 +153,7 @@ pub struct ICache {
     epochs: u64,
     repartitions: u64,
     read_evictions: u64,
-    last_epoch: Option<EpochSnapshot>,
+    last_epoch: Option<AccessMonitor>,
 }
 
 impl ICache {
@@ -214,7 +214,7 @@ impl ICache {
     }
 
     /// Snapshot of the last closed epoch, if any.
-    pub fn last_epoch(&self) -> Option<&EpochSnapshot> {
+    pub fn last_epoch(&self) -> Option<&AccessMonitor> {
         self.last_epoch.as_ref()
     }
 
@@ -296,7 +296,7 @@ impl ICache {
         decision
     }
 
-    fn decide(&mut self, snap: &EpochSnapshot) -> Option<Repartition> {
+    fn decide(&mut self, snap: &AccessMonitor) -> Option<Repartition> {
         let benefit_index = snap.ghost_index_hits as f64 * self.cfg.write_miss_penalty_us as f64;
         let benefit_read = snap.ghost_read_hits as f64 * self.cfg.read_miss_penalty_us as f64;
         if benefit_index <= 0.0 && benefit_read <= 0.0 {

@@ -25,4 +25,4 @@ pub mod icache;
 pub mod monitor;
 
 pub use icache::{ICache, ICacheConfig, ICacheState, ReadCachePolicy, Repartition};
-pub use monitor::{AccessMonitor, EpochSnapshot};
+pub use monitor::AccessMonitor;

@@ -29,9 +29,6 @@ pub struct AccessMonitor {
     pub ghost_index_hits: u64,
 }
 
-/// A closed epoch's numbers.
-pub type EpochSnapshot = AccessMonitor;
-
 impl AccessMonitor {
     /// Fresh zeroed monitor.
     pub fn new() -> Self {
@@ -58,7 +55,7 @@ impl AccessMonitor {
     }
 
     /// Close the epoch: return its snapshot and reset.
-    pub fn close_epoch(&mut self) -> EpochSnapshot {
+    pub fn close_epoch(&mut self) -> AccessMonitor {
         std::mem::take(self)
     }
 }

@@ -33,7 +33,7 @@ pub mod prelude {
     };
     pub use pod_core::{experiments, Metrics, ReplayBuilder, ReplayReport, Scheme, SystemConfig};
     pub use pod_dedup::{DedupConfig, DedupEngine, WriteScratch};
-    pub use pod_disk::{DiskSpec, RaidConfig, RaidLevel, SchedulerKind};
+    pub use pod_disk::{DiskSpec, RaidConfig, SchedulerKind};
     pub use pod_icache::ICacheConfig;
     pub use pod_trace::{Trace, TraceProfile, TraceStats};
     pub use pod_types::{
