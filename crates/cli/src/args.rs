@@ -77,7 +77,7 @@ pub struct CliArgs {
     /// exceed the tenant count).
     pub shards: usize,
     /// `--policy <spec>`: a cross-tenant QoS policy for `serve`, e.g.
-    /// `tier:2048`, `tier:2048,rate:500,quota:4096`, `tier:1024,static`
+    /// `tier:2048`, `tier:2048,rate:500,quota:4096`, `rate:100,burst:8`
     /// (see [`pod_core::ServePolicy::parse`]).
     pub policy: Option<String>,
     /// `--prof`: attach the host wall-clock profiler to
@@ -448,8 +448,8 @@ mod tests {
         let cfg = a.system_config().expect("config");
         let policy = cfg.policy.expect("policy set");
         assert_eq!(policy.shared_tier_bytes, 64 << 20);
-        assert_eq!(policy.default_tenant.rate_limit_rps, Some(500));
-        assert_eq!(policy.default_tenant.cache_quota_bytes, Some(4 << 20));
+        assert_eq!(policy.rate_limit_rps, Some(500));
+        assert_eq!(policy.cache_quota_bytes, Some(4 << 20));
         // No flag: no policy, byte-identical legacy behaviour.
         assert!(parse(&[])
             .expect("parse")

@@ -317,12 +317,11 @@ fn render_snapshot(out: &mut String, snap: &StateSnapshot) {
         snap.dedup.scan_backlog,
     )
     .expect("write to string");
-    if snap.tier_target_bytes != 0 || snap.tier_share_pm != 0 {
+    if snap.tier_target_bytes != 0 {
         writeln!(
             out,
-            "  shared tier: index target {:.1} MiB, locality share {}\u{2030}",
+            "  shared tier: index target {:.1} MiB",
             mib(snap.tier_target_bytes),
-            snap.tier_share_pm,
         )
         .expect("write to string");
     }

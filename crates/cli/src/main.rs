@@ -121,8 +121,7 @@ fn usage_and_exit(code: i32) -> ! {
          \x20 --shards <N>                    `serve`: shard workers; each owns the\n\
          \x20                                 stacks of tenants t \u{2261} shard (mod N)\n\
          \x20 --policy <spec>                 `serve`: cross-tenant QoS — comma-separated\n\
-         \x20                                 tier:<MiB>, rate:<rps>, burst:<n>, quota:<MiB>,\n\
-         \x20                                 soft:<MiB>, hot:<pm>, cold:<pm>, static\n\
+         \x20                                 tier:<MiB>, rate:<rps>, burst:<n>, quota:<MiB>\n\
          \x20 --prof                          `replay`/`monitor`: attach the host wall-clock\n\
          \x20                                 profiler and print real-time layer shares\n\
          \x20 --memory <MiB>                  override the DRAM budget\n\

@@ -117,7 +117,7 @@ fn hostile_flag_values_never_panic() {
     // A later `--scale` overrides this one.
     let replay = ["replay", "--scheme", "pod", "--scale", "0.004"];
     let serve = ["serve", "--tenants", "2", "--scale", "0.004"];
-    // (flag, command, valid values, whether the value is a `key:value` spec)
+    // (flag, command, base values, whether the value is a `key:value` spec)
     let flags: [(&str, &[&str], &[&str], bool); 5] = [
         ("--scale", &replay, &["0.004"], false),
         ("--memory", &replay, &["64"], false),
@@ -140,6 +140,9 @@ fn hostile_flag_values_never_panic() {
             &serve,
             &[
                 "tier:2,rate:40,burst:4,quota:1",
+                "tier:1,quota:2",
+                "rate:100,burst:2",
+                // Clauses the policy does not take: refused cleanly.
                 "tier:1,static",
                 "tier:2,soft:1,quota:2,hot:500,cold:100",
             ],

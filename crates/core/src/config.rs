@@ -321,8 +321,8 @@ impl FaultPlan {
     }
 }
 
-/// Largest byte budget any knob accepts (1 PiB): budgets are multiplied
-/// by per-mille shares downstream, and those products must fit `u64`.
+/// Largest byte budget any knob accepts (1 PiB), far above any
+/// simulated memory, so budget sums downstream cannot overflow `u64`.
 const MAX_BUDGET_BYTES: u64 = 1 << 50;
 
 fn check_budget(what: &str, bytes: Option<u64>) -> PodResult<()> {
@@ -334,179 +334,74 @@ fn check_budget(what: &str, bytes: Option<u64>) -> PodResult<()> {
     }
 }
 
-/// Per-tenant quality-of-service limits within a [`ServePolicy`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TenantPolicy {
-    /// Token-bucket admission rate, requests per second of *simulated*
-    /// time. `None` = unthrottled.
-    pub rate_limit_rps: Option<u64>,
-    /// Token-bucket depth: requests that may arrive back-to-back
-    /// before throttling delays the stream. Ignored when unthrottled.
-    pub burst_requests: u64,
-    /// Hard cap on the tenant's fingerprint-index budget (base iCache
-    /// partition plus shared-tier grant), bytes. Always enforced.
-    pub cache_quota_bytes: Option<u64>,
-    /// Soft cap, enforced only while the tenant is *not* hot: a tenant
-    /// with demonstrated dedup locality may exceed it (up to the hard
-    /// cap), an idle or cold one may not.
-    pub soft_quota_bytes: Option<u64>,
-}
-
-impl Default for TenantPolicy {
-    /// Unlimited: no rate limit, no quotas, a 32-request burst should a
-    /// rate limit later be set.
-    fn default() -> Self {
-        Self {
-            rate_limit_rps: None,
-            burst_requests: 32,
-            cache_quota_bytes: None,
-            soft_quota_bytes: None,
-        }
-    }
-}
-
-impl TenantPolicy {
-    /// True when every limit is disabled (the policy-off fast path for
-    /// this tenant).
-    pub fn is_unlimited(&self) -> bool {
-        self.rate_limit_rps.is_none()
-            && self.cache_quota_bytes.is_none()
-            && self.soft_quota_bytes.is_none()
-    }
-
-    fn validate(&self) -> PodResult<()> {
-        if self.rate_limit_rps == Some(0) {
-            return Err(PodError::InvalidConfig(
-                "tenant rate_limit_rps must be at least 1".into(),
-            ));
-        }
-        if self.rate_limit_rps.is_some() && self.burst_requests == 0 {
-            return Err(PodError::InvalidConfig(
-                "tenant burst_requests must be at least 1 when rate-limited".into(),
-            ));
-        }
-        check_budget("tenant cache quota", self.cache_quota_bytes)?;
-        check_budget("tenant soft quota", self.soft_quota_bytes)?;
-        if let (Some(soft), Some(hard)) = (self.soft_quota_bytes, self.cache_quota_bytes) {
-            if soft > hard {
-                return Err(PodError::InvalidConfig(format!(
-                    "tenant soft quota ({soft} B) exceeds hard quota ({hard} B)"
-                )));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Cross-tenant serve policy: a fleet-wide shared fingerprint-cache
-/// tier divided among tenants by recent dedup locality (HPDedup-style
-/// prioritization), plus per-tenant QoS limits.
+/// tier split statically among tenants, plus QoS limits every tenant
+/// shares.
 ///
-/// The tier is re-divided every iCache epoch from each tenant's own
-/// deterministic counters: a tenant's slice is
-/// `base × share(locality) / 1000` where `base = shared_tier_bytes /
-/// fleet_tenants` and `share` is [`hot_share_pm`](Self::hot_share_pm)
-/// at or above the hot locality threshold,
-/// [`cold_share_pm`](Self::cold_share_pm) at or below the cold one,
-/// and 1000‰ in between. Because a tenant's slice depends only on its
-/// own history and fleet-wide constants — never on which shard its
-/// neighbours landed on — per-tenant results stay byte-identical at
+/// Each tenant's slice is `shared_tier_bytes / fleet_tenants` on top of
+/// its own iCache index partition, capped by
+/// [`cache_quota_bytes`](Self::cache_quota_bytes). The slice depends
+/// only on fleet-wide constants — never on which shard a tenant's
+/// neighbours landed on — so per-tenant results stay byte-identical at
 /// any `--shards`/`--jobs` topology.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServePolicy {
     /// Fleet-wide shared fingerprint-cache tier, bytes. `0` disables
     /// the tier (QoS limits still apply).
     pub shared_tier_bytes: u64,
-    /// Epoch dedup-index locality (hits per mille of index probes) at
-    /// or above which a tenant counts as hot.
-    pub hot_threshold_pm: u64,
-    /// Locality at or below which a tenant counts as cold.
-    pub cold_threshold_pm: u64,
-    /// Tier share granted to hot tenants, per mille of the base slice.
-    pub hot_share_pm: u64,
-    /// Tier share granted to cold tenants, per mille of the base slice.
-    pub cold_share_pm: u64,
-    /// QoS limits applied to every tenant without an override.
-    pub default_tenant: TenantPolicy,
-    /// Per-tenant overrides, `(tenant id, limits)`.
-    pub tenant_overrides: Vec<(u16, TenantPolicy)>,
+    /// Token-bucket admission rate, requests per second of *simulated*
+    /// time. `None` = unthrottled.
+    pub rate_limit_rps: Option<u64>,
+    /// Token-bucket depth: requests that may arrive back-to-back
+    /// before throttling delays the stream. Ignored when unthrottled.
+    pub burst_requests: u64,
+    /// Cap on each tenant's fingerprint-index budget (base iCache
+    /// partition plus shared-tier slice), bytes.
+    pub cache_quota_bytes: Option<u64>,
 }
 
 impl Default for ServePolicy {
-    /// Locality-prioritized division, no tier memory and no QoS limits
-    /// yet: hot tenants (≥ 400‰ epoch index locality) earn 1750‰ of
-    /// the base slice, cold ones (≤ 150‰) keep 250‰.
+    /// No tier memory and no QoS limits yet, with a 32-request burst
+    /// should a rate limit later be set.
     fn default() -> Self {
         Self {
             shared_tier_bytes: 0,
-            hot_threshold_pm: 400,
-            cold_threshold_pm: 150,
-            hot_share_pm: 1750,
-            cold_share_pm: 250,
-            default_tenant: TenantPolicy::default(),
-            tenant_overrides: Vec::new(),
+            rate_limit_rps: None,
+            burst_requests: 32,
+            cache_quota_bytes: None,
         }
     }
 }
 
 impl ServePolicy {
-    /// Locality-prioritized shared tier of `mib` MiB (HPDedup-style).
-    pub fn prioritized_tier(mib: u64) -> Self {
+    /// A shared tier of `mib` MiB and no QoS limits.
+    pub fn shared_tier(mib: u64) -> Self {
         Self {
             shared_tier_bytes: mib << 20,
             ..Self::default()
         }
-    }
-
-    /// Statically partitioned tier of `mib` MiB: every tenant gets the
-    /// same slice regardless of locality — the baseline the shared-tier
-    /// test compares prioritized sharing against.
-    pub fn static_tier(mib: u64) -> Self {
-        Self {
-            shared_tier_bytes: mib << 20,
-            hot_share_pm: 1000,
-            cold_share_pm: 1000,
-            ..Self::default()
-        }
-    }
-
-    /// Limits for tenant `t`: its override if present, else the fleet
-    /// default.
-    pub fn tenant(&self, t: u16) -> TenantPolicy {
-        self.tenant_overrides
-            .iter()
-            .find(|(id, _)| *id == t)
-            .map(|&(_, p)| p)
-            .unwrap_or(self.default_tenant)
     }
 
     /// True when the policy constrains nothing at all.
     pub fn is_noop(&self) -> bool {
         self.shared_tier_bytes == 0
-            && self.default_tenant.is_unlimited()
-            && self.tenant_overrides.iter().all(|(_, p)| p.is_unlimited())
+            && self.rate_limit_rps.is_none()
+            && self.cache_quota_bytes.is_none()
     }
 
     /// Parse a CLI policy spec: comma-separated clauses
-    /// `tier:<MiB>`, `rate:<rps>`, `burst:<requests>`, `quota:<MiB>`,
-    /// `soft:<MiB>`, `hot:<per-mille>`, `cold:<per-mille>`, and the
-    /// bare word `static` (flat tier division). Example:
-    /// `tier:8,rate:2000,quota:4` — an 8 MiB prioritized shared tier,
-    /// every tenant throttled to 2000 req/s and capped at a 4 MiB
-    /// index. Per-tenant overrides are API-only
-    /// ([`tenant_overrides`](Self::tenant_overrides)).
+    /// `tier:<MiB>`, `rate:<rps>`, `burst:<requests>` and
+    /// `quota:<MiB>`. Example: `tier:8,rate:2000,quota:4` — an 8 MiB
+    /// shared tier, every tenant throttled to 2000 req/s and capped at
+    /// a 4 MiB index.
     pub fn parse(spec: &str) -> PodResult<Self> {
+        const EXPECTED: &str = "expected tier, rate, burst or quota";
         let bad = |msg: String| PodError::InvalidConfig(msg);
         let mut policy = Self::default();
         for clause in spec.split(',') {
-            if clause == "static" {
-                policy.hot_share_pm = 1000;
-                policy.cold_share_pm = 1000;
-                continue;
-            }
             let (key, value) = clause.split_once(':').ok_or_else(|| {
                 bad(format!(
-                    "policy clause `{clause}` is not `key:value` (or `static`)"
+                    "policy clause `{clause}` is not `key:value` ({EXPECTED})"
                 ))
             })?;
             let n: u64 = value
@@ -519,18 +414,10 @@ impl ServePolicy {
             };
             match key {
                 "tier" => policy.shared_tier_bytes = mib()?,
-                "rate" => policy.default_tenant.rate_limit_rps = Some(n),
-                "burst" => policy.default_tenant.burst_requests = n,
-                "quota" => policy.default_tenant.cache_quota_bytes = Some(mib()?),
-                "soft" => policy.default_tenant.soft_quota_bytes = Some(mib()?),
-                "hot" => policy.hot_threshold_pm = n,
-                "cold" => policy.cold_threshold_pm = n,
-                other => {
-                    return Err(bad(format!(
-                        "unknown policy clause `{other}` (expected tier, rate, \
-                         burst, quota, soft, hot, cold, or static)"
-                    )))
-                }
+                "rate" => policy.rate_limit_rps = Some(n),
+                "burst" => policy.burst_requests = n,
+                "quota" => policy.cache_quota_bytes = Some(mib()?),
+                other => return Err(bad(format!("unknown policy clause `{other}` ({EXPECTED})"))),
             }
         }
         policy.validate()?;
@@ -545,33 +432,17 @@ impl ServePolicy {
             ));
         }
         check_budget("shared tier", Some(self.shared_tier_bytes))?;
-        if self.hot_threshold_pm > 1000 || self.cold_threshold_pm >= self.hot_threshold_pm {
-            return Err(PodError::InvalidConfig(format!(
-                "locality thresholds need cold < hot <= 1000 (got cold {} / hot {})",
-                self.cold_threshold_pm, self.hot_threshold_pm
-            )));
+        if self.rate_limit_rps == Some(0) {
+            return Err(PodError::InvalidConfig(
+                "tenant rate_limit_rps must be at least 1".into(),
+            ));
         }
-        if self.cold_share_pm > 1000 || self.hot_share_pm < 1000 {
-            return Err(PodError::InvalidConfig(format!(
-                "tier shares need cold <= 1000 <= hot per mille (got cold {} / hot {})",
-                self.cold_share_pm, self.hot_share_pm
-            )));
+        if self.rate_limit_rps.is_some() && self.burst_requests == 0 {
+            return Err(PodError::InvalidConfig(
+                "tenant burst_requests must be at least 1 when rate-limited".into(),
+            ));
         }
-        // The grant is `budget × share / 1000` with a budget of up to
-        // MAX_BUDGET_BYTES, so the share bounds that product.
-        let max_share_pm = u64::MAX / MAX_BUDGET_BYTES;
-        if self.hot_share_pm > max_share_pm {
-            return Err(PodError::InvalidConfig(format!(
-                "hot tier share of {} per mille exceeds the {max_share_pm} limit",
-                self.hot_share_pm
-            )));
-        }
-        self.default_tenant.validate()?;
-        for (t, p) in &self.tenant_overrides {
-            p.validate()
-                .map_err(|e| PodError::InvalidConfig(format!("tenant {t} override: {e}")))?;
-        }
-        Ok(())
+        check_budget("tenant cache quota", self.cache_quota_bytes)
     }
 }
 
@@ -770,20 +641,31 @@ mod tests {
 
     #[test]
     fn serve_policy_parses_cli_specs() {
-        let p = ServePolicy::parse("tier:8,rate:2000,burst:64,quota:4,soft:2").expect("parse");
+        let p = ServePolicy::parse("tier:8,rate:2000,burst:64,quota:4").expect("parse");
         assert_eq!(p.shared_tier_bytes, 8 << 20);
-        assert_eq!(p.default_tenant.rate_limit_rps, Some(2000));
-        assert_eq!(p.default_tenant.burst_requests, 64);
-        assert_eq!(p.default_tenant.cache_quota_bytes, Some(4 << 20));
-        assert_eq!(p.default_tenant.soft_quota_bytes, Some(2 << 20));
-        assert_eq!((p.hot_share_pm, p.cold_share_pm), (1750, 250));
+        assert_eq!(p.rate_limit_rps, Some(2000));
+        assert_eq!(p.burst_requests, 64);
+        assert_eq!(p.cache_quota_bytes, Some(4 << 20));
 
-        let p = ServePolicy::parse("tier:4,static").expect("parse");
-        assert_eq!((p.hot_share_pm, p.cold_share_pm), (1000, 1000));
-        assert_eq!(p, ServePolicy::static_tier(4));
+        let p = ServePolicy::parse("tier:4").expect("parse");
+        assert_eq!(p, ServePolicy::shared_tier(4));
+    }
 
-        let p = ServePolicy::parse("tier:4,hot:600,cold:100").expect("parse");
-        assert_eq!((p.hot_threshold_pm, p.cold_threshold_pm), (600, 100));
+    #[test]
+    fn serve_policy_rejects_clauses_outside_the_four() {
+        for spec in [
+            "tier:4,static",
+            "tier:4,soft:1",
+            "tier:4,hot:500",
+            "tier:4,cold:100",
+        ] {
+            let err = ServePolicy::parse(spec).expect_err(spec);
+            assert!(matches!(err, PodError::InvalidConfig(_)), "{spec}: {err}");
+            assert!(
+                err.to_string().contains("tier, rate, burst or quota"),
+                "{spec}: the error names the four clauses: {err}"
+            );
+        }
     }
 
     #[test]
@@ -795,13 +677,11 @@ mod tests {
             "meteor:1",                // unknown clause
             "rate:0",                  // zero rate
             "tier:4,burst:0,rate:100", // zero burst while rate-limited
-            "tier:4,hot:100,cold:400", // inverted thresholds
-            "tier:4,soft:8,quota:4",   // soft above hard
             "tier:17592186044416",     // 2^44 MiB = 2^64 bytes
             "tier:17592186044417",     // used to wrap to a 1 MiB tier
             "tier:4,quota:17592186044416",
-            "tier:4,soft:18446744073709551615",
             "tier:1073741825", // one MiB past the 1 PiB budget limit
+            "quota:1073741825",
         ] {
             assert!(ServePolicy::parse(spec).is_err(), "{spec} should fail");
         }
@@ -811,44 +691,7 @@ mod tests {
         let mut c = SystemConfig::test_default();
         c.policy = Some(ServePolicy::default());
         assert!(c.validate().is_err(), "config validation covers policy");
-        c.policy = Some(ServePolicy::prioritized_tier(1));
+        c.policy = Some(ServePolicy::shared_tier(1));
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn serve_policy_rejects_a_hot_share_that_overflows_the_grant() {
-        let mut p = ServePolicy::prioritized_tier(1);
-        p.hot_share_pm = u64::MAX;
-        assert!(
-            matches!(p.validate(), Err(PodError::InvalidConfig(_))),
-            "unbounded hot share must be rejected"
-        );
-        p.hot_share_pm = u64::MAX / MAX_BUDGET_BYTES;
-        assert!(p.validate().is_ok(), "the largest safe share passes");
-    }
-
-    #[test]
-    fn serve_policy_tenant_lookup_prefers_overrides() {
-        let mut p = ServePolicy::prioritized_tier(4);
-        p.default_tenant.rate_limit_rps = Some(1000);
-        p.tenant_overrides.push((
-            2,
-            TenantPolicy {
-                rate_limit_rps: Some(50),
-                ..Default::default()
-            },
-        ));
-        assert_eq!(p.tenant(0).rate_limit_rps, Some(1000));
-        assert_eq!(p.tenant(2).rate_limit_rps, Some(50));
-        // Override validation is covered too.
-        p.tenant_overrides.push((
-            3,
-            TenantPolicy {
-                rate_limit_rps: Some(0),
-                ..Default::default()
-            },
-        ));
-        let err = p.validate().expect_err("bad override");
-        assert!(err.to_string().contains("tenant 3"), "{err}");
     }
 }

@@ -57,9 +57,7 @@ pub mod scheme;
 pub mod serve;
 pub mod stack;
 
-pub use config::{
-    FaultPlan, ICacheTuning, LatencyModel, PostProcess, ServePolicy, SystemConfig, TenantPolicy,
-};
+pub use config::{FaultPlan, ICacheTuning, LatencyModel, PostProcess, ServePolicy, SystemConfig};
 pub use metrics::{LatencyHistogram, Metrics, Timeline};
 pub use obs::{
     FaultKind, Layer, ObserverChain, StackCounters, StackEvent, StackObserver, StateSnapshot,
@@ -88,7 +86,7 @@ pub use stack::{StackSpec, StorageStack};
 /// ```
 pub mod prelude {
     pub use crate::config::{
-        FaultPlan, ICacheTuning, LatencyModel, PostProcess, ServePolicy, SystemConfig, TenantPolicy,
+        FaultPlan, ICacheTuning, LatencyModel, PostProcess, ServePolicy, SystemConfig,
     };
     pub use crate::metrics::{LatencyHistogram, Metrics, Timeline};
     pub use crate::obs::{

@@ -204,11 +204,11 @@ pub enum StackEvent {
         /// Issuing tenant (0 for single-tenant replays).
         tenant: u16,
     },
-    /// A tenant's admission into the merged serve stream was delayed by
-    /// its token-bucket rate limit (see
-    /// [`TenantPolicy`](crate::TenantPolicy)). Emitted only when a
-    /// [`ServePolicy`](crate::ServePolicy) throttles — plain replays
-    /// and policy-free serves never produce it.
+    /// A tenant's request was admitted late by its token-bucket rate
+    /// limit ([`ServePolicy::rate_limit_rps`](crate::ServePolicy::rate_limit_rps)).
+    /// Emitted only when a [`ServePolicy`](crate::ServePolicy)
+    /// throttles — plain replays and policy-free serves never produce
+    /// it.
     ThrottleWait {
         /// The throttled tenant.
         tenant: u16,

@@ -29,15 +29,12 @@ pub struct StateSnapshot {
     /// Dedup-engine gauges: Index table, Map table, scan backlog.
     pub dedup: DedupState,
     /// Shared-tier index target (bytes) last applied by the serving
-    /// engine's shared tier; 0 when no [`ServePolicy`] is active.
+    /// engine's shared tier; 0 when no [`ServePolicy`] is active. Off
+    /// the wire when zero, so policy-free trace output is
+    /// byte-identical to pre-policy recordings.
     ///
     /// [`ServePolicy`]: crate::config::ServePolicy
     pub tier_target_bytes: u64,
-    /// Shared-tier locality share (per-mille of the per-tenant base
-    /// slice) earned in the last epoch; 0 when no policy is active.
-    /// Both tier gauges stay off the wire when zero, so policy-free
-    /// trace output is byte-identical to pre-policy recordings.
-    pub tier_share_pm: u64,
 }
 
 /// The flat JSON field list of a snapshot, in emission order:
@@ -113,15 +110,11 @@ impl StateSnapshot {
             }
             out.push(']');
         }
-        // Tier gauges are omitted when inactive (both zero) so
-        // policy-free output matches pre-policy recordings byte for
-        // byte; the parser defaults them to zero when absent.
-        if self.tier_share_pm != 0 || self.tier_target_bytes != 0 {
-            let _ = write!(
-                out,
-                ",\"tier_target_bytes\":{},\"tier_share_pm\":{}",
-                self.tier_target_bytes, self.tier_share_pm
-            );
+        // The tier gauge is omitted when inactive (zero) so policy-free
+        // output matches pre-policy recordings byte for byte; the
+        // parser defaults it to zero when absent.
+        if self.tier_target_bytes != 0 {
+            let _ = write!(out, ",\"tier_target_bytes\":{}", self.tier_target_bytes);
         }
     }
 
@@ -148,11 +141,12 @@ impl StateSnapshot {
         snapshot_scalars!(read);
         snap.dedup.index.heat = hist("heat")?;
         snap.dedup.map.fan_in = hist("fan_in")?;
-        // Optional tier gauges: absent in policy-free and pre-policy
-        // recordings, where they are zero by definition.
-        let opt = |k: &str| v.get(k).and_then(Json::as_u64).unwrap_or(0);
-        snap.tier_target_bytes = opt("tier_target_bytes");
-        snap.tier_share_pm = opt("tier_share_pm");
+        // Optional tier gauge: absent in policy-free and pre-policy
+        // recordings, where it is zero by definition.
+        snap.tier_target_bytes = v
+            .get("tier_target_bytes")
+            .and_then(Json::as_u64)
+            .unwrap_or(0);
         Ok(snap)
     }
 }
@@ -220,18 +214,26 @@ mod tests {
         line.push('}');
         assert!(
             !line.contains("tier_"),
-            "inactive tier gauges must not serialize: {line}"
+            "an inactive tier gauge must not serialize: {line}"
         );
         s.tier_target_bytes = 3 << 20;
-        s.tier_share_pm = 1750;
         let mut line = String::from("{");
         s.push_json_fields(&mut line);
         line.push('}');
-        assert!(line.contains("\"tier_target_bytes\":3145728"));
-        assert!(line.contains("\"tier_share_pm\":1750"));
+        assert!(line.ends_with(",\"tier_target_bytes\":3145728}"), "{line}");
         let v = json::parse(&line).expect("valid JSON");
         let back = StateSnapshot::from_json_obj(&v).expect("parse back");
-        assert_eq!(back, s, "lossless round trip with tier gauges");
+        assert_eq!(back, s, "lossless round trip with the tier gauge");
+        // Older recordings also carry a locality share after the
+        // target; the key is ignored and does not survive a rewrite.
+        let old = line.replace('}', ",\"tier_share_pm\":1750}");
+        let v = json::parse(&old).expect("valid JSON");
+        let back = StateSnapshot::from_json_obj(&v).expect("old line parses");
+        assert_eq!(back, s, "the share key is ignored");
+        let mut again = String::from("{");
+        back.push_json_fields(&mut again);
+        again.push('}');
+        assert_eq!(again, line, "re-serialised without the share key");
     }
 
     #[test]

@@ -565,42 +565,31 @@ impl TokenBucket {
     }
 }
 
-/// Shard-local shared fingerprint-cache tier, HPDedup-style: every
-/// iCache epoch the tenant's recent dedup-hit locality re-earns its
-/// slice of the tier, and the dedup index is resized to its iCache
-/// partition plus that grant (capped by the tenant's quotas).
+/// Shard-local shared fingerprint-cache tier: every tenant's dedup
+/// index is its iCache partition plus a static slice of the tier,
+/// capped by the tenant's quota.
 ///
 /// The serving engine installs one per tenant stack when a
 /// [`ServePolicy`] is active; the stack runs it after the iCache
 /// repartition step, so a repartition's fresh partition size is
-/// immediately re-extended by the grant. All inputs — the tenant's own
-/// request count and its own index hit/miss deltas — are independent of
+/// immediately re-extended by the slice. Its only inputs — the
+/// tenant's own request count and partition size — are independent of
 /// shard or worker topology, which is what keeps per-tenant reports
 /// byte-identical across `--shards`/`--jobs` (DESIGN.md §13).
 #[derive(Debug)]
 pub(crate) struct SharedTierTask {
     tenant: u16,
-    /// Locality re-evaluation cadence (the iCache epoch length).
+    /// Grant cadence (the iCache epoch length).
     epoch_requests: u64,
-    /// Per-tenant base slice: `shared_tier_bytes / fleet_tenants`.
-    /// Divided fleet-wide (not per shard) so the grant is independent
-    /// of how tenants map onto shards.
-    base_bytes: u64,
-    hot_threshold_pm: u64,
-    cold_threshold_pm: u64,
-    hot_share_pm: u64,
-    cold_share_pm: u64,
-    hard_quota: Option<u64>,
-    soft_quota: Option<u64>,
+    /// Per-tenant slice: `shared_tier_bytes / fleet_tenants`. Divided
+    /// fleet-wide (not per shard) so the slice is independent of how
+    /// tenants map onto shards.
+    slice_bytes: u64,
+    quota: Option<u64>,
     /// Requests seen by this task (its own epoch clock).
     requests: u64,
-    /// Cumulative index hits/misses at the last epoch boundary.
-    last_hits: u64,
-    last_misses: u64,
-    /// Current locality share (per-mille of `base_bytes`); starts
-    /// neutral at 1000.
-    share_pm: u64,
-    /// Index size we last applied; resize only when the target moves.
+    /// Index size we last applied (0 before the first request); resize
+    /// only when the target moves.
     applied_bytes: u64,
     /// iCache partition bytes at the last apply, to detect a
     /// repartition having reset the index underneath us.
@@ -608,24 +597,15 @@ pub(crate) struct SharedTierTask {
 }
 
 impl SharedTierTask {
-    /// Build tenant `tenant`'s tier competitor in a fleet of
-    /// `fleet_tenants` under `policy`.
+    /// Build tenant `tenant`'s tier step in a fleet of `fleet_tenants`
+    /// under `policy`.
     fn new(tenant: u16, epoch_requests: u64, fleet_tenants: usize, policy: &ServePolicy) -> Self {
-        let limits = policy.tenant(tenant);
         Self {
             tenant,
             epoch_requests: epoch_requests.max(1),
-            base_bytes: policy.shared_tier_bytes / fleet_tenants as u64,
-            hot_threshold_pm: policy.hot_threshold_pm,
-            cold_threshold_pm: policy.cold_threshold_pm,
-            hot_share_pm: policy.hot_share_pm,
-            cold_share_pm: policy.cold_share_pm,
-            hard_quota: limits.cache_quota_bytes,
-            soft_quota: limits.soft_quota_bytes,
+            slice_bytes: policy.shared_tier_bytes / fleet_tenants as u64,
+            quota: policy.cache_quota_bytes,
             requests: 0,
-            last_hits: 0,
-            last_misses: 0,
-            share_pm: 1000,
             applied_bytes: 0,
             // Sentinel: resolved to the engine's build-time size on the
             // first request (the engine starts at the bare partition).
@@ -633,44 +613,22 @@ impl SharedTierTask {
         }
     }
 
-    /// The tenant's current index target: iCache partition + earned
-    /// grant, capped by the hard quota always and by the soft quota
-    /// unless the tenant is hot (soft quotas yield to locality,
-    /// hard quotas never do).
+    /// The tenant's index target: iCache partition plus its slice,
+    /// capped by the quota.
     fn target(&self, partition: u64) -> u64 {
-        let grant = self.base_bytes * self.share_pm / 1000;
-        let mut target = partition + grant;
-        if self.share_pm <= 1000 {
-            if let Some(soft) = self.soft_quota {
-                target = target.min(soft);
-            }
-        }
-        if let Some(hard) = self.hard_quota {
-            target = target.min(hard);
-        }
-        target
+        let target = partition + self.slice_bytes;
+        self.quota.map_or(target, |quota| target.min(quota))
     }
 
-    /// The `(index target bytes, share per mille)` gauges a
-    /// [`StateSnapshot`](crate::obs::StateSnapshot) carries. Both read 0
-    /// until the tier has seen its first request.
-    pub(crate) fn gauges(&self) -> (u64, u64) {
-        if self.requests == 0 {
-            (0, 0)
-        } else {
-            (self.applied_bytes, self.share_pm)
-        }
+    /// The index target gauge a
+    /// [`StateSnapshot`](crate::obs::StateSnapshot) carries; 0 until
+    /// the tier has seen its first request.
+    pub(crate) fn applied_bytes(&self) -> u64 {
+        self.applied_bytes
     }
 
-    /// Crash recovery rebuilt the index with fresh hit/miss counters:
-    /// this epoch's locality counts from zero again.
-    pub(crate) fn on_index_rebuilt(&mut self) {
-        self.last_hits = 0;
-        self.last_misses = 0;
-    }
-
-    /// Account one request: at epoch boundaries re-earn the share, and
-    /// re-apply the index target whenever it or the partition moved.
+    /// Account one request: re-apply the index target at epoch
+    /// boundaries and whenever the partition moved.
     pub(crate) fn after_request(
         &mut self,
         cache: &mut CacheLayer,
@@ -686,28 +644,10 @@ impl SharedTierTask {
             self.last_partition = partition;
             self.applied_bytes = partition;
         }
-        let boundary = self.requests.is_multiple_of(self.epoch_requests);
-        if boundary {
-            // Epoch boundary: re-earn the share from this epoch's
-            // dedup-hit locality (hits / lookups, per-mille). A tenant
-            // with no index traffic this epoch is cold by definition.
-            let (hits, misses, _) = dedup.engine().index().stats();
-            let dh = hits - self.last_hits;
-            let dm = misses - self.last_misses;
-            self.last_hits = hits;
-            self.last_misses = misses;
-            let locality_pm = (dh * 1000).checked_div(dh + dm).unwrap_or(0);
-            self.share_pm = if locality_pm >= self.hot_threshold_pm {
-                self.hot_share_pm
-            } else if locality_pm <= self.cold_threshold_pm {
-                self.cold_share_pm
-            } else {
-                1000
-            };
-        }
         // Re-apply at epoch boundaries, and whenever a repartition just
         // reset the index to the bare partition size (the stack's
         // repartition step runs just before this one).
+        let boundary = self.requests.is_multiple_of(self.epoch_requests);
         if boundary || partition != self.last_partition {
             let target = self.target(partition);
             if target != self.applied_bytes || partition != self.last_partition {
@@ -791,10 +731,9 @@ fn serve_tenant(
             ctx.fleet_tenants,
             policy,
         ));
-        let tp = policy.tenant(tenant);
-        setup.throttle = tp
+        setup.throttle = policy
             .rate_limit_rps
-            .map(|rate| TokenBucket::new(rate, tp.burst_requests));
+            .map(|rate| TokenBucket::new(rate, policy.burst_requests));
     }
 
     let (mut report, stack) = replay_stack(spec, cfg, trace, chain, ctx.verify, setup)?;
@@ -825,7 +764,6 @@ fn serve_tenant(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TenantPolicy;
     use pod_trace::{derive_tenants, TraceProfile};
 
     fn fleet(n: usize) -> Vec<Trace> {
@@ -833,25 +771,14 @@ mod tests {
     }
 
     /// A policy that exercises every QoS mechanism: a shared tier, a
-    /// default rate limit, and a tight quota override for tenant 0.
+    /// rate limit and a tight cache quota.
     fn stress_policy() -> ServePolicy {
-        let mut policy = ServePolicy::prioritized_tier(2);
-        policy.default_tenant = TenantPolicy {
+        ServePolicy {
             rate_limit_rps: Some(40),
             burst_requests: 4,
-            cache_quota_bytes: None,
-            soft_quota_bytes: None,
-        };
-        policy.tenant_overrides = vec![(
-            0,
-            TenantPolicy {
-                rate_limit_rps: Some(20),
-                burst_requests: 2,
-                cache_quota_bytes: Some(256 << 10),
-                soft_quota_bytes: Some(128 << 10),
-            },
-        )];
-        policy
+            cache_quota_bytes: Some(256 << 10),
+            ..ServePolicy::shared_tier(2)
+        }
     }
 
     #[test]
@@ -1221,12 +1148,13 @@ mod tests {
     fn quota_evictions_fire_under_a_tight_cache_quota() {
         let tenants = fleet(2);
         let mut cfg = SystemConfig::test_default();
-        let mut policy = ServePolicy::prioritized_tier(2);
-        // Hard quota far below the index population at the first epoch
+        // Quota far below the index population at the first epoch
         // boundary (~250 entries on this trace): the shared tier must
         // shrink the populated index and attribute the evictions.
-        policy.default_tenant.cache_quota_bytes = Some(8 << 10);
-        cfg.policy = Some(policy);
+        cfg.policy = Some(ServePolicy {
+            cache_quota_bytes: Some(8 << 10),
+            ..ServePolicy::shared_tier(2)
+        });
         let rep = ServeBuilder::new(Scheme::Pod)
             .config(cfg)
             .tenants(&tenants)
@@ -1234,7 +1162,7 @@ mod tests {
             .expect("serve");
         assert!(
             rep.aggregate.stack.all.quota_evictions > 0,
-            "a 64 KiB hard quota must evict: {:?}",
+            "an 8 KiB quota must evict: {:?}",
             rep.aggregate.stack
         );
         assert!(rep.aggregate.stack.all.quota_evicted_fps > 0);

@@ -335,15 +335,13 @@ impl StorageStack {
     /// are `Copy` and built from counters and fixed-size histograms.
     fn sample_snapshot(&mut self) {
         let timer = ProfTimer::start(self.prof);
-        let (tier_target_bytes, tier_share_pm) =
-            self.tier.as_ref().map_or((0, 0), SharedTierTask::gauges);
+        let tier_target_bytes = self.tier.as_ref().map_or(0, SharedTierTask::applied_bytes);
         let snap = StateSnapshot {
             seq: self.snap_seq,
             requests: self.requests_done,
             icache: self.cache.icache().introspect(),
             dedup: self.dedup.engine().introspect(),
             tier_target_bytes,
-            tier_share_pm,
         };
         self.snap_seq += 1;
         self.observer.emit(&StackEvent::Snapshot { snap });
@@ -364,9 +362,6 @@ impl StorageStack {
             });
             if rec.kind == FaultKind::Crash {
                 let outcome = self.dedup.recover_after_crash()?;
-                if let Some(tier) = &mut self.tier {
-                    tier.on_index_rebuilt();
-                }
                 self.observer.emit(&StackEvent::Recovered {
                     kind: FaultKind::Crash,
                     repaired_entries: outcome.index_entries_rebuilt,

@@ -64,7 +64,7 @@ fn every_scheme_survives_every_fault_class_with_zero_divergence() {
 
 /// Serve × policy × fault class: 4 tenants on 2 shards, each tenant
 /// verified by its own oracle. The policy drives every QoS mechanism at
-/// once (shared tier, rate limit, hard and soft quotas), so tier-driven
+/// once (shared tier, rate limit, cache quota), so tier-driven
 /// index resizes interleave with crash recovery's index rebuild.
 #[test]
 fn serve_survives_every_policy_and_fault_class_with_zero_divergence() {
@@ -73,7 +73,7 @@ fn serve_survives_every_policy_and_fault_class_with_zero_divergence() {
         ("no-policy", None),
         (
             "policy",
-            Some(ServePolicy::parse("tier:2,rate:40,burst:4,quota:1,soft:1").expect("policy")),
+            Some(ServePolicy::parse("tier:2,rate:40,burst:4,quota:1").expect("policy")),
         ),
     ];
     let plans: [(&str, Option<FaultPlan>); 4] = [

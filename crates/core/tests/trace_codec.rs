@@ -67,15 +67,13 @@ fn every_scheme_round_trips_profiled_and_faulted() {
 }
 
 /// A tenant-tagged serve under the CI policy (its rate limit throttles,
-/// its tier moves the snapshot's tier gauges), and once more with the
-/// hard quota cut to 8 KiB (and no soft quota) so the tier's index
-/// shrinks evict.
+/// its tier moves the snapshot's tier gauge), and once more with the
+/// quota cut to 8 KiB so the tier's index shrinks evict.
 #[test]
 fn tenant_tagged_policy_serve_round_trips_qos_keys() {
-    let policy = ServePolicy::parse("tier:2,rate:40,burst:4,quota:1,soft:1").expect("policy");
+    let policy = ServePolicy::parse("tier:2,rate:40,burst:4,quota:1").expect("policy");
     let mut tight = policy.clone();
-    tight.default_tenant.cache_quota_bytes = Some(8 << 10);
-    tight.default_tenant.soft_quota_bytes = None;
+    tight.cache_quota_bytes = Some(8 << 10);
     let mut totals = Vec::new();
     for (label, policy) in [("policy", policy), ("tight quota", tight)] {
         let mut cfg = SystemConfig::test_default();
@@ -98,7 +96,7 @@ fn tenant_tagged_policy_serve_round_trips_qos_keys() {
         totals
             .iter()
             .any(|t| t.snap.is_some_and(|s| s.tier_target_bytes > 0)),
-        "tier gauges"
+        "tier gauge"
     );
 }
 

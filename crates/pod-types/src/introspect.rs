@@ -1,19 +1,9 @@
-//! State introspection helpers.
+//! Log₂ bucketing for the fixed-size histograms the stack reports.
 //!
-//! Every stateful component of the stack (caches, tables, allocators,
-//! the iCache) has an inherent `introspect()` method returning a
-//! plain-old-data `State` struct of gauges — lengths, capacities,
-//! cumulative counters, fixed-size histograms. The replay runner
-//! samples these at epoch boundaries and forwards them through the
-//! observer chain, so the paper's internal mechanisms (ghost hits,
-//! cost-benefit values, Count heat, map fan-in) become observable
-//! without touching hot-path code.
-//!
-//! The contract mirrors the observer substrate's zero-allocation
-//! guarantee: a `State` is `Copy` (no owned buffers) and
-//! `introspect()` does not allocate. Fractions are reported in
-//! per-mille (`u64`), never `f64`, so snapshots stay `Eq` and
-//! byte-comparable in golden tests.
+//! Components' `introspect()` gauges (Count heat, map fan-in), the
+//! latency histograms and the host-phase histograms all bucket their
+//! values with [`log2_bucket`], so bin *i* of any of them holds the same
+//! `[2^i, 2^(i+1))` range.
 
 /// Bucket `v` into one of `N` log₂-spaced bins: ⌊log₂ max(v, 1)⌋
 /// clamped to `N − 1`, so bin 0 holds 0–1, bin *i* holds
