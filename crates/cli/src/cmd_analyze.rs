@@ -16,11 +16,8 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
         stats.mean_request_kib
     );
     println!(
-        "blocks written {}   blocks read {}   write-burst windows {:.0}%   read-burst windows {:.0}%",
-        stats.write_blocks,
-        stats.read_blocks,
-        stats.write_burst_fraction * 100.0,
-        stats.read_burst_fraction * 100.0
+        "blocks written {}   blocks read {}",
+        stats.write_blocks, stats.read_blocks
     );
 
     println!("\nI/O redundancy by request size (Fig. 1):");

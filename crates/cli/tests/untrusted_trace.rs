@@ -42,6 +42,33 @@ fn crafted_fiu_lines_are_parse_errors_not_aborts() {
     }
 }
 
+/// The FIU reader keeps rows whose timestamps step backwards, so
+/// `analyze`'s burst detector must take such a step as a zero gap: it
+/// used to subtract the raw arrivals and panic on the overflow.
+#[test]
+fn analyze_takes_a_backwards_timestamp_as_a_zero_gap() {
+    let path = std::env::temp_dir().join(format!("pod-backwards-{}.fiu", std::process::id()));
+    let body: String = [9, 5, 7, 3]
+        .iter()
+        .enumerate()
+        .map(|(i, ts)| format!("{ts} 1 p {} 1 W 8 0 {SHA}\n", 8 * i))
+        .collect();
+    std::fs::write(&path, body).expect("write the trace file");
+    let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
+        .args(["analyze", "--trace"])
+        .arg(&path)
+        .output()
+        .expect("spawn pod-cli");
+    std::fs::remove_file(&path).expect("remove the trace file");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("burstiness: 1 bursts (1 write-intensive, 0 read-intensive)"),
+        "{stdout}"
+    );
+}
+
 /// SplitMix64: the fuzz cases below are a fixed sequence.
 struct Rng(u64);
 

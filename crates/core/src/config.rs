@@ -51,8 +51,6 @@ pub struct SystemConfig {
     /// iCache adaptive-partition tuning (epoch length, swap step,
     /// cost-benefit penalties).
     pub icache: ICacheTuning,
-    /// Background post-process deduplication cadence.
-    pub post_process: PostProcess,
     /// Deterministic fault-injection plan applied to the disk backend.
     /// `None` = no fault layer is installed at all (zero overhead).
     pub faults: Option<FaultPlan>,
@@ -62,27 +60,25 @@ pub struct SystemConfig {
     pub policy: Option<ServePolicy>,
 }
 
-/// Controller fast-path service-time model.
+/// Controller fast-path service-time model. A read served whole from
+/// the DRAM cache costs a fixed 20 µs (`CACHE_HIT_US` in the stack).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LatencyModel {
     /// Fingerprinting cost per 4 KiB chunk, µs (paper: 32).
     pub hash_us_per_chunk: u64,
     /// Parallel hashing lanes in the controller (1 = sequential).
     pub hash_workers: usize,
-    /// DRAM read-cache hit service time, µs.
-    pub cache_hit_us: u64,
     /// Fixed metadata/processing overhead per request, µs.
     pub metadata_us: u64,
 }
 
 impl Default for LatencyModel {
     /// The paper's controller: 32 µs per 4 KiB chunk hashed on one
-    /// lane, 20 µs cache-hit service, 5 µs metadata per request.
+    /// lane, 5 µs metadata per request.
     fn default() -> Self {
         Self {
             hash_us_per_chunk: 32,
             hash_workers: 1,
-            cache_hit_us: 20,
             metadata_us: 5,
         }
     }
@@ -118,54 +114,31 @@ impl Default for ICacheTuning {
     }
 }
 
-/// Background post-process deduplication cadence.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PostProcess {
-    /// Requests between background deduplication passes.
-    pub interval: u64,
-    /// Maximum chunks examined per background pass.
-    pub batch: usize,
-}
-
-impl Default for PostProcess {
-    fn default() -> Self {
-        Self {
-            interval: 2_000,
-            batch: 16_384,
-        }
-    }
-}
-
 /// Deterministic, seeded fault-injection plan for the disk backend.
 ///
 /// Rates are expressed as "1 in N" submissions (0 disables that fault
 /// class). All decisions come from a `splitmix64` stream keyed by
 /// `seed` and consumed in submission order, so a given trace + config +
-/// plan always injects the identical fault sequence.
+/// plan always injects the identical fault sequence. The delays are
+/// fixed by the fault layer: a retry costs 500 µs, a spike 8 ms and a
+/// crash 50 ms of recovery downtime.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the fault decision stream.
     pub seed: u64,
-    /// 1-in-N read submissions fail transiently and are retried.
-    pub read_error_rate: u64,
-    /// 1-in-N write submissions fail transiently and are retried.
-    pub write_error_rate: u64,
-    /// Added service delay of one transparent retry, µs.
-    pub retry_us: u64,
-    /// 1-in-N submissions are delayed by `latency_spike_us`.
+    /// 1-in-N read or write submissions fail transiently and are
+    /// retried after 500 µs.
+    pub error_rate: u64,
+    /// 1-in-N submissions are delayed by an 8 ms spike.
     pub latency_spike_rate: u64,
-    /// Extra latency of a spike, µs.
-    pub latency_spike_us: u64,
     /// 1-in-N multi-extent writes are torn: a prefix lands first and
-    /// the full write is replayed after `retry_us`.
+    /// the full write is replayed one 500 µs retry later.
     pub torn_write_rate: u64,
     /// Crash (power loss) right before the Nth disk job is submitted:
     /// every not-yet-idle job completes no earlier than the crash
     /// point, volatile dedup state is rebuilt from the NVRAM Map, and
-    /// the replay resumes after `crash_recovery_us`.
+    /// the replay resumes after 50 ms of recovery downtime.
     pub crash_after_jobs: Option<u64>,
-    /// Downtime modeled for a crash + recovery cycle, µs.
-    pub crash_recovery_us: u64,
     /// Silently corrupt the stored content of this LBA at the end of
     /// the replay (oracle fail-path fixture). No `Recovered` event is
     /// emitted — the integrity oracle must catch it.
@@ -178,14 +151,10 @@ impl FaultPlan {
     fn quiet(seed: u64) -> Self {
         Self {
             seed,
-            read_error_rate: 0,
-            write_error_rate: 0,
-            retry_us: 500,
+            error_rate: 0,
             latency_spike_rate: 0,
-            latency_spike_us: 8_000,
             torn_write_rate: 0,
             crash_after_jobs: None,
-            crash_recovery_us: 50_000,
             corrupt_lba: None,
         }
     }
@@ -193,8 +162,7 @@ impl FaultPlan {
     /// Transient read/write errors (1 in 64 submissions, retried).
     pub fn transient(seed: u64) -> Self {
         Self {
-            read_error_rate: 64,
-            write_error_rate: 64,
+            error_rate: 64,
             ..Self::quiet(seed)
         }
     }
@@ -237,8 +205,7 @@ impl FaultPlan {
     /// a crash after 200 jobs.
     pub fn all(seed: u64) -> Self {
         Self {
-            read_error_rate: 64,
-            write_error_rate: 64,
+            error_rate: 64,
             latency_spike_rate: 32,
             torn_write_rate: 8,
             crash_after_jobs: Some(200),
@@ -297,8 +264,7 @@ impl FaultPlan {
 
     /// True when no fault class is enabled.
     pub fn is_noop(&self) -> bool {
-        self.read_error_rate == 0
-            && self.write_error_rate == 0
+        self.error_rate == 0
             && self.latency_spike_rate == 0
             && self.torn_write_rate == 0
             && self.crash_after_jobs.is_none()
@@ -464,7 +430,6 @@ impl SystemConfig {
             latency: LatencyModel::default(),
             warmup_fraction: 0.15,
             icache: ICacheTuning::default(),
-            post_process: PostProcess::default(),
             faults: None,
             policy: None,
         }
@@ -550,7 +515,6 @@ mod tests {
         // The nested sub-config defaults are the paper defaults.
         assert_eq!(c.latency, LatencyModel::default());
         assert_eq!(c.icache, ICacheTuning::default());
-        assert_eq!(c.post_process, PostProcess::default());
         assert_eq!(c.policy, None);
     }
 

@@ -610,7 +610,6 @@ pub fn restore_experiment(scale: f64, seed: u64) -> PodResult<Vec<RestoreRow>> {
         n_vms: 8,
         image_blocks: ((8_192.0 * scale * 20.0) as u64).clamp(1_024, 65_536),
         mutation_rate: 0.03,
-        ..VmFleetConfig::default()
     };
     let writes = fleet.generate(seed);
     let image = fleet.image_blocks;

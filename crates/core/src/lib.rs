@@ -57,7 +57,7 @@ pub mod scheme;
 pub mod serve;
 pub mod stack;
 
-pub use config::{FaultPlan, ICacheTuning, LatencyModel, PostProcess, ServePolicy, SystemConfig};
+pub use config::{FaultPlan, ICacheTuning, LatencyModel, ServePolicy, SystemConfig};
 pub use metrics::{LatencyHistogram, Metrics, Timeline};
 pub use obs::{
     FaultKind, Layer, ObserverChain, StackCounters, StackEvent, StackObserver, StateSnapshot,
@@ -85,9 +85,7 @@ pub use stack::{StackSpec, StorageStack};
 /// # Ok::<(), pod_types::PodError>(())
 /// ```
 pub mod prelude {
-    pub use crate::config::{
-        FaultPlan, ICacheTuning, LatencyModel, PostProcess, ServePolicy, SystemConfig,
-    };
+    pub use crate::config::{FaultPlan, ICacheTuning, LatencyModel, ServePolicy, SystemConfig};
     pub use crate::metrics::{LatencyHistogram, Metrics, Timeline};
     pub use crate::obs::{
         FaultKind, Layer, LayerHistograms, ObserverChain, StackCounters, StackEvent, StackObserver,

@@ -219,6 +219,74 @@ mod tests {
         }
     }
 
+    /// Each `BackgroundScan` as (requests done before it, chunks it
+    /// examined), and whether `Finished` had been emitted.
+    #[derive(Default)]
+    struct ScanLog {
+        requests_done: u64,
+        scans: Vec<(u64, u64)>,
+        finished: bool,
+    }
+
+    impl crate::StackObserver for ScanLog {
+        fn on_event(&mut self, ev: &crate::StackEvent) {
+            match *ev {
+                crate::StackEvent::RequestDone { .. } => self.requests_done += 1,
+                crate::StackEvent::BackgroundScan { scanned_chunks, .. } => {
+                    assert!(!self.finished, "scan after Finished");
+                    self.scans.push((self.requests_done, scanned_chunks));
+                }
+                crate::StackEvent::Finished => self.finished = true,
+                _ => {}
+            }
+        }
+    }
+
+    /// The Post-Process cadence: one scan after every 2,000th request,
+    /// each examining at most 16,384 queued chunks, and the rest of the
+    /// backlog drained by `finish`, after the last request.
+    #[test]
+    fn post_process_scans_every_2000_requests_and_drains_at_finish() {
+        use pod_types::{Fingerprint, IoRequest, Lba, SimTime};
+        // 4,500 writes of 16 fresh blocks each over 512 extents: 32,000
+        // chunks queue up per 2,000 requests, more than one scan takes.
+        let requests = (0..4_500u64)
+            .map(|i| {
+                let chunks = (0..16)
+                    .map(|b| Fingerprint::from_content_id(i * 16 + b + 1))
+                    .collect();
+                let lba = Lba::new(i % 512 * 16);
+                IoRequest::write(i, SimTime::from_micros(i * 1_000), lba, chunks)
+            })
+            .collect();
+        let trace = pod_trace::Trace {
+            name: "post-process-cadence".into(),
+            requests,
+            memory_budget_bytes: 1 << 20,
+        };
+        let (_, chain) = Scheme::PostProcess
+            .builder()
+            .config(crate::SystemConfig::test_default())
+            .trace(&trace)
+            .observer(ScanLog::default())
+            .run_observed()
+            .expect("replay");
+        let log = chain.sink::<ScanLog>().expect("scan log");
+        assert!(log.finished);
+        assert_eq!(
+            log.scans,
+            [
+                // In the replay, capped at the batch.
+                (2_000, 16_384),
+                (4_000, 16_384),
+                // At finish: the 39,232-chunk backlog, a batch at a time.
+                (4_500, 16_384),
+                (4_500, 16_384),
+                (4_500, 6_464),
+            ]
+        );
+    }
+
     #[test]
     fn stack_spec_pod_vs_iodedup_composition() {
         let pod = Scheme::Pod.stack_spec();

@@ -509,6 +509,13 @@ impl Drop for ThreadedBackend {
     }
 }
 
+/// Added service delay of one transparent retry, µs.
+const RETRY_US: u64 = 500;
+/// Extra latency of a latency spike, µs.
+const LATENCY_SPIKE_US: u64 = 8_000;
+/// Recovery downtime a crash charges its crashing submission, µs.
+const CRASH_RECOVERY_US: u64 = 50_000;
+
 /// A fault-injecting decorator over any [`DiskBackend`].
 ///
 /// Faults are drawn from a `splitmix64` stream keyed by the plan's
@@ -530,13 +537,13 @@ impl Drop for ThreadedBackend {
 ///    the crash point, which [`completion`](DiskBackend::completion)
 ///    resolves after the replay.
 /// 2. **Transient error**: the submission fails once and is retried
-///    after `retry_us` (transparent to the caller).
+///    after `RETRY_US` (500 µs; transparent to the caller).
 /// 3. **Torn write** (multi-extent writes only): a prefix of the
 ///    extents lands first as an orphan job, then the full write is
-///    replayed after `retry_us` — modeling the partial landing plus
+///    replayed after `RETRY_US` — modeling the partial landing plus
 ///    the recovery rewrite.
 /// 4. **Latency spike**: the submission is delayed by
-///    `latency_spike_us`.
+///    `LATENCY_SPIKE_US` (8 ms).
 pub struct FaultyBackend {
     inner: Box<dyn DiskBackend>,
     plan: FaultPlan,
@@ -605,10 +612,10 @@ impl FaultyBackend {
         self.crashed_at = Some(at);
         self.records.push(FaultRecord {
             kind: FaultKind::Crash,
-            delay_us: self.plan.crash_recovery_us,
+            delay_us: CRASH_RECOVERY_US,
             auto_recovered: false,
         });
-        self.plan.crash_recovery_us
+        CRASH_RECOVERY_US
     }
 }
 
@@ -623,20 +630,20 @@ impl DiskBackend for FaultyBackend {
 
     fn submit_write(&mut self, at: SimTime, extents: &[(Pba, u32)], index_lookups: u32) -> JobId {
         let mut delay_us = self.maybe_crash(at);
-        if self.roll(self.plan.write_error_rate) {
-            delay_us += self.plan.retry_us;
+        if self.roll(self.plan.error_rate) {
+            delay_us += RETRY_US;
             self.records.push(FaultRecord {
                 kind: FaultKind::WriteError,
-                delay_us: self.plan.retry_us,
+                delay_us: RETRY_US,
                 auto_recovered: true,
             });
         }
         let torn = extents.len() > 1 && self.roll(self.plan.torn_write_rate);
         if self.roll(self.plan.latency_spike_rate) {
-            delay_us += self.plan.latency_spike_us;
+            delay_us += LATENCY_SPIKE_US;
             self.records.push(FaultRecord {
                 kind: FaultKind::LatencySpike,
-                delay_us: self.plan.latency_spike_us,
+                delay_us: LATENCY_SPIKE_US,
                 auto_recovered: false,
             });
         }
@@ -648,10 +655,10 @@ impl DiskBackend for FaultyBackend {
             self.inner.submit_write(eff, &extents[..half], 0);
             self.records.push(FaultRecord {
                 kind: FaultKind::TornWrite,
-                delay_us: self.plan.retry_us,
+                delay_us: RETRY_US,
                 auto_recovered: true,
             });
-            let replay_at = eff + SimDuration::from_micros(self.plan.retry_us);
+            let replay_at = eff + SimDuration::from_micros(RETRY_US);
             let job = self.inner.submit_write(replay_at, extents, index_lookups);
             self.note_outstanding(job, replay_at);
             return job;
@@ -663,19 +670,19 @@ impl DiskBackend for FaultyBackend {
 
     fn submit_read(&mut self, at: SimTime, extents: &[(Pba, u32)]) -> JobId {
         let mut delay_us = self.maybe_crash(at);
-        if self.roll(self.plan.read_error_rate) {
-            delay_us += self.plan.retry_us;
+        if self.roll(self.plan.error_rate) {
+            delay_us += RETRY_US;
             self.records.push(FaultRecord {
                 kind: FaultKind::ReadError,
-                delay_us: self.plan.retry_us,
+                delay_us: RETRY_US,
                 auto_recovered: true,
             });
         }
         if self.roll(self.plan.latency_spike_rate) {
-            delay_us += self.plan.latency_spike_us;
+            delay_us += LATENCY_SPIKE_US;
             self.records.push(FaultRecord {
                 kind: FaultKind::LatencySpike,
-                delay_us: self.plan.latency_spike_us,
+                delay_us: LATENCY_SPIKE_US,
                 auto_recovered: false,
             });
         }
@@ -852,7 +859,7 @@ mod tests {
                 in_flight = (0..i)
                     .map(|j| reference.completion(JobId::from_index(j)).is_none())
                     .collect();
-                submit += SimDuration::from_micros(plan.crash_recovery_us);
+                submit += SimDuration::from_micros(CRASH_RECOVERY_US);
             }
             submits.push(submit);
             reference.submit_write(submit, &extents(i), 0);

@@ -53,7 +53,7 @@ pub use spec::{CacheKeying, StackSpec};
 // call sites keep compiling.
 pub use crate::obs::{StackCounters, StackObserver};
 
-use crate::config::{PostProcess, SystemConfig};
+use crate::config::SystemConfig;
 use crate::obs::{FaultKind, Layer, ObserverChain, StackEvent, StateSnapshot};
 use crate::prof::{ProfPhase, ProfSink, ProfTimer};
 use crate::runner::ReplaySizing;
@@ -63,6 +63,13 @@ use pod_disk::{ArraySim, JobId, RaidGeometry};
 use pod_icache::{ICache, ICacheConfig};
 use pod_trace::Trace;
 use pod_types::{IoOp, IoRequest, PodError, PodResult, SimDuration, SimTime};
+
+/// Requests between two in-replay Post-Process scans.
+const POST_PROCESS_INTERVAL: u64 = 2_000;
+/// Most queued chunks one Post-Process scan examines.
+const POST_PROCESS_BATCH: usize = 16_384;
+/// Service time of a read served whole from the DRAM cache, µs.
+const CACHE_HIT_US: u64 = 20;
 
 /// A composed storage stack: cache over dedup over disk, plus the
 /// background steps and the observer chain threaded through all of
@@ -80,9 +87,9 @@ pub struct StorageStack {
     cache: CacheLayer,
     dedup: DedupLayer,
     disk: Box<dyn DiskBackend>,
-    /// The Post-Process scan cadence; `Some` only when the spec's
-    /// policy is [`DedupPolicy::PostProcess`].
-    post_process: Option<PostProcess>,
+    /// The spec's policy is [`DedupPolicy::PostProcess`]: scan every
+    /// [`POST_PROCESS_INTERVAL`] requests and drain at the end.
+    post_process: bool,
     /// The tenant's shared tier, installed by the serving engine under
     /// a [`ServePolicy`](crate::config::ServePolicy).
     tier: Option<SharedTierTask>,
@@ -93,7 +100,6 @@ pub struct StorageStack {
     /// Direct completions for requests with no disk work.
     direct: Vec<(usize, SimDuration)>,
     metadata_us: u64,
-    cache_hit_us: u64,
     /// Sample a [`StateSnapshot`] every this many completed requests
     /// (the iCache epoch length, so snapshots land on epoch boundaries).
     snap_every: u64,
@@ -215,13 +221,12 @@ impl StorageStack {
             cache: CacheLayer::new(icache, spec.keying, spec.dedups),
             dedup,
             disk,
-            post_process: (spec.policy == DedupPolicy::PostProcess).then_some(cfg.post_process),
+            post_process: spec.policy == DedupPolicy::PostProcess,
             tier: None,
             observer,
             pending: Vec::with_capacity(trace.requests.len()),
             direct: Vec::new(),
             metadata_us: cfg.latency.metadata_us,
-            cache_hit_us: cfg.latency.cache_hit_us,
             snap_every: cfg.icache.epoch_requests.max(1),
             requests_done: 0,
             snap_seq: 0,
@@ -311,10 +316,8 @@ impl StorageStack {
             tenant: self.tenant,
         });
         self.prof_lap(&mut timer, ProfPhase::Observe);
-        if let Some(pp) = self.post_process {
-            if ((idx + 1) as u64).is_multiple_of(pp.interval) {
-                self.post_process_scan(pp.batch, Some(req.arrival))?;
-            }
+        if self.post_process && ((idx + 1) as u64).is_multiple_of(POST_PROCESS_INTERVAL) {
+            self.post_process_scan(Some(req.arrival))?;
         }
         self.repartition(req);
         if let Some(tier) = &mut self.tier {
@@ -435,11 +438,11 @@ impl StorageStack {
         if all_hit {
             self.observer.emit(&StackEvent::LayerLatency {
                 layer: Layer::Cache,
-                us: self.cache_hit_us,
+                us: CACHE_HIT_US,
             });
             self.prof_lap(&mut timer, ProfPhase::Observe);
             self.direct
-                .push((idx, SimDuration::from_micros(self.cache_hit_us)));
+                .push((idx, SimDuration::from_micros(CACHE_HIT_US)));
         } else {
             self.prof_lap(&mut timer, ProfPhase::Observe);
             let fragments = self.dedup.plan_read(req) as u64;
@@ -463,12 +466,13 @@ impl StorageStack {
         }
     }
 
-    /// One Post-Process pass: scan up to `batch` queued chunks and,
-    /// unless the replay is draining (`at` is `None`), charge the
-    /// re-reads as a background disk job at `at` (the fingerprinting
-    /// itself is off the critical path). Returns the chunks scanned.
-    fn post_process_scan(&mut self, batch: usize, at: Option<SimTime>) -> PodResult<u64> {
-        let scan = self.dedup.scan(batch)?;
+    /// One Post-Process pass: scan up to [`POST_PROCESS_BATCH`] queued
+    /// chunks and, unless the replay is draining (`at` is `None`),
+    /// charge the re-reads as a background disk job at `at` (the
+    /// fingerprinting itself is off the critical path). Returns the
+    /// chunks scanned.
+    fn post_process_scan(&mut self, at: Option<SimTime>) -> PodResult<u64> {
+        let scan = self.dedup.scan(POST_PROCESS_BATCH)?;
         self.observer.emit(&StackEvent::BackgroundScan {
             scanned_chunks: scan.scanned_chunks,
             deduped_chunks: scan.deduped_chunks,
@@ -511,11 +515,11 @@ impl StorageStack {
     /// the final [`StackEvent::Finished`].
     pub fn finish(&mut self) -> PodResult<()> {
         let timer = ProfTimer::start(self.prof);
-        if let Some(pp) = self.post_process {
+        if self.post_process {
             // Drain the backlog so the capacity numbers reflect a
             // completed background pass (no further disk charges: the
             // replay clock has stopped advancing).
-            while self.dedup.scan_backlog() > 0 && self.post_process_scan(pp.batch, None)? > 0 {}
+            while self.dedup.scan_backlog() > 0 && self.post_process_scan(None)? > 0 {}
         }
         self.prof_emit(ProfPhase::Background, timer);
         let timer = ProfTimer::start(self.prof);

@@ -128,19 +128,6 @@ impl MapJournal {
         }
         error.map_or(Ok(()), |msg| Err(PodError::Inconsistency(msg)))
     }
-
-    /// Compact the journal to a checkpoint of `redirections` (one remap
-    /// entry per live redirection, in the order given). Returns the
-    /// bytes saved.
-    pub fn checkpoint(&mut self, redirections: impl IntoIterator<Item = (u64, u64)>) -> usize {
-        let before = self.buf.len();
-        let mut fresh = MapJournal::new();
-        for (lba, pba) in redirections {
-            fresh.append_remap(Lba::new(lba), Pba::new(pba));
-        }
-        self.buf = fresh.buf;
-        before.saturating_sub(self.buf.len())
-    }
 }
 
 #[cfg(test)]
@@ -282,38 +269,5 @@ mod tests {
             .expect_err("outside the space")
             .to_string()
             .contains("journal entry 0 names lba 1000 outside the 1000-block logical space"));
-    }
-
-    #[test]
-    fn checkpoint_compacts() {
-        let mut j = MapJournal::new();
-        for i in 0..100u64 {
-            j.append_remap(Lba::new(i % 4), Pba::new(i));
-        }
-        let before = j.bytes().len();
-        let live = recovered(&j).expect("replay");
-        let saved = j.checkpoint(live.iter().copied());
-        assert_eq!(j.entries(), 4, "only live redirections remain");
-        assert_eq!(saved, before - 4 * JOURNAL_ENTRY_BYTES);
-        assert_eq!(recovered(&j).expect("recheck"), live);
-    }
-
-    #[test]
-    fn checkpoint_is_deterministic() {
-        // Two histories with one final state checkpoint to one image.
-        let mut a = MapJournal::new();
-        a.append_remap(Lba::new(5), Pba::new(7));
-        a.append_remap(Lba::new(1), Pba::new(10));
-        a.append_remap(Lba::new(5), Pba::new(50));
-        let mut b = MapJournal::new();
-        b.append_remap(Lba::new(1), Pba::new(10));
-        b.append_remap(Lba::new(9), Pba::new(90));
-        b.append_remap(Lba::new(5), Pba::new(50));
-        b.append_clear(Lba::new(9));
-        let live = recovered(&a).expect("a replays");
-        assert_eq!(live, recovered(&b).expect("b replays"));
-        a.checkpoint(live.iter().copied());
-        b.checkpoint(live.iter().copied());
-        assert_eq!(a.bytes(), b.bytes(), "sorted checkpoint is stable");
     }
 }

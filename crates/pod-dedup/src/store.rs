@@ -222,7 +222,7 @@ pub struct MapState {
     pub nvram_entries: u64,
     /// NVRAM Map-table bytes ([`MAP_ENTRY_BYTES`] per entry).
     pub nvram_bytes: u64,
-    /// Journal records pending checkpoint.
+    /// Records in the NVRAM Map-table journal.
     pub journal_entries: u64,
     /// Log2-bucketed refcount fan-in histogram (bucket 0 = refcount 1,
     /// bucket 1 = 2–3, ..., bucket 7 = ≥128).
@@ -256,13 +256,6 @@ impl ChunkStore {
     /// The persistent Map-table journal.
     pub fn journal(&self) -> &MapJournal {
         &self.journal
-    }
-
-    /// Compact the journal to the live redirected set, returning bytes
-    /// saved. (A deployment would do this when the NVRAM region fills.)
-    pub fn checkpoint_journal(&mut self) -> usize {
-        let live: Vec<(u64, u64)> = self.redirections().collect();
-        self.journal.checkpoint(live)
     }
 
     /// Verify that replaying the journal reproduces exactly the live
@@ -329,11 +322,6 @@ impl ChunkStore {
     /// Reference count of a physical block (0 = free).
     pub fn refcount(&self, pba: Pba) -> u32 {
         self.refs.get(pba.raw())
-    }
-
-    /// Whether `pba` is referenced by more than one logical block.
-    pub fn is_shared(&self, pba: Pba) -> bool {
-        self.refcount(pba) > 1
     }
 
     /// Live unique physical blocks — the capacity-used metric (Fig. 10).
@@ -573,11 +561,6 @@ impl ChunkStore {
         self.mapping.iter().map(|(lba, stored)| (lba, stored - 1))
     }
 
-    /// The redirected mappings (PBA ≠ home) — what the journal persists.
-    fn redirections(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.mappings().filter(|&(l, p)| l != p)
-    }
-
     fn release(&mut self, pba: u64) -> PodResult<()> {
         let was = self.refs.get(pba);
         if was == 0 {
@@ -699,7 +682,6 @@ mod tests {
         s.dedup_to(Lba::new(2), Pba::new(1)).expect("dedup");
         assert_eq!(s.lookup(Lba::new(2)), Some(Pba::new(1)));
         assert_eq!(s.refcount(Pba::new(1)), 2);
-        assert!(s.is_shared(Pba::new(1)));
         assert_eq!(s.used_blocks(), 1, "one physical copy");
         assert_eq!(s.redirected_entries(), 1);
         s.check_invariants().expect("invariants");
@@ -850,12 +832,6 @@ mod tests {
         s.verify_journal_recovery()
             .expect("clear entries replay too");
         assert_eq!(s.journal().entries(), 3, "2 remaps + 1 clear");
-        // Checkpoint compacts to the single live redirection.
-        let saved = s.checkpoint_journal();
-        assert!(saved > 0);
-        assert_eq!(s.journal().entries(), 1);
-        s.verify_journal_recovery()
-            .expect("post-checkpoint recovery");
     }
 
     #[test]

@@ -307,16 +307,6 @@ impl ArraySim {
         self.disks.iter().map(|d| d.stats).collect()
     }
 
-    /// Sum of blocks physically written across disks (data + parity).
-    pub fn total_blocks_written(&self) -> u64 {
-        self.disks.iter().map(|d| d.stats.blocks_written).sum()
-    }
-
-    /// Sum of blocks physically read across disks.
-    pub fn total_blocks_read(&self) -> u64 {
-        self.disks.iter().map(|d| d.stats.blocks_read).sum()
-    }
-
     /// Mean queue wait per op across all disks, µs. 0.0 (not NaN) when
     /// no op has completed yet.
     pub fn mean_queue_wait_us(&self) -> f64 {

@@ -92,7 +92,8 @@ impl BurstReport {
 /// The threshold is `gap_multiplier ×` the median inter-arrival gap
 /// (a robust scale estimate: bursts have dense arrivals, idle periods
 /// are orders of magnitude longer). Bursts shorter than `min_len`
-/// requests are merged forward.
+/// requests are merged forward. An arrival earlier than the one before
+/// it (an unsorted FIU file) counts as a zero gap.
 pub fn detect_bursts(trace: &Trace, gap_multiplier: u64, min_len: usize) -> BurstReport {
     let n = trace.len();
     if n < 2 {
@@ -101,7 +102,7 @@ pub fn detect_bursts(trace: &Trace, gap_multiplier: u64, min_len: usize) -> Burs
     let mut gaps: Vec<u64> = trace
         .requests
         .windows(2)
-        .map(|w| w[1].arrival.as_micros() - w[0].arrival.as_micros())
+        .map(|w| w[1].arrival.since(w[0].arrival).as_micros())
         .collect();
     gaps.sort_unstable();
     let median = gaps[gaps.len() / 2].max(1);
@@ -110,7 +111,7 @@ pub fn detect_bursts(trace: &Trace, gap_multiplier: u64, min_len: usize) -> Burs
     // Split points where the gap exceeds the threshold.
     let mut boundaries: Vec<usize> = vec![0];
     for (i, w) in trace.requests.windows(2).enumerate() {
-        if w[1].arrival.as_micros() - w[0].arrival.as_micros() > threshold {
+        if w[1].arrival.since(w[0].arrival).as_micros() > threshold {
             boundaries.push(i + 1);
         }
     }

@@ -1,7 +1,6 @@
 //! Trace analyzers: recompute every workload statistic the paper reports.
 //!
-//! * [`TraceStats`] — Table II (request count, write ratio, mean size)
-//!   plus burstiness.
+//! * [`TraceStats`] — Table II (request count, write ratio, mean size).
 //! * [`size_redundancy`] — Fig. 1: per-size-bucket total vs redundant
 //!   write-request counts.
 //! * [`redundancy_breakdown`] — Fig. 2: write data split into
@@ -17,7 +16,8 @@ use pod_hash::fnv::FnvBuildHasher;
 use pod_types::Fingerprint;
 use std::collections::{HashMap, HashSet};
 
-/// Table II row plus burstiness, computed from a trace.
+/// Table II row, computed from a trace. Burstiness is
+/// [`detect_bursts`](crate::bursts::detect_bursts)'s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceStats {
     /// Trace name.
@@ -32,10 +32,6 @@ pub struct TraceStats {
     pub write_blocks: u64,
     /// Total blocks read.
     pub read_blocks: u64,
-    /// Fraction of 200-request windows that are >85 % writes.
-    pub write_burst_fraction: f64,
-    /// Fraction of 200-request windows that are <50 % writes.
-    pub read_burst_fraction: f64,
 }
 
 impl TraceStats {
@@ -51,23 +47,6 @@ impl TraceStats {
                 read_blocks += r.nblocks as u64;
             }
         }
-        let window = 200;
-        let mut write_heavy = 0usize;
-        let mut read_heavy = 0usize;
-        let mut windows = 0usize;
-        for chunk in trace.requests.chunks(window) {
-            if chunk.len() < window / 2 {
-                continue;
-            }
-            windows += 1;
-            let w = chunk.iter().filter(|r| r.op.is_write()).count() as f64 / chunk.len() as f64;
-            if w > 0.85 {
-                write_heavy += 1;
-            }
-            if w < 0.5 {
-                read_heavy += 1;
-            }
-        }
         Self {
             name: trace.name.clone(),
             n_requests: n,
@@ -75,16 +54,6 @@ impl TraceStats {
             mean_request_kib: trace.mean_request_kib(),
             write_blocks,
             read_blocks,
-            write_burst_fraction: if windows == 0 {
-                0.0
-            } else {
-                write_heavy as f64 / windows as f64
-            },
-            read_burst_fraction: if windows == 0 {
-                0.0
-            } else {
-                read_heavy as f64 / windows as f64
-            },
         }
     }
 }
@@ -346,7 +315,6 @@ mod tests {
                 s.name,
                 s.mean_request_kib
             );
-            assert!(s.write_burst_fraction > 0.0, "{}: no write bursts", s.name);
         }
     }
 

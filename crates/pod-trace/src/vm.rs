@@ -15,7 +15,16 @@ use pod_types::{Fingerprint, IoRequest, Lba, SimTime};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// Configuration of a VM provisioning workload.
+/// Blocks per write request while streaming an image (256 KiB).
+const REQUEST_BLOCKS: u64 = 64;
+/// Gap between consecutive provisioning writes, µs.
+const WRITE_GAP_US: u64 = 12_000;
+/// DRAM budget attached to the trace, bytes.
+const MEMORY_BUDGET_BYTES: u64 = 64 * 1024 * 1024;
+
+/// Configuration of a VM provisioning workload. Every VM streams its
+/// image in 256 KiB writes spaced 12 ms apart, and the trace carries a
+/// 64 MiB DRAM budget.
 #[derive(Debug, Clone)]
 pub struct VmFleetConfig {
     /// Number of VMs provisioned.
@@ -25,12 +34,6 @@ pub struct VmFleetConfig {
     /// Probability that any given block of a clone differs from the
     /// golden image (instance-specific state).
     pub mutation_rate: f64,
-    /// Blocks per write request while streaming the image.
-    pub request_blocks: u32,
-    /// Gap between consecutive provisioning writes, µs.
-    pub write_gap_us: u64,
-    /// DRAM budget attached to the trace, bytes.
-    pub memory_budget_bytes: u64,
 }
 
 impl Default for VmFleetConfig {
@@ -39,9 +42,6 @@ impl Default for VmFleetConfig {
             n_vms: 8,
             image_blocks: 8_192, // 32 MiB golden image
             mutation_rate: 0.02,
-            request_blocks: 64,
-            write_gap_us: 12_000,
-            memory_budget_bytes: 64 * 1024 * 1024,
         }
     }
 }
@@ -66,7 +66,7 @@ impl VmFleetConfig {
             let region = vm * self.image_blocks;
             let mut off = 0u64;
             while off < self.image_blocks {
-                let len = (self.request_blocks as u64).min(self.image_blocks - off) as u32;
+                let len = REQUEST_BLOCKS.min(self.image_blocks - off) as u32;
                 let chunks: Vec<Fingerprint> = (0..len as u64)
                     .map(|i| {
                         let block = off + i;
@@ -80,7 +80,7 @@ impl VmFleetConfig {
                         }
                     })
                     .collect();
-                clock += self.write_gap_us;
+                clock += WRITE_GAP_US;
                 requests.push(IoRequest::write(
                     id,
                     SimTime::from_micros(clock),
@@ -98,7 +98,7 @@ impl VmFleetConfig {
                 self.image_blocks * 4 / 1024
             ),
             requests,
-            memory_budget_bytes: self.memory_budget_bytes,
+            memory_budget_bytes: MEMORY_BUDGET_BYTES,
         }
     }
 }
@@ -113,8 +113,6 @@ mod tests {
             n_vms: 4,
             image_blocks: 256,
             mutation_rate: 0.05,
-            request_blocks: 32,
-            ..VmFleetConfig::default()
         }
     }
 

@@ -104,12 +104,6 @@ impl SimDuration {
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
-
-    /// Multiply by an integer factor.
-    #[inline]
-    pub const fn mul(self, k: u64) -> Self {
-        Self(self.0 * k)
-    }
 }
 
 impl Add<SimDuration> for SimTime {

@@ -16,9 +16,8 @@ use pod::trace::VmFleetConfig;
 use pod_core::experiments::{restore_csv, restore_experiment, run_schemes};
 
 fn main() {
+    // Eight VMs from a 32 MiB golden image (the default fleet).
     let fleet = VmFleetConfig {
-        n_vms: 8,
-        image_blocks: 8_192, // 32 MiB golden image
         mutation_rate: 0.03,
         ..VmFleetConfig::default()
     };
