@@ -14,6 +14,7 @@ use pod_core::experiments::{
     fig3_csv, load_sweep, memory_sweep, restore_csv, restore_experiment, scheduler_sweep,
     scheme_comparison, sweep_csv, table1, table1_csv, table2, table2_csv, threshold_sweep,
 };
+use pod_trace::TraceProfile;
 use std::io::Write;
 
 struct Args {
@@ -33,10 +34,11 @@ fn parse_args() -> Args {
     while i < argv.len() {
         match argv[i].as_str() {
             "--scale" => {
-                args.scale = argv
+                let scale = argv
                     .get(i + 1)
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--scale needs a number"));
+                args.scale = TraceProfile::check_scale(scale).unwrap_or_else(|e| die(&e));
                 i += 2;
             }
             "--seed" => {

@@ -6,9 +6,6 @@ use pod_trace::{Trace, TraceProfile};
 use pod_types::IoRequest;
 use std::io::Read;
 
-/// Largest `--scale`: a thousand times the paper's traces.
-const MAX_SCALE: f64 = 1000.0;
-
 /// Stream an FIU file through a [`FiuLoader`] at the executor width, a
 /// block at a time: each read is cut after its last `\n`, checked as
 /// UTF-8 and fed, and the partial line carries into the next block. A
@@ -140,14 +137,10 @@ impl CliArgs {
             match flag {
                 "--profile" => args.profile = value.clone(),
                 "--scale" => {
-                    args.scale = value
+                    let scale = value
                         .parse()
                         .map_err(|_| format!("bad --scale '{value}'"))?;
-                    // Written so that NaN fails too; the ceiling keeps the
-                    // scaled request count far inside `usize`.
-                    if !(args.scale > 0.0 && args.scale <= MAX_SCALE) {
-                        return Err(format!("--scale must be positive and at most {MAX_SCALE}"));
-                    }
+                    args.scale = TraceProfile::check_scale(scale)?;
                 }
                 "--seed" => {
                     args.seed = value.parse().map_err(|_| format!("bad --seed '{value}'"))?

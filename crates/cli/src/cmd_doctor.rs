@@ -1,12 +1,12 @@
-//! `pod-cli doctor` — self-check: run a workload's writes through every
-//! dedup policy, replay it, and verify the system's internal invariants
-//! end to end (store consistency, journal recovery, determinism,
-//! headline shapes). Exits 1 when any check fails.
+//! `pod-cli doctor` — self-check: replay a workload through every
+//! scheme under the integrity oracle, and verify the system's internal
+//! invariants end to end (stored content, store consistency, journal
+//! recovery, determinism, headline shapes). Exits 1 when any check
+//! fails.
 
 use crate::args::CliArgs;
 use pod_core::experiments::run_schemes;
 use pod_core::Scheme;
-use pod_dedup::{DedupConfig, DedupEngine, DedupPolicy, WriteScratch};
 
 pub fn run(args: &CliArgs) -> Result<(), String> {
     let mut failures = 0usize;
@@ -32,66 +32,43 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
     let trace = args.load_trace()?;
     let cfg = args.system_config()?;
 
-    // 1. Engine-level: process every write through each policy (with
-    //    Post-Process's backlog then scanned) and check store
-    //    invariants + journal recovery.
-    let logical = trace.address_span_blocks().max(1_024);
-    let mut scratch = WriteScratch::new();
-    for policy in [
-        DedupPolicy::Native,
-        DedupPolicy::FullDedupe,
-        DedupPolicy::IDedup,
-        DedupPolicy::SelectDedupe,
-        DedupPolicy::PostProcess,
-        DedupPolicy::IODedup,
-    ] {
-        let mut engine = DedupEngine::new(
-            policy,
-            DedupConfig {
-                logical_blocks: logical,
-                overflow_blocks: logical / 2 + 4_096,
-                ..DedupConfig::default()
-            },
-        );
-        let mut run = trace
-            .requests
-            .iter()
-            .filter(|r| r.op.is_write())
-            .try_for_each(|req| engine.process_write_into(req, &mut scratch).map(drop));
-        if run.is_ok() && policy == DedupPolicy::PostProcess {
-            run = engine.post_process_scan(engine.scan_backlog()).map(drop);
-        }
-        let err = run.err().map(|e| e.to_string()).unwrap_or_default();
-        let inv = engine.store().check_invariants();
-        let jr = engine.store().verify_journal_recovery();
-        check(
-            &format!("{} store invariants + journal recovery", policy.name()),
-            err.is_empty() && inv.is_ok() && jr.is_ok(),
-            [
-                err,
-                inv.err().map(|e| e.to_string()).unwrap_or_default(),
-                jr.err().map(|e| e.to_string()).unwrap_or_default(),
-            ]
-            .into_iter()
-            .find(|s| !s.is_empty())
-            .unwrap_or_default(),
-        );
-    }
-
-    // 2. Replay determinism.
-    let replay = || {
-        Scheme::Pod
+    // 1. Every scheme end to end under the integrity oracle: each
+    //    written block diffed through the whole stack (Post-Process's
+    //    drain included), store invariants and journal recovery.
+    let replay = |scheme: Scheme, verify: bool| {
+        scheme
             .builder()
             .config(cfg.clone())
             .trace(&trace)
+            .verify(verify)
             .run()
             .map_err(|e| e.to_string())
     };
-    let a = replay()?;
-    let b = replay()?;
+    for scheme in Scheme::extended() {
+        let verdict = replay(scheme, true).and_then(|report| {
+            let integrity = report
+                .integrity
+                .expect("a verified replay carries its verdict");
+            if integrity.passed() {
+                Ok(integrity.summary())
+            } else {
+                Err(integrity.summary())
+            }
+        });
+        check(
+            &format!("{} integrity oracle", scheme.name()),
+            verdict.is_ok(),
+            verdict.unwrap_or_else(|e| e),
+        );
+    }
+
+    // 2. Replay determinism: two runs give the same report, field for
+    //    field.
+    let a = replay(Scheme::Pod, false)?;
+    let b = replay(Scheme::Pod, false)?;
     check(
         "replay determinism",
-        a.overall.mean_us() == b.overall.mean_us() && a.counters == b.counters,
+        format!("{a:?}") == format!("{b:?}"),
         format!(
             "{:.3} vs {:.3} ms",
             a.overall.mean_ms(),

@@ -144,7 +144,8 @@ pub enum StackEvent {
         index_bytes: u64,
         /// New read-cache budget, bytes.
         read_bytes: u64,
-        /// Blocks moved through the reserved swap region.
+        /// Blocks moved through the reserved swap region, charged to
+        /// the disks as swap traffic.
         swap_blocks: u64,
         /// `true` when the index grew (write-intensive adaptation).
         index_grew: bool,
@@ -155,11 +156,6 @@ pub enum StackEvent {
         scanned_chunks: u64,
         /// Chunks remapped onto an existing copy.
         deduped_chunks: u64,
-    },
-    /// Swap-region traffic was charged to the disks.
-    Swap {
-        /// Blocks written to the swap region.
-        blocks: u64,
     },
     /// The fault layer injected a fault into the disk backend.
     FaultInjected {
@@ -418,6 +414,16 @@ impl StackCounters {
 mod tests {
     use super::*;
 
+    /// A repartition that moved `swap_blocks` through the swap region.
+    pub(super) fn repartition(swap_blocks: u64) -> StackEvent {
+        StackEvent::Repartition {
+            index_bytes: 0,
+            read_bytes: 0,
+            swap_blocks,
+            index_grew: true,
+        }
+    }
+
     #[test]
     fn hit_rate_and_fragmentation_defaults() {
         let c = StackCounters::default();
@@ -450,7 +456,7 @@ mod tests {
             measured: true,
             tenant: 0,
         });
-        c.fold(&StackEvent::Swap { blocks: 7 });
+        c.fold(&repartition(7));
         c.fold(&StackEvent::Snapshot {
             snap: StateSnapshot::default(),
         });
@@ -460,7 +466,7 @@ mod tests {
         assert_eq!((c.all.reads, c.all.read_hits), (3, 2));
         assert!((c.measured_reads.read_hit_rate() - 0.5).abs() < 1e-12);
         assert!((c.measured_reads.read_fragmentation() - 3.0).abs() < 1e-12);
-        assert_eq!(c.all.swap_blocks, 7);
+        assert_eq!((c.all.repartitions, c.all.swap_blocks), (1, 7));
     }
 
     #[test]
@@ -538,7 +544,7 @@ mod tests {
             });
         assert_eq!(chain.len(), 2);
         chain.emit(&StackEvent::Finished);
-        chain.emit(&StackEvent::Swap { blocks: 1 });
+        chain.emit(&repartition(1));
         // Counters ran too.
         assert_eq!(chain.counters().all.swap_blocks, 1);
         let first: Tagger = chain.take_sink().expect("tagger present");
@@ -574,7 +580,7 @@ mod tests {
             measured: true,
             tenant: 2,
         });
-        b.fold(&StackEvent::Swap { blocks: 3 });
+        b.fold(&repartition(3));
         let mut sum = a;
         sum.absorb(&b);
         assert_eq!(sum.measured_reads.reads, 2);

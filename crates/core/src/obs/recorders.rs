@@ -225,12 +225,14 @@ impl EpochRow {
                     ClassKind::Unique => self.unique += 1,
                 }
             }
-            StackEvent::Repartition { .. } => self.repartitions += 1,
+            StackEvent::Repartition { swap_blocks, .. } => {
+                self.repartitions += 1;
+                self.swap_blocks += swap_blocks;
+            }
             StackEvent::BackgroundScan { scanned_chunks, .. } => {
                 self.scans += 1;
                 self.scanned_chunks += scanned_chunks;
             }
-            StackEvent::Swap { blocks } => self.swap_blocks += blocks,
             StackEvent::FaultInjected { .. } => self.faults += 1,
             StackEvent::Recovered { .. } => self.recoveries += 1,
             StackEvent::LayerLatency { layer, us } => match layer {
@@ -637,6 +639,7 @@ impl StackObserver for TraceRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::tests::repartition;
 
     fn req_done() -> StackEvent {
         StackEvent::RequestDone {
@@ -657,7 +660,7 @@ mod tests {
             layer: Layer::Disk,
             us: 4_000,
         });
-        h.on_event(&StackEvent::Swap { blocks: 5 }); // ignored
+        h.on_event(&repartition(5)); // ignored
         assert_eq!(h.layer(Layer::Cache).total(), 1);
         assert_eq!(h.layer(Layer::Dedup).total(), 0);
         assert_eq!(h.layer(Layer::Disk).total(), 1);

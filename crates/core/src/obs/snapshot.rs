@@ -2,12 +2,13 @@
 //! stateful component, folded into one `Copy` struct.
 //!
 //! [`StorageStack`](crate::stack::StorageStack) samples a
-//! [`StateSnapshot`] every iCache epoch (`SystemConfig::
-//! icache.epoch_requests` completed requests) plus once at the end of
-//! the replay, and emits it as [`StackEvent::Snapshot`] through the
-//! observer chain. Sampling is allocation-free: the per-crate
-//! `introspect()` methods copy counters and fixed-size histograms, never
-//! owned buffers — `crates/core/tests/alloc.rs` pins this.
+//! [`StateSnapshot`] at every iCache epoch boundary (the request that
+//! closes an epoch of `SystemConfig::icache.epoch_requests`, as the
+//! iCache counts it) plus once at the end of the replay, and emits it
+//! as [`StackEvent::Snapshot`] through the observer chain. Sampling is
+//! allocation-free: the per-crate `introspect()` methods copy counters
+//! and fixed-size histograms, never owned buffers —
+//! `crates/core/tests/alloc.rs` pins this.
 //!
 //! [`StackEvent::Snapshot`]: crate::obs::StackEvent::Snapshot
 

@@ -493,6 +493,7 @@ impl<'t> ReplayBuilder<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::{StackEvent, StateSnapshot};
     use pod_trace::TraceProfile;
     use pod_types::{Lba, SimTime};
 
@@ -768,31 +769,62 @@ mod tests {
 
     #[test]
     fn snapshots_are_sampled_and_final_one_exists() {
-        let t = tiny_trace("mail");
+        /// Every sampled snapshot, in order.
+        #[derive(Default)]
+        struct Snaps(Vec<StateSnapshot>);
+        impl StackObserver for Snaps {
+            fn on_event(&mut self, ev: &StackEvent) {
+                if let StackEvent::Snapshot { snap } = ev {
+                    self.0.push(*snap);
+                }
+            }
+        }
+        fn run(t: &Trace, cfg: &SystemConfig) -> (ReplayReport, Vec<StateSnapshot>, TraceRecorder) {
+            let (rep, mut chain) = Scheme::Pod
+                .builder()
+                .config(cfg.clone())
+                .trace(t)
+                .observer(Snaps::default())
+                .record(100)
+                .run_observed()
+                .expect("replay");
+            let snaps = chain.take_sink::<Snaps>().expect("sink attached").0;
+            assert_eq!(snaps.len() as u64, rep.stack.snapshots);
+            (rep, snaps, chain.take_sink().expect("recorder attached"))
+        }
+        /// Snapshot `seq` sits on the iCache's boundary of epoch `seq + 1`.
+        fn assert_on_boundary(s: &StateSnapshot) {
+            assert_eq!(s.requests, (s.seq + 1) * 100, "snapshot {}", s.seq);
+            assert_eq!(s.icache.epochs, s.seq + 1, "snapshot {}", s.seq);
+        }
+
+        let mut t = tiny_trace("mail");
         let mut cfg = SystemConfig::test_default();
         cfg.icache.epoch_requests = 100;
-        let rep = replay_with(Scheme::Pod, &t, cfg.clone());
-        let expected = t.len() as u64 / 100 + u64::from(!(t.len() as u64).is_multiple_of(100));
+        let n = t.len() as u64;
+        assert!(!n.is_multiple_of(100), "the trace ends inside an epoch");
+        let (rep, snaps, rec) = run(&t, &cfg);
         assert_eq!(
-            rep.stack.snapshots, expected,
+            rep.stack.snapshots,
+            n / 100 + 1,
             "one snapshot per epoch boundary plus the final sample"
         );
-        // The summary snapshot rides the recorded trace too.
-        let (_, mut chain) = Scheme::Pod
-            .builder()
-            .config(cfg)
-            .trace(&t)
-            .record(100)
-            .run_observed()
-            .expect("replay");
-        let rec: TraceRecorder = chain.take_sink().expect("recorder");
-        let last = rec.totals().snap.expect("final snapshot recorded");
-        assert_eq!(last.requests, t.len() as u64);
+        let (last, boundaries) = snaps.split_last().expect("snapshots");
+        boundaries.iter().for_each(assert_on_boundary);
+        assert_eq!((last.requests, last.icache.epochs), (n, n / 100));
+        // The final snapshot rides the recorded trace's summary too.
+        assert_eq!(rec.totals().snap, Some(*last));
         assert!(last.dedup.map.mapped > 0, "map table populated");
         assert!(
             last.icache.index_bytes > 0,
             "index partition holds a budget"
         );
+
+        // A trace that ends on a boundary gets no extra final sample.
+        t.requests.truncate((n / 100 * 100) as usize);
+        let (rep, snaps, _) = run(&t, &cfg);
+        assert_eq!(rep.stack.snapshots, n / 100);
+        snaps.iter().for_each(assert_on_boundary);
     }
 
     #[test]

@@ -573,21 +573,18 @@ impl TokenBucket {
 /// [`ServePolicy`] is active; the stack runs it after the iCache
 /// repartition step, so a repartition's fresh partition size is
 /// immediately re-extended by the slice. Its only inputs — the
-/// tenant's own request count and partition size — are independent of
-/// shard or worker topology, which is what keeps per-tenant reports
-/// byte-identical across `--shards`/`--jobs` (DESIGN.md §13).
+/// tenant's own iCache epoch boundaries and partition size — are
+/// independent of shard or worker topology, which is what keeps
+/// per-tenant reports byte-identical across `--shards`/`--jobs`
+/// (DESIGN.md §13).
 #[derive(Debug)]
 pub(crate) struct SharedTierTask {
     tenant: u16,
-    /// Grant cadence (the iCache epoch length).
-    epoch_requests: u64,
     /// Per-tenant slice: `shared_tier_bytes / fleet_tenants`. Divided
     /// fleet-wide (not per shard) so the slice is independent of how
     /// tenants map onto shards.
     slice_bytes: u64,
     quota: Option<u64>,
-    /// Requests seen by this task (its own epoch clock).
-    requests: u64,
     /// Index size we last applied (0 before the first request); resize
     /// only when the target moves.
     applied_bytes: u64,
@@ -599,13 +596,11 @@ pub(crate) struct SharedTierTask {
 impl SharedTierTask {
     /// Build tenant `tenant`'s tier step in a fleet of `fleet_tenants`
     /// under `policy`.
-    fn new(tenant: u16, epoch_requests: u64, fleet_tenants: usize, policy: &ServePolicy) -> Self {
+    fn new(tenant: u16, fleet_tenants: usize, policy: &ServePolicy) -> Self {
         Self {
             tenant,
-            epoch_requests: epoch_requests.max(1),
             slice_bytes: policy.shared_tier_bytes / fleet_tenants as u64,
             quota: policy.cache_quota_bytes,
-            requests: 0,
             applied_bytes: 0,
             // Sentinel: resolved to the engine's build-time size on the
             // first request (the engine starts at the bare partition).
@@ -627,15 +622,16 @@ impl SharedTierTask {
         self.applied_bytes
     }
 
-    /// Account one request: re-apply the index target at epoch
-    /// boundaries and whenever the partition moved.
+    /// Account one request: re-apply the index target when it closed
+    /// an iCache epoch (`epoch_closed`) and whenever the partition
+    /// moved.
     pub(crate) fn after_request(
         &mut self,
+        epoch_closed: bool,
         cache: &mut CacheLayer,
         dedup: &mut DedupLayer,
         observer: &mut ObserverChain,
     ) {
-        self.requests += 1;
         let partition = cache.index_bytes();
         if self.last_partition == u64::MAX {
             // First request: the engine was built at the bare partition
@@ -647,8 +643,7 @@ impl SharedTierTask {
         // Re-apply at epoch boundaries, and whenever a repartition just
         // reset the index to the bare partition size (the stack's
         // repartition step runs just before this one).
-        let boundary = self.requests.is_multiple_of(self.epoch_requests);
-        if boundary || partition != self.last_partition {
+        if epoch_closed || partition != self.last_partition {
             let target = self.target(partition);
             if target != self.applied_bytes || partition != self.last_partition {
                 let victims = dedup.resize_index(target);
@@ -725,12 +720,7 @@ fn serve_tenant(
         // The QoS layer rides as one shared-tier step per tenant plus
         // per-tenant admission control; with no policy none of this
         // exists and the stack is byte-for-byte the pre-policy one.
-        setup.tier = Some(SharedTierTask::new(
-            tenant,
-            cfg.icache.epoch_requests,
-            ctx.fleet_tenants,
-            policy,
-        ));
+        setup.tier = Some(SharedTierTask::new(tenant, ctx.fleet_tenants, policy));
         setup.throttle = policy
             .rate_limit_rps
             .map(|rate| TokenBucket::new(rate, policy.burst_requests));

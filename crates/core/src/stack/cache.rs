@@ -91,15 +91,14 @@ impl CacheLayer {
         }
     }
 
-    /// Feed one write's index traffic (victims, misses, hits) into the
+    /// Feed one write's index traffic (victims and misses) into the
     /// ghost-index accounting. No-op for stacks without a dedup module.
-    pub fn observe_index_traffic(&mut self, total_chunks: u64, scratch: &WriteScratch) {
+    pub fn observe_index_traffic(&mut self, scratch: &WriteScratch) {
         if !self.dedups {
             return;
         }
         self.icache.on_index_victims(&scratch.index_victims);
         self.icache.on_index_misses(&scratch.index_miss_fps);
-        self.icache.on_index_hits(scratch.index_hits(total_chunks));
     }
 
     /// Feed index-table victims (e.g. from a repartition resize) into
@@ -134,7 +133,7 @@ impl CacheLayer {
         self.icache.repartitions()
     }
 
-    /// The wrapped iCache (epoch snapshots, monitors).
+    /// The wrapped iCache (gauges and the epoch clock).
     pub fn icache(&self) -> &ICache {
         &self.icache
     }

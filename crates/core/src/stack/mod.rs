@@ -100,9 +100,6 @@ pub struct StorageStack {
     /// Direct completions for requests with no disk work.
     direct: Vec<(usize, SimDuration)>,
     metadata_us: u64,
-    /// Sample a [`StateSnapshot`] every this many completed requests
-    /// (the iCache epoch length, so snapshots land on epoch boundaries).
-    snap_every: u64,
     /// Requests completed so far (reads + writes, incl. warm-up).
     requests_done: u64,
     /// Snapshots emitted so far; becomes [`StateSnapshot::seq`].
@@ -227,7 +224,6 @@ impl StorageStack {
             pending: Vec::with_capacity(trace.requests.len()),
             direct: Vec::new(),
             metadata_us: cfg.latency.metadata_us,
-            snap_every: cfg.icache.epoch_requests.max(1),
             requests_done: 0,
             snap_seq: 0,
             faults_enabled: cfg.faults.is_some(),
@@ -320,14 +316,21 @@ impl StorageStack {
             self.post_process_scan(Some(req.arrival))?;
         }
         self.repartition(req);
+        let epoch_closed = self.cache.icache().at_epoch_boundary();
         if let Some(tier) = &mut self.tier {
-            tier.after_request(&mut self.cache, &mut self.dedup, &mut self.observer);
+            tier.after_request(
+                epoch_closed,
+                &mut self.cache,
+                &mut self.dedup,
+                &mut self.observer,
+            );
         }
         self.prof_lap(&mut timer, ProfPhase::Background);
-        // Sample after the background steps so the snapshot sees the
-        // epoch's repartition (if any) already applied.
+        // Sample at each iCache epoch boundary, after the background
+        // steps so the snapshot sees the epoch's repartition (if any)
+        // already applied.
         self.requests_done += 1;
-        if self.requests_done.is_multiple_of(self.snap_every) {
+        if epoch_closed {
             self.sample_snapshot();
         }
         Ok(())
@@ -388,8 +391,7 @@ impl StorageStack {
         let hash_lat = self.dedup.hash_latency(req.nblocks);
         let summary = self.dedup.process_write(req)?;
         self.prof_lap(&mut timer, ProfPhase::DedupClassify);
-        self.cache
-            .observe_index_traffic(req.chunks.len() as u64, self.dedup.scratch());
+        self.cache.observe_index_traffic(self.dedup.scratch());
         self.cache.write_allocate(req);
         self.prof_lap(&mut timer, ProfPhase::CacheLookup);
         self.observer.emit(&StackEvent::WriteClassified {
@@ -485,10 +487,10 @@ impl StorageStack {
         Ok(scan.scanned_chunks)
     }
 
-    /// iCache adaptation: close epochs on every request and, when the
-    /// cost-benefit accounting decides to repartition, resize the index
-    /// table (feeding its victims to the ghost index) and charge the
-    /// swap traffic to the disks.
+    /// iCache adaptation: note the request on the iCache's epoch clock
+    /// and, when the cost-benefit accounting decides to repartition,
+    /// resize the index table (feeding its victims to the ghost index)
+    /// and charge the swap traffic to the disks.
     fn repartition(&mut self, req: &IoRequest) {
         let Some(rp) = self.cache.note_request(req.op.is_write()) else {
             return;
@@ -503,9 +505,6 @@ impl StorageStack {
         });
         if rp.swap_blocks > 0 {
             self.disk.submit_swap(req.arrival, rp.swap_blocks);
-            self.observer.emit(&StackEvent::Swap {
-                blocks: rp.swap_blocks,
-            });
         }
     }
 
@@ -555,8 +554,8 @@ impl StorageStack {
         }
         self.prof_emit(ProfPhase::DiskCommit, timer);
         // Final snapshot: the end-of-replay state, after drains, unless
-        // the boundary sample just covered it.
-        if !self.requests_done.is_multiple_of(self.snap_every) || self.snap_seq == 0 {
+        // the last request closed an epoch and its sample covered it.
+        if self.snap_seq == 0 || !self.cache.icache().at_epoch_boundary() {
             self.sample_snapshot();
         }
         self.observer.emit(&StackEvent::Finished);

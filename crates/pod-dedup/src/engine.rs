@@ -177,12 +177,6 @@ impl WriteScratch {
         &self.ranges
     }
 
-    /// In-memory index hits for a write of `total_chunks` chunks: every
-    /// chunk that did not land in `index_miss_fps` hit the hot index.
-    pub fn index_hits(&self, total_chunks: u64) -> u64 {
-        total_chunks - self.index_miss_fps.len() as u64
-    }
-
     /// Clear all buffers, retaining capacity.
     fn reset(&mut self) {
         self.write_extents.clear();

@@ -14,7 +14,6 @@
 //! reserved swap region (the returned [`Repartition`] carries the swap
 //! traffic in blocks so the replay driver can charge it as disk I/O).
 
-use crate::monitor::AccessMonitor;
 use pod_cache::{GhostCache, GhostState, LruCache};
 use pod_types::{Fingerprint, Lba, BLOCK_BYTES, INDEX_ENTRY_BYTES};
 
@@ -125,7 +124,16 @@ pub struct Repartition {
     pub index_grew: bool,
 }
 
-/// The iCache: read cache, two ghosts, monitor, and the swap policy.
+/// Ghost hits within one epoch: the two inputs of the §III-C
+/// cost-benefit rule.
+#[derive(Debug, Default, Clone, Copy)]
+struct EpochHits {
+    read: u64,
+    index: u64,
+}
+
+/// The iCache: read cache, two ghosts, the epoch clock, and the swap
+/// policy.
 ///
 /// ```
 /// use pod_icache::{ICache, ICacheConfig};
@@ -149,11 +157,15 @@ pub struct ICache {
     read_cache: LruCache<u64, ()>,
     ghost_read: GhostCache<u64>,
     ghost_index: GhostCache<Fingerprint>,
-    monitor: AccessMonitor,
+    /// Requests noted in the open epoch.
+    open_requests: u64,
+    /// Ghost hits of the open epoch.
+    open_hits: EpochHits,
+    /// Ghost hits of the last closed epoch (zero before the first).
+    closed_hits: EpochHits,
     epochs: u64,
     repartitions: u64,
     read_evictions: u64,
-    last_epoch: Option<AccessMonitor>,
 }
 
 impl ICache {
@@ -173,11 +185,12 @@ impl ICache {
             read_cache: LruCache::new(read_entries),
             ghost_read: GhostCache::new(ghost_read_entries),
             ghost_index: GhostCache::new(ghost_index_entries),
-            monitor: AccessMonitor::new(),
+            open_requests: 0,
+            open_hits: EpochHits::default(),
+            closed_hits: EpochHits::default(),
             epochs: 0,
             repartitions: 0,
             read_evictions: 0,
-            last_epoch: None,
             cfg,
         }
     }
@@ -208,14 +221,11 @@ impl ICache {
         self.repartitions
     }
 
-    /// The monitor for the in-progress epoch.
-    pub fn monitor(&self) -> &AccessMonitor {
-        &self.monitor
-    }
-
-    /// Snapshot of the last closed epoch, if any.
-    pub fn last_epoch(&self) -> Option<&AccessMonitor> {
-        self.last_epoch.as_ref()
+    /// `true` when no request has been noted since the last epoch
+    /// closed (and before the first request): right after
+    /// [`ICache::note_request`], whether that request closed an epoch.
+    pub fn at_epoch_boundary(&self) -> bool {
+        self.open_requests == 0
     }
 
     /// Read-path lookup: `true` on a read-cache hit. On a miss, probes
@@ -235,15 +245,12 @@ impl ICache {
     /// prefix so duplicate content shares one slot.
     pub fn read_lookup_key(&mut self, key: u64) -> bool {
         if self.read_cache.get(&key).is_some() {
-            self.monitor.read_hits += 1;
-            true
-        } else {
-            self.monitor.read_misses += 1;
-            if self.ghost_read.probe(&key) {
-                self.monitor.ghost_read_hits += 1;
-            }
-            false
+            return true;
         }
+        if self.ghost_read.probe(&key) {
+            self.open_hits.read += 1;
+        }
+        false
     }
 
     /// Like [`ICache::read_fill`] with an arbitrary cache key.
@@ -264,41 +271,39 @@ impl ICache {
     /// Probe the ghost index with fingerprints that missed the actual
     /// index (from `WriteScratch::index_miss_fps`).
     pub fn on_index_misses(&mut self, misses: &[Fingerprint]) {
-        self.monitor.index_misses += misses.len() as u64;
         for fp in misses {
             if self.ghost_index.probe(fp) {
-                self.monitor.ghost_index_hits += 1;
+                self.open_hits.index += 1;
             }
         }
-    }
-
-    /// Record actual index hits for the epoch (engine-side count).
-    pub fn on_index_hits(&mut self, hits: u64) {
-        self.monitor.index_hits += hits;
     }
 
     /// Note a request; at an epoch boundary, possibly decide a
     /// repartition. The caller applies the returned budgets to the index
     /// table and charges `swap_blocks` of I/O.
-    pub fn note_request(&mut self, is_write: bool) -> Option<Repartition> {
-        self.monitor.note_request(is_write);
-        if self.monitor.requests < self.cfg.epoch_requests {
+    ///
+    /// Reads and writes count alike, so `_is_write` is unused; the
+    /// parameter stays because the benchmark harness
+    /// (`benchmark/src/drives.rs`) calls this method with it.
+    pub fn note_request(&mut self, _is_write: bool) -> Option<Repartition> {
+        self.open_requests += 1;
+        if self.open_requests < self.cfg.epoch_requests {
             return None;
         }
-        let snap = self.monitor.close_epoch();
+        self.open_requests = 0;
+        self.closed_hits = std::mem::take(&mut self.open_hits);
         self.epochs += 1;
-        let decision = if self.cfg.adaptive {
-            self.decide(&snap)
+        if self.cfg.adaptive {
+            self.decide()
         } else {
             None
-        };
-        self.last_epoch = Some(snap);
-        decision
+        }
     }
 
-    fn decide(&mut self, snap: &AccessMonitor) -> Option<Repartition> {
-        let benefit_index = snap.ghost_index_hits as f64 * self.cfg.write_miss_penalty_us as f64;
-        let benefit_read = snap.ghost_read_hits as f64 * self.cfg.read_miss_penalty_us as f64;
+    fn decide(&mut self) -> Option<Repartition> {
+        let hits = self.closed_hits;
+        let benefit_index = hits.index as f64 * self.cfg.write_miss_penalty_us as f64;
+        let benefit_read = hits.read as f64 * self.cfg.read_miss_penalty_us as f64;
         if benefit_index <= 0.0 && benefit_read <= 0.0 {
             return None;
         }
@@ -342,10 +347,10 @@ impl ICache {
 
     /// Gauge snapshot: cheap, allocation-free, `Copy`.
     pub fn introspect(&self) -> ICacheState {
-        let (egr, egi) = match &self.last_epoch {
-            Some(e) => (e.ghost_read_hits, e.ghost_index_hits),
-            None => (0, 0),
-        };
+        let EpochHits {
+            read: egr,
+            index: egi,
+        } = self.closed_hits;
         ICacheState {
             index_bytes: self.index_bytes,
             read_bytes: self.read_bytes,
@@ -413,8 +418,6 @@ mod tests {
         assert!(!c.read_lookup(Lba::new(1)));
         c.read_fill(Lba::new(1));
         assert!(c.read_lookup(Lba::new(1)));
-        assert_eq!(c.monitor().read_hits, 1);
-        assert_eq!(c.monitor().read_misses, 1);
     }
 
     #[test]
@@ -425,7 +428,7 @@ mod tests {
         c.read_fill(Lba::new(2));
         c.read_fill(Lba::new(3)); // evicts 1 into ghost
         assert!(!c.read_lookup(Lba::new(1)), "miss after eviction");
-        assert_eq!(c.monitor().ghost_read_hits, 1);
+        assert_eq!(c.introspect().ghost_read.hits, 1);
     }
 
     #[test]
@@ -514,7 +517,44 @@ mod tests {
             assert!(c.note_request(true).is_none());
         }
         assert_eq!(c.epochs(), 1);
-        assert!(c.last_epoch().is_some());
+        assert!(c.at_epoch_boundary());
+    }
+
+    #[test]
+    fn epoch_gauges_show_only_the_last_closed_epoch() {
+        // Static partition with a 2-block read cache: no repartition.
+        let mut c = ICache::new(ICacheConfig {
+            adaptive: false,
+            ..cfg(4 * BLOCK_BYTES)
+        });
+        let ghost_index_hit = |c: &mut ICache, id| {
+            c.on_index_victims(&[fp(id)]);
+            c.on_index_misses(&[fp(id)]);
+        };
+        // (epochs, last closed epoch's ghost read / index hits, closed)
+        let gauges = |c: &ICache| {
+            let st = c.introspect();
+            let closed = c.at_epoch_boundary();
+            let hits = (st.epoch_ghost_read_hits, st.epoch_ghost_index_hits);
+            (st.epochs, hits, closed)
+        };
+        // Epoch 1: one ghost read hit and three ghost index hits.
+        for lba in 1..=3 {
+            c.read_fill(Lba::new(lba)); // the third fill evicts block 1
+        }
+        c.read_lookup(Lba::new(1));
+        (0..3).for_each(|id| ghost_index_hit(&mut c, id));
+        for _ in 0..10 {
+            c.note_request(true);
+        }
+        // Epoch 2 opens with one ghost index hit: not shown yet.
+        ghost_index_hit(&mut c, 100);
+        c.note_request(true);
+        assert_eq!(gauges(&c), (1, (1, 3), false));
+        for _ in 1..10 {
+            c.note_request(false);
+        }
+        assert_eq!(gauges(&c), (2, (0, 1), true), "epoch 2 replaces epoch 1");
     }
 
     #[test]

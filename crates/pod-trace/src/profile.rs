@@ -240,6 +240,25 @@ impl TraceProfile {
         vec![Self::web_vm(), Self::homes(), Self::mail()]
     }
 
+    /// Largest scale factor a command line accepts: a thousand times
+    /// the paper's traces, which keeps the scaled request count far
+    /// inside `usize`.
+    pub const MAX_SCALE: f64 = 1000.0;
+
+    /// Check a command-line `--scale` for [`TraceProfile::scaled`]:
+    /// positive and at most [`MAX_SCALE`](Self::MAX_SCALE). Written so
+    /// that NaN fails too.
+    pub fn check_scale(factor: f64) -> Result<f64, String> {
+        if factor > 0.0 && factor <= Self::MAX_SCALE {
+            Ok(factor)
+        } else {
+            Err(format!(
+                "--scale must be positive and at most {}",
+                Self::MAX_SCALE
+            ))
+        }
+    }
+
     /// Scale the request count (and proportionally the working set and
     /// memory budget) by `factor` — used by tests and examples to run
     /// the same *shape* of workload at a fraction of the size.
