@@ -4,7 +4,7 @@
 //! Output discipline: **stdout carries only the deterministic report**
 //! (a pure function of scheme, config and tenant traces), so CI can
 //! `diff` it across `--jobs` and `--shards`. Topology, shard wall-clock
-//! spans and the aggregate service rate go to stderr.
+//! spans and the rate projected along the critical path go to stderr.
 
 use crate::args::CliArgs;
 use crate::cmd_replay::render_verify;
@@ -77,9 +77,9 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
         );
     }
     eprintln!(
-        "critical path {:.3} s   aggregate {:.0} jobs/s",
-        rep.critical_path_us() as f64 / 1e6,
-        rep.jobs_per_sec()
+        "projected {:.0} requests/s along the critical path (busiest shard {:.3} s)",
+        rep.jobs_per_sec(),
+        rep.critical_path_us() as f64 / 1e6
     );
     for t in &rep.tenants {
         if let Some(integ) = t.report.integrity.as_ref().filter(|i| !i.passed()) {
@@ -195,7 +195,7 @@ pub fn render_report(rep: &ServeReport) -> String {
                 s.quota_evictions,
                 s.quota_evicted_fps,
                 mib(cap.logical_blocks),
-                mib(cap.physical_blocks),
+                t.report.capacity_used_mib(),
             )
             .expect("write to string");
         }

@@ -353,16 +353,7 @@ impl SchemeComparison {
 
     /// Fig. 8: overall response time normalized to Native (%).
     pub fn fig8_csv(&self) -> String {
-        let mut s = String::from("trace,Native,Full-Dedupe,iDedup,Select-Dedupe\n");
-        for (ti, per_trace) in self.reports.iter().enumerate() {
-            let base = self.native(ti).overall.mean_us().max(1e-9);
-            s.push_str(&per_trace[0].trace);
-            for rep in per_trace.iter().take(4) {
-                s.push_str(&format!(",{:.1}", rep.overall.mean_us() * 100.0 / base));
-            }
-            s.push('\n');
-        }
-        s
+        self.normalized_csv(|r| r.overall.mean_us())
     }
 
     /// Fig. 9(a): write response time normalized to Native (%).
@@ -693,22 +684,10 @@ pub fn load_sweep(scale: f64, seed: u64) -> PodResult<Vec<SweepRow>> {
         let trace = base.scale_time(f);
         let cfg = SystemConfig::paper_default();
         let reports = run_schemes(&[Scheme::Native, Scheme::Pod], &trace, &cfg)?;
-        rows.push(SweepRow {
-            param: format!("x{:.2}-native", 1.0 / f),
-            overall_ms: reports[0].overall.mean_ms(),
-            read_ms: reports[0].reads.mean_ms(),
-            write_ms: reports[0].writes.mean_ms(),
-            removed_pct: reports[0].writes_removed_pct(),
-            capacity_mib: reports[0].capacity_used_mib(),
-        });
-        rows.push(SweepRow {
-            param: format!("x{:.2}-pod", 1.0 / f),
-            overall_ms: reports[1].overall.mean_ms(),
-            read_ms: reports[1].reads.mean_ms(),
-            write_ms: reports[1].writes.mean_ms(),
-            removed_pct: reports[1].writes_removed_pct(),
-            capacity_mib: reports[1].capacity_used_mib(),
-        });
+        for (rep, label) in reports.iter().zip(["native", "pod"]) {
+            let param = format!("x{:.2}-{label}", 1.0 / f);
+            rows.push(SweepRow::from_report(param, rep));
+        }
     }
     Ok(rows)
 }

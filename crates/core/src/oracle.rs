@@ -31,8 +31,7 @@
 
 use std::fmt;
 
-use crate::stack::DedupLayer;
-use pod_dedup::BlockSet;
+use pod_dedup::{BlockSet, DedupEngine};
 use pod_trace::Trace;
 use pod_types::{Fingerprint, IoRequest};
 
@@ -122,17 +121,17 @@ impl IntegrityReport {
     }
 }
 
-/// Check every block `trace` wrote against what `dedup` resolves it
+/// Check every block `trace` wrote against what `engine` resolves it
 /// to, then fold in the store's invariants and journal recovery.
 ///
-/// `trace` is the trace `dedup` replayed (a replay refuses any LBA
+/// `trace` is the trace `engine` replayed (a replay refuses any LBA
 /// outside its store's logical space, which sizes the pass's seen-set).
 /// Throttled serve requests are copies of trace requests with the same
 /// content in the same per-tenant order, so the tenant's own trace is
 /// the reference for them too. [`IntegrityReport::faults_seen`] is left
 /// at 0 for the caller, who holds the stack's counters.
-pub fn verify(dedup: &DedupLayer, trace: &Trace) -> IntegrityReport {
-    let store = dedup.engine().store();
+pub fn verify(engine: &DedupEngine, trace: &Trace) -> IntegrityReport {
+    let store = engine.store();
     let mut seen = BlockSet::new(store.logical_blocks());
     let mut report = IntegrityReport::default();
     let mut diffs = Vec::new();
@@ -142,7 +141,7 @@ pub fn verify(dedup: &DedupLayer, trace: &Trace) -> IntegrityReport {
             continue; // a newer write already set this block's content
         }
         report.checked += 1;
-        let actual = dedup.content_of(lba);
+        let actual = engine.content_of(lba);
         if actual != Some(expected) {
             diffs.push(IntegrityDiff {
                 lba: lba.raw(),
@@ -202,7 +201,7 @@ mod tests {
     /// The spec the backward pass must equal: every write applied
     /// oldest first to a map, then each entry checked in LBA order.
     /// Returns the blocks checked and every divergence, ascending.
-    fn last_write_model(dedup: &DedupLayer, trace: &Trace) -> (u64, Vec<IntegrityDiff>) {
+    fn last_write_model(engine: &DedupEngine, trace: &Trace) -> (u64, Vec<IntegrityDiff>) {
         let mut model: HashMap<u64, Fingerprint> = HashMap::new();
         for req in trace.requests.iter().filter(|r| r.op.is_write()) {
             for (lba, fp) in req.write_chunks() {
@@ -215,7 +214,7 @@ mod tests {
             .into_iter()
             .filter_map(|lba| {
                 let expected = model[&lba];
-                let actual = dedup.content_of(Lba::new(lba));
+                let actual = engine.content_of(Lba::new(lba));
                 (actual != Some(expected)).then_some(IntegrityDiff {
                     lba,
                     expected,
@@ -227,9 +226,9 @@ mod tests {
     }
 
     /// `verify` agrees with the model on everything it reports.
-    fn assert_matches_model(dedup: &DedupLayer, trace: &Trace, what: &str) -> IntegrityReport {
-        let (checked, all) = last_write_model(dedup, trace);
-        let rep = verify(dedup, trace);
+    fn assert_matches_model(engine: &DedupEngine, trace: &Trace, what: &str) -> IntegrityReport {
+        let (checked, all) = last_write_model(engine, trace);
+        let rep = verify(engine, trace);
         assert_eq!(rep.checked, checked, "{what}: blocks checked");
         assert_eq!(rep.divergent, all.len() as u64, "{what}: divergent");
         let lowest = &all[..all.len().min(MAX_REPORTED_DIFFS)];
@@ -255,7 +254,7 @@ mod tests {
             for scheme in Scheme::all() {
                 let stack = finished(scheme, &trace);
                 let what = format!("{scheme} on {}", trace.name);
-                let rep = assert_matches_model(stack.dedup(), &trace, &what);
+                let rep = assert_matches_model(stack.engine(), &trace, &what);
                 assert!(rep.passed(), "{what}: {}", rep.summary());
                 assert!(
                     (rep.checked as usize) < written,
@@ -283,7 +282,7 @@ mod tests {
                 *chunk = fp(chunk.prefix_u64() ^ 0x5A5A_5A5A);
             }
         }
-        let rep = assert_matches_model(stack.dedup(), &mutated, "mutated trace");
+        let rep = assert_matches_model(stack.engine(), &mutated, "mutated trace");
         assert!(
             rep.divergent > MAX_REPORTED_DIFFS as u64,
             "{} divergent",
@@ -293,7 +292,7 @@ mod tests {
         assert!(rep.diffs.windows(2).all(|w| w[0].lba < w[1].lba));
         assert!(rep.summary().contains("FAIL"), "{}", rep.summary());
         // The unmutated trace still passes against the same stack.
-        assert!(verify(stack.dedup(), &trace).passed());
+        assert!(verify(stack.engine(), &trace).passed());
     }
 
     #[test]

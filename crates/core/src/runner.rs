@@ -234,7 +234,7 @@ pub(crate) fn replay_stack(
     // end-of-replay corruption are all visible to the pass.
     let integrity = verify.then(|| IntegrityReport {
         faults_seen: stack.observer().counters().all.faults,
-        ..oracle::verify(stack.dedup(), trace)
+        ..oracle::verify(stack.engine(), trace)
     });
     let report = collect_report(&stack, spec.name, trace, warmup, integrity);
     Ok((report, stack))
@@ -340,15 +340,15 @@ fn collect_report(
         overall,
         reads,
         writes,
-        counters: stack.dedup().counters(),
-        capacity_used_blocks: stack.dedup().capacity_used_blocks(),
-        nvram_peak_bytes: stack.dedup().nvram_peak_bytes(),
+        counters: stack.engine().counters(),
+        capacity_used_blocks: stack.engine().store().used_blocks(),
+        nvram_peak_bytes: stack.engine().store().nvram_peak_bytes(),
         read_cache_hit_rate: counters.measured_reads.read_hit_rate(),
         read_fragmentation: counters.measured_reads.read_fragmentation(),
         disk: stack.disk().stats(),
-        icache_epochs: stack.cache().epochs(),
-        icache_repartitions: stack.cache().repartitions(),
-        final_index_fraction: stack.cache().index_fraction(),
+        icache_epochs: stack.icache().epochs(),
+        icache_repartitions: stack.icache().repartitions(),
+        final_index_fraction: stack.icache().index_fraction(),
         stack: counters,
         timeline,
         integrity,
@@ -893,15 +893,15 @@ mod tests {
             let t = tiny_trace(name);
             let (post_blocks, post) = finished(Scheme::PostProcess, &t);
             let (full_blocks, full) = finished(Scheme::FullDedupe, &t);
-            assert_eq!(post.dedup().scan_backlog(), 0, "{name}: drained");
+            assert_eq!(post.engine().scan_backlog(), 0, "{name}: drained");
             assert_eq!(post_blocks, full_blocks, "{name}: capacity used");
             let (native_blocks, _) = finished(Scheme::Native, &t);
             assert!(full_blocks < native_blocks, "{name}: duplicates removed");
             let written = t.requests.iter().filter(|r| r.op.is_write());
             for lba in written.flat_map(|r| r.lbas()) {
                 assert_eq!(
-                    post.dedup().content_of(lba),
-                    full.dedup().content_of(lba),
+                    post.engine().content_of(lba),
+                    full.engine().content_of(lba),
                     "{name}: content of lba {}",
                     lba.raw()
                 );

@@ -39,11 +39,11 @@ use std::time::Instant;
 
 use crate::config::{ServePolicy, SystemConfig};
 use crate::metrics::Metrics;
-use crate::obs::{ObserverChain, StackCounters, StackEvent, TraceRecorder};
+use crate::obs::{ObserverChain, StackCounters, TraceRecorder};
 use crate::prof::{HostProfile, ProfSink};
 use crate::runner::{recorder_epoch, replay_stack, BuilderCore, ReplayReport, TenantSetup};
 use crate::scheme::Scheme;
-use crate::stack::{CacheLayer, DedupLayer, StackSpec};
+use crate::stack::StackSpec;
 use pod_dedup::engine::EngineCounters;
 use pod_hash::fnv::FnvBuildHasher;
 use pod_trace::Trace;
@@ -82,8 +82,6 @@ fn check_topology(tenants: usize, shards: usize) -> PodResult<()> {
 pub struct TenantReport {
     /// Tenant id (index into the trace slice given to the builder).
     pub tenant: u16,
-    /// Shard that served this tenant.
-    pub shard: usize,
     /// The tenant's full per-stack report — identical to what a solo
     /// [`ReplayBuilder`](crate::ReplayBuilder) run of the same trace
     /// would produce.
@@ -91,8 +89,9 @@ pub struct TenantReport {
 }
 
 /// SPACE-style per-tenant capacity attribution: the tenant's logical
-/// footprint against the physical blocks its isolated array holds
-/// after deduplication. Collected only when a
+/// footprint, set against the physical blocks its isolated array holds
+/// after deduplication
+/// ([`ReplayReport::capacity_used_blocks`]). Collected only when a
 /// [`ServePolicy`] is active.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantCapacity {
@@ -100,8 +99,6 @@ pub struct TenantCapacity {
     pub tenant: u16,
     /// Logical blocks mapped — every LBA the tenant has written.
     pub logical_blocks: u64,
-    /// Physical blocks holding the tenant's data after dedup.
-    pub physical_blocks: u64,
 }
 
 /// Cross-tenant aggregate of a serve run: metrics merged, counters
@@ -570,16 +567,16 @@ impl TokenBucket {
 /// capped by the tenant's quota.
 ///
 /// The serving engine installs one per tenant stack when a
-/// [`ServePolicy`] is active; the stack runs it after the iCache
-/// repartition step, so a repartition's fresh partition size is
-/// immediately re-extended by the slice. Its only inputs — the
+/// [`ServePolicy`] is active. After the iCache repartition step the
+/// stack asks it for the index size to apply and applies it, so a
+/// repartition's fresh partition size is immediately re-extended by
+/// the slice. The task only decides; its only inputs — the
 /// tenant's own iCache epoch boundaries and partition size — are
 /// independent of shard or worker topology, which is what keeps
 /// per-tenant reports byte-identical across `--shards`/`--jobs`
 /// (DESIGN.md §13).
 #[derive(Debug)]
 pub(crate) struct SharedTierTask {
-    tenant: u16,
     /// Per-tenant slice: `shared_tier_bytes / fleet_tenants`. Divided
     /// fleet-wide (not per shard) so the slice is independent of how
     /// tenants map onto shards.
@@ -594,11 +591,10 @@ pub(crate) struct SharedTierTask {
 }
 
 impl SharedTierTask {
-    /// Build tenant `tenant`'s tier step in a fleet of `fleet_tenants`
+    /// Build one tenant's tier step in a fleet of `fleet_tenants`
     /// under `policy`.
-    fn new(tenant: u16, fleet_tenants: usize, policy: &ServePolicy) -> Self {
+    fn new(fleet_tenants: usize, policy: &ServePolicy) -> Self {
         Self {
-            tenant,
             slice_bytes: policy.shared_tier_bytes / fleet_tenants as u64,
             quota: policy.cache_quota_bytes,
             applied_bytes: 0,
@@ -622,17 +618,14 @@ impl SharedTierTask {
         self.applied_bytes
     }
 
-    /// Account one request: re-apply the index target when it closed
-    /// an iCache epoch (`epoch_closed`) and whenever the partition
-    /// moved.
-    pub(crate) fn after_request(
-        &mut self,
-        epoch_closed: bool,
-        cache: &mut CacheLayer,
-        dedup: &mut DedupLayer,
-        observer: &mut ObserverChain,
-    ) {
-        let partition = cache.index_bytes();
+    /// Account one request, given whether it closed an iCache epoch
+    /// and the iCache's index partition after it. Returns the index
+    /// size the stack must apply, or `None` to leave the index alone.
+    /// The target is re-evaluated at epoch boundaries and whenever the
+    /// partition moved. It is applied when the target moved, or when
+    /// the partition did: a repartition (which runs just before this
+    /// step) has reset the index to the bare partition size.
+    pub(crate) fn after_request(&mut self, epoch_closed: bool, partition: u64) -> Option<u64> {
         if self.last_partition == u64::MAX {
             // First request: the engine was built at the bare partition
             // size; the tier starts granting at the first epoch
@@ -640,25 +633,15 @@ impl SharedTierTask {
             self.last_partition = partition;
             self.applied_bytes = partition;
         }
-        // Re-apply at epoch boundaries, and whenever a repartition just
-        // reset the index to the bare partition size (the stack's
-        // repartition step runs just before this one).
-        if epoch_closed || partition != self.last_partition {
-            let target = self.target(partition);
-            if target != self.applied_bytes || partition != self.last_partition {
-                let victims = dedup.resize_index(target);
-                cache.on_index_victims(&victims);
-                if !victims.is_empty() {
-                    observer.emit(&StackEvent::QuotaEviction {
-                        tenant: self.tenant,
-                        victims: victims.len() as u64,
-                        index_bytes: target,
-                    });
-                }
-            }
-            self.applied_bytes = target;
-            self.last_partition = partition;
+        let moved = partition != self.last_partition;
+        if !epoch_closed && !moved {
+            return None;
         }
+        let target = self.target(partition);
+        let apply = moved || target != self.applied_bytes;
+        self.applied_bytes = target;
+        self.last_partition = partition;
+        apply.then_some(target)
     }
 }
 
@@ -669,7 +652,7 @@ fn run_shard(ctx: &ShardCtx<'_>, job: &ShardJob<'_>) -> PodResult<ShardOutput> {
     let tenants = job
         .tenants
         .iter()
-        .map(|&(tenant, trace)| serve_tenant(ctx, job.shard, tenant, trace, &mut fleet))
+        .map(|&(tenant, trace)| serve_tenant(ctx, tenant, trace, &mut fleet))
         .collect::<PodResult<Vec<_>>>()?;
     let stats = ShardStats {
         shard: job.shard,
@@ -691,7 +674,6 @@ fn run_shard(ctx: &ShardCtx<'_>, job: &ShardJob<'_>) -> PodResult<ShardOutput> {
 /// shard's next tenant starts.
 fn serve_tenant(
     ctx: &ShardCtx<'_>,
-    shard: usize,
     tenant: u16,
     trace: &Trace,
     fleet: &mut FleetSet,
@@ -720,7 +702,7 @@ fn serve_tenant(
         // The QoS layer rides as one shared-tier step per tenant plus
         // per-tenant admission control; with no policy none of this
         // exists and the stack is byte-for-byte the pre-policy one.
-        setup.tier = Some(SharedTierTask::new(tenant, ctx.fleet_tenants, policy));
+        setup.tier = Some(SharedTierTask::new(ctx.fleet_tenants, policy));
         setup.throttle = policy
             .rate_limit_rps
             .map(|rate| TokenBucket::new(rate, policy.burst_requests));
@@ -728,12 +710,11 @@ fn serve_tenant(
 
     let (mut report, stack) = replay_stack(spec, cfg, trace, chain, ctx.verify, setup)?;
     let capacity = cfg.policy.as_ref().map(|_| {
-        let store = stack.dedup().engine().store();
+        let store = stack.engine().store();
         fleet.extend(store.contents().map(|(_, fp)| fp));
         TenantCapacity {
             tenant,
             logical_blocks: store.introspect().mapped,
-            physical_blocks: report.capacity_used_blocks,
         }
     });
     let mut chain = stack.into_observer();
@@ -741,11 +722,7 @@ fn serve_tenant(
         report.profile = chain.take_sink::<ProfSink>().map(ProfSink::into_profile);
     }
     Ok(TenantOutput {
-        report: TenantReport {
-            tenant,
-            shard,
-            report,
-        },
+        report: TenantReport { tenant, report },
         recorder: chain.take_sink(),
         capacity,
     })
@@ -840,11 +817,16 @@ mod tests {
         );
         assert!(rep.critical_path_us() > 0);
         assert!(rep.jobs_per_sec() > 0.0);
-        // Tenant ids ascend and carry their owning shard.
+        // Tenant ids ascend; tenant `t` is served by shard `t mod 2`.
         for (i, t) in rep.tenants.iter().enumerate() {
             assert_eq!(t.tenant as usize, i);
-            assert_eq!(t.shard, i % 2);
         }
+        let served: Vec<(usize, &[u16])> = rep
+            .shard_stats
+            .iter()
+            .map(|s| (s.shard, &s.tenants[..]))
+            .collect();
+        assert_eq!(served, [(0, &[0u16, 2][..]), (1, &[1][..])]);
         // No policy: the QoS layer leaves no trace in the aggregate.
         assert_eq!(rep.aggregate.fleet_unique_blocks, 0);
         assert!(rep.aggregate.tenant_capacity.is_empty());
@@ -942,12 +924,8 @@ mod tests {
         for (i, cap) in agg.tenant_capacity.iter().enumerate() {
             assert_eq!(cap.tenant as usize, i, "ascending tenant ids");
             assert!(
-                cap.physical_blocks <= cap.logical_blocks,
+                rep.tenants[i].report.capacity_used_blocks <= cap.logical_blocks,
                 "dedup never inflates: tenant {i}"
-            );
-            assert_eq!(
-                cap.physical_blocks, rep.tenants[i].report.capacity_used_blocks,
-                "attribution matches the tenant report"
             );
         }
         // The throttled tenants' latency includes the imposed waits.
@@ -1050,12 +1028,12 @@ mod tests {
                 .expect("serve");
             let agg = &rep.aggregate;
             assert_eq!(agg.fleet_unique_blocks, 161, "shards={shards} jobs={jobs}");
-            for (cap, trace) in agg.tenant_capacity.iter().zip(&tenants) {
+            for (t, trace) in rep.tenants.iter().zip(&tenants) {
                 assert_eq!(
-                    cap.physical_blocks,
+                    t.report.capacity_used_blocks,
                     trace.write_count() as u64,
                     "tenant {} stores every distinct write",
-                    cap.tenant
+                    t.tenant
                 );
             }
         }
@@ -1132,6 +1110,68 @@ mod tests {
         let mut tb = TokenBucket::new(u64::MAX, 1);
         assert_eq!(tb.admit(0), 0);
         assert_eq!(tb.admit(0), 1, "empty: the next token is 1 µs away");
+    }
+
+    /// A tier step in a fleet of 4 whose slice is 1000 bytes, capped at
+    /// `quota` bytes.
+    fn tier(quota: Option<u64>) -> SharedTierTask {
+        SharedTierTask::new(
+            4,
+            &ServePolicy {
+                shared_tier_bytes: 4_000,
+                cache_quota_bytes: quota,
+                ..ServePolicy::default()
+            },
+        )
+    }
+
+    #[test]
+    fn tier_first_request_applies_nothing() {
+        let mut t = tier(None);
+        assert_eq!(t.applied_bytes(), 0, "before any request");
+        assert_eq!(t.after_request(false, 300), None);
+        assert_eq!(t.applied_bytes(), 300, "the bare partition");
+    }
+
+    #[test]
+    fn tier_epoch_boundary_applies_a_moved_target() {
+        let mut t = tier(None);
+        t.after_request(false, 300);
+        assert_eq!(t.after_request(true, 300), Some(1_300), "partition + slice");
+        assert_eq!(t.applied_bytes(), 1_300);
+        let mut t = tier(Some(800));
+        t.after_request(false, 300);
+        assert_eq!(t.after_request(true, 300), Some(800), "capped by the quota");
+    }
+
+    #[test]
+    fn tier_epoch_boundary_keeps_an_unchanged_target() {
+        let mut t = tier(None);
+        t.after_request(false, 300);
+        t.after_request(true, 300);
+        assert_eq!(t.after_request(true, 300), None);
+        assert_eq!(t.applied_bytes(), 1_300);
+    }
+
+    #[test]
+    fn tier_reapplies_an_unchanged_target_after_a_repartition() {
+        // The quota binds at both partition sizes, so the target stays
+        // 800; the repartition reset the index to 500, so it is applied
+        // again, mid-epoch.
+        let mut t = tier(Some(800));
+        t.after_request(false, 300);
+        assert_eq!(t.after_request(true, 300), Some(800));
+        assert_eq!(t.after_request(false, 500), Some(800));
+        assert_eq!(t.applied_bytes(), 800);
+    }
+
+    #[test]
+    fn tier_is_idle_without_a_boundary_or_a_repartition() {
+        let mut t = tier(None);
+        t.after_request(false, 300);
+        t.after_request(true, 300);
+        assert_eq!(t.after_request(false, 300), None);
+        assert_eq!(t.applied_bytes(), 1_300);
     }
 
     #[test]

@@ -13,16 +13,16 @@
 //!             IoRequest stream (trace order)
 //!                        │
 //!            ┌───────────▼───────────┐
-//!            │      StorageStack     │  drives the layers, collects
-//!            │  (process_request)    │  per-request response times
-//!            └──┬────────┬────────┬──┘
+//!            │      StorageStack     │  derives cache keys, plans
+//!            │  (process_request)    │  reads, collects per-request
+//!            └──┬────────┬────────┬──┘  response times
 //!               │        │        │ after every request
 //!         reads │ writes │        ▼
 //!   ┌───────────▼──┐  ┌──▼───────────┐  ┌─────────────────────┐
-//!   │  CacheLayer  │  │  DedupLayer  │  │  background steps   │
-//!   │ iCache: keys,│  │ engine + the │  │ 1 post-process scan │
-//!   │ fills, ghost │  │ write scratch│  │ 2 iCache repartition│
-//!   │              │  │              │  │ 3 shared tier       │
+//!   │    ICache    │  │ DedupEngine  │  │  background steps   │
+//!   │ read cache,  │  │ index, Map,  │  │ 1 post-process scan │
+//!   │ index budget,│  │ chunk store  │  │ 2 iCache repartition│
+//!   │ ghosts       │  │              │  │ 3 shared tier       │
 //!   └───────┬──────┘  └──────┬───────┘  └──────────┬──────────┘
 //!           │ misses         │ extents             │ scans / swaps
 //!           └─────────┬──────┴────────────┬────────┘
@@ -32,20 +32,22 @@
 //!            │  (ArrayBackend → ArraySim)     │  simulated time
 //!            └────────────────────────────────┘
 //!                        │
-//!                 ObserverChain  ◄── every layer emits StackEvents here
+//!                 ObserverChain  ◄── every step emits StackEvents here
 //! ```
+//!
+//! The stack holds the paper's two controller modules itself — the
+//! [`ICache`] (read cache and index budget, §III-C) and the
+//! [`DedupEngine`] (Select-Dedupe and the tables behind it, §III-B) —
+//! and calls them directly; [`StorageStack::icache`] and
+//! [`StorageStack::engine`] expose them read-only after a replay.
 //!
 //! Layer contracts are the traits in this module and [`crate::obs`]:
 //! [`DiskBackend`] (extents in, jobs out) and [`StackObserver`] (typed
 //! [`StackEvent`]s, fanned out by the stack's [`ObserverChain`]).
 
-mod cache;
-mod dedup;
 mod disk;
 mod spec;
 
-pub use cache::CacheLayer;
-pub use dedup::DedupLayer;
 pub use disk::{disk_on_own_thread, ArrayBackend, DiskBackend, FaultRecord, FaultyBackend};
 pub use spec::{CacheKeying, StackSpec};
 
@@ -53,16 +55,16 @@ pub use spec::{CacheKeying, StackSpec};
 // call sites keep compiling.
 pub use crate::obs::{StackCounters, StackObserver};
 
-use crate::config::SystemConfig;
+use crate::config::{LatencyModel, SystemConfig};
 use crate::obs::{FaultKind, Layer, ObserverChain, StackEvent, StateSnapshot};
 use crate::prof::{ProfPhase, ProfSink, ProfTimer};
 use crate::runner::ReplaySizing;
 use crate::serve::SharedTierTask;
-use pod_dedup::{DedupConfig, DedupPolicy};
+use pod_dedup::{DedupConfig, DedupEngine, DedupPolicy, WriteScratch};
 use pod_disk::{ArraySim, JobId, RaidGeometry};
 use pod_icache::{ICache, ICacheConfig};
 use pod_trace::Trace;
-use pod_types::{IoOp, IoRequest, PodError, PodResult, SimDuration, SimTime};
+use pod_types::{IoOp, IoRequest, Lba, Pba, PodError, PodResult, SimDuration, SimTime};
 
 /// Requests between two in-replay Post-Process scans.
 const POST_PROCESS_INTERVAL: u64 = 2_000;
@@ -71,9 +73,9 @@ const POST_PROCESS_BATCH: usize = 16_384;
 /// Service time of a read served whole from the DRAM cache, µs.
 const CACHE_HIT_US: u64 = 20;
 
-/// A composed storage stack: cache over dedup over disk, plus the
-/// background steps and the observer chain threaded through all of
-/// them.
+/// A composed storage stack: the iCache and the dedup engine over the
+/// disk backend, plus the background steps and the observer chain
+/// threaded through all of them.
 ///
 /// Build one per replay with [`StorageStack::with_observer`], which
 /// also decides whether the simulated array runs on a thread of its
@@ -82,10 +84,26 @@ const CACHE_HIT_US: u64 = 20;
 /// 1. [`run_until`](Self::run_until) each request's arrival,
 /// 2. [`process_request`](Self::process_request) it,
 /// 3. [`finish`](Self::finish) once, and
-/// 4. read [`responses`](Self::responses) and the layer accessors.
+/// 4. read [`responses`](Self::responses) and the accessors
+///    ([`icache`](Self::icache), [`engine`](Self::engine),
+///    [`disk`](Self::disk), [`observer`](Self::observer)).
 pub struct StorageStack {
-    cache: CacheLayer,
-    dedup: DedupLayer,
+    icache: ICache,
+    keying: CacheKeying,
+    /// Whether the dedup module exists in this stack. A stack without
+    /// it (Native) still answers lookups — against an empty budget —
+    /// but never write-allocates and feeds no index traffic.
+    dedups: bool,
+    engine: DedupEngine,
+    /// The last write's surviving extents and ghost-feed vectors,
+    /// reused so the write path allocates nothing in steady state.
+    scratch: WriteScratch,
+    /// The last planned read's physical extents, reused likewise.
+    read_extents: Vec<(Pba, u32)>,
+    /// Fingerprinting is charged on the write's critical path.
+    inline_hashing: bool,
+    /// Hash cost, hashing lanes and per-request metadata time.
+    latency: LatencyModel,
     disk: Box<dyn DiskBackend>,
     /// The spec's policy is [`DedupPolicy::PostProcess`]: scan every
     /// [`POST_PROCESS_INTERVAL`] requests and drain at the end.
@@ -99,7 +117,6 @@ pub struct StorageStack {
     pending: Vec<(usize, SimTime, SimTime, JobId)>,
     /// Direct completions for requests with no disk work.
     direct: Vec<(usize, SimDuration)>,
-    metadata_us: u64,
     /// Requests completed so far (reads + writes, incl. warm-up).
     requests_done: u64,
     /// Snapshots emitted so far; becomes [`StateSnapshot::seq`].
@@ -178,7 +195,7 @@ impl StorageStack {
             read_policy: cfg.read_policy,
         });
 
-        let dedup = DedupLayer::new(
+        let engine = DedupEngine::new(
             spec.policy,
             DedupConfig {
                 select_threshold: cfg.select_threshold,
@@ -190,11 +207,8 @@ impl StorageStack {
                 overflow_blocks: sizing.overflow_blocks,
                 expected_unique_blocks: sizing.expected_unique_blocks,
             },
-            spec.inline_hashing,
-            cfg.latency.hash_us_per_chunk,
-            cfg.latency.hash_workers,
-            sizing.max_request_blocks,
         );
+        let max_request_blocks = sizing.max_request_blocks.max(1);
 
         let sim = ArraySim::new(geometry, cfg.disk.clone(), cfg.scheduler);
         let array = ArrayBackend::new(sim, &sizing);
@@ -215,15 +229,20 @@ impl StorageStack {
             crate::prof::calibrate();
         }
         Ok(Self {
-            cache: CacheLayer::new(icache, spec.keying, spec.dedups),
-            dedup,
+            icache,
+            keying: spec.keying,
+            dedups: spec.dedups,
+            engine,
+            scratch: WriteScratch::with_chunk_capacity(max_request_blocks),
+            read_extents: Vec::with_capacity(max_request_blocks),
+            inline_hashing: spec.inline_hashing,
+            latency: cfg.latency,
             disk,
             post_process: spec.policy == DedupPolicy::PostProcess,
             tier: None,
             observer,
             pending: Vec::with_capacity(trace.requests.len()),
             direct: Vec::new(),
-            metadata_us: cfg.latency.metadata_us,
             requests_done: 0,
             snap_seq: 0,
             faults_enabled: cfg.faults.is_some(),
@@ -316,15 +335,8 @@ impl StorageStack {
             self.post_process_scan(Some(req.arrival))?;
         }
         self.repartition(req);
-        let epoch_closed = self.cache.icache().at_epoch_boundary();
-        if let Some(tier) = &mut self.tier {
-            tier.after_request(
-                epoch_closed,
-                &mut self.cache,
-                &mut self.dedup,
-                &mut self.observer,
-            );
-        }
+        let epoch_closed = self.icache.at_epoch_boundary();
+        self.shared_tier(epoch_closed);
         self.prof_lap(&mut timer, ProfPhase::Background);
         // Sample at each iCache epoch boundary, after the background
         // steps so the snapshot sees the epoch's repartition (if any)
@@ -345,8 +357,8 @@ impl StorageStack {
         let snap = StateSnapshot {
             seq: self.snap_seq,
             requests: self.requests_done,
-            icache: self.cache.icache().introspect(),
-            dedup: self.dedup.engine().introspect(),
+            icache: self.icache.introspect(),
+            dedup: self.engine.introspect(),
             tier_target_bytes,
         };
         self.snap_seq += 1;
@@ -356,7 +368,7 @@ impl StorageStack {
 
     /// Pull queued [`FaultRecord`]s out of the fault layer, surface
     /// them as events, and run recovery where the fault demands it: a
-    /// crash rebuilds the dedup layer's volatile state from the NVRAM
+    /// crash rebuilds the dedup engine's volatile state from the NVRAM
     /// Map; transparent retries only report their `Recovered` event.
     fn drain_fault_events(&mut self) -> PodResult<()> {
         let mut records = std::mem::take(&mut self.fault_scratch);
@@ -367,7 +379,7 @@ impl StorageStack {
                 delay_us: rec.delay_us,
             });
             if rec.kind == FaultKind::Crash {
-                let outcome = self.dedup.recover_after_crash()?;
+                let outcome = self.engine.recover_after_crash()?;
                 self.observer.emit(&StackEvent::Recovered {
                     kind: FaultKind::Crash,
                     repaired_entries: outcome.index_entries_rebuilt,
@@ -388,11 +400,16 @@ impl StorageStack {
     /// completion when the request was fully deduplicated).
     fn on_write(&mut self, idx: usize, req: &IoRequest, measured: bool) -> PodResult<()> {
         let mut timer = ProfTimer::start(self.prof);
-        let hash_lat = self.dedup.hash_latency(req.nblocks);
-        let summary = self.dedup.process_write(req)?;
+        let hash_lat = self.hash_latency(req.nblocks);
+        let summary = self.engine.process_write_into(req, &mut self.scratch)?;
         self.prof_lap(&mut timer, ProfPhase::DedupClassify);
-        self.cache.observe_index_traffic(self.dedup.scratch());
-        self.cache.write_allocate(req);
+        // A stack without the dedup module has no storage-node cache to
+        // fill and no index traffic to account.
+        if self.dedups {
+            self.icache.on_index_victims(&self.scratch.index_victims);
+            self.icache.on_index_misses(&self.scratch.index_miss_fps);
+            self.write_allocate(req);
+        }
         self.prof_lap(&mut timer, ProfPhase::CacheLookup);
         self.observer.emit(&StackEvent::WriteClassified {
             category: summary.kind,
@@ -405,18 +422,18 @@ impl StorageStack {
         });
         self.observer.emit(&StackEvent::LayerLatency {
             layer: Layer::Dedup,
-            us: hash_lat.as_micros() + self.metadata_us,
+            us: hash_lat.as_micros() + self.latency.metadata_us,
         });
         self.prof_lap(&mut timer, ProfPhase::Observe);
 
-        let submit = req.arrival + hash_lat + SimDuration::from_micros(self.metadata_us);
-        if summary.disk_index_lookups == 0 && self.dedup.scratch().write_extents.is_empty() {
+        let submit = req.arrival + hash_lat + SimDuration::from_micros(self.latency.metadata_us);
+        if summary.disk_index_lookups == 0 && self.scratch.write_extents.is_empty() {
             // Fully deduplicated: no disk I/O at all.
             self.direct.push((idx, submit - req.arrival));
         } else {
             let job = self.disk.submit_write(
                 submit,
-                &self.dedup.scratch().write_extents,
+                &self.scratch.write_extents,
                 summary.disk_index_lookups,
             );
             self.pending.push((idx, req.arrival, submit, job));
@@ -425,12 +442,62 @@ impl StorageStack {
         Ok(())
     }
 
+    /// Fingerprinting latency charged on the write's critical path for
+    /// `nblocks` chunks (span, not work: parallel lanes hash
+    /// concurrently). Zero for stacks that hash out-of-band or not at
+    /// all.
+    fn hash_latency(&self, nblocks: u32) -> SimDuration {
+        if !self.inline_hashing {
+            return SimDuration::ZERO;
+        }
+        let rounds = (nblocks as u64).div_ceil(self.latency.hash_workers as u64);
+        SimDuration::from_micros(rounds * self.latency.hash_us_per_chunk)
+    }
+
+    /// Write-allocate: retain freshly written blocks, which
+    /// primary-storage reads target heavily (temporal locality, §II-A).
+    /// Content-keyed stacks key by the fingerprint already in hand so
+    /// duplicates share one slot.
+    fn write_allocate(&mut self, req: &IoRequest) {
+        match self.keying {
+            CacheKeying::Content => {
+                for (_, fp) in req.write_chunks() {
+                    self.icache.read_fill_key(fp.prefix_u64());
+                }
+            }
+            CacheKeying::Lba => {
+                for lba in req.lbas() {
+                    self.icache.read_fill(lba);
+                }
+            }
+        }
+    }
+
+    /// The read-cache key for `lba`. Content keying resolves the
+    /// block's current fingerprint (a hit if *any* copy of the content
+    /// is cached) and falls back to the LBA for never-written blocks.
+    fn cache_key(&self, lba: Lba) -> u64 {
+        match self.keying {
+            CacheKeying::Lba => lba.raw(),
+            CacheKeying::Content => self
+                .engine
+                .content_of(lba)
+                .map_or(lba.raw(), |fp| fp.prefix_u64()),
+        }
+    }
+
     /// The read path: cache lookup → direct completion on a full hit,
     /// else fetch the (possibly fragmented) physical extents and fill
     /// the cache.
     fn on_read(&mut self, idx: usize, req: &IoRequest, measured: bool) {
         let mut timer = ProfTimer::start(self.prof);
-        let all_hit = self.cache.lookup_request(&self.dedup, req);
+        let mut all_hit = true;
+        for lba in req.lbas() {
+            let key = self.cache_key(lba);
+            if !self.icache.read_lookup_key(key) {
+                all_hit = false;
+            }
+        }
         self.prof_lap(&mut timer, ProfPhase::CacheLookup);
         self.observer.emit(&StackEvent::ReadLookup {
             hit: all_hit,
@@ -447,7 +514,10 @@ impl StorageStack {
                 .push((idx, SimDuration::from_micros(CACHE_HIT_US)));
         } else {
             self.prof_lap(&mut timer, ProfPhase::Observe);
-            let fragments = self.dedup.plan_read(req) as u64;
+            self.engine
+                .store()
+                .read_extents_into(req.lba, req.nblocks, &mut self.read_extents);
+            let fragments = self.read_extents.len() as u64;
             self.prof_lap(&mut timer, ProfPhase::PlanRead);
             self.observer.emit(&StackEvent::ReadFragments {
                 fragments,
@@ -456,14 +526,17 @@ impl StorageStack {
             });
             self.observer.emit(&StackEvent::LayerLatency {
                 layer: Layer::Dedup,
-                us: self.metadata_us,
+                us: self.latency.metadata_us,
             });
             self.prof_lap(&mut timer, ProfPhase::Observe);
-            let submit = req.arrival + SimDuration::from_micros(self.metadata_us);
-            let job = self.disk.submit_read(submit, self.dedup.read_extents());
+            let submit = req.arrival + SimDuration::from_micros(self.latency.metadata_us);
+            let job = self.disk.submit_read(submit, &self.read_extents);
             self.pending.push((idx, req.arrival, submit, job));
             self.prof_lap(&mut timer, ProfPhase::DiskSubmit);
-            self.cache.fill_request(&self.dedup, req);
+            for lba in req.lbas() {
+                let key = self.cache_key(lba);
+                self.icache.read_fill_key(key);
+            }
             self.prof_lap(&mut timer, ProfPhase::CacheLookup);
         }
     }
@@ -474,7 +547,7 @@ impl StorageStack {
     /// fingerprinting itself is off the critical path). Returns the
     /// chunks scanned.
     fn post_process_scan(&mut self, at: Option<SimTime>) -> PodResult<u64> {
-        let scan = self.dedup.scan(POST_PROCESS_BATCH)?;
+        let scan = self.engine.post_process_scan(POST_PROCESS_BATCH)?;
         self.observer.emit(&StackEvent::BackgroundScan {
             scanned_chunks: scan.scanned_chunks,
             deduped_chunks: scan.deduped_chunks,
@@ -492,11 +565,10 @@ impl StorageStack {
     /// resize the index table (feeding its victims to the ghost index)
     /// and charge the swap traffic to the disks.
     fn repartition(&mut self, req: &IoRequest) {
-        let Some(rp) = self.cache.note_request(req.op.is_write()) else {
+        let Some(rp) = self.icache.note_request(req.op.is_write()) else {
             return;
         };
-        let victims = self.dedup.resize_index(rp.index_bytes);
-        self.cache.on_index_victims(&victims);
+        self.resize_index(rp.index_bytes);
         self.observer.emit(&StackEvent::Repartition {
             index_bytes: rp.index_bytes,
             read_bytes: rp.read_bytes,
@@ -506,6 +578,36 @@ impl StorageStack {
         if rp.swap_blocks > 0 {
             self.disk.submit_swap(req.arrival, rp.swap_blocks);
         }
+    }
+
+    /// The shared tier, if the serving engine installed one: apply the
+    /// index target it decides for this request, attributing any
+    /// evictions to the tenant.
+    fn shared_tier(&mut self, epoch_closed: bool) {
+        let Some(tier) = &mut self.tier else {
+            return;
+        };
+        let Some(index_bytes) = tier.after_request(epoch_closed, self.icache.index_bytes()) else {
+            return;
+        };
+        let victims = self.resize_index(index_bytes);
+        if victims > 0 {
+            self.observer.emit(&StackEvent::QuotaEviction {
+                tenant: self.tenant,
+                victims,
+                index_bytes,
+            });
+        }
+    }
+
+    /// Resize the index table to `bytes` and feed every fingerprint it
+    /// evicts to the ghost index; returns how many were evicted. The
+    /// repartition step and the shared tier both size the index through
+    /// here.
+    fn resize_index(&mut self, bytes: u64) -> u64 {
+        let victims = self.engine.index_mut().resize_bytes(bytes);
+        self.icache.on_index_victims(&victims);
+        victims.len() as u64
     }
 
     /// End of trace: drain the Post-Process backlog, run the disks to
@@ -518,7 +620,7 @@ impl StorageStack {
             // Drain the backlog so the capacity numbers reflect a
             // completed background pass (no further disk charges: the
             // replay clock has stopped advancing).
-            while self.dedup.scan_backlog() > 0 && self.post_process_scan(None)? > 0 {}
+            while self.engine.scan_backlog() > 0 && self.post_process_scan(None)? > 0 {}
         }
         self.prof_emit(ProfPhase::Background, timer);
         let timer = ProfTimer::start(self.prof);
@@ -530,7 +632,7 @@ impl StorageStack {
             // content with no Recovered event — only the integrity
             // oracle can catch it.
             if let Some(lba) = self.corrupt_lba.take() {
-                if self.dedup.corrupt_lba(lba).is_some() {
+                if self.engine.corrupt_lba(Lba::new(lba)).is_some() {
                     self.observer.emit(&StackEvent::FaultInjected {
                         kind: FaultKind::Corruption,
                         delay_us: 0,
@@ -555,7 +657,7 @@ impl StorageStack {
         self.prof_emit(ProfPhase::DiskCommit, timer);
         // Final snapshot: the end-of-replay state, after drains, unless
         // the last request closed an epoch and its sample covered it.
-        if self.snap_seq == 0 || !self.cache.icache().at_epoch_boundary() {
+        if self.snap_seq == 0 || !self.icache.at_epoch_boundary() {
             self.sample_snapshot();
         }
         self.observer.emit(&StackEvent::Finished);
@@ -584,14 +686,14 @@ impl StorageStack {
         responses
     }
 
-    /// The cache layer.
-    pub fn cache(&self) -> &CacheLayer {
-        &self.cache
+    /// The iCache: read cache, index budget, ghosts and epoch clock.
+    pub fn icache(&self) -> &ICache {
+        &self.icache
     }
 
-    /// The dedup layer.
-    pub fn dedup(&self) -> &DedupLayer {
-        &self.dedup
+    /// The dedup engine: its index, Map and chunk store.
+    pub fn engine(&self) -> &DedupEngine {
+        &self.engine
     }
 
     /// The disk backend. Its queries ([`DiskBackend::completion`],

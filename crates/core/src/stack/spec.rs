@@ -27,10 +27,10 @@ pub enum CacheKeying {
 ///
 /// | field | layer it configures |
 /// |---|---|
-/// | `policy` | [`DedupLayer`](crate::stack::DedupLayer) write-path policy; `PostProcess` adds the background scan |
+/// | `policy` | [`DedupEngine`](pod_dedup::DedupEngine) write-path policy; `PostProcess` adds the background scan |
 /// | `dedups` | whether the dedup module (and its DRAM budget) exists |
 /// | `inline_hashing` | fingerprinting latency on the write's critical path |
-/// | `adaptive_icache` | [`CacheLayer`](crate::stack::CacheLayer) repartitioning |
+/// | `adaptive_icache` | [`ICache`](pod_icache::ICache) repartitioning |
 /// | `keying` | read-cache key derivation |
 #[derive(Debug, Clone, PartialEq)]
 pub struct StackSpec {

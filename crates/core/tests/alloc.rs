@@ -267,8 +267,8 @@ fn replay_under_eviction_is_allocation_free(width: usize, profiled: bool) {
 
     // The windows measured what they claim to: all four lists are full
     // and turning over, nothing deduplicated, every read went to disk.
-    let caches = stack.cache().icache().introspect();
-    let index = stack.dedup().engine().index().introspect();
+    let caches = stack.icache().introspect();
+    let index = stack.engine().index().introspect();
     assert_eq!((caches.read_len, caches.ghost_read.len), (128, 256));
     assert_eq!((index.entries, caches.ghost_index.len), (8_192, 16_384));
     assert_eq!(index.evictions, (pass * EVICT_BLOCKS) - 8_192);

@@ -55,20 +55,6 @@ pub enum DedupPolicy {
     IODedup,
 }
 
-impl DedupPolicy {
-    /// Human-readable scheme name as used in the paper's figures.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DedupPolicy::Native => "Native",
-            DedupPolicy::FullDedupe => "Full-Dedupe",
-            DedupPolicy::IDedup => "iDedup",
-            DedupPolicy::SelectDedupe => "Select-Dedupe",
-            DedupPolicy::PostProcess => "Post-Process",
-            DedupPolicy::IODedup => "I/O-Dedup",
-        }
-    }
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct DedupConfig {
