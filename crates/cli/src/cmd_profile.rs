@@ -15,7 +15,9 @@
 //! trusted (a fixed cost per phase, so its share grows as the replay
 //! loop gets faster; DESIGN §14 has current numbers). The wall line
 //! names the disk's placement and the share of the profiled wall the
-//! phases account for. `--out <path>` also writes the profile as folded
+//! phases account for, and ends with the input stage: the one load of
+//! the trace before the replays, generated or read from an FIU file,
+//! timed on its own. `--out <path>` also writes the profile as folded
 //! stacks (`pod;<layer>;<phase> <ns>`) for flamegraph tooling.
 //!
 //! The two replays produce identical simulated results — profiling only
@@ -29,7 +31,9 @@ use pod_core::{HostProfile, ProfPhase, ReplayReport};
 
 pub fn run(args: &CliArgs) -> Result<(), String> {
     args.apply_jobs();
+    let loading = std::time::Instant::now();
     let trace = args.load_trace()?;
+    let input_s = loading.elapsed().as_secs_f64();
     let cfg = args.system_config()?;
     println!(
         "profiling {} requests of `{}` through {} ...",
@@ -102,10 +106,16 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
     } else {
         "disk inline"
     };
+    let source = if args.trace_path.is_some() {
+        "FIU"
+    } else {
+        "generated"
+    };
     println!(
-        "\nwall time: {base_s:.3} s un-profiled, {prof_s:.3} s profiled (overhead {:+.1}%, medians of {REPS} A/B pairs; {layout}); attributed = {:.1}% of the profiled wall",
+        "\nwall time: {base_s:.3} s un-profiled, {prof_s:.3} s profiled (overhead {:+.1}%, medians of {REPS} A/B pairs; {layout}); attributed = {:.1}% of the profiled wall; input {input_s:.3} s ({:.0} ns/request, {source})",
         overhead_pct.unwrap_or(0.0),
         prof.total_ns() as f64 / 1e9 / prof_s * 100.0,
+        input_s * 1e9 / trace.len().max(1) as f64,
     );
     println!(
         "simulated layer shares: cache {:.1}%  dedup {:.1}%  disk {:.1}%",

@@ -42,6 +42,44 @@ fn crafted_fiu_lines_are_parse_errors_not_aborts() {
     }
 }
 
+/// A valid row whose LBA puts the replay's layout past `u64`: every
+/// command that replays a `--trace` refuses it with an `error:` line. The
+/// first row made `replay` abort on a wrapped 24 PB allocation, the
+/// second overflowed an add while sizing the array.
+#[test]
+fn lbas_past_the_layout_bound_are_refused_not_aborts() {
+    let rows = [
+        "1 0 p 12297829382473034410 1 R 8 0 *",
+        "1 0 p 18446744073709551614 1 R 8 0 *",
+    ];
+    for (i, row) in rows.iter().enumerate() {
+        let path =
+            std::env::temp_dir().join(format!("pod-huge-lba-{i}-{}.fiu", std::process::id()));
+        std::fs::write(&path, format!("{row}\n")).expect("write the trace file");
+        for cmd in ["replay", "serve", "compare", "profile", "doctor"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
+                .args([cmd, "--jobs", "1", "--trace"])
+                .arg(&path)
+                .output()
+                .expect("spawn pod-cli");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let what = format!("{cmd} on '{row}'");
+            assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
+            assert!(
+                stderr
+                    .lines()
+                    .any(|l| l.starts_with("error: trace end lba")),
+                "{what}: {stderr}"
+            );
+            assert!(
+                !stderr.contains("panicked") && !stderr.contains("allocation"),
+                "{what}: {stderr}"
+            );
+        }
+        std::fs::remove_file(&path).expect("remove the trace file");
+    }
+}
+
 /// The FIU reader keeps rows whose timestamps step backwards, so
 /// `analyze`'s burst detector must take such a step as a zero gap: it
 /// used to subtract the raw arrivals and panic on the overflow.

@@ -125,8 +125,15 @@ pub struct ReplaySizing {
 }
 
 impl ReplaySizing {
-    /// Compute the sizing for `trace`.
-    pub fn from_trace(trace: &Trace) -> Self {
+    /// Exclusive bound on a trace's end LBA: below it, the layout (the
+    /// span, an overflow region of half the span and two regions of at
+    /// most 2^18 blocks) stays below 2^64 blocks.
+    pub const MAX_END_LBA: u64 = 1 << 63;
+
+    /// The sizing for `trace`, or [`PodError::OutOfRange`] when the
+    /// trace ends at or past [`Self::MAX_END_LBA`]. A trace file may name
+    /// any LBA, so a replay sizes its trace this way.
+    pub fn try_from_trace(trace: &Trace) -> PodResult<Self> {
         let logical_blocks = trace
             .requests
             .iter()
@@ -134,6 +141,13 @@ impl ReplaySizing {
             .max()
             .unwrap_or(0)
             .max(1_024);
+        if logical_blocks >= Self::MAX_END_LBA {
+            return Err(PodError::OutOfRange {
+                what: "trace end lba",
+                value: logical_blocks,
+                limit: Self::MAX_END_LBA,
+            });
+        }
         let overflow_blocks = logical_blocks / 2 + 4_096;
         let region = region_blocks(logical_blocks);
         let index_region_base = logical_blocks + overflow_blocks;
@@ -150,7 +164,7 @@ impl ReplaySizing {
             .map(|r| r.nblocks as usize)
             .max()
             .unwrap_or(0);
-        Self {
+        Ok(Self {
             logical_blocks,
             overflow_blocks,
             region_blocks: region,
@@ -162,7 +176,17 @@ impl ReplaySizing {
             // demand if a pathological trace beats the estimate.
             expected_unique_blocks: written_blocks.min(logical_blocks),
             max_request_blocks,
-        }
+        })
+    }
+
+    /// [`Self::try_from_trace`] of a trace known to end below
+    /// [`Self::MAX_END_LBA`], as every generated trace does.
+    ///
+    /// # Panics
+    ///
+    /// When the trace ends at or past [`Self::MAX_END_LBA`].
+    pub fn from_trace(trace: &Trace) -> Self {
+        Self::try_from_trace(trace).expect("the trace ends below MAX_END_LBA")
     }
 }
 
@@ -755,6 +779,38 @@ mod tests {
         let s = ReplaySizing::from_trace(&trace);
         assert_eq!(s.logical_blocks, 1_024);
         assert_eq!(s.expected_unique_blocks, 1_024, "capped at the span");
+    }
+
+    #[test]
+    fn sizing_refuses_a_trace_ending_past_the_bound() {
+        let ending_at = |end: u64| Trace {
+            name: "huge".into(),
+            requests: vec![pod_types::IoRequest::read(
+                0,
+                SimTime::ZERO,
+                Lba::new(end - 1),
+                1,
+            )],
+            memory_budget_bytes: 1 << 20,
+        };
+        let max = ReplaySizing::MAX_END_LBA;
+        // Just below the bound the layout's adds do not overflow (a
+        // debug build would panic on one).
+        let s = ReplaySizing::try_from_trace(&ending_at(max - 1)).expect("below the bound");
+        assert!(
+            s.needed_blocks > s.swap_region_base,
+            "the layout fits a u64"
+        );
+        for end in [max, u64::MAX / 3 * 2 + 1, u64::MAX] {
+            assert_eq!(
+                ReplaySizing::try_from_trace(&ending_at(end)),
+                Err(PodError::OutOfRange {
+                    what: "trace end lba",
+                    value: end,
+                    limit: max,
+                })
+            );
+        }
     }
 
     #[test]

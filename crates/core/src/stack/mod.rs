@@ -153,7 +153,7 @@ impl StorageStack {
         trace: &Trace,
         observer: ObserverChain,
     ) -> PodResult<Self> {
-        let sizing = ReplaySizing::from_trace(trace);
+        let sizing = ReplaySizing::try_from_trace(trace)?;
 
         let geometry = RaidGeometry::new(cfg.raid.clone());
         let data_capacity = cfg.raid.data_disks() as u64 * cfg.disk.capacity_blocks;

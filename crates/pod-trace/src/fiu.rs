@@ -17,18 +17,33 @@
 //!
 //! There is one line parser, [`parse_record`]: it takes its fields
 //! straight off the line and borrows the process name, so it allocates
-//! nothing. [`parse_str`] is the same parser over a whole body,
-//! followed by [`RecordRef::to_record`].
+//! nothing. A body is read by a record scanner first. At each line start
+//! it loads eight bytes at a time and, in one forward pass, finds each
+//! field's end, converts the digits a word at a time and returns the
+//! index after the `\n`. It takes only the canonical dialect that
+//! [`format_records`] writes: single spaces, unsigned decimals of at
+//! most 16 digits, a printable-ASCII process name, an op of `W`, `w`,
+//! `R` or `r`, and a hash of `*`, `-` or 32 hex digits followed directly
+//! by `\n`. For such a line it returns exactly the record
+//! [`parse_record`] makes of it. Every other line goes to
+//! [`parse_record`] of the trimmed line: tabs, signs, CRLF,
+//! extra fields, SHA-256, comments, blanks, bad values, and a line too
+//! close to the end of the text to load a word ahead. So no record,
+//! error or line number depends on which path read a line.
+//! [`parse_str`] is that walk over a whole body, followed by
+//! [`RecordRef::to_record`].
 //! [`crate::reconstruct::FiuLoader`] runs it over pieces of a body on
 //! several threads, with the same skip rule and line numbering as
 //! [`parse_str`], and feeds the reconstructor without ever holding a
 //! `BlockRecord`. A trace file is untrusted input: every field is
 //! bounds-checked here, where it enters (see [`MAX_RECORD_BLOCKS`]), and
 //! a bad line is a [`PodError::TraceParse`] naming it.
+//!
+//! [`format_records`] renders bytes into one buffer: decimals through a
+//! two-digit table, hashes through [`Fingerprint::hex_digits`].
 
 use pod_types::fingerprint::{decode_hex, FINGERPRINT_BYTES};
 use pod_types::{Fingerprint, IoOp, PodError, PodResult};
-use std::fmt::Write;
 
 /// Most blocks one record may cover: 65,536 blocks = 256 MiB.
 ///
@@ -178,47 +193,296 @@ fn parse_hash(s: &str) -> Option<Fingerprint> {
 
 /// One line of a body: `None` for a blank or `#`-prefixed line, else
 /// [`parse_record`] of the trimmed line.
-pub(crate) fn parse_body_line(line: &str, line_no: usize) -> Option<PodResult<RecordRef<'_>>> {
+fn parse_body_line(line: &str, line_no: usize) -> Option<PodResult<RecordRef<'_>>> {
     let line = line.trim();
     let skip = line.is_empty() || line.starts_with('#');
     (!skip).then(|| parse_record(line, line_no))
+}
+
+/// The records of a body's lines in order, each a [`RecordRef`] or the
+/// error naming its line; blank and `#`-prefixed lines yield nothing.
+/// A canonical line is read by [`scan_record`], any other by
+/// [`parse_body_line`], and lines are counted as `str::lines` counts
+/// them.
+pub(crate) struct BodyRecords<'a> {
+    text: &'a str,
+    /// Start of the next line.
+    at: usize,
+    /// Lines read so far, those before `text` included.
+    line: usize,
+}
+
+impl<'a> BodyRecords<'a> {
+    /// The records of `text`, whose first line is line `lines_before + 1`.
+    pub(crate) fn new(text: &'a str, lines_before: usize) -> Self {
+        Self {
+            text,
+            at: 0,
+            line: lines_before,
+        }
+    }
+
+    /// Lines read so far, those before the text included.
+    pub(crate) fn lines(&self) -> usize {
+        self.line
+    }
+}
+
+impl<'a> Iterator for BodyRecords<'a> {
+    type Item = PodResult<RecordRef<'a>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.at < self.text.len() {
+            self.line += 1;
+            if let Some((record, next)) = scan_record(self.text, self.at) {
+                self.at = next;
+                return Some(Ok(record));
+            }
+            // `at` follows a `\n`, so it is a char boundary.
+            let rest = &self.text[self.at..];
+            let end = rest.find('\n').unwrap_or(rest.len());
+            self.at += (end + 1).min(rest.len());
+            // A `\r` before the `\n` is trimmed with the other blanks.
+            if let Some(record) = parse_body_line(&rest[..end], self.line) {
+                return Some(record);
+            }
+        }
+        None
+    }
+}
+
+/// `b` in every byte of a word.
+const fn lanes(b: u8) -> u64 {
+    u64::from_ne_bytes([b; 8])
+}
+
+const HIGH_BITS: u64 = lanes(0x80);
+
+/// The eight bytes of `text` from `at`, the first in the low byte;
+/// `None` past the end.
+#[inline]
+fn load(text: &[u8], at: usize) -> Option<u64> {
+    let bytes = text.get(at..at + 8)?;
+    Some(u64::from_le_bytes(bytes.try_into().ok()?))
+}
+
+/// Byte `n` (0–7) of a loaded word.
+#[inline]
+fn byte(word: u64, n: usize) -> u8 {
+    (word >> (8 * n)) as u8
+}
+
+/// Index of the first byte of `word` whose high bit is set in `mask`.
+#[inline]
+fn first(mask: u64) -> usize {
+    mask.trailing_zeros() as usize / 8
+}
+
+/// The high bit of every byte of `word` that is not an ASCII digit: a
+/// digit XOR `'0'` is below 10, and adding `0x76` to a byte below `0x80`
+/// sets its high bit exactly when it is 10 or more.
+#[inline]
+fn non_digits(word: u64) -> u64 {
+    let x = word ^ lanes(b'0');
+    (x | ((x & !HIGH_BITS) + lanes(0x76))) & HIGH_BITS
+}
+
+/// The high bit of every byte of `word` outside printable ASCII
+/// (`0x21..=0x7e`): the high bit itself, a byte below `0x21` (adding
+/// `0x5f` leaves it below `0x80`), or `0x7f` (adding 1 reaches `0x80`).
+#[inline]
+fn non_printable(word: u64) -> u64 {
+    let low = word & !HIGH_BITS;
+    (word | !(low + lanes(0x5f)) | (low + lanes(0x01))) & HIGH_BITS
+}
+
+/// The value of the first `n` (1–8) bytes of `word`, ASCII digits in
+/// file order: shifted so that they end the word behind zero bytes, the
+/// digits are paired, the pairs paired and the quads paired, each step
+/// one multiply.
+#[inline]
+fn digits_value(word: u64, n: usize) -> u64 {
+    let v = (word << (8 * (8 - n))) & lanes(0x0f);
+    let v = v.wrapping_mul(10 << 8 | 1) >> 8;
+    let v = (v & 0x00ff_00ff_00ff_00ff).wrapping_mul(100 << 16 | 1) >> 16;
+    (v & 0x0000_ffff_0000_ffff).wrapping_mul(10_000 << 32 | 1) >> 32
+}
+
+/// `10^n` for a second word of `n` (0–8) digits.
+const POW10: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut n = 1;
+    while n < 9 {
+        pow[n] = 10 * pow[n - 1];
+        n += 1;
+    }
+    pow
+};
+
+/// An unsigned decimal of 1–16 digits at `at`, followed by a space: its
+/// value and the index after the space.
+#[inline]
+fn scan_decimal(text: &[u8], at: usize) -> Option<(u64, usize)> {
+    let word = load(text, at)?;
+    let stop = non_digits(word);
+    if stop != 0 {
+        let n = first(stop);
+        return (n > 0 && byte(word, n) == b' ').then(|| (digits_value(word, n), at + n + 1));
+    }
+    let next = load(text, at + 8)?;
+    // 8 when the second word is all digits too.
+    let n = first(non_digits(next));
+    if text.get(at + 8 + n) != Some(&b' ') {
+        return None;
+    }
+    let high = digits_value(word, 8);
+    let value = match n {
+        0 => high,
+        _ => high * POW10[n] + digits_value(next, n),
+    };
+    Some((value, at + 9 + n))
+}
+
+/// A printable-ASCII word at `at`, followed by a space: the index of
+/// that space.
+#[inline]
+fn scan_name(text: &[u8], at: usize) -> Option<usize> {
+    let mut end = at;
+    loop {
+        let word = load(text, end)?;
+        let stop = non_printable(word);
+        if stop != 0 {
+            let n = first(stop);
+            end += n;
+            return (end > at && byte(word, n) == b' ').then_some(end);
+        }
+        end += 8;
+    }
+}
+
+/// A hash column of `*`, `-` or 32 hex digits at `at`, followed by
+/// `\n`: its fingerprint and the index after the `\n`.
+#[inline]
+fn scan_hash(text: &str, at: usize) -> Option<(Fingerprint, usize)> {
+    const DIGITS: usize = 2 * FINGERPRINT_BYTES;
+    match text.as_bytes().get(at..at + 2)? {
+        [b'*' | b'-', b'\n'] => Some((Fingerprint::ZERO, at + 2)),
+        _ if text.as_bytes().get(at + DIGITS) == Some(&b'\n') => {
+            let mut bytes = [0u8; FINGERPRINT_BYTES];
+            decode_hex(text.get(at..at + DIGITS)?, &mut bytes)?;
+            Some((Fingerprint::from_bytes(bytes), at + DIGITS + 1))
+        }
+        _ => None,
+    }
+}
+
+/// The canonical line starting at `start` of `text`, read in one forward
+/// pass: the record [`parse_record`] makes of it and the index after its
+/// `\n`. `None` defers the line to [`parse_body_line`] — it is not
+/// canonical, [`parse_record`] rejects one of its values, or it ends too
+/// close to the end of `text` to load a word ahead.
+#[inline]
+pub(crate) fn scan_record(text: &str, start: usize) -> Option<(RecordRef<'_>, usize)> {
+    let b = text.as_bytes();
+    let (ts_us, at) = scan_decimal(b, start)?;
+    let (pid, name) = scan_decimal(b, at)?;
+    let name_end = scan_name(b, name)?;
+    let (lba, at) = scan_decimal(b, name_end + 1)?;
+    let (nblocks, at) = scan_decimal(b, at)?;
+    let op = match b.get(at..at + 2)? {
+        [b'W' | b'w', b' '] => IoOp::Write,
+        [b'R' | b'r', b' '] => IoOp::Read,
+        _ => return None,
+    };
+    let (major, at) = scan_decimal(b, at + 2)?;
+    let (minor, at) = scan_decimal(b, at)?;
+    let (hash, next) = scan_hash(text, at)?;
+    // What `parse_record` refuses is left to it, for its error.
+    let nblocks = u32::try_from(nblocks)
+        .ok()
+        .filter(|n| (1..=MAX_RECORD_BLOCKS).contains(n))?;
+    lba.checked_add(u64::from(nblocks))?;
+    u32::try_from(major).ok()?;
+    u32::try_from(minor).ok()?;
+    let record = RecordRef {
+        ts_us,
+        pid: u32::try_from(pid).ok()?,
+        process: text.get(name..name_end)?,
+        lba,
+        nblocks,
+        op,
+        hash,
+    };
+    Some((record, next))
 }
 
 /// Parse a whole trace body into owned records in file order, or the
 /// first bad line's error; `#`-prefixed lines and blank lines are
 /// skipped.
 pub fn parse_str(body: &str) -> PodResult<Vec<BlockRecord>> {
-    body.lines()
-        .enumerate()
-        .filter_map(|(i, line)| parse_body_line(line, i + 1))
+    BodyRecords::new(body, 0)
         .map(|r| r.map(|r| r.to_record()))
         .collect()
 }
 
-/// Append one record in the canonical dialect, without the newline.
-fn push_record(out: &mut String, r: &BlockRecord) {
-    let op = if r.op.is_write() { 'W' } else { 'R' };
-    write!(
-        out,
-        "{} {} {} {} {} {op} 8 0 ",
-        r.ts_us, r.pid, r.process, r.lba, r.nblocks
-    )
-    .expect("write to String cannot fail");
-    if r.op.is_write() {
-        r.hash.push_hex(out);
+/// Two ASCII digits for each value below 100.
+const DIGIT_PAIRS: [[u8; 2]; 100] = {
+    let mut pairs = [[0u8; 2]; 100];
+    let mut i = 0;
+    while i < 100 {
+        pairs[i] = [b'0' + (i / 10) as u8, b'0' + (i % 10) as u8];
+        i += 1;
+    }
+    pairs
+};
+
+/// Append `v` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while v >= 100 {
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[(v % 100) as usize]);
+        v /= 100;
+    }
+    if v >= 10 {
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[v as usize]);
     } else {
-        out.push('*');
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    out.extend_from_slice(&buf[at..]);
+}
+
+/// Append one record in the canonical dialect, with its newline.
+fn push_record(out: &mut Vec<u8>, r: &BlockRecord) {
+    push_decimal(out, r.ts_us);
+    out.push(b' ');
+    push_decimal(out, r.pid.into());
+    out.push(b' ');
+    out.extend_from_slice(r.process.as_bytes());
+    out.push(b' ');
+    push_decimal(out, r.lba);
+    out.push(b' ');
+    push_decimal(out, r.nblocks.into());
+    if r.op.is_write() {
+        out.extend_from_slice(b" W 8 0 ");
+        out.extend_from_slice(&r.hash.hex_digits());
+        out.push(b'\n');
+    } else {
+        out.extend_from_slice(b" R 8 0 *\n");
     }
 }
 
 /// Render a whole trace body.
 pub fn format_records(records: &[BlockRecord]) -> String {
-    let mut s = String::with_capacity(records.len() * 96);
+    let mut out = Vec::with_capacity(records.len() * 96);
     for r in records {
-        push_record(&mut s, r);
-        s.push('\n');
+        push_record(&mut out, r);
     }
-    s
+    // ASCII around each process name, which is a `String`.
+    String::from_utf8(out).expect("FIU text is UTF-8")
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! [`reconstruct_requests`] pushes a slice of owned records through it.
 //! [`FiuLoader`] is how a trace file is loaded: the body arrives in
 //! blocks of whole lines, each block is cut into one piece per thread,
-//! every piece goes through the FIU parser and its own reconstructor, and
+//! every piece goes through the FIU reader and its own reconstructor, and
 //! the pieces are stitched back in file order — one allocation per write
 //! request (its chunk vector, sized exactly), a bounded number per block
 //! and none per line. [`trace_from_fiu`] is that loader fed one block.
@@ -120,14 +120,11 @@ impl Reconstructor {
     /// Push every record of `text` — whole lines, the first of them line
     /// `lines_before + 1` of the body — and return how many lines it held.
     fn push_lines(&mut self, text: &str, lines_before: usize) -> PodResult<usize> {
-        let mut lines = 0;
-        for line in text.lines() {
-            lines += 1;
-            if let Some(r) = fiu::parse_body_line(line, lines_before + lines) {
-                self.push(&r?);
-            }
+        let mut records = fiu::BodyRecords::new(text, lines_before);
+        for r in records.by_ref() {
+            self.push(&r?);
         }
-        Ok(lines)
+        Ok(records.lines() - lines_before)
     }
 
     /// Take over `piece`: the requests a fresh reconstructor made of the
@@ -573,6 +570,184 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A random decimal of `lo..=hi` digits, leading zeros allowed.
+    fn arb_decimal(rng: &mut StdRng, lo: usize, hi: usize) -> String {
+        let n = rng.random_range(lo..hi + 1);
+        (0..n)
+            .map(|_| char::from(b'0' + rng.random_range(0..10u8)))
+            .collect()
+    }
+
+    /// 32 random hex digits of either case.
+    fn arb_hex(rng: &mut StdRng) -> String {
+        (0..32)
+            .map(|_| char::from(b"0123456789abcdefABCDEF"[rng.random_range(0..22usize)]))
+            .collect()
+    }
+
+    /// A random FIU line without its newline: with probability `mutate`,
+    /// one of the departures from the canonical dialect below, else a
+    /// canonical line whose values `parse_record` accepts. The second
+    /// value says whether the line was left canonical.
+    fn arb_line(rng: &mut StdRng, mutate: f64) -> (String, bool) {
+        let name_len = rng.random_range(1..13usize);
+        let name: String = (0..name_len)
+            .map(|_| char::from(rng.random_range(0x21..0x7fu8)))
+            .collect();
+        let nblocks = match rng.random_range(0..4u32) {
+            0 => arb_decimal(rng, 1, 4),
+            _ => "1".to_string(),
+        };
+        let nblocks = if nblocks.bytes().all(|b| b == b'0') {
+            "1".to_string()
+        } else {
+            nblocks
+        };
+        let hash = match rng.random_range(0..4u32) {
+            0 => "*".to_string(),
+            1 => "-".to_string(),
+            _ => arb_hex(rng),
+        };
+        let op = ["W", "w", "R", "r"][rng.random_range(0..4usize)];
+        let mut f: Vec<String> = vec![
+            arb_decimal(rng, 1, 16),
+            arb_decimal(rng, 1, 9),
+            name,
+            arb_decimal(rng, 1, 15),
+            nblocks,
+            op.to_string(),
+            arb_decimal(rng, 1, 9),
+            arb_decimal(rng, 1, 9),
+            hash,
+        ];
+        if !rng.random_bool(mutate) {
+            return (f.join(" "), true);
+        }
+        const NUMERIC: [usize; 6] = [0, 1, 3, 4, 6, 7];
+        const NARROW: [usize; 4] = [1, 4, 6, 7];
+        let numeric = NUMERIC[rng.random_range(0..6usize)];
+        let narrow = NARROW[rng.random_range(0..4usize)];
+        let (mut head, mut tail) = (String::new(), String::new());
+        let mut sep = vec![" "; 8];
+        let gap = rng.random_range(0..8usize);
+        match rng.random_range(0..17u32) {
+            0 => f[numeric].insert(0, '+'),
+            1 => sep[gap] = "\t",
+            2 => sep[gap] = "  ",
+            3 => tail.push('\r'),
+            4 => head.push_str([" ", "\t", "  "][rng.random_range(0..3usize)]),
+            5 => tail.push_str([" ", "\t", " \r"][rng.random_range(0..3usize)]),
+            6 => tail.push_str([" x", " 1", " # note"][rng.random_range(0..3usize)]),
+            7 => f[numeric] = arb_decimal(rng, 17, 20),
+            8 => f[numeric] = format!("1844674407370955161{}", rng.random_range(5..10u8)),
+            9 => f[narrow] = format!("42949672{}", rng.random_range(95..100u8)),
+            10 => f[8] = arb_hex(rng).to_uppercase(),
+            11 => f[8] = format!("{}{}", arb_hex(rng), arb_hex(rng)),
+            12 => f[8] = "-".to_string(),
+            13 => {
+                let odd = ["é", "\u{1}", "\u{b}", "\u{c}", "\u{7f}", "\u{a0}"];
+                f[2].push_str(odd[rng.random_range(0..odd.len())]);
+            }
+            14 => f[4] = ["0", "65537", "65536"][rng.random_range(0..3usize)].to_string(),
+            15 => f[5] = ["X", "WR", "", "ww"][rng.random_range(0..4usize)].to_string(),
+            _ => {
+                f.remove(rng.random_range(0..9usize));
+                sep.pop();
+            }
+        }
+        let mut line = head;
+        for (i, field) in f.iter().enumerate() {
+            line.push_str(field);
+            if let Some(s) = sep.get(i) {
+                line.push_str(s);
+            }
+        }
+        line.push_str(&tail);
+        (line, false)
+    }
+
+    #[test]
+    fn scanner_returns_the_parsers_record_or_defers() {
+        // A line between two others, or ending the text with or without
+        // its `\n`: the scanner either defers or returns what
+        // `parse_record` makes of the trimmed line, and the next line's
+        // start. A canonical line with a line after it is never deferred.
+        let mut rng = StdRng::seed_from_u64(46);
+        let (mut taken, mut canonical) = (0, 0);
+        for case in 0..40_000 {
+            let (line, is_canonical) = arb_line(&mut rng, 0.5);
+            let before = arb_line(&mut rng, 0.0).0 + "\n";
+            let after = match rng.random_range(0..3u32) {
+                0 => String::new(),
+                1 => "\n".to_string(),
+                _ => format!("\n{}\n", arb_line(&mut rng, 0.5).0),
+            };
+            let text = format!("{before}{line}{after}");
+            let want = crate::fiu::parse_record(line.trim(), 1);
+            match crate::fiu::scan_record(&text, before.len()) {
+                Some((got, next)) => {
+                    assert_eq!(Ok(got), want, "case {case}: {line:?}");
+                    assert_eq!(next, before.len() + line.len() + 1, "case {case}: {line:?}");
+                    taken += 1;
+                }
+                None => assert!(
+                    !(is_canonical && after.len() > 1),
+                    "case {case}: canonical {line:?} deferred ({want:?})"
+                ),
+            }
+            canonical += usize::from(is_canonical);
+        }
+        assert!(
+            taken >= canonical / 2,
+            "{taken} of {canonical} canonical lines scanned"
+        );
+    }
+
+    #[test]
+    fn loader_is_exact_on_mutated_bodies() {
+        // Bodies mixing canonical and mutated lines, blanks and comments:
+        // `parse_str` gives what parsing each of `str::lines` does, and the
+        // loader at widths 1–3 and random cuts gives its reconstruction or
+        // the same first error.
+        let mut rng = StdRng::seed_from_u64(4646);
+        let (mut loaded, mut refused) = (0, 0);
+        for round in 0..60 {
+            let mutate = [0.0, 0.001, 0.05][round % 3];
+            let mut body = String::new();
+            for _ in 0..rng.random_range(1..1_500usize) {
+                match rng.random_range(0..40u32) {
+                    0 => body.push_str("# comment"),
+                    1 => body.push_str("  "),
+                    _ => body.push_str(&arb_line(&mut rng, mutate).0),
+                }
+                body.push('\n');
+            }
+            if rng.random_bool(0.5) {
+                body.pop();
+            }
+            let reference: PodResult<Vec<BlockRecord>> = body
+                .lines()
+                .enumerate()
+                .filter(|(_, l)| !l.trim().is_empty() && !l.trim().starts_with('#'))
+                .map(|(i, l)| crate::fiu::parse_record(l.trim(), i + 1).map(|r| r.to_record()))
+                .collect();
+            let parsed = crate::fiu::parse_str(&body);
+            assert_eq!(parsed, reference, "round {round}");
+            let want = parsed.map(|records| reconstruct_requests(&records));
+            loaded += usize::from(want.is_ok());
+            refused += usize::from(want.is_err());
+            for width in [1, 2, 3] {
+                let cuts = random_cuts(&mut rng, body.len());
+                let got = load_in_blocks(&body, width, &cuts);
+                assert_eq!(got, want, "round {round}, width {width}, cuts {cuts:?}");
+            }
+        }
+        assert!(
+            loaded > 10 && refused > 10,
+            "{loaded} loaded, {refused} refused"
+        );
     }
 
     #[test]

@@ -105,20 +105,18 @@ impl Fingerprint {
 
     /// Lowercase hex rendering of the full fingerprint.
     pub fn to_hex(&self) -> String {
-        let mut s = String::with_capacity(FINGERPRINT_BYTES * 2);
-        self.push_hex(&mut s);
-        s
+        self.hex_digits().iter().map(|&d| char::from(d)).collect()
     }
 
-    /// Append the lowercase hex rendering to `out` (no intermediate
-    /// `String`; the FIU writer emits one per written block).
-    pub fn push_hex(&self, out: &mut String) {
-        let mut buf = [0u8; FINGERPRINT_BYTES * 2];
-        for (pair, b) in buf.chunks_exact_mut(2).zip(&self.0) {
+    /// The lowercase hex digits of the full fingerprint as ASCII bytes
+    /// (no `String`; the FIU writer emits one per written block).
+    pub fn hex_digits(&self) -> [u8; FINGERPRINT_BYTES * 2] {
+        let mut digits = [0u8; FINGERPRINT_BYTES * 2];
+        for (pair, b) in digits.chunks_exact_mut(2).zip(&self.0) {
             pair[0] = HEX_DIGITS[(b >> 4) as usize];
             pair[1] = HEX_DIGITS[(b & 0x0f) as usize];
         }
-        out.push_str(core::str::from_utf8(&buf).expect("hex digits are ASCII"));
+        digits
     }
 
     /// Parse a fingerprint from a hex string (32 hex digits).
