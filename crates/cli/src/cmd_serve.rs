@@ -8,8 +8,9 @@
 
 use crate::args::CliArgs;
 use crate::cmd_replay::render_verify;
+use pod_core::pool::Executor;
 use pod_core::serve::{ServeBuilder, ServeReport};
-use pod_trace::derive_tenants;
+use pod_trace::{tenant_trace, Trace, TraceProfile};
 
 pub fn run(args: &CliArgs) -> Result<(), String> {
     args.apply_jobs();
@@ -23,7 +24,12 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
         vec![args.load_trace()?]
     } else {
         let profile = args.resolve_profile()?;
-        derive_tenants(&profile.scaled(args.scale), args.tenants, args.seed)
+        generate_tenants(
+            &profile.scaled(args.scale),
+            args.tenants,
+            args.seed,
+            Executor::new(),
+        )
     };
     let total: usize = tenants.iter().map(|t| t.len()).sum();
     eprintln!(
@@ -91,6 +97,18 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// What [`pod_trace::derive_tenants`] returns, with the tenants
+/// generated on `pool`'s workers.
+fn generate_tenants(
+    profile: &TraceProfile,
+    tenants: usize,
+    seed: u64,
+    pool: Executor,
+) -> Vec<Trace> {
+    let ids: Vec<usize> = (0..tenants).collect();
+    pool.map(&ids, |&i| tenant_trace(profile, seed, i))
 }
 
 /// Render the deterministic serve report. Contains no shard count, no
@@ -215,6 +233,22 @@ pub fn render_report(rep: &ServeReport) -> String {
 mod tests {
     use super::*;
     use pod_core::prelude::*;
+
+    #[test]
+    fn tenants_generated_on_the_pool_match_derive_tenants() {
+        // Five tenants split unevenly over two and three workers.
+        let profile = pod_trace::TraceProfile::mail().scaled(0.002);
+        let serial = pod_trace::derive_tenants(&profile, 5, 42);
+        for width in 1..=3 {
+            let pooled = generate_tenants(&profile, 5, 42, Executor::with_width(width));
+            assert_eq!(pooled.len(), serial.len());
+            for (p, s) in pooled.iter().zip(&serial) {
+                assert_eq!(p.name, s.name, "width {width}");
+                assert_eq!(p.requests, s.requests, "{} at width {width}", s.name);
+                assert_eq!(p.memory_budget_bytes, s.memory_budget_bytes);
+            }
+        }
+    }
 
     #[test]
     fn report_text_is_topology_free_and_deterministic() {

@@ -1,8 +1,8 @@
 //! Sampling distributions for the workload generator.
 //!
 //! Implemented in-repo (rather than pulling `rand_distr`) to stay within
-//! the approved dependency list: Zipf via rejection-inversion-free CDF
-//! table for small N and Gray's approximation for large N, exponential by
+//! the approved dependency list: Zipf by inversion of a precomputed CDF
+//! table (a binary search per draw, for every N), exponential by
 //! inversion, and a cumulative-weight discrete sampler.
 
 use rand::{Rng, RngExt};

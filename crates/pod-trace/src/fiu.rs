@@ -456,7 +456,7 @@ fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Append one record in the canonical dialect, with its newline.
-fn push_record(out: &mut Vec<u8>, r: &BlockRecord) {
+fn push_record(out: &mut Vec<u8>, r: &RecordRef<'_>) {
     push_decimal(out, r.ts_us);
     out.push(b' ');
     push_decimal(out, r.pid.into());
@@ -476,12 +476,12 @@ fn push_record(out: &mut Vec<u8>, r: &BlockRecord) {
 }
 
 /// Render a whole trace body.
-pub fn format_records(records: &[BlockRecord]) -> String {
+pub fn format_records(records: &[RecordRef<'_>]) -> String {
     let mut out = Vec::with_capacity(records.len() * 96);
     for r in records {
         push_record(&mut out, r);
     }
-    // ASCII around each process name, which is a `String`.
+    // ASCII around each process name, which is a `str`.
     String::from_utf8(out).expect("FIU text is UTF-8")
 }
 
@@ -659,7 +659,7 @@ mod tests {
     fn roundtrip_format_parse() {
         let body = format!("1 1 p 0 1 W 8 0 {SHA}\n9 2 q 5 3 R 8 0 *\n");
         let recs = parse_str(&body).expect("parse");
-        let out = format_records(&recs);
+        let out = format_records(&recs.iter().map(BlockRecord::borrowed).collect::<Vec<_>>());
         let again = parse_str(&out).expect("reparse");
         assert_eq!(recs, again);
     }

@@ -44,5 +44,5 @@ pub use profile::{BurstModel, TraceProfile, WriteMix};
 pub use reconstruct::reconstruct_requests;
 pub use stats::{RedundancyBreakdown, SizeBucket, TraceStats};
 pub use synth::Trace;
-pub use tenants::{derive_tenants, MergedItem, MergedStream};
+pub use tenants::{derive_tenants, tenant_trace, MergedItem, MergedStream};
 pub use vm::VmFleetConfig;

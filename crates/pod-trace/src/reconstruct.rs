@@ -9,7 +9,7 @@
 //!
 //! There is one reconstructor, [`Reconstructor`]: records go in one at a
 //! time and nothing but the finished requests is kept.
-//! [`reconstruct_requests`] pushes a slice of owned records through it.
+//! [`reconstruct_requests`] pushes a slice of records through it.
 //! [`FiuLoader`] is how a trace file is loaded: the body arrives in
 //! blocks of whole lines, each block is cut into one piece per thread,
 //! every piece goes through the FIU reader and its own reconstructor, and
@@ -26,7 +26,7 @@
 //! inside the piece, so that piece is re-pushed from the carried state
 //! instead.
 
-use crate::fiu::{self, BlockRecord, RecordRef};
+use crate::fiu::{self, RecordRef};
 use crate::synth::Trace;
 use pod_types::{Fingerprint, IoOp, IoRequest, Lba, PodError, PodResult, RequestId, SimTime};
 
@@ -173,8 +173,8 @@ impl Reconstructor {
 
 /// The FIU load: [`feed`](Self::feed) the body in blocks of whole lines,
 /// in file order, then [`finish`](Self::finish). What it returns is
-/// `reconstruct_requests(&fiu::parse_str(body)?)` at any width and any
-/// cut, ids and the first bad line's error included.
+/// [`reconstruct_requests`] of `fiu::parse_str(body)?` at any width and
+/// any cut, ids and the first bad line's error included.
 ///
 /// Each block is cut after a `\n` into `width` pieces of about equal
 /// length. The calling thread pushes the first piece into the carried
@@ -274,17 +274,21 @@ fn split_at_lines(text: &str, n: usize) -> Vec<&str> {
 }
 
 /// Merge per-block records into original requests.
-pub fn reconstruct_requests(records: &[BlockRecord]) -> Vec<IoRequest> {
+pub fn reconstruct_requests(records: &[RecordRef<'_>]) -> Vec<IoRequest> {
     let mut rc = Reconstructor::default();
     for r in records {
-        rc.push(&r.borrowed());
+        rc.push(r);
     }
     rc.finish()
 }
 
 /// Reconstruct a full [`Trace`] from records, with a name and memory
 /// budget attached.
-pub fn trace_from_records(name: &str, records: &[BlockRecord], memory_budget_bytes: u64) -> Trace {
+pub fn trace_from_records(
+    name: &str,
+    records: &[RecordRef<'_>],
+    memory_budget_bytes: u64,
+) -> Trace {
     Trace {
         name: name.to_string(),
         requests: reconstruct_requests(records),
@@ -293,9 +297,9 @@ pub fn trace_from_records(name: &str, records: &[BlockRecord], memory_budget_byt
 }
 
 /// Parse an FIU trace body and reconstruct it in the same pass: what
-/// `trace_from_records(name, &fiu::parse_str(body)?, ..)` returns,
-/// without the record vector in between. The body is one block to a
-/// [`FiuLoader`] of width 1.
+/// [`trace_from_records`] returns for the records of
+/// `fiu::parse_str(body)?`, without the record vector in between. The
+/// body is one block to a [`FiuLoader`] of width 1.
 pub fn trace_from_fiu(name: &str, body: &str, memory_budget_bytes: u64) -> PodResult<Trace> {
     let mut loader = FiuLoader::new(1);
     loader.feed(body)?;
@@ -307,17 +311,17 @@ pub fn trace_from_fiu(name: &str, body: &str, memory_budget_bytes: u64) -> PodRe
 }
 
 /// Split a trace back into per-block records (the inverse operation,
-/// used by the FIU writer and by round-trip tests). Each record owns a
-/// copy of the trace name: `BlockRecord::process` is a `String`.
-pub fn split_into_records(trace: &Trace) -> Vec<BlockRecord> {
+/// used by the FIU writer and by round-trip tests). Every record
+/// borrows the trace name as its process name.
+pub fn split_into_records(trace: &Trace) -> Vec<RecordRef<'_>> {
     let blocks: usize = trace.requests.iter().map(|r| r.nblocks as usize).sum();
     let mut out = Vec::with_capacity(blocks);
     for r in &trace.requests {
         for (i, lba) in r.lbas().enumerate() {
-            out.push(BlockRecord {
+            out.push(RecordRef {
                 ts_us: r.arrival.as_micros(),
                 pid: 0,
-                process: trace.name.clone(),
+                process: &trace.name,
                 lba: lba.raw(),
                 nblocks: 1,
                 op: r.op,
@@ -332,16 +336,17 @@ pub fn split_into_records(trace: &Trace) -> Vec<BlockRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fiu::BlockRecord;
     use crate::profile::TraceProfile;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
     use std::fmt::Write;
 
-    fn rec(ts: u64, lba: u64, op: IoOp, hash_id: u64) -> BlockRecord {
-        BlockRecord {
+    fn rec(ts: u64, lba: u64, op: IoOp, hash_id: u64) -> RecordRef<'static> {
+        RecordRef {
             ts_us: ts,
             pid: 1,
-            process: "p".into(),
+            process: "p",
             lba,
             nblocks: 1,
             op,
@@ -433,7 +438,7 @@ mod tests {
     fn lengths_never_overflow() {
         // A run that would pass u32::MAX blocks, or run off the end of
         // the address space, starts a new request instead of wrapping.
-        let big = |lba: u64, nblocks: u32| BlockRecord {
+        let big = |lba: u64, nblocks: u32| RecordRef {
             nblocks,
             ..rec(1, lba, IoOp::Read, 0)
         };
@@ -455,6 +460,7 @@ mod tests {
         let records = split_into_records(&t);
         let text = crate::fiu::format_records(&records);
         let parsed = crate::fiu::parse_str(&text).expect("parse");
+        let parsed: Vec<RecordRef> = parsed.iter().map(BlockRecord::borrowed).collect();
         let rebuilt = trace_from_records("homes", &parsed, t.memory_budget_bytes);
         assert_eq!(rebuilt.requests, t.requests);
         let fused = trace_from_fiu("homes", &text, t.memory_budget_bytes).expect("parse");
@@ -509,6 +515,13 @@ mod tests {
         }
     }
 
+    /// The sequential reference: `fiu::parse_str`, then reconstruction.
+    fn parse_and_reconstruct(body: &str) -> PodResult<Vec<IoRequest>> {
+        let records = crate::fiu::parse_str(body)?;
+        let records: Vec<RecordRef> = records.iter().map(BlockRecord::borrowed).collect();
+        Ok(reconstruct_requests(&records))
+    }
+
     /// `trace` as FIU text with comment, blank and CRLF lines mixed in.
     fn noisy_fiu(trace: &Trace, rng: &mut StdRng) -> String {
         let text = crate::fiu::format_records(&split_into_records(trace));
@@ -544,7 +557,7 @@ mod tests {
         ];
         for (seed, profile) in profiles.iter().enumerate() {
             let body = noisy_fiu(&profile.generate(seed as u64), &mut rng);
-            let want = reconstruct_requests(&crate::fiu::parse_str(&body).expect("parse"));
+            let want = parse_and_reconstruct(&body).expect("parse");
             assert!(want.len() > 100, "profile {seed}: {} requests", want.len());
             let mut lines: Vec<&str> = body.lines().collect();
             let at = rng.random_range(0..lines.len());
@@ -735,7 +748,7 @@ mod tests {
                 .collect();
             let parsed = crate::fiu::parse_str(&body);
             assert_eq!(parsed, reference, "round {round}");
-            let want = parsed.map(|records| reconstruct_requests(&records));
+            let want = parse_and_reconstruct(&body);
             loaded += usize::from(want.is_ok());
             refused += usize::from(want.is_err());
             for width in [1, 2, 3] {
@@ -761,7 +774,7 @@ mod tests {
         for i in 0..65_537u64 {
             writeln!(body, "7 1 p {} {max} R 8 0 *", i * u64::from(max)).expect("write");
         }
-        let want = reconstruct_requests(&crate::fiu::parse_str(&body).expect("parse"));
+        let want = parse_and_reconstruct(&body).expect("parse");
         let sizes: Vec<u32> = want.iter().map(|r| r.nblocks).collect();
         assert_eq!(sizes, [65_535 * max, 2 * max]);
         let len = body.len();

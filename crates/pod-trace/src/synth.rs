@@ -17,9 +17,12 @@
 //!   Redundant content is drawn from previously generated *runs* (the
 //!   content sequence of an earlier write) under a Zipf popularity skew,
 //!   so hot content is re-written often — exactly the temporal locality
-//!   §II-A measures. The history is a ring of the last 8,192 writes:
-//!   ranks index it from the newest end, and evicting the oldest is
-//!   O(1), so generation costs what its draws cost.
+//!   §II-A measures. The history is a ring of the last 8,192 writes,
+//!   each entry an LBA, a length and the index of the request in the
+//!   trace being generated; ranks index it from the newest end, and
+//!   evicting the oldest is O(1). The ring owns no content: a redundant
+//!   write copies its fingerprints from the earlier request's chunks,
+//!   so each write request allocates once, its own chunk vector.
 //! * **Same-location rewrites** — a configured fraction of redundant
 //!   writes re-target the LBA that already holds the content. These are
 //!   I/O redundancy but not capacity redundancy: the Fig. 2 gap.
@@ -87,12 +90,14 @@ impl Trace {
     }
 }
 
-/// One previously generated write: the content-id sequence and where it
-/// was addressed. Redundant writes replay slices of these.
-#[derive(Clone, Debug)]
+/// One previously generated write: where it was addressed, and which
+/// request of the trace being generated holds its `len` fingerprints.
+/// Redundant writes copy slices of those.
+#[derive(Clone, Copy, Debug)]
 struct Run {
     lba: u64,
-    contents: Vec<u64>,
+    request: usize,
+    len: usize,
 }
 
 /// Cap on the run/extent history windows: redundancy references recent
@@ -114,6 +119,8 @@ struct Generator {
     /// Ring of the last [`RUN_WINDOW`] runs, newest at the back. Eviction
     /// is O(1): it runs once per write request.
     runs: VecDeque<Run>,
+    /// The trace so far; the runs point into it.
+    requests: Vec<IoRequest>,
     /// Sequential-allocation cursor for fresh data placement.
     alloc_cursor: u64,
     /// Last read end (for sequential-follow reads).
@@ -127,13 +134,12 @@ impl TraceProfile {
         self.validate()
             .unwrap_or_else(|e| panic!("invalid profile {}: {e}", self.name));
         let mut g = Generator::new(self.clone(), seed);
-        let mut requests = Vec::with_capacity(self.n_requests);
         for _ in 0..self.n_requests {
-            requests.push(g.next_request());
+            g.push_request();
         }
         Trace {
             name: self.name.clone(),
-            requests,
+            requests: g.requests,
             memory_budget_bytes: self.memory_budget_bytes,
         }
     }
@@ -159,7 +165,8 @@ impl Generator {
             in_write_phase,
             phase_left: 0,
             next_content: 1,
-            runs: VecDeque::new(),
+            runs: VecDeque::with_capacity(RUN_WINDOW),
+            requests: Vec::with_capacity(profile.n_requests),
             alloc_cursor: 0,
             last_read_end: 0,
             next_id: 0,
@@ -167,7 +174,7 @@ impl Generator {
         }
     }
 
-    fn next_request(&mut self) -> IoRequest {
+    fn push_request(&mut self) {
         // Phase transitions insert a long idle gap; within a phase,
         // requests arrive densely (the burst). The 1 µs floor keeps
         // timestamps strictly increasing, which the FIU round-trip
@@ -188,11 +195,12 @@ impl Generator {
         let is_write = self.rng.random::<f64>() < write_prob;
         let nblocks = self.size_dist.sample(&mut self.rng);
 
-        if is_write {
+        let request = if is_write {
             self.gen_write(id, arrival, nblocks)
         } else {
             self.gen_read(id, arrival, nblocks)
-        }
+        };
+        self.requests.push(request);
     }
 
     /// Returns `true` when a new phase just started.
@@ -220,9 +228,9 @@ impl Generator {
         transition
     }
 
-    /// Pick a previously generated run with at least `min_len` contents.
-    /// Returns its index, or `None` when history is too shallow.
-    fn pick_run(&mut self, min_len: usize) -> Option<usize> {
+    /// Pick a previously generated run with at least `min_len` blocks.
+    /// Returns it, or `None` when history is too shallow.
+    fn pick_run(&mut self, min_len: usize) -> Option<Run> {
         if self.runs.is_empty() {
             return None;
         }
@@ -236,19 +244,24 @@ impl Generator {
             } else {
                 self.run_zipf.sample(&mut self.rng) % self.runs.len()
             };
-            let idx = self.runs.len() - 1 - rank;
-            if self.runs[idx].contents.len() >= min_len {
-                return Some(idx);
+            let run = self.runs[self.runs.len() - 1 - rank];
+            if run.len >= min_len {
+                return Some(run);
             }
         }
         // Fall back to a linear scan from the newest.
-        self.runs.iter().rposition(|r| r.contents.len() >= min_len)
+        self.runs.iter().rev().find(|r| r.len >= min_len).copied()
     }
 
-    fn fresh_content(&mut self) -> u64 {
+    /// The first `len` fingerprints `run` wrote.
+    fn run_chunks(&self, run: Run, len: usize) -> &[Fingerprint] {
+        &self.requests[run.request].chunks[..len]
+    }
+
+    fn fresh_content(&mut self) -> Fingerprint {
         let id = self.next_content;
         self.next_content += 1;
-        id
+        Fingerprint::from_content_id(id)
     }
 
     /// Allocate a fresh logical extent for new data, wrapping within the
@@ -263,11 +276,13 @@ impl Generator {
         lba
     }
 
-    fn remember_run(&mut self, lba: u64, contents: Vec<u64>) {
+    /// Record the write about to be pushed as the newest run.
+    fn remember_run(&mut self, lba: u64, len: usize) {
         if self.runs.len() == RUN_WINDOW {
             self.runs.pop_front();
         }
-        self.runs.push_back(Run { lba, contents });
+        let request = self.requests.len();
+        self.runs.push_back(Run { lba, request, len });
     }
 
     fn gen_write(&mut self, id: u64, arrival: SimTime, nblocks: u32) -> IoRequest {
@@ -282,7 +297,7 @@ impl Generator {
         let p_scatter = mix.partial_scattered;
         let u: f64 = self.rng.random::<f64>();
 
-        let (lba, contents) = if u < p_full {
+        let (lba, chunks) = if u < p_full {
             self.compose_full_redundant(nblocks)
         } else if u < p_full + p_contig && nblocks >= 4 {
             self.compose_partial_contiguous(nblocks)
@@ -292,68 +307,68 @@ impl Generator {
             self.compose_unique(nblocks)
         };
 
-        self.remember_run(lba, contents.clone());
-        let chunks: Vec<Fingerprint> = contents
-            .iter()
-            .map(|&c| Fingerprint::from_content_id(c))
-            .collect();
+        self.remember_run(lba, chunks.len());
         IoRequest::write(id, arrival, Lba::new(lba), chunks)
     }
 
-    fn compose_unique(&mut self, nblocks: u32) -> (u64, Vec<u64>) {
-        let contents: Vec<u64> = (0..nblocks).map(|_| self.fresh_content()).collect();
+    // The compose functions build the request's chunk vector, exactly
+    // sized, as its only allocation. A redundant slice is copied from
+    // the earlier request's fingerprints: those are what
+    // `Fingerprint::from_content_id` gave for the same content ids.
+
+    fn compose_unique(&mut self, nblocks: u32) -> (u64, Vec<Fingerprint>) {
+        let chunks: Vec<Fingerprint> = (0..nblocks).map(|_| self.fresh_content()).collect();
         let lba = self.fresh_lba(nblocks);
-        (lba, contents)
+        (lba, chunks)
     }
 
-    fn compose_full_redundant(&mut self, nblocks: u32) -> (u64, Vec<u64>) {
-        let Some(run_idx) = self.pick_run(nblocks as usize) else {
+    fn compose_full_redundant(&mut self, nblocks: u32) -> (u64, Vec<Fingerprint>) {
+        let Some(run) = self.pick_run(nblocks as usize) else {
             return self.compose_unique(nblocks);
         };
-        let run_lba = self.runs[run_idx].lba;
-        let contents: Vec<u64> = self.runs[run_idx].contents[..nblocks as usize].to_vec();
+        let chunks = self.run_chunks(run, nblocks as usize).to_vec();
         let same_loc = self.rng.random::<f64>() < self.profile.same_location_fraction;
         let lba = if same_loc {
             // Rewrite the original location with identical content.
-            run_lba
+            run.lba
         } else {
             self.fresh_lba(nblocks)
         };
-        (lba, contents)
+        (lba, chunks)
     }
 
-    fn compose_partial_contiguous(&mut self, nblocks: u32) -> (u64, Vec<u64>) {
+    fn compose_partial_contiguous(&mut self, nblocks: u32) -> (u64, Vec<Fingerprint>) {
         // Redundant prefix of at least 3 chunks (the Select-Dedupe
         // threshold), at least half the request.
         let run_len = ((nblocks / 2).max(3)).min(nblocks);
-        let Some(run_idx) = self.pick_run(run_len as usize) else {
+        let Some(run) = self.pick_run(run_len as usize) else {
             return self.compose_unique(nblocks);
         };
-        let mut contents: Vec<u64> = self.runs[run_idx].contents[..run_len as usize].to_vec();
+        let mut chunks = Vec::with_capacity(nblocks as usize);
+        chunks.extend_from_slice(self.run_chunks(run, run_len as usize));
         for _ in run_len..nblocks {
             let c = self.fresh_content();
-            contents.push(c);
+            chunks.push(c);
         }
         let lba = self.fresh_lba(nblocks);
-        (lba, contents)
+        (lba, chunks)
     }
 
-    fn compose_partial_scattered(&mut self, nblocks: u32) -> (u64, Vec<u64>) {
+    fn compose_partial_scattered(&mut self, nblocks: u32) -> (u64, Vec<Fingerprint>) {
         // 1-2 duplicate chunks at scattered positions (below the
         // threshold of 3), drawn from *different* runs so they are not
         // stored contiguously.
-        let mut contents: Vec<u64> = (0..nblocks).map(|_| self.fresh_content()).collect();
+        let mut chunks: Vec<Fingerprint> = (0..nblocks).map(|_| self.fresh_content()).collect();
         let dup_count = if nblocks >= 3 { 2 } else { 1 };
         for d in 0..dup_count {
-            if let Some(run_idx) = self.pick_run(1) {
-                let run = &self.runs[run_idx];
-                let pick = self.rng.random_range(0..run.contents.len());
+            if let Some(run) = self.pick_run(1) {
+                let pick = self.rng.random_range(0..run.len);
                 let pos = if d == 0 { 0 } else { (nblocks / 2) as usize };
-                contents[pos] = run.contents[pick];
+                chunks[pos] = self.run_chunks(run, run.len)[pick];
             }
         }
         let lba = self.fresh_lba(nblocks);
-        (lba, contents)
+        (lba, chunks)
     }
 
     fn gen_read(&mut self, id: u64, arrival: SimTime, nblocks: u32) -> IoRequest {
@@ -369,9 +384,8 @@ impl Generator {
                 (self.rng.random_range(0..ws), nblocks)
             } else {
                 let rank = self.read_zipf.sample(&mut self.rng) % self.runs.len();
-                let idx = self.runs.len() - 1 - rank;
-                let run = &self.runs[idx];
-                let len = nblocks.min(run.contents.len() as u32);
+                let run = self.runs[self.runs.len() - 1 - rank];
+                let len = nblocks.min(run.len as u32);
                 (run.lba, len.max(1))
             }
         } else {
@@ -591,6 +605,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn benchmark_inputs_are_bit_stable() {
+        // The generated inputs of the benchmark's workloads at seed 42:
+        // `webvm-native` (web-vm, scale 1), `mail-pod` (mail, 0.25) and
+        // every tenant of `fleet-serve` (mail, 0.0625, eight tenants).
+        // Pinned at commit 99a6000, before the run history stopped
+        // owning its content.
+        let mut traces = vec![
+            TraceProfile::web_vm().generate(42),
+            TraceProfile::mail().scaled(0.25).generate(42),
+        ];
+        traces.extend(crate::derive_tenants(
+            &TraceProfile::mail().scaled(0.0625),
+            8,
+            42,
+        ));
+        let got: Vec<(&str, String)> = traces
+            .iter()
+            .map(|t| (t.name.as_str(), format!("{:#018x}", trace_digest(t))))
+            .collect();
+        let want = [
+            ("web-vm", "0xdaf2c449b0bb30b5"),
+            ("mail", "0xcfd624f10910c97e"),
+            ("mail", "0xf8f105a7a8e86610"),
+            ("mail#1", "0x9c7a86ed189c2fbd"),
+            ("mail#2", "0x2ab8cc750bc858d7"),
+            ("mail#3", "0x9d44324fda9f50af"),
+            ("mail#4", "0x0236ff0d9a783e63"),
+            ("mail#5", "0x901685cdaa3452ab"),
+            ("mail#6", "0xe148083618728b0e"),
+            ("mail#7", "0x23afc77dd32ee971"),
+        ]
+        .map(|(name, digest)| (name, digest.to_string()));
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! engine sees the consolidated arrival order while every request still
 //! knows which tenant issued it. This module provides:
 //!
-//! * [`derive_tenants`] — K seeded per-tenant traces from one profile
+//! * [`tenant_trace`] — one seeded per-tenant trace of a profile
 //!   (tenant 0 reproduces the single-tenant trace bit for bit, so a
-//!   1-tenant serve run is comparable to a plain replay);
+//!   1-tenant serve run is comparable to a plain replay), and
+//!   [`derive_tenants`], the first K of them in order;
 //! * [`MergedStream`] — a deterministic k-way merge over tenant
 //!   request streams, yielding `(tenant, index-within-tenant, request)`
 //!   in global arrival order with a fixed `(arrival, tenant)`
@@ -23,22 +24,27 @@ use crate::profile::TraceProfile;
 use crate::synth::Trace;
 use pod_types::IoRequest;
 
-/// Derive `tenants` per-tenant traces from one (already scaled)
-/// profile. Tenant `i` is the profile generated at `seed + i`: same
-/// workload *shape*, independent content and arrival sample — the
-/// consolidated-VM picture of the paper's §I. Tenant 0 is exactly
+/// Tenant `tenant`'s trace derived from one (already scaled) profile:
+/// the profile generated at `seed + tenant`. Same workload *shape*,
+/// independent content and arrival sample — the consolidated-VM
+/// picture of the paper's §I. Tenant 0 is exactly
 /// `profile.generate(seed)`, so single-tenant serving matches plain
 /// replay byte for byte; tenants `i > 0` get `#i` name suffixes so
-/// recorded sections stay distinguishable.
+/// recorded sections stay distinguishable. Each tenant depends on its
+/// index alone, so a fleet can be generated in any order, in parallel.
+pub fn tenant_trace(profile: &TraceProfile, seed: u64, tenant: usize) -> Trace {
+    let mut t = profile.generate(seed + tenant as u64);
+    if tenant > 0 {
+        t.name = format!("{}#{tenant}", t.name);
+    }
+    t
+}
+
+/// The first `tenants` [`tenant_trace`]s of `profile` at `seed`, in
+/// tenant order, generated one after another.
 pub fn derive_tenants(profile: &TraceProfile, tenants: usize, seed: u64) -> Vec<Trace> {
     (0..tenants)
-        .map(|i| {
-            let mut t = profile.generate(seed + i as u64);
-            if i > 0 {
-                t.name = format!("{}#{i}", t.name);
-            }
-            t
-        })
+        .map(|i| tenant_trace(profile, seed, i))
         .collect()
 }
 

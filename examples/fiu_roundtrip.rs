@@ -38,6 +38,7 @@ fn main() -> PodResult<()> {
     // Import: parse and reconstruct original requests by timestamp, LBA
     // and length.
     let parsed = fiu::parse_str(&text).expect("well-formed trace text");
+    let parsed: Vec<fiu::RecordRef> = parsed.iter().map(fiu::BlockRecord::borrowed).collect();
     let rebuilt = trace_from_records("homes-rebuilt", &parsed, original.memory_budget_bytes);
     println!(
         "\nreconstructed {} requests (original had {})",
