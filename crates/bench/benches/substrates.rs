@@ -11,9 +11,10 @@ use pod_dedup::index::IndexEntry;
 use pod_dedup::{ChunkStore, IndexTable, INDEX_ENTRY_BYTES};
 use pod_disk::engine::isolated_latency;
 use pod_disk::{ArraySim, DiskSpec, RaidConfig, RaidGeometry, SchedulerKind};
-use pod_hash::fnv1a_64;
 use pod_trace::reconstruct::{split_into_records, FiuLoader};
 use pod_trace::{fiu, TraceProfile};
+use pod_types::hash::fnv1a_64;
+use pod_types::rng::splitmix64;
 use pod_types::{Fingerprint, IoRequest, Lba, Pba, SimTime};
 use std::hint::black_box;
 
@@ -243,14 +244,6 @@ fn bench_event_engine(c: &mut Criterion) {
     });
 }
 
-/// Deterministic 64-bit mixer for address scattering (splitmix64).
-fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The paper array (4-disk RAID-5 over WD1600AAJS members) under three
 /// canonical job mixes, in jobs per second. Each run drives the array
 /// the way a replay does: `run_until` each arrival, submit, drain at the
@@ -263,7 +256,7 @@ fn bench_array_mixes(c: &mut Criterion) {
     let mixes: [(&str, u64, u64, Submit); 3] = [
         // Scattered 4 KiB reads: the dedup-index / Cat-3 lookup shape.
         ("random-4k", 2_000_000, 25_000, |sim, at, i, cap| {
-            sim.submit_read(at, Pba::new(mix64(i) % cap), 1);
+            sim.submit_read(at, Pba::new(splitmix64(i) % cap), 1);
         }),
         // Back-to-back 64-block sequential reads: streaming scans that
         // fan one stripe-width op out to every member.
@@ -273,7 +266,7 @@ fn bench_array_mixes(c: &mut Criterion) {
         // Scattered small writes: the RAID-5 read-modify-write path POD's
         // Cat-1 traffic hits; `| 1` keeps them off stripe-unit alignment.
         ("raid5-rmw", 400_000, 50_000, |sim, at, i, cap| {
-            sim.submit_write(at, Pba::new((mix64(i ^ 0xDEAD) % (cap - 8)) | 1), 4);
+            sim.submit_write(at, Pba::new((splitmix64(i ^ 0xDEAD) % (cap - 8)) | 1), 4);
         }),
     ];
     let mut g = c.benchmark_group("array_mix");

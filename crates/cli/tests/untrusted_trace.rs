@@ -2,6 +2,7 @@
 //! hostile flag values and mutated recorded JSONL all end in exit 0 or
 //! an `error:` line — never a panic, an abort or a signal.
 
+use pod_types::rng::SplitMix64;
 use std::process::{Command, Output};
 
 const SHA: &str = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad";
@@ -107,21 +108,10 @@ fn analyze_takes_a_backwards_timestamp_as_a_zero_gap() {
     );
 }
 
-/// SplitMix64: the fuzz cases below are a fixed sequence.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn pick<'a>(&mut self, xs: &[&'a str]) -> &'a str {
-        xs[(self.next() % xs.len() as u64) as usize]
-    }
+/// One of `xs`. The fuzz cases below draw from a SplitMix64 stream, so
+/// they are a fixed sequence.
+fn pick<'a>(rng: &mut SplitMix64, xs: &[&'a str]) -> &'a str {
+    xs[(rng.next_u64() % xs.len() as u64) as usize]
 }
 
 /// Values a number or a whole spec is replaced with: empty, non-finite,
@@ -214,17 +204,17 @@ fn hostile_flag_values_never_panic() {
             true,
         ),
     ];
-    let mut rng = Rng(16);
+    let mut rng = SplitMix64::new(16);
     for case in 0..80 {
         let (flag, cmd, valid, is_spec) = flags[case % flags.len()];
-        let base = rng.pick(valid);
+        let base = pick(&mut rng, valid);
         // A bare number is replaced or extended whole (a digit of
         // `--scale` swapped for a large one would be a valid, huge run);
         // a spec has one of its numbers replaced in place half the time.
-        let value = match rng.next() % if is_spec { 4 } else { 2 } {
-            0 => rng.pick(&HOSTILE).to_string(),
-            1 => format!("{base}{}", rng.pick(&SUFFIXES)),
-            _ => replace_number(base, rng.next(), rng.pick(&HOSTILE)),
+        let value = match rng.next_u64() % if is_spec { 4 } else { 2 } {
+            0 => pick(&mut rng, &HOSTILE).to_string(),
+            1 => format!("{base}{}", pick(&mut rng, &SUFFIXES)),
+            _ => replace_number(base, rng.next_u64(), pick(&mut rng, &HOSTILE)),
         };
         let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
             .args(cmd)
@@ -257,25 +247,28 @@ fn mutated_recordings_never_panic() {
     assert!(lines.len() > 4, "recording too short to mutate");
 
     let mutant = dir.join("mutant.jsonl");
-    let mut rng = Rng(16);
+    let mut rng = SplitMix64::new(16);
     for case in 0..210 {
         let mut lines: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
-        let at = (rng.next() % lines.len() as u64) as usize;
-        match rng.next() % 7 {
-            0 => lines[at] = replace_number(&lines[at], rng.next(), rng.pick(&HOSTILE_JSON)),
+        let at = (rng.next_u64() % lines.len() as u64) as usize;
+        match rng.next_u64() % 7 {
+            0 => {
+                lines[at] =
+                    replace_number(&lines[at], rng.next_u64(), pick(&mut rng, &HOSTILE_JSON))
+            }
             1 => {
-                let cut = (rng.next() % lines[at].len() as u64) as usize;
+                let cut = (rng.next_u64() % lines[at].len() as u64) as usize;
                 lines[at].truncate(cut); // the recording is ASCII
             }
             2 => {
                 lines.remove(at);
             }
             3 => lines.insert(at, lines[at].clone()),
-            4 => lines[at] = lines[at].replace(':', rng.pick(&["", "::", ":[", ":{"])),
+            4 => lines[at] = lines[at].replace(':', pick(&mut rng, &["", "::", ":[", ":{"])),
             5 => {
                 // Rename one key: `"writes":` becomes `"writes_":`.
                 let keys: Vec<usize> = lines[at].match_indices("\":").map(|(i, _)| i).collect();
-                lines[at].insert(keys[(rng.next() % keys.len() as u64) as usize], '_');
+                lines[at].insert(keys[(rng.next_u64() % keys.len() as u64) as usize], '_');
             }
             _ => lines[at] = "[".repeat(100_000),
         }

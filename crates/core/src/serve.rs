@@ -45,8 +45,8 @@ use crate::runner::{recorder_epoch, replay_stack, BuilderCore, ReplayReport, Ten
 use crate::scheme::Scheme;
 use crate::stack::StackSpec;
 use pod_dedup::engine::EngineCounters;
-use pod_hash::fnv::FnvBuildHasher;
 use pod_trace::Trace;
+use pod_types::hash::FnvBuildHasher;
 use pod_types::{Fingerprint, PodError, PodResult};
 
 /// Reject a topology the engine cannot serve: no tenants, more tenants

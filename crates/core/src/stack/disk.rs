@@ -18,6 +18,7 @@ use crate::pool;
 use crate::runner::ReplaySizing;
 use pod_disk::engine::DiskStats;
 use pod_disk::{ArraySim, JobId};
+use pod_types::rng::SplitMix64;
 use pod_types::{Pba, SimDuration, SimTime};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
@@ -547,8 +548,8 @@ const CRASH_RECOVERY_US: u64 = 50_000;
 pub struct FaultyBackend {
     inner: Box<dyn DiskBackend>,
     plan: FaultPlan,
-    /// splitmix64 state.
-    rng: u64,
+    /// Fault decision stream.
+    rng: SplitMix64,
     /// Foreground jobs submitted so far (crash trigger).
     jobs_submitted: u64,
     /// Foreground jobs submitted before the crash: (job, submit time),
@@ -567,7 +568,7 @@ impl FaultyBackend {
         Self {
             inner,
             // splitmix64 of seed 0 starts weak; mix the seed once.
-            rng: plan.seed ^ 0x9E37_79B9_7F4A_7C15,
+            rng: SplitMix64::new(plan.seed ^ 0x9E37_79B9_7F4A_7C15),
             plan,
             jobs_submitted: 0,
             outstanding: Vec::new(),
@@ -576,19 +577,11 @@ impl FaultyBackend {
         }
     }
 
-    fn next_u64(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// One 1-in-`rate` decision (0 = never). Consumes the stream only
     /// for enabled classes, which is still deterministic: enabledness
     /// is fixed for the whole replay.
     fn roll(&mut self, rate: u64) -> bool {
-        rate > 0 && self.next_u64().is_multiple_of(rate)
+        rate > 0 && self.rng.next_u64().is_multiple_of(rate)
     }
 
     /// Record a foreground job for the crash to drop; after the crash
@@ -752,6 +745,19 @@ mod tests {
             max_request_blocks: 8,
         };
         ArrayBackend::new(sim, &sizing)
+    }
+
+    /// Fault decisions draw SplitMix64 from the plan seed mixed once;
+    /// `pod-types`' known-answer test pins that stream's values.
+    #[test]
+    fn fault_stream_is_splitmix64_from_the_mixed_seed() {
+        for seed in [0, 7] {
+            let mut faulty = FaultyBackend::new(Box::new(array(1_024)), FaultPlan::transient(seed));
+            let mut want = SplitMix64::new(seed ^ 0x9E37_79B9_7F4A_7C15);
+            for _ in 0..6 {
+                assert_eq!(faulty.rng.next_u64(), want.next_u64(), "seed {seed}");
+            }
+        }
     }
 
     /// Every kind of call, over enough commands to cycle every batch

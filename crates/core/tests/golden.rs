@@ -17,7 +17,9 @@
 
 use pod_core::{Metrics, ReplayReport, Scheme, SystemConfig};
 use pod_trace::TraceProfile;
+use pod_types::hash::FnvHasher;
 use std::fmt::Write as _;
+use std::hash::Hasher;
 use std::path::PathBuf;
 
 const SCALE: f64 = 0.004;
@@ -32,14 +34,11 @@ fn fixture_dir() -> PathBuf {
 /// FNV-1a over the little-endian bytes of every sample: a stable
 /// fingerprint of the full latency distribution.
 fn fnv1a(samples: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FnvHasher::default();
     for &s in samples {
-        for b in s.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.write_u64(s);
     }
-    h
+    h.finish()
 }
 
 fn render_metrics(out: &mut String, label: &str, m: &Metrics) {

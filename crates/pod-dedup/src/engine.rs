@@ -23,7 +23,7 @@ use crate::classify::{
 };
 use crate::index::{IndexState, IndexTable};
 use crate::store::{ChunkStore, MapState};
-use pod_hash::fnv::FnvBuildHasher;
+use pod_types::hash::FnvBuildHasher;
 use pod_types::{Fingerprint, IoRequest, Lba, Pba, PodResult};
 use std::collections::HashMap;
 

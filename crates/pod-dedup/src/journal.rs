@@ -17,7 +17,7 @@
 //! the only state.
 
 use crate::store::BlockSet;
-use pod_hash::fnv1a_64;
+use pod_types::hash::fnv1a_64;
 use pod_types::{Lba, Pba, PodError, PodResult};
 
 /// Bytes per journal entry: 8 (lba) + 8 (pba) + 1 (op) + 3 (checksum).

@@ -5,7 +5,7 @@
 //! table (a binary search per draw, for every N), exponential by
 //! inversion, and a cumulative-weight discrete sampler.
 
-use rand::{Rng, RngExt};
+use pod_types::rng::Rng;
 
 /// Zipf(θ) sampler over ranks `0..n`. Rank 0 is the most popular.
 ///
@@ -49,8 +49,8 @@ impl Zipf {
     }
 
     /// Draw a rank in `0..n`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.random();
+    pub fn sample(&self, rng: &mut Rng) -> usize {
+        let u = rng.f64();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
 }
@@ -69,8 +69,8 @@ impl Exponential {
     }
 
     /// Draw a sample by inversion.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.random();
+    pub fn sample(&self, rng: &mut Rng) -> f64 {
+        let u = rng.f64();
         // Clamp away from 0 to avoid ln(0).
         -self.mean * (1.0 - u).max(f64::MIN_POSITIVE).ln()
     }
@@ -110,8 +110,8 @@ impl<T: Clone> Discrete<T> {
     }
 
     /// Draw one item.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> T {
-        let u: f64 = rng.random();
+    pub fn sample(&self, rng: &mut Rng) -> T {
+        let u = rng.f64();
         let i = self
             .cdf
             .partition_point(|&c| c < u)
@@ -123,11 +123,9 @@ impl<T: Clone> Discrete<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(7)
+    fn rng() -> Rng {
+        Rng::seed_from_u64(7)
     }
 
     #[test]
@@ -211,8 +209,8 @@ mod tests {
     #[test]
     fn determinism_with_same_seed() {
         let z = Zipf::new(50, 0.9);
-        let mut a = StdRng::seed_from_u64(42);
-        let mut b = StdRng::seed_from_u64(42);
+        let mut a = Rng::seed_from_u64(42);
+        let mut b = Rng::seed_from_u64(42);
         for _ in 0..100 {
             assert_eq!(z.sample(&mut a), z.sample(&mut b));
         }

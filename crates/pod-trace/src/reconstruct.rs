@@ -338,8 +338,7 @@ mod tests {
     use super::*;
     use crate::fiu::BlockRecord;
     use crate::profile::TraceProfile;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
+    use pod_types::rng::Rng;
     use std::fmt::Write;
 
     fn rec(ts: u64, lba: u64, op: IoOp, hash_id: u64) -> RecordRef<'static> {
@@ -498,16 +497,12 @@ mod tests {
 
     /// Block cuts for a `len`-byte body: a few large blocks, or blocks
     /// of a few hundred bytes.
-    fn random_cuts(rng: &mut StdRng, len: usize) -> Vec<usize> {
-        let step = if rng.random_bool(0.5) {
-            200
-        } else {
-            len / 4 + 1
-        };
+    fn random_cuts(rng: &mut Rng, len: usize) -> Vec<usize> {
+        let step = if rng.bool(0.5) { 200 } else { len / 4 + 1 };
         let mut cuts = Vec::new();
         let mut at = 0;
         loop {
-            at += rng.random_range(1..2 * step);
+            at += 1 + rng.below(2 * step as u64 - 1) as usize;
             if at >= len {
                 return cuts;
             }
@@ -523,18 +518,18 @@ mod tests {
     }
 
     /// `trace` as FIU text with comment, blank and CRLF lines mixed in.
-    fn noisy_fiu(trace: &Trace, rng: &mut StdRng) -> String {
+    fn noisy_fiu(trace: &Trace, rng: &mut Rng) -> String {
         let text = crate::fiu::format_records(&split_into_records(trace));
         let mut out = String::with_capacity(2 * text.len());
         for line in text.lines() {
-            match rng.random_range(0..16u32) {
+            match rng.below(16) {
                 0 => out.push_str("# comment\n"),
                 1 => out.push('\n'),
                 2 => out.push_str("  \r\n"),
                 _ => {}
             }
             out.push_str(line);
-            out.push_str(if rng.random_bool(0.1) { "\r\n" } else { "\n" });
+            out.push_str(if rng.bool(0.1) { "\r\n" } else { "\n" });
         }
         out
     }
@@ -543,7 +538,7 @@ mod tests {
     fn loader_is_exact_at_any_width_and_cut() {
         // The reference is the sequential parse then reconstruction, ids
         // and the first bad line's error included.
-        let mut rng = StdRng::seed_from_u64(26);
+        let mut rng = Rng::seed_from_u64(26);
         let profiles = [
             TraceProfile::web_vm().scaled(0.002),
             TraceProfile::homes().scaled(0.003),
@@ -560,8 +555,8 @@ mod tests {
             let want = parse_and_reconstruct(&body).expect("parse");
             assert!(want.len() > 100, "profile {seed}: {} requests", want.len());
             let mut lines: Vec<&str> = body.lines().collect();
-            let at = rng.random_range(0..lines.len());
-            lines.insert(at, bad_lines[rng.random_range(0..bad_lines.len())]);
+            let at = rng.below(lines.len() as u64) as usize;
+            lines.insert(at, bad_lines[rng.below(bad_lines.len() as u64) as usize]);
             let bad = lines.join("\n");
             let want_err = crate::fiu::parse_str(&bad).expect_err("a bad line");
             for width in [1, 2, 3, 8] {
@@ -586,17 +581,17 @@ mod tests {
     }
 
     /// A random decimal of `lo..=hi` digits, leading zeros allowed.
-    fn arb_decimal(rng: &mut StdRng, lo: usize, hi: usize) -> String {
-        let n = rng.random_range(lo..hi + 1);
+    fn arb_decimal(rng: &mut Rng, lo: usize, hi: usize) -> String {
+        let n = lo + rng.below((hi + 1 - lo) as u64) as usize;
         (0..n)
-            .map(|_| char::from(b'0' + rng.random_range(0..10u8)))
+            .map(|_| char::from(b'0' + rng.below(10) as u8))
             .collect()
     }
 
     /// 32 random hex digits of either case.
-    fn arb_hex(rng: &mut StdRng) -> String {
+    fn arb_hex(rng: &mut Rng) -> String {
         (0..32)
-            .map(|_| char::from(b"0123456789abcdefABCDEF"[rng.random_range(0..22usize)]))
+            .map(|_| char::from(b"0123456789abcdefABCDEF"[rng.below(22) as usize]))
             .collect()
     }
 
@@ -604,12 +599,12 @@ mod tests {
     /// one of the departures from the canonical dialect below, else a
     /// canonical line whose values `parse_record` accepts. The second
     /// value says whether the line was left canonical.
-    fn arb_line(rng: &mut StdRng, mutate: f64) -> (String, bool) {
-        let name_len = rng.random_range(1..13usize);
+    fn arb_line(rng: &mut Rng, mutate: f64) -> (String, bool) {
+        let name_len = 1 + rng.below(12);
         let name: String = (0..name_len)
-            .map(|_| char::from(rng.random_range(0x21..0x7fu8)))
+            .map(|_| char::from(0x21 + rng.below(0x7f - 0x21) as u8))
             .collect();
-        let nblocks = match rng.random_range(0..4u32) {
+        let nblocks = match rng.below(4) {
             0 => arb_decimal(rng, 1, 4),
             _ => "1".to_string(),
         };
@@ -618,12 +613,12 @@ mod tests {
         } else {
             nblocks
         };
-        let hash = match rng.random_range(0..4u32) {
+        let hash = match rng.below(4) {
             0 => "*".to_string(),
             1 => "-".to_string(),
             _ => arb_hex(rng),
         };
-        let op = ["W", "w", "R", "r"][rng.random_range(0..4usize)];
+        let op = ["W", "w", "R", "r"][rng.below(4) as usize];
         let mut f: Vec<String> = vec![
             arb_decimal(rng, 1, 16),
             arb_decimal(rng, 1, 9),
@@ -635,38 +630,38 @@ mod tests {
             arb_decimal(rng, 1, 9),
             hash,
         ];
-        if !rng.random_bool(mutate) {
+        if !rng.bool(mutate) {
             return (f.join(" "), true);
         }
         const NUMERIC: [usize; 6] = [0, 1, 3, 4, 6, 7];
         const NARROW: [usize; 4] = [1, 4, 6, 7];
-        let numeric = NUMERIC[rng.random_range(0..6usize)];
-        let narrow = NARROW[rng.random_range(0..4usize)];
+        let numeric = NUMERIC[rng.below(6) as usize];
+        let narrow = NARROW[rng.below(4) as usize];
         let (mut head, mut tail) = (String::new(), String::new());
         let mut sep = vec![" "; 8];
-        let gap = rng.random_range(0..8usize);
-        match rng.random_range(0..17u32) {
+        let gap = rng.below(8) as usize;
+        match rng.below(17) {
             0 => f[numeric].insert(0, '+'),
             1 => sep[gap] = "\t",
             2 => sep[gap] = "  ",
             3 => tail.push('\r'),
-            4 => head.push_str([" ", "\t", "  "][rng.random_range(0..3usize)]),
-            5 => tail.push_str([" ", "\t", " \r"][rng.random_range(0..3usize)]),
-            6 => tail.push_str([" x", " 1", " # note"][rng.random_range(0..3usize)]),
+            4 => head.push_str([" ", "\t", "  "][rng.below(3) as usize]),
+            5 => tail.push_str([" ", "\t", " \r"][rng.below(3) as usize]),
+            6 => tail.push_str([" x", " 1", " # note"][rng.below(3) as usize]),
             7 => f[numeric] = arb_decimal(rng, 17, 20),
-            8 => f[numeric] = format!("1844674407370955161{}", rng.random_range(5..10u8)),
-            9 => f[narrow] = format!("42949672{}", rng.random_range(95..100u8)),
+            8 => f[numeric] = format!("1844674407370955161{}", 5 + rng.below(5)),
+            9 => f[narrow] = format!("42949672{}", 95 + rng.below(5)),
             10 => f[8] = arb_hex(rng).to_uppercase(),
             11 => f[8] = format!("{}{}", arb_hex(rng), arb_hex(rng)),
             12 => f[8] = "-".to_string(),
             13 => {
                 let odd = ["é", "\u{1}", "\u{b}", "\u{c}", "\u{7f}", "\u{a0}"];
-                f[2].push_str(odd[rng.random_range(0..odd.len())]);
+                f[2].push_str(odd[rng.below(odd.len() as u64) as usize]);
             }
-            14 => f[4] = ["0", "65537", "65536"][rng.random_range(0..3usize)].to_string(),
-            15 => f[5] = ["X", "WR", "", "ww"][rng.random_range(0..4usize)].to_string(),
+            14 => f[4] = ["0", "65537", "65536"][rng.below(3) as usize].to_string(),
+            15 => f[5] = ["X", "WR", "", "ww"][rng.below(4) as usize].to_string(),
             _ => {
-                f.remove(rng.random_range(0..9usize));
+                f.remove(rng.below(9) as usize);
                 sep.pop();
             }
         }
@@ -687,12 +682,12 @@ mod tests {
         // its `\n`: the scanner either defers or returns what
         // `parse_record` makes of the trimmed line, and the next line's
         // start. A canonical line with a line after it is never deferred.
-        let mut rng = StdRng::seed_from_u64(46);
+        let mut rng = Rng::seed_from_u64(46);
         let (mut taken, mut canonical) = (0, 0);
         for case in 0..40_000 {
             let (line, is_canonical) = arb_line(&mut rng, 0.5);
             let before = arb_line(&mut rng, 0.0).0 + "\n";
-            let after = match rng.random_range(0..3u32) {
+            let after = match rng.below(3) {
                 0 => String::new(),
                 1 => "\n".to_string(),
                 _ => format!("\n{}\n", arb_line(&mut rng, 0.5).0),
@@ -724,20 +719,20 @@ mod tests {
         // `parse_str` gives what parsing each of `str::lines` does, and the
         // loader at widths 1–3 and random cuts gives its reconstruction or
         // the same first error.
-        let mut rng = StdRng::seed_from_u64(4646);
+        let mut rng = Rng::seed_from_u64(4646);
         let (mut loaded, mut refused) = (0, 0);
         for round in 0..60 {
             let mutate = [0.0, 0.001, 0.05][round % 3];
             let mut body = String::new();
-            for _ in 0..rng.random_range(1..1_500usize) {
-                match rng.random_range(0..40u32) {
+            for _ in 0..1 + rng.below(1_499) {
+                match rng.below(40) {
                     0 => body.push_str("# comment"),
                     1 => body.push_str("  "),
                     _ => body.push_str(&arb_line(&mut rng, mutate).0),
                 }
                 body.push('\n');
             }
-            if rng.random_bool(0.5) {
+            if rng.bool(0.5) {
                 body.pop();
             }
             let reference: PodResult<Vec<BlockRecord>> = body

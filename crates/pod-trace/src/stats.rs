@@ -12,7 +12,7 @@
 //! before — at the same LBA (a same-content rewrite) or anywhere else.
 
 use crate::synth::Trace;
-use pod_hash::fnv::FnvBuildHasher;
+use pod_types::hash::FnvBuildHasher;
 use pod_types::Fingerprint;
 use std::collections::{HashMap, HashSet};
 

@@ -32,9 +32,8 @@
 
 use crate::dist::{Discrete, Exponential, Zipf};
 use crate::profile::TraceProfile;
+use pod_types::rng::Rng;
 use pod_types::{Fingerprint, IoRequest, Lba, SimTime};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
 
 /// A named sequence of I/O requests in arrival order.
@@ -106,7 +105,7 @@ const RUN_WINDOW: usize = 8_192;
 
 struct Generator {
     profile: TraceProfile,
-    rng: StdRng,
+    rng: Rng,
     clock_us: f64,
     burst_gap: Exponential,
     idle_gap: Exponential,
@@ -152,8 +151,8 @@ impl Generator {
         let idle_gap = Exponential::new(profile.idle_gap_us);
         let run_zipf = Zipf::new(RUN_WINDOW, profile.content_zipf_theta);
         let read_zipf = Zipf::new(RUN_WINDOW, profile.read_zipf_theta);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let in_write_phase = rng.random::<f64>() < profile.burst.write_phase_fraction;
+        let mut rng = Rng::seed_from_u64(seed);
+        let in_write_phase = rng.bool(profile.burst.write_phase_fraction);
         Self {
             rng,
             clock_us: 0.0,
@@ -192,7 +191,7 @@ impl Generator {
         } else {
             self.profile.burst.read_phase_write_prob
         };
-        let is_write = self.rng.random::<f64>() < write_prob;
+        let is_write = self.rng.bool(write_prob);
         let nblocks = self.size_dist.sample(&mut self.rng);
 
         let request = if is_write {
@@ -220,7 +219,7 @@ impl Generator {
             } else {
                 2.0 * base * (1.0 - wf)
             };
-            let u: f64 = self.rng.random();
+            let u = self.rng.f64();
             self.phase_left = (-mean * (1.0 - u).max(f64::MIN_POSITIVE).ln()).ceil() as u32;
             self.phase_left = self.phase_left.max(1);
         }
@@ -237,10 +236,10 @@ impl Generator {
         // Deep references: periodic jobs re-write old content; rank is
         // uniform over the whole history window. Otherwise Zipf with
         // rank 0 = most recent run (temporal locality).
-        let deep = self.rng.random::<f64>() < self.profile.deep_reference_fraction;
+        let deep = self.rng.bool(self.profile.deep_reference_fraction);
         for _ in 0..8 {
             let rank = if deep {
-                self.rng.random_range(0..self.runs.len())
+                self.rng.below(self.runs.len() as u64) as usize
             } else {
                 self.run_zipf.sample(&mut self.rng) % self.runs.len()
             };
@@ -295,7 +294,7 @@ impl Generator {
         let p_full = mix.full_redundant + boost;
         let p_contig = mix.partial_contiguous;
         let p_scatter = mix.partial_scattered;
-        let u: f64 = self.rng.random::<f64>();
+        let u = self.rng.f64();
 
         let (lba, chunks) = if u < p_full {
             self.compose_full_redundant(nblocks)
@@ -327,7 +326,7 @@ impl Generator {
             return self.compose_unique(nblocks);
         };
         let chunks = self.run_chunks(run, nblocks as usize).to_vec();
-        let same_loc = self.rng.random::<f64>() < self.profile.same_location_fraction;
+        let same_loc = self.rng.bool(self.profile.same_location_fraction);
         let lba = if same_loc {
             // Rewrite the original location with identical content.
             run.lba
@@ -362,7 +361,7 @@ impl Generator {
         let dup_count = if nblocks >= 3 { 2 } else { 1 };
         for d in 0..dup_count {
             if let Some(run) = self.pick_run(1) {
-                let pick = self.rng.random_range(0..run.len);
+                let pick = self.rng.below(run.len as u64) as usize;
                 let pos = if d == 0 { 0 } else { (nblocks / 2) as usize };
                 chunks[pos] = self.run_chunks(run, run.len)[pick];
             }
@@ -373,7 +372,7 @@ impl Generator {
 
     fn gen_read(&mut self, id: u64, arrival: SimTime, nblocks: u32) -> IoRequest {
         let ws = self.profile.working_set_blocks;
-        let style: f64 = self.rng.random();
+        let style = self.rng.f64();
         let (lba, len) = if style < 0.15 {
             // Sequential follow-on from the previous read.
             let lba = self.last_read_end % ws;
@@ -381,7 +380,7 @@ impl Generator {
         } else if style < 0.90 {
             // Popular previously written extent.
             if self.runs.is_empty() {
-                (self.rng.random_range(0..ws), nblocks)
+                (self.rng.below(ws), nblocks)
             } else {
                 let rank = self.read_zipf.sample(&mut self.rng) % self.runs.len();
                 let run = self.runs[self.runs.len() - 1 - rank];
@@ -390,7 +389,7 @@ impl Generator {
             }
         } else {
             // Cold random read.
-            (self.rng.random_range(0..ws), nblocks)
+            (self.rng.below(ws), nblocks)
         };
         let lba = lba.min(ws.saturating_sub(len as u64));
         self.last_read_end = lba + len as u64;
@@ -529,18 +528,13 @@ mod tests {
     /// the raw id and three SplitMix64 lanes. The pins below were taken
     /// over it, so they hash it to show the trace itself did not move.
     fn wide_fingerprint(fp: &pod_types::Fingerprint) -> [u8; 32] {
-        fn splitmix(mut z: u64) -> u64 {
-            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
+        use pod_types::rng::splitmix64;
         let id = fp.content_id();
         let lanes = [
             id,
-            splitmix(id ^ 0xA5A5_A5A5_A5A5_A5A5),
-            splitmix(id.rotate_left(17)),
-            splitmix(!id),
+            splitmix64(id ^ 0xA5A5_A5A5_A5A5_A5A5),
+            splitmix64(id.rotate_left(17)),
+            splitmix64(!id),
         ];
         let mut out = [0u8; 32];
         for (dst, lane) in out.chunks_exact_mut(8).zip(lanes) {
@@ -554,7 +548,7 @@ mod tests {
     /// each fingerprint in its former 32-byte form.
     fn trace_digest(t: &Trace) -> u64 {
         use std::hash::Hasher;
-        let mut h = pod_hash::FnvHasher::default();
+        let mut h = pod_types::hash::FnvHasher::default();
         for r in &t.requests {
             h.write(&r.id.0.to_le_bytes());
             h.write(&r.arrival.as_micros().to_le_bytes());
@@ -662,14 +656,14 @@ mod tests {
             }
             wide.push('\n');
         }
-        let got = pod_hash::fnv1a_64(wide.as_bytes());
+        let got = pod_types::hash::fnv1a_64(wide.as_bytes());
         assert_eq!(
             got,
             0x5000_a221_996c_f4c7,
             "widened FIU text digest {got:#018x} over {} bytes",
             wide.len()
         );
-        let got = pod_hash::fnv1a_64(text.as_bytes());
+        let got = pod_types::hash::fnv1a_64(text.as_bytes());
         assert_eq!(
             got,
             0xb34a_f548_dc53_8465,

@@ -11,9 +11,8 @@
 //! and the worst case for Native capacity.
 
 use crate::synth::Trace;
+use pod_types::rng::Rng;
 use pod_types::{Fingerprint, IoRequest, Lba, SimTime};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 
 /// Blocks per write request while streaming an image (256 KiB).
 const REQUEST_BLOCKS: u64 = 64;
@@ -55,7 +54,7 @@ impl VmFleetConfig {
         assert!(self.n_vms >= 1, "fleet needs at least one VM");
         assert!(self.image_blocks >= 1);
         assert!((0.0..=1.0).contains(&self.mutation_rate));
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut requests: Vec<IoRequest> = Vec::new();
         let mut clock = 0u64;
         let mut id = 0u64;
@@ -72,7 +71,7 @@ impl VmFleetConfig {
                         let block = off + i;
                         // Golden-image content id is the block number;
                         // clones mutate a sprinkling of blocks.
-                        if vm > 0 && rng.random::<f64>() < self.mutation_rate {
+                        if vm > 0 && rng.bool(self.mutation_rate) {
                             next_unique += 1;
                             Fingerprint::from_content_id(next_unique)
                         } else {

@@ -16,6 +16,8 @@
 use core::fmt;
 use core::hash::{Hash, Hasher};
 
+use crate::rng::splitmix64;
+
 /// Number of bytes in a fingerprint: 128 bits, the width of the FIU
 /// traces' MD5 column. A wider hash is read at its first 128 bits.
 pub const FINGERPRINT_BYTES: usize = 16;
@@ -63,23 +65,16 @@ impl Fingerprint {
     ///
     /// Trace generators label each distinct chunk content with a
     /// `content_id`; this expands the id into a full-width fingerprint by
-    /// a splittable mix (SplitMix64 finalizer on the second lane), so
+    /// a splittable mix ([`splitmix64`] on the second lane), so
     /// that the bytes look hash-like while remaining a pure function of
     /// the id. Distinct ids map to distinct fingerprints.
     pub fn from_content_id(content_id: u64) -> Self {
-        #[inline]
-        fn splitmix(mut z: u64) -> u64 {
-            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
         let mut out = [0u8; FINGERPRINT_BYTES];
         // Lane 0 carries the raw id so the mapping is trivially injective
         // (and the `Hash` prefix is the id); lane 1 is mixed so the value
         // looks like a digest.
         out[0..8].copy_from_slice(&content_id.to_le_bytes());
-        out[8..16].copy_from_slice(&splitmix(content_id ^ 0xA5A5_A5A5_A5A5_A5A5).to_le_bytes());
+        out[8..16].copy_from_slice(&splitmix64(content_id ^ 0xA5A5_A5A5_A5A5_A5A5).to_le_bytes());
         Self(out)
     }
 

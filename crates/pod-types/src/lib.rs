@@ -1,8 +1,10 @@
 //! # pod-types
 //!
 //! Core vocabulary shared by every crate in the POD workspace: block
-//! addresses, fingerprints, simulated time, I/O request descriptors and
-//! the common error type.
+//! addresses, fingerprints, simulated time, I/O request descriptors, the
+//! common error type, and the two deterministic primitives every
+//! simulation leans on: the seeded random streams ([`rng`]) and the
+//! stable FNV-1a hash ([`hash`]).
 //!
 //! POD (Mao et al., IPDPS 2014) operates at the block-device level with a
 //! fixed deduplication chunk size of 4 KiB. All addresses in this
@@ -15,8 +17,10 @@
 pub mod block;
 pub mod error;
 pub mod fingerprint;
+pub mod hash;
 pub mod introspect;
 pub mod request;
+pub mod rng;
 pub mod time;
 
 pub use block::{Lba, Pba, BLOCK_BYTES, BLOCK_SHIFT};

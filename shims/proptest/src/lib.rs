@@ -11,8 +11,7 @@
 //! per-test generator (seeded from the test's module path and name), so
 //! failures reproduce exactly on re-run.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use pod_types::rng::Rng;
 
 /// Deterministic generator handed to strategies.
 ///
@@ -20,20 +19,23 @@ use rand::{RngExt, SeedableRng};
 /// explores its own reproducible stream.
 #[derive(Clone, Debug)]
 pub struct TestRng {
-    rng: StdRng,
+    rng: Rng,
 }
 
 impl TestRng {
     /// Generator seeded from a stable string (typically the test path).
     pub fn deterministic(name: &str) -> Self {
-        // FNV-1a over the name: stable across runs and platforms.
+        // FNV-1a's shape over the name, but with 0x1000_0000_01b3 where
+        // FNV's prime is 0x100_0000_01b3, so not `fnv1a_64`: this hash
+        // seeds every property suite's cases, and the known-answer test
+        // in `pod-types` pins it.
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for b in name.bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
         Self {
-            rng: StdRng::seed_from_u64(h),
+            rng: Rng::seed_from_u64(h),
         }
     }
 
@@ -42,14 +44,47 @@ impl TestRng {
         if lo >= hi {
             return lo;
         }
-        self.rng.random_range(lo..hi)
+        lo + self.rng.below((hi - lo) as u64) as usize
     }
 
     /// Access the underlying generator.
-    pub fn rng(&mut self) -> &mut StdRng {
+    pub fn rng(&mut self) -> &mut Rng {
         &mut self.rng
     }
 }
+
+/// Types [`any`] draws: the low bits of one `next_u64`.
+pub trait Sample: Sized {
+    /// A value from the type's full range.
+    fn any(rng: &mut Rng) -> Self;
+}
+
+impl Sample for bool {
+    fn any(rng: &mut Rng) -> Self {
+        rng.next_u64() & 1 == 1
+    }
+}
+
+/// Integers are drawn by [`any`] and by their `Range` strategy, which
+/// draws `lo..hi` as `lo + below(hi - lo)`.
+macro_rules! impl_sample_int {
+    ($($t:ty),+) => {$(
+        impl Sample for $t {
+            fn any(rng: &mut Rng) -> Self {
+                rng.next_u64() as $t
+            }
+        }
+
+        impl Strategy for std::ops::Range<$t> {
+            type Value = $t;
+            fn generate(&self, rng: &mut TestRng) -> $t {
+                assert!(self.start < self.end, "cannot sample empty range");
+                self.start + rng.rng().below((self.end - self.start) as u64) as $t
+            }
+        }
+    )+};
+}
+impl_sample_int!(u8, u16, u32, u64, usize);
 
 /// Error signalled out of a generated test body.
 #[derive(Debug)]
@@ -130,33 +165,22 @@ impl<T: Clone> Strategy for Just<T> {
 }
 
 /// Strategy drawing `T` from its full standard distribution.
-pub fn any<T: rand::StandardSample>() -> strategy::Any<T> {
+pub fn any<T: Sample>() -> strategy::Any<T> {
     strategy::Any(std::marker::PhantomData)
 }
 
 pub mod strategy {
     //! Strategy combinator types.
 
-    use super::{Strategy, TestRng};
-    use rand::RngExt;
+    use super::{Sample, Strategy, TestRng};
 
     /// See [`super::any`].
     pub struct Any<T>(pub(crate) std::marker::PhantomData<T>);
 
-    impl<T: rand::StandardSample> Strategy for Any<T> {
+    impl<T: Sample> Strategy for Any<T> {
         type Value = T;
         fn generate(&self, rng: &mut TestRng) -> T {
-            rng.rng().random()
-        }
-    }
-
-    impl<T> Strategy for std::ops::Range<T>
-    where
-        T: rand::SampleUniform + Clone,
-    {
-        type Value = T;
-        fn generate(&self, rng: &mut TestRng) -> T {
-            rng.rng().random_range(self.clone())
+            T::any(rng.rng())
         }
     }
 

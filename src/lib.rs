@@ -20,7 +20,6 @@ pub use pod_cache as cache;
 pub use pod_core as core;
 pub use pod_dedup as dedup;
 pub use pod_disk as disk;
-pub use pod_hash as hash;
 pub use pod_icache as icache;
 pub use pod_trace as trace;
 pub use pod_types as types;
