@@ -5,7 +5,7 @@
 //! results measure the *modelled* system, not harness overhead.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use pod_cache::{GhostCache, LruCache};
+use pod_cache::{GhostedLru, LruCache};
 use pod_core::pool::default_width;
 use pod_dedup::index::IndexEntry;
 use pod_dedup::{ChunkStore, IndexTable, INDEX_ENTRY_BYTES};
@@ -42,10 +42,11 @@ fn bench_caches(c: &mut Criterion) {
         )
     });
     // The one above is L1-resident (1,024 `u64` entries) and says
-    // nothing about the tables a replay lives in. These two run at the
+    // nothing about the tables a replay lives in. These run at the
     // benchmark's scale: `mail-pod`'s unique-chunk sequence through a
     // full 32,768-entry fingerprint index and its 65,536-entry ghost,
-    // and `readmix-fiu`'s hit path over 65,536 cached blocks.
+    // `readmix-fiu`'s hit path over 65,536 cached blocks, and
+    // `mail-pod`'s write-allocate fills.
     g.bench_function("index_lru_churn", |b| {
         const INDEX: u64 = 32_768;
         const GHOST: u64 = 65_536;
@@ -56,30 +57,26 @@ fn bench_caches(c: &mut Criterion) {
         };
         b.iter_batched(
             || {
-                let mut ghost = GhostCache::new(GHOST as usize);
-                let mut index = LruCache::new(INDEX as usize);
-                for id in 0..GHOST {
-                    ghost.record_eviction(fp(id));
-                }
-                for id in GHOST..GHOST + INDEX {
+                // The first 65,536 ids end in the ghost, the next 32,768
+                // in the index.
+                let mut index = GhostedLru::new(INDEX as usize, GHOST as usize);
+                for id in 0..GHOST + INDEX {
                     index.insert(fp(id), entry(id));
                 }
-                (index, ghost)
+                index
             },
-            |(mut index, mut ghost)| {
+            |mut index| {
                 for id in GHOST + INDEX..2 * (GHOST + INDEX) {
                     let fp = fp(id);
-                    // Query miss, ghost miss, then the insert evicts the
-                    // LRU entry into the ghost, which evicts its own.
+                    // Query miss; the upsert evicts the LRU entry into
+                    // the ghost, which drops its tail; the ghost probe
+                    // that follows misses.
                     if index.get_mut(&fp).is_none() {
-                        black_box(ghost.probe(&fp));
-                    }
-                    if let Some((victim, _)) = index.upsert(fp, entry(id), |e, new| e.pba = new.pba)
-                    {
-                        ghost.record_eviction(victim);
+                        index.upsert(fp, entry(id), |e, new| e.pba = new.pba);
+                        black_box(index.probe_ghost(&fp));
                     }
                 }
-                (index, ghost)
+                index
             },
             BatchSize::LargeInput,
         )
@@ -100,6 +97,33 @@ fn bench_caches(c: &mut Criterion) {
                 for i in 0..BLOCKS {
                     let lba = i.wrapping_mul(0x9E37_79B1) % BLOCKS;
                     black_box(cache.get(&lba));
+                }
+                cache
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    // `mail-pod`'s write-allocate shape: runs of 9 blocks filled into a
+    // 624-block read cache whose ghost remembers 960, over 16,384 blocks,
+    // so nearly every fill evicts into the ghost and a few meet their
+    // own ghost. Reported per filled block.
+    const RUNS: u64 = 4_096;
+    g.throughput(Throughput::Elements(RUNS * 9));
+    g.bench_function("read_allocate_churn", |b| {
+        b.iter_batched(
+            || {
+                let mut cache = GhostedLru::<u64, ()>::new(624, 960);
+                for key in 0..624 + 960 {
+                    cache.insert((1 << 40) + key, ());
+                }
+                cache
+            },
+            |mut cache| {
+                for run in 0..RUNS {
+                    let first = splitmix64(run) % 16_384;
+                    for key in first..first + 9 {
+                        cache.insert(key, ());
+                    }
                 }
                 cache
             },

@@ -20,9 +20,9 @@
 //!         reads │ writes │        ▼
 //!   ┌───────────▼──┐  ┌──▼───────────┐  ┌─────────────────────┐
 //!   │    ICache    │  │ DedupEngine  │  │  background steps   │
-//!   │ read cache,  │  │ index, Map,  │  │ 1 post-process scan │
-//!   │ index budget,│  │ chunk store  │  │ 2 iCache repartition│
-//!   │ ghosts       │  │              │  │ 3 shared tier       │
+//!   │ read cache + │  │ index + its  │  │ 1 post-process scan │
+//!   │ its ghost,   │  │ ghost, Map,  │  │ 2 iCache repartition│
+//!   │ index budget │  │ chunk store  │  │ 3 shared tier       │
 //!   └───────┬──────┘  └──────┬───────┘  └──────────┬──────────┘
 //!           │ misses         │ extents             │ scans / swaps
 //!           └─────────┬──────┴────────────┬────────┘
@@ -95,7 +95,7 @@ pub struct StorageStack {
     /// but never write-allocates and feeds no index traffic.
     dedups: bool,
     engine: DedupEngine,
-    /// The last write's surviving extents and ghost-feed vectors,
+    /// The last write's surviving extents and ghost-probe feed,
     /// reused so the write path allocates nothing in steady state.
     scratch: WriteScratch,
     /// The last planned read's physical extents, reused likewise.
@@ -195,7 +195,7 @@ impl StorageStack {
             read_policy: cfg.read_policy,
         });
 
-        let engine = DedupEngine::new(
+        let mut engine = DedupEngine::new(
             spec.policy,
             DedupConfig {
                 select_threshold: cfg.select_threshold,
@@ -208,6 +208,11 @@ impl StorageStack {
                 expected_unique_blocks: sizing.expected_unique_blocks,
             },
         );
+        // The ghost index lives behind the index table; its capacity is
+        // iCache's rule.
+        engine
+            .index_mut()
+            .set_ghost_capacity(icache.ghost_index_entries());
         let max_request_blocks = sizing.max_request_blocks.max(1);
 
         let sim = ArraySim::new(geometry, cfg.disk.clone(), cfg.scheduler);
@@ -357,7 +362,7 @@ impl StorageStack {
         let snap = StateSnapshot {
             seq: self.snap_seq,
             requests: self.requests_done,
-            icache: self.icache.introspect(),
+            icache: self.icache.introspect(self.engine.index().ghost()),
             dedup: self.engine.introspect(),
             tier_target_bytes,
         };
@@ -406,8 +411,10 @@ impl StorageStack {
         // A stack without the dedup module has no storage-node cache to
         // fill and no index traffic to account.
         if self.dedups {
-            self.icache.on_index_victims(&self.scratch.index_victims);
-            self.icache.on_index_misses(&self.scratch.index_miss_fps);
+            // The request's index victims are already in the ghost index.
+            let misses = &self.scratch.index_miss_fps;
+            let hits = self.engine.index_mut().probe_ghosts(misses);
+            self.icache.on_ghost_index_hits(hits);
             self.write_allocate(req);
         }
         self.prof_lap(&mut timer, ProfPhase::CacheLookup);
@@ -562,13 +569,13 @@ impl StorageStack {
 
     /// iCache adaptation: note the request on the iCache's epoch clock
     /// and, when the cost-benefit accounting decides to repartition,
-    /// resize the index table (feeding its victims to the ghost index)
+    /// resize the index table (its victims join the ghost index)
     /// and charge the swap traffic to the disks.
     fn repartition(&mut self, req: &IoRequest) {
         let Some(rp) = self.icache.note_request(req.op.is_write()) else {
             return;
         };
-        self.resize_index(rp.index_bytes);
+        self.engine.index_mut().resize_bytes(rp.index_bytes);
         self.observer.emit(&StackEvent::Repartition {
             index_bytes: rp.index_bytes,
             read_bytes: rp.read_bytes,
@@ -590,7 +597,7 @@ impl StorageStack {
         let Some(index_bytes) = tier.after_request(epoch_closed, self.icache.index_bytes()) else {
             return;
         };
-        let victims = self.resize_index(index_bytes);
+        let victims = self.engine.index_mut().resize_bytes(index_bytes);
         if victims > 0 {
             self.observer.emit(&StackEvent::QuotaEviction {
                 tenant: self.tenant,
@@ -598,16 +605,6 @@ impl StorageStack {
                 index_bytes,
             });
         }
-    }
-
-    /// Resize the index table to `bytes` and feed every fingerprint it
-    /// evicts to the ghost index; returns how many were evicted. The
-    /// repartition step and the shared tier both size the index through
-    /// here.
-    fn resize_index(&mut self, bytes: u64) -> u64 {
-        let victims = self.engine.index_mut().resize_bytes(bytes);
-        self.icache.on_index_victims(&victims);
-        victims.len() as u64
     }
 
     /// End of trace: drain the Post-Process backlog, run the disks to

@@ -28,6 +28,13 @@
 //! filling the disk log, the profiler's timers around each hand-over
 //! included, and the worker applying it.
 //!
+//! A third phase runs POD, whose partition adapts, under a working set
+//! that makes it repartition twice a pass: every epoch of writes hits
+//! the ghost index and grows the index, every epoch of reads hits the
+//! ghost read cache and grows the read cache. Each repartition shrinks
+//! one side into its ghost, resizes the index and charges the swap
+//! traffic; none of it may allocate.
+//!
 //! The file holds a single test on purpose — the counter is
 //! process-global, and a lone test keeps the measurement window free of
 //! harness or sibling-test traffic.
@@ -202,10 +209,8 @@ fn rotate_contents(set: &mut [IoRequest], pass: u64) {
     }
 }
 
-/// The second phase: the same contract under eviction. Select-Dedupe
-/// shares POD's write path and caches but keeps a static partition, so
-/// no epoch-rate `set_capacity` (which returns its spill as a `Vec`)
-/// lands in a window. At the 1 MiB floor the read cache holds 128
+/// The second phase: the same contract under eviction, with
+/// Select-Dedupe's static partition. At the 1 MiB floor the read cache holds 128
 /// blocks, the index 8,192 entries and the ghosts 256 and 16,384; the
 /// working set overruns all four, so every written chunk misses the
 /// index and evicts from it and its ghost, every write-allocated or
@@ -267,7 +272,7 @@ fn replay_under_eviction_is_allocation_free(width: usize, profiled: bool) {
 
     // The windows measured what they claim to: all four lists are full
     // and turning over, nothing deduplicated, every read went to disk.
-    let caches = stack.icache().introspect();
+    let caches = stack.icache().introspect(stack.engine().index().ghost());
     let index = stack.engine().index().introspect();
     assert_eq!((caches.read_len, caches.ghost_read.len), (128, 256));
     assert_eq!((index.entries, caches.ghost_index.len), (8_192, 16_384));
@@ -278,6 +283,102 @@ fn replay_under_eviction_is_allocation_free(width: usize, profiled: bool) {
     assert_eq!(counters.all.unique, idx as u64 / 2, "nothing deduped");
     assert_eq!(counters.measured_reads.reads, idx as u64 / 2);
     assert_eq!(counters.measured_reads.read_hits, 0, "every read missed");
+}
+
+/// Requests of one repartition pass: an epoch of eight-block writes,
+/// then an epoch of eight-block reads (the test config's epochs are 200
+/// requests, so epochs and passes stay aligned).
+const REPART_EPOCH: u64 = 200;
+/// Content generations of the writes: 10 × 1,600 blocks = 16,000
+/// distinct contents in rotation, more than the index ever holds (8,192
+/// or 9,011 entries) and fewer than it and its 16,384-entry ghost do, so
+/// every written chunk misses the index and hits the ghost index.
+const REPART_GENERATIONS: u64 = 10;
+/// Read ranges: 30 eight-block ranges, 240 blocks cycled, more than the
+/// read cache ever holds (128 or 140 blocks) and fewer than it and its
+/// 256-block ghost do, so every read block after the first cycle misses
+/// the cache and hits the ghost.
+const REPART_READ_RANGES: u64 = 30;
+
+fn repartition_working_set() -> Vec<IoRequest> {
+    let at = SimTime::from_micros(0);
+    let mut set = Vec::new();
+    for i in 0..REPART_EPOCH {
+        let chunks = vec![Fingerprint::ZERO; 8];
+        set.push(IoRequest::write(i, at, Lba::new(i * 8), chunks));
+    }
+    for i in 0..REPART_EPOCH {
+        let lba = Lba::new(i % REPART_READ_RANGES * 8);
+        set.push(IoRequest::read(REPART_EPOCH + i, at, lba, 8));
+    }
+    set
+}
+
+/// The third phase: POD's adaptive partition moving inside the
+/// measured windows.
+fn replay_while_repartitioning_is_allocation_free(width: usize, profiled: bool) {
+    let mut set = repartition_working_set();
+    let trace = Trace {
+        name: "alloc-probe-repartitioning".into(),
+        requests: set.clone(),
+        memory_budget_bytes: 1 << 20,
+    };
+    let mut cfg = SystemConfig::test_default();
+    cfg.memory_bytes = Some(1 << 20);
+    assert_eq!(cfg.icache.epoch_requests, REPART_EPOCH);
+    pod_core::pool::set_default_width(width);
+    let mut chain = ObserverChain::new();
+    chain.push(LayerHistograms::new());
+    chain.push(TraceRecorder::new("POD", &trace.name, 64, 1 << 20));
+    if profiled {
+        chain.push(ProfSink::new());
+    }
+    let mut stack = StorageStack::with_observer(&Scheme::Pod.stack_spec(), &cfg, &trace, chain)
+        .expect("valid stack");
+
+    let mut clock = 0u64;
+    let mut idx = 0usize;
+    let mut pass = 0u64;
+    let mut run_passes = |stack: &mut StorageStack, n: u64| {
+        for _ in 0..n {
+            let generation = pass % REPART_GENERATIONS;
+            for req in set.iter_mut().filter(|r| r.op.is_write()) {
+                let first = req.lba.raw();
+                for (b, chunk) in req.chunks.iter_mut().enumerate() {
+                    let id = 1_000_000 + generation * REPART_EPOCH * 8 + first + b as u64;
+                    *chunk = Fingerprint::from_content_id(id);
+                }
+            }
+            run_set(stack, &mut set, EVICT_GAP_US, &mut clock, &mut idx);
+            pass += 1;
+        }
+    };
+    // Warmup: 20 passes fill the ghost index; 41 leave `pending` (one
+    // entry per request, all of which reach the disks) just past its
+    // doubling at 16,384 entries, so the next is 40 passes away.
+    const WARMUP: u64 = 41;
+    run_passes(&mut stack, WARMUP);
+    let repartitions = stack.icache().repartitions();
+    let best = fewest_allocations_in_8_windows(|| run_passes(&mut stack, 4));
+    let passes = pass - WARMUP;
+
+    assert_eq!(
+        best, 0,
+        "steady-state process_request while POD repartitions at width {width}, profiled \
+         {profiled}, allocated at least {best} times in every one of 8 windows of 4 passes"
+    );
+
+    // The windows measured what they claim to: the partition moved
+    // twice a pass, and both ghosts were busy and hit.
+    assert_eq!(stack.icache().repartitions() - repartitions, 2 * passes);
+    let caches = stack.icache().introspect(stack.engine().index().ghost());
+    assert!(caches.ghost_index.len > 8_192, "{:?}", caches.ghost_index);
+    assert!(
+        caches.epoch_ghost_read_hits > 0,
+        "the last epoch read the ghost"
+    );
+    assert!(caches.ghost_index.hits >= (pass - 20) * REPART_EPOCH * 8);
+    stack.finish().expect("finish");
 }
 
 #[test]
@@ -371,4 +472,6 @@ fn steady_state_replay_with_full_observer_chain_is_allocation_free() {
     replay_under_eviction_is_allocation_free(1, true);
     replay_under_eviction_is_allocation_free(2, true);
     replay_under_eviction_is_allocation_free(2, false);
+    replay_while_repartitioning_is_allocation_free(1, true);
+    replay_while_repartitioning_is_allocation_free(2, false);
 }

@@ -1,79 +1,26 @@
 //! O(1) LRU cache: a dense slab of nodes linked by `u32`, indexed by
-//! an open-addressing table of one `u64` slot word per entry.
+//! the crate's open-addressing table of one `u64` slot word per entry
+//! (`slots.rs`).
 //!
 //! Safe code throughout. Keys live once, in the slab; the list is
 //! threaded through it by index, and a removal moves the last node into
-//! the hole, so the slab stays dense and needs no free list. The index
-//! is a power-of-two `Vec<u64>` under linear probing at load ≤ ½: a
-//! slot word is `tag << 32 | (node + 1)` (0 = empty), where `tag` is
-//! the high half of a one-multiply hash of the key and the home slot is
-//! the tag's top bits. A lookup therefore compares tags before it
-//! touches a node, and backward-shift deletion and rehash read slot
-//! words only — never a key. The hasher is private and unkeyed, so
-//! simulation runs are reproducible, and nothing ever iterates the
-//! table.
-//!
-//! The table starts at 16 slots and doubles on demand, so
-//! [`LruCache::new`] costs the same whatever the capacity: a ghost as
-//! large as the whole DRAM budget pays for what it holds, not for what
-//! it may hold.
+//! the hole, so the slab stays dense and needs no free list.
 //!
 //! The index table and read cache of POD are both LRU-managed (paper
 //! §III-B: "The Index table in our POD design is organized in an LRU
-//! form"), and the iCache Swap Module resizes them online — hence
-//! [`LruCache::set_capacity`] returns the entries spilled by a shrink so
-//! the caller can swap them out to the reserved disk region.
+//! form"); POD itself runs them as [`GhostedLru`](crate::GhostedLru)s,
+//! this list plus a ghost side. [`LruCache`] is the plain list, and its
+//! [`LruCache::set_capacity`] returns the entries a shrink spills.
 
-use std::hash::{Hash, Hasher};
+use crate::slots::{slot_word, tag_of, SlotTable};
+use std::hash::Hash;
 
 const NIL: u32 = u32::MAX;
 
-/// Slots of a fresh table (8 entries before the first doubling).
-const MIN_SLOTS: usize = 16;
-
 /// Entry bound: a node index plus one fits the low half of a slot
-/// word, and at load ≤ ½ the table of a full slab has at most 2^32
+/// word, and at load ≤ ¾ the table of a full slab has at most 2^32
 /// slots, so a home slot still fits the 32-bit tag.
 const MAX_NODES: usize = 1 << 31;
-
-/// One rotate-xor-multiply per 64-bit word written (a `u64` key or a
-/// `Fingerprint`'s prefix is a single multiply). The golden-ratio
-/// multiplier pushes every input bit into the high half, which is the
-/// only half [`tag_of`] keeps.
-struct TagHasher(u64);
-
-impl Hasher for TagHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-#[inline]
-fn tag_of<K: Hash>(key: &K) -> u32 {
-    let mut hasher = TagHasher(0);
-    key.hash(&mut hasher);
-    (hasher.finish() >> 32) as u32
-}
-
-#[inline]
-fn slot_word(tag: u32, idx: u32) -> u64 {
-    (tag as u64) << 32 | (idx as u64 + 1)
-}
 
 #[derive(Debug)]
 struct Node<K, V> {
@@ -96,18 +43,14 @@ struct Node<K, V> {
 /// let evicted = cache.insert("c", 3);    // "b" is now the LRU victim
 /// assert_eq!(evicted, Some(("b", 2)));
 ///
-/// // iCache resizes its partitions online; spilled entries come back
-/// // LRU-first so they can be staged to disk.
+/// // An online shrink returns what it spills, least recent first.
 /// let spilled = cache.set_capacity(1);
 /// assert_eq!(spilled.len(), 1);
 /// ```
 #[derive(Debug)]
 pub struct LruCache<K, V> {
-    /// Slot words, `tag << 32 | (node + 1)`; 0 is an empty slot. The
-    /// length is a power of two and at least twice `slab.len()`.
-    slots: Vec<u64>,
-    /// `32 - log2(slots.len())`: a tag's home slot is `tag >> shift`.
-    shift: u32,
+    /// Slot words of every node in `slab`.
+    table: SlotTable,
     /// Every live node and nothing else, in no particular order.
     slab: Vec<Node<K, V>>,
     /// Most recently used node.
@@ -138,8 +81,7 @@ impl<K: Eq + Hash, V> LruCache<K, V> {
     /// any capacity: storage grows with the entries actually held.
     pub fn new(capacity: usize) -> Self {
         Self {
-            slots: vec![0; MIN_SLOTS],
-            shift: 32 - MIN_SLOTS.trailing_zeros(),
+            table: SlotTable::new(),
             slab: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -211,8 +153,8 @@ impl<K: Eq + Hash, V> LruCache<K, V> {
             // Full: the LRU node is reused in place — its slot word is
             // swapped for the new key's and it moves to the front.
             let idx = self.tail;
-            self.vacate(self.slot_of(idx));
-            self.place(slot_word(tag, idx));
+            self.table.vacate(self.slot_of(idx));
+            self.table.place(slot_word(tag, idx));
             let node = &mut self.slab[idx as usize];
             let victim = (
                 std::mem::replace(&mut node.key, key),
@@ -223,9 +165,7 @@ impl<K: Eq + Hash, V> LruCache<K, V> {
             return Some(victim);
         }
         assert!(self.slab.len() < MAX_NODES, "LruCache entry bound");
-        if (self.slab.len() + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
+        self.table.reserve(self.slab.len() + 1);
         let idx = self.slab.len() as u32;
         self.slab.push(Node {
             key,
@@ -233,7 +173,7 @@ impl<K: Eq + Hash, V> LruCache<K, V> {
             prev: NIL,
             next: NIL,
         });
-        self.place(slot_word(tag, idx));
+        self.table.place(slot_word(tag, idx));
         self.attach_front(idx);
         None
     }
@@ -282,105 +222,35 @@ impl<K: Eq + Hash, V> LruCache<K, V> {
 
     /// Drop every entry, keeping capacity (and the table's size).
     pub fn clear(&mut self) {
-        self.slots.fill(0);
+        self.table.clear();
         self.slab.clear();
         self.head = NIL;
         self.tail = NIL;
     }
 
-    /// Slot and node of `key`. Tags are compared before the node is
-    /// touched; the walk ends at the first empty slot, which load ≤ ½
-    /// guarantees exists.
+    /// Slot and node of `key`.
     #[inline]
     fn find(&self, tag: u32, key: &K) -> Option<(usize, u32)> {
-        let mask = self.slots.len() - 1;
-        let mut slot = (tag >> self.shift) as usize;
-        loop {
-            let word = self.slots[slot];
-            if word == 0 {
-                return None;
-            }
-            if (word >> 32) as u32 == tag {
-                let idx = word as u32 - 1;
-                if self.slab[idx as usize].key == *key {
-                    return Some((slot, idx));
-                }
-            }
-            slot = (slot + 1) & mask;
-        }
+        self.table
+            .probe(tag, |_, idx| self.slab[idx as usize].key == *key)
     }
 
-    /// Slot of the live node `idx`: its key gives the home, and the
-    /// whole word — not the key — identifies it along the chain.
+    /// Slot of the live node `idx`.
     fn slot_of(&self, idx: u32) -> usize {
-        let word = slot_word(tag_of(&self.slab[idx as usize].key), idx);
-        let mask = self.slots.len() - 1;
-        let mut slot = self.home(word);
-        while self.slots[slot] != word {
-            assert!(self.slots[slot] != 0, "live node {idx} is not indexed");
-            slot = (slot + 1) & mask;
-        }
-        slot
-    }
-
-    #[inline]
-    fn home(&self, word: u64) -> usize {
-        (word >> (32 + self.shift)) as usize
-    }
-
-    /// Store `word` in the first empty slot at or after its home.
-    fn place(&mut self, word: u64) {
-        let mask = self.slots.len() - 1;
-        let mut slot = self.home(word);
-        while self.slots[slot] != 0 {
-            slot = (slot + 1) & mask;
-        }
-        self.slots[slot] = word;
-    }
-
-    /// Empty `slot` by backward shift: each later word of the chain
-    /// moves into the hole unless that would put it before its home,
-    /// so no tombstone is left and lookups still end at an empty slot.
-    fn vacate(&mut self, slot: usize) {
-        let mask = self.slots.len() - 1;
-        let mut hole = slot;
-        let mut next = slot;
-        loop {
-            next = (next + 1) & mask;
-            let word = self.slots[next];
-            if word == 0 {
-                break;
-            }
-            // Distances are cyclic, measured back from `next`.
-            if (next.wrapping_sub(self.home(word)) & mask) >= (next.wrapping_sub(hole) & mask) {
-                self.slots[hole] = word;
-                hole = next;
-            }
-        }
-        self.slots[hole] = 0;
-    }
-
-    /// Double the table, re-placing every word by the tag it carries.
-    fn grow(&mut self) {
-        let doubled = vec![0; self.slots.len() * 2];
-        let old = std::mem::replace(&mut self.slots, doubled);
-        self.shift -= 1;
-        for word in old.into_iter().filter(|&w| w != 0) {
-            self.place(word);
-        }
+        let tag = tag_of(&self.slab[idx as usize].key);
+        self.table.slot_of(slot_word(tag, idx))
     }
 
     /// Take node `idx` (indexed at `slot`) out of the table, the list
     /// and the slab. The slab's last node fills the hole, so its slot
     /// word and its neighbours' links are repointed at `idx`.
     fn unlink(&mut self, slot: usize, idx: u32) -> Node<K, V> {
-        self.vacate(slot);
+        self.table.vacate(slot);
         self.detach(idx);
         let last = (self.slab.len() - 1) as u32;
         if idx != last {
-            // Same tag, lower node: only the word's low half changes.
-            let moved = self.slot_of(last);
-            self.slots[moved] -= (last - idx) as u64;
+            let tag = tag_of(&self.slab[last as usize].key);
+            self.table.renumber(tag, last, idx);
             let Node { prev, next, .. } = self.slab[last as usize];
             self.set_next(prev, idx);
             self.set_prev(next, idx);

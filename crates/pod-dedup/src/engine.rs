@@ -14,8 +14,8 @@
 //! The engine performs **no I/O itself**: a [`WriteSummary`] reports the
 //! count of on-disk index lookups to charge (Full-Dedupe's miss
 //! penalty), and the caller's [`WriteScratch`] holds the extents that
-//! must hit disk and the index victims for the ghost caches. `pod-core`
-//! translates them into simulator jobs.
+//! must hit disk and the fingerprints that missed the index (the ghost
+//! index probes). `pod-core` translates them into simulator jobs.
 
 use crate::classify::{
     classify_for_full_into, classify_for_idedup_into, classify_for_select_into, ChunkCandidate,
@@ -107,18 +107,16 @@ impl Default for DedupConfig {
 /// The replay loop owns one `WriteScratch` and threads it through every
 /// write, so the steady-state hot path performs **zero heap
 /// allocations**: every vector the engine needs — the outgoing extents,
-/// ghost-cache feeds, per-chunk candidates, classification runs/ranges —
+/// the ghost-probe feed, per-chunk candidates, classification runs/ranges —
 /// lives here and is reused (cleared, capacity retained) call to call.
 ///
-/// After a call returns, the three public vectors and
+/// After a call returns, the two public vectors and
 /// [`WriteScratch::dedup_ranges`] hold that write's results; they are
 /// valid until the next `process_write_into` call.
 #[derive(Debug, Default)]
 pub struct WriteScratch {
     /// Physical extents that must be written to disk (merged).
     pub write_extents: Vec<(Pba, u32)>,
-    /// Index-table victims evicted while processing (ghost-index feed).
-    pub index_victims: Vec<Fingerprint>,
     /// Fingerprints that missed the in-memory index (ghost probe feed).
     pub index_miss_fps: Vec<Fingerprint>,
     /// Per-chunk dedup candidates (step 1 of Fig. 6).
@@ -144,7 +142,6 @@ impl WriteScratch {
     pub fn with_chunk_capacity(max_chunks: usize) -> Self {
         Self {
             write_extents: Vec::with_capacity(max_chunks),
-            index_victims: Vec::with_capacity(max_chunks),
             index_miss_fps: Vec::with_capacity(max_chunks),
             candidates: Vec::with_capacity(max_chunks),
             dedup_mask: Vec::with_capacity(max_chunks),
@@ -166,7 +163,6 @@ impl WriteScratch {
     /// Clear all buffers, retaining capacity.
     fn reset(&mut self) {
         self.write_extents.clear();
-        self.index_victims.clear();
         self.index_miss_fps.clear();
         self.candidates.clear();
         self.dedup_mask.clear();
@@ -443,9 +439,7 @@ impl DedupEngine {
                     // content-addressed; hot entries only, like POD.
                     for (lba, fp) in req.write_chunks() {
                         let pba = self.store.lookup(lba).expect("just written");
-                        if let Some(v) = self.index.upsert(fp, pba) {
-                            scratch.index_victims.push(v);
-                        }
+                        self.index.upsert(fp, pba);
                     }
                 }
                 _ => {}
@@ -481,9 +475,7 @@ impl DedupEngine {
                 if let Some(&pba) = self.disk_index.get(&fp) {
                     cand = Some(pba);
                     // Promote into the hot index.
-                    if let Some(v) = self.index.insert(fp, pba) {
-                        scratch.index_victims.push(v);
-                    }
+                    self.index.insert(fp, pba);
                 }
             }
             // Validate: the candidate block must still hold this content.
@@ -605,7 +597,8 @@ impl DedupEngine {
     /// and the on-disk fingerprint index. What is lost and rebuilt
     /// here: the in-memory Index table — repopulated from the live
     /// Map/content state with every `Count` reset to 0 (the paper
-    /// initializes `Count` on insert) — and the PostProcess scan
+    /// initializes `Count` on insert; the ghost index behind it is
+    /// iCache's accounting and is kept) — and the PostProcess scan
     /// backlog, whose queued chunks are merely missed dedup
     /// opportunities, never a correctness loss.
     pub fn recover_after_crash(&mut self) -> PodResult<RecoveryOutcome> {
@@ -613,16 +606,7 @@ impl DedupEngine {
         // or "recovery" would be fabricating state.
         self.store.verify_journal_recovery()?;
 
-        let mut fresh = IndexTable::with_byte_budget(self.index.capacity_bytes());
-        let mut rebuilt = 0u64;
-        let mut dropped = 0u64;
-        for (pba, fp) in self.store.contents() {
-            if fresh.insert(fp, pba).is_some() {
-                dropped += 1;
-            }
-            rebuilt += 1;
-        }
-        self.index = fresh;
+        let (rebuilt, dropped) = self.index.rebuild(self.store.contents());
         let scan_backlog_dropped = self.scan_queue.len() as u64;
         self.scan_queue.clear();
         Ok(RecoveryOutcome {
@@ -716,9 +700,7 @@ impl DedupEngine {
             let pba = self.store.write_unique(lba, fp, None)?;
             scratch.pbas.push(pba);
             // Index maintenance: remember where this content now lives.
-            if let Some(v) = self.index.upsert(fp, pba) {
-                scratch.index_victims.push(v);
-            }
+            self.index.upsert(fp, pba);
             if self.policy == DedupPolicy::FullDedupe {
                 self.disk_index.insert(fp, pba);
             }
@@ -1123,9 +1105,40 @@ mod tests {
                 ..DedupConfig::default()
             },
         );
+        e.index_mut().set_ghost_capacity(4);
         write(&mut e, &wreq(0, 0, &[1, 2])).expect("w1");
         let (_, s) = write(&mut e, &wreq(1, 10, &[3, 4])).expect("w2");
-        assert_eq!(s.index_victims.len(), 2, "2-entry index evicts both");
+        assert_eq!(s.index_miss_fps, vec![fp(3), fp(4)], "the ghost probe feed");
+        assert_eq!(e.index().ghost().len, 2, "2-entry index evicts both");
+        // The feed probes after the request's victims are remembered.
+        assert_eq!(e.index_mut().probe_ghosts(&[fp(1), fp(9), fp(2)]), 2);
+        assert_eq!(e.index().ghost().hits, 2);
+    }
+
+    #[test]
+    fn crash_recovery_keeps_the_ghost_index() {
+        let mut e = DedupEngine::new(
+            DedupPolicy::SelectDedupe,
+            DedupConfig {
+                index_budget_bytes: 2 * crate::INDEX_ENTRY_BYTES,
+                logical_blocks: 10_000,
+                overflow_blocks: 10_000,
+                ..DedupConfig::default()
+            },
+        );
+        e.index_mut().set_ghost_capacity(4);
+        write(&mut e, &wreq(0, 0, &[1, 2])).expect("w1");
+        write(&mut e, &wreq(1, 10, &[3, 4])).expect("w2");
+        let outcome = e.recover_after_crash().expect("recovery");
+        assert_eq!(outcome.index_entries_rebuilt, 4);
+        assert_eq!(outcome.index_entries_evicted, 2, "forgotten, not ghosted");
+        assert_eq!(e.index().stats(), (0, 0, 4), "counters restart");
+        assert_eq!(e.index().heat()[0], 2);
+        assert_eq!(
+            e.index_mut().probe_ghosts(&[fp(1), fp(2)]),
+            2,
+            "the ghost survived"
+        );
     }
 
     #[test]

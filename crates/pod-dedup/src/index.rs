@@ -11,6 +11,14 @@
 //! PBA + count + LRU links), and [`IndexTable::resize_bytes`] is the hook
 //! the Swap Module drives every epoch.
 //!
+//! The table also holds iCache's ghost index (Fig. 7): its LRU list
+//! runs on to the fingerprints it evicted most recently, so an eviction
+//! or a resize spill moves a boundary instead of copying a victim out,
+//! and a ghost probe is a lookup in the same table. Its capacity is 0
+//! until the owner of the DRAM budget sets it
+//! ([`IndexTable::set_ghost_capacity`]); the per-epoch hit counts and
+//! the cost-benefit rule stay with iCache.
+//!
 //! Every `Count` change goes through [`IndexTable`]: a query hit, an
 //! insert (fresh or over an existing key), an upsert, an eviction
 //! victim, a resize spill and a removal each move one entry between the
@@ -18,7 +26,7 @@
 //! covers the whole table exactly and reading it is a copy, which is
 //! what lets every epoch snapshot carry it.
 
-use pod_cache::LruCache;
+use pod_cache::{GhostState, GhostedLru};
 use pod_types::{log2_bucket, Fingerprint, Pba, INDEX_ENTRY_BYTES};
 
 /// LRU only (§III-B); kept because the benchmark harness names the `index_policy` fields.
@@ -38,10 +46,10 @@ pub struct IndexEntry {
     pub count: u32,
 }
 
-/// LRU table of hot fingerprints.
+/// LRU table of hot fingerprints, with the ghost index behind it.
 #[derive(Debug)]
 pub struct IndexTable {
-    cache: LruCache<Fingerprint, IndexEntry>,
+    cache: GhostedLru<Fingerprint, IndexEntry>,
     hits: u64,
     misses: u64,
     inserts: u64,
@@ -74,10 +82,10 @@ pub struct IndexState {
 
 impl IndexTable {
     /// Index table sized by a byte budget (whole [`INDEX_ENTRY_BYTES`]
-    /// entries).
+    /// entries), with no ghost.
     pub fn with_byte_budget(bytes: u64) -> Self {
         Self {
-            cache: LruCache::new((bytes / INDEX_ENTRY_BYTES) as usize),
+            cache: GhostedLru::new((bytes / INDEX_ENTRY_BYTES) as usize, 0),
             hits: 0,
             misses: 0,
             inserts: 0,
@@ -110,7 +118,7 @@ impl IndexTable {
 
     /// Insert (or refresh) the location of a fingerprint with `Count`
     /// reset to 0, as a fresh entry (paper: "initialized to 0").
-    /// Returns the evicted victim, which iCache feeds to the ghost index.
+    /// Returns the evicted victim, now the ghost index's front.
     pub fn insert(&mut self, fp: Fingerprint, pba: Pba) -> Option<Fingerprint> {
         self.inserts += 1;
         let entry = IndexEntry { pba, count: 0 };
@@ -131,7 +139,7 @@ impl IndexTable {
     /// Update an existing entry's location preserving its `Count`, or
     /// insert a fresh entry. Used when a redundant-but-written chunk
     /// (category 2) creates a newer copy of hot content. Returns the
-    /// evicted victim on insert.
+    /// evicted victim on insert, now the ghost index's front.
     pub fn upsert(&mut self, fp: Fingerprint, pba: Pba) -> Option<Fingerprint> {
         // One probe decides between relocating and inserting.
         let entry = IndexEntry { pba, count: 0 };
@@ -148,7 +156,8 @@ impl IndexTable {
     }
 
     /// Remove a (stale) entry — e.g. the physical block was overwritten
-    /// and the fingerprint no longer matches its content.
+    /// and the fingerprint no longer matches its content. A ghost of the
+    /// same fingerprint stays.
     pub fn remove(&mut self, fp: &Fingerprint) -> Option<IndexEntry> {
         let removed = self.cache.remove(fp);
         if let Some(e) = removed {
@@ -185,20 +194,58 @@ impl IndexTable {
         self.capacity() as u64 * INDEX_ENTRY_BYTES
     }
 
-    /// Resize to a new byte budget; spilled entries (least recently
-    /// used first) are returned so the Swap Module can stage them to the
-    /// reserved disk region and register them with the ghost index.
-    pub fn resize_bytes(&mut self, bytes: u64) -> Vec<Fingerprint> {
-        let spilled = self
-            .cache
-            .set_capacity((bytes / INDEX_ENTRY_BYTES) as usize);
-        spilled
-            .into_iter()
-            .map(|(fp, e)| {
-                self.heat[log2_bucket::<8>(e.count.into())] -= 1;
-                fp
+    /// Resize to a new byte budget. Spilled entries (least recently
+    /// used first) join the ghost index's front, and their data is the
+    /// Swap Module's to stage to the reserved disk region; returns how
+    /// many spilled.
+    pub fn resize_bytes(&mut self, bytes: u64) -> u64 {
+        let heat = &mut self.heat;
+        self.cache
+            .set_capacity((bytes / INDEX_ENTRY_BYTES) as usize, |_, e| {
+                heat[log2_bucket::<8>(e.count.into())] -= 1;
             })
-            .collect()
+    }
+
+    /// Let the ghost index remember up to `entries` evicted
+    /// fingerprints (its least recent ones go on a shrink).
+    pub fn set_ghost_capacity(&mut self, entries: usize) {
+        self.cache.set_ghost_capacity(entries);
+    }
+
+    /// Consume the ghost of each of `fps` that has one (fingerprints
+    /// that missed the table: each hit is a write a bigger index would
+    /// have deduplicated). Returns the hits.
+    pub fn probe_ghosts(&mut self, fps: &[Fingerprint]) -> u64 {
+        fps.iter().filter(|fp| self.cache.probe_ghost(fp)).count() as u64
+    }
+
+    /// Ghost index gauges (hits are cumulative).
+    pub fn ghost(&self) -> GhostState {
+        self.cache.ghost_state()
+    }
+
+    /// Crash recovery: replace every entry with `contents`, in order,
+    /// each with `Count` 0, as a fresh table of the same capacity would
+    /// hold them, forgetting what the refill evicts; the counters
+    /// restart. The ghost index survives. Returns `(inserted,
+    /// evicted)`.
+    pub fn rebuild(
+        &mut self,
+        contents: impl IntoIterator<Item = (Pba, Fingerprint)>,
+    ) -> (u64, u64) {
+        self.cache.clear_resident();
+        (self.hits, self.misses, self.inserts) = (0, 0, 0);
+        let mut evicted = 0;
+        for (pba, fp) in contents {
+            self.inserts += 1;
+            let entry = IndexEntry { pba, count: 0 };
+            if self.cache.insert_unghosted(fp, entry).is_some() {
+                evicted += 1;
+            }
+        }
+        self.heat = [0; 8];
+        self.heat[0] = self.len() as u64;
+        (self.inserts, evicted)
     }
 
     /// `(hits, misses, inserts)` counters.
@@ -287,8 +334,9 @@ mod tests {
             t.insert(fp(i), Pba::new(i));
         }
         t.query(&fp(0));
-        let spilled = t.resize_bytes(2 * INDEX_ENTRY_BYTES);
-        assert_eq!(spilled, vec![fp(1), fp(2)]);
+        t.set_ghost_capacity(4);
+        assert_eq!(t.resize_bytes(2 * INDEX_ENTRY_BYTES), 2);
+        assert_eq!(t.probe_ghosts(&[fp(1), fp(2), fp(3)]), 2, "1 and 2 spilled");
         assert_eq!(t.len(), 2);
         assert!(t.peek(&fp(0)).is_some());
         assert!(t.peek(&fp(3)).is_some());

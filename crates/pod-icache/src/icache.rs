@@ -1,4 +1,5 @@
-//! The iCache proper: read cache + ghosts + cost-benefit repartitioning.
+//! The iCache proper: read cache and its ghost, ghost-hit accounting and
+//! cost-benefit repartitioning.
 //!
 //! Cost-benefit (paper §III-C): per epoch,
 //!
@@ -13,9 +14,13 @@
 //! shrinks; spilled victims go to the ghosts and their data to the
 //! reserved swap region (the returned [`Repartition`] carries the swap
 //! traffic in blocks so the replay driver can charge it as disk I/O).
+//!
+//! The read cache and its ghost are one [`GhostedLru`]. The ghost index
+//! lives behind the index table, in `pod-dedup`, which reports its hits
+//! here ([`ICache::on_ghost_index_hits`]).
 
-use pod_cache::{GhostCache, GhostState, LruCache};
-use pod_types::{Fingerprint, Lba, BLOCK_BYTES, INDEX_ENTRY_BYTES};
+use pod_cache::{GhostState, GhostedLru, Lookup};
+use pod_types::{Lba, BLOCK_BYTES, INDEX_ENTRY_BYTES};
 
 /// LRU only (§III-C); kept because the benchmark harness names the `read_policy` fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -132,8 +137,8 @@ struct EpochHits {
     index: u64,
 }
 
-/// The iCache: read cache, two ghosts, the epoch clock, and the swap
-/// policy.
+/// The iCache: read cache and its ghost, the ghost hits of both sides,
+/// the epoch clock, and the swap policy.
 ///
 /// ```
 /// use pod_icache::{ICache, ICacheConfig};
@@ -152,11 +157,10 @@ pub struct ICache {
     cfg: ICacheConfig,
     index_bytes: u64,
     read_bytes: u64,
-    /// Keyed by LBA (or content key); a fill evicts at most one block,
-    /// straight into `ghost_read`.
-    read_cache: LruCache<u64, ()>,
-    ghost_read: GhostCache<u64>,
-    ghost_index: GhostCache<Fingerprint>,
+    /// The read cache and the ghost read cache behind it, keyed by LBA
+    /// (or content key); a fill evicts at most one block, into the
+    /// ghost.
+    read: GhostedLru<u64, ()>,
     /// Requests noted in the open epoch.
     open_requests: u64,
     /// Ghost hits of the open epoch.
@@ -174,17 +178,11 @@ impl ICache {
         let index_bytes = ((cfg.total_bytes as f64) * cfg.initial_index_fraction).round() as u64;
         let read_bytes = cfg.total_bytes - index_bytes;
         let read_entries = (read_bytes / BLOCK_BYTES) as usize;
-        // Ghosts remember as many entries as the *whole* budget could
-        // hold: "The maximum size of an actual cache and its ghost cache
-        // is set to be equal to the total size of the DRAM" (Fig. 7).
         let ghost_read_entries = (cfg.total_bytes / BLOCK_BYTES) as usize;
-        let ghost_index_entries = (cfg.total_bytes / INDEX_ENTRY_BYTES) as usize;
         Self {
             index_bytes,
             read_bytes,
-            read_cache: LruCache::new(read_entries),
-            ghost_read: GhostCache::new(ghost_read_entries),
-            ghost_index: GhostCache::new(ghost_index_entries),
+            read: GhostedLru::new(read_entries, ghost_read_entries),
             open_requests: 0,
             open_hits: EpochHits::default(),
             closed_hits: EpochHits::default(),
@@ -221,6 +219,14 @@ impl ICache {
         self.repartitions
     }
 
+    /// Fingerprints the ghost index behind the index table may hold.
+    /// Ghosts remember as many entries as the *whole* budget could hold:
+    /// "The maximum size of an actual cache and its ghost cache is set
+    /// to be equal to the total size of the DRAM" (Fig. 7).
+    pub fn ghost_index_entries(&self) -> usize {
+        (self.cfg.total_bytes / INDEX_ENTRY_BYTES) as usize
+    }
+
     /// `true` when no request has been noted since the last epoch
     /// closed (and before the first request): right after
     /// [`ICache::note_request`], whether that request closed an epoch.
@@ -244,38 +250,31 @@ impl ICache {
     /// content-addressed caches (I/O-Dedup) key blocks by fingerprint
     /// prefix so duplicate content shares one slot.
     pub fn read_lookup_key(&mut self, key: u64) -> bool {
-        if self.read_cache.get(&key).is_some() {
-            return true;
-        }
-        if self.ghost_read.probe(&key) {
-            self.open_hits.read += 1;
-        }
-        false
-    }
-
-    /// Like [`ICache::read_fill`] with an arbitrary cache key.
-    pub fn read_fill_key(&mut self, key: u64) {
-        if let Some((victim, ())) = self.read_cache.insert(key, ()) {
-            self.read_evictions += 1;
-            self.ghost_read.record_eviction(victim);
-        }
-    }
-
-    /// Feed index-table evictions into the ghost index.
-    pub fn on_index_victims(&mut self, victims: &[Fingerprint]) {
-        for fp in victims {
-            self.ghost_index.record_eviction(*fp);
-        }
-    }
-
-    /// Probe the ghost index with fingerprints that missed the actual
-    /// index (from `WriteScratch::index_miss_fps`).
-    pub fn on_index_misses(&mut self, misses: &[Fingerprint]) {
-        for fp in misses {
-            if self.ghost_index.probe(fp) {
-                self.open_hits.index += 1;
+        match self.read.lookup(&key) {
+            Lookup::Hit => true,
+            Lookup::Ghost => {
+                self.open_hits.read += 1;
+                false
             }
+            Lookup::Miss => false,
         }
+    }
+
+    /// Like [`ICache::read_fill`] with an arbitrary cache key. The ghost
+    /// is not probed: a block filled while its ghost is remembered is
+    /// both until it is evicted again.
+    pub fn read_fill_key(&mut self, key: u64) {
+        // A zero-block cache's fill is its own victim, and counts as one.
+        if self.read.insert(key, ()).is_some() {
+            self.read_evictions += 1;
+        }
+    }
+
+    /// Count ghost index hits: fingerprints that missed the index table
+    /// but were found in the ghost index behind it
+    /// (`IndexTable::probe_ghosts`).
+    pub fn on_ghost_index_hits(&mut self, hits: u64) {
+        self.open_hits.index += hits;
     }
 
     /// Note a request; at an epoch boundary, possibly decide a
@@ -332,10 +331,7 @@ impl ICache {
         // Resize the read cache now; evicted blocks go to the ghost and
         // their data to the swap region.
         let read_entries = (self.read_bytes / BLOCK_BYTES) as usize;
-        for (victim, ()) in self.read_cache.set_capacity(read_entries) {
-            self.read_evictions += 1;
-            self.ghost_read.record_eviction(victim);
-        }
+        self.read_evictions += self.read.set_capacity(read_entries, |_, _| {});
         self.repartitions += 1;
         Some(Repartition {
             index_bytes: self.index_bytes,
@@ -345,8 +341,9 @@ impl ICache {
         })
     }
 
-    /// Gauge snapshot: cheap, allocation-free, `Copy`.
-    pub fn introspect(&self) -> ICacheState {
+    /// Gauge snapshot: cheap, allocation-free, `Copy`. The ghost index
+    /// lives behind the index table, which supplies its gauges.
+    pub fn introspect(&self, ghost_index: GhostState) -> ICacheState {
         let EpochHits {
             read: egr,
             index: egi,
@@ -357,11 +354,11 @@ impl ICache {
             index_per_mille: self.index_bytes * 1000 / (self.index_bytes + self.read_bytes).max(1),
             epochs: self.epochs,
             repartitions: self.repartitions,
-            read_len: self.read_cache.len() as u64,
-            read_capacity: self.read_cache.capacity() as u64,
+            read_len: self.read.len() as u64,
+            read_capacity: self.read.capacity() as u64,
             read_evictions: self.read_evictions,
-            ghost_read: self.ghost_read.introspect(),
-            ghost_index: self.ghost_index.introspect(),
+            ghost_read: self.read.ghost_state(),
+            ghost_index,
             epoch_ghost_read_hits: egr,
             epoch_ghost_index_hits: egi,
             benefit_read_us: egr * self.cfg.read_miss_penalty_us,
@@ -373,10 +370,6 @@ impl ICache {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fp(id: u64) -> Fingerprint {
-        Fingerprint::from_content_id(id)
-    }
 
     fn cfg(total: u64) -> ICacheConfig {
         ICacheConfig {
@@ -404,9 +397,8 @@ mod tests {
         });
         assert!((c.index_bytes() as f64 / (8.0 * MB as f64) - 0.3).abs() < 0.01);
         // Heavy ghost traffic, but adaptation is off.
-        for i in 0..100u64 {
-            c.on_index_victims(&[fp(i)]);
-            c.on_index_misses(&[fp(i)]);
+        for _ in 0..100u64 {
+            c.on_ghost_index_hits(1);
             assert!(c.note_request(true).is_none());
         }
         assert_eq!(c.repartitions(), 0);
@@ -428,7 +420,7 @@ mod tests {
         c.read_fill(Lba::new(2));
         c.read_fill(Lba::new(3)); // evicts 1 into ghost
         assert!(!c.read_lookup(Lba::new(1)), "miss after eviction");
-        assert_eq!(c.introspect().ghost_read.hits, 1);
+        assert_eq!(c.introspect(GhostState::default()).ghost_read.hits, 1);
     }
 
     #[test]
@@ -436,10 +428,9 @@ mod tests {
         let mut c = ICache::new(cfg(8 * MB));
         let before = c.index_bytes();
         let mut repart = None;
-        for i in 0..10u64 {
+        for _ in 0..10u64 {
             // Ghost index hits dominate: evict then miss the same fp.
-            c.on_index_victims(&[fp(i)]);
-            c.on_index_misses(&[fp(i)]);
+            c.on_ghost_index_hits(1);
             repart = c.note_request(true).or(repart);
         }
         let r = repart.expect("epoch boundary must repartition");
@@ -480,9 +471,8 @@ mod tests {
             ..ICacheConfig::adaptive(10 * MB)
         });
         // Relentless write pressure for many epochs.
-        for i in 0..400u64 {
-            c.on_index_victims(&[fp(i)]);
-            c.on_index_misses(&[fp(i)]);
+        for _ in 0..400u64 {
+            c.on_ghost_index_hits(1);
             c.note_request(true);
         }
         assert!(
@@ -502,8 +492,7 @@ mod tests {
             c.read_fill(Lba::new(i));
         }
         for i in 0..10u64 {
-            c.on_index_victims(&[fp(i)]);
-            c.on_index_misses(&[fp(i)]);
+            c.on_ghost_index_hits(1);
             c.read_lookup(Lba::new(i)); // ghost read hit
             assert!(c.note_request(i % 2 == 0).is_none());
         }
@@ -527,13 +516,9 @@ mod tests {
             adaptive: false,
             ..cfg(4 * BLOCK_BYTES)
         });
-        let ghost_index_hit = |c: &mut ICache, id| {
-            c.on_index_victims(&[fp(id)]);
-            c.on_index_misses(&[fp(id)]);
-        };
         // (epochs, last closed epoch's ghost read / index hits, closed)
         let gauges = |c: &ICache| {
-            let st = c.introspect();
+            let st = c.introspect(GhostState::default());
             let closed = c.at_epoch_boundary();
             let hits = (st.epoch_ghost_read_hits, st.epoch_ghost_index_hits);
             (st.epochs, hits, closed)
@@ -543,12 +528,12 @@ mod tests {
             c.read_fill(Lba::new(lba)); // the third fill evicts block 1
         }
         c.read_lookup(Lba::new(1));
-        (0..3).for_each(|id| ghost_index_hit(&mut c, id));
+        c.on_ghost_index_hits(3);
         for _ in 0..10 {
             c.note_request(true);
         }
         // Epoch 2 opens with one ghost index hit: not shown yet.
-        ghost_index_hit(&mut c, 100);
+        c.on_ghost_index_hits(1);
         c.note_request(true);
         assert_eq!(gauges(&c), (1, (1, 3), false));
         for _ in 1..10 {
@@ -560,17 +545,16 @@ mod tests {
     #[test]
     fn introspect_reflects_partition_and_ghosts() {
         let mut c = ICache::new(cfg(8 * MB));
-        let st0 = c.introspect();
+        let st0 = c.introspect(GhostState::default());
         assert_eq!(st0.index_per_mille, 500);
         assert_eq!(st0.read_capacity, 4 * MB / BLOCK_BYTES);
         assert_eq!(st0.benefit_index_us, 0, "no epoch closed yet");
         // A write-heavy epoch grows the index and leaves benefit gauges.
-        for i in 0..10u64 {
-            c.on_index_victims(&[fp(i)]);
-            c.on_index_misses(&[fp(i)]);
+        for _ in 0..10u64 {
+            c.on_ghost_index_hits(1);
             c.note_request(true);
         }
-        let st = c.introspect();
+        let st = c.introspect(GhostState::default());
         assert!(st.index_per_mille > 500);
         assert_eq!(st.epochs, 1);
         assert_eq!(st.repartitions, 1);
@@ -579,7 +563,6 @@ mod tests {
             st.benefit_index_us,
             10 * ICacheConfig::adaptive(8 * MB).write_miss_penalty_us
         );
-        assert_eq!(st.ghost_index.hits, 10, "cumulative ghost gauge");
         assert_eq!(st.index_bytes + st.read_bytes, 8 * MB);
     }
 
@@ -589,27 +572,26 @@ mod tests {
         for i in 0..21u64 {
             c.read_fill(Lba::new(i)); // the 21st fill evicts block 0
         }
-        let st = c.introspect();
+        let st = c.introspect(GhostState::default());
         assert_eq!(st.read_evictions, 1);
         assert_eq!(st.read_len, 20);
         assert_eq!(st.ghost_read.len, 1);
-        assert!(c.ghost_read.contains(&0));
+        assert!(c.read.ghost_contains(&0));
 
         // A write-heavy epoch grows the index by one 4-block step, so
         // the read cache sheds its four least recent blocks: 1..=4.
-        for i in 0..10u64 {
-            c.on_index_victims(&[fp(i)]);
-            c.on_index_misses(&[fp(i)]);
+        for _ in 0..10u64 {
+            c.on_ghost_index_hits(1);
             c.note_request(true);
         }
-        let st = c.introspect();
+        let st = c.introspect(GhostState::default());
         assert_eq!(st.repartitions, 1);
         assert_eq!(st.read_capacity, 16);
         assert_eq!(st.read_len, st.read_capacity);
         assert_eq!(st.read_evictions, 1 + 4);
         assert_eq!(st.ghost_read.len, 1 + 4);
         for victim in 0..=4u64 {
-            assert!(c.ghost_read.contains(&victim), "block {victim} in ghost");
+            assert!(c.read.ghost_contains(&victim), "block {victim} in ghost");
         }
         assert!(c.read_lookup(Lba::new(5)), "block 5 survives the shrink");
     }

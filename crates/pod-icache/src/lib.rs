@@ -14,9 +14,13 @@
 //! reserved region of the back-end storage (the swap traffic is
 //! reported so the replay driver can charge it).
 //!
-//! The crate owns the read cache and both ghosts; the index table itself
-//! lives in `pod-dedup` and is resized through the repartition decision
-//! this crate emits.
+//! The crate owns the read cache and its ghost, one `pod_cache::GhostedLru`
+//! list (ARC's T1 ∪ B1), the per-epoch ghost-hit counts of both sides
+//! and the cost-benefit rule. The index table lives in `pod-dedup` with
+//! the ghost index behind it, in one list the same way: it is sized
+//! through the repartition decision this crate emits, takes the ghost
+//! capacity this crate computes ([`ICache::ghost_index_entries`]) and
+//! reports its ghost hits back ([`ICache::on_ghost_index_hits`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

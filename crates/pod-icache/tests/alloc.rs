@@ -1,8 +1,9 @@
 //! A cache costs what it holds, not what its capacity says.
 //!
-//! `LruCache::new` is called with very large capacities on purpose: the
-//! ghost caches are each sized to the whole DRAM budget (Fig. 7), and
-//! the index holds millions of entries at a 256 MiB budget. A table
+//! `GhostedLru::new` and `LruCache::new` are called with very large
+//! capacities on purpose: the ghost caches are each sized to the whole
+//! DRAM budget (Fig. 7), and the index holds millions of entries at a
+//! 256 MiB budget. A table
 //! sized from the capacity up front makes each of those a
 //! multi-megabyte allocation that the run then faults in page by page;
 //! the grow-on-demand table must keep them cheap. A byte-counting
@@ -15,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pod_cache::LruCache;
+use pod_cache::{GhostedLru, LruCache};
 use pod_icache::{ICache, ICacheConfig};
 use pod_types::Fingerprint;
 
@@ -66,8 +67,18 @@ fn caches_cost_what_they_hold_not_their_capacity() {
         "LruCache::new(usize::MAX) asked for {bytes} bytes before holding anything"
     );
 
-    // The iCache at the `readmix-fiu` budget: a 65,536-block ghost read
-    // cache and a 4 M-entry ghost index, both empty.
+    // A cache and its ghost in one list, both unbounded: the index and
+    // the ghost index behind it.
+    let (lists, bytes) =
+        bytes_allocated(|| GhostedLru::<Fingerprint, u64>::new(usize::MAX, usize::MAX));
+    assert!(lists.is_empty() && lists.ghost_len() == 0);
+    assert!(
+        bytes < 1 << 10,
+        "GhostedLru::new(usize::MAX, usize::MAX) asked for {bytes} bytes before holding anything"
+    );
+
+    // The iCache at the `readmix-fiu` budget: a 32,768-block read cache
+    // and its 65,536-block ghost, both empty.
     let (icache, bytes) = bytes_allocated(|| ICache::new(ICacheConfig::adaptive(256 << 20)));
     assert_eq!(icache.index_bytes(), 128 << 20);
     assert!(

@@ -6,7 +6,7 @@
 //! ```
 
 use pod::icache::{ICache, ICacheConfig};
-use pod::types::{Fingerprint, Lba, BLOCK_BYTES};
+use pod::types::{Lba, BLOCK_BYTES};
 
 const MB: u64 = 1024 * 1024;
 
@@ -25,7 +25,6 @@ fn main() {
     println!("iCache over {} MiB, epoch = 500 requests", total / MB);
     println!("phase          epoch  index|read split            ghost hits (idx/read)");
 
-    let mut fp_counter = 0u64;
     for (phase, is_write_burst) in [
         ("write burst", true),
         ("write burst", true),
@@ -42,12 +41,10 @@ fn main() {
         for i in 0..500u64 {
             if is_write_burst {
                 // Hot fingerprints cycling beyond the index capacity:
-                // evictions land in the ghost index and re-queries hit it,
-                // signalling "a bigger index would dedup more".
-                let fp = Fingerprint::from_content_id(fp_counter % 150_000);
-                fp_counter += 1;
-                icache.on_index_victims(&[fp]);
-                icache.on_index_misses(&[fp]);
+                // each write misses the index table and hits the ghost
+                // index behind it, signalling "a bigger index would
+                // dedup more".
+                icache.on_ghost_index_hits(1);
             } else {
                 // Reads sweeping a set larger than the read cache: misses
                 // probe the ghost read cache.

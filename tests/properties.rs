@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) on the core invariants, spanning
 //! crates through the public API.
 
-use pod::cache::LruCache;
+use pod::cache::{GhostedLru, Lookup, LruCache};
 use pod::dedup::{
     ChunkStore, ClassKind, DedupConfig, DedupEngine, DedupPolicy, IndexTable, WriteScratch,
     INDEX_ENTRY_BYTES,
@@ -215,6 +215,212 @@ proptest! {
         check_lru_against_model(|k| k, cap, &ops)?;
         check_lru_against_model(OneChainKey, cap, &ops)?;
         check_lru_against_model(FourChainKey, cap, &ops)?;
+    }
+}
+
+// ---------------------------------------------------------------------
+// GhostedLru: one list against the pair it replaces — an LruCache and a
+// ghost LruCache wired as iCache wired them (a victim is recorded in the
+// ghost, a probe removes and counts), victims-then-probes included.
+// ---------------------------------------------------------------------
+
+/// Keys a ghosted op sequence draws from: few enough that fills meet
+/// their own ghosts.
+const GHOSTED_KEYS: u8 = 48;
+
+#[derive(Debug, Clone)]
+enum GhostedOp {
+    /// Read path: promote a resident, else consume its ghost.
+    Lookup(u8),
+    /// Write-allocate: insert without probing the ghost (a key in the
+    /// ghost becomes resident and a ghost at once).
+    Fill(u8, u32),
+    /// Insert-or-update without a lookup (I/O-Dedup's upsert).
+    Upsert(u8, u32),
+    /// A write request: query each key, upsert it, and only after the
+    /// whole request probe the ghost for the keys that missed.
+    Request(Vec<u8>),
+    Probe(u8),
+    Remove(u8),
+    /// Resident resize, up, down and to 0.
+    Resize(u8),
+    /// Ghost resize, to 0 included.
+    GhostResize(u8),
+    /// Crash rebuild: a resident-only clear, then refills whose victims
+    /// are forgotten.
+    Rebuild(Vec<u8>),
+}
+
+fn ghosted_op() -> impl Strategy<Value = GhostedOp> {
+    let batch = || proptest::collection::vec(0..GHOSTED_KEYS, 1..10);
+    prop_oneof![
+        (0..GHOSTED_KEYS).prop_map(GhostedOp::Lookup),
+        (0..GHOSTED_KEYS).prop_map(GhostedOp::Lookup),
+        (0..GHOSTED_KEYS, any::<u32>()).prop_map(|(k, v)| GhostedOp::Fill(k, v)),
+        (0..GHOSTED_KEYS, any::<u32>()).prop_map(|(k, v)| GhostedOp::Fill(k, v)),
+        (0..GHOSTED_KEYS, any::<u32>()).prop_map(|(k, v)| GhostedOp::Upsert(k, v)),
+        batch().prop_map(GhostedOp::Request),
+        batch().prop_map(GhostedOp::Request),
+        (0..GHOSTED_KEYS).prop_map(GhostedOp::Probe),
+        (0..GHOSTED_KEYS).prop_map(GhostedOp::Remove),
+        (0u8..40).prop_map(GhostedOp::Resize),
+        (0u8..40).prop_map(GhostedOp::GhostResize),
+        // Rare: a rebuild empties the resident side.
+        (0u8..8, batch()).prop_map(|(roll, keys)| if roll == 0 {
+            GhostedOp::Rebuild(keys)
+        } else {
+            GhostedOp::Request(keys)
+        }),
+    ]
+}
+
+/// The pair [`GhostedLru`] replaces.
+struct GhostedModel<K> {
+    cache: LruCache<K, u32>,
+    ghost: LruCache<K, ()>,
+    hits: u64,
+}
+
+impl<K: Copy + Eq + std::hash::Hash> GhostedModel<K> {
+    fn record(&mut self, victim: Option<(K, u32)>) -> Option<(K, u32)> {
+        if let Some((k, _)) = victim {
+            self.ghost.insert(k, ());
+        }
+        victim
+    }
+    fn probe(&mut self, k: &K) -> bool {
+        // A branch, not `hits += u64::from(hit)`: with rustc 1.95.0 the
+        // release build of this suite lost that increment once `probe`
+        // was inlined into the Lookup arm (debug builds, and the
+        // branch, count every hit).
+        let hit = self.ghost.remove(k).is_some();
+        if hit {
+            self.hits += 1;
+        }
+        hit
+    }
+}
+
+/// Run `ops` against a `GhostedLru<K, u32>` and the pair side by side,
+/// comparing every return value and, after every op, both lengths, the
+/// evictions, the ghost hits and both sides' MRU→LRU order.
+fn check_ghosted_against_pair<K>(
+    key: fn(u8) -> K,
+    cap: usize,
+    ghost_cap: usize,
+    ops: &[GhostedOp],
+) -> Result<(), TestCaseError>
+where
+    K: Copy + Eq + std::hash::Hash + std::fmt::Debug,
+{
+    let add: fn(&mut u32, u32) = |old, new| *old = old.wrapping_add(new);
+    let mut real = GhostedLru::<K, u32>::new(cap, ghost_cap);
+    let mut pair = GhostedModel {
+        cache: LruCache::new(cap),
+        ghost: LruCache::new(ghost_cap),
+        hits: 0,
+    };
+    // The pair's evictions restart with a rebuild's fresh table.
+    let mut evictions_before = 0;
+    for op in ops {
+        match op {
+            GhostedOp::Lookup(k) => {
+                let k = key(*k);
+                let want = if pair.cache.get(&k).is_some() {
+                    Lookup::Hit
+                } else if pair.probe(&k) {
+                    Lookup::Ghost
+                } else {
+                    Lookup::Miss
+                };
+                prop_assert_eq!(real.lookup(&k), want);
+            }
+            GhostedOp::Fill(k, v) => {
+                let want = pair.cache.insert(key(*k), *v);
+                let want = pair.record(want);
+                prop_assert_eq!(real.insert(key(*k), *v), want);
+            }
+            GhostedOp::Upsert(k, v) => {
+                let want = pair.cache.upsert(key(*k), *v, add);
+                let want = pair.record(want);
+                prop_assert_eq!(real.upsert(key(*k), *v, add), want);
+            }
+            GhostedOp::Request(keys) => {
+                let (mut victims, mut misses) = (Vec::new(), Vec::new());
+                for &k in keys {
+                    let k = key(k);
+                    let hit = pair.cache.get_mut(&k).copied();
+                    prop_assert_eq!(real.get_mut(&k).copied(), hit);
+                    if hit.is_none() {
+                        misses.push(k);
+                    }
+                    let victim = pair.cache.upsert(k, 1, add);
+                    prop_assert_eq!(real.upsert(k, 1, add), victim);
+                    victims.extend(victim);
+                }
+                for victim in victims {
+                    pair.record(Some(victim));
+                }
+                for k in &misses {
+                    let hit = pair.probe(k);
+                    prop_assert_eq!(real.probe_ghost(k), hit);
+                }
+            }
+            GhostedOp::Probe(k) => {
+                let hit = pair.probe(&key(*k));
+                prop_assert_eq!(real.probe_ghost(&key(*k)), hit);
+            }
+            GhostedOp::Remove(k) => {
+                prop_assert_eq!(real.remove(&key(*k)), pair.cache.remove(&key(*k)));
+            }
+            GhostedOp::Resize(c) => {
+                let spilled = pair.cache.set_capacity(*c as usize);
+                let mut got = Vec::new();
+                let n = real.set_capacity(*c as usize, |k, v| got.push((*k, *v)));
+                prop_assert_eq!(n, spilled.len() as u64);
+                prop_assert_eq!(&got, &spilled);
+                for victim in spilled {
+                    pair.record(Some(victim));
+                }
+            }
+            GhostedOp::GhostResize(c) => {
+                let _ = pair.ghost.set_capacity(*c as usize);
+                real.set_ghost_capacity(*c as usize);
+            }
+            GhostedOp::Rebuild(keys) => {
+                evictions_before = pair.cache.evictions();
+                pair.cache.clear();
+                real.clear_resident();
+                for &k in keys {
+                    let want = pair.cache.insert(key(k), u32::from(k));
+                    prop_assert_eq!(real.insert_unghosted(key(k), u32::from(k)), want);
+                }
+            }
+        }
+        prop_assert_eq!(real.len(), pair.cache.len(), "after {:?}", op);
+        prop_assert_eq!(real.ghost_len(), pair.ghost.len());
+        prop_assert_eq!(real.evictions(), pair.cache.evictions() - evictions_before);
+        prop_assert_eq!(real.ghost_state().hits, pair.hits, "hits after {:?}", op);
+        let resident: Vec<(K, u32)> = real.iter().map(|(k, v)| (*k, *v)).collect();
+        let want: Vec<(K, u32)> = pair.cache.iter().map(|(k, v)| (*k, *v)).collect();
+        prop_assert_eq!(resident, want, "resident order after {:?}", op);
+        let ghosts: Vec<K> = real.ghost_keys().copied().collect();
+        let want: Vec<K> = pair.ghost.iter().map(|(k, ())| *k).collect();
+        prop_assert_eq!(ghosts, want, "ghost order after {:?}", op);
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn ghosted_lru_matches_the_pair_it_replaces(
+        cap in 0usize..24,
+        ghost_cap in 0usize..40,
+        ops in proptest::collection::vec(ghosted_op(), 1..300),
+    ) {
+        check_ghosted_against_pair(|k| k, cap, ghost_cap, &ops)?;
+        check_ghosted_against_pair(OneChainKey, cap, ghost_cap, &ops)?;
+        check_ghosted_against_pair(FourChainKey, cap, ghost_cap, &ops)?;
     }
 }
 
