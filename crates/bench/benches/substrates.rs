@@ -5,7 +5,7 @@
 //! results measure the *modelled* system, not harness overhead.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use pod_cache::{GhostedLru, LruCache};
+use pod_cache::GhostedLru;
 use pod_core::pool::default_width;
 use pod_dedup::index::IndexEntry;
 use pod_dedup::{ChunkStore, IndexTable, INDEX_ENTRY_BYTES};
@@ -30,11 +30,11 @@ fn bench_caches(c: &mut Criterion) {
     let mut g = c.benchmark_group("cache_ops");
     g.bench_function("lru_insert_get", |b| {
         b.iter_batched(
-            || LruCache::<u64, u64>::new(1_024),
+            || GhostedLru::<u64, u64>::new(1_024, 0),
             |mut cache| {
                 for i in 0..4_096u64 {
                     cache.insert(i, i);
-                    black_box(cache.get(&(i / 2)));
+                    black_box(cache.get_mut(&(i / 2)));
                 }
                 cache
             },
@@ -85,7 +85,7 @@ fn bench_caches(c: &mut Criterion) {
         const BLOCKS: u64 = 65_536;
         b.iter_batched(
             || {
-                let mut cache = LruCache::<u64, ()>::new(BLOCKS as usize);
+                let mut cache = GhostedLru::<u64, ()>::new(BLOCKS as usize, 0);
                 for lba in 0..BLOCKS {
                     cache.insert(lba, ());
                 }
@@ -96,7 +96,7 @@ fn bench_caches(c: &mut Criterion) {
                 // once, in an order that defeats the prefetcher.
                 for i in 0..BLOCKS {
                     let lba = i.wrapping_mul(0x9E37_79B1) % BLOCKS;
-                    black_box(cache.get(&lba));
+                    black_box(cache.lookup(&lba));
                 }
                 cache
             },

@@ -1,6 +1,6 @@
-//! The open-addressing index both LRU types share: one `u64` slot word
-//! per entry in a power-of-two `Vec<u64>` under linear probing at
-//! load ≤ ¾.
+//! The open-addressing index of [`GhostedLru`](crate::GhostedLru): one
+//! `u64` slot word per entry in a power-of-two `Vec<u64>` under linear
+//! probing at load ≤ ¾.
 //!
 //! A slot word is `tag << 32 | (node + 1)` (0 = empty), where `tag` is
 //! the high half of a one-multiply hash of the key and the home slot is
@@ -181,10 +181,5 @@ impl SlotTable {
         for word in old.into_iter().filter(|&w| w != 0) {
             self.place(word);
         }
-    }
-
-    /// Empty every slot, keeping the table's size.
-    pub(crate) fn clear(&mut self) {
-        self.slots.fill(0);
     }
 }

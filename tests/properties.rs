@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) on the core invariants, spanning
 //! crates through the public API.
 
-use pod::cache::{GhostedLru, Lookup, LruCache};
+use pod::cache::{GhostedLru, Lookup};
 use pod::dedup::{
     ChunkStore, ClassKind, DedupConfig, DedupEngine, DedupPolicy, IndexTable, WriteScratch,
     INDEX_ENTRY_BYTES,
@@ -12,7 +12,8 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 
 // ---------------------------------------------------------------------
-// LruCache: model-based check against a naive reference.
+// The plain LRU (`GhostedLru` with no ghost): model-based check against
+// a naive reference.
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -24,9 +25,7 @@ enum CacheOp {
     Get(u8),
     GetMut(u8, u32),
     Peek(u8),
-    Contains(u8),
     Remove(u8),
-    PopLru,
     Resize(u8),
     Clear,
 }
@@ -42,9 +41,7 @@ fn cache_op() -> impl Strategy<Value = CacheOp> {
         any::<u8>().prop_map(CacheOp::Get),
         (any::<u8>(), any::<u32>()).prop_map(|(k, v)| CacheOp::GetMut(k, v)),
         any::<u8>().prop_map(CacheOp::Peek),
-        any::<u8>().prop_map(CacheOp::Contains),
         any::<u8>().prop_map(CacheOp::Remove),
-        Just(CacheOp::PopLru),
         // Grow and shrink, including to 0. `Clear` rides on the same
         // arm so the cache is not emptied too often to fill up.
         (0u8..120).prop_map(|c| if c == 119 {
@@ -86,6 +83,12 @@ struct ModelLru {
 }
 
 impl ModelLru {
+    fn new(cap: usize) -> Self {
+        Self {
+            cap,
+            ..Self::default()
+        }
+    }
     fn position(&self, k: u8) -> Option<usize> {
         self.items.iter().position(|(key, _)| *key == k)
     }
@@ -96,7 +99,7 @@ impl ModelLru {
         Some(&mut self.items[0].1)
     }
     /// Insert or, on a hit, `update`; returns the evicted (or bounced)
-    /// entry like `LruCache::upsert`.
+    /// entry like `GhostedLru::upsert`.
     fn upsert(&mut self, k: u8, v: u32, update: fn(&mut u32, u32)) -> Option<(u8, u32)> {
         if let Some(slot) = self.touch(k) {
             update(slot, v);
@@ -130,11 +133,17 @@ impl ModelLru {
         }
         spilled
     }
+    /// Drop every entry and restart the eviction count, as
+    /// `GhostedLru::clear_resident` does.
+    fn clear(&mut self) {
+        self.items.clear();
+        self.evictions = 0;
+    }
 }
 
-/// Run `ops` against an `LruCache<K, u32>` and the model side by side,
-/// comparing every return value and, after every op, `len`,
-/// `evictions` and the full MRU→LRU order.
+/// Run `ops` against a `GhostedLru<K, u32>` with no ghost and the model
+/// side by side, comparing every return value and, after every op,
+/// `len`, `evictions` and the full MRU→LRU order.
 fn check_lru_against_model<K>(
     key: fn(u8) -> K,
     cap: usize,
@@ -144,11 +153,8 @@ where
     K: Copy + Eq + std::hash::Hash + std::fmt::Debug,
 {
     let keyed = |entry: Option<(u8, u32)>| entry.map(|(k, v)| (key(k), v));
-    let mut real = LruCache::<K, u32>::new(cap);
-    let mut model = ModelLru {
-        cap,
-        ..ModelLru::default()
-    };
+    let mut real = GhostedLru::<K, u32>::new(cap, 0);
+    let mut model = ModelLru::new(cap);
     for op in ops {
         match *op {
             CacheOp::Insert(k, v) => {
@@ -161,8 +167,11 @@ where
                 prop_assert_eq!(real.upsert(key(k), v, add), keyed(want));
             }
             CacheOp::Get(k) => {
-                let want = model.touch(k).copied();
-                prop_assert_eq!(real.get(&key(k)).copied(), want);
+                let want = match model.touch(k) {
+                    Some(_) => Lookup::Hit,
+                    None => Lookup::Miss,
+                };
+                prop_assert_eq!(real.lookup(&key(k)), want);
             }
             CacheOp::GetMut(k, v) => {
                 let got = real.get_mut(&key(k)).map(|slot| std::mem::replace(slot, v));
@@ -173,14 +182,8 @@ where
                 let want = model.position(k).map(|pos| model.items[pos].1);
                 prop_assert_eq!(real.peek(&key(k)).copied(), want);
             }
-            CacheOp::Contains(k) => {
-                prop_assert_eq!(real.contains(&key(k)), model.position(k).is_some());
-            }
             CacheOp::Remove(k) => {
                 prop_assert_eq!(real.remove(&key(k)), model.remove(k));
-            }
-            CacheOp::PopLru => {
-                prop_assert_eq!(real.pop_lru(), keyed(model.pop_lru()));
             }
             CacheOp::Resize(c) => {
                 let want: Vec<(K, u32)> = model
@@ -188,12 +191,15 @@ where
                     .into_iter()
                     .map(|(k, v)| (key(k), v))
                     .collect();
-                prop_assert_eq!(real.set_capacity(c as usize), want);
+                let mut got = Vec::new();
+                let n = real.set_capacity(c as usize, |k, v| got.push((*k, *v)));
+                prop_assert_eq!(n, want.len() as u64);
+                prop_assert_eq!(got, want);
                 prop_assert_eq!(real.capacity(), c as usize);
             }
             CacheOp::Clear => {
-                real.clear();
-                model.items.clear();
+                real.clear_resident();
+                model.clear();
             }
         }
         prop_assert_eq!(real.len(), model.items.len());
@@ -219,9 +225,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// GhostedLru: one list against the pair it replaces — an LruCache and a
-// ghost LruCache wired as iCache wired them (a victim is recorded in the
-// ghost, a probe removes and counts), victims-then-probes included.
+// GhostedLru: one list against the pair it replaces — a cache and a
+// ghost, each a naive `ModelLru`, wired as iCache wired them (a victim
+// is recorded in the ghost, a probe removes and counts),
+// victims-then-probes included.
 // ---------------------------------------------------------------------
 
 /// Keys a ghosted op sequence draws from: few enough that fills meet
@@ -274,21 +281,21 @@ fn ghosted_op() -> impl Strategy<Value = GhostedOp> {
     ]
 }
 
-/// The pair [`GhostedLru`] replaces.
-struct GhostedModel<K> {
-    cache: LruCache<K, u32>,
-    ghost: LruCache<K, ()>,
+/// The pair [`GhostedLru`] replaces. The ghost's values are unused.
+struct GhostedModel {
+    cache: ModelLru,
+    ghost: ModelLru,
     hits: u64,
 }
 
-impl<K: Copy + Eq + std::hash::Hash> GhostedModel<K> {
-    fn record(&mut self, victim: Option<(K, u32)>) -> Option<(K, u32)> {
+impl GhostedModel {
+    fn record(&mut self, victim: Option<(u8, u32)>) -> Option<(u8, u32)> {
         if let Some((k, _)) = victim {
-            self.ghost.insert(k, ());
+            self.ghost.upsert(k, 0, |_, _| {});
         }
         victim
     }
-    fn probe(&mut self, k: &K) -> bool {
+    fn probe(&mut self, k: u8) -> bool {
         // A branch, not `hits += u64::from(hit)`: with rustc 1.95.0 the
         // release build of this suite lost that increment once `probe`
         // was inlined into the Lookup arm (debug builds, and the
@@ -314,98 +321,96 @@ where
     K: Copy + Eq + std::hash::Hash + std::fmt::Debug,
 {
     let add: fn(&mut u32, u32) = |old, new| *old = old.wrapping_add(new);
+    let set: fn(&mut u32, u32) = |old, new| *old = new;
+    let keyed = |entry: Option<(u8, u32)>| entry.map(|(k, v)| (key(k), v));
     let mut real = GhostedLru::<K, u32>::new(cap, ghost_cap);
     let mut pair = GhostedModel {
-        cache: LruCache::new(cap),
-        ghost: LruCache::new(ghost_cap),
+        cache: ModelLru::new(cap),
+        ghost: ModelLru::new(ghost_cap),
         hits: 0,
     };
-    // The pair's evictions restart with a rebuild's fresh table.
-    let mut evictions_before = 0;
     for op in ops {
         match op {
-            GhostedOp::Lookup(k) => {
-                let k = key(*k);
-                let want = if pair.cache.get(&k).is_some() {
+            &GhostedOp::Lookup(k) => {
+                let want = if pair.cache.touch(k).is_some() {
                     Lookup::Hit
-                } else if pair.probe(&k) {
+                } else if pair.probe(k) {
                     Lookup::Ghost
                 } else {
                     Lookup::Miss
                 };
-                prop_assert_eq!(real.lookup(&k), want);
+                prop_assert_eq!(real.lookup(&key(k)), want);
             }
-            GhostedOp::Fill(k, v) => {
-                let want = pair.cache.insert(key(*k), *v);
+            &GhostedOp::Fill(k, v) => {
+                let want = pair.cache.upsert(k, v, set);
                 let want = pair.record(want);
-                prop_assert_eq!(real.insert(key(*k), *v), want);
+                prop_assert_eq!(real.insert(key(k), v), keyed(want));
             }
-            GhostedOp::Upsert(k, v) => {
-                let want = pair.cache.upsert(key(*k), *v, add);
+            &GhostedOp::Upsert(k, v) => {
+                let want = pair.cache.upsert(k, v, add);
                 let want = pair.record(want);
-                prop_assert_eq!(real.upsert(key(*k), *v, add), want);
+                prop_assert_eq!(real.upsert(key(k), v, add), keyed(want));
             }
             GhostedOp::Request(keys) => {
                 let (mut victims, mut misses) = (Vec::new(), Vec::new());
                 for &k in keys {
-                    let k = key(k);
-                    let hit = pair.cache.get_mut(&k).copied();
-                    prop_assert_eq!(real.get_mut(&k).copied(), hit);
+                    let hit = pair.cache.touch(k).copied();
+                    prop_assert_eq!(real.get_mut(&key(k)).copied(), hit);
                     if hit.is_none() {
                         misses.push(k);
                     }
                     let victim = pair.cache.upsert(k, 1, add);
-                    prop_assert_eq!(real.upsert(k, 1, add), victim);
+                    prop_assert_eq!(real.upsert(key(k), 1, add), keyed(victim));
                     victims.extend(victim);
                 }
                 for victim in victims {
                     pair.record(Some(victim));
                 }
-                for k in &misses {
+                for &k in &misses {
                     let hit = pair.probe(k);
-                    prop_assert_eq!(real.probe_ghost(k), hit);
+                    prop_assert_eq!(real.probe_ghost(&key(k)), hit);
                 }
             }
-            GhostedOp::Probe(k) => {
-                let hit = pair.probe(&key(*k));
-                prop_assert_eq!(real.probe_ghost(&key(*k)), hit);
+            &GhostedOp::Probe(k) => {
+                let hit = pair.probe(k);
+                prop_assert_eq!(real.probe_ghost(&key(k)), hit);
             }
-            GhostedOp::Remove(k) => {
-                prop_assert_eq!(real.remove(&key(*k)), pair.cache.remove(&key(*k)));
+            &GhostedOp::Remove(k) => {
+                prop_assert_eq!(real.remove(&key(k)), pair.cache.remove(k));
             }
-            GhostedOp::Resize(c) => {
-                let spilled = pair.cache.set_capacity(*c as usize);
+            &GhostedOp::Resize(c) => {
+                let spilled = pair.cache.resize(c as usize);
                 let mut got = Vec::new();
-                let n = real.set_capacity(*c as usize, |k, v| got.push((*k, *v)));
+                let n = real.set_capacity(c as usize, |k, v| got.push((*k, *v)));
                 prop_assert_eq!(n, spilled.len() as u64);
-                prop_assert_eq!(&got, &spilled);
+                let want: Vec<(K, u32)> = spilled.iter().map(|&(k, v)| (key(k), v)).collect();
+                prop_assert_eq!(&got, &want);
                 for victim in spilled {
                     pair.record(Some(victim));
                 }
             }
-            GhostedOp::GhostResize(c) => {
-                let _ = pair.ghost.set_capacity(*c as usize);
-                real.set_ghost_capacity(*c as usize);
+            &GhostedOp::GhostResize(c) => {
+                pair.ghost.resize(c as usize);
+                real.set_ghost_capacity(c as usize);
             }
             GhostedOp::Rebuild(keys) => {
-                evictions_before = pair.cache.evictions();
                 pair.cache.clear();
                 real.clear_resident();
                 for &k in keys {
-                    let want = pair.cache.insert(key(k), u32::from(k));
-                    prop_assert_eq!(real.insert_unghosted(key(k), u32::from(k)), want);
+                    let want = pair.cache.upsert(k, u32::from(k), set);
+                    prop_assert_eq!(real.insert_unghosted(key(k), u32::from(k)), keyed(want));
                 }
             }
         }
-        prop_assert_eq!(real.len(), pair.cache.len(), "after {:?}", op);
-        prop_assert_eq!(real.ghost_len(), pair.ghost.len());
-        prop_assert_eq!(real.evictions(), pair.cache.evictions() - evictions_before);
+        prop_assert_eq!(real.len(), pair.cache.items.len(), "after {:?}", op);
+        prop_assert_eq!(real.ghost_len(), pair.ghost.items.len());
+        prop_assert_eq!(real.evictions(), pair.cache.evictions);
         prop_assert_eq!(real.ghost_state().hits, pair.hits, "hits after {:?}", op);
         let resident: Vec<(K, u32)> = real.iter().map(|(k, v)| (*k, *v)).collect();
-        let want: Vec<(K, u32)> = pair.cache.iter().map(|(k, v)| (*k, *v)).collect();
+        let want: Vec<(K, u32)> = pair.cache.items.iter().map(|&(k, v)| (key(k), v)).collect();
         prop_assert_eq!(resident, want, "resident order after {:?}", op);
         let ghosts: Vec<K> = real.ghost_keys().copied().collect();
-        let want: Vec<K> = pair.ghost.iter().map(|(k, ())| *k).collect();
+        let want: Vec<K> = pair.ghost.items.iter().map(|&(k, _)| key(k)).collect();
         prop_assert_eq!(ghosts, want, "ghost order after {:?}", op);
     }
     Ok(())
