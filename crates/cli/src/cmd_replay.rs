@@ -54,12 +54,13 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
         ("reads", &rep.reads),
         ("writes", &rep.writes),
     ] {
+        let [p50, p95, p99] = m.percentiles(&[50.0, 95.0, 99.0]);
         println!(
             "  {label:<18} {:>7.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
             m.mean_ms(),
-            m.percentile_us(50.0) as f64 / 1e3,
-            m.percentile_us(95.0) as f64 / 1e3,
-            m.percentile_us(99.0) as f64 / 1e3,
+            p50 as f64 / 1e3,
+            p95 as f64 / 1e3,
+            p99 as f64 / 1e3,
             m.max_us() as f64 / 1e3,
         );
     }

@@ -132,6 +132,7 @@ pub fn render_report(rep: &ServeReport) -> String {
     .expect("write to string");
     for t in &rep.tenants {
         let r = &t.report;
+        let [p95, p99] = r.overall.percentiles(&[95.0, 99.0]);
         writeln!(
             out,
             "{:>6}  {:<16} {:>9} {:>9.1} {:>10.1} {:>9.2} {:>8.2} {:>8.2} {:>8.1}",
@@ -141,14 +142,15 @@ pub fn render_report(rep: &ServeReport) -> String {
             r.writes_removed_pct(),
             mib(r.counters.deduped_blocks),
             r.overall.mean_ms(),
-            r.overall.percentile_us(95.0) as f64 / 1e3,
-            r.overall.percentile_us(99.0) as f64 / 1e3,
+            p95 as f64 / 1e3,
+            p99 as f64 / 1e3,
             r.capacity_used_mib(),
         )
         .expect("write to string");
     }
     let a = &rep.aggregate;
     let removed_pct = a.counters.removed_pct();
+    let [p95, p99] = a.overall.percentiles(&[95.0, 99.0]);
     writeln!(
         out,
         "{:>6}  {:<16} {:>9} {:>9.1} {:>10.1} {:>9.2} {:>8.2} {:>8.2} {:>8.1}",
@@ -158,8 +160,8 @@ pub fn render_report(rep: &ServeReport) -> String {
         removed_pct,
         mib(a.counters.deduped_blocks),
         a.overall.mean_ms(),
-        a.overall.percentile_us(95.0) as f64 / 1e3,
-        a.overall.percentile_us(99.0) as f64 / 1e3,
+        p95 as f64 / 1e3,
+        p99 as f64 / 1e3,
         mib(a.capacity_used_blocks),
     )
     .expect("write to string");

@@ -424,13 +424,14 @@ impl SchemeComparison {
         let mut s = String::from("trace,scheme,p50_ms,p95_ms,p99_ms,max_ms\n");
         for per_trace in &self.reports {
             for rep in per_trace {
+                let [p50, p95, p99] = rep.overall.percentiles(&[50.0, 95.0, 99.0]);
                 s.push_str(&format!(
                     "{},{},{:.2},{:.2},{:.2},{:.2}\n",
                     rep.trace,
                     rep.scheme,
-                    rep.overall.percentile_us(50.0) as f64 / 1e3,
-                    rep.overall.percentile_us(95.0) as f64 / 1e3,
-                    rep.overall.percentile_us(99.0) as f64 / 1e3,
+                    p50 as f64 / 1e3,
+                    p95 as f64 / 1e3,
+                    p99 as f64 / 1e3,
                     rep.overall.max_us() as f64 / 1e3,
                 ));
             }

@@ -5,6 +5,13 @@
 //! extended analyses and benches use.
 
 /// An accumulator of per-request response times (µs).
+///
+/// A replay's `overall` accumulator owns the stack's response array
+/// itself, its warm-up prefix drained: one `u64` per measured request,
+/// not copied to build the report (see
+/// [`crate::runner::ReplayReport::overall`]). A renderer that prints
+/// several percentiles reads them all from one copy with
+/// [`percentiles`](Self::percentiles).
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     samples: Vec<u64>,
@@ -16,6 +23,26 @@ impl Metrics {
     /// Empty accumulator.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empty accumulator with room for `n` samples.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Self {
+            samples: Vec::with_capacity(n),
+            ..Self::default()
+        }
+    }
+
+    /// The accumulator of `samples`, which `a` and `b` split between
+    /// them: the total and maximum come from the halves, so `samples`
+    /// is taken as it is and not walked again.
+    pub(crate) fn joined(samples: Vec<u64>, a: &Metrics, b: &Metrics) -> Self {
+        debug_assert_eq!(samples.len(), a.count() + b.count());
+        Self {
+            samples,
+            sum: a.sum + b.sum,
+            max: a.max.max(b.max),
+        }
     }
 
     /// Record one response time in µs.
@@ -63,14 +90,34 @@ impl Metrics {
     /// Percentile (0 < p ≤ 100) via nearest-rank: the rank-th smallest
     /// sample, selected in linear time on a copy (no full sort).
     pub fn percentile_us(&self, p: f64) -> u64 {
-        if self.samples.is_empty() {
-            return 0;
-        }
-        debug_assert!((0.0..=100.0).contains(&p));
+        self.percentiles(&[p])[0]
+    }
+
+    /// [`percentile_us`](Self::percentile_us) at each of `ps`, all read
+    /// from one copy of the samples: the ranks are selected in
+    /// ascending order, each within the part of the copy the previous
+    /// selection left above it.
+    pub fn percentiles<const N: usize>(&self, ps: &[f64; N]) -> [u64; N] {
         let n = self.samples.len();
-        let rank = ((p / 100.0) * n as f64).ceil() as usize;
+        let mut out = [0; N];
+        if n == 0 {
+            return out;
+        }
+        let index = |p: f64| {
+            debug_assert!((0.0..=100.0).contains(&p));
+            (((p / 100.0) * n as f64).ceil() as usize).clamp(1, n) - 1
+        };
+        let mut order: [usize; N] = std::array::from_fn(|i| i);
+        order.sort_unstable_by_key(|&i| index(ps[i]));
         let mut copy = self.samples.clone();
-        *copy.select_nth_unstable(rank.clamp(1, n) - 1).1
+        // Every sample below `lo` is at most every sample from `lo` on.
+        let mut lo = 0;
+        for i in order {
+            let k = index(ps[i]);
+            out[i] = *copy[lo..].select_nth_unstable(k - lo).1;
+            lo = k;
+        }
+        out
     }
 
     /// Merge another accumulator into this one.
@@ -181,28 +228,8 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Build from `(arrival µs, response µs)` pairs (any order) with
-    /// `windows` equal-width windows across the observed span.
-    pub fn build(samples: &[(u64, u64)], windows: usize) -> Timeline {
-        if samples.is_empty() || windows == 0 {
-            return Timeline::default();
-        }
-        let last = samples.iter().map(|&(a, _)| a).max().expect("non-empty");
-        let window_us = (last / windows as u64).max(1);
-        let mut sums: Vec<(u64, usize)> = vec![(0, 0); windows + 1];
-        for &(arrival, response) in samples {
-            let w = (arrival / window_us).min(windows as u64) as usize;
-            sums[w].0 += response;
-            sums[w].1 += 1;
-        }
-        let points = sums
-            .into_iter()
-            .enumerate()
-            .filter(|(_, (_, n))| *n > 0)
-            .map(|(i, (sum, n))| (i as u64 * window_us, sum as f64 / n as f64, n))
-            .collect();
-        Timeline { window_us, points }
-    }
+    /// Windows across the replayed span.
+    pub const WINDOWS: usize = 60;
 
     /// Peak window mean, µs.
     pub fn peak_us(&self) -> f64 {
@@ -220,6 +247,55 @@ impl Timeline {
                 LEVELS[lvl.min(LEVELS.len() - 1)]
             })
             .collect()
+    }
+}
+
+/// A [`Timeline`] filled in one pass over `(arrival, response)`
+/// samples in any order. The span's last arrival must be known up
+/// front: it sets the window width.
+#[derive(Debug)]
+pub(crate) struct TimelineFold {
+    window_us: u64,
+    /// `(response sum, samples)` per window, plus one past the equal
+    /// windows for the arrivals from `WINDOWS × window_us` to the
+    /// span's end (the width is rounded down).
+    sums: Vec<(u64, usize)>,
+}
+
+impl TimelineFold {
+    /// [`Timeline::WINDOWS`] equal windows across `0..=last_arrival_us`,
+    /// each at least 1 µs wide.
+    pub(crate) fn new(last_arrival_us: u64) -> Self {
+        Self {
+            window_us: (last_arrival_us / Timeline::WINDOWS as u64).max(1),
+            sums: vec![(0, 0); Timeline::WINDOWS + 1],
+        }
+    }
+
+    /// Add one sample; an arrival past the span joins the last window.
+    #[inline]
+    pub(crate) fn record(&mut self, arrival_us: u64, response_us: u64) {
+        let w = (arrival_us / self.window_us).min(Timeline::WINDOWS as u64) as usize;
+        let (sum, n) = &mut self.sums[w];
+        *sum += response_us;
+        *n += 1;
+    }
+
+    /// The non-empty windows in time order; with no sample at all, the
+    /// empty default timeline.
+    pub(crate) fn finish(self) -> Timeline {
+        if self.sums.iter().all(|&(_, n)| n == 0) {
+            return Timeline::default();
+        }
+        let window_us = self.window_us;
+        let points = self
+            .sums
+            .into_iter()
+            .enumerate()
+            .filter(|(_, (_, n))| *n > 0)
+            .map(|(i, (sum, n))| (i as u64 * window_us, sum as f64 / n as f64, n))
+            .collect();
+        Timeline { window_us, points }
     }
 }
 
@@ -303,17 +379,22 @@ mod tests {
             .contains("no samples"));
     }
 
+    fn fold(samples: impl IntoIterator<Item = (u64, u64)> + Clone) -> Timeline {
+        let last = samples.clone().into_iter().map(|(a, _)| a).max();
+        let mut fold = TimelineFold::new(last.unwrap_or(0));
+        for (arrival, response) in samples {
+            fold.record(arrival, response);
+        }
+        fold.finish()
+    }
+
     #[test]
     fn timeline_windows_and_sparkline() {
         // Two bursts: slow early, fast late.
-        let mut samples = Vec::new();
-        for i in 0..100u64 {
-            samples.push((i * 10, 1_000));
-        }
-        for i in 0..100u64 {
-            samples.push((10_000 + i * 10, 100));
-        }
-        let t = Timeline::build(&samples, 10);
+        let early = (0..100u64).map(|i| (i * 10, 1_000));
+        let late = (0..100u64).map(|i| (10_000 + i * 10, 100));
+        let t = fold(early.chain(late));
+        assert_eq!(t.window_us, 10_990 / 60);
         assert!(!t.points.is_empty());
         assert!((t.peak_us() - 1_000.0).abs() < 1.0);
         let spark = t.sparkline();
@@ -322,12 +403,67 @@ mod tests {
         let first = t.points.first().expect("points").1;
         let last = t.points.last().expect("points").1;
         assert!(first > last);
+        let samples: usize = t.points.iter().map(|&(_, _, n)| n).sum();
+        assert_eq!(samples, 200);
     }
 
     #[test]
     fn timeline_empty_inputs() {
-        assert!(Timeline::build(&[], 10).points.is_empty());
-        assert!(Timeline::build(&[(1, 1)], 0).points.is_empty());
+        let empty = fold([]);
+        assert!(empty.points.is_empty());
+        assert_eq!(empty.window_us, 0, "the default timeline");
+        // One sample at time 0: a 1 µs window, one point.
+        let one = fold([(0, 7)]);
+        assert_eq!((one.window_us, one.points.clone()), (1, vec![(0, 7.0, 1)]));
+    }
+
+    #[test]
+    fn timeline_last_arrival_closes_its_own_window() {
+        // The span's end lands in window 60, past the 60 equal ones.
+        let t = fold([(0, 10), (599, 20), (600, 30)]);
+        assert_eq!(t.window_us, 10);
+        assert_eq!(t.points, [(0, 10.0, 1), (590, 20.0, 1), (600, 30.0, 1)]);
+    }
+
+    #[test]
+    fn percentiles_match_percentile_us_at_every_p() {
+        let mut m = Metrics::new();
+        let ps: [f64; 21] = std::array::from_fn(|i| i as f64 * 5.0);
+        assert_eq!(m.percentiles(&ps), [0; 21], "empty");
+        m.record(42);
+        assert_eq!(m.percentiles(&ps), [42; 21], "single sample");
+        let mut x = 7u64;
+        for _ in 0..1_000 {
+            x = pod_types::rng::splitmix64(x);
+            m.record(x % 5_000);
+        }
+        let mut every: Vec<f64> = (0..=1_000).map(|i| i as f64 / 10.0).collect();
+        // Unordered and repeated ps are each answered in place.
+        every.extend([99.0, 50.0, 0.0, 100.0, 99.9, 0.1]);
+        for w in every.windows(3) {
+            let want = [w[0], w[1], w[2]].map(|p| m.percentile_us(p));
+            assert_eq!(m.percentiles(&[w[0], w[1], w[2]]), want, "{w:?}");
+        }
+        // The selected ranks are the sorted samples' nearest ranks.
+        let mut sorted = m.samples().to_vec();
+        sorted.sort_unstable();
+        let n = sorted.len() as f64;
+        for p in every {
+            let rank = ((p / 100.0 * n).ceil() as usize).clamp(1, sorted.len());
+            assert_eq!(m.percentile_us(p), sorted[rank - 1], "p={p}");
+        }
+    }
+
+    #[test]
+    fn joined_takes_its_totals_from_the_halves() {
+        let (mut a, mut b) = (Metrics::new(), Metrics::new());
+        for v in [5, 1] {
+            a.record(v);
+        }
+        b.record(9);
+        let j = Metrics::joined(vec![5, 9, 1], &a, &b);
+        assert_eq!((j.count(), j.max_us(), j.samples()), (3, 9, &[5, 9, 1][..]));
+        assert!((j.mean_us() - 5.0).abs() < 1e-12);
     }
 
     #[test]

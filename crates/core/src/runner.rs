@@ -17,7 +17,7 @@
 //! amplification) are fetched in one parallel phase.
 
 use crate::config::SystemConfig;
-use crate::metrics::{Metrics, Timeline};
+use crate::metrics::{Metrics, Timeline, TimelineFold};
 use crate::obs::{ObserverChain, StackCounters, StackObserver, TraceRecorder};
 use crate::oracle::{self, IntegrityReport};
 use crate::prof::{HostProfile, ProfSink};
@@ -37,7 +37,11 @@ pub struct ReplayReport {
     pub scheme: String,
     /// Trace name.
     pub trace: String,
-    /// All measured requests.
+    /// All measured requests, in request order. Its samples are the
+    /// stack's response array itself
+    /// ([`StorageStack::take_responses`]) with the warm-up prefix
+    /// drained in place: the report holds each measured response once
+    /// here and once more in `reads` or `writes`.
     pub overall: Metrics,
     /// Read requests only.
     pub reads: Metrics,
@@ -223,6 +227,34 @@ pub(crate) fn replay_stack(
     verify: bool,
     setup: TenantSetup,
 ) -> PodResult<(ReplayReport, StorageStack)> {
+    let (mut stack, warmup, last_arrival_us) = drive(spec, cfg, trace, observer, setup)?;
+    // Verify after finish(): drains, crash recovery and any injected
+    // end-of-replay corruption are all visible to the pass.
+    let integrity = verify.then(|| IntegrityReport {
+        faults_seen: stack.observer().counters().all.faults,
+        ..oracle::verify(stack.engine(), trace)
+    });
+    let report = collect_report(
+        &mut stack,
+        spec.name,
+        trace,
+        warmup,
+        last_arrival_us,
+        integrity,
+    )?;
+    Ok((report, stack))
+}
+
+/// Compose the stack and drive `trace` through it up to and including
+/// [`StorageStack::finish`]. Returns the finished stack, the warm-up
+/// length, and the latest trace arrival among the measured requests.
+fn drive(
+    spec: &StackSpec,
+    cfg: &SystemConfig,
+    trace: &Trace,
+    observer: ObserverChain,
+    setup: TenantSetup,
+) -> PodResult<(StorageStack, usize, u64)> {
     let mut stack = StorageStack::with_observer(spec, cfg, trace, observer)?;
     stack.set_tenant(setup.tenant);
     stack.set_tier(setup.tier);
@@ -231,7 +263,14 @@ pub(crate) fn replay_stack(
     // ---- Replay -------------------------------------------------
     let n = trace.requests.len();
     let warmup = warmup_requests(cfg, n);
+    // The timeline spans the measured requests' trace arrivals, in
+    // whatever order the trace holds them; an admission delay does not
+    // move a request on it.
+    let mut last_arrival_us = 0;
     for (idx, req) in trace.requests.iter().enumerate() {
+        if idx >= warmup {
+            last_arrival_us = last_arrival_us.max(req.arrival.as_micros());
+        }
         let wait_us = throttle
             .as_mut()
             .map_or(0, |bucket| bucket.admit(req.arrival.as_micros()));
@@ -253,15 +292,7 @@ pub(crate) fn replay_stack(
         stack.process_request(idx, req, idx >= warmup)?;
     }
     stack.finish()?;
-
-    // Verify after finish(): drains, crash recovery and any injected
-    // end-of-replay corruption are all visible to the pass.
-    let integrity = verify.then(|| IntegrityReport {
-        faults_seen: stack.observer().counters().all.faults,
-        ..oracle::verify(stack.engine(), trace)
-    });
-    let report = collect_report(&stack, spec.name, trace, warmup, integrity);
-    Ok((report, stack))
+    Ok((stack, warmup, last_arrival_us))
 }
 
 /// `trace` replayed solo through `scheme` under the test config, with
@@ -328,42 +359,88 @@ pub(crate) fn recorder_epoch(epoch: u64, len: usize) -> u64 {
     }
 }
 
-/// Assemble a [`ReplayReport`] from a finished stack.
-fn collect_report(
-    stack: &StorageStack,
-    scheme: &str,
+/// A replay's measured responses: the report's three distributions
+/// and its timeline.
+#[derive(Debug)]
+struct Measured {
+    overall: Metrics,
+    reads: Metrics,
+    writes: Metrics,
+    timeline: Timeline,
+}
+
+/// Fold the responses of the measured requests — positions `warmup..`
+/// of `trace` — in one pass over the trace. `responses` is the stack's
+/// response array; its warm-up prefix is drained in place and the rest
+/// becomes `overall` as it is. `last_arrival_us` is the latest trace
+/// arrival among the measured requests, which sets the timeline's
+/// windows; `reads` of the measured requests are reads (the stack's
+/// measured-read count), which sizes the split distributions exactly.
+///
+/// A measured request whose slot is [`StorageStack::UNRESOLVED`] (or
+/// missing) is a [`PodError::Inconsistency`] naming its position.
+fn measure(
+    mut responses: Vec<u64>,
     trace: &Trace,
     warmup: usize,
-    integrity: Option<IntegrityReport>,
-) -> ReplayReport {
+    last_arrival_us: u64,
+    reads: usize,
+) -> PodResult<Measured> {
     let n = trace.requests.len();
-    let responses = stack.responses(n);
-    let mut overall = Metrics::new();
-    let mut reads = Metrics::new();
-    let mut writes = Metrics::new();
-    let mut timeline_samples: Vec<(u64, u64)> = Vec::with_capacity(n - warmup);
-    for (idx, req) in trace.requests.iter().enumerate() {
-        if idx < warmup {
-            continue;
+    let warmup = warmup.min(n);
+    responses.resize(n, StorageStack::UNRESOLVED);
+    responses.drain(..warmup);
+    let measured = &trace.requests[warmup..];
+    let mut writes = Metrics::with_capacity(measured.len().saturating_sub(reads));
+    let mut reads = Metrics::with_capacity(reads);
+    let mut timeline = TimelineFold::new(last_arrival_us);
+    for (i, (req, &us)) in measured.iter().zip(&responses).enumerate() {
+        if us == StorageStack::UNRESOLVED {
+            return Err(PodError::Inconsistency(format!(
+                "request {} has no response after the replay finished",
+                warmup + i
+            )));
         }
-        let us = responses[idx].expect("every request resolved");
-        overall.record(us);
-        timeline_samples.push((req.arrival.as_micros(), us));
+        timeline.record(req.arrival.as_micros(), us);
         if req.op.is_write() {
             writes.record(us);
         } else {
             reads.record(us);
         }
     }
-    let timeline = Timeline::build(&timeline_samples, 60);
-
-    let counters = *stack.observer().counters();
-    ReplayReport {
-        scheme: scheme.to_string(),
-        trace: trace.name.clone(),
-        overall,
+    Ok(Measured {
+        overall: Metrics::joined(responses, &reads, &writes),
         reads,
         writes,
+        timeline: timeline.finish(),
+    })
+}
+
+/// Assemble a [`ReplayReport`] from a finished stack, taking its
+/// response array (see [`measure`]).
+fn collect_report(
+    stack: &mut StorageStack,
+    scheme: &str,
+    trace: &Trace,
+    warmup: usize,
+    last_arrival_us: u64,
+    integrity: Option<IntegrityReport>,
+) -> PodResult<ReplayReport> {
+    let counters = *stack.observer().counters();
+    let reads = counters.measured_reads.reads as usize;
+    let measured = measure(
+        stack.take_responses(),
+        trace,
+        warmup,
+        last_arrival_us,
+        reads,
+    )?;
+    Ok(ReplayReport {
+        scheme: scheme.to_string(),
+        trace: trace.name.clone(),
+        overall: measured.overall,
+        reads: measured.reads,
+        writes: measured.writes,
         counters: stack.engine().counters(),
         capacity_used_blocks: stack.engine().store().used_blocks(),
         nvram_peak_bytes: stack.engine().store().nvram_peak_bytes(),
@@ -374,10 +451,10 @@ fn collect_report(
         icache_repartitions: stack.icache().repartitions(),
         final_index_fraction: stack.icache().index_fraction(),
         stack: counters,
-        timeline,
+        timeline: measured.timeline,
         integrity,
         profile: None,
-    }
+    })
 }
 
 /// Builder-style replay entry point — the primary public API.
@@ -1019,6 +1096,212 @@ mod tests {
         assert!(
             (share_sum - 1.0).abs() < 1e-9,
             "shares sum to 1: {share_sum}"
+        );
+    }
+
+    /// The report's distributions as they were built before the
+    /// one-pass [`measure`], kept as the reference it is checked
+    /// against: resolve every slot into an `Option` array, walk the
+    /// trace to split the responses and pair each with its arrival,
+    /// then window the pairs over their latest arrival.
+    fn three_pass_reference(responses: &[u64], trace: &Trace, warmup: usize) -> Measured {
+        let mut resolved: Vec<Option<u64>> = vec![None; trace.len()];
+        for (slot, &us) in resolved.iter_mut().zip(responses) {
+            *slot = (us != StorageStack::UNRESOLVED).then_some(us);
+        }
+        let (mut overall, mut reads, mut writes) = (Metrics::new(), Metrics::new(), Metrics::new());
+        let mut samples: Vec<(u64, u64)> = Vec::new();
+        for (idx, req) in trace.requests.iter().enumerate().skip(warmup) {
+            let us = resolved[idx].expect("every request resolved");
+            overall.record(us);
+            samples.push((req.arrival.as_micros(), us));
+            if req.op.is_write() {
+                writes.record(us);
+            } else {
+                reads.record(us);
+            }
+        }
+        let mut timeline = Timeline::default();
+        if let Some(last) = samples.iter().map(|&(a, _)| a).max() {
+            let windows = Timeline::WINDOWS;
+            let window_us = (last / windows as u64).max(1);
+            let mut sums: Vec<(u64, usize)> = vec![(0, 0); windows + 1];
+            for &(arrival, response) in &samples {
+                let w = (arrival / window_us).min(windows as u64) as usize;
+                sums[w].0 += response;
+                sums[w].1 += 1;
+            }
+            timeline.window_us = window_us;
+            timeline.points = sums
+                .into_iter()
+                .enumerate()
+                .filter(|(_, (_, n))| *n > 0)
+                .map(|(i, (sum, n))| (i as u64 * window_us, sum as f64 / n as f64, n))
+                .collect();
+        }
+        Measured {
+            overall,
+            reads,
+            writes,
+            timeline,
+        }
+    }
+
+    /// Count, sum, max, every printed percentile and the sample order
+    /// of each distribution, and every timeline point, agree.
+    fn assert_same(got: &Measured, want: &Measured) {
+        let printed = [50.0, 95.0, 99.0];
+        for (label, g, w) in [
+            ("overall", &got.overall, &want.overall),
+            ("reads", &got.reads, &want.reads),
+            ("writes", &got.writes, &want.writes),
+        ] {
+            assert_eq!(g.count(), w.count(), "{label} count");
+            assert_eq!(g.mean_us().to_bits(), w.mean_us().to_bits(), "{label} sum");
+            assert_eq!(g.max_us(), w.max_us(), "{label} max");
+            assert_eq!(
+                g.percentiles(&printed),
+                printed.map(|p| w.percentile_us(p)),
+                "{label} percentiles"
+            );
+            assert_eq!(g.samples(), w.samples(), "{label} samples");
+        }
+        assert_eq!(got.timeline.window_us, want.timeline.window_us);
+        assert_eq!(got.timeline.points, want.timeline.points);
+    }
+
+    /// A trace of `(arrival µs, is write, _)` rows, in the given order.
+    fn synthetic(rows: &[(u64, bool, u64)]) -> Trace {
+        let requests = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &(arrival, write, _))| {
+                let at = SimTime::from_micros(arrival);
+                let lba = Lba::new(i as u64 * 8);
+                if write {
+                    let fp = pod_types::Fingerprint::from_content_id(i as u64);
+                    IoRequest::write(i as u64, at, lba, vec![fp])
+                } else {
+                    IoRequest::read(i as u64, at, lba, 1)
+                }
+            })
+            .collect();
+        Trace {
+            name: "synthetic".into(),
+            requests,
+            memory_budget_bytes: 1 << 20,
+        }
+    }
+
+    /// [`measure`] as `replay_stack` calls it: the latest measured
+    /// arrival and the measured reads taken from the trace.
+    fn measure_all(responses: Vec<u64>, trace: &Trace, warmup: usize) -> PodResult<Measured> {
+        let measured = &trace.requests[warmup.min(trace.len())..];
+        let last = measured.iter().map(|r| r.arrival.as_micros()).max();
+        let reads = measured.iter().filter(|r| !r.op.is_write()).count();
+        measure(responses, trace, warmup, last.unwrap_or(0), reads)
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Unsorted arrivals, any mix of reads and writes, and a
+            /// warm-up of 0, of the whole trace or anywhere between.
+            #[test]
+            fn one_pass_report_matches_the_three_pass_reference(
+                rows in vec((0u64..5_000_000, any::<bool>(), 0u64..2_000_000), 0..300),
+                warm in 0usize..3,
+                cut in any::<usize>(),
+            ) {
+                let trace = synthetic(&rows);
+                let n = rows.len();
+                let warmup = [0, n, cut % (n + 1)][warm];
+                let responses: Vec<u64> = rows.iter().map(|r| r.2).collect();
+                let got = measure_all(responses.clone(), &trace, warmup).expect("resolved");
+                assert_same(&got, &three_pass_reference(&responses, &trace, warmup));
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_report_of_an_empty_trace_is_empty() {
+        let trace = synthetic(&[]);
+        let got = measure_all(Vec::new(), &trace, 0).expect("nothing to resolve");
+        assert_same(&got, &three_pass_reference(&[], &trace, 0));
+        assert_eq!((got.overall.count(), got.timeline.window_us), (0, 0));
+    }
+
+    /// Throttled tenant requests are processed at shifted arrivals, yet
+    /// the timeline windows their trace arrivals, as it always did. The
+    /// trace is also out of order in its measured part.
+    #[test]
+    fn one_pass_report_matches_the_reference_under_throttling() {
+        let mut trace = tiny_trace("mail");
+        let n = trace.len();
+        let (a, b) = (n / 2, n - 3);
+        let (early, late) = (trace.requests[a].arrival, trace.requests[b].arrival);
+        trace.requests[a].arrival = late;
+        trace.requests[b].arrival = early;
+        let mut cfg = SystemConfig::test_default();
+        cfg.warmup_fraction = 0.25;
+        let spec = Scheme::Pod.stack_spec();
+        let setup = || TenantSetup {
+            throttle: Some(TokenBucket::new(40, 4)),
+            ..TenantSetup::default()
+        };
+        let (mut stack, warmup, _) =
+            drive(&spec, &cfg, &trace, ObserverChain::new(), setup()).expect("replay");
+        assert_eq!(warmup, n / 4);
+        assert!(stack.observer().counters().all.throttle_waits > 0);
+        let want = three_pass_reference(&stack.take_responses(), &trace, warmup);
+        let (report, _) = replay_stack(&spec, &cfg, &trace, ObserverChain::new(), false, setup())
+            .expect("replay");
+        let got = Measured {
+            overall: report.overall,
+            reads: report.reads,
+            writes: report.writes,
+            timeline: report.timeline,
+        };
+        assert_same(&got, &want);
+        assert_eq!(got.overall.count(), n - warmup);
+    }
+
+    #[test]
+    fn an_unresolved_slot_is_an_error_naming_its_request() {
+        let trace = synthetic(&[(0, true, 0), (10, false, 0), (20, true, 0)]);
+        let mut stack = StorageStack::with_observer(
+            &Scheme::Pod.stack_spec(),
+            &SystemConfig::test_default(),
+            &trace,
+            ObserverChain::new(),
+        )
+        .expect("stack");
+        // Request 1 is never processed.
+        for idx in [0, 2] {
+            let req = &trace.requests[idx];
+            stack.run_until(req.arrival);
+            stack.process_request(idx, req, true).expect("processed");
+        }
+        stack.finish().expect("finished");
+        let err = collect_report(&mut stack, "POD", &trace, 0, 20, None)
+            .expect_err("request 1 has no response");
+        assert_eq!(
+            err,
+            PodError::Inconsistency("request 1 has no response after the replay finished".into())
+        );
+        // Inside the warm-up it is not reported, so not an error.
+        let mut responses = vec![5, StorageStack::UNRESOLVED, 7];
+        assert!(measure_all(responses.clone(), &trace, 2).is_ok());
+        // A slot the array never grew to is unresolved too.
+        responses.truncate(2);
+        responses[1] = 6;
+        let err = measure_all(responses, &trace, 0).expect_err("request 2 missing");
+        assert!(
+            err.to_string().contains("request 2 has no response"),
+            "{err}"
         );
     }
 }

@@ -529,7 +529,7 @@ pub(crate) struct TokenBucket {
 }
 
 impl TokenBucket {
-    fn new(rate_rps: u64, burst_requests: u64) -> Self {
+    pub(crate) fn new(rate_rps: u64, burst_requests: u64) -> Self {
         let cap = burst_requests.saturating_mul(1_000_000);
         Self {
             rate_rps,

@@ -84,9 +84,17 @@ const CACHE_HIT_US: u64 = 20;
 /// 1. [`run_until`](Self::run_until) each request's arrival,
 /// 2. [`process_request`](Self::process_request) it,
 /// 3. [`finish`](Self::finish) once, and
-/// 4. read [`responses`](Self::responses) and the accessors
+/// 4. [`take_responses`](Self::take_responses) and read the accessors
 ///    ([`icache`](Self::icache), [`engine`](Self::engine),
 ///    [`disk`](Self::disk), [`observer`](Self::observer)).
+///
+/// Per-request state is one dense array of response times, 8 bytes a
+/// request, indexed by request position and sized from the build
+/// trace. A request with no disk work writes its slot when it is
+/// processed; a disk-bound one is written by `finish`, which walks the
+/// pending jobs once for their disk-latency events and their slots
+/// together. A caller that drives positions past the build trace grows
+/// the array, amortized.
 pub struct StorageStack {
     icache: ICache,
     keying: CacheKeying,
@@ -115,8 +123,9 @@ pub struct StorageStack {
     /// (request index, arrival, disk submit time, job) for disk-bound
     /// requests.
     pending: Vec<(usize, SimTime, SimTime, JobId)>,
-    /// Direct completions for requests with no disk work.
-    direct: Vec<(usize, SimDuration)>,
+    /// Response time per request position, µs; [`Self::UNRESOLVED`]
+    /// until the request completes.
+    responses: Vec<u64>,
     /// Requests completed so far (reads + writes, incl. warm-up).
     requests_done: u64,
     /// Snapshots emitted so far; becomes [`StateSnapshot::seq`].
@@ -143,6 +152,11 @@ pub struct StorageStack {
 }
 
 impl StorageStack {
+    /// The response slot of a request that has not completed: never
+    /// processed, or disk-bound and [`finish`](Self::finish) not yet
+    /// run.
+    pub const UNRESOLVED: u64 = u64::MAX;
+
     /// Compose the stack described by `spec` for one replay of `trace`,
     /// fanning layer events out to `observer` (an empty chain keeps the
     /// built-in counters only). A [`ProfSink`] on the chain turns the
@@ -247,7 +261,7 @@ impl StorageStack {
             tier: None,
             observer,
             pending: Vec::with_capacity(trace.requests.len()),
-            direct: Vec::new(),
+            responses: vec![Self::UNRESOLVED; trace.requests.len()],
             requests_done: 0,
             snap_seq: 0,
             faults_enabled: cfg.faults.is_some(),
@@ -436,7 +450,7 @@ impl StorageStack {
         let submit = req.arrival + hash_lat + SimDuration::from_micros(self.latency.metadata_us);
         if summary.disk_index_lookups == 0 && self.scratch.write_extents.is_empty() {
             // Fully deduplicated: no disk I/O at all.
-            self.direct.push((idx, submit - req.arrival));
+            self.resolve(idx, (submit - req.arrival).as_micros());
         } else {
             let job = self.disk.submit_write(
                 submit,
@@ -447,6 +461,16 @@ impl StorageStack {
             self.prof_lap(&mut timer, ProfPhase::DiskSubmit);
         }
         Ok(())
+    }
+
+    /// Record request `idx`'s response time, growing the array when
+    /// `idx` lies past the build trace.
+    #[inline]
+    fn resolve(&mut self, idx: usize, us: u64) {
+        if idx >= self.responses.len() {
+            self.responses.resize(idx + 1, Self::UNRESOLVED);
+        }
+        self.responses[idx] = us;
     }
 
     /// Fingerprinting latency charged on the write's critical path for
@@ -517,8 +541,7 @@ impl StorageStack {
                 us: CACHE_HIT_US,
             });
             self.prof_lap(&mut timer, ProfPhase::Observe);
-            self.direct
-                .push((idx, SimDuration::from_micros(CACHE_HIT_US)));
+            self.resolve(idx, CACHE_HIT_US);
         } else {
             self.prof_lap(&mut timer, ProfPhase::Observe);
             self.engine
@@ -609,8 +632,11 @@ impl StorageStack {
 
     /// End of trace: drain the Post-Process backlog, run the disks to
     /// idle so all pending jobs have completion times, attribute each
-    /// disk-bound request's service time to the disk layer, and emit
-    /// the final [`StackEvent::Finished`].
+    /// disk-bound request's service time to the disk layer and write
+    /// its response slot, and emit the final [`StackEvent::Finished`].
+    ///
+    /// A pending job the backend has no completion for after running to
+    /// idle is a [`PodError::Inconsistency`] naming its request.
     pub fn finish(&mut self) -> PodResult<()> {
         let timer = ProfTimer::start(self.prof);
         if self.post_process {
@@ -638,18 +664,21 @@ impl StorageStack {
             }
         }
         // Disk time is only known at completion: charge (done − submit)
-        // per pending job now, in submission order.
+        // per pending job now, in submission order, and resolve the
+        // request at (done − arrival).
         let timer = ProfTimer::start(self.prof);
-        for i in 0..self.pending.len() {
-            let (_, _, submit, job) = self.pending[i];
-            let done = self
-                .disk
-                .completion(job)
-                .expect("all jobs complete after run_to_idle");
+        let pending = std::mem::take(&mut self.pending);
+        for &(idx, arrival, submit, job) in &pending {
+            let Some(done) = self.disk.completion(job) else {
+                return Err(PodError::Inconsistency(format!(
+                    "request {idx}: its disk job has no completion after the array ran to idle"
+                )));
+            };
             self.observer.emit(&StackEvent::LayerLatency {
                 layer: Layer::Disk,
                 us: (done - submit).as_micros(),
             });
+            self.resolve(idx, (done - arrival).as_micros());
         }
         self.prof_emit(ProfPhase::DiskCommit, timer);
         // Final snapshot: the end-of-replay state, after drains, unless
@@ -661,26 +690,12 @@ impl StorageStack {
         Ok(())
     }
 
-    /// Per-request response times (µs), indexed by request position.
-    /// `None` only for requests never processed. Call after
-    /// [`finish`](Self::finish).
-    ///
-    /// # Panics
-    /// Panics if a submitted job has not completed (i.e.
-    /// [`finish`](Self::finish) was not called).
-    pub fn responses(&self, n: usize) -> Vec<Option<u64>> {
-        let mut responses: Vec<Option<u64>> = vec![None; n];
-        for &(idx, dur) in &self.direct {
-            responses[idx] = Some(dur.as_micros());
-        }
-        for &(idx, arrival, _, job) in &self.pending {
-            let done = self
-                .disk
-                .completion(job)
-                .expect("all jobs complete after finish()");
-            responses[idx] = Some((done - arrival).as_micros());
-        }
-        responses
+    /// Per-request response times (µs), indexed by request position,
+    /// taken out of the stack (an empty array is left behind). Call
+    /// after [`finish`](Self::finish): a slot still holding
+    /// [`Self::UNRESOLVED`] belongs to a request never processed.
+    pub fn take_responses(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.responses)
     }
 
     /// The iCache: read cache, index budget, ghosts and epoch clock.
@@ -711,5 +726,65 @@ impl StorageStack {
     /// sinks can be extracted by type after the replay.
     pub fn into_observer(self) -> ObserverChain {
         self.observer
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scheme::Scheme;
+
+    #[test]
+    fn a_job_with_no_completion_is_an_error_naming_its_request() {
+        let req = IoRequest::read(0, SimTime::ZERO, Lba::new(0), 1);
+        let trace = Trace {
+            name: "one read".into(),
+            requests: vec![req.clone()],
+            memory_budget_bytes: 1 << 20,
+        };
+        let spec = Scheme::Pod.stack_spec();
+        let cfg = SystemConfig::test_default();
+        let mut stack =
+            StorageStack::with_observer(&spec, &cfg, &trace, ObserverChain::new()).expect("stack");
+        stack.process_request(0, &req, true).expect("processed");
+        // A job the array was never handed.
+        let never = JobId::from_index(1 << 40);
+        stack.pending.push((7, SimTime::ZERO, SimTime::ZERO, never));
+        assert_eq!(
+            stack.finish(),
+            Err(PodError::Inconsistency(
+                "request 7: its disk job has no completion after the array ran to idle".into()
+            ))
+        );
+    }
+
+    #[test]
+    fn slots_past_the_build_trace_grow_the_array() {
+        let trace = Trace {
+            name: "empty".into(),
+            requests: Vec::new(),
+            memory_budget_bytes: 1 << 20,
+        };
+        let spec = Scheme::Pod.stack_spec();
+        let cfg = SystemConfig::test_default();
+        let mut stack =
+            StorageStack::with_observer(&spec, &cfg, &trace, ObserverChain::new()).expect("stack");
+        let write = |id: u64| {
+            let fp = pod_types::Fingerprint::from_content_id(1);
+            IoRequest::write(id, SimTime::from_micros(id), Lba::new(0), vec![fp])
+        };
+        for idx in [3, 5] {
+            let req = write(idx as u64);
+            stack.run_until(req.arrival);
+            stack.process_request(idx, &req, true).expect("processed");
+        }
+        stack.finish().expect("finished");
+        let responses = stack.take_responses();
+        assert_eq!(responses.len(), 6);
+        let unresolved = StorageStack::UNRESOLVED;
+        assert_eq!(responses[..3], [unresolved; 3]);
+        assert_eq!(responses[4], unresolved);
+        assert!(responses[3] != unresolved && responses[5] != unresolved);
+        assert!(stack.take_responses().is_empty(), "taken once");
     }
 }

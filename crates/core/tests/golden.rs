@@ -42,14 +42,12 @@ fn fnv1a(samples: &[u64]) -> u64 {
 }
 
 fn render_metrics(out: &mut String, label: &str, m: &Metrics) {
+    let [p50, p95, p99] = m.percentiles(&[50.0, 95.0, 99.0]);
     writeln!(
         out,
-        "{label}: count={} max_us={} p50={} p95={} p99={} mean_us={:?} fnv={:016x}",
+        "{label}: count={} max_us={} p50={p50} p95={p95} p99={p99} mean_us={:?} fnv={:016x}",
         m.count(),
         m.max_us(),
-        m.percentile_us(50.0),
-        m.percentile_us(95.0),
-        m.percentile_us(99.0),
         m.mean_us(),
         fnv1a(m.samples()),
     )

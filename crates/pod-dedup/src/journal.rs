@@ -17,7 +17,7 @@
 //! the only state.
 
 use crate::store::BlockSet;
-use pod_types::hash::fnv1a_64;
+use pod_types::rng::splitmix64;
 use pod_types::{Lba, Pba, PodError, PodResult};
 
 /// Bytes per journal entry: 8 (lba) + 8 (pba) + 1 (op) + 3 (checksum).
@@ -25,6 +25,15 @@ pub const JOURNAL_ENTRY_BYTES: usize = 20;
 
 const OP_REMAP: u8 = 1;
 const OP_CLEAR: u8 = 2;
+
+/// An entry's 3-byte checksum: the low bytes of a SplitMix64 chain over
+/// its three fields, a word at a time. Each link is a bijection of the
+/// running word, so any change to one field changes the 64-bit mix.
+fn checksum(lba: u64, pba: u64, op: u8) -> [u8; 3] {
+    let mix = splitmix64(splitmix64(splitmix64(u64::from(op)) ^ lba) ^ pba);
+    let [a, b, c, ..] = mix.to_le_bytes();
+    [a, b, c]
+}
 
 /// Append-only journal of Map-table mutations.
 #[derive(Debug, Clone, Default)]
@@ -60,8 +69,7 @@ impl MapJournal {
         entry[0..8].copy_from_slice(&lba.to_le_bytes());
         entry[8..16].copy_from_slice(&pba.to_le_bytes());
         entry[16] = op;
-        let sum = fnv1a_64(&entry[0..17]);
-        entry[17..20].copy_from_slice(&sum.to_le_bytes()[0..3]);
+        entry[17..20].copy_from_slice(&checksum(lba, pba, op));
         self.buf.extend_from_slice(&entry);
     }
 
@@ -102,7 +110,7 @@ impl MapJournal {
             let lba = u64::from_le_bytes(entry[0..8].try_into().expect("8 bytes"));
             let pba = u64::from_le_bytes(entry[8..16].try_into().expect("8 bytes"));
             let op = entry[16];
-            let fault = if entry[17..20] != fnv1a_64(&entry[0..17]).to_le_bytes()[0..3] {
+            let fault = if entry[17..20] != checksum(lba, pba, op) {
                 Some(format!("journal entry {i} fails its checksum"))
             } else if op != OP_REMAP && op != OP_CLEAR {
                 Some(format!("journal entry {i} has unknown op {op}"))
@@ -227,6 +235,33 @@ mod tests {
     }
 
     #[test]
+    fn every_single_bit_flip_is_caught_before_the_tail_and_tolerated_at_it() {
+        let mut j = MapJournal::new();
+        j.append_remap(Lba::new(0), Pba::new(0));
+        j.append_remap(Lba::new(999), Pba::new(u64::MAX));
+        j.append_clear(Lba::new(512));
+        j.append_remap(Lba::new(7), Pba::new(0x0123_4567_89AB_CDEF));
+        j.append_remap(Lba::new(1), Pba::new(3));
+        let clean = recovered(&j).expect("clean journal replays");
+        let tail = j.entries() - 1;
+        let mut without_tail = j.bytes().to_vec();
+        without_tail.truncate(tail * JOURNAL_ENTRY_BYTES);
+        let untorn = recovered(&MapJournal::from_bytes(without_tail)).expect("replays");
+        for bit in 0..j.bytes().len() * 8 {
+            let mut bytes = j.bytes().to_vec();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            let entry = bit / 8 / JOURNAL_ENTRY_BYTES;
+            let got = recovered(&MapJournal::from_bytes(bytes));
+            if entry == tail {
+                assert_eq!(got.as_ref(), Ok(&untorn), "bit {bit} of the tail entry");
+            } else {
+                assert!(got.is_err(), "bit {bit} of entry {entry} went unnoticed");
+            }
+        }
+        assert_ne!(clean, untorn, "the tail entry matters to the recovery");
+    }
+
+    #[test]
     fn mid_journal_corruption_is_an_error() {
         let mut j = MapJournal::new();
         j.append_remap(Lba::new(1), Pba::new(100));
@@ -247,8 +282,7 @@ mod tests {
         // Entry 1: an op no writer emits, with a valid checksum.
         let e1 = JOURNAL_ENTRY_BYTES;
         bytes[e1 + 16] = 9;
-        let sum = fnv1a_64(&bytes[e1..e1 + 17]);
-        bytes[e1 + 17..e1 + 20].copy_from_slice(&sum.to_le_bytes()[0..3]);
+        bytes[e1 + 17..e1 + 20].copy_from_slice(&checksum(1, 101, 9));
         // Entry 3: a bad checksum; entry 5 (the tail): another.
         bytes[3 * JOURNAL_ENTRY_BYTES] ^= 0xFF;
         bytes[5 * JOURNAL_ENTRY_BYTES] ^= 0xFF;
