@@ -5,13 +5,24 @@
 //! fails.
 
 use crate::args::CliArgs;
+use crate::CliResult;
 use pod_core::experiments::run_schemes;
 use pod_core::Scheme;
+use std::io::Write;
 
-pub fn run(args: &CliArgs) -> Result<(), String> {
+pub fn run(args: &CliArgs, out: &mut dyn Write) -> CliResult {
+    writeln!(
+        out,
+        "pod doctor: verifying invariants on `{}` at scale {}\n",
+        args.profile, args.scale
+    )?;
     let mut failures = 0usize;
     let mut check = |name: &str, ok: bool, detail: String| {
-        println!(
+        if !ok {
+            failures += 1;
+        }
+        writeln!(
+            out,
             "  [{}] {name}{}",
             if ok { "ok" } else { "FAIL" },
             if detail.is_empty() {
@@ -19,16 +30,8 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
             } else {
                 format!(" — {detail}")
             }
-        );
-        if !ok {
-            failures += 1;
-        }
+        )
     };
-
-    println!(
-        "pod doctor: verifying invariants on `{}` at scale {}\n",
-        args.profile, args.scale
-    );
     let trace = args.load_trace()?;
     let cfg = args.system_config()?;
 
@@ -59,7 +62,7 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
             &format!("{} integrity oracle", scheme.name()),
             verdict.is_ok(),
             verdict.unwrap_or_else(|e| e),
-        );
+        )?;
     }
 
     // 2. Replay determinism: two runs give the same report, field for
@@ -74,7 +77,7 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
             a.overall.mean_ms(),
             b.overall.mean_ms()
         ),
-    );
+    )?;
 
     // 3. Headline shapes.
     let reports = run_schemes(&[Scheme::Native, Scheme::IDedup, Scheme::Pod], &trace, &cfg)
@@ -87,7 +90,7 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
             reports[2].overall.mean_ms(),
             reports[0].overall.mean_ms()
         ),
-    );
+    )?;
     check(
         "POD capacity <= iDedup capacity",
         reports[2].capacity_used_blocks <= reports[1].capacity_used_blocks,
@@ -95,18 +98,18 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
             "{} vs {} blocks",
             reports[2].capacity_used_blocks, reports[1].capacity_used_blocks
         ),
-    );
+    )?;
     check(
         "NVRAM accounted in whole Map-table entries",
         reports[2].nvram_peak_bytes.is_multiple_of(20),
         format!("{} bytes", reports[2].nvram_peak_bytes),
-    );
+    )?;
 
-    println!();
+    writeln!(out)?;
     if failures == 0 {
-        println!("all checks passed");
+        writeln!(out, "all checks passed")?;
         Ok(())
     } else {
-        Err(format!("{failures} check(s) failed"))
+        Err(format!("{failures} check(s) failed").into())
     }
 }

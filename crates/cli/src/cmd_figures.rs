@@ -17,14 +17,16 @@
 
 use crate::args::CliArgs;
 use crate::cmd_stats::pct;
+use crate::CliResult;
 use pod_core::obs::{EpochRow, LayerHistograms, TraceRecorder};
 use std::fmt::Write as _;
+use std::io::Write;
 use std::path::Path;
 
 /// The sections [`TraceRecorder::read_jsonl`] returns.
 type Sections = [(TraceRecorder, Option<LayerHistograms>)];
 
-pub fn run(args: &CliArgs) -> Result<(), String> {
+pub fn run(args: &CliArgs, out: &mut dyn Write) -> CliResult {
     let path = args
         .input
         .as_deref()
@@ -36,7 +38,7 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
     for (name, csv) in export(&sections) {
         let target = Path::new(out_dir).join(name);
         std::fs::write(&target, csv).map_err(|e| format!("writing {}: {e}", target.display()))?;
-        println!("wrote {}", target.display());
+        writeln!(out, "wrote {}", target.display())?;
     }
     Ok(())
 }

@@ -16,8 +16,10 @@
 
 use crate::args::CliArgs;
 use crate::cmd_stats::{pct, sparkline};
+use crate::CliResult;
 use pod_core::obs::{EpochRow, StackEvent, StackObserver};
 use std::fmt::Write as _;
+use std::io::Write;
 
 /// Observer that folds the event stream into one [`EpochRow`] per
 /// epoch, closed at each snapshot, and optionally redraws the
@@ -33,6 +35,9 @@ pub struct MonitorSink {
     open: EpochRow,
     /// Activity over the whole replay.
     total: EpochRow,
+    /// The error that ended the live redraws; [`run`] returns it once
+    /// the replay is done.
+    stdout_err: Option<std::io::Error>,
 }
 
 impl MonitorSink {
@@ -45,6 +50,7 @@ impl MonitorSink {
             epochs: Vec::new(),
             open: EpochRow::default(),
             total: EpochRow::default(),
+            stdout_err: None,
         }
     }
 
@@ -157,15 +163,19 @@ impl StackObserver for MonitorSink {
         self.total.absorb(ev);
         if let StackEvent::Snapshot { .. } = ev {
             self.epochs.push(std::mem::take(&mut self.open));
-            if self.live {
-                // Clear screen, home cursor, redraw.
-                print!("\x1b[2J\x1b[H{}", self.render_frame());
+            if self.live && self.stdout_err.is_none() {
+                // Clear screen, home cursor, redraw. The frames share
+                // the process's stdout with the lines `run` writes.
+                let frame = self.render_frame();
+                if let Err(e) = write!(std::io::stdout(), "\x1b[2J\x1b[H{frame}") {
+                    self.stdout_err = Some(e);
+                }
             }
         }
     }
 }
 
-pub fn run(args: &CliArgs) -> Result<(), String> {
+pub fn run(args: &CliArgs, out: &mut dyn Write) -> CliResult {
     args.apply_jobs();
     let trace = args.load_trace()?;
     let cfg = args.system_config()?;
@@ -179,30 +189,35 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
         .observer(sink)
         .run_observed()
         .map_err(|e| e.to_string())?;
-    let sink: MonitorSink = chain.take_sink().expect("monitor sink attached above");
+    let mut sink: MonitorSink = chain.take_sink().expect("monitor sink attached above");
+    if let Some(e) = sink.stdout_err.take() {
+        return Err(e.into());
+    }
     if sink.live {
         // Leave the last live frame on screen and append the footer.
-        println!("replay finished");
+        writeln!(out, "replay finished")?;
     } else {
-        print!("{}", sink.render_frame());
+        write!(out, "{}", sink.render_frame())?;
     }
-    println!(
+    writeln!(
+        out,
         "snapshots {}   writes removed {:.1}%   mean response {:.2} ms",
         rep.stack.snapshots,
         rep.writes_removed_pct(),
         rep.overall.mean_ms()
-    );
+    )?;
     // `--prof` only: host wall-clock line. The dashboard frame itself
     // stays deterministic — real time never enters the rendered state.
     if let Some(prof) = &rep.profile {
-        println!(
+        writeln!(
+            out,
             "host time {:.1} ms:{}",
             prof.total_ns() as f64 / 1e6,
             prof.layer_shares()
                 .iter()
                 .map(|(l, s)| format!(" {l} {:.1}%", s * 100.0))
                 .collect::<String>(),
-        );
+        )?;
     }
     Ok(())
 }
@@ -241,7 +256,6 @@ mod tests {
             removed: true,
             disk_index_lookups: 0,
             measured: true,
-            tenant: 0,
         });
         sink.on_event(&StackEvent::Snapshot { snap: snap(0, 500) });
         sink.on_event(&StackEvent::WriteClassified {
@@ -251,7 +265,6 @@ mod tests {
             removed: false,
             disk_index_lookups: 1,
             measured: true,
-            tenant: 0,
         });
         sink.on_event(&StackEvent::Snapshot { snap: snap(1, 625) });
 

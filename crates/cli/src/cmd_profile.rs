@@ -25,22 +25,25 @@
 //! the command asserts by comparing the mean response times.
 
 use crate::args::CliArgs;
+use crate::CliResult;
 use pod_core::obs::Layer;
 use pod_core::stack::disk_on_own_thread;
 use pod_core::{HostProfile, ProfPhase, ReplayReport};
+use std::io::Write;
 
-pub fn run(args: &CliArgs) -> Result<(), String> {
+pub fn run(args: &CliArgs, out: &mut dyn Write) -> CliResult {
     args.apply_jobs();
     let loading = std::time::Instant::now();
     let trace = args.load_trace()?;
     let input_s = loading.elapsed().as_secs_f64();
     let cfg = args.system_config()?;
-    println!(
+    writeln!(
+        out,
         "profiling {} requests of `{}` through {} ...",
         trace.len(),
         trace.name,
         args.scheme
-    );
+    )?;
 
     let replay = |profile: bool| -> Result<(ReplayReport, f64), String> {
         let t0 = std::time::Instant::now();
@@ -78,7 +81,8 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
                 "profiled replay diverged from baseline: mean {} vs {} µs",
                 rep.overall.mean_us(),
                 base.overall.mean_us()
-            ));
+            )
+            .into());
         }
         if b_s > 0.0 {
             pair_overheads.push((p_s - b_s) / b_s * 100.0);
@@ -100,7 +104,7 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
         return Err("host profile is empty — no phases were timed".into());
     }
 
-    print!("{}", render_table(prof));
+    write!(out, "{}", render_table(prof))?;
     let layout = if disk_on_own_thread() {
         "disk on its own thread"
     } else {
@@ -111,24 +115,29 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
     } else {
         "generated"
     };
-    println!(
+    writeln!(out,
         "\nwall time: {base_s:.3} s un-profiled, {prof_s:.3} s profiled (overhead {:+.1}%, medians of {REPS} A/B pairs; {layout}); attributed = {:.1}% of the profiled wall; input {input_s:.3} s ({:.0} ns/request, {source})",
         overhead_pct.unwrap_or(0.0),
         prof.total_ns() as f64 / 1e9 / prof_s * 100.0,
         input_s * 1e9 / trace.len().max(1) as f64,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "simulated layer shares: cache {:.1}%  dedup {:.1}%  disk {:.1}%",
         rep.stack.all.layer_share(Layer::Cache) * 100.0,
         rep.stack.all.layer_share(Layer::Dedup) * 100.0,
         rep.stack.all.layer_share(Layer::Disk) * 100.0,
-    );
+    )?;
 
     if let Some(path) = &args.out {
         let mut folded = String::new();
         prof.write_folded(&mut folded);
         std::fs::write(path, &folded).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {} folded stacks to {path}", folded.lines().count());
+        writeln!(
+            out,
+            "wrote {} folded stacks to {path}",
+            folded.lines().count()
+        )?;
     }
     Ok(())
 }

@@ -5,18 +5,21 @@
 //! share line is printed next to the simulated one.
 
 use crate::args::CliArgs;
+use crate::CliResult;
 use pod_core::obs::{Layer, LayerHistograms, TraceRecorder};
+use std::io::Write;
 
-pub fn run(args: &CliArgs) -> Result<(), String> {
+pub fn run(args: &CliArgs, out: &mut dyn Write) -> CliResult {
     args.apply_jobs();
     let trace = args.load_trace()?;
     let cfg = args.system_config()?;
-    println!(
+    writeln!(
+        out,
         "replaying {} requests of `{}` through {} ...",
         trace.len(),
         trace.name,
         args.scheme
-    );
+    )?;
     let t0 = std::time::Instant::now();
     let mut builder = args
         .scheme
@@ -30,7 +33,7 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
         builder = builder.record(args.epoch_requests);
     }
     let (rep, mut chain) = builder.run_observed().map_err(|e| e.to_string())?;
-    println!("done in {:?}\n", t0.elapsed());
+    writeln!(out, "done in {:?}\n", t0.elapsed())?;
 
     if let Some(path) = &args.trace_out {
         let hists = chain
@@ -42,72 +45,84 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
         recorder
             .write_jsonl(&mut file, Some(&hists))
             .map_err(|e| format!("writing {path}: {e}"))?;
-        println!(
+        writeln!(
+            out,
             "wrote {} epochs of event data to {path}\n",
             recorder.rows().len()
-        );
+        )?;
     }
 
-    println!("response time (ms):    mean      p50      p95      p99      max");
+    writeln!(
+        out,
+        "response time (ms):    mean      p50      p95      p99      max"
+    )?;
     for (label, m) in [
         ("overall", &rep.overall),
         ("reads", &rep.reads),
         ("writes", &rep.writes),
     ] {
         let [p50, p95, p99] = m.percentiles(&[50.0, 95.0, 99.0]);
-        println!(
+        writeln!(
+            out,
             "  {label:<18} {:>7.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
             m.mean_ms(),
             p50 as f64 / 1e3,
             p95 as f64 / 1e3,
             p99 as f64 / 1e3,
             m.max_us() as f64 / 1e3,
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "\nwrites removed {:.1}%   deduped blocks {}   capacity used {:.1} MiB",
         rep.writes_removed_pct(),
         rep.counters.deduped_blocks,
         rep.capacity_used_mib()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "write classification: {} Cat-1, {} Cat-2, {} Cat-3, {} unique",
         rep.stack.all.cat1, rep.stack.all.cat2, rep.stack.all.cat3, rep.stack.all.unique
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "read-cache hit rate {:.1}%   read fragmentation {:.2}   NVRAM peak {:.2} KiB",
         rep.read_cache_hit_rate * 100.0,
         rep.read_fragmentation,
         rep.nvram_peak_bytes as f64 / 1024.0
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "layer time shares: cache {:.1}%  dedup {:.1}%  disk {:.1}%",
         rep.stack.all.layer_share(Layer::Cache) * 100.0,
         rep.stack.all.layer_share(Layer::Dedup) * 100.0,
         rep.stack.all.layer_share(Layer::Disk) * 100.0,
-    );
+    )?;
     if let Some(prof) = &rep.profile {
         // Host wall-clock shares sit next to the simulated shares above
         // so the disagreement between the two axes is visible at a
         // glance (run `pod-cli profile` for the full phase table).
-        println!(
+        writeln!(
+            out,
             "host  time shares:{}  ({:.1} ms wall)",
             prof.layer_shares()
                 .iter()
                 .map(|(l, s)| format!(" {l} {:.1}%", s * 100.0))
                 .collect::<String>(),
             prof.total_ns() as f64 / 1e6
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "iCache: {} epochs, {} repartitions, final index share {:.0}%",
         rep.icache_epochs,
         rep.icache_repartitions,
         rep.final_index_fraction * 100.0
-    );
+    )?;
     let busy: u64 = rep.disk.iter().map(|d| d.busy_us).sum();
     let ops: u64 = rep.disk.iter().map(|d| d.ops).sum();
-    println!(
+    writeln!(
+        out,
         "disks: {} ops, {:.1} s busy, max queue depth {}",
         ops,
         busy as f64 / 1e6,
@@ -116,29 +131,28 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
             .map(|d| d.max_queue_depth)
             .max()
             .unwrap_or(0)
-    );
+    )?;
     if !rep.timeline.points.is_empty() {
-        println!(
+        writeln!(
+            out,
             "
 response-time over the day (peak {:.1} ms):
   {}",
             rep.timeline.peak_us() / 1e3,
             rep.timeline.sparkline()
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "
 latency histogram (overall):
 {}",
         rep.overall.histogram().render(40)
-    );
+    )?;
     if let Some(integ) = &rep.integrity {
-        println!("\n{}", render_verify(integ));
+        writeln!(out, "\n{}", render_verify(integ))?;
         if !integ.passed() {
-            return Err(format!(
-                "integrity verification failed: {}",
-                integ.summary()
-            ));
+            return Err(format!("integrity verification failed: {}", integ.summary()).into());
         }
     }
     Ok(())

@@ -8,11 +8,13 @@
 
 use crate::args::CliArgs;
 use crate::cmd_replay::render_verify;
+use crate::CliResult;
 use pod_core::pool::Executor;
 use pod_core::serve::{ServeBuilder, ServeReport};
 use pod_trace::{tenant_trace, Trace, TraceProfile};
+use std::io::Write;
 
-pub fn run(args: &CliArgs) -> Result<(), String> {
+pub fn run(args: &CliArgs, out: &mut dyn Write) -> CliResult {
     args.apply_jobs();
     if args.trace_path.is_some() && args.tenants > 1 {
         return Err(
@@ -63,12 +65,12 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
         eprintln!("wrote {} tenant-tagged sections to {path}", recorders.len());
     }
 
-    print!("{}", render_report(&rep));
+    write!(out, "{}", render_report(&rep))?;
     // `--verify`: one oracle block per tenant, after the report text
     // (which must stay as it is: the harness compares it).
     for t in &rep.tenants {
         if let Some(integ) = &t.report.integrity {
-            println!("\ntenant {}\n{}", t.tenant, render_verify(integ));
+            writeln!(out, "\ntenant {}\n{}", t.tenant, render_verify(integ))?;
         }
     }
 
@@ -93,7 +95,8 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
                 "integrity verification failed: tenant {}: {}",
                 t.tenant,
                 integ.summary()
-            ));
+            )
+            .into());
         }
     }
     Ok(())

@@ -4,16 +4,18 @@
 //! sparkline timelines.
 
 use crate::args::CliArgs;
+use crate::CliResult;
 use pod_core::obs::{EpochRow, LayerHistograms, TraceRecorder};
 use pod_core::{Layer, StateSnapshot};
+use std::io::Write;
 
-pub fn run(args: &CliArgs) -> Result<(), String> {
+pub fn run(args: &CliArgs, out: &mut dyn Write) -> CliResult {
     let path = args
         .input
         .as_deref()
         .ok_or("stats needs --in <trace.jsonl> (write one with replay --trace-out)")?;
     let body = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    print!("{}", render(&body)?);
+    write!(out, "{}", render(&body)?)?;
     Ok(())
 }
 

@@ -19,8 +19,9 @@
 use pod_cli::args::CliArgs;
 use pod_cli::{
     cmd_analyze, cmd_compare, cmd_doctor, cmd_figures, cmd_gen, cmd_monitor, cmd_profile,
-    cmd_replay, cmd_serve, cmd_stats,
+    cmd_replay, cmd_serve, cmd_stats, CliError,
 };
+use std::io::{ErrorKind, Write};
 
 fn main() {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
@@ -61,31 +62,49 @@ fn main() {
         eprintln!("error: --verify applies to replay and serve");
         usage_and_exit(2);
     }
-    let result = match cmd.as_str() {
-        "gen" => cmd_gen::run(&args),
-        "analyze" => cmd_analyze::run(&args),
-        "replay" => cmd_replay::run(&args),
-        "profile" => cmd_profile::run(&args),
-        "compare" => cmd_compare::run(&args),
-        "serve" => cmd_serve::run(&args),
-        "stats" => cmd_stats::run(&args),
-        "monitor" => cmd_monitor::run(&args),
-        "figures" => cmd_figures::run(&args),
-        "doctor" => cmd_doctor::run(&args),
+    let run = match cmd.as_str() {
+        "gen" => cmd_gen::run,
+        "analyze" => cmd_analyze::run,
+        "replay" => cmd_replay::run,
+        "profile" => cmd_profile::run,
+        "compare" => cmd_compare::run,
+        "serve" => cmd_serve::run,
+        "stats" => cmd_stats::run,
+        "monitor" => cmd_monitor::run,
+        "figures" => cmd_figures::run,
+        "doctor" => cmd_doctor::run,
         "help" | "--help" | "-h" => usage_and_exit(0),
         other => {
             eprintln!("error: unknown command '{other}'");
             usage_and_exit(2);
         }
     };
-    if let Err(e) = result {
-        eprintln!("error: {e}");
+    // Every subcommand writes its stdout through this one handle.
+    let mut out = std::io::stdout().lock();
+    let result = run(&args, &mut out).and_then(|()| Ok(out.flush()?));
+    match result {
+        Ok(()) => {}
+        Err(CliError::Failed(e)) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+        Err(CliError::Stdout(e)) => stdout_failed(e),
+    }
+}
+
+/// A write to stdout failed. A reader that closed the pipe (`| head`)
+/// has all it asked for, so that ends the command quietly with exit 0;
+/// any other write error is one `error:` line and exit 1.
+fn stdout_failed(e: std::io::Error) {
+    if e.kind() != ErrorKind::BrokenPipe {
+        eprintln!("error: writing stdout: {e}");
         std::process::exit(1);
     }
 }
 
 fn usage_and_exit(code: i32) -> ! {
-    println!(
+    if let Err(e) = writeln!(
+        std::io::stdout(),
         "pod-cli — POD deduplication simulator (IPDPS'14 reproduction)\n\
          \n\
          commands:\n\
@@ -129,6 +148,8 @@ fn usage_and_exit(code: i32) -> ! {
          \x20                                 at N >= 2 every replay's simulated array gets\n\
          \x20                                 a thread of its own (default: available\n\
          \x20                                 parallelism)"
-    );
+    ) {
+        stdout_failed(e);
+    }
     std::process::exit(code);
 }

@@ -223,6 +223,102 @@ fn hostile_flag_values_never_panic() {
             .expect("spawn pod-cli");
         assert_clean_exit(&out, &format!("case {case}: {flag} '{value}'"));
     }
+
+    // The flags every trace-loading command shares, through the other
+    // commands: each (command, flag) pair four times. The worker width
+    // stays fixed at one.
+    let commands: [&[&str]; 4] = [
+        &["monitor", "--headless", "--jobs", "1", "--scale", "0.004"],
+        &["compare", "--jobs", "1", "--scale", "0.004"],
+        &["analyze", "--scale", "0.004"],
+        &["doctor", "--jobs", "1", "--scale", "0.004"],
+    ];
+    let shared = [("--scale", "0.004"), ("--memory", "64"), ("--seed", "42")];
+    for case in 0..48 {
+        let cmd = commands[case % commands.len()];
+        let (flag, base) = shared[case / commands.len() % shared.len()];
+        let value = match rng.next_u64() % 2 {
+            0 => pick(&mut rng, &HOSTILE).to_string(),
+            _ => format!("{base}{}", pick(&mut rng, &SUFFIXES)),
+        };
+        let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
+            .args(cmd)
+            .args([flag, &value])
+            .output()
+            .expect("spawn pod-cli");
+        assert_clean_exit(&out, &format!("{} case {case}: {flag} '{value}'", cmd[0]));
+    }
+}
+
+/// Rows that parse but bend the trace's semantics, each mutant a seeded
+/// mix of: timestamps that step backwards, LBAs and whole rows repeated,
+/// block counts that overlap the rows after them, and SHA-256 hashes
+/// among the MD5 ones. Every command that replays a `--trace` ends in
+/// exit 0 or an `error:` line on each.
+#[test]
+fn semantic_fiu_mutants_never_panic() {
+    let dir = std::env::temp_dir().join(format!("pod-fiu-mutants-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the scratch directory");
+    let base = dir.join("base.fiu");
+    let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
+        .args(["gen", "--profile", "mail", "--scale", "0.002", "--out"])
+        .arg(&base)
+        .output()
+        .expect("spawn pod-cli");
+    assert_eq!(out.status.code(), Some(0), "generating the base trace");
+    let body = std::fs::read_to_string(&base).expect("read the base trace");
+    let rows: Vec<Vec<String>> = body
+        .lines()
+        .map(|l| l.split(' ').map(str::to_string).collect())
+        .collect();
+
+    let mutant = dir.join("mutant.fiu");
+    let mut rng = SplitMix64::new(55);
+    for case in 0..10u64 {
+        // Cases 0-3 apply one mutation each, the rest all four.
+        let applies = |m: u64| case == m || case >= 4;
+        let mut rows = rows.clone();
+        for i in 0..rows.len() {
+            if !rng.next_u64().is_multiple_of(8) {
+                continue;
+            }
+            let other = (rng.next_u64() % rows.len() as u64) as usize;
+            if applies(0) {
+                let ts: u64 = rows[i][0].parse().expect("timestamp");
+                rows[i][0] = (ts / 2).to_string();
+            }
+            if applies(1) {
+                rows[i][3] = rows[other][3].clone();
+            }
+            if applies(2) {
+                rows[i][4] = (1 + rng.next_u64() % 16).to_string();
+            }
+            if applies(3) && rows[i][8].len() == 32 {
+                rows[i][8] = SHA.to_string();
+            }
+        }
+        if applies(1) {
+            let dup = rows[..rows.len() / 4].to_vec();
+            rows.extend(dup);
+        }
+        let text: String = rows.iter().map(|r| r.join(" ") + "\n").collect();
+        std::fs::write(&mutant, text).expect("write the mutant");
+        for cmd in [
+            &["replay", "--jobs", "1"][..],
+            &["serve", "--jobs", "1"],
+            &["compare", "--jobs", "1"],
+            &["monitor", "--headless", "--jobs", "1"],
+        ] {
+            let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
+                .args(cmd)
+                .arg("--trace")
+                .arg(&mutant)
+                .output()
+                .expect("spawn pod-cli");
+            assert_clean_exit(&out, &format!("case {case}: {}", cmd[0]));
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("remove the scratch directory");
 }
 
 /// What a number in a recorded line is replaced with: 2^64 and

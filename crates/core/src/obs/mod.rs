@@ -108,8 +108,6 @@ pub enum StackEvent {
         hit: bool,
         /// Outside the warm-up window.
         measured: bool,
-        /// Issuing tenant (0 for single-tenant replays).
-        tenant: u16,
     },
     /// A missed read was mapped onto `fragments` physical extents.
     ReadFragments {
@@ -117,8 +115,6 @@ pub enum StackEvent {
         fragments: u64,
         /// Outside the warm-up window.
         measured: bool,
-        /// Issuing tenant (0 for single-tenant replays).
-        tenant: u16,
     },
     /// The dedup layer classified and processed a write request.
     WriteClassified {
@@ -134,8 +130,6 @@ pub enum StackEvent {
         disk_index_lookups: u32,
         /// Outside the warm-up window.
         measured: bool,
-        /// Issuing tenant (0 for single-tenant replays).
-        tenant: u16,
     },
     /// The iCache repartitioned the DRAM budget between index and read
     /// cache.
@@ -197,8 +191,6 @@ pub enum StackEvent {
         write: bool,
         /// Outside the warm-up window.
         measured: bool,
-        /// Issuing tenant (0 for single-tenant replays).
-        tenant: u16,
     },
     /// A tenant's request was admitted late by its token-bucket rate
     /// limit ([`ServePolicy::rate_limit_rps`](crate::ServePolicy::rate_limit_rps)).
@@ -206,8 +198,6 @@ pub enum StackEvent {
     /// throttles — plain replays and policy-free serves never produce
     /// it.
     ThrottleWait {
-        /// The throttled tenant.
-        tenant: u16,
         /// Simulated delay added before admission, µs.
         us: u64,
     },
@@ -215,8 +205,6 @@ pub enum StackEvent {
     /// its current grant or quota, evicting fingerprints. Emitted only
     /// when a [`ServePolicy`](crate::ServePolicy) is active.
     QuotaEviction {
-        /// The tenant whose index shrank.
-        tenant: u16,
         /// Fingerprints evicted by the resize.
         victims: u64,
         /// The index budget after the shrink, bytes.
@@ -438,23 +426,19 @@ mod tests {
         c.fold(&StackEvent::ReadLookup {
             hit: true,
             measured: true,
-            tenant: 0,
         });
         c.fold(&StackEvent::ReadLookup {
             hit: false,
             measured: true,
-            tenant: 0,
         });
         // Warm-up: in the whole-replay row, not the measured reads.
         c.fold(&StackEvent::ReadLookup {
             hit: true,
             measured: false,
-            tenant: 0,
         });
         c.fold(&StackEvent::ReadFragments {
             fragments: 3,
             measured: true,
-            tenant: 0,
         });
         c.fold(&repartition(7));
         c.fold(&StackEvent::Snapshot {
@@ -479,7 +463,6 @@ mod tests {
             removed,
             disk_index_lookups: 0,
             measured: true,
-            tenant: 0,
         };
         c.fold(&write(ClassKind::FullyRedundantSequential, true));
         c.fold(&write(ClassKind::ScatteredPartial, false));
@@ -568,7 +551,6 @@ mod tests {
         a.fold(&StackEvent::ReadLookup {
             hit: true,
             measured: true,
-            tenant: 1,
         });
         a.fold(&StackEvent::LayerLatency {
             layer: Layer::Disk,
@@ -578,7 +560,6 @@ mod tests {
         b.fold(&StackEvent::ReadLookup {
             hit: false,
             measured: true,
-            tenant: 2,
         });
         b.fold(&repartition(3));
         let mut sum = a;
@@ -632,10 +613,9 @@ mod tests {
     #[test]
     fn qos_events_accumulate_and_absorb() {
         let mut a = StackCounters::default();
-        a.fold(&StackEvent::ThrottleWait { tenant: 1, us: 250 });
-        a.fold(&StackEvent::ThrottleWait { tenant: 1, us: 750 });
+        a.fold(&StackEvent::ThrottleWait { us: 250 });
+        a.fold(&StackEvent::ThrottleWait { us: 750 });
         a.fold(&StackEvent::QuotaEviction {
-            tenant: 1,
             victims: 32,
             index_bytes: 4096,
         });

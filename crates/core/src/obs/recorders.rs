@@ -645,7 +645,6 @@ mod tests {
         StackEvent::RequestDone {
             write: false,
             measured: true,
-            tenant: 0,
         }
     }
 
@@ -674,7 +673,6 @@ mod tests {
             r.on_event(&StackEvent::ReadLookup {
                 hit: i % 2 == 0,
                 measured: true,
-                tenant: 0,
             });
             r.on_event(&req_done());
         }
@@ -724,12 +722,10 @@ mod tests {
             removed: true,
             disk_index_lookups: 0,
             measured: true,
-            tenant: 0,
         });
         r.on_event(&StackEvent::RequestDone {
             write: true,
             measured: true,
-            tenant: 0,
         });
         r.on_event(&StackEvent::Finished);
 
@@ -831,9 +827,8 @@ mod tests {
 
         // Throttled + quota-evicted rows carry the tallies.
         let mut r = TraceRecorder::new("POD", "mail#1", 1, 4).with_tenant(1);
-        r.on_event(&StackEvent::ThrottleWait { tenant: 1, us: 120 });
+        r.on_event(&StackEvent::ThrottleWait { us: 120 });
         r.on_event(&StackEvent::QuotaEviction {
-            tenant: 1,
             victims: 16,
             index_bytes: 4096,
         });

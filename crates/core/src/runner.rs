@@ -195,12 +195,9 @@ impl ReplaySizing {
 }
 
 /// What the serving engine adds to one tenant's replay. The default is
-/// a solo replay: tenant 0 (untagged on the wire), no shared tier, no
-/// admission control.
+/// a solo replay: no shared tier, no admission control.
 #[derive(Default)]
 pub(crate) struct TenantSetup {
-    /// Tenant id stamped on every per-request event.
-    pub(crate) tenant: u16,
     /// The tenant's shared tier, run after the stack's own background
     /// steps.
     pub(crate) tier: Option<SharedTierTask>,
@@ -256,7 +253,6 @@ fn drive(
     setup: TenantSetup,
 ) -> PodResult<(StorageStack, usize, u64)> {
     let mut stack = StorageStack::with_observer(spec, cfg, trace, observer)?;
-    stack.set_tenant(setup.tenant);
     stack.set_tier(setup.tier);
     let mut throttle = setup.throttle;
 

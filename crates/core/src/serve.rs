@@ -694,10 +694,7 @@ fn serve_tenant(
     if ctx.profile {
         chain.push(ProfSink::new());
     }
-    let mut setup = TenantSetup {
-        tenant,
-        ..TenantSetup::default()
-    };
+    let mut setup = TenantSetup::default();
     if let Some(policy) = &cfg.policy {
         // The QoS layer rides as one shared-tier step per tenant plus
         // per-tenant admission control; with no policy none of this

@@ -138,11 +138,6 @@ pub struct StorageStack {
     fault_scratch: Vec<FaultRecord>,
     /// End-of-replay silent corruption target (oracle fail fixture).
     corrupt_lba: Option<u64>,
-    /// Tenant id stamped on every per-request event this stack emits.
-    /// 0 (the default) is the single-tenant identity and stays off the
-    /// serialized wire; the serving engine assigns real ids via
-    /// [`set_tenant`](Self::set_tenant).
-    tenant: u16,
     /// Host profiling is on (the chain holds a [`ProfSink`]): each
     /// profiled phase is wrapped in a [`ProfTimer`] and its elapsed
     /// host nanoseconds emitted as [`StackEvent::HostPhase`]. Off (the
@@ -267,7 +262,6 @@ impl StorageStack {
             faults_enabled: cfg.faults.is_some(),
             fault_scratch: Vec::new(),
             corrupt_lba: cfg.faults.as_ref().and_then(|p| p.corrupt_lba),
-            tenant: 0,
             prof,
         })
     }
@@ -293,18 +287,6 @@ impl StorageStack {
         }
     }
 
-    /// Attribute every subsequent per-request event to `tenant`. The
-    /// serving engine sets each tenant stack's id; plain replays keep
-    /// the default of 0 (untagged on the wire).
-    pub fn set_tenant(&mut self, tenant: u16) {
-        self.tenant = tenant;
-    }
-
-    /// The tenant this stack's events are attributed to.
-    pub fn tenant(&self) -> u16 {
-        self.tenant
-    }
-
     /// Install the tenant's shared tier, the last background step. The
     /// serving engine sets it under a policy; a plain replay has none.
     pub(crate) fn set_tier(&mut self, tier: Option<SharedTierTask>) {
@@ -315,10 +297,7 @@ impl StorageStack {
     /// this stack's tenant. Called by the serving engine's token-bucket
     /// admission before a delayed request is processed.
     pub(crate) fn note_throttle_wait(&mut self, us: u64) {
-        self.observer.emit(&StackEvent::ThrottleWait {
-            tenant: self.tenant,
-            us,
-        });
+        self.observer.emit(&StackEvent::ThrottleWait { us });
     }
 
     /// Advance the disk backend to `t`, completing due work.
@@ -347,7 +326,6 @@ impl StorageStack {
         self.observer.emit(&StackEvent::RequestDone {
             write: req.op.is_write(),
             measured,
-            tenant: self.tenant,
         });
         self.prof_lap(&mut timer, ProfPhase::Observe);
         if self.post_process && ((idx + 1) as u64).is_multiple_of(POST_PROCESS_INTERVAL) {
@@ -439,7 +417,6 @@ impl StorageStack {
             removed: summary.removed,
             disk_index_lookups: summary.disk_index_lookups,
             measured,
-            tenant: self.tenant,
         });
         self.observer.emit(&StackEvent::LayerLatency {
             layer: Layer::Dedup,
@@ -533,7 +510,6 @@ impl StorageStack {
         self.observer.emit(&StackEvent::ReadLookup {
             hit: all_hit,
             measured,
-            tenant: self.tenant,
         });
         if all_hit {
             self.observer.emit(&StackEvent::LayerLatency {
@@ -552,7 +528,6 @@ impl StorageStack {
             self.observer.emit(&StackEvent::ReadFragments {
                 fragments,
                 measured,
-                tenant: self.tenant,
             });
             self.observer.emit(&StackEvent::LayerLatency {
                 layer: Layer::Dedup,
@@ -623,7 +598,6 @@ impl StorageStack {
         let victims = self.engine.index_mut().resize_bytes(index_bytes);
         if victims > 0 {
             self.observer.emit(&StackEvent::QuotaEviction {
-                tenant: self.tenant,
                 victims,
                 index_bytes,
             });

@@ -162,14 +162,14 @@ fn recorders_come_back_tenant_tagged_and_ordered() {
     assert_eq!(rep.tenants.len(), 3);
 }
 
-/// Logs the tenant of every `RequestDone` into a log shared by all of
-/// a run's tenant stacks.
-struct ServiceOrder(Arc<Mutex<Vec<u16>>>);
+/// Logs its tenant (the factory's argument) at every `RequestDone` into
+/// a log shared by all of a run's tenant stacks.
+struct ServiceOrder(u16, Arc<Mutex<Vec<u16>>>);
 
 impl StackObserver for ServiceOrder {
     fn on_event(&mut self, ev: &StackEvent) {
-        if let StackEvent::RequestDone { tenant, .. } = ev {
-            self.0.lock().expect("log lock").push(*tenant);
+        if let StackEvent::RequestDone { .. } = ev {
+            self.1.lock().expect("log lock").push(self.0);
         }
     }
 }
@@ -184,7 +184,7 @@ fn a_shard_serves_its_tenants_back_to_back() {
         .tenants(&tenants)
         .shards(1)
         .jobs(1)
-        .observer(move |_| ObserverChain::new().with(ServiceOrder(Arc::clone(&sink))))
+        .observer(move |t| ObserverChain::new().with(ServiceOrder(t, Arc::clone(&sink))))
         .run()
         .expect("serve");
     let log = log.lock().expect("log lock");

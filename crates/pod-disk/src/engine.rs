@@ -20,7 +20,7 @@
 //! jobs without allocating (`crates/core/tests/alloc.rs` pins that).
 
 use crate::raid::{PhysOp, RaidGeometry};
-use crate::sched::{PendingView, SchedulerKind};
+use crate::sched::SchedulerKind;
 use crate::spec::DiskSpec;
 use pod_types::{Pba, SimDuration, SimTime};
 
@@ -144,8 +144,6 @@ pub struct ArraySim {
     /// Writes [`JobPlan::write`] holds back for the phase after the
     /// current one.
     held_writes: Vec<PhysOp>,
-    /// Scratch for scheduler views.
-    view_scratch: Vec<PendingView>,
 }
 
 /// The job [`ArraySim::submit_job`] is planning: ops join the current
@@ -203,7 +201,6 @@ impl ArraySim {
             jobs: Vec::new(),
             free: Vec::new(),
             held_writes: Vec::new(),
-            view_scratch: Vec::new(),
         }
     }
 
@@ -377,26 +374,16 @@ impl ArraySim {
 
     fn try_dispatch(&mut self, disk: usize) {
         let now_us = self.clock.as_micros();
-        let sched = self.sched;
         let d = &mut self.disks[disk];
         if d.busy || d.pending.is_empty() {
             return;
         }
-        let (idx, dir) = if d.pending.len() == 1 {
-            // Single-op fast path: no scheduler view construction.
-            (
-                0,
-                sched.pick_single(d.pending[0].op.lba, d.head, d.direction_up),
-            )
-        } else {
-            let views = &mut self.view_scratch;
-            views.clear();
-            views.extend(d.pending.iter().map(|q| PendingView {
-                lba: q.op.lba,
-                arrival_us: q.arrival_us,
-            }));
-            sched.pick(views, d.head, d.direction_up)
-        };
+        let (idx, dir) = self.sched.pick(
+            &d.pending,
+            |q| (q.op.lba, q.arrival_us),
+            d.head,
+            d.direction_up,
+        );
         d.direction_up = dir;
         // `swap_remove` moves the last op into the hole, which is what
         // FIFO's index tie-break sees next (see `SchedulerKind::Fifo`).

@@ -26,43 +26,29 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Fast path of [`SchedulerKind::pick`] for a single pending op:
-    /// index 0 is forced, so only the elevator's direction update
-    /// remains. Returns the new `direction_up`, exactly as `pick` would
-    /// for a one-element queue.
-    #[inline]
-    pub fn pick_single(&self, lba: u64, head: u64, direction_up: bool) -> bool {
-        match self {
-            SchedulerKind::Fifo | SchedulerKind::Sstf => direction_up,
-            SchedulerKind::Elevator => {
-                let in_dir = if direction_up {
-                    lba >= head
-                } else {
-                    lba <= head
-                };
-                if in_dir {
-                    direction_up
-                } else {
-                    !direction_up
-                }
-            }
-        }
-    }
-
-    /// Pick the index of the next op to service from `pending`.
+    /// Pick the index of the next op to service from `pending`, read in
+    /// place: `key` gives each op's `(lba, arrival_us)`, its disk-local
+    /// target block and its arrival time in µs.
     ///
     /// * `head` — current head position (disk-local block).
     /// * `direction_up` — elevator state: sweeping toward higher blocks.
     ///
     /// Returns `(index, new_direction_up)`. `pending` must be non-empty.
-    pub fn pick(&self, pending: &[PendingView], head: u64, direction_up: bool) -> (usize, bool) {
+    pub fn pick<T>(
+        &self,
+        pending: &[T],
+        key: impl Fn(&T) -> (u64, u64),
+        head: u64,
+        direction_up: bool,
+    ) -> (usize, bool) {
         debug_assert!(!pending.is_empty());
+        let lba = |op: &T| key(op).0;
         match self {
             SchedulerKind::Fifo => {
                 // Earliest arrival; ties to the lowest index (stable min).
                 let mut best = 0;
                 for (i, op) in pending.iter().enumerate().skip(1) {
-                    if op.arrival_us < pending[best].arrival_us {
+                    if key(op).1 < key(&pending[best]).1 {
                         best = i;
                     }
                 }
@@ -70,9 +56,9 @@ impl SchedulerKind {
             }
             SchedulerKind::Sstf => {
                 let mut best = 0;
-                let mut best_dist = pending[0].lba.abs_diff(head);
+                let mut best_dist = lba(&pending[0]).abs_diff(head);
                 for (i, op) in pending.iter().enumerate().skip(1) {
-                    let d = op.lba.abs_diff(head);
+                    let d = lba(op).abs_diff(head);
                     if d < best_dist {
                         best = i;
                         best_dist = d;
@@ -93,15 +79,15 @@ impl SchedulerKind {
                 let candidate = pending
                     .iter()
                     .enumerate()
-                    .filter(|(_, op)| in_dir(op.lba))
-                    .min_by_key(|(_, op)| op.lba.abs_diff(head));
+                    .filter(|(_, op)| in_dir(lba(op)))
+                    .min_by_key(|(_, op)| lba(op).abs_diff(head));
                 match candidate {
                     Some((i, _)) => (i, direction_up),
                     None => {
                         let (i, _) = pending
                             .iter()
                             .enumerate()
-                            .min_by_key(|(_, op)| op.lba.abs_diff(head))
+                            .min_by_key(|(_, op)| lba(op).abs_diff(head))
                             .expect("pending non-empty");
                         (i, !direction_up)
                     }
@@ -111,27 +97,29 @@ impl SchedulerKind {
     }
 }
 
-/// The slice of op state a scheduler is allowed to see.
-#[derive(Clone, Copy, Debug)]
-pub struct PendingView {
-    /// Disk-local target block.
-    pub lba: u64,
-    /// Arrival time in µs (for FIFO ordering).
-    pub arrival_us: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn view(lba: u64, arrival_us: u64) -> PendingView {
-        PendingView { lba, arrival_us }
+    /// A pending op, holding just what [`SchedulerKind::pick`] reads.
+    #[derive(Clone, Copy, Debug)]
+    struct View {
+        lba: u64,
+        arrival_us: u64,
+    }
+
+    fn view(lba: u64, arrival_us: u64) -> View {
+        View { lba, arrival_us }
+    }
+
+    fn pick(kind: SchedulerKind, pending: &[View], head: u64, dir: bool) -> (usize, bool) {
+        kind.pick(pending, |v| (v.lba, v.arrival_us), head, dir)
     }
 
     #[test]
     fn fifo_picks_earliest_arrival() {
         let pending = [view(100, 30), view(50, 10), view(70, 20)];
-        let (i, _) = SchedulerKind::Fifo.pick(&pending, 0, true);
+        let (i, _) = pick(SchedulerKind::Fifo, &pending, 0, true);
         assert_eq!(i, 1);
     }
 
@@ -140,14 +128,14 @@ mod tests {
         // On a slice, index order; the engine's queues are not kept in
         // submission order (`engine::tests::fifo_ties_follow_the_queue_not_submission_order`).
         let pending = [view(100, 10), view(50, 10)];
-        let (i, _) = SchedulerKind::Fifo.pick(&pending, 0, true);
+        let (i, _) = pick(SchedulerKind::Fifo, &pending, 0, true);
         assert_eq!(i, 0);
     }
 
     #[test]
     fn sstf_picks_nearest() {
         let pending = [view(100, 1), view(55, 2), view(70, 3)];
-        let (i, _) = SchedulerKind::Sstf.pick(&pending, 60, true);
+        let (i, _) = pick(SchedulerKind::Sstf, &pending, 60, true);
         assert_eq!(i, 1); // |55-60| = 5 is minimal
     }
 
@@ -155,7 +143,7 @@ mod tests {
     fn elevator_continues_direction() {
         let pending = [view(40, 1), view(80, 2), view(65, 3)];
         // Head at 60 sweeping up: nearest >= 60 is 65.
-        let (i, up) = SchedulerKind::Elevator.pick(&pending, 60, true);
+        let (i, up) = pick(SchedulerKind::Elevator, &pending, 60, true);
         assert_eq!(i, 2);
         assert!(up);
     }
@@ -164,7 +152,7 @@ mod tests {
     fn elevator_reverses_at_end() {
         let pending = [view(40, 1), view(10, 2)];
         // Head at 60 sweeping up: nothing above, reverse and take nearest.
-        let (i, up) = SchedulerKind::Elevator.pick(&pending, 60, true);
+        let (i, up) = pick(SchedulerKind::Elevator, &pending, 60, true);
         assert_eq!(i, 0); // 40 is nearest below
         assert!(!up, "direction flips");
     }
@@ -172,7 +160,7 @@ mod tests {
     #[test]
     fn elevator_down_sweep() {
         let pending = [view(40, 1), view(80, 2)];
-        let (i, up) = SchedulerKind::Elevator.pick(&pending, 60, false);
+        let (i, up) = pick(SchedulerKind::Elevator, &pending, 60, false);
         assert_eq!(i, 0);
         assert!(!up);
     }
@@ -188,35 +176,12 @@ mod tests {
         SchedulerKind::Elevator,
     ];
 
-    /// `pick_single` is the engine's fast path for a one-element queue;
-    /// it must agree with `pick` everywhere, including the exact-head
-    /// and extreme-LBA boundaries the elevator cares about.
-    #[test]
-    fn pick_single_agrees_with_pick_on_singleton_queues() {
-        let interesting = [0u64, 1, 59, 60, 61, 1_000, u64::MAX - 1, u64::MAX];
-        for kind in ALL {
-            for &head in &interesting {
-                for &lba in &interesting {
-                    for dir in [false, true] {
-                        let (i, want_dir) = kind.pick(&[view(lba, 7)], head, dir);
-                        assert_eq!(i, 0);
-                        assert_eq!(
-                            kind.pick_single(lba, head, dir),
-                            want_dir,
-                            "{kind:?} head={head} lba={lba} dir={dir}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// Every scheduler must return a valid index for every queue length,
     /// even under adversarial arrivals: identical LBAs, identical
     /// arrival times, and maximally distant positions in one queue.
     #[test]
     fn adversarial_queues_always_yield_a_valid_index() {
-        let queues: [&[PendingView]; 4] = [
+        let queues: [&[View]; 4] = [
             &[view(5, 0); 7],                              // all identical
             &[view(0, 3), view(u64::MAX, 3), view(42, 3)], // arrival ties
             &[view(u64::MAX, 0), view(0, 1)],              // extreme span
@@ -225,7 +190,7 @@ mod tests {
         for kind in ALL {
             for q in queues {
                 for dir in [false, true] {
-                    let (i, _) = kind.pick(q, u64::MAX / 2, dir);
+                    let (i, _) = pick(kind, q, u64::MAX / 2, dir);
                     assert!(i < q.len(), "{kind:?} picked {i} of {}", q.len());
                 }
             }
@@ -246,7 +211,7 @@ mod tests {
         let mut order = Vec::new();
         let mut head = 0;
         while !pending.is_empty() {
-            let (i, _) = SchedulerKind::Fifo.pick(&pending, head, true);
+            let (i, _) = pick(SchedulerKind::Fifo, &pending, head, true);
             let op = pending.remove(i);
             head = op.lba;
             order.push(op.arrival_us);
@@ -263,7 +228,7 @@ mod tests {
         let far = view(1_000_000, 0); // oldest request, far from head
         for step in 0..50u64 {
             let near = view(step, step + 1); // younger but near
-            let (i, _) = SchedulerKind::Sstf.pick(&[far, near], step, true);
+            let (i, _) = pick(SchedulerKind::Sstf, &[far, near], step, true);
             assert_eq!(i, 1, "SSTF keeps choosing the near op at step {step}");
         }
     }
@@ -284,7 +249,7 @@ mod tests {
         let mut dir = true;
         let mut visited = Vec::new();
         while !pending.is_empty() {
-            let (i, ndir) = SchedulerKind::Elevator.pick(&pending, head, dir);
+            let (i, ndir) = pick(SchedulerKind::Elevator, &pending, head, dir);
             let op = pending.remove(i);
             head = op.lba;
             dir = ndir;
@@ -299,17 +264,21 @@ mod tests {
     }
 
     /// An elevator sweeping down behaves symmetrically: nearest request
-    /// at-or-below the head wins, and `pick_single` tracks the same
+    /// at-or-below the head wins, and a queue of one follows the same
     /// reversal rule.
     #[test]
     fn elevator_symmetry_on_down_sweep() {
         let pending = [view(55, 0), view(45, 1), view(48, 2)];
-        let (i, up) = SchedulerKind::Elevator.pick(&pending, 50, false);
+        let (i, up) = pick(SchedulerKind::Elevator, &pending, 50, false);
         assert_eq!(i, 2, "48 is the nearest at-or-below 50");
         assert!(!up);
-        assert!(!SchedulerKind::Elevator.pick_single(48, 50, false));
-        assert!(
-            SchedulerKind::Elevator.pick_single(55, 50, false),
+        assert_eq!(
+            pick(SchedulerKind::Elevator, &[view(48, 0)], 50, false),
+            (0, false)
+        );
+        assert_eq!(
+            pick(SchedulerKind::Elevator, &[view(55, 0)], 50, false),
+            (0, true),
             "reverses up"
         );
     }

@@ -6,16 +6,16 @@
 //! every service time through the `DiskSpec` f64 math. The production
 //! [`ArraySim`] is the same model with a sorted event vector, jobs in
 //! reusable slots with their phases flat, seek rounding without the libm
-//! call and a single-op dispatch shortcut. The property: for arbitrary
-//! job mixes — single requests, jobs shaped like the storage stack's
-//! (index lookups, several extents' pre-reads, then their writes) and
-//! deep chains of dependent read phases — over every scheduler, the
-//! paper's 4-disk RAID-5 and a 3-disk one (the div/mod fallback of the
-//! address arithmetic) and both disk presets, it produces **identical**
-//! completion times, clocks, and [`DiskStats`].
+//! call and a scheduler that reads the queue in place. The property: for
+//! arbitrary job mixes — single requests, jobs shaped like the storage
+//! stack's (index lookups, several extents' pre-reads, then their
+//! writes) and deep chains of dependent read phases — over every
+//! scheduler, the paper's 4-disk RAID-5 and a 3-disk one (the div/mod
+//! fallback of the address arithmetic) and both disk presets, it
+//! produces **identical** completion times, clocks, and [`DiskStats`].
 
 use pod_disk::raid::{PhysOp, RaidGeometry};
-use pod_disk::sched::{PendingView, SchedulerKind};
+use pod_disk::sched::SchedulerKind;
 use pod_disk::spec::{DiskSpec, RaidConfig};
 use pod_disk::{ArraySim, DiskStats};
 use pod_types::{Pba, SimTime};
@@ -91,6 +91,14 @@ mod reference {
         op: PhysOp,
         arrival_us: u64,
         job: usize,
+    }
+
+    /// The slice of op state the scheduler sees, copied out of the
+    /// queue before every pick as the first engine did.
+    #[derive(Debug, Clone, Copy)]
+    struct PendingView {
+        lba: u64,
+        arrival_us: u64,
     }
 
     #[derive(Debug)]
@@ -276,7 +284,9 @@ mod reference {
                     arrival_us: q.arrival_us,
                 })
                 .collect();
-            let (idx, dir) = self.sched.pick(&views, d.head, d.direction_up);
+            let (idx, dir) =
+                self.sched
+                    .pick(&views, |v| (v.lba, v.arrival_us), d.head, d.direction_up);
             d.direction_up = dir;
             let q = d.pending.swap_remove(idx);
             let distance = d.head.abs_diff(q.op.lba);
@@ -628,8 +638,8 @@ fn dense_burst_equivalence() {
 }
 
 /// The paper-array shape with idle gaps between every job: each op sees
-/// an empty queue, so every dispatch takes the single-op fast path —
-/// compare against the heap-driven reference step by step.
+/// an empty queue, so every dispatch picks from a queue of one — compare
+/// against the heap-driven reference step by step.
 #[test]
 fn idle_gap_fast_path_equivalence() {
     let steps: Vec<Step> = (0..300u64)
