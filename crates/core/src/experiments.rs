@@ -612,19 +612,16 @@ pub fn restore_experiment(scale: f64, seed: u64) -> PodResult<Vec<RestoreRow>> {
     // backlog has fully drained (we measure media behaviour, not queue
     // contamination).
     let mut requests = writes.requests.clone();
-    let mut id = requests.len() as u64;
     let region = 3 * image;
     let mut at = last + 300_000_000;
     let mut off = 0u64;
     while off < image {
         let len = 256.min(image - off) as u32;
         requests.push(IoRequest::read(
-            id,
             SimTime::from_micros(at),
             Lba::new(region + off),
             len,
         ));
-        id += 1;
         at += 500_000;
         off += len as u64;
     }

@@ -27,7 +27,7 @@ use crate::stack::{StackSpec, StorageStack};
 use pod_dedup::engine::EngineCounters;
 use pod_disk::engine::DiskStats;
 use pod_trace::Trace;
-use pod_types::{IoRequest, PodError, PodResult, SimDuration};
+use pod_types::{PodError, PodResult, SimDuration};
 use std::any::Any;
 
 /// Result of replaying one trace through one scheme.
@@ -270,22 +270,14 @@ fn drive(
         let wait_us = throttle
             .as_mut()
             .map_or(0, |bucket| bucket.admit(req.arrival.as_micros()));
-        // Throttled: process a copy shifted to its admission time. The
-        // clone happens only on this path, so unthrottled replays keep
-        // the zero-allocation hot path.
-        let delayed;
-        let req = if wait_us == 0 {
-            req
-        } else {
+        // Throttled: the request enters the stack at its admission
+        // instant, read in place from the trace.
+        let at = req.arrival + SimDuration::from_micros(wait_us);
+        if wait_us > 0 {
             stack.note_throttle_wait(wait_us);
-            delayed = IoRequest {
-                arrival: req.arrival + SimDuration::from_micros(wait_us),
-                ..req.clone()
-            };
-            &delayed
-        };
-        stack.run_until(req.arrival);
-        stack.process_request(idx, req, idx >= warmup)?;
+        }
+        stack.run_until(at);
+        stack.process_at(idx, req, at, idx >= warmup)?;
     }
     stack.finish()?;
     Ok((stack, warmup, last_arrival_us))
@@ -733,7 +725,6 @@ mod tests {
         // Test disk: 10k blocks/disk, 3 data disks = 30k blocks.
         cfg.memory_bytes = Some(1 << 20);
         let req = pod_types::IoRequest::write(
-            0,
             SimTime::ZERO,
             Lba::new(10_000_000),
             vec![pod_types::Fingerprint::from_content_id(1)],
@@ -812,14 +803,9 @@ mod tests {
     fn sizing_tracks_trace_extent_and_write_volume() {
         let fp = pod_types::Fingerprint::from_content_id;
         let requests = vec![
-            pod_types::IoRequest::write(
-                0,
-                SimTime::ZERO,
-                Lba::new(10_000),
-                vec![fp(1), fp(2), fp(3)],
-            ),
-            pod_types::IoRequest::read(1, SimTime::from_micros(5), Lba::new(50_000), 8),
-            pod_types::IoRequest::write(2, SimTime::from_micros(9), Lba::new(30), vec![fp(4)]),
+            pod_types::IoRequest::write(SimTime::ZERO, Lba::new(10_000), vec![fp(1), fp(2), fp(3)]),
+            pod_types::IoRequest::read(SimTime::from_micros(5), Lba::new(50_000), 8),
+            pod_types::IoRequest::write(SimTime::from_micros(9), Lba::new(30), vec![fp(4)]),
         ];
         let trace = Trace {
             name: "t".into(),
@@ -840,9 +826,7 @@ mod tests {
         // more live blocks than the span.
         let fp = pod_types::Fingerprint::from_content_id;
         let requests: Vec<_> = (0..2_000u64)
-            .map(|i| {
-                pod_types::IoRequest::write(i, SimTime::from_micros(i), Lba::new(0), vec![fp(i)])
-            })
+            .map(|i| pod_types::IoRequest::write(SimTime::from_micros(i), Lba::new(0), vec![fp(i)]))
             .collect();
         let trace = Trace {
             name: "rw".into(),
@@ -859,7 +843,6 @@ mod tests {
         let ending_at = |end: u64| Trace {
             name: "huge".into(),
             requests: vec![pod_types::IoRequest::read(
-                0,
                 SimTime::ZERO,
                 Lba::new(end - 1),
                 1,
@@ -1176,9 +1159,9 @@ mod tests {
                 let lba = Lba::new(i as u64 * 8);
                 if write {
                     let fp = pod_types::Fingerprint::from_content_id(i as u64);
-                    IoRequest::write(i as u64, at, lba, vec![fp])
+                    pod_types::IoRequest::write(at, lba, vec![fp])
                 } else {
-                    IoRequest::read(i as u64, at, lba, 1)
+                    pod_types::IoRequest::read(at, lba, 1)
                 }
             })
             .collect();

@@ -256,7 +256,7 @@ mod tests {
                     .map(|b| Fingerprint::from_content_id(i * 16 + b + 1))
                     .collect();
                 let lba = Lba::new(i % 512 * 16);
-                IoRequest::write(i, SimTime::from_micros(i * 1_000), lba, chunks)
+                IoRequest::write(SimTime::from_micros(i * 1_000), lba, chunks)
             })
             .collect();
         let trace = pod_trace::Trace {

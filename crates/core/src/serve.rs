@@ -998,7 +998,6 @@ mod tests {
                 .map(|(i, id)| {
                     let i = i as u64;
                     IoRequest::write(
-                        i,
                         SimTime::from_micros(i * 10),
                         Lba::new(i),
                         vec![Fingerprint::from_content_id(id)],

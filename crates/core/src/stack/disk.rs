@@ -60,8 +60,11 @@ pub trait DiskBackend {
     /// Submit one read request's extents as a single parallel phase.
     fn submit_read(&mut self, at: SimTime, extents: &[(Pba, u32)]) -> JobId;
 
-    /// Submit background scan reads (not tied to a request's latency).
-    fn submit_scan_read(&mut self, at: SimTime, extents: &[(Pba, u32)]);
+    /// Submit background scan reads (not tied to a request's latency):
+    /// a read whose job nobody waits on.
+    fn submit_scan_read(&mut self, at: SimTime, extents: &[(Pba, u32)]) {
+        self.submit_read(at, extents);
+    }
 
     /// Charge `blocks` of iCache swap traffic as sequential writes in
     /// the reserved swap region.
@@ -165,10 +168,6 @@ impl DiskBackend for ArrayBackend {
                 plan.read(pba, len);
             }
         })
-    }
-
-    fn submit_scan_read(&mut self, at: SimTime, extents: &[(Pba, u32)]) {
-        self.submit_read(at, extents);
     }
 
     fn submit_swap(&mut self, at: SimTime, blocks: u64) {
@@ -481,10 +480,6 @@ impl DiskBackend for ThreadedBackend {
         })
     }
 
-    fn submit_scan_read(&mut self, at: SimTime, extents: &[(Pba, u32)]) {
-        self.submit_read(at, extents);
-    }
-
     fn submit_swap(&mut self, at: SimTime, blocks: u64) {
         self.log(&[], |_, _, job| Command::Swap { at, blocks, job });
     }
@@ -685,6 +680,7 @@ impl DiskBackend for FaultyBackend {
         job
     }
 
+    /// Background reads pass through unfaulted.
     fn submit_scan_read(&mut self, at: SimTime, extents: &[(Pba, u32)]) {
         self.inner.submit_scan_read(at, extents);
     }

@@ -91,10 +91,11 @@ const CACHE_HIT_US: u64 = 20;
 /// Per-request state is one dense array of response times, 8 bytes a
 /// request, indexed by request position and sized from the build
 /// trace. A request with no disk work writes its slot when it is
-/// processed; a disk-bound one is written by `finish`, which walks the
-/// pending jobs once for their disk-latency events and their slots
-/// together. A caller that drives positions past the build trace grows
-/// the array, amortized.
+/// processed; a disk-bound one parks its arrival in the slot, and
+/// `finish`, which walks the pending jobs once for their disk-latency
+/// events and their slots together, overwrites it with done − arrival.
+/// A caller that drives positions past the build trace grows the
+/// array, amortized.
 pub struct StorageStack {
     icache: ICache,
     keying: CacheKeying,
@@ -120,11 +121,12 @@ pub struct StorageStack {
     /// a [`ServePolicy`](crate::config::ServePolicy).
     tier: Option<SharedTierTask>,
     observer: ObserverChain,
-    /// (request index, arrival, disk submit time, job) for disk-bound
-    /// requests.
-    pending: Vec<(usize, SimTime, SimTime, JobId)>,
+    /// (request index, disk submit time, job) for disk-bound requests.
+    pending: Vec<(usize, SimTime, JobId)>,
     /// Response time per request position, µs; [`Self::UNRESOLVED`]
-    /// until the request completes.
+    /// until the request is processed. A disk-bound request's slot
+    /// holds its arrival, µs, until [`finish`](Self::finish) resolves
+    /// it.
     responses: Vec<u64>,
     /// Requests completed so far (reads + writes, incl. warm-up).
     requests_done: u64,
@@ -147,9 +149,9 @@ pub struct StorageStack {
 }
 
 impl StorageStack {
-    /// The response slot of a request that has not completed: never
-    /// processed, or disk-bound and [`finish`](Self::finish) not yet
-    /// run.
+    /// The response slot of a request never processed. (Until
+    /// [`finish`](Self::finish) runs, a disk-bound request's slot holds
+    /// its arrival instead.)
     pub const UNRESOLVED: u64 = u64::MAX;
 
     /// Compose the stack described by `spec` for one replay of `trace`,
@@ -307,17 +309,32 @@ impl StorageStack {
         self.prof_emit(ProfPhase::DiskRun, timer);
     }
 
-    /// Process one request through the layers, then run the background
-    /// steps. `measured` is `false` during warm-up.
+    /// Process one request through the layers at its arrival, then run
+    /// the background steps. `measured` is `false` during warm-up.
     pub fn process_request(
         &mut self,
         idx: usize,
         req: &IoRequest,
         measured: bool,
     ) -> PodResult<()> {
+        self.process_at(idx, req, req.arrival, measured)
+    }
+
+    /// [`process_request`](Self::process_request) with the request
+    /// entering the stack at `at` rather than its trace arrival: a
+    /// throttled request enters at its admission instant, and its
+    /// response counts from there. The stack reads no other instant of
+    /// the request.
+    pub(crate) fn process_at(
+        &mut self,
+        idx: usize,
+        req: &IoRequest,
+        at: SimTime,
+        measured: bool,
+    ) -> PodResult<()> {
         match req.op {
-            IoOp::Write => self.on_write(idx, req, measured)?,
-            IoOp::Read => self.on_read(idx, req, measured),
+            IoOp::Write => self.on_write(idx, req, at, measured)?,
+            IoOp::Read => self.on_read(idx, req, at, measured),
         }
         if self.faults_enabled {
             self.drain_fault_events()?;
@@ -329,9 +346,9 @@ impl StorageStack {
         });
         self.prof_lap(&mut timer, ProfPhase::Observe);
         if self.post_process && ((idx + 1) as u64).is_multiple_of(POST_PROCESS_INTERVAL) {
-            self.post_process_scan(Some(req.arrival))?;
+            self.post_process_scan(Some(at))?;
         }
-        self.repartition(req);
+        self.repartition(req.op.is_write(), at);
         let epoch_closed = self.icache.at_epoch_boundary();
         self.shared_tier(epoch_closed);
         self.prof_lap(&mut timer, ProfPhase::Background);
@@ -395,7 +412,13 @@ impl StorageStack {
     /// The write path: hash latency → dedup decision → ghost-index
     /// traffic → write-allocate → disk submission (or a direct
     /// completion when the request was fully deduplicated).
-    fn on_write(&mut self, idx: usize, req: &IoRequest, measured: bool) -> PodResult<()> {
+    fn on_write(
+        &mut self,
+        idx: usize,
+        req: &IoRequest,
+        at: SimTime,
+        measured: bool,
+    ) -> PodResult<()> {
         let mut timer = ProfTimer::start(self.prof);
         let hash_lat = self.hash_latency(req.nblocks);
         let summary = self.engine.process_write_into(req, &mut self.scratch)?;
@@ -424,17 +447,18 @@ impl StorageStack {
         });
         self.prof_lap(&mut timer, ProfPhase::Observe);
 
-        let submit = req.arrival + hash_lat + SimDuration::from_micros(self.latency.metadata_us);
+        let submit = at + hash_lat + SimDuration::from_micros(self.latency.metadata_us);
         if summary.disk_index_lookups == 0 && self.scratch.write_extents.is_empty() {
             // Fully deduplicated: no disk I/O at all.
-            self.resolve(idx, (submit - req.arrival).as_micros());
+            self.resolve(idx, (submit - at).as_micros());
         } else {
             let job = self.disk.submit_write(
                 submit,
                 &self.scratch.write_extents,
                 summary.disk_index_lookups,
             );
-            self.pending.push((idx, req.arrival, submit, job));
+            self.resolve(idx, at.as_micros());
+            self.pending.push((idx, submit, job));
             self.prof_lap(&mut timer, ProfPhase::DiskSubmit);
         }
         Ok(())
@@ -497,7 +521,7 @@ impl StorageStack {
     /// The read path: cache lookup → direct completion on a full hit,
     /// else fetch the (possibly fragmented) physical extents and fill
     /// the cache.
-    fn on_read(&mut self, idx: usize, req: &IoRequest, measured: bool) {
+    fn on_read(&mut self, idx: usize, req: &IoRequest, at: SimTime, measured: bool) {
         let mut timer = ProfTimer::start(self.prof);
         let mut all_hit = true;
         for lba in req.lbas() {
@@ -534,9 +558,10 @@ impl StorageStack {
                 us: self.latency.metadata_us,
             });
             self.prof_lap(&mut timer, ProfPhase::Observe);
-            let submit = req.arrival + SimDuration::from_micros(self.latency.metadata_us);
+            let submit = at + SimDuration::from_micros(self.latency.metadata_us);
             let job = self.disk.submit_read(submit, &self.read_extents);
-            self.pending.push((idx, req.arrival, submit, job));
+            self.resolve(idx, at.as_micros());
+            self.pending.push((idx, submit, job));
             self.prof_lap(&mut timer, ProfPhase::DiskSubmit);
             for lba in req.lbas() {
                 let key = self.cache_key(lba);
@@ -568,9 +593,9 @@ impl StorageStack {
     /// iCache adaptation: note the request on the iCache's epoch clock
     /// and, when the cost-benefit accounting decides to repartition,
     /// resize the index table (its victims join the ghost index)
-    /// and charge the swap traffic to the disks.
-    fn repartition(&mut self, req: &IoRequest) {
-        let Some(rp) = self.icache.note_request(req.op.is_write()) else {
+    /// and charge the swap traffic to the disks at `at`.
+    fn repartition(&mut self, write: bool, at: SimTime) {
+        let Some(rp) = self.icache.note_request(write) else {
             return;
         };
         self.engine.index_mut().resize_bytes(rp.index_bytes);
@@ -581,7 +606,7 @@ impl StorageStack {
             index_grew: rp.index_grew,
         });
         if rp.swap_blocks > 0 {
-            self.disk.submit_swap(req.arrival, rp.swap_blocks);
+            self.disk.submit_swap(at, rp.swap_blocks);
         }
     }
 
@@ -639,10 +664,12 @@ impl StorageStack {
         }
         // Disk time is only known at completion: charge (done − submit)
         // per pending job now, in submission order, and resolve the
-        // request at (done − arrival).
+        // request at (done − arrival), its arrival read from its slot.
+        // Drained in place: the buffer is freed with the stack, after
+        // the report is built, which keeps glibc from trimming the heap
+        // after every one of repeated in-process replays (DESIGN §8).
         let timer = ProfTimer::start(self.prof);
-        let pending = std::mem::take(&mut self.pending);
-        for &(idx, arrival, submit, job) in &pending {
+        for (idx, submit, job) in self.pending.drain(..) {
             let Some(done) = self.disk.completion(job) else {
                 return Err(PodError::Inconsistency(format!(
                     "request {idx}: its disk job has no completion after the array ran to idle"
@@ -652,7 +679,8 @@ impl StorageStack {
                 layer: Layer::Disk,
                 us: (done - submit).as_micros(),
             });
-            self.resolve(idx, (done - arrival).as_micros());
+            let arrival = SimTime::from_micros(self.responses[idx]);
+            self.responses[idx] = (done - arrival).as_micros();
         }
         self.prof_emit(ProfPhase::DiskCommit, timer);
         // Final snapshot: the end-of-replay state, after drains, unless
@@ -710,7 +738,7 @@ mod tests {
 
     #[test]
     fn a_job_with_no_completion_is_an_error_naming_its_request() {
-        let req = IoRequest::read(0, SimTime::ZERO, Lba::new(0), 1);
+        let req = IoRequest::read(SimTime::ZERO, Lba::new(0), 1);
         let trace = Trace {
             name: "one read".into(),
             requests: vec![req.clone()],
@@ -723,7 +751,7 @@ mod tests {
         stack.process_request(0, &req, true).expect("processed");
         // A job the array was never handed.
         let never = JobId::from_index(1 << 40);
-        stack.pending.push((7, SimTime::ZERO, SimTime::ZERO, never));
+        stack.pending.push((7, SimTime::ZERO, never));
         assert_eq!(
             stack.finish(),
             Err(PodError::Inconsistency(
@@ -745,7 +773,7 @@ mod tests {
             StorageStack::with_observer(&spec, &cfg, &trace, ObserverChain::new()).expect("stack");
         let write = |id: u64| {
             let fp = pod_types::Fingerprint::from_content_id(1);
-            IoRequest::write(id, SimTime::from_micros(id), Lba::new(0), vec![fp])
+            IoRequest::write(SimTime::from_micros(id), Lba::new(0), vec![fp])
         };
         for idx in [3, 5] {
             let req = write(idx as u64);

@@ -35,16 +35,27 @@
 //! one side into its ghost, resizes the index and charges the swap
 //! traffic; none of it may allocate.
 //!
+//! A fourth phase drives the warm working set through the replay
+//! loop's throttled path: a one-tenant serve run under a token bucket
+//! that delays nearly every request. A throttled request enters the
+//! stack at its admission instant, read in place from the trace; a
+//! sink reads the counter at every `RequestDone`, and no pass after
+//! warm-up may allocate.
+//!
 //! The file holds a single test on purpose — the counter is
 //! process-global, and a lone test keeps the measurement window free of
 //! harness or sibling-test traffic.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use pod_core::obs::{LayerHistograms, ObserverChain, TraceRecorder};
 use pod_core::stack::disk_on_own_thread;
-use pod_core::{ProfSink, Scheme, StackEvent, StackObserver, StorageStack, SystemConfig};
+use pod_core::{
+    ProfSink, Scheme, ServeBuilder, ServePolicy, StackEvent, StackObserver, StorageStack,
+    SystemConfig,
+};
 use pod_trace::Trace;
 use pod_types::{Fingerprint, IoRequest, Lba, SimTime};
 
@@ -111,7 +122,6 @@ fn working_set() -> Vec<IoRequest> {
             .map(|b| Fingerprint::from_content_id(1_000 + lba + b))
             .collect();
         set.push(IoRequest::write(
-            i,
             SimTime::from_micros(0),
             Lba::new(lba),
             chunks,
@@ -119,7 +129,6 @@ fn working_set() -> Vec<IoRequest> {
     }
     for i in 0..8u64 {
         set.push(IoRequest::read(
-            8 + i,
             SimTime::from_micros(0),
             Lba::new(i * 64),
             8,
@@ -188,10 +197,10 @@ fn eviction_working_set() -> Vec<IoRequest> {
     let mut set = Vec::new();
     for i in 0..EVICT_REQUESTS {
         let chunks = vec![Fingerprint::ZERO; 8];
-        set.push(IoRequest::write(i, at, Lba::new(i * 8), chunks));
+        set.push(IoRequest::write(at, Lba::new(i * 8), chunks));
     }
     for i in 0..EVICT_REQUESTS {
-        set.push(IoRequest::read(EVICT_REQUESTS + i, at, Lba::new(i * 8), 8));
+        set.push(IoRequest::read(at, Lba::new(i * 8), 8));
     }
     set
 }
@@ -305,11 +314,11 @@ fn repartition_working_set() -> Vec<IoRequest> {
     let mut set = Vec::new();
     for i in 0..REPART_EPOCH {
         let chunks = vec![Fingerprint::ZERO; 8];
-        set.push(IoRequest::write(i, at, Lba::new(i * 8), chunks));
+        set.push(IoRequest::write(at, Lba::new(i * 8), chunks));
     }
     for i in 0..REPART_EPOCH {
         let lba = Lba::new(i % REPART_READ_RANGES * 8);
-        set.push(IoRequest::read(REPART_EPOCH + i, at, lba, 8));
+        set.push(IoRequest::read(at, lba, 8));
     }
     set
 }
@@ -379,6 +388,94 @@ fn replay_while_repartitioning_is_allocation_free(width: usize, profiled: bool) 
     );
     assert!(caches.ghost_index.hits >= (pass - 20) * REPART_EPOCH * 8);
     stack.finish().expect("finish");
+}
+
+/// The allocation counter at each `RequestDone` of the throttled
+/// phase, in request order. Reserved before the run, so recording a
+/// reading never allocates.
+static DONE_AT: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+
+/// Records the counter into [`DONE_AT`] at every `RequestDone`.
+struct CountAtDone;
+
+impl StackObserver for CountAtDone {
+    fn on_event(&mut self, ev: &StackEvent) {
+        if let StackEvent::RequestDone { .. } = ev {
+            let count = ALLOCATIONS.load(Ordering::Relaxed);
+            DONE_AT.lock().expect("probe lock").push(count);
+        }
+    }
+}
+
+/// Passes of the throttled phase over the working set, the first
+/// [`THROTTLE_WARMUP`] of which warm it.
+const THROTTLE_PASSES: usize = 200;
+const THROTTLE_WARMUP: usize = 100;
+
+/// The fourth phase: `runner::drive`'s throttled path. Requests arrive
+/// every 200 µs, 5,000 a second, against a bucket of 1,000 a second
+/// and a burst of 4, so once the burst is spent every request waits
+/// and enters the stack at its admission instant. Every pass after
+/// warm-up, from the last `RequestDone` of one pass to the last of the
+/// next, must make zero allocations.
+fn throttled_replay_is_allocation_free() {
+    let set = working_set();
+    let mut requests = Vec::with_capacity(set.len() * THROTTLE_PASSES);
+    let mut clock = 0u64;
+    for _ in 0..THROTTLE_PASSES {
+        for req in &set {
+            clock += 200;
+            let mut req = req.clone();
+            req.arrival = SimTime::from_micros(clock);
+            requests.push(req);
+        }
+    }
+    let n = requests.len();
+    let tenants = [Trace {
+        name: "alloc-probe-throttled".into(),
+        requests,
+        memory_budget_bytes: 64 << 20,
+    }];
+    let mut cfg = SystemConfig::test_default();
+    cfg.policy = Some(ServePolicy::parse("rate:1000,burst:4").expect("policy"));
+    pod_core::pool::set_default_width(1);
+    DONE_AT.lock().expect("probe lock").reserve(n);
+    let report = ServeBuilder::new(Scheme::Pod)
+        .config(cfg)
+        .tenants(&tenants)
+        .jobs(1)
+        .observer(|_| {
+            let mut chain = ObserverChain::new();
+            chain.push(CountAtDone);
+            chain
+        })
+        .run()
+        .expect("serve");
+
+    // The path under test ran: every measured pass was throttled.
+    let waits = report.aggregate.stack.all.throttle_waits;
+    assert!(
+        waits as usize >= (THROTTLE_PASSES - THROTTLE_WARMUP) * set.len(),
+        "only {waits} of {n} requests waited"
+    );
+    let done_at = DONE_AT.lock().expect("probe lock");
+    assert_eq!(done_at.len(), n, "one reading per request");
+    let pass_ends: Vec<u64> = done_at
+        .iter()
+        .skip(set.len() - 1)
+        .step_by(set.len())
+        .copied()
+        .collect();
+    let per_pass: Vec<u64> = pass_ends.windows(2).map(|w| w[1] - w[0]).collect();
+    let steady = &per_pass[THROTTLE_WARMUP - 1..];
+    let dirty = steady.iter().filter(|&&a| a > 0).count();
+    assert_eq!(
+        dirty,
+        0,
+        "{dirty} of {} throttled passes after warm-up allocated, up to {} times",
+        steady.len(),
+        steady.iter().max().unwrap_or(&0)
+    );
 }
 
 #[test]
@@ -474,4 +571,5 @@ fn steady_state_replay_with_full_observer_chain_is_allocation_free() {
     replay_under_eviction_is_allocation_free(2, false);
     replay_while_repartitioning_is_allocation_free(1, true);
     replay_while_repartitioning_is_allocation_free(2, false);
+    throttled_replay_is_allocation_free();
 }

@@ -306,12 +306,12 @@ pub struct DedupState {
 /// let chunks: Vec<Fingerprint> = (1..=3).map(Fingerprint::from_content_id).collect();
 ///
 /// // First write stores the data...
-/// let w1 = IoRequest::write(0, SimTime::ZERO, Lba::new(0), chunks.clone());
+/// let w1 = IoRequest::write(SimTime::ZERO, Lba::new(0), chunks.clone());
 /// let summary = engine.process_write_into(&w1, &mut scratch).unwrap();
 /// assert_eq!(summary.written_blocks, 3);
 ///
 /// // ...an identical write elsewhere is fully deduplicated: no disk I/O.
-/// let w2 = IoRequest::write(1, SimTime::from_micros(10), Lba::new(100), chunks);
+/// let w2 = IoRequest::write(SimTime::from_micros(10), Lba::new(100), chunks);
 /// let summary = engine.process_write_into(&w2, &mut scratch).unwrap();
 /// assert!(summary.removed);
 /// assert!(scratch.write_extents.is_empty());
@@ -744,7 +744,6 @@ mod tests {
 
     fn wreq(id: u64, lba: u64, contents: &[u64]) -> IoRequest {
         IoRequest::write(
-            id,
             SimTime::from_micros(id),
             Lba::new(lba),
             contents.iter().copied().map(fp).collect(),
@@ -760,7 +759,7 @@ mod tests {
     }
 
     fn rreq(id: u64, lba: u64, n: u32) -> IoRequest {
-        IoRequest::read(id, SimTime::from_micros(id), Lba::new(lba), n)
+        IoRequest::read(SimTime::from_micros(id), Lba::new(lba), n)
     }
 
     fn engine(policy: DedupPolicy) -> DedupEngine {

@@ -54,7 +54,7 @@ fn working_set() -> Vec<IoRequest> {
             let chunks = (0..8)
                 .map(|b| Fingerprint::from_content_id(1_000 + lba + b))
                 .collect();
-            IoRequest::write(i, SimTime::from_micros(i), Lba::new(lba), chunks)
+            IoRequest::write(SimTime::from_micros(i), Lba::new(lba), chunks)
         })
         .collect()
 }

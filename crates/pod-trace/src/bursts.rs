@@ -172,13 +172,12 @@ mod tests {
     fn req(id: u64, at_us: u64, write: bool) -> IoRequest {
         if write {
             IoRequest::write(
-                id,
                 SimTime::from_micros(at_us),
                 Lba::new(id % 64),
                 vec![Fingerprint::from_content_id(id)],
             )
         } else {
-            IoRequest::read(id, SimTime::from_micros(at_us), Lba::new(id % 64), 1)
+            IoRequest::read(SimTime::from_micros(at_us), Lba::new(id % 64), 1)
         }
     }
 

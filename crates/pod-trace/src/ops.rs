@@ -81,9 +81,6 @@ pub fn merge_tenants(tenants: &[Trace]) -> Trace {
         }
     }
     merged.sort_by_key(|r| r.arrival);
-    for (i, r) in merged.iter_mut().enumerate() {
-        r.id = pod_types::RequestId(i as u64);
-    }
     Trace {
         name: format!("consolidated({})", names.join("+")),
         requests: merged,

@@ -28,7 +28,7 @@
 
 use crate::fiu::{self, RecordRef};
 use crate::synth::Trace;
-use pod_types::{Fingerprint, IoOp, IoRequest, Lba, PodError, PodResult, RequestId, SimTime};
+use pod_types::{Fingerprint, IoOp, IoRequest, Lba, PodError, PodResult, SimTime};
 
 /// The request under construction; a write's fingerprints collect in
 /// [`Reconstructor::chunks`].
@@ -96,11 +96,10 @@ impl Reconstructor {
 
     fn flush(&mut self) {
         let Some(p) = self.cur.take() else { return };
-        let id = self.out.len() as u64;
         let arrival = SimTime::from_micros(p.ts_us);
         self.out.push(match p.op {
-            IoOp::Write => IoRequest::write(id, arrival, Lba::new(p.lba), self.chunks.clone()),
-            IoOp::Read => IoRequest::read(id, arrival, Lba::new(p.lba), p.nblocks),
+            IoOp::Write => IoRequest::write(arrival, Lba::new(p.lba), self.chunks.clone()),
+            IoOp::Read => IoRequest::read(arrival, Lba::new(p.lba), p.nblocks),
         });
         self.chunks.clear();
     }
@@ -128,8 +127,7 @@ impl Reconstructor {
     }
 
     /// Take over `piece`: the requests a fresh reconstructor made of the
-    /// records that follow this one's. Ids are renumbered, and the
-    /// piece's first request joins the pending one when it continues it
+    /// records that follow this one's. The piece's first request joins the pending one when it continues it
     /// and the joined length fits a `u32` — exactly when the sequential
     /// loop would have absorbed its records. When it continues but does
     /// not fit, the sequential loop would have split the run inside the
@@ -155,16 +153,12 @@ impl Reconstructor {
             return true;
         };
         self.flush();
-        let base = self.out.len() as u64;
-        self.out.extend(piece.zip(base..).map(|(mut r, id)| {
-            r.id = RequestId(id);
-            r
-        }));
+        self.out.extend(piece);
         self.reopen(last);
         true
     }
 
-    /// The reconstructed requests, ids sequential from 0.
+    /// The reconstructed requests, in trace order.
     pub fn finish(mut self) -> Vec<IoRequest> {
         self.flush();
         self.out
@@ -174,7 +168,7 @@ impl Reconstructor {
 /// The FIU load: [`feed`](Self::feed) the body in blocks of whole lines,
 /// in file order, then [`finish`](Self::finish). What it returns is
 /// [`reconstruct_requests`] of `fiu::parse_str(body)?` at any width and
-/// any cut, ids and the first bad line's error included.
+/// any cut, the first bad line's error included.
 ///
 /// Each block is cut after a `\n` into `width` pieces of about equal
 /// length. The calling thread pushes the first piece into the carried
@@ -247,7 +241,7 @@ impl FiuLoader {
         Ok(())
     }
 
-    /// The reconstructed requests, ids sequential from 0.
+    /// The reconstructed requests, in trace order.
     pub fn finish(self) -> Vec<IoRequest> {
         self.rc.finish()
     }
@@ -405,18 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn ids_are_sequential() {
-        let records = vec![
-            rec(1, 0, IoOp::Write, 1),
-            rec(2, 5, IoOp::Read, 0),
-            rec(3, 9, IoOp::Write, 2),
-        ];
-        let reqs = reconstruct_requests(&records);
-        let ids: Vec<u64> = reqs.iter().map(|r| r.id.0).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
-    }
-
-    #[test]
     fn split_then_reconstruct_roundtrips() {
         // A synthetic trace split into per-block records and merged back
         // must be identical (same sizes, lbas, chunk fingerprints).
@@ -454,7 +436,7 @@ mod tests {
     fn fiu_text_roundtrip_through_reconstruction() {
         // Text → requests, by both routes: owned records then
         // reconstruction, and the fused load. Both give back the
-        // generated requests exactly, ids included.
+        // generated requests exactly.
         let t = TraceProfile::homes().scaled(0.003).generate(4);
         let records = split_into_records(&t);
         let text = crate::fiu::format_records(&records);
@@ -536,8 +518,8 @@ mod tests {
 
     #[test]
     fn loader_is_exact_at_any_width_and_cut() {
-        // The reference is the sequential parse then reconstruction, ids
-        // and the first bad line's error included.
+        // The reference is the sequential parse then reconstruction, the
+        // first bad line's error included.
         let mut rng = Rng::seed_from_u64(26);
         let profiles = [
             TraceProfile::web_vm().scaled(0.002),

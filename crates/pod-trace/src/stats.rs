@@ -197,7 +197,6 @@ mod tests {
 
     fn write(id: u64, lba: u64, contents: &[u64]) -> IoRequest {
         IoRequest::write(
-            id,
             SimTime::from_micros(id * 10),
             Lba::new(lba),
             contents.iter().copied().map(fp).collect(),
@@ -284,7 +283,7 @@ mod tests {
     fn reads_do_not_affect_redundancy() {
         let t = trace_of(vec![
             write(0, 0, &[1]),
-            IoRequest::read(1, SimTime::from_micros(10), Lba::new(0), 1),
+            IoRequest::read(SimTime::from_micros(10), Lba::new(0), 1),
             write(2, 0, &[1]),
         ]);
         let b = redundancy_breakdown(&t);

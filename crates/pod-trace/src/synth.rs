@@ -124,7 +124,6 @@ struct Generator {
     alloc_cursor: u64,
     /// Last read end (for sequential-follow reads).
     last_read_end: u64,
-    next_id: u64,
 }
 
 impl TraceProfile {
@@ -168,7 +167,6 @@ impl Generator {
             requests: Vec::with_capacity(profile.n_requests),
             alloc_cursor: 0,
             last_read_end: 0,
-            next_id: 0,
             profile,
         }
     }
@@ -183,8 +181,6 @@ impl Generator {
         }
         self.clock_us += self.burst_gap.sample(&mut self.rng).max(1.0);
         let arrival = SimTime::from_micros(self.clock_us as u64);
-        let id = self.next_id;
-        self.next_id += 1;
 
         let write_prob = if self.in_write_phase {
             self.profile.burst.write_phase_write_prob
@@ -195,9 +191,9 @@ impl Generator {
         let nblocks = self.size_dist.sample(&mut self.rng);
 
         let request = if is_write {
-            self.gen_write(id, arrival, nblocks)
+            self.gen_write(arrival, nblocks)
         } else {
-            self.gen_read(id, arrival, nblocks)
+            self.gen_read(arrival, nblocks)
         };
         self.requests.push(request);
     }
@@ -284,7 +280,7 @@ impl Generator {
         self.runs.push_back(Run { lba, request, len });
     }
 
-    fn gen_write(&mut self, id: u64, arrival: SimTime, nblocks: u32) -> IoRequest {
+    fn gen_write(&mut self, arrival: SimTime, nblocks: u32) -> IoRequest {
         let mix = &self.profile.write_mix;
         let boost = if nblocks <= 2 {
             self.profile.small_write_redundancy_boost
@@ -307,7 +303,7 @@ impl Generator {
         };
 
         self.remember_run(lba, chunks.len());
-        IoRequest::write(id, arrival, Lba::new(lba), chunks)
+        IoRequest::write(arrival, Lba::new(lba), chunks)
     }
 
     // The compose functions build the request's chunk vector, exactly
@@ -370,7 +366,7 @@ impl Generator {
         (lba, chunks)
     }
 
-    fn gen_read(&mut self, id: u64, arrival: SimTime, nblocks: u32) -> IoRequest {
+    fn gen_read(&mut self, arrival: SimTime, nblocks: u32) -> IoRequest {
         let ws = self.profile.working_set_blocks;
         let style = self.rng.f64();
         let (lba, len) = if style < 0.15 {
@@ -393,7 +389,7 @@ impl Generator {
         };
         let lba = lba.min(ws.saturating_sub(len as u64));
         self.last_read_end = lba + len as u64;
-        IoRequest::read(id, arrival, Lba::new(lba), len)
+        IoRequest::read(arrival, Lba::new(lba), len)
     }
 }
 
@@ -422,14 +418,6 @@ mod tests {
         let t = small("mail");
         for w in t.requests.windows(2) {
             assert!(w[0].arrival <= w[1].arrival);
-        }
-    }
-
-    #[test]
-    fn ids_are_sequential() {
-        let t = small("homes");
-        for (i, r) in t.requests.iter().enumerate() {
-            assert_eq!(r.id.0, i as u64);
         }
     }
 
@@ -544,13 +532,15 @@ mod tests {
         out
     }
 
-    /// FNV-1a over every field of every request, little-endian, with
-    /// each fingerprint in its former 32-byte form.
+    /// FNV-1a over every request's position and fields, little-endian,
+    /// with each fingerprint in its former 32-byte form. The position
+    /// stands where requests once carried a sequential id: the same
+    /// 8 bytes, so the pins below did not move.
     fn trace_digest(t: &Trace) -> u64 {
         use std::hash::Hasher;
         let mut h = pod_types::hash::FnvHasher::default();
-        for r in &t.requests {
-            h.write(&r.id.0.to_le_bytes());
+        for (i, r) in t.requests.iter().enumerate() {
+            h.write(&(i as u64).to_le_bytes());
             h.write(&r.arrival.as_micros().to_le_bytes());
             h.write(&[u8::from(r.op.is_write())]);
             h.write(&r.lba.raw().to_le_bytes());

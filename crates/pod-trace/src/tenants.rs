@@ -190,15 +190,7 @@ mod tests {
             name: name.into(),
             requests: at
                 .iter()
-                .enumerate()
-                .map(|(i, &us)| {
-                    IoRequest::read(
-                        i as u64,
-                        SimTime::from_micros(us),
-                        pod_types::Lba::new(0),
-                        1,
-                    )
-                })
+                .map(|&us| IoRequest::read(SimTime::from_micros(us), pod_types::Lba::new(0), 1))
                 .collect(),
             memory_budget_bytes: 1,
         };

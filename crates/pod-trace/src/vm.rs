@@ -48,8 +48,8 @@ impl Default for VmFleetConfig {
 impl VmFleetConfig {
     /// Generate the provisioning trace: VM 0 streams the golden image,
     /// then each subsequent VM streams its lightly mutated clone into
-    /// its own region. Interleaving is round-robin across the fleet
-    /// after the first image, as a real provisioning burst would be.
+    /// its own region. The VMs do not interleave: each streams its
+    /// whole image before the next one starts.
     pub fn generate(&self, seed: u64) -> Trace {
         assert!(self.n_vms >= 1, "fleet needs at least one VM");
         assert!(self.image_blocks >= 1);
@@ -57,7 +57,6 @@ impl VmFleetConfig {
         let mut rng = Rng::seed_from_u64(seed);
         let mut requests: Vec<IoRequest> = Vec::new();
         let mut clock = 0u64;
-        let mut id = 0u64;
         let mut next_unique: u64 = 1 << 40; // clone-private content ids
 
         // Per-VM streaming cursors; VM v owns region [v*image, (v+1)*image).
@@ -81,12 +80,10 @@ impl VmFleetConfig {
                     .collect();
                 clock += WRITE_GAP_US;
                 requests.push(IoRequest::write(
-                    id,
                     SimTime::from_micros(clock),
                     Lba::new(region + off),
                     chunks,
                 ));
-                id += 1;
                 off += len as u64;
             }
         }

@@ -27,5 +27,5 @@ pub use block::{Lba, Pba, BLOCK_BYTES, BLOCK_SHIFT};
 pub use error::{PodError, PodResult};
 pub use fingerprint::{Fingerprint, INDEX_ENTRY_BYTES};
 pub use introspect::log2_bucket;
-pub use request::{IoOp, IoRequest, RequestId};
+pub use request::{IoOp, IoRequest};
 pub use time::{SimDuration, SimTime};

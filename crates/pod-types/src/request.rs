@@ -13,17 +13,6 @@ use crate::fingerprint::Fingerprint;
 use crate::time::SimTime;
 use core::fmt;
 
-/// Monotonically increasing identifier assigned to each request at
-/// submission.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
-pub struct RequestId(pub u64);
-
-impl fmt::Display for RequestId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "req#{}", self.0)
-    }
-}
-
 /// Direction of an I/O request.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum IoOp {
@@ -56,11 +45,11 @@ impl fmt::Display for IoOp {
     }
 }
 
-/// One block-level I/O request as replayed from a trace.
+/// One block-level I/O request as replayed from a trace. A request
+/// has no identifier of its own: it is named by its position in the
+/// trace.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct IoRequest {
-    /// Identifier, unique within one replay.
-    pub id: RequestId,
     /// Arrival instant on the simulation clock.
     pub arrival: SimTime,
     /// Read or write.
@@ -74,12 +63,16 @@ pub struct IoRequest {
     pub chunks: Vec<Fingerprint>,
 }
 
+// A trace holds one per request, beside its chunk vector: keep it at
+// arrival, op, address, length and the vector.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(size_of::<IoRequest>() == 48);
+
 impl IoRequest {
     /// Build a read request.
-    pub fn read(id: u64, arrival: SimTime, lba: Lba, nblocks: u32) -> Self {
+    pub fn read(arrival: SimTime, lba: Lba, nblocks: u32) -> Self {
         debug_assert!(nblocks >= 1, "requests cover at least one block");
         Self {
-            id: RequestId(id),
             arrival,
             op: IoOp::Read,
             lba,
@@ -92,11 +85,10 @@ impl IoRequest {
     ///
     /// # Panics
     /// Panics (debug) if `chunks.len() != nblocks`.
-    pub fn write(id: u64, arrival: SimTime, lba: Lba, chunks: Vec<Fingerprint>) -> Self {
+    pub fn write(arrival: SimTime, lba: Lba, chunks: Vec<Fingerprint>) -> Self {
         debug_assert!(!chunks.is_empty(), "write covers at least one block");
         let nblocks = chunks.len() as u32;
         Self {
-            id: RequestId(id),
             arrival,
             op: IoOp::Write,
             lba,
@@ -151,7 +143,7 @@ mod tests {
 
     #[test]
     fn read_constructor() {
-        let r = IoRequest::read(1, SimTime::from_micros(10), Lba::new(100), 4);
+        let r = IoRequest::read(SimTime::from_micros(10), Lba::new(100), 4);
         assert!(r.op.is_read());
         assert_eq!(r.nblocks, 4);
         assert!(r.chunks.is_empty());
@@ -162,7 +154,7 @@ mod tests {
 
     #[test]
     fn write_constructor_sets_nblocks_from_chunks() {
-        let w = IoRequest::write(2, SimTime::ZERO, Lba::new(8), fps(&[1, 2, 3]));
+        let w = IoRequest::write(SimTime::ZERO, Lba::new(8), fps(&[1, 2, 3]));
         assert!(w.op.is_write());
         assert_eq!(w.nblocks, 3);
         assert_eq!(w.bytes(), 12288);
@@ -170,7 +162,7 @@ mod tests {
 
     #[test]
     fn write_chunks_pairs_lba_and_fp() {
-        let w = IoRequest::write(3, SimTime::ZERO, Lba::new(50), fps(&[7, 8]));
+        let w = IoRequest::write(SimTime::ZERO, Lba::new(50), fps(&[7, 8]));
         let pairs: Vec<_> = w.write_chunks().collect();
         assert_eq!(pairs.len(), 2);
         assert_eq!(pairs[0], (Lba::new(50), Fingerprint::from_content_id(7)));
@@ -179,7 +171,7 @@ mod tests {
 
     #[test]
     fn lbas_iterates_every_covered_block() {
-        let r = IoRequest::read(4, SimTime::ZERO, Lba::new(10), 3);
+        let r = IoRequest::read(SimTime::ZERO, Lba::new(10), 3);
         let v: Vec<_> = r.lbas().collect();
         assert_eq!(v, vec![Lba::new(10), Lba::new(11), Lba::new(12)]);
     }

@@ -36,7 +36,7 @@ pub mod prelude {
     pub use pod_icache::ICacheConfig;
     pub use pod_trace::{Trace, TraceProfile, TraceStats};
     pub use pod_types::{
-        Fingerprint, IoOp, IoRequest, Lba, Pba, PodError, PodResult, RequestId, SimDuration,
-        SimTime, BLOCK_BYTES,
+        Fingerprint, IoOp, IoRequest, Lba, Pba, PodError, PodResult, SimDuration, SimTime,
+        BLOCK_BYTES,
     };
 }

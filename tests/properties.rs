@@ -617,7 +617,6 @@ proptest! {
                     .map(|&c| Fingerprint::from_content_id(c as u64))
                     .collect();
                 let req = IoRequest::write(
-                    i as u64,
                     SimTime::from_micros(i as u64),
                     Lba::new(lba),
                     chunks.clone(),
@@ -707,7 +706,6 @@ proptest! {
                 .collect();
             let n = chunks.len() as u32;
             let req = IoRequest::write(
-                i as u64,
                 SimTime::from_micros(i as u64),
                 Lba::new(*lba as u64),
                 chunks,
