@@ -9,9 +9,8 @@
 use crate::args::CliArgs;
 use crate::cmd_replay::render_verify;
 use crate::CliResult;
-use pod_core::pool::Executor;
 use pod_core::serve::{ServeBuilder, ServeReport};
-use pod_trace::{tenant_trace, Trace, TraceProfile};
+use pod_trace::tenant_trace;
 use std::io::Write;
 
 pub fn run(args: &CliArgs, out: &mut dyn Write) -> CliResult {
@@ -21,32 +20,28 @@ pub fn run(args: &CliArgs, out: &mut dyn Write) -> CliResult {
             "--trace is one tenant's stream; --tenants > 1 needs a generated profile".into(),
         );
     }
-    let cfg = args.system_config()?;
-    let tenants = if args.trace_path.is_some() {
-        vec![args.load_trace()?]
-    } else {
-        let profile = args.resolve_profile()?;
-        generate_tenants(
-            &profile.scaled(args.scale),
-            args.tenants,
-            args.seed,
-            Executor::new(),
-        )
-    };
-    let total: usize = tenants.iter().map(|t| t.len()).sum();
-    eprintln!(
-        "serving {} tenants ({} requests) over {} shards through {} ...",
-        tenants.len(),
-        total,
-        args.shards,
-        args.scheme
-    );
-    let t0 = std::time::Instant::now();
-    let mut builder = ServeBuilder::new(args.scheme)
-        .config(cfg)
-        .tenants(&tenants)
+    let builder = ServeBuilder::new(args.scheme)
+        .config(args.system_config()?)
         .shards(args.shards)
         .verify(args.verify);
+    // A generated fleet is made tenant by tenant on the shard workers,
+    // each trace only while its tenant is served; a `--trace` file is
+    // one tenant, loaded here.
+    let loaded;
+    let (mut builder, tenants) = if args.trace_path.is_some() {
+        loaded = [args.load_trace()?];
+        (builder.tenants(&loaded), loaded.len())
+    } else {
+        let profile = args.resolve_profile()?.scaled(args.scale);
+        let seed = args.seed;
+        let make = move |i| tenant_trace(&profile, seed, i);
+        (builder.tenants_with(args.tenants, make), args.tenants)
+    };
+    eprintln!(
+        "serving {tenants} tenants over {} shards through {} ...",
+        args.shards, args.scheme
+    );
+    let t0 = std::time::Instant::now();
     if let Some(jobs) = args.jobs {
         builder = builder.jobs(jobs);
     }
@@ -54,7 +49,11 @@ pub fn run(args: &CliArgs, out: &mut dyn Write) -> CliResult {
         builder = builder.record(args.epoch_requests);
     }
     let (rep, recorders) = builder.run_recorded().map_err(|e| e.to_string())?;
-    eprintln!("done in {:?}", t0.elapsed());
+    eprintln!(
+        "done in {:?} ({} requests)",
+        t0.elapsed(),
+        rep.total_requests()
+    );
 
     if let Some(path) = &args.trace_out {
         let mut file = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
@@ -100,18 +99,6 @@ pub fn run(args: &CliArgs, out: &mut dyn Write) -> CliResult {
         }
     }
     Ok(())
-}
-
-/// What [`pod_trace::derive_tenants`] returns, with the tenants
-/// generated on `pool`'s workers.
-fn generate_tenants(
-    profile: &TraceProfile,
-    tenants: usize,
-    seed: u64,
-    pool: Executor,
-) -> Vec<Trace> {
-    let ids: Vec<usize> = (0..tenants).collect();
-    pool.map(&ids, |&i| tenant_trace(profile, seed, i))
 }
 
 /// Render the deterministic serve report. Contains no shard count, no
@@ -238,22 +225,6 @@ pub fn render_report(rep: &ServeReport) -> String {
 mod tests {
     use super::*;
     use pod_core::prelude::*;
-
-    #[test]
-    fn tenants_generated_on_the_pool_match_derive_tenants() {
-        // Five tenants split unevenly over two and three workers.
-        let profile = pod_trace::TraceProfile::mail().scaled(0.002);
-        let serial = pod_trace::derive_tenants(&profile, 5, 42);
-        for width in 1..=3 {
-            let pooled = generate_tenants(&profile, 5, 42, Executor::with_width(width));
-            assert_eq!(pooled.len(), serial.len());
-            for (p, s) in pooled.iter().zip(&serial) {
-                assert_eq!(p.name, s.name, "width {width}");
-                assert_eq!(p.requests, s.requests, "{} at width {width}", s.name);
-                assert_eq!(p.memory_budget_bytes, s.memory_budget_bytes);
-            }
-        }
-    }
 
     #[test]
     fn report_text_is_topology_free_and_deterministic() {

@@ -129,6 +129,10 @@ const HOSTILE: [&str; 9] = [
     "1e300",
 ];
 
+/// Values numeric flags may accept: zero, a small scale, the smallest
+/// positive double and a scale that rounds a trace down to its floor.
+const EDGE: [&str; 4] = ["0", "0.001", "5e-324", "1e-300"];
+
 /// Extra fields and unknown keys appended to a valid value.
 const SUFFIXES: [&str; 6] = [":", ",", ":1", ",1", ":junk", ",meteor:1"];
 
@@ -247,6 +251,43 @@ fn hostile_flag_values_never_panic() {
             .output()
             .expect("spawn pod-cli");
         assert_clean_exit(&out, &format!("{} case {case}: {flag} '{value}'", cmd[0]));
+    }
+
+    // The two commands that generate or profile a trace, through the
+    // same flags and `--epoch`: each (command, width, flag) triple
+    // twice: once with an edge value, which mostly parses and runs,
+    // once with a whole hostile value or a suffixed valid one. The
+    // worker width is one or two, never a drawn value.
+    let commands: [&[&str]; 2] = [
+        &["gen", "--profile", "mail", "--scale", "0.004"],
+        &[
+            "profile",
+            "--scheme",
+            "pod",
+            "--profile",
+            "mail",
+            "--scale",
+            "0.004",
+        ],
+    ];
+    let flags = [shared[0], shared[1], shared[2], ("--epoch", "100")];
+    let mut rng = SplitMix64::new(57);
+    for case in 0..32 {
+        let cmd = commands[case % commands.len()];
+        let jobs = ["1", "2"][case / 2 % 2];
+        let (flag, base) = flags[case / 4 % flags.len()];
+        let value = match (case < 16, rng.next_u64() % 2) {
+            (true, _) => pick(&mut rng, &EDGE).to_string(),
+            (false, 0) => pick(&mut rng, &HOSTILE).to_string(),
+            (false, _) => format!("{base}{}", pick(&mut rng, &SUFFIXES)),
+        };
+        let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
+            .args(cmd)
+            .args(["--jobs", jobs, flag, &value])
+            .output()
+            .expect("spawn pod-cli");
+        let what = format!("{} --jobs {jobs} case {case}: {flag} '{value}'", cmd[0]);
+        assert_clean_exit(&out, &what);
     }
 }
 

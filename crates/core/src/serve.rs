@@ -20,6 +20,13 @@
 //!   `{t | t mod N == s}` and one worker serves them in ascending id
 //!   order, one live stack at a time. Tenants share no state, so the
 //!   order they are served in changes no result.
+//! * A tenant's **trace** need exist only while the tenant is served.
+//!   A fleet given through [`ServeBuilder::tenants_with`] is generated
+//!   tenant by tenant on the shard workers: each trace is made just
+//!   before its stack is built and dropped when the tenant is done, so
+//!   a run holds at most `min(jobs, shards)` traces, however many
+//!   tenants it serves. A slice given to [`ServeBuilder::tenants`] is
+//!   borrowed as it is.
 //!
 //! The consequence is the engine's central guarantee: reports are
 //! **byte-identical at any worker width and any shard count** — `--jobs`
@@ -33,9 +40,10 @@
 //! the N shard sets. Set union is order-free, so
 //! [`ServeAggregate::fleet_unique_blocks`] carries the same guarantee.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::config::{ServePolicy, SystemConfig};
 use crate::metrics::Metrics;
@@ -80,7 +88,8 @@ fn check_topology(tenants: usize, shards: usize) -> PodResult<()> {
 /// One tenant's isolated replay outcome within a serve run.
 #[derive(Debug, Clone)]
 pub struct TenantReport {
-    /// Tenant id (index into the trace slice given to the builder).
+    /// Tenant id: the index the builder's slice or generator gives the
+    /// tenant's trace.
     pub tenant: u16,
     /// The tenant's full per-stack report — identical to what a solo
     /// [`ReplayBuilder`](crate::ReplayBuilder) run of the same trace
@@ -175,7 +184,7 @@ pub struct ShardStats {
     /// Requests processed (all tenants, warm-up included).
     pub requests: u64,
     /// Wall time the worker spent building, driving and finishing its
-    /// tenants' stacks.
+    /// tenants' stacks. Generating a tenant's trace is not counted.
     pub busy_us: u64,
 }
 
@@ -232,6 +241,34 @@ impl ServeReport {
 /// `Send + Sync`.
 type ObserverFactory = Box<dyn Fn(u16) -> ObserverChain + Send + Sync>;
 
+/// Where a serve run's tenant traces come from: tenant `i`'s trace is
+/// `get(i)`. A borrowed slice hands out references; a generator makes
+/// the trace on the shard worker that serves it, which drops it when the
+/// tenant is done, so a shard never holds two traces.
+enum TenantSource<'t> {
+    Borrowed(&'t [Trace]),
+    Generated {
+        count: usize,
+        make: Box<dyn Fn(usize) -> Trace + Sync + 't>,
+    },
+}
+
+impl<'t> TenantSource<'t> {
+    fn count(&self) -> usize {
+        match self {
+            Self::Borrowed(traces) => traces.len(),
+            Self::Generated { count, .. } => *count,
+        }
+    }
+
+    fn get(&self, tenant: usize) -> Cow<'t, Trace> {
+        match self {
+            Self::Borrowed(traces) => Cow::Borrowed(&traces[tenant]),
+            Self::Generated { make, .. } => Cow::Owned(make(tenant)),
+        }
+    }
+}
+
 /// Builder for a sharded serve run — the serving-engine analogue of
 /// [`ReplayBuilder`](crate::ReplayBuilder).
 ///
@@ -252,7 +289,7 @@ type ObserverFactory = Box<dyn Fn(u16) -> ObserverChain + Send + Sync>;
 /// ```
 pub struct ServeBuilder<'t> {
     core: BuilderCore,
-    tenants: Option<&'t [Trace]>,
+    tenants: Option<TenantSource<'t>>,
     shards: usize,
     jobs: Option<usize>,
     observer: Option<ObserverFactory>,
@@ -262,7 +299,7 @@ impl fmt::Debug for ServeBuilder<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ServeBuilder")
             .field("core", &self.core)
-            .field("tenants", &self.tenants.map(<[Trace]>::len))
+            .field("tenants", &self.tenants.as_ref().map(TenantSource::count))
             .field("shards", &self.shards)
             .field("jobs", &self.jobs)
             .field("observer", &self.observer.as_ref().map(|_| "<factory>"))
@@ -295,10 +332,32 @@ impl<'t> ServeBuilder<'t> {
     }
 
     /// The per-tenant traces to serve (tenant id = slice index).
-    /// Required. Rebinds the builder's lifetime to the slice's, so the
-    /// call order of `.tenants(..)` against the other setters does not
-    /// matter.
+    /// Required, or [`tenants_with`](Self::tenants_with). Rebinds the
+    /// builder's lifetime to the slice's, so the call order of
+    /// `.tenants(..)` against the other setters does not matter.
     pub fn tenants<'u>(self, tenants: &'u [Trace]) -> ServeBuilder<'u> {
+        self.source(TenantSource::Borrowed(tenants))
+    }
+
+    /// Serve `count` tenants whose traces `make(id)` builds on demand:
+    /// each shard worker calls it just before serving that tenant and
+    /// drops the trace when the tenant is done, so a run holds at most
+    /// one trace per busy worker instead of the whole fleet's. Reports
+    /// are those of [`tenants`](Self::tenants) over the same traces.
+    /// `make` runs once per tenant and must be deterministic for the
+    /// run to be.
+    pub fn tenants_with<'u>(
+        self,
+        count: usize,
+        make: impl Fn(usize) -> Trace + Sync + 'u,
+    ) -> ServeBuilder<'u> {
+        self.source(TenantSource::Generated {
+            count,
+            make: Box::new(make),
+        })
+    }
+
+    fn source<'u>(self, tenants: TenantSource<'u>) -> ServeBuilder<'u> {
         ServeBuilder {
             core: self.core,
             tenants: Some(tenants),
@@ -394,18 +453,19 @@ impl<'t> ServeBuilder<'t> {
             )
         })?;
         let shards = self.shards;
-        check_topology(tenants.len(), shards)?;
+        // Before any trace is generated.
+        check_topology(tenants.count(), shards)?;
         let spec = self.core.scheme.stack_spec();
 
         // One job per shard: the worker owns its tenants for the whole
         // run (no hand-offs between workers). Tenant `t` runs on shard
         // `t mod shards`.
-        let jobs: Vec<ShardJob<'_>> = (0..shards)
+        let jobs: Vec<ShardJob> = (0..shards)
             .map(|shard| ShardJob {
                 shard,
-                tenants: (shard..tenants.len())
+                tenants: (shard..tenants.count())
                     .step_by(shards)
-                    .map(|t| (t as u16, &tenants[t]))
+                    .map(|t| t as u16)
                     .collect(),
             })
             .collect();
@@ -420,13 +480,13 @@ impl<'t> ServeBuilder<'t> {
             record_epoch: self.core.record_epoch,
             verify: self.core.verify,
             profile: self.core.profile,
-            fleet_tenants: tenants.len(),
+            tenants: &tenants,
             observer: self.observer.as_deref(),
         };
         let outputs = pool.map(&jobs, |job| run_shard(&ctx, job));
         let outputs: Vec<ShardOutput> = outputs.into_iter().collect::<PodResult<_>>()?;
 
-        let mut tenant_reports: Vec<TenantReport> = Vec::with_capacity(tenants.len());
+        let mut tenant_reports: Vec<TenantReport> = Vec::with_capacity(tenants.count());
         let mut recorders: Vec<(u16, TraceRecorder)> = Vec::new();
         let mut shard_stats = Vec::with_capacity(outputs.len());
         // SPACE-style fleet accounting (policy runs only): each worker
@@ -473,10 +533,10 @@ impl<'t> ServeBuilder<'t> {
 }
 
 /// Work item handed to one pool worker: the shard and its tenants.
-struct ShardJob<'t> {
+struct ShardJob {
     shard: usize,
-    /// `(tenant id, trace)`, ascending by tenant id.
-    tenants: Vec<(u16, &'t Trace)>,
+    /// Tenant ids, ascending.
+    tenants: Vec<u16>,
 }
 
 struct TenantOutput {
@@ -506,10 +566,10 @@ struct ShardCtx<'a> {
     record_epoch: Option<u64>,
     verify: bool,
     profile: bool,
-    /// Fleet-wide tenant count — the shared-tier base slice divides by
-    /// this (not the shard-local count) so grants are independent of
-    /// how tenants land on shards.
-    fleet_tenants: usize,
+    /// The whole fleet. Its count is what the shared-tier base slice
+    /// divides by (not the shard-local count), so grants are
+    /// independent of how tenants land on shards.
+    tenants: &'a TenantSource<'a>,
     observer: Option<&'a (dyn Fn(u16) -> ObserverChain + Send + Sync)>,
 }
 
@@ -645,20 +705,26 @@ impl SharedTierTask {
     }
 }
 
-/// Serve one shard: its tenants back to back, one live stack at a time.
-fn run_shard(ctx: &ShardCtx<'_>, job: &ShardJob<'_>) -> PodResult<ShardOutput> {
-    let started = Instant::now();
+/// Serve one shard: its tenants back to back, one live stack and one
+/// trace at a time. A generated trace is made here and dropped once its
+/// tenant is served; only the serving is timed.
+fn run_shard(ctx: &ShardCtx<'_>, job: &ShardJob) -> PodResult<ShardOutput> {
     let mut fleet = FleetSet::default();
-    let tenants = job
-        .tenants
-        .iter()
-        .map(|&(tenant, trace)| serve_tenant(ctx, tenant, trace, &mut fleet))
-        .collect::<PodResult<Vec<_>>>()?;
+    let mut tenants = Vec::with_capacity(job.tenants.len());
+    let mut requests = 0u64;
+    let mut busy = Duration::ZERO;
+    for &tenant in &job.tenants {
+        let trace = ctx.tenants.get(usize::from(tenant));
+        let started = Instant::now();
+        tenants.push(serve_tenant(ctx, tenant, &trace, &mut fleet)?);
+        busy += started.elapsed();
+        requests += trace.len() as u64;
+    }
     let stats = ShardStats {
         shard: job.shard,
-        tenants: job.tenants.iter().map(|&(tenant, _)| tenant).collect(),
-        requests: job.tenants.iter().map(|(_, t)| t.len() as u64).sum(),
-        busy_us: started.elapsed().as_micros().max(1) as u64,
+        tenants: job.tenants.clone(),
+        requests,
+        busy_us: busy.as_micros().max(1) as u64,
     };
     Ok(ShardOutput {
         tenants,
@@ -699,7 +765,7 @@ fn serve_tenant(
         // The QoS layer rides as one shared-tier step per tenant plus
         // per-tenant admission control; with no policy none of this
         // exists and the stack is byte-for-byte the pre-policy one.
-        setup.tier = Some(SharedTierTask::new(ctx.fleet_tenants, policy));
+        setup.tier = Some(SharedTierTask::new(ctx.tenants.count(), policy));
         setup.throttle = policy
             .rate_limit_rps
             .map(|rate| TokenBucket::new(rate, policy.burst_requests));
@@ -728,7 +794,7 @@ fn serve_tenant(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pod_trace::{derive_tenants, TraceProfile};
+    use pod_trace::{derive_tenants, tenant_trace, TraceProfile};
 
     fn fleet(n: usize) -> Vec<Trace> {
         derive_tenants(&TraceProfile::mail().scaled(0.003), n, 5)
@@ -771,6 +837,33 @@ mod tests {
         let too_many = vec![empty; u16::MAX as usize + 2];
         let err = serve(&too_many, 1).expect_err("65,537 tenants");
         assert!(err.to_string().contains("at most 65536"), "{err}");
+    }
+
+    #[test]
+    fn tenants_with_generates_each_tenant_once_after_the_topology_check() {
+        use std::sync::Mutex;
+        let made = Mutex::new(Vec::new());
+        let serve = |count: usize, shards: usize| {
+            ServeBuilder::new(Scheme::Pod)
+                .config(SystemConfig::test_default())
+                .tenants_with(count, |i| {
+                    made.lock().unwrap().push(i);
+                    tenant_trace(&TraceProfile::mail().scaled(0.003), 5, i)
+                })
+                .shards(shards)
+                .jobs(2)
+                .run()
+        };
+        assert!(serve(0, 1).is_err(), "zero tenants");
+        assert!(serve(2, 3).is_err(), "shards > tenants");
+        assert!(serve(u16::MAX as usize + 2, 1).is_err(), "65,537 tenants");
+        assert!(made.lock().unwrap().is_empty(), "nothing generated");
+        let rep = serve(3, 2).expect("serve");
+        let mut made = made.into_inner().unwrap();
+        made.sort_unstable();
+        assert_eq!(made, [0, 1, 2], "each tenant generated once");
+        let want: u64 = fleet(3).iter().map(|t| t.len() as u64).sum();
+        assert_eq!(rep.total_requests(), want);
     }
 
     #[test]
@@ -925,8 +1018,51 @@ mod tests {
                 "dedup never inflates: tenant {i}"
             );
         }
-        // The throttled tenants' latency includes the imposed waits.
-        assert!(agg.overall.mean_us() > 0.0);
+    }
+
+    /// A throttled request's response counts from its admission
+    /// instant, not its arrival; the wait is counted apart. Under a rate
+    /// limit alone, each tenant reports exactly what a solo replay of
+    /// its trace reports with every arrival moved to the instant its
+    /// token bucket admits it.
+    #[test]
+    fn throttled_responses_count_from_the_admission_instant() {
+        use pod_types::SimDuration;
+        let tenants = fleet(3);
+        let policy = ServePolicy::parse("rate:40,burst:4").expect("policy");
+        let mut cfg = SystemConfig::test_default();
+        cfg.policy = Some(policy.clone());
+        let rep = ServeBuilder::new(Scheme::Pod)
+            .config(cfg)
+            .tenants(&tenants)
+            .shards(2)
+            .jobs(1)
+            .run()
+            .expect("serve");
+        for (t, trace) in rep.tenants.iter().zip(&tenants) {
+            let rate = policy.rate_limit_rps.expect("rate-limited");
+            let mut bucket = TokenBucket::new(rate, policy.burst_requests);
+            let mut admitted = trace.clone();
+            let mut waited = 0;
+            for r in &mut admitted.requests {
+                let wait = bucket.admit(r.arrival.as_micros());
+                waited += wait;
+                r.arrival += SimDuration::from_micros(wait);
+            }
+            let solo = Scheme::Pod
+                .builder()
+                .config(SystemConfig::test_default())
+                .trace(&admitted)
+                .run()
+                .expect("solo replay");
+            let (got, id) = (&t.report, t.tenant);
+            assert!(got.stack.all.throttle_waits > 0, "tenant {id} throttled");
+            assert_eq!(got.stack.all.throttle_wait_us, waited, "tenant {id}");
+            assert_eq!(got.overall.samples(), solo.overall.samples(), "tenant {id}");
+            assert_eq!(got.reads.samples(), solo.reads.samples(), "tenant {id}");
+            assert_eq!(got.writes.samples(), solo.writes.samples(), "tenant {id}");
+            assert_eq!(got.counters, solo.counters, "tenant {id}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Implemented in-repo (rather than pulling `rand_distr`) to stay within
 //! the approved dependency list: Zipf by inversion of a precomputed CDF
-//! table (a binary search per draw, for every N), exponential by
+//! table through a guide table (O(1) expected per draw), exponential by
 //! inversion, and a cumulative-weight discrete sampler.
 
 use pod_types::rng::Rng;
@@ -11,10 +11,15 @@ use pod_types::rng::Rng;
 ///
 /// Uses the standard inversion on a precomputed harmonic normaliser; for
 /// the n values used here (≤ a few million) setup is a one-time O(n) cost
-/// paid per generator, and sampling is O(log n) by binary search.
+/// paid per generator. Sampling is O(1) expected through a guide table
+/// of `m = n.next_power_of_two()` entries: `guide[j]` is the first rank
+/// whose CDF reaches `j / m`, so a draw `u` starts at `guide[⌊u·m⌋]` and
+/// scans forward. `m` is a power of two, so `u·m` and `j / m` are exact
+/// and every draw lands on the rank a binary search of the CDF finds.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    guide: Vec<usize>,
 }
 
 impl Zipf {
@@ -40,7 +45,18 @@ impl Zipf {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        Self { cdf }
+        let m = n.next_power_of_two();
+        let step = 1.0 / m as f64;
+        let mut guide = Vec::with_capacity(m);
+        let mut rank = 0;
+        for j in 0..m {
+            let floor = j as f64 * step;
+            while cdf[rank] < floor {
+                rank += 1;
+            }
+            guide.push(rank);
+        }
+        Self { cdf, guide }
     }
 
     /// Number of ranks.
@@ -50,8 +66,16 @@ impl Zipf {
 
     /// Draw a rank in `0..n`.
     pub fn sample(&self, rng: &mut Rng) -> usize {
-        let u = rng.f64();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        self.rank(rng.f64())
+    }
+
+    /// The rank `u ∈ [0, 1)` inverts to: the first whose CDF reaches `u`.
+    fn rank(&self, u: f64) -> usize {
+        let mut i = self.guide[(u * self.guide.len() as f64) as usize];
+        while self.cdf[i] < u {
+            i += 1;
+        }
+        i
     }
 }
 
@@ -213,6 +237,34 @@ mod tests {
         let mut b = Rng::seed_from_u64(42);
         for _ in 0..100 {
             assert_eq!(z.sample(&mut a), z.sample(&mut b));
+        }
+    }
+
+    #[test]
+    fn zipf_guide_table_inverts_like_a_binary_search() {
+        for (n, theta) in [(1, 1.0), (5, 1.2), (100, 0.0), (1_000, 0.9), (8_192, 1.1)] {
+            let z = Zipf::new(n, theta);
+            let search = |u: f64| z.cdf.partition_point(|&c| c < u).min(n - 1);
+            let m = z.guide.len();
+            assert_eq!(m, n.next_power_of_two());
+            // Every guide boundary `j / m`, the largest draw below it,
+            // each CDF value and the draw just below it, and the largest
+            // draw `1 - ε`.
+            let ulp = 1.0 / (1u64 << 53) as f64;
+            let boundaries = (0..m).map(|j| j as f64 / m as f64);
+            let below = (1..m).map(|j| j as f64 / m as f64 - ulp);
+            let at_cdf = z.cdf.iter().flat_map(|&c| [c, c - ulp]);
+            let mut rng = Rng::seed_from_u64(n as u64);
+            let drawn = (0..1_000).map(|_| rng.f64());
+            for u in boundaries
+                .chain(below)
+                .chain(at_cdf)
+                .chain([0.0, 1.0 - ulp])
+                .chain(drawn)
+                .filter(|u| (0.0..1.0).contains(u))
+            {
+                assert_eq!(z.rank(u), search(u), "n {n}, theta {theta}, u {u:e}");
+            }
         }
     }
 }

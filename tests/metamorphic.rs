@@ -9,8 +9,17 @@
 //! scheme must report the same response samples, capacity, NVRAM peak,
 //! hit rate, fragmentation, repartitions, final index share, engine
 //! and stack counters and disk statistics, to the bit.
+//!
+//! A serve tenant owns its whole stack and the shared tier's slice
+//! divides by the fleet's size, not by who is in it, so handing the
+//! same traces to different tenant ids moves no trace's report either —
+//! nor does generating each trace on its shard worker instead of up
+//! front.
 
+use pod::core::serve::{ServeBuilder, ServeReport};
+use pod::core::ServePolicy;
 use pod::prelude::*;
+use pod::trace::{derive_tenants, tenant_trace};
 
 /// The profiles' scale: large enough that every scheme's index and read
 /// cache evict and POD repartitions, small enough for a debug build.
@@ -101,6 +110,112 @@ fn renamed_fingerprints_and_shifted_arrivals_leave_every_report_field_unchanged(
                 "{scheme} on {}: arrivals shifted by an hour",
                 trace.name
             );
+        }
+    }
+}
+
+/// The QoS policy CI cross-checks: shared tier, rate limit and quota.
+const POLICY: &str = "tier:2,rate:40,burst:4,quota:1";
+
+fn policy_config(policy: Option<&str>) -> SystemConfig {
+    let mut cfg = SystemConfig::paper_default();
+    cfg.policy = policy.map(|p| ServePolicy::parse(p).expect("policy"));
+    cfg
+}
+
+/// One tenant's report fields, its trace's name and its capacity
+/// attribution.
+fn tenant_fields(rep: &ServeReport, tenant: usize) -> String {
+    let t = &rep.tenants[tenant];
+    let capacity = rep.aggregate.tenant_capacity.get(tenant);
+    format!(
+        "{} {:?}\n{}",
+        t.report.trace,
+        capacity.map(|c| c.logical_blocks),
+        fields(&t.report)
+    )
+}
+
+#[test]
+fn permuting_tenant_ids_leaves_every_traces_serve_report_unchanged() {
+    let profile = TraceProfile::mail().scaled(0.01);
+    // Tenant `i` serves trace `perm[i]`: (3i + 1) mod 8 moves every one.
+    let perm: Vec<usize> = (0..8).map(|i| (3 * i + 1) % 8).collect();
+    for policy in [None, Some(POLICY)] {
+        let serve = |map: &[usize]| {
+            ServeBuilder::new(Scheme::Pod)
+                .config(policy_config(policy))
+                .tenants_with(map.len(), |i| tenant_trace(&profile, SEED, map[i]))
+                .shards(2)
+                .jobs(2)
+                .run()
+                .expect("serve")
+        };
+        let identity: Vec<usize> = (0..8).collect();
+        let base = serve(&identity);
+        let permuted = serve(&perm);
+        for (tenant, &trace) in perm.iter().enumerate() {
+            assert_eq!(
+                tenant_fields(&permuted, tenant),
+                tenant_fields(&base, trace),
+                "policy {policy:?}: trace {trace} served as tenant {tenant}"
+            );
+        }
+        assert_eq!(
+            permuted.aggregate.fleet_unique_blocks, base.aggregate.fleet_unique_blocks,
+            "policy {policy:?}"
+        );
+        if policy.is_some() {
+            let throttled = base.aggregate.stack.all.throttle_waits;
+            assert!(throttled > 0, "the rate limit binds");
+        }
+    }
+}
+
+#[test]
+fn a_generated_fleet_serves_as_its_traces_do() {
+    let profile = TraceProfile::mail().scaled(0.005);
+    let cfg = policy_config(Some(POLICY));
+    let traces = derive_tenants(&profile, 4, SEED);
+    // Every tenant field, each recorder's JSONL and the fleet view.
+    let render = |(rep, recorders): (ServeReport, Vec<TraceRecorder>)| {
+        let mut out: Vec<String> = (0..rep.tenants.len())
+            .map(|t| tenant_fields(&rep, t))
+            .collect();
+        for rec in &recorders {
+            let mut jsonl = Vec::new();
+            rec.write_jsonl(&mut jsonl, None).expect("write to memory");
+            out.push(String::from_utf8(jsonl).expect("utf8"));
+        }
+        out.push(format!(
+            "fleet {} {:?}",
+            rep.aggregate.fleet_unique_blocks,
+            rep.aggregate.overall.samples()
+        ));
+        out
+    };
+    let want = render(
+        ServeBuilder::new(Scheme::Pod)
+            .config(cfg.clone())
+            .tenants(&traces)
+            .record(0)
+            .run_recorded()
+            .expect("serve"),
+    );
+    assert_eq!(want.len(), 2 * traces.len() + 1);
+    for shards in [1, 2, 4] {
+        for jobs in [1, 2] {
+            let got = render(
+                ServeBuilder::new(Scheme::Pod)
+                    .config(cfg.clone())
+                    .tenants_with(traces.len(), |i| tenant_trace(&profile, SEED, i))
+                    .shards(shards)
+                    .jobs(jobs)
+                    .record(0)
+                    .run_recorded()
+                    .expect("serve"),
+            );
+            assert_eq!(got, want, "shards {shards}, jobs {jobs}");
         }
     }
 }
