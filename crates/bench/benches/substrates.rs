@@ -162,7 +162,7 @@ fn bench_chunk_store(c: &mut Criterion) {
     let mut g = c.benchmark_group("chunk_store");
     for (stream, stride, blocks) in [("seq", 1u64, 65_536u64), ("strided", 4_096, 512)] {
         let span = blocks * stride;
-        let mut store = ChunkStore::new(2 * span, 4_096);
+        let mut store = ChunkStore::new(2 * span, 4_096).expect("a small store");
         for i in 0..blocks {
             store
                 .write_unique(Lba::new(i * stride), fp(i), None)

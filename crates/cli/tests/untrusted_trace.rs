@@ -81,11 +81,12 @@ fn lbas_past_the_layout_bound_are_refused_not_aborts() {
     }
 }
 
-/// The FIU reader keeps rows whose timestamps step backwards, so
-/// `analyze`'s burst detector must take such a step as a zero gap: it
-/// used to subtract the raw arrivals and panic on the overflow.
+/// The FIU reader refuses a row whose timestamp steps backwards,
+/// naming its line: `analyze` used to read such a file (its burst
+/// detector taking the step as a zero gap) and `replay` to report
+/// responses inflated by the step, both with exit 0.
 #[test]
-fn analyze_takes_a_backwards_timestamp_as_a_zero_gap() {
+fn analyze_refuses_a_backwards_timestamp_naming_its_line() {
     let path = std::env::temp_dir().join(format!("pod-backwards-{}.fiu", std::process::id()));
     let body: String = [9, 5, 7, 3]
         .iter()
@@ -100,11 +101,11 @@ fn analyze_takes_a_backwards_timestamp_as_a_zero_gap() {
         .expect("spawn pod-cli");
     std::fs::remove_file(&path).expect("remove the trace file");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "{stderr}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(
-        stdout.contains("burstiness: 1 bursts (1 write-intensive, 0 read-intensive)"),
-        "{stdout}"
+        stderr.lines().any(|l| l.starts_with("error: ")
+            && l.contains("trace parse error at line 2: timestamp 5 is earlier")),
+        "{stderr}"
     );
 }
 
@@ -295,7 +296,9 @@ fn hostile_flag_values_never_panic() {
 /// mix of: timestamps that step backwards, LBAs and whole rows repeated,
 /// block counts that overlap the rows after them, and SHA-256 hashes
 /// among the MD5 ones. Every command that replays a `--trace` ends in
-/// exit 0 or an `error:` line on each.
+/// exit 0 or an `error:` line on each, and on a mutant whose time steps
+/// back (a halved timestamp, or repeated rows appended) in exit 1 with
+/// the error naming the first such line.
 #[test]
 fn semantic_fiu_mutants_never_panic() {
     let dir = std::env::temp_dir().join(format!("pod-fiu-mutants-{}", std::process::id()));
@@ -344,6 +347,14 @@ fn semantic_fiu_mutants_never_panic() {
         }
         let text: String = rows.iter().map(|r| r.join(" ") + "\n").collect();
         std::fs::write(&mutant, text).expect("write the mutant");
+        let ts: Vec<u64> = rows
+            .iter()
+            .map(|r| r[0].parse().expect("timestamp"))
+            .collect();
+        let step_back = ts.windows(2).position(|w| w[1] < w[0]).map(|i| i + 2);
+        if applies(0) || applies(1) {
+            assert!(step_back.is_some(), "case {case}: time steps back");
+        }
         for cmd in [
             &["replay", "--jobs", "1"][..],
             &["serve", "--jobs", "1"],
@@ -356,7 +367,14 @@ fn semantic_fiu_mutants_never_panic() {
                 .arg(&mutant)
                 .output()
                 .expect("spawn pod-cli");
-            assert_clean_exit(&out, &format!("case {case}: {}", cmd[0]));
+            let what = format!("case {case}: {}", cmd[0]);
+            assert_clean_exit(&out, &what);
+            if let Some(line) = step_back {
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                let named = format!("trace parse error at line {line}: timestamp");
+                assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
+                assert!(stderr.contains(&named), "{what}: {stderr} lacks {named:?}");
+            }
         }
     }
     std::fs::remove_dir_all(&dir).expect("remove the scratch directory");

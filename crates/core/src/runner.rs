@@ -147,7 +147,7 @@ impl ReplaySizing {
             .max(1_024);
         if logical_blocks >= Self::MAX_END_LBA {
             return Err(PodError::OutOfRange {
-                what: "trace end lba",
+                what: "trace end lba".into(),
                 value: logical_blocks,
                 limit: Self::MAX_END_LBA,
             });
@@ -861,7 +861,7 @@ mod tests {
             assert_eq!(
                 ReplaySizing::try_from_trace(&ending_at(end)),
                 Err(PodError::OutOfRange {
-                    what: "trace end lba",
+                    what: "trace end lba".into(),
                     value: end,
                     limit: max,
                 })

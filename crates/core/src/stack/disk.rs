@@ -596,7 +596,9 @@ impl FaultyBackend {
         }
         // Everything due by the crash point completes; the rest is
         // dropped, which `completion` resolves once the replay is done.
-        self.inner.run_until(at);
+        // The array's clock stays where the replay put it: a request
+        // arriving before the crash point still submits at or after the
+        // clock (`ArraySim::submit_job`).
         self.crashed_at = Some(at);
         self.records.push(FaultRecord {
             kind: FaultKind::Crash,

@@ -73,6 +73,88 @@ const POST_PROCESS_BATCH: usize = 16_384;
 /// Service time of a read served whole from the DRAM cache, µs.
 const CACHE_HIT_US: u64 = 20;
 
+/// A disk-bound request waiting for its job: its position, its job's
+/// index and the low 32 bits of its disk submit instant, µs. The
+/// arrival waits in the request's response slot, and the submit instant
+/// is the arrival plus `submit_low − arrival` modulo 2^32 — the exact
+/// submit delay, because [`check_pending`] refuses one of 2^32 µs or
+/// more before the entry is queued.
+#[derive(Clone, Copy)]
+struct PendingJob {
+    position: u32,
+    /// The job's index, or [`PendingJob::NO_JOB`].
+    job: u32,
+    submit_low: u32,
+}
+
+// The stack queues one per disk-bound request: keep it at three words.
+const _: () = assert!(size_of::<PendingJob>() == 12);
+
+impl PendingJob {
+    /// The job field of an entry whose job index does not fit it: no
+    /// job the array knows, so it has no completion.
+    /// [`check_pending`] refuses such a job before it is queued.
+    const NO_JOB: u32 = u32::MAX;
+
+    /// The request's disk job, unless it is [`Self::NO_JOB`].
+    fn job(self) -> Option<JobId> {
+        (self.job != Self::NO_JOB).then(|| JobId::from_index(self.job as usize))
+    }
+
+    /// The submit instant of a job whose request arrived at
+    /// `arrival_us`, µs.
+    fn submit_us(self, arrival_us: u64) -> u64 {
+        arrival_us + u64::from(self.submit_low.wrapping_sub(arrival_us as u32))
+    }
+}
+
+/// The disk-bound requests still waiting for their jobs, in submission
+/// order, packed as [`PendingJob`]s.
+struct PendingJobs(Vec<PendingJob>);
+
+impl PendingJobs {
+    /// Queue request `position`, submitted to the disks at `submit` as
+    /// `job`, after [`check_pending`] passed the three. Of the submit
+    /// instant only the low 32 bits are kept, by design (see
+    /// [`PendingJob`]); a job index past the field is kept as
+    /// [`PendingJob::NO_JOB`], never cut to another job's.
+    fn push(&mut self, (position, submit, job): (usize, SimTime, JobId)) {
+        debug_assert!(
+            u32::try_from(position).is_ok(),
+            "position {position} passed the check"
+        );
+        self.0.push(PendingJob {
+            position: position as u32,
+            job: u32::try_from(job.index()).unwrap_or(PendingJob::NO_JOB),
+            submit_low: submit.as_micros() as u32,
+        });
+    }
+}
+
+/// Refuse a disk-bound request whose [`PendingJob`] fields would not
+/// fit: its position and its submit delay after arrival, µs, below
+/// 2^32 (a large hash cost per chunk times a long write can reach 2^32
+/// µs), and its job's index below [`PendingJob::NO_JOB`]. The error is
+/// [`PodError::OutOfRange`] naming the request.
+fn check_pending(position: usize, job: JobId, delay_us: u64) -> PodResult<()> {
+    let limit = 1u64 << 32;
+    let refuse =
+        |what: String, value: u64, limit: u64| Err(PodError::OutOfRange { what, value, limit });
+    if position as u64 >= limit {
+        return refuse("request position".into(), position as u64, limit);
+    }
+    let job_limit = u64::from(PendingJob::NO_JOB);
+    if job.index() as u64 >= job_limit {
+        let what = format!("request {position}'s disk job index");
+        return refuse(what, job.index() as u64, job_limit);
+    }
+    if delay_us >= limit {
+        let what = format!("request {position}'s submit delay (µs)");
+        return refuse(what, delay_us, limit);
+    }
+    Ok(())
+}
+
 /// A composed storage stack: the iCache and the dedup engine over the
 /// disk backend, plus the background steps and the observer chain
 /// threaded through all of them.
@@ -90,12 +172,12 @@ const CACHE_HIT_US: u64 = 20;
 ///
 /// Per-request state is one dense array of response times, 8 bytes a
 /// request, indexed by request position and sized from the build
-/// trace. A request with no disk work writes its slot when it is
-/// processed; a disk-bound one parks its arrival in the slot, and
-/// `finish`, which walks the pending jobs once for their disk-latency
-/// events and their slots together, overwrites it with done − arrival.
-/// A caller that drives positions past the build trace grows the
-/// array, amortized.
+/// trace, plus a 12-byte pending job per disk-bound request. A
+/// request with no disk work writes its slot when it is processed; a
+/// disk-bound one parks its arrival in the slot, and `finish`, which
+/// walks the pending jobs once for their disk-latency events and their
+/// slots together, overwrites it with done − arrival. A caller that
+/// drives positions past the build trace grows the array, amortized.
 pub struct StorageStack {
     icache: ICache,
     keying: CacheKeying,
@@ -121,8 +203,8 @@ pub struct StorageStack {
     /// a [`ServePolicy`](crate::config::ServePolicy).
     tier: Option<SharedTierTask>,
     observer: ObserverChain,
-    /// (request index, disk submit time, job) for disk-bound requests.
-    pending: Vec<(usize, SimTime, JobId)>,
+    /// The disk-bound requests, in submission order.
+    pending: PendingJobs,
     /// Response time per request position, µs; [`Self::UNRESOLVED`]
     /// until the request is processed. A disk-bound request's slot
     /// holds its arrival, µs, until [`finish`](Self::finish) resolves
@@ -170,7 +252,7 @@ impl StorageStack {
         let data_capacity = cfg.raid.data_disks() as u64 * cfg.disk.capacity_blocks;
         if sizing.needed_blocks > data_capacity {
             return Err(PodError::OutOfRange {
-                what: "working set (blocks)",
+                what: "working set (blocks)".into(),
                 value: sizing.needed_blocks,
                 limit: data_capacity,
             });
@@ -206,7 +288,7 @@ impl StorageStack {
             read_policy: cfg.read_policy,
         });
 
-        let mut engine = DedupEngine::new(
+        let mut engine = DedupEngine::try_new(
             spec.policy,
             DedupConfig {
                 select_threshold: cfg.select_threshold,
@@ -218,7 +300,7 @@ impl StorageStack {
                 overflow_blocks: sizing.overflow_blocks,
                 expected_unique_blocks: sizing.expected_unique_blocks,
             },
-        );
+        )?;
         // The ghost index lives behind the index table; its capacity is
         // iCache's rule.
         engine
@@ -257,7 +339,7 @@ impl StorageStack {
             post_process: spec.policy == DedupPolicy::PostProcess,
             tier: None,
             observer,
-            pending: Vec::with_capacity(trace.requests.len()),
+            pending: PendingJobs(Vec::with_capacity(trace.requests.len())),
             responses: vec![Self::UNRESOLVED; trace.requests.len()],
             requests_done: 0,
             snap_seq: 0,
@@ -334,7 +416,7 @@ impl StorageStack {
     ) -> PodResult<()> {
         match req.op {
             IoOp::Write => self.on_write(idx, req, at, measured)?,
-            IoOp::Read => self.on_read(idx, req, at, measured),
+            IoOp::Read => self.on_read(idx, req, at, measured)?,
         }
         if self.faults_enabled {
             self.drain_fault_events()?;
@@ -457,10 +539,19 @@ impl StorageStack {
                 &self.scratch.write_extents,
                 summary.disk_index_lookups,
             );
-            self.resolve(idx, at.as_micros());
-            self.pending.push((idx, submit, job));
+            self.park(idx, at, submit, job)?;
             self.prof_lap(&mut timer, ProfPhase::DiskSubmit);
         }
+        Ok(())
+    }
+
+    /// Park disk-bound request `idx`, arrived at `at` and submitted at
+    /// `submit` as `job`: its arrival waits in its response slot and its
+    /// [`PendingJob`] in the queue [`finish`](Self::finish) walks.
+    fn park(&mut self, idx: usize, at: SimTime, submit: SimTime, job: JobId) -> PodResult<()> {
+        check_pending(idx, job, (submit - at).as_micros())?;
+        self.resolve(idx, at.as_micros());
+        self.pending.push((idx, submit, job));
         Ok(())
     }
 
@@ -521,7 +612,13 @@ impl StorageStack {
     /// The read path: cache lookup → direct completion on a full hit,
     /// else fetch the (possibly fragmented) physical extents and fill
     /// the cache.
-    fn on_read(&mut self, idx: usize, req: &IoRequest, at: SimTime, measured: bool) {
+    fn on_read(
+        &mut self,
+        idx: usize,
+        req: &IoRequest,
+        at: SimTime,
+        measured: bool,
+    ) -> PodResult<()> {
         let mut timer = ProfTimer::start(self.prof);
         let mut all_hit = true;
         for lba in req.lbas() {
@@ -560,8 +657,7 @@ impl StorageStack {
             self.prof_lap(&mut timer, ProfPhase::Observe);
             let submit = at + SimDuration::from_micros(self.latency.metadata_us);
             let job = self.disk.submit_read(submit, &self.read_extents);
-            self.resolve(idx, at.as_micros());
-            self.pending.push((idx, submit, job));
+            self.park(idx, at, submit, job)?;
             self.prof_lap(&mut timer, ProfPhase::DiskSubmit);
             for lba in req.lbas() {
                 let key = self.cache_key(lba);
@@ -569,6 +665,7 @@ impl StorageStack {
             }
             self.prof_lap(&mut timer, ProfPhase::CacheLookup);
         }
+        Ok(())
     }
 
     /// One Post-Process pass: scan up to [`POST_PROCESS_BATCH`] queued
@@ -664,23 +761,27 @@ impl StorageStack {
         }
         // Disk time is only known at completion: charge (done − submit)
         // per pending job now, in submission order, and resolve the
-        // request at (done − arrival), its arrival read from its slot.
-        // Drained in place: the buffer is freed with the stack, after
-        // the report is built, which keeps glibc from trimming the heap
-        // after every one of repeated in-process replays (DESIGN §8).
+        // request at (done − arrival), its arrival read from its slot —
+        // only once the job is known complete, so a job the array never
+        // finished is named before its slot is touched. Drained in
+        // place: the buffer is freed with the stack, after the report
+        // is built, which keeps glibc from trimming the heap after
+        // every one of repeated in-process replays (DESIGN §8).
         let timer = ProfTimer::start(self.prof);
-        for (idx, submit, job) in self.pending.drain(..) {
-            let Some(done) = self.disk.completion(job) else {
+        for pending in self.pending.0.drain(..) {
+            let idx = pending.position as usize;
+            let Some(done) = pending.job().and_then(|job| self.disk.completion(job)) else {
                 return Err(PodError::Inconsistency(format!(
                     "request {idx}: its disk job has no completion after the array ran to idle"
                 )));
             };
+            let done = done.as_micros();
+            let arrival = self.responses[idx];
             self.observer.emit(&StackEvent::LayerLatency {
                 layer: Layer::Disk,
-                us: (done - submit).as_micros(),
+                us: done.saturating_sub(pending.submit_us(arrival)),
             });
-            let arrival = SimTime::from_micros(self.responses[idx]);
-            self.responses[idx] = (done - arrival).as_micros();
+            self.responses[idx] = done.saturating_sub(arrival);
         }
         self.prof_emit(ProfPhase::DiskCommit, timer);
         // Final snapshot: the end-of-replay state, after drains, unless
@@ -757,6 +858,80 @@ mod tests {
             Err(PodError::Inconsistency(
                 "request 7: its disk job has no completion after the array ran to idle".into()
             ))
+        );
+    }
+
+    #[test]
+    fn pending_fields_are_checked_at_their_32_bit_bounds() {
+        let max = u64::from(u32::MAX);
+        let job = |i: u64| JobId::from_index(i as usize);
+        // The job field keeps its top value for "no job".
+        check_pending(max as usize, job(max - 1), max).expect("every field fits");
+        let refused = |what: &str, value: u64, limit: u64| {
+            Err(PodError::OutOfRange {
+                what: what.into(),
+                value,
+                limit,
+            })
+        };
+        assert_eq!(
+            check_pending(max as usize + 1, job(0), 0),
+            refused("request position", max + 1, max + 1)
+        );
+        assert_eq!(
+            check_pending(9, job(max), 0),
+            refused("request 9's disk job index", max, max)
+        );
+        assert_eq!(
+            check_pending(9, job(0), max + 1),
+            refused("request 9's submit delay (µs)", max + 1, max + 1)
+        );
+        // The low 32 bits of the submit instant give back the delay
+        // across a wrap of the 32-bit clock.
+        let arrival = (7 << 32) - 3;
+        let entry = |submit: u64| PendingJob {
+            position: 0,
+            job: PendingJob::NO_JOB,
+            submit_low: submit as u32,
+        };
+        for delay in [0, 1, 3, 4, max] {
+            assert_eq!(entry(arrival + delay).submit_us(arrival), arrival + delay);
+        }
+    }
+
+    #[test]
+    fn a_submit_delay_past_32_bits_is_refused_naming_its_request() {
+        let fp = pod_types::Fingerprint::from_content_id;
+        let write = |at: u64, n: u64| {
+            IoRequest::write(
+                SimTime::from_micros(at),
+                Lba::new(0),
+                (0..n).map(fp).collect(),
+            )
+        };
+        let trace = Trace {
+            name: "slow hash".into(),
+            requests: vec![write(0, 1), write(10, 2)],
+            memory_budget_bytes: 1 << 20,
+        };
+        let spec = Scheme::Pod.stack_spec();
+        let mut cfg = SystemConfig::test_default();
+        cfg.latency.hash_workers = 1;
+        cfg.latency.metadata_us = 0;
+        // One chunk's hash fits below 2^32 µs; two do not.
+        cfg.latency.hash_us_per_chunk = 1 << 31;
+        let mut stack =
+            StorageStack::with_observer(&spec, &cfg, &trace, ObserverChain::new()).expect("stack");
+        stack
+            .process_request(0, &trace.requests[0], true)
+            .expect("one chunk");
+        assert_eq!(
+            stack.process_request(1, &trace.requests[1], true),
+            Err(PodError::OutOfRange {
+                what: "request 1's submit delay (µs)".into(),
+                value: 1 << 32,
+                limit: 1 << 32,
+            })
         );
     }
 

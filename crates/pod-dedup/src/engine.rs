@@ -335,22 +335,35 @@ pub struct DedupEngine {
 }
 
 impl DedupEngine {
+    /// [`DedupEngine::try_new`] of a configuration whose physical space
+    /// is known to fit the store.
+    ///
+    /// # Panics
+    ///
+    /// When `cfg.logical_blocks + cfg.overflow_blocks` reaches
+    /// [`crate::store::MAX_PHYSICAL_BLOCKS`].
+    pub fn new(policy: DedupPolicy, cfg: DedupConfig) -> Self {
+        Self::try_new(policy, cfg).expect("the physical space fits the chunk store")
+    }
+
     /// Build an engine. The store costs one directory pointer per
     /// 4,096 blocks of `cfg.logical_blocks + cfg.overflow_blocks` up
     /// front and allocates block state as regions are first written;
     /// when `cfg.expected_unique_blocks` is set, the on-disk index (for
     /// policies that keep one) is pre-sized so replay inserts never
-    /// rehash.
-    pub fn new(policy: DedupPolicy, cfg: DedupConfig) -> Self {
+    /// rehash. A physical space of
+    /// [`crate::store::MAX_PHYSICAL_BLOCKS`] or more is refused with the
+    /// store's [`PodError::OutOfRange`](pod_types::PodError::OutOfRange).
+    pub fn try_new(policy: DedupPolicy, cfg: DedupConfig) -> PodResult<Self> {
         let expected = cfg.expected_unique_blocks as usize;
-        let store = ChunkStore::new(cfg.logical_blocks, cfg.overflow_blocks);
+        let store = ChunkStore::new(cfg.logical_blocks, cfg.overflow_blocks)?;
         let index = IndexTable::with_byte_budget(cfg.index_budget_bytes);
         let disk_index = if matches!(policy, DedupPolicy::FullDedupe | DedupPolicy::PostProcess) {
             FpMap::with_capacity_and_hasher(expected, FnvBuildHasher::default())
         } else {
             FpMap::default()
         };
-        Self {
+        Ok(Self {
             policy,
             cfg,
             store,
@@ -359,7 +372,7 @@ impl DedupEngine {
             counters: EngineCounters::default(),
             consults: 0,
             scan_queue: std::collections::VecDeque::new(),
-        }
+        })
     }
 
     /// The active policy.

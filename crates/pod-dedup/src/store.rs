@@ -18,9 +18,11 @@
 //!
 //! Representation: the address space is dense (homes are `[0,
 //! logical_blocks)`, overflow PBAs follow directly), so block state
-//! lives *at the block's address* in a `BlockTable` — a request's
-//! consecutive blocks are consecutive table entries, and a lookup is an
-//! index, not a hash probe. See DESIGN.md §8, "Block-indexed store".
+//! lives *at the block's address* in a `BlockTable` of 24-byte
+//! `BlockRecord`s — content, mapping and refcount side by side, so a
+//! home write touches one record. A request's consecutive blocks are
+//! consecutive records, and a lookup is an index, not a hash probe. See
+//! DESIGN.md §8, "Block-indexed store".
 
 use crate::journal::MapJournal;
 use pod_disk::{AllocState, BlockStore};
@@ -28,7 +30,9 @@ use pod_types::fingerprint::FINGERPRINT_BYTES;
 use pod_types::{log2_bucket, Fingerprint, Lba, Pba, PodError, PodResult};
 
 /// Entries per [`BlockTable`] page: 4,096 blocks = 16 MiB of address
-/// space, so a page is 16 KiB (refcounts) to 64 KiB (content).
+/// space, so a store page of [`BlockRecord`]s is 96 KiB — under glibc's
+/// 128 KiB mmap threshold, so pages come from the heap, not one mapping
+/// each — and a [`BlockSet`] page of words is 32 KiB.
 const PAGE_ENTRIES: usize = 4_096;
 
 /// Entries compared at once by [`BlockTable::iter`]'s zero-skipping
@@ -129,7 +133,7 @@ impl<T: Copy + Default + PartialEq> BlockTable<T> {
 
 /// A set of block addresses over the bounded range `[0, blocks)`: one
 /// bit per block, held in 64-bit words paged like the store's own
-/// tables, so a page (32 KiB, 262,144 blocks) is allocated the first
+/// table, so a page (32 KiB, 262,144 blocks) is allocated the first
 /// time a block in it is inserted and a set over the whole array costs a
 /// directory plus the regions actually touched. The one-pass checks
 /// that read a log newest entry first — the integrity oracle over a
@@ -170,6 +174,33 @@ impl BlockSet {
     }
 }
 
+/// Exclusive bound on a store's physical space (home + overflow), in
+/// blocks: below it every PBA + 1 fits the `u32` a block record maps
+/// its LBA with. The largest array a replay builds (3 × 160 GB data
+/// disks, 125.8 M blocks) is far below it.
+pub const MAX_PHYSICAL_BLOCKS: u64 = 1 << 32;
+
+/// Everything the store keeps about one physical block, at the block's
+/// address.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct BlockRecord {
+    /// Content stored in the block; meaningful only where `refs > 0`
+    /// (the all-zero fingerprint is a legal content).
+    content: [u8; FINGERPRINT_BYTES],
+    /// Below `logical_blocks` only: the current physical location of
+    /// the LBA equal to this address, stored as PBA + 1 (zero = never
+    /// written). Fits a `u32` because [`ChunkStore::new`] keeps every
+    /// PBA below [`MAX_PHYSICAL_BLOCKS`] − 1.
+    mapping: u32,
+    /// Reference count (zero = not live). At most the number of LBAs,
+    /// so it fits a `u32` too.
+    refs: u32,
+}
+
+// A store page holds `PAGE_ENTRIES` of these: keep a record at its
+// content, mapping and refcount, with no padding.
+const _: () = assert!(size_of::<BlockRecord>() == 24);
+
 /// Mapping + refcount + content state of the deduplicated block space.
 #[derive(Debug)]
 pub struct ChunkStore {
@@ -178,18 +209,12 @@ pub struct ChunkStore {
     /// Extent allocator for the overflow region. PBAs returned are
     /// offset by `logical_blocks`.
     overflow: BlockStore,
-    /// Current physical location of each written logical block, stored
-    /// as PBA + 1 (zero = never written). Indexed by LBA.
-    mapping: BlockTable<u64>,
-    /// Reference count per physical block (zero = not live). Indexed by
-    /// PBA over home + overflow.
-    refs: BlockTable<u32>,
-    /// Content stored in each physical block; meaningful only where
-    /// `refs > 0` (the all-zero fingerprint is a legal content).
-    content: BlockTable<[u8; FINGERPRINT_BYTES]>,
-    /// Logical blocks with a mapping (non-zero `mapping` entries).
+    /// One record per physical block, indexed by PBA over home +
+    /// overflow.
+    blocks: BlockTable<BlockRecord>,
+    /// Logical blocks with a mapping (non-zero `mapping` fields).
     mapped: u64,
-    /// Live physical blocks (non-zero `refs` entries).
+    /// Live physical blocks (non-zero `refs` fields).
     live: u64,
     /// Count of mapping entries whose PBA differs from home: the
     /// NVRAM-resident Map-table entries.
@@ -236,21 +261,30 @@ impl ChunkStore {
     /// overflow region of `overflow_blocks` for redirected writes.
     /// Costs one directory pointer per 4,096 blocks of either; block
     /// state is allocated as regions are first written.
-    pub fn new(logical_blocks: u64, overflow_blocks: u64) -> Self {
-        let physical_blocks = logical_blocks + overflow_blocks;
-        Self {
+    ///
+    /// A physical space (the two together) of [`MAX_PHYSICAL_BLOCKS`]
+    /// or more is [`PodError::OutOfRange`], refused before anything is
+    /// allocated.
+    pub fn new(logical_blocks: u64, overflow_blocks: u64) -> PodResult<Self> {
+        let physical_blocks = logical_blocks
+            .checked_add(overflow_blocks)
+            .filter(|&b| b < MAX_PHYSICAL_BLOCKS)
+            .ok_or_else(|| PodError::OutOfRange {
+                what: "physical blocks".into(),
+                value: logical_blocks.saturating_add(overflow_blocks),
+                limit: MAX_PHYSICAL_BLOCKS,
+            })?;
+        Ok(Self {
             logical_blocks,
             overflow: BlockStore::new(overflow_blocks),
-            mapping: BlockTable::new(logical_blocks),
-            refs: BlockTable::new(physical_blocks),
-            content: BlockTable::new(physical_blocks),
+            blocks: BlockTable::new(physical_blocks),
             mapped: 0,
             live: 0,
             redirected: 0,
             peak_redirected: 0,
             journal: MapJournal::new(),
             fan_in: [0; 8],
-        }
+        })
     }
 
     /// The persistent Map-table journal.
@@ -293,7 +327,8 @@ impl ChunkStore {
 
     /// Content stored at a physical block, if live.
     pub fn content_at(&self, pba: Pba) -> Option<Fingerprint> {
-        (self.refs.get(pba.raw()) > 0).then(|| Fingerprint::from_bytes(self.content.get(pba.raw())))
+        let block = self.blocks.get(pba.raw());
+        (block.refs > 0).then(|| Fingerprint::from_bytes(block.content))
     }
 
     /// Every live physical block with its stored content, in ascending
@@ -302,9 +337,10 @@ impl ChunkStore {
     /// persistent truth — so when the live set exceeds the index budget
     /// it is the highest PBAs that stay resident.
     pub fn contents(&self) -> impl Iterator<Item = (Pba, Fingerprint)> + '_ {
-        self.refs
+        self.blocks
             .iter()
-            .map(|(p, _)| (Pba::new(p), Fingerprint::from_bytes(self.content.get(p))))
+            .filter(|(_, block)| block.refs > 0)
+            .map(|(p, block)| (Pba::new(p), Fingerprint::from_bytes(block.content)))
     }
 
     /// Deliberately corrupt the content stored at `pba` (fault
@@ -315,13 +351,13 @@ impl ChunkStore {
     pub fn corrupt_content(&mut self, pba: Pba) -> Option<Fingerprint> {
         let old = self.content_at(pba)?;
         let bad = Fingerprint::from_content_id(old.prefix_u64() ^ 0xDEAD_BEEF_DEAD_BEEF);
-        *self.content.slot(pba.raw()) = *bad.as_bytes();
+        self.blocks.slot(pba.raw()).content = *bad.as_bytes();
         Some(bad)
     }
 
     /// Reference count of a physical block (0 = free).
     pub fn refcount(&self, pba: Pba) -> u32 {
-        self.refs.get(pba.raw())
+        self.blocks.get(pba.raw()).refs
     }
 
     /// Live unique physical blocks — the capacity-used metric (Fig. 10).
@@ -370,7 +406,7 @@ impl ChunkStore {
     ) -> PodResult<Pba> {
         let home = self.checked_home(lba)?;
         if let Some(p) = preallocated {
-            if !self.refs.contains(p.raw()) {
+            if !self.blocks.contains(p.raw()) {
                 return Err(PodError::NotAllocated(p.raw()));
             }
         }
@@ -393,7 +429,7 @@ impl ChunkStore {
             }
             p.raw()
         } else {
-            let home_refs = self.refs.get(home);
+            let home_refs = self.blocks.get(home).refs;
             let in_place_ok = home_refs == 0 || (current == Some(home) && home_refs == 1);
             if in_place_ok {
                 if let Some(old) = current {
@@ -416,15 +452,15 @@ impl ChunkStore {
         // block we still exclusively own.
         let in_place_overwrite = holds_old_claim && current == Some(target);
         if !in_place_overwrite {
-            *self.refs.slot(target) += 1;
+            self.blocks.slot(target).refs += 1;
             self.note_ref_change(0, 1);
         }
+        let block = self.blocks.slot(target);
         debug_assert_eq!(
-            self.refs.get(target),
-            1,
+            block.refs, 1,
             "a freshly written block must be exclusively referenced"
         );
-        *self.content.slot(target) = *fp.as_bytes();
+        block.content = *fp.as_bytes();
         self.remap(home, current, target);
         Ok(Pba::new(target))
     }
@@ -435,7 +471,7 @@ impl ChunkStore {
     pub fn dedup_to(&mut self, lba: Lba, target: Pba) -> PodResult<()> {
         let home = self.checked_home(lba)?;
         let t = target.raw();
-        if self.refs.get(t) == 0 {
+        if self.blocks.get(t).refs == 0 {
             return Err(PodError::NotAllocated(t));
         }
         let current = self.mapped_pba(home);
@@ -446,9 +482,9 @@ impl ChunkStore {
         if let Some(old) = current {
             self.release(old)?;
         }
-        let slot = self.refs.slot(t);
-        let was = *slot;
-        *slot += 1;
+        let block = self.blocks.slot(t);
+        let was = block.refs;
+        block.refs += 1;
         self.note_ref_change(was, was + 1);
         self.remap(home, current, t);
         Ok(())
@@ -483,33 +519,41 @@ impl ChunkStore {
 
     /// Verify internal invariants (used by property tests): the sum of
     /// per-PBA refcounts equals the mapping size, every mapped PBA is
-    /// live, and the incremental counters (mapped, live, redirected,
-    /// fan-in) agree with a recount of the tables.
+    /// live, only home addresses hold a mapping, and the incremental
+    /// counters (mapped, live, redirected, fan-in) agree with a recount
+    /// of the records.
     pub fn check_invariants(&self) -> PodResult<()> {
         let mut mapped = 0u64;
         let mut redirected = 0u64;
-        for (lba, pba) in self.mappings() {
-            if self.refs.get(pba) == 0 {
-                return Err(PodError::Inconsistency(format!(
-                    "lba {lba} maps to dead pba {pba}"
-                )));
+        let mut total_refs = 0u64;
+        let mut live = 0u64;
+        let mut fan_in = [0u64; 8];
+        for (addr, block) in self.blocks.iter() {
+            if let Some(pba) = u64::from(block.mapping).checked_sub(1) {
+                if addr >= self.logical_blocks {
+                    return Err(PodError::Inconsistency(format!(
+                        "overflow pba {addr} holds a mapping"
+                    )));
+                }
+                if self.blocks.get(pba).refs == 0 {
+                    return Err(PodError::Inconsistency(format!(
+                        "lba {addr} maps to dead pba {pba}"
+                    )));
+                }
+                mapped += 1;
+                redirected += u64::from(addr != pba);
             }
-            mapped += 1;
-            redirected += u64::from(lba != pba);
+            if block.refs > 0 {
+                total_refs += u64::from(block.refs);
+                live += 1;
+                fan_in[log2_bucket::<8>(u64::from(block.refs))] += 1;
+            }
         }
         if mapped != self.mapped {
             return Err(PodError::Inconsistency(format!(
                 "mapped count {} != recounted {mapped}",
                 self.mapped
             )));
-        }
-        let mut total_refs = 0u64;
-        let mut live = 0u64;
-        let mut fan_in = [0u64; 8];
-        for (_, c) in self.refs.iter() {
-            total_refs += c as u64;
-            live += 1;
-            fan_in[log2_bucket::<8>(c as u64)] += 1;
         }
         if total_refs != mapped {
             return Err(PodError::Inconsistency(format!(
@@ -542,7 +586,7 @@ impl ChunkStore {
     fn checked_home(&self, lba: Lba) -> PodResult<u64> {
         if lba.raw() >= self.logical_blocks {
             return Err(PodError::OutOfRange {
-                what: "lba",
+                what: "lba".into(),
                 value: lba.raw(),
                 limit: self.logical_blocks,
             });
@@ -550,23 +594,20 @@ impl ChunkStore {
         Ok(lba.raw())
     }
 
-    /// The PBA `lba` currently maps to (decoding the table's PBA + 1).
+    /// The PBA `lba` currently maps to (decoding the record's PBA + 1).
+    /// Overflow records never hold a mapping, so an `lba` past the
+    /// logical space reads as unwritten.
     #[inline]
     fn mapped_pba(&self, lba: u64) -> Option<u64> {
-        self.mapping.get(lba).checked_sub(1)
-    }
-
-    /// Every `(lba, pba)` mapping, in ascending LBA order.
-    fn mappings(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.mapping.iter().map(|(lba, stored)| (lba, stored - 1))
+        u64::from(self.blocks.get(lba).mapping).checked_sub(1)
     }
 
     fn release(&mut self, pba: u64) -> PodResult<()> {
-        let was = self.refs.get(pba);
+        let was = self.blocks.get(pba).refs;
         if was == 0 {
             return Err(PodError::NotAllocated(pba));
         }
-        *self.refs.slot(pba) = was - 1;
+        self.blocks.slot(pba).refs = was - 1;
         self.note_ref_change(was, was - 1);
         if was == 1 && pba >= self.logical_blocks {
             // Return the overflow block to its allocator.
@@ -593,7 +634,9 @@ impl ChunkStore {
     /// Point `home` at `new` (it was at `old`) and keep the redirection
     /// count, its high-water mark and the journal in step.
     fn remap(&mut self, home: u64, old: Option<u64>, new: u64) {
-        *self.mapping.slot(home) = new + 1;
+        // `new` is a PBA of the store, below `MAX_PHYSICAL_BLOCKS` − 1
+        // (see `new`), so its PBA + 1 is exact in a `u32`.
+        self.blocks.slot(home).mapping = (new + 1) as u32;
         if old.is_none() {
             self.mapped += 1;
         }
@@ -644,7 +687,7 @@ mod tests {
     }
 
     fn store() -> ChunkStore {
-        ChunkStore::new(1_000, 1_000)
+        ChunkStore::new(1_000, 1_000).expect("a small store")
     }
 
     fn extents_of(s: &ChunkStore, lba: Lba, nblocks: u32) -> Vec<(Pba, u32)> {
@@ -861,9 +904,9 @@ mod tests {
 
     #[test]
     fn lba_outside_the_logical_space_is_refused() {
-        let mut s = ChunkStore::new(10, 10);
+        let mut s = ChunkStore::new(10, 10).expect("a small store");
         let refused = |lba| PodError::OutOfRange {
-            what: "lba",
+            what: "lba".into(),
             value: lba,
             limit: 10,
         };
@@ -905,8 +948,40 @@ mod tests {
     }
 
     #[test]
+    fn physical_space_is_bounded_by_the_records_mapping_width() {
+        // One block short of 2^32: accepted, and the highest PBA's
+        // PBA + 1 round-trips through the record. The directory is
+        // zero-filled and untouched but for one entry, and one page is
+        // allocated.
+        let logical = MAX_PHYSICAL_BLOCKS - 2;
+        let mut s = ChunkStore::new(logical, 1).expect("2^32 - 1 physical blocks");
+        let top = Lba::new(logical - 1);
+        s.write_unique(top, fp(1), None).expect("w");
+        s.dedup_to(Lba::new(0), Pba::new(logical - 1)).expect("pin");
+        let p = s.write_unique(top, fp(2), None).expect("redirected");
+        assert_eq!(p, Pba::new(MAX_PHYSICAL_BLOCKS - 2), "the last PBA");
+        assert_eq!(s.lookup(top), Some(p));
+        assert_eq!(s.content_at(p), Some(fp(2)));
+        s.check_invariants().expect("invariants at the top");
+
+        // 2^32 and past it (the sum included): refused before any
+        // allocation.
+        let refused = |value| {
+            Err(PodError::OutOfRange {
+                what: "physical blocks".into(),
+                value,
+                limit: MAX_PHYSICAL_BLOCKS,
+            })
+        };
+        let new = |l, o| ChunkStore::new(l, o).map(|_| ());
+        assert_eq!(new(MAX_PHYSICAL_BLOCKS, 0), refused(MAX_PHYSICAL_BLOCKS));
+        assert_eq!(new(logical, 2), refused(MAX_PHYSICAL_BLOCKS));
+        assert_eq!(new(u64::MAX, 1), refused(u64::MAX));
+    }
+
+    #[test]
     fn overflow_exhaustion_surfaces() {
-        let mut s = ChunkStore::new(10, 1);
+        let mut s = ChunkStore::new(10, 1).expect("a small store");
         s.write_unique(Lba::new(1), fp(1), None).expect("w");
         s.dedup_to(Lba::new(2), Pba::new(1)).expect("d");
         // Overwrites of lba1 redirect into the 1-block overflow.

@@ -1,10 +1,10 @@
 //! A store over the whole array stays small when the trace is sparse.
 //!
-//! The chunk store's tables are indexed by block address, and the
-//! address space is the array: up to 3 data disks × 160 GB = 125.8 M
+//! The chunk store's block records are indexed by block address, and
+//! the address space is the array: up to 3 data disks × 160 GB = 125.8 M
 //! blocks plus overflow. A real FIU trace touches a few regions of it.
-//! Flat tables there would be a multi-gigabyte allocation before the
-//! first request; the paged tables must cost a directory plus the
+//! A flat table there would be a multi-gigabyte allocation before the
+//! first request; the paged table must cost a directory plus the
 //! 4,096-block pages actually written. A byte-counting global allocator
 //! holds the store to that.
 //!
@@ -54,7 +54,7 @@ fn sparse_writes_over_the_whole_array_stay_small() {
     let fp = Fingerprint::from_content_id;
 
     let before = BYTES.load(Ordering::Relaxed);
-    let mut store = ChunkStore::new(LOGICAL, OVERFLOW);
+    let mut store = ChunkStore::new(LOGICAL, OVERFLOW).expect("the paper array fits");
     for (i, lba) in [0, 40_000_000, 80_000_000].into_iter().enumerate() {
         let pba = store
             .write_unique(Lba::new(lba), fp(i as u64), None)
@@ -80,8 +80,8 @@ fn sparse_writes_over_the_whole_array_stay_small() {
     store.verify_journal_recovery().expect("journal");
     let allocated = BYTES.load(Ordering::Relaxed) - before;
 
-    // ~1 MB of page directories (one pointer per 4,096 blocks, three
-    // tables) + ~0.7 MB of pages (four touched regions).
+    // ~0.4 MB of page directory (one pointer per 4,096 blocks) + ~0.4
+    // MB of 96 KiB pages (four touched regions).
     assert!(
         allocated < 8 << 20,
         "a store over {LOGICAL} + {OVERFLOW} blocks holding 4 live blocks \

@@ -224,11 +224,25 @@ impl ArraySim {
         self.clock
     }
 
-    /// Submit a job of dependent phases starting at `at` (which must not
-    /// be earlier than any previously submitted job's start; trace replay
-    /// naturally satisfies this). `plan` adds the ops through a
+    /// Submit a job of dependent phases starting at `at`, which must not
+    /// be earlier than the array's clock ([`now`](Self::now)): the
+    /// array has already handled every event up to the clock, so a job
+    /// starting before it would be served in the past, and the clock
+    /// would run backwards. A replay keeps this by advancing the clock
+    /// to each request's arrival, in time order, before submitting the
+    /// request's job at or after it; a trace whose arrivals step back
+    /// is refused where it is read. `plan` adds the ops through a
     /// [`JobPlan`]; a job with no ops completes at `at`.
+    ///
+    /// # Panics
+    ///
+    /// In a debug build, when `at` is earlier than the clock.
     pub fn submit_job(&mut self, at: SimTime, plan: impl FnOnce(&mut JobPlan<'_>)) -> JobId {
+        debug_assert!(
+            at >= self.clock,
+            "a job submitted at {at:?}, before the array's clock {:?}",
+            self.clock
+        );
         let slot = self.free.pop().unwrap_or_else(|| {
             self.jobs.push(Job::default());
             self.jobs.len() - 1
@@ -471,6 +485,17 @@ mod tests {
         sim.run_to_idle();
         let t2 = sim.job_completion(j2).expect("j2 done");
         assert_eq!((t2 - t1).as_micros(), 40, "4 blocks * 10us, no seek");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "before the array's clock")]
+    fn a_job_before_the_clock_is_refused_in_a_debug_build() {
+        let mut sim = raid5_sim();
+        sim.run_until(SimTime::from_micros(1_000));
+        // At the clock is in time; one microsecond before it is not.
+        sim.submit_read(SimTime::from_micros(1_000), member_pba(1, 0), 1);
+        sim.submit_read(SimTime::from_micros(999), member_pba(1, 0), 1);
     }
 
     #[test]

@@ -36,8 +36,9 @@
 //! several threads, with the same skip rule and line numbering as
 //! [`parse_str`], and feeds the reconstructor without ever holding a
 //! `BlockRecord`. A trace file is untrusted input: every field is
-//! bounds-checked here, where it enters (see [`MAX_RECORD_BLOCKS`]), and
-//! a bad line is a [`PodError::TraceParse`] naming it.
+//! bounds-checked here, where it enters (see [`MAX_RECORD_BLOCKS`]),
+//! rows must not step back in time, and a bad line is a
+//! [`PodError::TraceParse`] naming it.
 //!
 //! [`format_records`] renders bytes into one buffer: decimals through a
 //! two-digit table, hashes through [`Fingerprint::hex_digits`].
@@ -204,27 +205,49 @@ fn parse_body_line(line: &str, line_no: usize) -> Option<PodResult<RecordRef<'_>
 /// A canonical line is read by [`scan_record`], any other by
 /// [`parse_body_line`], and lines are counted as `str::lines` counts
 /// them.
+///
+/// This is where a body's time order is decided: a record whose
+/// timestamp is earlier than the record before it is a
+/// [`PodError::TraceParse`] naming its line. A replay counts each
+/// response from its arrival on one clock, so a row that steps back in
+/// time has no meaning to it; equal timestamps are a request's blocks,
+/// or requests issued together.
 pub(crate) struct BodyRecords<'a> {
     text: &'a str,
     /// Start of the next line.
     at: usize,
     /// Lines read so far, those before `text` included.
     line: usize,
+    /// The timestamp the next record may not precede, µs: the last
+    /// record's, or the floor the body was started from.
+    floor_us: u64,
 }
 
 impl<'a> BodyRecords<'a> {
-    /// The records of `text`, whose first line is line `lines_before + 1`.
-    pub(crate) fn new(text: &'a str, lines_before: usize) -> Self {
+    /// The records of `text`, whose first line is line `lines_before + 1`
+    /// and whose first record may not precede `floor_us` (the timestamp
+    /// of the record before `text`, or 0).
+    pub(crate) fn new(text: &'a str, lines_before: usize, floor_us: u64) -> Self {
         Self {
             text,
             at: 0,
             line: lines_before,
+            floor_us,
         }
     }
 
     /// Lines read so far, those before the text included.
     pub(crate) fn lines(&self) -> usize {
         self.line
+    }
+
+    /// `r`, the record of the current line, unless it steps back in time.
+    fn in_order(&mut self, r: RecordRef<'a>) -> PodResult<RecordRef<'a>> {
+        if r.ts_us < self.floor_us {
+            return Err(out_of_order(self.line, r.ts_us, self.floor_us));
+        }
+        self.floor_us = r.ts_us;
+        Ok(r)
     }
 }
 
@@ -236,7 +259,7 @@ impl<'a> Iterator for BodyRecords<'a> {
             self.line += 1;
             if let Some((record, next)) = scan_record(self.text, self.at) {
                 self.at = next;
-                return Some(Ok(record));
+                return Some(self.in_order(record));
             }
             // `at` follows a `\n`, so it is a char boundary.
             let rest = &self.text[self.at..];
@@ -244,10 +267,22 @@ impl<'a> Iterator for BodyRecords<'a> {
             self.at += (end + 1).min(rest.len());
             // A `\r` before the `\n` is trimmed with the other blanks.
             if let Some(record) = parse_body_line(&rest[..end], self.line) {
-                return Some(record);
+                return Some(record.and_then(|r| self.in_order(r)));
             }
         }
         None
+    }
+}
+
+/// The error for line `line`, whose record's timestamp `ts_us` is
+/// earlier than the `floor_us` of the record before it.
+pub(crate) fn out_of_order(line: usize, ts_us: u64, floor_us: u64) -> PodError {
+    PodError::TraceParse {
+        line,
+        reason: format!(
+            "timestamp {ts_us} is earlier than the previous record's {floor_us}: \
+             rows must be in time order"
+        ),
     }
 }
 
@@ -420,7 +455,7 @@ pub(crate) fn scan_record(text: &str, start: usize) -> Option<(RecordRef<'_>, us
 /// first bad line's error; `#`-prefixed lines and blank lines are
 /// skipped.
 pub fn parse_str(body: &str) -> PodResult<Vec<BlockRecord>> {
-    BodyRecords::new(body, 0)
+    BodyRecords::new(body, 0, 0)
         .map(|r| r.map(|r| r.to_record()))
         .collect()
 }
@@ -621,15 +656,14 @@ mod tests {
 
     #[test]
     fn body_dialect_variants_parse() {
-        // Timestamps going backwards are the reconstructor's business
-        // (they split requests), not a parse error; CRLF endings, upper
-        // case hex, a comment after data and trailing fields are fine.
+        // CRLF endings, upper case hex, a comment after data and trailing
+        // fields are fine.
         let body = format!(
-            "9 1 p 0 1 W 8 0 {SHA}\r\n5 1 p 1 1 W 8 0 {}\r\n# trailer\r\n7 1 p 2 1 R 8 0 * # note\n",
+            "5 1 p 0 1 W 8 0 {SHA}\r\n5 1 p 1 1 W 8 0 {}\r\n# trailer\r\n7 1 p 2 1 R 8 0 * # note\n",
             SHA.to_uppercase()
         );
         let recs = parse_str(&body).expect("parse");
-        assert_eq!(recs.iter().map(|r| r.ts_us).collect::<Vec<_>>(), [9, 5, 7]);
+        assert_eq!(recs.iter().map(|r| r.ts_us).collect::<Vec<_>>(), [5, 5, 7]);
         assert_eq!(recs[0].hash, recs[1].hash);
         // The error names the line of the body, comments and blanks counted.
         let bad = format!("{body}\n1 1 p 0 99999 R 8 0 *\n");
@@ -637,6 +671,24 @@ mod tests {
             Err(PodError::TraceParse { line: 6, .. }) => {}
             other => panic!("expected a TraceParse at line 6, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_step_back_in_time_is_refused_at_its_line() {
+        // Equal timestamps are a request's blocks; an earlier one after
+        // them is refused at its own line, comments and blanks counted.
+        let body = "5 1 p 0 1 R 8 0 *\n5 1 p 1 1 R 8 0 *\n# c\n\n9 1 p 7 1 R 8 0 *\n";
+        assert_eq!(parse_str(body).expect("in time order").len(), 3);
+        let back = format!("{body}8 1 p 8 1 R 8 0 *\n9 1 p 9 1 R 8 0 *\n");
+        assert_eq!(parse_str(&back), Err(out_of_order(6, 8, 9)));
+        assert_eq!(
+            out_of_order(6, 8, 9).to_string(),
+            "trace parse error at line 6: timestamp 8 is earlier than the previous \
+             record's 9: rows must be in time order"
+        );
+        // A body continuing another starts from that body's last time.
+        let mut rest = BodyRecords::new("4 1 p 0 1 R 8 0 *\n", 10, 5);
+        assert_eq!(rest.next(), Some(Err(out_of_order(11, 4, 5))));
     }
 
     #[test]

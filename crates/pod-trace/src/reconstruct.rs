@@ -14,8 +14,8 @@
 //! blocks of whole lines, each block is cut into one piece per thread,
 //! every piece goes through the FIU reader and its own reconstructor, and
 //! the pieces are stitched back in file order — one allocation per write
-//! request (its chunk vector, sized exactly), a bounded number per block
-//! and none per line. [`trace_from_fiu`] is that loader fed one block.
+//! request (its chunk slice), a bounded number per block and none per
+//! line. [`trace_from_fiu`] is that loader fed one block.
 //!
 //! The stitch is exact: a piece's requests are what the sequential loop
 //! would have made of its records, except that the sequential loop may
@@ -24,11 +24,14 @@
 //! pending one (timestamp, op, LBA) and their block counts sum within a
 //! `u32`; a continuing run that would pass `u32::MAX` splits somewhere
 //! inside the piece, so that piece is re-pushed from the carried state
-//! instead.
+//! instead. So is a piece whose first record is earlier than the
+//! pending request, which the sequential loop refuses (rows must be in
+//! time order, see `fiu::BodyRecords`), and a piece that failed: the
+//! re-push names the body's first bad line.
 
 use crate::fiu::{self, RecordRef};
 use crate::synth::Trace;
-use pod_types::{Fingerprint, IoOp, IoRequest, Lba, PodError, PodResult, SimTime};
+use pod_types::{Fingerprint, IoOp, IoRequest, Lba, PodResult, SimTime};
 
 /// The request under construction; a write's fingerprints collect in
 /// [`Reconstructor::chunks`].
@@ -118,8 +121,10 @@ impl Reconstructor {
 
     /// Push every record of `text` — whole lines, the first of them line
     /// `lines_before + 1` of the body — and return how many lines it held.
+    /// Its first record may not precede the last one pushed.
     fn push_lines(&mut self, text: &str, lines_before: usize) -> PodResult<usize> {
-        let mut records = fiu::BodyRecords::new(text, lines_before);
+        let floor_us = self.cur.as_ref().map_or(0, |p| p.ts_us);
+        let mut records = fiu::BodyRecords::new(text, lines_before, floor_us);
         for r in records.by_ref() {
             self.push(&r?);
         }
@@ -127,18 +132,21 @@ impl Reconstructor {
     }
 
     /// Take over `piece`: the requests a fresh reconstructor made of the
-    /// records that follow this one's. The piece's first request joins the pending one when it continues it
-    /// and the joined length fits a `u32` — exactly when the sequential
-    /// loop would have absorbed its records. When it continues but does
-    /// not fit, the sequential loop would have split the run inside the
-    /// piece: nothing is changed and `false` tells the caller to push
-    /// the piece's records instead.
+    /// records that follow this one's. The piece's first request joins
+    /// the pending one when it continues it and the joined length fits a
+    /// `u32` — exactly when the sequential loop would have absorbed its
+    /// records. When it continues but does not fit, the sequential loop
+    /// would have split the run inside the piece; when it starts before
+    /// the pending one, the sequential loop would have refused its first
+    /// record. Either way nothing is changed and `false` tells the caller
+    /// to push the piece's records instead.
     fn adopt(&mut self, piece: Vec<IoRequest>) -> bool {
         let mut piece = piece.into_iter();
         let Some(first) = piece.next() else {
             return true;
         };
         match &mut self.cur {
+            Some(p) if first.arrival.as_micros() < p.ts_us => return false,
             Some(p) if p.continued_by(first.arrival.as_micros(), first.op, first.lba.raw()) => {
                 let Some(total) = p.nblocks.checked_add(first.nblocks) else {
                     return false;
@@ -174,9 +182,9 @@ impl Reconstructor {
 /// length. The calling thread pushes the first piece into the carried
 /// [`Reconstructor`]; the others run on scoped workers through fresh
 /// ones, numbering their lines from 1, and are stitched back in order:
-/// a piece's error line is offset by the lines before it, and its
-/// requests are adopted by the carried reconstructor under the rule in
-/// the [module docs](self).
+/// a piece's requests are adopted by the carried reconstructor under
+/// the rule in the [module docs](self), and a piece it cannot adopt,
+/// or one that failed, is pushed through it again.
 pub struct FiuLoader {
     width: usize,
     /// Lines fed so far.
@@ -225,18 +233,18 @@ impl FiuLoader {
         });
         self.lines += head_lines?;
         for (piece, tail) in rest.iter().zip(tails) {
-            let before = self.lines;
-            let (lines, requests) = tail.map_err(|e| match e {
-                PodError::TraceParse { line, reason } => PodError::TraceParse {
-                    line: line + before,
-                    reason,
-                },
-                other => other,
-            })?;
-            if !self.rc.adopt(requests) {
-                self.rc.push_lines(piece, before)?;
-            }
-            self.lines += lines;
+            // A piece that failed, or that the carried reconstructor
+            // cannot adopt, is pushed again from the carried state: that
+            // names the body's first bad line, a step back in time at
+            // the cut included.
+            let adopted = match tail {
+                Ok((lines, requests)) => self.rc.adopt(requests).then_some(lines),
+                Err(_) => None,
+            };
+            self.lines += match adopted {
+                Some(lines) => lines,
+                None => self.rc.push_lines(piece, self.lines)?,
+            };
         }
         Ok(())
     }
@@ -333,6 +341,7 @@ mod tests {
     use crate::fiu::BlockRecord;
     use crate::profile::TraceProfile;
     use pod_types::rng::Rng;
+    use pod_types::PodError;
     use std::fmt::Write;
 
     fn rec(ts: u64, lba: u64, op: IoOp, hash_id: u64) -> RecordRef<'static> {
@@ -448,9 +457,6 @@ mod tests {
         assert_eq!(fused.requests, t.requests);
         assert_eq!(fused.name, "homes");
         assert_eq!(fused.memory_budget_bytes, t.memory_budget_bytes);
-        for r in fused.requests.iter().filter(|r| r.op.is_write()) {
-            assert_eq!(r.chunks.capacity(), r.chunks.len(), "sized exactly");
-        }
         // A bad line anywhere fails the whole load, naming the line.
         let lines = text.lines().count();
         let bad = format!("{text}1 1 p 0 0 W 8 0 *\n");
@@ -546,9 +552,6 @@ mod tests {
                     let cuts = random_cuts(&mut rng, body.len());
                     let got = load_in_blocks(&body, width, &cuts).expect("parse");
                     assert_eq!(got, want, "profile {seed}, width {width}, cuts {cuts:?}");
-                    for r in got.iter().filter(|r| r.op.is_write()) {
-                        assert_eq!(r.chunks.capacity(), r.chunks.len(), "sized exactly");
-                    }
                     let cuts = random_cuts(&mut rng, bad.len());
                     let err = load_in_blocks(&bad, width, &cuts).expect_err("a bad line");
                     assert_eq!(
@@ -579,9 +582,10 @@ mod tests {
 
     /// A random FIU line without its newline: with probability `mutate`,
     /// one of the departures from the canonical dialect below, else a
-    /// canonical line whose values `parse_record` accepts. The second
-    /// value says whether the line was left canonical.
-    fn arb_line(rng: &mut Rng, mutate: f64) -> (String, bool) {
+    /// canonical line whose values `parse_record` accepts. Its timestamp
+    /// is `ts` when given (a mutation may still change it), else random.
+    /// The second value says whether the line was left canonical.
+    fn arb_line(rng: &mut Rng, mutate: f64, ts: Option<u64>) -> (String, bool) {
         let name_len = 1 + rng.below(12);
         let name: String = (0..name_len)
             .map(|_| char::from(0x21 + rng.below(0x7f - 0x21) as u8))
@@ -612,6 +616,9 @@ mod tests {
             arb_decimal(rng, 1, 9),
             hash,
         ];
+        if let Some(ts) = ts {
+            f[0] = ts.to_string();
+        }
         if !rng.bool(mutate) {
             return (f.join(" "), true);
         }
@@ -667,12 +674,12 @@ mod tests {
         let mut rng = Rng::seed_from_u64(46);
         let (mut taken, mut canonical) = (0, 0);
         for case in 0..40_000 {
-            let (line, is_canonical) = arb_line(&mut rng, 0.5);
-            let before = arb_line(&mut rng, 0.0).0 + "\n";
+            let (line, is_canonical) = arb_line(&mut rng, 0.5, None);
+            let before = arb_line(&mut rng, 0.0, None).0 + "\n";
             let after = match rng.below(3) {
                 0 => String::new(),
                 1 => "\n".to_string(),
-                _ => format!("\n{}\n", arb_line(&mut rng, 0.5).0),
+                _ => format!("\n{}\n", arb_line(&mut rng, 0.5, None).0),
             };
             let text = format!("{before}{line}{after}");
             let want = crate::fiu::parse_record(line.trim(), 1);
@@ -697,37 +704,55 @@ mod tests {
 
     #[test]
     fn loader_is_exact_on_mutated_bodies() {
-        // Bodies mixing canonical and mutated lines, blanks and comments:
-        // `parse_str` gives what parsing each of `str::lines` does, and the
-        // loader at widths 1–3 and random cuts gives its reconstruction or
-        // the same first error.
+        // Bodies mixing canonical and mutated lines, blanks and comments,
+        // their timestamps rising by 0–2 µs a line, a quarter of them with
+        // one line halved back in time: `parse_str` gives what parsing
+        // each of `str::lines` in time order does, and the loader at
+        // widths 1–3 and random cuts gives its reconstruction or the same
+        // first error.
         let mut rng = Rng::seed_from_u64(4646);
-        let (mut loaded, mut refused) = (0, 0);
+        let (mut loaded, mut refused, mut out_of_time) = (0, 0, 0);
         for round in 0..60 {
             let mutate = [0.0, 0.001, 0.05][round % 3];
             let mut body = String::new();
-            for _ in 0..1 + rng.below(1_499) {
+            let lines = 1 + rng.below(1_499);
+            let step_back = rng.bool(0.25).then(|| rng.below(lines));
+            let mut ts = 0;
+            for at in 0..lines {
+                ts += rng.below(3);
+                let line_ts = if step_back == Some(at) { ts / 2 } else { ts };
                 match rng.below(40) {
                     0 => body.push_str("# comment"),
                     1 => body.push_str("  "),
-                    _ => body.push_str(&arb_line(&mut rng, mutate).0),
+                    _ => body.push_str(&arb_line(&mut rng, mutate, Some(line_ts)).0),
                 }
                 body.push('\n');
             }
             if rng.bool(0.5) {
                 body.pop();
             }
+            let mut floor = 0;
             let reference: PodResult<Vec<BlockRecord>> = body
                 .lines()
                 .enumerate()
                 .filter(|(_, l)| !l.trim().is_empty() && !l.trim().starts_with('#'))
-                .map(|(i, l)| crate::fiu::parse_record(l.trim(), i + 1).map(|r| r.to_record()))
+                .map(|(i, l)| {
+                    let r = crate::fiu::parse_record(l.trim(), i + 1)?;
+                    if r.ts_us < floor {
+                        return Err(crate::fiu::out_of_order(i + 1, r.ts_us, floor));
+                    }
+                    floor = r.ts_us;
+                    Ok(r.to_record())
+                })
                 .collect();
             let parsed = crate::fiu::parse_str(&body);
             assert_eq!(parsed, reference, "round {round}");
             let want = parse_and_reconstruct(&body);
             loaded += usize::from(want.is_ok());
             refused += usize::from(want.is_err());
+            out_of_time += usize::from(
+                matches!(&want, Err(PodError::TraceParse { reason, .. }) if reason.contains("time order")),
+            );
             for width in [1, 2, 3] {
                 let cuts = random_cuts(&mut rng, body.len());
                 let got = load_in_blocks(&body, width, &cuts);
@@ -735,8 +760,41 @@ mod tests {
             }
         }
         assert!(
-            loaded > 10 && refused > 10,
-            "{loaded} loaded, {refused} refused"
+            loaded > 10 && refused > 10 && out_of_time > 3,
+            "{loaded} loaded, {refused} refused, {out_of_time} out of time order"
+        );
+    }
+
+    #[test]
+    fn a_step_back_is_named_at_its_line_in_a_piece_at_a_block_or_piece_cut() {
+        // Equal-length rows one µs apart, row 8 (1-based) stepped back.
+        let rows: Vec<String> = (0..12u64)
+            .map(|i| {
+                let ts = if i == 7 { 50 } else { 100 + i };
+                format!("{ts:03} 1 p {i:03} 1 R 8 0 *\n")
+            })
+            .collect();
+        let body = rows.concat();
+        let want = Err(crate::fiu::out_of_order(8, 50, 106));
+        assert_eq!(parse_and_reconstruct(&body), want);
+        let at = |row: usize| rows[..row].concat().len();
+        // Row 8 inside a piece, starting a block, and starting the second
+        // of a block's two pieces (rows 6–8 cut after row 7).
+        for (width, cuts) in [
+            (1, vec![]),
+            (2, vec![at(7) - 1]),
+            (2, vec![at(5) - 1, at(8) - 1]),
+        ] {
+            assert_eq!(
+                load_in_blocks(&body, width, &cuts),
+                want,
+                "width {width}, cuts {cuts:?}"
+            );
+        }
+        assert_eq!(
+            split_at_lines(&rows[5..8].concat(), 2),
+            [rows[5..7].concat(), rows[7].clone()],
+            "the third case cuts its block before row 8"
         );
     }
 

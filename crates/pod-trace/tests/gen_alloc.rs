@@ -2,13 +2,14 @@
 //!
 //! A counting global allocator wraps the system allocator (the same
 //! arrangement as `alloc.rs` beside this file). [`TraceProfile::generate`]
-//! may allocate three kinds of thing: the request vector, one
-//! exactly-sized chunk vector per write request, and a fixed set-up
+//! may allocate three kinds of thing: the request vector, one chunk
+//! slice per write request, and a fixed set-up
 //! (the profile copy, the samplers' tables, the run-history ring) that
 //! does not grow with the trace. Nothing per read, and nothing else per
 //! write: the run history points into the requests already generated
 //! instead of keeping copies of their content. When `generate` returns,
-//! the bytes still held are exactly the trace's.
+//! the bytes still held are exactly the trace's — so every chunk slice
+//! holds one fingerprint per block and no spare capacity.
 //!
 //! The file holds a single test on purpose — the counters are
 //! process-global, and a lone test keeps the measurement window free of
@@ -81,9 +82,6 @@ fn generate(profile: &TraceProfile) -> Generated {
         + trace.name.capacity()
         + blocks as usize * size_of::<Fingerprint>();
     assert_eq!(held() - bytes, kept as u64, "{}: bytes kept", trace.name);
-    for r in &trace.requests {
-        assert_eq!(r.chunks.capacity(), r.chunks.len(), "sized exactly");
-    }
     Generated {
         setup: allocations - 1 - writes,
         trace,

@@ -10,8 +10,9 @@ pub type PodResult<T> = Result<T, PodError>;
 pub enum PodError {
     /// An address was outside the configured device/array capacity.
     OutOfRange {
-        /// What was being addressed (e.g. "lba", "pba", "disk").
-        what: &'static str,
+        /// What was being addressed (e.g. "lba", "pba", "disk"), naming
+        /// the request it belongs to where there is one.
+        what: String,
         /// The offending value.
         value: u64,
         /// The exclusive limit.
@@ -63,7 +64,7 @@ mod tests {
     #[test]
     fn display_messages() {
         let e = PodError::OutOfRange {
-            what: "lba",
+            what: "lba".into(),
             value: 10,
             limit: 5,
         };

@@ -60,13 +60,15 @@ pub struct IoRequest {
     pub nblocks: u32,
     /// Per-chunk content fingerprints, one per block, **writes only**
     /// (empty for reads: replay does not need read content identity).
-    pub chunks: Vec<Fingerprint>,
+    /// A boxed slice, not a `Vec`: a request's chunks never grow, so it
+    /// carries no capacity word.
+    pub chunks: Box<[Fingerprint]>,
 }
 
-// A trace holds one per request, beside its chunk vector: keep it at
-// arrival, op, address, length and the vector.
+// A trace holds one per request, beside its chunk slice: keep it at
+// arrival, op, address, length and the slice.
 #[cfg(target_pointer_width = "64")]
-const _: () = assert!(size_of::<IoRequest>() == 48);
+const _: () = assert!(size_of::<IoRequest>() == 40);
 
 impl IoRequest {
     /// Build a read request.
@@ -77,14 +79,17 @@ impl IoRequest {
             op: IoOp::Read,
             lba,
             nblocks,
-            chunks: Vec::new(),
+            chunks: Box::default(),
         }
     }
 
-    /// Build a write request carrying one fingerprint per block.
+    /// Build a write request carrying one fingerprint per block. The
+    /// vector becomes the request's boxed slice in place when its
+    /// capacity is its length, as every trace producer sizes it; spare
+    /// capacity is given back first.
     ///
     /// # Panics
-    /// Panics (debug) if `chunks.len() != nblocks`.
+    /// Panics (debug) if `chunks` is empty.
     pub fn write(arrival: SimTime, lba: Lba, chunks: Vec<Fingerprint>) -> Self {
         debug_assert!(!chunks.is_empty(), "write covers at least one block");
         let nblocks = chunks.len() as u32;
@@ -93,7 +98,7 @@ impl IoRequest {
             op: IoOp::Write,
             lba,
             nblocks,
-            chunks,
+            chunks: chunks.into_boxed_slice(),
         }
     }
 

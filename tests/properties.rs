@@ -528,8 +528,8 @@ fn store_op() -> impl Strategy<Value = StoreOp> {
 /// overflow region (PBAs 20,480..) straddle several 4,096-block pages.
 fn store_cases() -> [(ChunkStore, u64); 2] {
     [
-        (ChunkStore::new(256, 4_096), 1),
-        (ChunkStore::new(20_480, 8_192), 79),
+        (ChunkStore::new(256, 4_096).expect("a small store"), 1),
+        (ChunkStore::new(20_480, 8_192).expect("a small store"), 79),
     ]
 }
 
