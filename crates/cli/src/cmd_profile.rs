@@ -143,8 +143,8 @@ pub fn run(args: &CliArgs, out: &mut dyn Write) -> CliResult {
 }
 
 /// Render the host wall-clock table. Split from [`run`] so tests can
-/// assert on the exact layout (CI greps the share column and checks it
-/// sums to ~100).
+/// assert on the exact layout (`tests/widths.rs` reads the share column
+/// of the binary's output and checks it sums to ~100).
 pub fn render_table(prof: &HostProfile) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -209,9 +209,9 @@ mod tests {
     #[test]
     fn table_share_column_sums_to_100() {
         let table = render_table(&sample());
-        // CI parses the same layout with awk: phase rows are indented
-        // two spaces and start with a lowercase phase name; field 5 is
-        // the share.
+        // `tests/widths.rs` parses the same layout: phase rows are
+        // indented two spaces and start with a lowercase phase name;
+        // field 5 is the share.
         let sum: f64 = table
             .lines()
             .filter(|l| {

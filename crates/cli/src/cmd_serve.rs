@@ -2,9 +2,10 @@
 //! serving engine and report per-tenant + aggregate results.
 //!
 //! Output discipline: **stdout carries only the deterministic report**
-//! (a pure function of scheme, config and tenant traces), so CI can
-//! `diff` it across `--jobs` and `--shards`. Topology, shard wall-clock
-//! spans and the rate projected along the critical path go to stderr.
+//! (a pure function of scheme, config and tenant traces), so a test can
+//! diff it across `--jobs` and `--shards` (`tests/widths.rs`). Topology,
+//! shard wall-clock spans and the rate projected along the critical path
+//! go to stderr.
 
 use crate::args::CliArgs;
 use crate::cmd_replay::render_verify;
@@ -219,59 +220,4 @@ pub fn render_report(rep: &ServeReport) -> String {
         .expect("write to string");
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pod_core::prelude::*;
-
-    #[test]
-    fn report_text_is_topology_free_and_deterministic() {
-        let tenants =
-            pod_trace::derive_tenants(&pod_trace::TraceProfile::mail().scaled(0.002), 4, 3);
-        let serve = |shards: usize, jobs: usize| {
-            ServeBuilder::new(Scheme::Pod)
-                .config(SystemConfig::test_default())
-                .tenants(&tenants)
-                .shards(shards)
-                .jobs(jobs)
-                .run()
-                .expect("serve")
-        };
-        let text = render_report(&serve(1, 1));
-        assert!(text.contains("== serve: POD / 4 tenants =="), "{text}");
-        assert!(text.contains("mail#3"), "per-tenant rows present");
-        assert!(!text.contains("shard"), "no topology on stdout");
-        // No policy: the QoS section stays off the page entirely.
-        assert!(!text.contains("fleet:"), "{text}");
-        assert!(!text.contains("throttles"), "{text}");
-        // Byte-identical across worker width and shard count.
-        assert_eq!(text, render_report(&serve(2, 2)));
-        assert_eq!(text, render_report(&serve(4, 8)));
-    }
-
-    #[test]
-    fn policy_report_renders_qos_and_stays_topology_free() {
-        let tenants =
-            pod_trace::derive_tenants(&pod_trace::TraceProfile::mail().scaled(0.002), 4, 3);
-        let mut cfg = SystemConfig::test_default();
-        cfg.policy = Some(ServePolicy::parse("tier:2,rate:40,burst:4,quota:1").expect("policy"));
-        let serve = |shards: usize, jobs: usize| {
-            ServeBuilder::new(Scheme::Pod)
-                .config(cfg.clone())
-                .tenants(&tenants)
-                .shards(shards)
-                .jobs(jobs)
-                .run()
-                .expect("serve")
-        };
-        let text = render_report(&serve(1, 1));
-        assert!(text.contains("throttles"), "QoS table present: {text}");
-        assert!(text.contains("fleet:"), "fleet capacity line: {text}");
-        assert!(!text.contains("shard"), "no topology on stdout");
-        // The QoS columns are as topology-free as the base report.
-        assert_eq!(text, render_report(&serve(2, 2)));
-        assert_eq!(text, render_report(&serve(4, 8)));
-    }
 }

@@ -100,18 +100,10 @@ pub(crate) fn pct(part: u64, whole: u64) -> f64 {
     }
 }
 
-/// Eight-level sparkline of `values`, scaled to their maximum. Shared
-/// with the `monitor` dashboard.
+/// [`pod_core::metrics::sparkline`] of counts. Shared with the
+/// `monitor` dashboard.
 pub(crate) fn sparkline(values: &[u64]) -> String {
-    const LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let max = values.iter().copied().max().unwrap_or(0).max(1) as f64;
-    values
-        .iter()
-        .map(|&v| {
-            let lvl = (v as f64 / max * (LEVELS.len() - 1) as f64).round() as usize;
-            LEVELS[lvl.min(LEVELS.len() - 1)]
-        })
-        .collect()
+    pod_core::metrics::sparkline(values.iter().map(|&v| v as f64))
 }
 
 fn render_section(out: &mut String, rec: &TraceRecorder, hists: Option<&LayerHistograms>) {

@@ -3,20 +3,17 @@
 //! stdout, the write end of a pipe whose read end is already closed,
 //! so the first write fails whatever the timing.
 
+mod common;
+
+use common::{arg, pod_cli_ok, scratch};
 use std::process::{Command, Stdio};
 
 #[test]
 fn a_closed_stdout_ends_every_command_quietly() {
-    let dir = std::env::temp_dir().join(format!("pod-closed-stdout-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create the scratch directory");
+    let dir = scratch("closed-stdout");
     let recording = dir.join("recorded.jsonl");
-    let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
-        .args(["replay", "--scale", "0.004", "--trace-out"])
-        .arg(&recording)
-        .output()
-        .expect("spawn pod-cli");
-    assert_eq!(out.status.code(), Some(0), "recording failed");
-    let recording = recording.to_str().expect("a UTF-8 path");
+    let recording = arg(&recording);
+    pod_cli_ok(&["replay", "--scale", "0.004", "--trace-out", recording]);
 
     let runs: [&[&str]; 6] = [
         &["replay", "--scheme", "pod", "--scale", "0.004"],

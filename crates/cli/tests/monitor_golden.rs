@@ -2,25 +2,15 @@
 //! deterministic workload with a [`MonitorSink`] attached (exactly
 //! what `pod-cli monitor --headless` does) and diff the final frame
 //! against a committed fixture. Replays are deterministic and the
-//! frame contains no wall-clock time, so the text is stable.
-//!
-//! Regenerate after an intentional format change with:
-//!
-//! ```text
-//! POD_UPDATE_GOLDEN=1 cargo test -p pod-cli --test monitor_golden
-//! ```
+//! frame contains no wall-clock time, so the text is stable. The
+//! spawned binary's own headless frame draws the same sections.
 
+mod common;
+
+use common::{assert_golden, pod_cli_ok};
 use pod_cli::cmd_monitor::MonitorSink;
 use pod_core::{Scheme, SystemConfig};
 use pod_trace::TraceProfile;
-use std::path::PathBuf;
-
-fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("monitor.txt")
-}
 
 #[test]
 fn headless_frame_matches_the_committed_snapshot() {
@@ -57,36 +47,24 @@ fn headless_frame_matches_the_committed_snapshot() {
         "last frame carries the final snapshot:\n{frame}"
     );
 
-    let path = fixture_path();
-    if std::env::var_os("POD_UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().expect("parent")).expect("create fixture dir");
-        std::fs::write(&path, &frame).expect("write fixture");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); regenerate with \
-             POD_UPDATE_GOLDEN=1 cargo test -p pod-cli --test monitor_golden",
-            path.display()
-        )
-    });
-    if frame != expected {
-        let mismatch = frame
-            .lines()
-            .zip(expected.lines())
-            .enumerate()
-            .find(|(_, (a, b))| a != b);
-        match mismatch {
-            Some((i, (got, want))) => panic!(
-                "monitor frame diverged from the snapshot at line {}:\n  expected: {want}\n  got:      {got}",
-                i + 1
-            ),
-            None => panic!(
-                "monitor frame diverged from the snapshot: lengths differ \
-                 (expected {} bytes, got {} bytes)",
-                expected.len(),
-                frame.len()
-            ),
-        }
+    assert_golden("monitor.txt", &frame);
+}
+
+/// The binary's headless dashboard at its own defaults draws the
+/// partition split and the index heat.
+#[test]
+fn headless_monitor_draws_its_sections() {
+    let monitor = [
+        "monitor",
+        "--scheme",
+        "pod",
+        "--profile",
+        "mail",
+        "--scale",
+        "0.01",
+    ];
+    let stdout = pod_cli_ok(&[&monitor[..], &["--headless"]].concat());
+    for needle in ["partition split", "index heat"] {
+        assert!(stdout.contains(needle), "missing {needle:?}:\n{stdout}");
     }
 }

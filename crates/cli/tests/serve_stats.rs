@@ -1,7 +1,12 @@
 //! Round trip: `serve --trace-out`-style tenant-tagged JSONL through
 //! the trace reader and the `stats` renderer, plus the untagged path
-//! staying unchanged.
+//! staying unchanged. Through the spawned binary: `serve --verify`'s
+//! verdict, and what `replay` and `serve` record read back by `stats`
+//! and `figures`.
 
+mod common;
+
+use common::{arg, pod_cli, pod_cli_ok, scratch};
 use pod_cli::cmd_stats;
 use pod_core::obs::TraceRecorder;
 use pod_core::prelude::*;
@@ -68,53 +73,91 @@ fn untagged_trace_parses_and_renders_as_before() {
     assert!(rendered.contains("== POD / mail (256 requests/epoch"));
 }
 
-fn pod_cli(argv: &[&str]) -> std::process::Output {
-    std::process::Command::new(env!("CARGO_BIN_EXE_pod-cli"))
-        .args(argv)
-        .output()
-        .expect("spawn pod-cli")
-}
-
 /// `serve --verify` used to be accepted and ignored: no oracle ran, a
 /// corrupted fleet exited 0. Every other command swallowed the flag the
 /// same way.
 #[test]
 fn serve_verify_runs_the_oracle_and_other_commands_reject_the_flag() {
-    const SERVE: [&str; 7] = [
-        "serve",
-        "--tenants",
-        "2",
-        "--shards",
-        "2",
-        "--scale",
-        "0.004",
-    ];
+    for (tenants, scale) in [(2, "0.004"), (4, "0.01")] {
+        let n = tenants.to_string();
+        let serve = ["serve", "--tenants", &n, "--shards", "2", "--scale", scale];
 
-    let out = pod_cli(&[&SERVE[..], &["--verify"]].concat());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "clean fleet: {:?}", out.status);
-    assert_eq!(
-        stdout.matches("integrity oracle: PASS").count(),
-        2,
-        "one PASS block per tenant:\n{stdout}"
-    );
-    assert!(stdout.contains("\ntenant 1\n"), "{stdout}");
+        let out = pod_cli([&serve[..], &["--verify"]].concat());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "clean fleet: {:?}", out.status);
+        assert_eq!(
+            stdout.matches("integrity oracle: PASS").count(),
+            tenants,
+            "one PASS block per tenant:\n{stdout}"
+        );
+        assert!(stdout.contains("\ntenant 1\n"), "{stdout}");
 
-    let out = pod_cli(&[&SERVE[..], &["--faults", "corrupt:100", "--verify"]].concat());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "corrupted fleet: {stderr}");
-    let error = stderr
-        .lines()
-        .find(|l| l.starts_with("error:"))
-        .expect("an error line");
-    assert!(
-        error.starts_with("error: integrity verification failed: tenant 0"),
-        "{error}"
-    );
-    assert!(error.contains("lba 100"), "{error}");
+        let out = pod_cli([&serve[..], &["--faults", "corrupt:100", "--verify"]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "corrupted fleet: {stderr}");
+        let error = stderr
+            .lines()
+            .find(|l| l.starts_with("error:"))
+            .expect("an error line");
+        assert!(
+            error.starts_with("error: integrity verification failed: tenant 0"),
+            "{error}"
+        );
+        assert!(error.contains("lba 100"), "{error}");
+    }
 
-    let out = pod_cli(&["monitor", "--headless", "--scale", "0.004", "--verify"]);
+    let out = pod_cli(["monitor", "--headless", "--scale", "0.004", "--verify"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.starts_with("error: --verify applies to"), "{stderr}");
+}
+
+/// What the binary records reads back: a replay's JSONL through `stats`
+/// and `figures`, whose three CSVs keep their exact headers and carry
+/// data rows, and a tenant-tagged serve recording carrying the QoS keys
+/// through the same reader in both commands.
+#[test]
+fn recordings_read_back_through_stats_and_figures() {
+    let dir = scratch("read-back");
+    let path = |name: &str| arg(&dir.join(name)).to_string();
+    let (replay, serve) = (path("replay.jsonl"), path("serve.jsonl"));
+    let mail = ["--profile", "mail", "--scale", "0.01", "--trace-out"];
+    pod_cli_ok(&[&["replay", "--scheme", "pod"][..], &mail, &[&replay]].concat());
+    pod_cli_ok(&["stats", "--in", &replay]);
+    pod_cli_ok(
+        &[
+            &["serve", "--tenants", "4", "--shards", "2", "--jobs", "2"][..],
+            &["--policy", "tier:2,rate:40,burst:4,quota:1"],
+            &mail,
+            &[&serve],
+        ]
+        .concat(),
+    );
+    pod_cli_ok(&["stats", "--in", &serve]);
+    pod_cli_ok(&["figures", "--in", &serve, "--out", &path("serve-figures")]);
+
+    let figures = path("figures");
+    pod_cli_ok(&["figures", "--in", &replay, "--out", &figures]);
+    for (csv, header) in [
+        (
+            "dedup_ratio",
+            "scheme,trace,epoch,requests,deduped_blocks,written_blocks,dedup_ratio_pct",
+        ),
+        (
+            "partition_split",
+            "scheme,trace,epoch,index_bytes,read_bytes,index_per_mille,repartitions,\
+             ghost_index_hits,ghost_read_hits,benefit_index_us,benefit_read_us",
+        ),
+        (
+            "write_traffic_saved",
+            "scheme,trace,epoch,writes,cat1,cat2,cat3,unique,deduped_blocks,written_blocks,\
+             saved_pct",
+        ),
+    ] {
+        let body = std::fs::read_to_string(dir.join("figures").join(format!("{csv}.csv")))
+            .unwrap_or_else(|e| panic!("{csv}.csv missing: {e}"));
+        assert!(body.lines().count() >= 2, "{csv}.csv has no data rows");
+        assert_eq!(body.lines().next(), Some(header), "{csv}.csv header");
+    }
+    std::fs::remove_dir_all(&dir).expect("remove the scratch directory");
 }

@@ -8,6 +8,9 @@
 //! allocated as regions are first written; flat per-block tables over
 //! this array would need about 5 GB and fail the allocation.
 
+mod common;
+
+use common::scratch;
 use std::process::Command;
 
 const SHA: &str = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad";
@@ -18,8 +21,7 @@ const ADDRESS_SPACE_KIB: u64 = 1 << 20;
 
 #[test]
 fn a_sparse_trace_replays_in_under_1_gib_of_address_space() {
-    let dir = std::env::temp_dir().join(format!("pod-sparse-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create the scratch directory");
+    let dir = scratch("sparse");
     let trace = dir.join("sparse.fiu");
     let rows = [
         format!("1000 1 p 0 1 W 8 0 {SHA}"),

@@ -1,26 +1,17 @@
 //! Golden snapshot of the `pod-cli stats` rendering: replay a small
 //! deterministic workload with the trace recorder attached (exactly
 //! what `pod-cli replay --trace-out` does), render the JSONL through
-//! the `stats` formatter, and diff against a committed fixture.
-//!
-//! Regenerate after an intentional format change with:
-//!
-//! ```text
-//! POD_UPDATE_GOLDEN=1 cargo test -p pod-cli --test stats_golden
-//! ```
+//! the `stats` formatter, and diff against a committed fixture. Through
+//! the spawned binary, `replay` and `stats` print one write
+//! classification under every scheme.
 
+mod common;
+
+use common::{arg, assert_golden, pod_cli_ok, scratch, SCHEMES};
 use pod_cli::cmd_stats;
 use pod_core::obs::{LayerHistograms, TraceRecorder};
 use pod_core::{Scheme, SystemConfig};
 use pod_trace::TraceProfile;
-use std::path::PathBuf;
-
-fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("stats.txt")
-}
 
 /// The JSONL a `pod-cli compare --trace-out` of two schemes writes.
 fn replay_jsonl() -> String {
@@ -56,36 +47,41 @@ fn stats_rendering_matches_the_committed_snapshot() {
     assert!(rendered.contains("== POD / mail"), "POD section present");
     assert!(rendered.contains("layer time:"), "layer shares present");
 
-    let path = fixture_path();
-    if std::env::var_os("POD_UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().expect("parent")).expect("create fixture dir");
-        std::fs::write(&path, &rendered).expect("write fixture");
-        return;
+    assert_golden("stats.txt", &rendered);
+}
+
+/// `replay` prints the report's whole-replay row, `stats` the
+/// recorder's totals: one fold of one event stream, so under every
+/// scheme the Cat-1/2/3/unique counts are the same four numbers.
+#[test]
+fn replay_and_stats_print_one_write_classification() {
+    let dir = scratch("one-fold");
+    for scheme in SCHEMES {
+        let jsonl = dir.join(format!("{scheme}.jsonl"));
+        let mail = [
+            "--profile",
+            "mail",
+            "--scale",
+            "0.02",
+            "--trace-out",
+            arg(&jsonl),
+        ];
+        let report = pod_cli_ok(&[&["replay", "--scheme", scheme][..], &mail].concat());
+        // `  Cat-1 <kind> <count> <share>`: the next-to-last field of
+        // the last such row.
+        let rendered = pod_cli_ok(&["stats", "--in", arg(&jsonl)]);
+        let [a, b, c, d] = ["Cat-1", "Cat-2", "Cat-3", "unique"].map(|label| {
+            let row = rendered
+                .lines()
+                .rfind(|l| l.starts_with(&format!("  {label} ")));
+            let fields: Vec<&str> = row.expect("a row per class").split_whitespace().collect();
+            fields[fields.len() - 2]
+        });
+        let row = format!("write classification: {a} Cat-1, {b} Cat-2, {c} Cat-3, {d} unique");
+        assert!(
+            report.lines().any(|l| l == row),
+            "{scheme}: replay and stats disagree: {row}"
+        );
     }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); regenerate with \
-             POD_UPDATE_GOLDEN=1 cargo test -p pod-cli --test stats_golden",
-            path.display()
-        )
-    });
-    if rendered != expected {
-        let mismatch = rendered
-            .lines()
-            .zip(expected.lines())
-            .enumerate()
-            .find(|(_, (a, b))| a != b);
-        match mismatch {
-            Some((i, (got, want))) => panic!(
-                "stats rendering diverged from the snapshot at line {}:\n  expected: {want}\n  got:      {got}",
-                i + 1
-            ),
-            None => panic!(
-                "stats rendering diverged from the snapshot: lengths differ \
-                 (expected {} bytes, got {} bytes)",
-                expected.len(),
-                rendered.len()
-            ),
-        }
-    }
+    std::fs::remove_dir_all(&dir).expect("remove the scratch directory");
 }

@@ -2,8 +2,11 @@
 //! hostile flag values and mutated recorded JSONL all end in exit 0 or
 //! an `error:` line — never a panic, an abort or a signal.
 
+mod common;
+
+use common::{arg, pod_cli, pod_cli_ok, scratch};
 use pod_types::rng::SplitMix64;
-use std::process::{Command, Output};
+use std::process::Output;
 
 const SHA: &str = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad";
 
@@ -23,11 +26,7 @@ fn crafted_fiu_lines_are_parse_errors_not_aborts() {
         // The bad line is the third of the file.
         std::fs::write(&path, format!("# crafted\n0 1 p 0 1 W 8 0 {SHA}\n{line}\n"))
             .expect("write the crafted file");
-        let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
-            .args(["replay", "--scheme", "pod", "--trace"])
-            .arg(&path)
-            .output()
-            .expect("spawn pod-cli");
+        let out = pod_cli(["replay", "--scheme", "pod", "--trace", arg(&path)]);
         std::fs::remove_file(&path).expect("remove the crafted file");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
@@ -58,11 +57,7 @@ fn lbas_past_the_layout_bound_are_refused_not_aborts() {
             std::env::temp_dir().join(format!("pod-huge-lba-{i}-{}.fiu", std::process::id()));
         std::fs::write(&path, format!("{row}\n")).expect("write the trace file");
         for cmd in ["replay", "serve", "compare", "profile", "doctor"] {
-            let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
-                .args([cmd, "--jobs", "1", "--trace"])
-                .arg(&path)
-                .output()
-                .expect("spawn pod-cli");
+            let out = pod_cli([cmd, "--jobs", "1", "--trace", arg(&path)]);
             let stderr = String::from_utf8_lossy(&out.stderr);
             let what = format!("{cmd} on '{row}'");
             assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
@@ -94,11 +89,7 @@ fn analyze_refuses_a_backwards_timestamp_naming_its_line() {
         .map(|(i, ts)| format!("{ts} 1 p {} 1 W 8 0 {SHA}\n", 8 * i))
         .collect();
     std::fs::write(&path, body).expect("write the trace file");
-    let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
-        .args(["analyze", "--trace"])
-        .arg(&path)
-        .output()
-        .expect("spawn pod-cli");
+    let out = pod_cli(["analyze", "--trace", arg(&path)]);
     std::fs::remove_file(&path).expect("remove the trace file");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
@@ -221,11 +212,7 @@ fn hostile_flag_values_never_panic() {
             1 => format!("{base}{}", pick(&mut rng, &SUFFIXES)),
             _ => replace_number(base, rng.next_u64(), pick(&mut rng, &HOSTILE)),
         };
-        let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
-            .args(cmd)
-            .args([flag, &value])
-            .output()
-            .expect("spawn pod-cli");
+        let out = pod_cli([cmd, &[flag, &value]].concat());
         assert_clean_exit(&out, &format!("case {case}: {flag} '{value}'"));
     }
 
@@ -246,11 +233,7 @@ fn hostile_flag_values_never_panic() {
             0 => pick(&mut rng, &HOSTILE).to_string(),
             _ => format!("{base}{}", pick(&mut rng, &SUFFIXES)),
         };
-        let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
-            .args(cmd)
-            .args([flag, &value])
-            .output()
-            .expect("spawn pod-cli");
+        let out = pod_cli([cmd, &[flag, &value]].concat());
         assert_clean_exit(&out, &format!("{} case {case}: {flag} '{value}'", cmd[0]));
     }
 
@@ -282,11 +265,7 @@ fn hostile_flag_values_never_panic() {
             (false, 0) => pick(&mut rng, &HOSTILE).to_string(),
             (false, _) => format!("{base}{}", pick(&mut rng, &SUFFIXES)),
         };
-        let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
-            .args(cmd)
-            .args(["--jobs", jobs, flag, &value])
-            .output()
-            .expect("spawn pod-cli");
+        let out = pod_cli([cmd, &["--jobs", jobs, flag, &value]].concat());
         let what = format!("{} --jobs {jobs} case {case}: {flag} '{value}'", cmd[0]);
         assert_clean_exit(&out, &what);
     }
@@ -301,14 +280,17 @@ fn hostile_flag_values_never_panic() {
 /// the error naming the first such line.
 #[test]
 fn semantic_fiu_mutants_never_panic() {
-    let dir = std::env::temp_dir().join(format!("pod-fiu-mutants-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create the scratch directory");
+    let dir = scratch("fiu-mutants");
     let base = dir.join("base.fiu");
-    let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
-        .args(["gen", "--profile", "mail", "--scale", "0.002", "--out"])
-        .arg(&base)
-        .output()
-        .expect("spawn pod-cli");
+    let out = pod_cli([
+        "gen",
+        "--profile",
+        "mail",
+        "--scale",
+        "0.002",
+        "--out",
+        arg(&base),
+    ]);
     assert_eq!(out.status.code(), Some(0), "generating the base trace");
     let body = std::fs::read_to_string(&base).expect("read the base trace");
     let rows: Vec<Vec<String>> = body
@@ -361,12 +343,7 @@ fn semantic_fiu_mutants_never_panic() {
             &["compare", "--jobs", "1"],
             &["monitor", "--headless", "--jobs", "1"],
         ] {
-            let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
-                .args(cmd)
-                .arg("--trace")
-                .arg(&mutant)
-                .output()
-                .expect("spawn pod-cli");
+            let out = pod_cli([cmd, &["--trace", arg(&mutant)]].concat());
             let what = format!("case {case}: {}", cmd[0]);
             assert_clean_exit(&out, &what);
             if let Some(line) = step_back {
@@ -397,7 +374,7 @@ const HOSTILE_JSON: [&str; 5] = [
 /// the JSON reader's stack (SIGABRT).
 #[test]
 fn mutated_recordings_never_panic() {
-    let (dir, body) = record("pod-fuzz-jsonl");
+    let (dir, body) = record("fuzz-jsonl");
     let lines: Vec<&str> = body.lines().collect();
     assert!(lines.len() > 4, "recording too short to mutate");
 
@@ -447,29 +424,17 @@ fn mutated_recordings_never_panic() {
 /// Record `replay --scheme pod --profile mail --scale 0.01` into a new
 /// scratch directory; returns the directory and the recording.
 fn record(name: &str) -> (std::path::PathBuf, String) {
-    let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create the scratch directory");
+    let dir = scratch(name);
     let recorded = dir.join("recorded.jsonl");
-    let out = Command::new(env!("CARGO_BIN_EXE_pod-cli"))
-        .args(["replay", "--scheme", "pod", "--profile", "mail"])
-        .args(["--scale", "0.01", "--trace-out"])
-        .arg(&recorded)
-        .output()
-        .expect("spawn pod-cli");
-    assert_eq!(out.status.code(), Some(0), "recording failed");
+    let mail = ["--profile", "mail", "--scale", "0.01", "--trace-out"];
+    pod_cli_ok(&[&["replay", "--scheme", "pod"][..], &mail, &[arg(&recorded)]].concat());
     let body = std::fs::read_to_string(&recorded).expect("read the recording");
     (dir, body)
 }
 
 /// Run `stats` or `figures` on a recorded file.
 fn read_back(cmd: &str, recording: &std::path::Path, dir: &std::path::Path) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_pod-cli"))
-        .args([cmd, "--in"])
-        .arg(recording)
-        .arg("--out")
-        .arg(dir.join("figs"))
-        .output()
-        .expect("spawn pod-cli")
+    pod_cli([cmd, "--in", arg(recording), "--out", arg(&dir.join("figs"))])
 }
 
 /// A recording whose first epoch row lost its `"writes"` key: `stats`
@@ -477,7 +442,7 @@ fn read_back(cmd: &str, recording: &std::path::Path, dir: &std::path::Path) -> O
 /// exited 1. Both now refuse it, with the same error.
 #[test]
 fn a_renamed_key_fails_stats_and_figures_alike() {
-    let (dir, body) = record("pod-renamed-key");
+    let (dir, body) = record("renamed-key");
     let mut lines: Vec<&str> = body.lines().collect();
     assert!(lines[1].starts_with(r#"{"type":"epoch","epoch":0,"#));
     let renamed = lines[1].replacen(r#""writes":"#, r#""renamed":"#, 1);

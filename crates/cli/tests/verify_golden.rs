@@ -1,25 +1,16 @@
 //! Golden snapshot of the `pod-cli replay --verify` oracle rendering:
 //! one clean replay (PASS, empty diff) and one with an injected
 //! corruption (`--faults corrupt:<lba>`) that must FAIL with the
-//! divergent LBA pinpointed.
-//!
-//! Regenerate after an intentional format change with:
-//!
-//! ```text
-//! POD_UPDATE_GOLDEN=1 cargo test -p pod-cli --test verify_golden
-//! ```
+//! divergent LBA pinpointed. Through the spawned binary, the verdict is
+//! the exit status: recovered faults pass, corruption fails naming the
+//! LBA, every scheme verifies clean, and `doctor` passes.
 
+mod common;
+
+use common::{assert_golden, pod_cli, pod_cli_ok, SCHEMES};
 use pod_cli::cmd_replay::render_verify;
 use pod_core::{FaultPlan, Scheme, SystemConfig};
 use pod_trace::TraceProfile;
-use std::path::PathBuf;
-
-fn fixture_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join(name)
-}
 
 fn render(faults: Option<FaultPlan>) -> String {
     let trace = TraceProfile::mail().scaled(0.004).generate(17);
@@ -35,41 +26,6 @@ fn render(faults: Option<FaultPlan>) -> String {
     render_verify(rep.integrity.as_ref().expect("oracle attached"))
 }
 
-fn check_against(fixture: &str, rendered: &str) {
-    let path = fixture_path(fixture);
-    if std::env::var_os("POD_UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().expect("parent")).expect("create fixture dir");
-        std::fs::write(&path, rendered).expect("write fixture");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); regenerate with \
-             POD_UPDATE_GOLDEN=1 cargo test -p pod-cli --test verify_golden",
-            path.display()
-        )
-    });
-    if rendered != expected {
-        let mismatch = rendered
-            .lines()
-            .zip(expected.lines())
-            .enumerate()
-            .find(|(_, (a, b))| a != b);
-        match mismatch {
-            Some((i, (got, want))) => panic!(
-                "verify rendering diverged from {fixture} at line {}:\n  expected: {want}\n  got:      {got}",
-                i + 1
-            ),
-            None => panic!(
-                "verify rendering diverged from {fixture}: lengths differ \
-                 (expected {} bytes, got {} bytes)",
-                expected.len(),
-                rendered.len()
-            ),
-        }
-    }
-}
-
 #[test]
 fn clean_replay_verify_matches_the_pass_snapshot() {
     let rendered = render(None);
@@ -78,7 +34,7 @@ fn clean_replay_verify_matches_the_pass_snapshot() {
         "clean replay passes:\n{rendered}"
     );
     assert!(rendered.contains("divergent        0"), "{rendered}");
-    check_against("verify_pass.txt", &rendered);
+    assert_golden("verify_pass.txt", &rendered);
 }
 
 #[test]
@@ -92,5 +48,47 @@ fn corrupted_replay_verify_matches_the_fail_snapshot() {
         rendered.contains("lba 100"),
         "the corrupted LBA is pinpointed:\n{rendered}"
     );
-    check_against("verify_fail.txt", &rendered);
+    assert_golden("verify_fail.txt", &rendered);
+}
+
+/// Through the binary: a faulty-but-recovered replay passes
+/// verification, and silent corruption fails the process with the LBA
+/// named.
+#[test]
+fn replay_verify_passes_recovered_faults_and_fails_corruption_naming_the_lba() {
+    let mail = [
+        "replay",
+        "--scheme",
+        "pod",
+        "--profile",
+        "mail",
+        "--scale",
+        "0.004",
+    ];
+    pod_cli_ok(&[&mail[..], &["--faults", "all:7", "--verify"]].concat());
+    let out = pod_cli([&mail[..], &["--faults", "corrupt:100", "--verify"]].concat());
+    assert!(
+        !out.status.success(),
+        "corrupt replay unexpectedly passed verification"
+    );
+    let all = [out.stdout, out.stderr].concat();
+    let all = String::from_utf8_lossy(&all);
+    assert!(all.contains("lba 100"), "{all}");
+}
+
+/// Every scheme verifies clean on a 16 k-request mail trace.
+#[test]
+fn every_scheme_verifies_clean_through_the_binary() {
+    for scheme in SCHEMES {
+        let mail = ["--profile", "mail", "--scale", "0.05", "--verify"];
+        let stdout = pod_cli_ok(&[&["replay", "--scheme", scheme][..], &mail].concat());
+        assert!(stdout.contains("divergent        0"), "{scheme}: {stdout}");
+    }
+}
+
+/// `doctor` runs every scheme under the oracle and the invariant checks;
+/// it exits 1 on any `FAIL` line.
+#[test]
+fn doctor_passes_on_homes() {
+    pod_cli_ok(&["doctor", "--profile", "homes", "--scale", "0.01"]);
 }

@@ -238,16 +238,26 @@ impl Timeline {
 
     /// Compact sparkline of the per-window means.
     pub fn sparkline(&self) -> String {
-        const LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-        let peak = self.peak_us().max(1e-9);
-        self.points
-            .iter()
-            .map(|&(_, m, _)| {
-                let lvl = ((m / peak) * (LEVELS.len() - 1) as f64).round() as usize;
-                LEVELS[lvl.min(LEVELS.len() - 1)]
-            })
-            .collect()
+        sparkline(self.points.iter().map(|&(_, m, _)| m))
     }
+}
+
+/// Eight-level sparkline of `values`, scaled to their maximum (an
+/// all-zero series draws the bottom level throughout).
+pub fn sparkline<I>(values: I) -> String
+where
+    I: IntoIterator<Item = f64>,
+    I::IntoIter: Clone,
+{
+    const LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
+    let values = values.into_iter();
+    let peak = values.clone().fold(0.0, f64::max).max(1e-9);
+    values
+        .map(|v| {
+            let lvl = ((v / peak) * (LEVELS.len() - 1) as f64).round() as usize;
+            LEVELS[lvl.min(LEVELS.len() - 1)]
+        })
+        .collect()
 }
 
 /// A [`Timeline`] filled in one pass over `(arrival, response)`

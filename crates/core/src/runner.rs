@@ -27,7 +27,7 @@ use crate::stack::{StackSpec, StorageStack};
 use pod_dedup::engine::EngineCounters;
 use pod_disk::engine::DiskStats;
 use pod_trace::Trace;
-use pod_types::{PodError, PodResult, SimDuration};
+use pod_types::{PodError, PodResult, SimDuration, SimTime};
 use std::any::Any;
 
 /// Result of replaying one trace through one scheme.
@@ -134,17 +134,31 @@ impl ReplaySizing {
     /// most 2^18 blocks) stays below 2^64 blocks.
     pub const MAX_END_LBA: u64 = 1 << 63;
 
-    /// The sizing for `trace`, or [`PodError::OutOfRange`] when the
-    /// trace ends at or past [`Self::MAX_END_LBA`]. A trace file may name
-    /// any LBA, so a replay sizes its trace this way.
+    /// The sizing for `trace`; [`PodError::OutOfOrder`] naming the
+    /// first request that arrives before the one ahead of it, or
+    /// [`PodError::OutOfRange`] when the trace ends at or past
+    /// [`Self::MAX_END_LBA`]. A trace file may name any LBA, and a trace
+    /// built in memory may hold any arrivals, so a replay sizes its
+    /// trace this way.
     pub fn try_from_trace(trace: &Trace) -> PodResult<Self> {
-        let logical_blocks = trace
-            .requests
-            .iter()
-            .map(|r| r.end_lba().raw())
-            .max()
-            .unwrap_or(0)
-            .max(1_024);
+        let (mut previous, mut max_end) = (SimTime::ZERO, 0);
+        let (mut written_blocks, mut max_request_blocks) = (0u64, 0usize);
+        for (position, r) in trace.requests.iter().enumerate() {
+            if r.arrival < previous {
+                return Err(PodError::OutOfOrder {
+                    position,
+                    arrival_us: r.arrival.as_micros(),
+                    previous_us: previous.as_micros(),
+                });
+            }
+            previous = r.arrival;
+            max_end = max_end.max(r.end_lba().raw());
+            max_request_blocks = max_request_blocks.max(r.nblocks as usize);
+            if r.op.is_write() {
+                written_blocks += u64::from(r.nblocks);
+            }
+        }
+        let logical_blocks = max_end.max(1_024);
         if logical_blocks >= Self::MAX_END_LBA {
             return Err(PodError::OutOfRange {
                 what: "trace end lba".into(),
@@ -156,18 +170,6 @@ impl ReplaySizing {
         let region = region_blocks(logical_blocks);
         let index_region_base = logical_blocks + overflow_blocks;
         let swap_region_base = index_region_base + region;
-        let written_blocks: u64 = trace
-            .requests
-            .iter()
-            .filter(|r| r.op.is_write())
-            .map(|r| r.nblocks as u64)
-            .sum();
-        let max_request_blocks = trace
-            .requests
-            .iter()
-            .map(|r| r.nblocks as usize)
-            .max()
-            .unwrap_or(0);
         Ok(Self {
             logical_blocks,
             overflow_blocks,
@@ -183,14 +185,15 @@ impl ReplaySizing {
         })
     }
 
-    /// [`Self::try_from_trace`] of a trace known to end below
-    /// [`Self::MAX_END_LBA`], as every generated trace does.
+    /// [`Self::try_from_trace`] of a trace known to be in time order and
+    /// to end below [`Self::MAX_END_LBA`], as every generated trace is.
     ///
     /// # Panics
     ///
-    /// When the trace ends at or past [`Self::MAX_END_LBA`].
+    /// When a request arrives before the one ahead of it, or the trace
+    /// ends at or past [`Self::MAX_END_LBA`].
     pub fn from_trace(trace: &Trace) -> Self {
-        Self::try_from_trace(trace).expect("the trace ends below MAX_END_LBA")
+        Self::try_from_trace(trace).expect("a trace in time order, ending below MAX_END_LBA")
     }
 }
 
@@ -870,6 +873,27 @@ mod tests {
     }
 
     #[test]
+    fn sizing_refuses_a_request_arriving_before_the_one_ahead() {
+        let rows = [
+            (3, true, 0),
+            (5, true, 0),
+            (5, false, 0),
+            (4, true, 0),
+            (2, true, 0),
+        ];
+        // Equal arrivals are in order.
+        ReplaySizing::try_from_trace(&synthetic(&rows[..3])).expect("in time order");
+        assert_eq!(
+            ReplaySizing::try_from_trace(&synthetic(&rows)),
+            Err(PodError::OutOfOrder {
+                position: 3,
+                arrival_us: 4,
+                previous_us: 5,
+            })
+        );
+    }
+
+    #[test]
     fn builder_requires_a_trace() {
         let err = Scheme::Pod
             .builder()
@@ -1214,16 +1238,11 @@ mod tests {
     }
 
     /// Throttled tenant requests are processed at shifted arrivals, yet
-    /// the timeline windows their trace arrivals, as it always did. The
-    /// trace is also out of order in its measured part.
+    /// the timeline windows their trace arrivals, as it always did.
     #[test]
     fn one_pass_report_matches_the_reference_under_throttling() {
-        let mut trace = tiny_trace("mail");
+        let trace = tiny_trace("mail");
         let n = trace.len();
-        let (a, b) = (n / 2, n - 3);
-        let (early, late) = (trace.requests[a].arrival, trace.requests[b].arrival);
-        trace.requests[a].arrival = late;
-        trace.requests[b].arrival = early;
         let mut cfg = SystemConfig::test_default();
         cfg.warmup_fraction = 0.25;
         let spec = Scheme::Pod.stack_spec();

@@ -153,16 +153,7 @@ impl ServeAggregate {
         self.overall.merge(&rep.overall);
         self.reads.merge(&rep.reads);
         self.writes.merge(&rep.writes);
-        let c = &rep.counters;
-        self.counters.write_requests += c.write_requests;
-        self.counters.removed_requests += c.removed_requests;
-        self.counters.small_write_requests += c.small_write_requests;
-        self.counters.removed_small_requests += c.removed_small_requests;
-        self.counters.large_write_requests += c.large_write_requests;
-        self.counters.removed_large_requests += c.removed_large_requests;
-        self.counters.deduped_blocks += c.deduped_blocks;
-        self.counters.written_blocks += c.written_blocks;
-        self.counters.disk_index_lookups += c.disk_index_lookups;
+        self.counters.add(&rep.counters);
         self.stack.absorb(&rep.stack);
         self.capacity_used_blocks += rep.capacity_used_blocks;
         self.nvram_peak_bytes += rep.nvram_peak_bytes;

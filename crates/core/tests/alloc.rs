@@ -46,9 +46,9 @@
 //! process-global, and a lone test keeps the measurement window free of
 //! harness or sibling-test traffic.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+use counting_alloc::{allocations, CountingAlloc};
 
 use pod_core::obs::{LayerHistograms, ObserverChain, TraceRecorder};
 use pod_core::stack::disk_on_own_thread;
@@ -59,30 +59,10 @@ use pod_core::{
 use pod_trace::Trace;
 use pod_types::{Fingerprint, IoRequest, Lba, SimTime};
 
-/// Counts every allocation and reallocation made through the global
-/// allocator. Deallocations are deliberately not counted: freeing is
-/// also forbidden on the hot path, but a free without a matching alloc
-/// cannot happen, so counting acquisitions covers both directions.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
+/// Counts every allocation and reallocation. Deallocations are not
+/// counted: freeing is also forbidden on the hot path, but a free
+/// without a matching alloc cannot happen, so counting acquisitions
+/// covers both directions.
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
@@ -169,9 +149,9 @@ fn run_set(
 fn fewest_allocations_in_8_windows(mut window: impl FnMut()) -> u64 {
     let mut best = u64::MAX;
     for _ in 0..8 {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         window();
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let after = allocations();
         best = best.min(after - before);
         if best == 0 {
             break;
@@ -401,7 +381,7 @@ struct CountAtDone;
 impl StackObserver for CountAtDone {
     fn on_event(&mut self, ev: &StackEvent) {
         if let StackEvent::RequestDone { .. } = ev {
-            let count = ALLOCATIONS.load(Ordering::Relaxed);
+            let count = allocations();
             DONE_AT.lock().expect("probe lock").push(count);
         }
     }

@@ -22,45 +22,11 @@
 //! process-global, and a lone test keeps the measurement window free of
 //! harness or sibling-test traffic.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use counting_alloc::{live_bytes, peak_bytes, reset_peak, CountingAlloc};
 use pod_core::{Scheme, SystemConfig};
 use pod_trace::TraceProfile;
 
 /// Tracks live heap bytes and their peak.
-struct CountingAlloc;
-
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
-
-fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-fn shrink(bytes: usize) {
-    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        shrink(layout.size());
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        grow(new_size);
-        shrink(layout.size());
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
@@ -71,8 +37,8 @@ const BOUND_BYTES_PER_REQUEST: u64 = 144;
 #[test]
 fn replay_peak_heap_per_request_stays_packed() {
     pod_core::pool::set_default_width(1);
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
+    let base = live_bytes();
+    reset_peak();
     let trace = TraceProfile::web_vm().scaled(0.1).generate(42);
     let requests = trace.requests.len() as u64;
     let written_blocks: u64 = trace
@@ -89,7 +55,7 @@ fn replay_peak_heap_per_request_stays_packed() {
         .expect("replay");
     assert!(report.overall.count() > 1_000, "a measured window");
     let fingerprints = 16 * written_blocks;
-    let peak = PEAK.load(Ordering::Relaxed) - base - fingerprints;
+    let peak = peak_bytes() - base - fingerprints;
     let per_request = peak as f64 / requests as f64;
     eprintln!(
         "{requests} requests, {written_blocks} written blocks: peak {peak} B above the \

@@ -15,45 +15,11 @@
 //! process-global, and a lone test keeps the measurement window free of
 //! harness or sibling-test traffic.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use counting_alloc::{live_bytes, peak_bytes, reset_peak, CountingAlloc};
 use pod_core::{Scheme, ServeBuilder, SystemConfig};
 use pod_trace::{tenant_trace, TraceProfile};
 
 /// Tracks live heap bytes and their peak.
-struct CountingAlloc;
-
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
-
-fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-fn shrink(bytes: usize) {
-    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        shrink(layout.size());
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        grow(new_size);
-        shrink(layout.size());
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
@@ -61,8 +27,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// tenants are served on two shards and two workers, the report kept.
 fn serve_peak(tenants: usize) -> u64 {
     let profile = TraceProfile::mail().scaled(0.005);
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
+    let base = live_bytes();
+    reset_peak();
     let report = ServeBuilder::new(Scheme::Pod)
         .config(SystemConfig::test_default())
         .tenants_with(tenants, |i| tenant_trace(&profile, 42, i))
@@ -71,7 +37,7 @@ fn serve_peak(tenants: usize) -> u64 {
         .run()
         .expect("serve");
     assert_eq!(report.tenants.len(), tenants);
-    PEAK.load(Ordering::Relaxed) - base
+    peak_bytes() - base
 }
 
 #[test]

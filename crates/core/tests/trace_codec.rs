@@ -66,9 +66,10 @@ fn every_scheme_round_trips_profiled_and_faulted() {
     }
 }
 
-/// A tenant-tagged serve under the CI policy (its rate limit throttles,
-/// its tier moves the snapshot's tier gauge), and once more with the
-/// quota cut to 8 KiB so the tier's index shrinks evict.
+/// A tenant-tagged serve under the QoS policy the width tests use (its
+/// rate limit throttles, its tier moves the snapshot's tier gauge), and
+/// once more with the quota cut to 8 KiB so the tier's index shrinks
+/// evict.
 #[test]
 fn tenant_tagged_policy_serve_round_trips_qos_keys() {
     let policy = ServePolicy::parse("tier:2,rate:40,burst:4,quota:1").expect("policy");

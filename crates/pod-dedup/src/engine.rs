@@ -255,6 +255,31 @@ pub struct EngineCounters {
 }
 
 impl EngineCounters {
+    /// Add `other`'s counters to these. The destructuring names every
+    /// field, so a new counter cannot be left out of the sum.
+    pub fn add(&mut self, other: &EngineCounters) {
+        let EngineCounters {
+            write_requests,
+            removed_requests,
+            small_write_requests,
+            removed_small_requests,
+            large_write_requests,
+            removed_large_requests,
+            deduped_blocks,
+            written_blocks,
+            disk_index_lookups,
+        } = *other;
+        self.write_requests += write_requests;
+        self.removed_requests += removed_requests;
+        self.small_write_requests += small_write_requests;
+        self.removed_small_requests += removed_small_requests;
+        self.large_write_requests += large_write_requests;
+        self.removed_large_requests += removed_large_requests;
+        self.deduped_blocks += deduped_blocks;
+        self.written_blocks += written_blocks;
+        self.disk_index_lookups += disk_index_lookups;
+    }
+
     /// Percentage of write requests removed (Fig. 11's y-axis).
     pub fn removed_pct(&self) -> f64 {
         if self.write_requests == 0 {
@@ -983,6 +1008,10 @@ mod tests {
         assert_eq!(c.deduped_blocks, 3);
         assert_eq!(c.written_blocks, 3);
         assert!((c.removed_pct() - 50.0).abs() < 1e-9);
+        // Adding the counters to themselves doubles every field.
+        let mut sum = c;
+        sum.add(&c);
+        assert_eq!((sum.write_requests, sum.deduped_blocks), (4, 6));
     }
 
     #[test]

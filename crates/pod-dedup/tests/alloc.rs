@@ -11,36 +11,14 @@
 //! process-global, and a lone test keeps the measurement window free of
 //! harness or sibling-test traffic.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use counting_alloc::{allocations, CountingAlloc};
 use pod_dedup::{DedupConfig, DedupEngine, DedupPolicy, WriteScratch};
 use pod_types::{Fingerprint, IoRequest, Lba, SimTime};
 
-/// Counts every allocation and reallocation made through the global
-/// allocator. Deallocations are deliberately not counted: freeing is
-/// also forbidden on the hot path, but a free without a matching alloc
-/// cannot happen, so counting acquisitions covers both directions.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
+/// Counts every allocation and reallocation. Deallocations are not
+/// counted: freeing is also forbidden on the hot path, but a free
+/// without a matching alloc cannot happen, so counting acquisitions
+/// covers both directions.
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
@@ -91,11 +69,11 @@ fn steady_state_write_path_is_allocation_free() {
         // of several rather than exactly one clean run.
         let mut best = u64::MAX;
         for _ in 0..8 {
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let before = allocations();
             for _ in 0..64 {
                 run_set(&mut engine, &mut scratch, &set);
             }
-            let after = ALLOCATIONS.load(Ordering::Relaxed);
+            let after = allocations();
             best = best.min(after - before);
             if best == 0 {
                 break;

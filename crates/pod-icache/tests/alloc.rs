@@ -5,55 +5,29 @@
 //! and the index holds millions of entries at a 256 MiB budget. A table
 //! sized from the capacity up front makes each of those a
 //! multi-megabyte allocation that the run then faults in page by page;
-//! the grow-on-demand table must keep them cheap. A byte-counting
-//! global allocator holds them to that.
+//! the grow-on-demand table must keep them cheap. A counting global
+//! allocator holds their peak heap to that.
 //!
 //! The file holds a single test on purpose — the counter is
 //! process-global (see `pod-dedup/tests/sparse.rs`), so the two phases
 //! run in sequence inside it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use counting_alloc::{live_bytes, peak_bytes, reset_peak, CountingAlloc};
 use pod_cache::GhostedLru;
 use pod_icache::{ICache, ICacheConfig};
 use pod_types::Fingerprint;
 
-/// Sums the bytes requested from the global allocator (frees are not
-/// subtracted: the bound is on everything ever asked for).
-struct ByteCountingAlloc;
-
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for ByteCountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
+/// Tracks live heap bytes and their peak: the bound is on the most
+/// bytes held at once.
 #[global_allocator]
-static GLOBAL: ByteCountingAlloc = ByteCountingAlloc;
+static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Bytes requested while `f` runs.
+/// Peak heap bytes above the starting level while `f` runs.
 fn bytes_allocated<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = BYTES.load(Ordering::Relaxed);
+    let before = live_bytes();
+    reset_peak();
     let out = f();
-    (out, BYTES.load(Ordering::Relaxed) - before)
+    (out, peak_bytes() - before)
 }
 
 #[test]

@@ -1,61 +1,27 @@
 //! Allocation discipline of the FIU load path.
 //!
-//! A counting global allocator wraps the system allocator (the same
-//! arrangement as `pod-dedup/tests/alloc.rs`). Loading a trace body
-//! through [`trace_from_fiu`] may allocate for its output only: the
-//! request vector as it grows, and one chunk slice per *write
-//! request*. Streaming it through [`FiuLoader`] in blocks on two
-//! threads, as `pod-cli --trace` does, adds a bound per block. Nothing
-//! per line: no field vector, no process-name `String`, no
-//! `BlockRecord`. The allocator also sums the bytes requested and given
-//! back, which pins the footprint of what the load keeps: its chunk
-//! slices hold exactly one 16-byte fingerprint per written block, so no
-//! slice was built from a vector with spare capacity left in it.
+//! A counting global allocator (`counting_alloc`) wraps the system
+//! allocator. Loading a trace body through [`trace_from_fiu`] may
+//! allocate for its output only: the request vector as it grows, and
+//! one chunk slice per *write request*. Streaming it through
+//! [`FiuLoader`] in blocks on two threads, as `pod-cli --trace` does,
+//! adds a bound per block. Nothing per line: no field vector, no
+//! process-name `String`, no `BlockRecord`. The allocator also counts
+//! the bytes held, which pins the footprint of what the load keeps: its
+//! chunk slices hold exactly one 16-byte fingerprint per written block,
+//! so no slice was built from a vector with spare capacity left in it.
 //!
 //! The file holds a single test on purpose — the counters are
 //! process-global, and a lone test keeps the measurement window free of
 //! harness or sibling-test traffic.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use counting_alloc::{allocations, live_bytes, CountingAlloc};
 use pod_trace::reconstruct::{trace_from_fiu, FiuLoader};
 use pod_types::{Fingerprint, IoRequest};
 
-/// Counts every allocation and reallocation made through the global
-/// allocator, and the bytes they request and release.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static REQUESTED: AtomicU64 = AtomicU64::new(0);
-static RELEASED: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        RELEASED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
-        RELEASED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-/// Bytes requested and not yet released.
-fn held() -> u64 {
-    REQUESTED.load(Ordering::Relaxed) - RELEASED.load(Ordering::Relaxed)
-}
-
+/// Counts every allocation and reallocation, and the bytes they hold.
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
@@ -94,16 +60,16 @@ impl Load {
     fn since(before: (u64, u64), requests: &Vec<IoRequest>, other: usize) -> Self {
         let kept = (requests.capacity() * size_of::<IoRequest>() + other) as u64;
         Self {
-            allocations: ALLOCATIONS.load(Ordering::Relaxed) - before.0,
+            allocations: allocations() - before.0,
             requests: requests.len() as u64,
-            chunk_bytes: held() - before.1 - kept,
+            chunk_bytes: live_bytes() - before.1 - kept,
         }
     }
 }
 
 /// The counters [`Load::since`] measures from.
 fn counters() -> (u64, u64) {
-    (ALLOCATIONS.load(Ordering::Relaxed), held())
+    (allocations(), live_bytes())
 }
 
 /// [`Load`] of `body` through [`trace_from_fiu`].

@@ -27,6 +27,16 @@ pub enum PodError {
         /// Description of what went wrong.
         reason: String,
     },
+    /// A trace's request arrives earlier than the request before it; a
+    /// replay takes its trace in time order.
+    OutOfOrder {
+        /// 0-based position of the request in the trace.
+        position: usize,
+        /// Its arrival, µs.
+        arrival_us: u64,
+        /// The previous request's arrival, µs.
+        previous_us: u64,
+    },
     /// A configuration value was invalid (zero capacity, bad split, ...).
     InvalidConfig(String),
     /// Attempt to free / unreference a block that is not allocated.
@@ -46,6 +56,15 @@ impl fmt::Display for PodError {
             PodError::TraceParse { line, reason } => {
                 write!(f, "trace parse error at line {line}: {reason}")
             }
+            PodError::OutOfOrder {
+                position,
+                arrival_us,
+                previous_us,
+            } => write!(
+                f,
+                "request {position} arrives at {arrival_us} us, earlier than the previous \
+                 request's {previous_us} us: a trace must be in time order"
+            ),
             PodError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             PodError::NotAllocated(pba) => {
                 write!(f, "block pba={pba} is not allocated")
@@ -80,6 +99,14 @@ mod tests {
         .to_string()
         .contains("line 3"));
         assert!(PodError::NotAllocated(7).to_string().contains("pba=7"));
+        let e = PodError::OutOfOrder {
+            position: 63,
+            arrival_us: 5,
+            previous_us: 9,
+        };
+        assert!(e
+            .to_string()
+            .starts_with("request 63 arrives at 5 us, earlier than"));
     }
 
     #[test]

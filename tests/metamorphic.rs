@@ -10,6 +10,10 @@
 //! hit rate, fragmentation, repartitions, final index share, engine
 //! and stack counters and disk statistics, to the bit.
 //!
+//! A replay takes its trace in time order: a trace whose arrivals step
+//! back is refused, by `replay` and `serve` alike, and the same
+//! requests sorted by arrival replay.
+//!
 //! A serve tenant owns its whole stack and the shared tier's slice
 //! divides by the fleet's size, not by who is in it, so handing the
 //! same traces to different tenant ids moves no trace's report either —
@@ -114,7 +118,8 @@ fn renamed_fingerprints_and_shifted_arrivals_leave_every_report_field_unchanged(
     }
 }
 
-/// The QoS policy CI cross-checks: shared tier, rate limit and quota.
+/// The QoS policy the CLI's width tests cross-check: shared tier, rate
+/// limit and quota.
 const POLICY: &str = "tier:2,rate:40,burst:4,quota:1";
 
 fn policy_config(policy: Option<&str>) -> SystemConfig {
@@ -217,5 +222,40 @@ fn a_generated_fleet_serves_as_its_traces_do() {
             );
             assert_eq!(got, want, "shards {shards}, jobs {jobs}");
         }
+    }
+}
+
+#[test]
+fn a_trace_whose_arrivals_step_back_is_refused_and_its_sorted_form_replays() {
+    // Every 64th arrival halved: the 64th, at position 63, is the first
+    // to step back.
+    let mut stepped = TraceProfile::mail().scaled(0.002).generate(SEED);
+    for r in stepped.requests.iter_mut().skip(63).step_by(64) {
+        r.arrival = SimTime::from_micros(r.arrival.as_micros() / 2);
+    }
+    let at = |i: usize| stepped.requests[i].arrival.as_micros();
+    let want = PodError::OutOfOrder {
+        position: 63,
+        arrival_us: at(63),
+        previous_us: at(62),
+    };
+    let mut sorted = stepped.clone();
+    sorted.requests.sort_by_key(|r| r.arrival);
+    for scheme in Scheme::extended() {
+        let run = |t: &Trace| {
+            scheme
+                .builder()
+                .config(SystemConfig::paper_default())
+                .trace(t)
+                .run()
+        };
+        let base = run(&sorted).expect("the sorted trace replays");
+        assert!(base.overall.count() > 0, "{scheme}");
+        assert_eq!(run(&stepped).map(|_| ()), Err(want.clone()), "{scheme}");
+        let served = ServeBuilder::new(scheme)
+            .config(SystemConfig::paper_default())
+            .tenants(std::slice::from_ref(&stepped))
+            .run();
+        assert_eq!(served.map(|_| ()), Err(want.clone()), "{scheme} served");
     }
 }
